@@ -194,10 +194,10 @@ fn bench_cutoff(c: &mut Harness) {
 /// event actually recorded. CI asserts `gated/baseline` stays under 2%.
 /// Structure-aware scaling (DESIGN.md §3.7): repeated cached solves on
 /// the generator-shaped chain matrix at 640/2560/10240 unknowns, on
-/// three solve paths — natural-order Gilbert–Peierls, min-degree
-/// ordered, and the BBD partition. The natural order goes superlinear
-/// with the hub fill (so it is only measured through 2560); the ordered
-/// and BBD paths record the scaling trajectory CI gates on.
+/// two solve paths — natural-order Gilbert–Peierls and min-degree
+/// ordered. The natural order goes superlinear with the hub fill (so it
+/// is only measured through 2560); the ordered path records the scaling
+/// trajectory CI gates on.
 fn bench_scaling(c: &mut Harness) {
     use spicier::linalg::sparse::SparseSolver;
     let quick = quick_mode();
@@ -220,7 +220,6 @@ fn bench_scaling(c: &mut Harness) {
             group.bench_with_input(format!("gp_unordered/{n}"), &t, |bench, t| {
                 let mut solver = SparseSolver::default();
                 solver.force_ordering(false);
-                solver.force_bbd(false);
                 bench.iter(|| {
                     let mut rhs = b.clone();
                     solver.solve_in_place(t, &mut rhs).expect("nonsingular");
@@ -231,16 +230,6 @@ fn bench_scaling(c: &mut Harness) {
         group.bench_with_input(format!("ordered/{n}"), &t, |bench, t| {
             let mut solver = SparseSolver::default();
             solver.force_ordering(true);
-            solver.force_bbd(false);
-            bench.iter(|| {
-                let mut rhs = b.clone();
-                solver.solve_in_place(t, &mut rhs).expect("nonsingular");
-                rhs
-            })
-        });
-        group.bench_with_input(format!("bbd/{n}"), &t, |bench, t| {
-            let mut solver = SparseSolver::default();
-            solver.force_bbd(true);
             bench.iter(|| {
                 let mut rhs = b.clone();
                 solver.solve_in_place(t, &mut rhs).expect("nonsingular");
@@ -416,9 +405,6 @@ fn main() {
     }
     if let (Some(gp), Some(ord)) = (gp640, ord640) {
         metrics.push(("dim640_ordered_speedup", gp / ord));
-    }
-    if let Some(bbd) = find_id("scaling", "bbd/640".to_string()) {
-        metrics.push(("dim640_bbd_ns", bbd));
     }
     for n in [2560usize, 10240] {
         if let Some(v) = find_id("scaling", format!("ordered/{n}")) {

@@ -9,12 +9,12 @@
 //! the incomplete tail and its artifacts are identical to an
 //! uninterrupted run.
 //!
-//! No serde in the dependency tree, so the document is written — and
-//! parsed — by hand; the schema is deliberately flat, one experiment per
-//! line.
+//! The document is read and written with [`spicier::json`]: an
+//! `experiments` object mapping each name to a flat record.
 
 use super::report::out_dir;
 use crate::Scale;
+use spicier::json::Json;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -95,64 +95,55 @@ impl Manifest {
         Self::parse(&text)
     }
 
-    /// Parses the hand-written one-entry-per-line format produced by
-    /// [`Manifest::save`]. Unrecognized lines are skipped.
+    /// Parses the document produced by [`Manifest::save`]. Text that is
+    /// not a JSON object with an `experiments` object — a torn write, say
+    /// — degrades to an empty manifest; entries without a status or an
+    /// input hash are skipped.
     pub fn parse(text: &str) -> Self {
-        let mut experiments = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim().trim_end_matches(',');
-            let Some((name, rest)) = parse_entry_head(line) else {
-                continue;
-            };
-            let (Some(status), Some(input_hash)) = (
-                string_field(rest, "status"),
-                string_field(rest, "input_hash"),
-            ) else {
-                continue;
-            };
-            let wall_secs = number_field(rest, "wall_secs").unwrap_or(0.0);
-            let error = string_field(rest, "error");
-            let quarantined = number_field(rest, "quarantined").unwrap_or(0.0) as usize;
-            experiments.insert(
-                name.to_string(),
-                ExperimentRecord {
-                    status,
-                    input_hash,
-                    wall_secs,
-                    error,
-                    quarantined,
-                },
-            );
-        }
+        let doc = Json::parse(text).unwrap_or(Json::Null);
+        let Some(Json::Obj(entries)) = doc.get("experiments") else {
+            return Self::default();
+        };
+        let experiments = entries
+            .iter()
+            .filter_map(|(name, r)| {
+                let record = ExperimentRecord {
+                    status: r.str_field("status")?,
+                    input_hash: r.str_field("input_hash")?,
+                    wall_secs: r.num_field("wall_secs").unwrap_or(0.0),
+                    error: r.str_field("error"),
+                    quarantined: r.u64_field("quarantined").unwrap_or(0) as usize,
+                };
+                Some((name.clone(), record))
+            })
+            .collect();
         Self { experiments }
     }
 
     /// Serializes to the on-disk format.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n  \"experiments\": {\n");
-        let total = self.experiments.len();
-        for (i, (name, r)) in self.experiments.iter().enumerate() {
-            // The quarantined field is omitted when zero so clean-run
-            // manifests keep their historical shape.
-            out.push_str(&format!(
-                "    \"{}\": {{\"status\": \"{}\", \"input_hash\": \"{}\", \"wall_secs\": {:.3}{}{}}}{}\n",
-                json_escape(name),
-                json_escape(&r.status),
-                json_escape(&r.input_hash),
-                r.wall_secs,
+        let entries = self
+            .experiments
+            .iter()
+            .map(|(name, r)| {
+                let mut fields = vec![
+                    ("status", Json::str(r.status.as_str())),
+                    ("input_hash", Json::str(r.input_hash.as_str())),
+                    ("wall_secs", Json::num(r.wall_secs)),
+                ];
+                // The quarantined field is omitted when zero so clean-run
+                // manifests keep their historical shape.
                 if r.quarantined > 0 {
-                    format!(", \"quarantined\": {}", r.quarantined)
-                } else {
-                    String::new()
-                },
-                match &r.error {
-                    Some(e) => format!(", \"error\": \"{}\"", json_escape(e)),
-                    None => String::new(),
-                },
-                if i + 1 < total { "," } else { "" }
-            ));
-        }
-        out.push_str("  }\n}\n");
+                    fields.push(("quarantined", Json::Num(r.quarantined as f64)));
+                }
+                if let Some(e) = &r.error {
+                    fields.push(("error", Json::str(e.as_str())));
+                }
+                (name.clone(), Json::obj(fields))
+            })
+            .collect();
+        let mut out = Json::obj(vec![("experiments", Json::Obj(entries))]).render();
+        out.push('\n');
         out
     }
 
@@ -191,63 +182,6 @@ impl Manifest {
     pub fn record(&mut self, name: &str, record: ExperimentRecord) {
         self.experiments.insert(name.to_string(), record);
     }
-}
-
-/// `"NAME": {...}` → `(NAME, {...})`.
-fn parse_entry_head(line: &str) -> Option<(&str, &str)> {
-    let rest = line.strip_prefix('"')?;
-    let (name, rest) = rest.split_once('"')?;
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    rest.starts_with('{').then_some((name, rest))
-}
-
-/// Extracts `"key": "value"` from a flat one-line object. Escapes are not
-/// unwound beyond `\"` avoidance — hashes, statuses, and error texts the
-/// writer produces never need more.
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => {
-                if let Some(n) = chars.next() {
-                    out.push(n);
-                }
-            }
-            '"' => return Some(out),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts `"key": <number>` from a flat one-line object.
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .find(|c: char| {
-            c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' && !c.is_ascii_digit()
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Hash of everything that determines an experiment's output: its name,
@@ -303,9 +237,45 @@ mod tests {
             "FIG8",
             ExperimentRecord::failed("def456".into(), 0.5, "boom, \"quoted\"".into()),
         );
+        // A quarantined chunk panic as the daemon records it: an
+        // `assert_eq!` message spans lines and may carry tabs.
+        m.record(
+            "CHUNK3",
+            ExperimentRecord::failed(
+                "0123456789abcdef".into(),
+                0.0,
+                "panic: assertion `left == right` failed\n  left: 1\n right: 2\tat chunk 3".into(),
+            )
+            .with_quarantined(1),
+        );
         let text = m.render();
         let back = Manifest::parse(&text);
         assert_eq!(back, m, "{text}");
+    }
+
+    /// A manifest exactly as the earlier pretty, one-entry-per-line
+    /// writer left it on disk still loads, so such campaigns keep
+    /// resuming.
+    #[test]
+    fn pretty_one_entry_per_line_manifest_still_loads() {
+        let text = r#"{
+  "experiments": {
+    "ABLATE": {"status": "ok", "input_hash": "9a14864201b8eb87", "wall_secs": 0.069},
+    "FIG5": {"status": "ok", "input_hash": "e3dfe3e939d321c6", "wall_secs": 2.000, "quarantined": 3},
+    "FIG8": {"status": "failed", "input_hash": "98232c65e05e21a9", "wall_secs": 0.500, "error": "boom, \"quoted\""}
+  }
+}
+"#;
+        let m = Manifest::parse(text);
+        assert_eq!(m.experiments.len(), 3, "{m:?}");
+        assert!(m.is_complete("ABLATE", "9a14864201b8eb87"));
+        assert!(!m.is_complete("FIG5", "e3dfe3e939d321c6"));
+        assert_eq!(m.experiments["FIG5"].quarantined, 3);
+        assert_eq!(m.experiments["FIG8"].wall_secs, 0.5);
+        assert_eq!(
+            m.experiments["FIG8"].error.as_deref(),
+            Some("boom, \"quoted\"")
+        );
     }
 
     #[test]
@@ -340,7 +310,13 @@ mod tests {
         );
         m.record("FIG2", ExperimentRecord::ok("h1".into(), 1.0));
         let text = m.render();
-        assert!(text.contains("\"quarantined\": 3"), "{text}");
+        let doc = Json::parse(&text).unwrap();
+        let fig5 = doc.get("experiments").and_then(|e| e.get("FIG5"));
+        assert_eq!(
+            fig5.and_then(|r| r.u64_field("quarantined")),
+            Some(3),
+            "{text}"
+        );
         let back = Manifest::parse(&text);
         assert_eq!(back, m, "{text}");
         assert!(
@@ -354,7 +330,9 @@ mod tests {
     fn clean_records_render_without_quarantined_field() {
         let mut m = Manifest::default();
         m.record("FIG2", ExperimentRecord::ok("h1".into(), 1.0));
-        assert!(!m.render().contains("quarantined"), "{}", m.render());
+        let doc = Json::parse(&m.render()).unwrap();
+        let fig2 = doc.get("experiments").and_then(|e| e.get("FIG2")).unwrap();
+        assert!(fig2.get("quarantined").is_none(), "{}", m.render());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Only written when telemetry is enabled (`EXP_TELEMETRY=1` or
 //! `SPICIER_TRACE=<path>`); a plain campaign produces no report and pays
-//! nothing. The schema is flat hand-written JSON (no serde in the tree):
-//! one entry per experiment with wall time, Newton totals, the
+//! nothing. The document is written with [`spicier::json`]: one entry
+//! per experiment with wall time, Newton totals, the
 //! recovery-ladder rung histogram, linear-kernel counters, the worst
 //! certified backward error, and quarantine/timeout counts — plus a
 //! `totals` rollup over the whole campaign.
@@ -14,7 +14,8 @@
 //! complete report covering everything that ran.
 
 use super::report::out_dir;
-use spicier::telemetry::GlobalSummary;
+use spicier::json::Json;
+use spicier::TelemetrySummary;
 use std::path::PathBuf;
 
 /// Schema tag stamped into the report for downstream consumers.
@@ -34,7 +35,7 @@ pub struct ExperimentTelemetry {
     /// Sweep corners cancelled on their per-corner deadline.
     pub timed_out: usize,
     /// Solver-side rollup drained from the telemetry layer.
-    pub summary: GlobalSummary,
+    pub summary: TelemetrySummary,
 }
 
 /// The whole-campaign report: one entry per executed experiment.
@@ -49,61 +50,39 @@ pub fn run_report_path() -> PathBuf {
     out_dir().join("RUN_REPORT.json")
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) => json_f64(v),
-        None => "null".to_string(),
-    }
-}
-
-fn render_entry(e: &ExperimentTelemetry, indent: &str) -> String {
+fn entry_json(e: &ExperimentTelemetry) -> Json {
     let s = &e.summary;
-    let rungs = s
+    // Sorted, so the report does not depend on which analysis (or
+    // worker) first reported a rung.
+    let mut rungs: Vec<(String, Json)> = s
         .rung_iterations
         .iter()
-        .map(|(label, n)| format!("\"{label}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{indent}\"status\": \"{}\",\n\
-         {indent}\"wall_secs\": {:.3},\n\
-         {indent}\"analyses\": {},\n\
-         {indent}\"newton_iterations\": {},\n\
-         {indent}\"rung_iterations\": {{{rungs}}},\n\
-         {indent}\"accepted_steps\": {},\n\
-         {indent}\"rejected_steps\": {},\n\
-         {indent}\"lu\": {{\"full_factors\": {}, \"refactors\": {}, \"pivot_fallbacks\": {}, \"solves\": {}}},\n\
-         {indent}\"worst_backward_error\": {},\n\
-         {indent}\"worst_cond_estimate\": {},\n\
-         {indent}\"quarantined\": {},\n\
-         {indent}\"timed_out\": {}",
-        e.status,
-        e.wall_secs,
-        s.analyses,
-        s.newton_iterations,
-        s.accepted_steps,
-        s.rejected_steps,
-        s.lu.full_factors,
-        s.lu.refactors,
-        s.lu.pivot_fallbacks,
-        s.lu.solves,
-        json_opt_f64(s.worst_backward_error),
-        json_opt_f64(s.worst_cond_estimate),
-        e.quarantined,
-        e.timed_out,
-    )
+        .map(|(label, n)| (label.clone(), Json::Num(*n as f64)))
+        .collect();
+    rungs.sort_by(|a, b| a.0.cmp(&b.0));
+    let worst = |v: Option<f64>| v.map_or(Json::Null, Json::num_tagged);
+    Json::obj(vec![
+        ("status", Json::str(e.status.as_str())),
+        ("wall_secs", Json::num(e.wall_secs)),
+        ("analyses", Json::Num(s.analyses as f64)),
+        ("newton_iterations", Json::Num(s.newton_iterations as f64)),
+        ("rung_iterations", Json::Obj(rungs)),
+        ("accepted_steps", Json::Num(s.accepted_steps as f64)),
+        ("rejected_steps", Json::Num(s.rejected_steps as f64)),
+        (
+            "lu",
+            Json::obj(vec![
+                ("full_factors", Json::Num(s.lu.full_factors as f64)),
+                ("refactors", Json::Num(s.lu.refactors as f64)),
+                ("pivot_fallbacks", Json::Num(s.lu.pivot_fallbacks as f64)),
+                ("solves", Json::Num(s.lu.solves as f64)),
+            ]),
+        ),
+        ("worst_backward_error", worst(s.worst_backward_error)),
+        ("worst_cond_estimate", worst(s.cond_estimate)),
+        ("quarantined", Json::Num(e.quarantined as f64)),
+        ("timed_out", Json::Num(e.timed_out as f64)),
+    ])
 }
 
 impl RunReport {
@@ -115,56 +94,35 @@ impl RunReport {
     /// Campaign-wide totals across every entry.
     #[must_use]
     pub fn totals(&self) -> ExperimentTelemetry {
-        let mut total = ExperimentTelemetry {
+        ExperimentTelemetry {
             name: "totals".to_string(),
             status: if self.entries.iter().all(|e| e.status == "ok") {
                 "ok".to_string()
             } else {
                 "failed".to_string()
             },
-            ..ExperimentTelemetry::default()
-        };
-        for e in &self.entries {
-            total.wall_secs += e.wall_secs;
-            total.quarantined += e.quarantined;
-            total.timed_out += e.timed_out;
-            total.summary.analyses += e.summary.analyses;
-            total.summary.newton_iterations += e.summary.newton_iterations;
-            for (label, n) in &e.summary.rung_iterations {
-                *total
-                    .summary
-                    .rung_iterations
-                    .entry(label.clone())
-                    .or_insert(0) += n;
-            }
-            total.summary.accepted_steps += e.summary.accepted_steps;
-            total.summary.rejected_steps += e.summary.rejected_steps;
-            total.summary.lu.absorb(&e.summary.lu);
-            total.summary.worst_backward_error = worst_opt(
-                total.summary.worst_backward_error,
-                e.summary.worst_backward_error,
-            );
-            total.summary.worst_cond_estimate = worst_opt(
-                total.summary.worst_cond_estimate,
-                e.summary.worst_cond_estimate,
-            );
+            wall_secs: self.entries.iter().map(|e| e.wall_secs).sum(),
+            quarantined: self.entries.iter().map(|e| e.quarantined).sum(),
+            timed_out: self.entries.iter().map(|e| e.timed_out).sum(),
+            summary: TelemetrySummary::merged(self.entries.iter().map(|e| &e.summary)),
         }
-        total
     }
 
     /// Serializes the report as JSON.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"experiments\": {{\n");
-        let n = self.entries.len();
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!("    \"{}\": {{\n", e.name));
-            out.push_str(&render_entry(e, "      "));
-            out.push_str(&format!("\n    }}{}\n", if i + 1 < n { "," } else { "" }));
-        }
-        out.push_str("  },\n  \"totals\": {\n");
-        out.push_str(&render_entry(&self.totals(), "    "));
-        out.push_str("\n  }\n}\n");
+        let experiments = self
+            .entries
+            .iter()
+            .map(|e| (e.name.clone(), entry_json(e)))
+            .collect();
+        let mut out = Json::obj(vec![
+            ("schema", Json::str(SCHEMA)),
+            ("experiments", Json::Obj(experiments)),
+            ("totals", entry_json(&self.totals())),
+        ])
+        .render();
+        out.push('\n');
         out
     }
 
@@ -179,35 +137,20 @@ impl RunReport {
     }
 }
 
-/// Merges two optional "worst" measurements (`NaN` pessimal), mirroring
-/// the telemetry layer's merge.
-fn worst_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(x), Some(y)) => {
-            if x.is_nan() || y.is_nan() {
-                Some(f64::NAN)
-            } else {
-                Some(x.max(y))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn entry(name: &str, newton: u64, bwerr: Option<f64>) -> ExperimentTelemetry {
-        let mut summary = GlobalSummary {
+        let mut summary = TelemetrySummary {
             analyses: 2,
             newton_iterations: newton,
+            rung_iterations: vec![("newton".to_string(), newton)],
             accepted_steps: 10,
             rejected_steps: 1,
             worst_backward_error: bwerr,
-            ..GlobalSummary::default()
+            ..TelemetrySummary::default()
         };
-        summary.rung_iterations.insert("newton".to_string(), newton);
         summary.lu.full_factors = 3;
         summary.lu.solves = newton as usize;
         ExperimentTelemetry {
@@ -226,22 +169,29 @@ mod tests {
         report.push(entry("FIG2", 40, Some(1.0e-14)));
         report.push(entry("FIG5", 60, Some(2.0e-13)));
         let text = report.render();
-        for needle in [
-            "\"schema\": \"spicier-run-report-v1\"",
-            "\"FIG2\"",
-            "\"FIG5\"",
-            "\"wall_secs\"",
-            "\"newton_iterations\": 40",
-            "\"rung_iterations\": {\"newton\": 60}",
-            "\"lu\": {\"full_factors\": 3",
-            "\"worst_backward_error\": 0.0000000000002",
-            "\"quarantined\": 0",
-            "\"timed_out\": 1",
-            "\"totals\"",
-            "\"newton_iterations\": 100",
-        ] {
-            assert!(text.contains(needle), "missing {needle} in:\n{text}");
-        }
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(
+            doc.str_field("schema").as_deref(),
+            Some("spicier-run-report-v1")
+        );
+        let experiments = doc.get("experiments").unwrap();
+        let fig2 = experiments.get("FIG2").unwrap();
+        let fig5 = experiments.get("FIG5").unwrap();
+        assert!(fig2.num_field("wall_secs").is_some(), "{text}");
+        assert_eq!(fig2.u64_field("newton_iterations"), Some(40));
+        assert_eq!(
+            fig5.get("rung_iterations"),
+            Some(&Json::obj(vec![("newton", Json::Num(60.0))]))
+        );
+        assert_eq!(
+            fig2.get("lu").and_then(|lu| lu.u64_field("full_factors")),
+            Some(3)
+        );
+        assert_eq!(fig5.num_field("worst_backward_error"), Some(2.0e-13));
+        assert_eq!(fig2.u64_field("quarantined"), Some(0));
+        assert_eq!(fig2.u64_field("timed_out"), Some(1));
+        let totals = doc.get("totals").unwrap();
+        assert_eq!(totals.u64_field("newton_iterations"), Some(100));
     }
 
     #[test]
@@ -254,19 +204,24 @@ mod tests {
         assert_eq!(totals.summary.analyses, 4);
         assert_eq!(totals.timed_out, 2);
         assert_eq!(totals.summary.worst_backward_error, Some(1.0e-12));
-        assert_eq!(totals.summary.rung_iterations.get("newton"), Some(&30));
+        assert_eq!(
+            totals.summary.rung_iterations,
+            vec![("newton".to_string(), 30)]
+        );
     }
 
     #[test]
     fn missing_worsts_render_as_null_and_nan_as_string() {
         let mut report = RunReport::default();
         report.push(entry("A", 1, None));
-        assert!(report.render().contains("\"worst_backward_error\": null"));
+        let doc = Json::parse(&report.render()).unwrap();
+        let a = doc.get("experiments").and_then(|e| e.get("A")).unwrap();
+        assert_eq!(a.get("worst_backward_error"), Some(&Json::Null));
         let mut report = RunReport::default();
         report.push(entry("B", 1, Some(f64::NAN)));
-        assert!(report
-            .render()
-            .contains("\"worst_backward_error\": \"NaN\""));
+        let doc = Json::parse(&report.render()).unwrap();
+        let b = doc.get("experiments").and_then(|e| e.get("B")).unwrap();
+        assert_eq!(b.str_field("worst_backward_error").as_deref(), Some("NaN"));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! samples and slow kernels still finish). The median is the headline
 //! number; min is reported as the noise floor.
 
+use spicier::json::Json;
 use std::hint::black_box;
 use std::path::Path;
 use std::sync::Mutex;
@@ -194,23 +195,9 @@ fn median_ns_of(sorted: &[Duration]) -> u128 {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes a machine-readable report: every bench record plus
 /// caller-computed scalar metrics (speedups, nnz counts, ...), as JSON.
-/// No serde in the dependency tree, so the document is written by hand;
-/// the schema is flat on purpose.
+/// A non-finite metric is written as `null`.
 ///
 /// # Errors
 ///
@@ -223,33 +210,28 @@ pub fn write_json_report(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut out = String::from("{\n  \"benches\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"id\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"samples\": {}}}{}\n",
-            json_escape(&r.group),
-            json_escape(&r.id),
-            r.median_ns,
-            r.min_ns,
-            r.samples,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let value = if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        };
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            json_escape(k),
-            value,
-            if i + 1 < metrics.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
+    let benches = records
+        .iter()
+        .map(|r| {
+            Json::obj(vec![
+                ("group", Json::str(r.group.as_str())),
+                ("id", Json::str(r.id.as_str())),
+                ("median_ns", Json::Num(r.median_ns as f64)),
+                ("min_ns", Json::Num(r.min_ns as f64)),
+                ("samples", Json::Num(r.samples as f64)),
+            ])
+        })
+        .collect();
+    let metrics = metrics
+        .iter()
+        .map(|(k, v)| ((*k).to_string(), Json::num(*v)))
+        .collect();
+    let mut out = Json::obj(vec![
+        ("benches", Json::Arr(benches)),
+        ("metrics", Json::Obj(metrics)),
+    ])
+    .render();
+    out.push('\n');
     // Atomic write: tmp sibling + rename + parent-dir fsync, so a
     // killed bench run never leaves a truncated report for CI to parse.
     crate::durable::write_atomic("bench.write", path, out.as_bytes())

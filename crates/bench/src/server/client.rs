@@ -23,9 +23,9 @@
 //! is trickled with a delay — the slowloris the daemon's two-phase read
 //! timeout must shrug off.
 
-use super::json::Json;
 use super::proto::{read_frame, write_frame, CampaignSpec, Request, Stream};
 use spicier::chaos;
+use spicier::json::Json;
 use std::cell::Cell;
 use std::io::Write;
 use std::path::Path;

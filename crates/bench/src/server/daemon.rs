@@ -14,11 +14,11 @@
 //! is resumed by the next daemon start.
 
 use super::execute::{self, finalize_job, split_chunks, worker_loop};
-use super::json::Json;
 use super::metrics::{self, AccessLog};
 use super::proto::{self, write_frame, Listener, Request, Stream};
 use super::scheduler::{AdmitError, Job, JobClass, JobPhase, Outcome, Scheduler, Unit};
 use super::ServerConfig;
+use spicier::json::Json;
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -50,11 +50,11 @@
 //! the line is written, `journal.fsync` before the data sync, and
 //! `journal.compact` before a compaction rewrite lands.
 
-use super::json::Json;
 use super::metrics::Histogram;
 use super::proto::CampaignSpec;
 use crate::durable;
 use spicier::chaos;
+use spicier::json::Json;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;

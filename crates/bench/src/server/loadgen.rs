@@ -34,11 +34,11 @@
 //! [`run`] report them so the binary can exit non-zero (the CI gate).
 
 use super::client::{Client, ClientConfig, RetryClient};
-use super::json::Json;
 use super::metrics::{self, epoch_ms, percentile};
 use super::proto::{status, CampaignSpec, Request};
 use crate::microbench::write_json_report;
 use spicier::chaos;
+use spicier::json::Json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -100,7 +100,7 @@ pub struct LoadgenOptions {
     /// mode.
     pub quick: bool,
     /// Where the JSON rollup goes (`LOADGEN_OUT`, default
-    /// `target/BENCH_server.json`).
+    /// `target/bench/BENCH_server.json`, next to `BENCH_solver.json`).
     pub out_path: PathBuf,
     /// The daemon binary (`SERVE_BIN`, default: sibling of the current
     /// executable).
@@ -127,7 +127,8 @@ impl LoadgenOptions {
             || std::env::var("LOADGEN_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
         let out_path = match std::env::var("LOADGEN_OUT") {
             Ok(v) if !v.is_empty() => PathBuf::from(v),
-            _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/BENCH_server.json"),
+            _ => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../../target/bench/BENCH_server.json"),
         };
         let serve_bin = match std::env::var("SERVE_BIN") {
             Ok(v) if !v.is_empty() => PathBuf::from(v),

@@ -26,7 +26,7 @@
 //! multi-process serving tier can aggregate per-worker registries
 //! without losing bucket fidelity.
 
-use super::json::Json;
+use spicier::json::Json;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -34,7 +34,8 @@ pub mod client;
 pub mod daemon;
 pub mod execute;
 pub mod jobstate;
-pub mod json;
+/// Re-export of [`spicier::json`] under the path existing importers use.
+pub use spicier::json;
 pub mod loadgen;
 pub mod metrics;
 pub mod proto;

@@ -6,7 +6,7 @@
 //! objects whose `status` field is one of the [`status`] constants; the
 //! other fields are documented on the daemon handlers.
 
-use super::json::Json;
+use spicier::json::Json;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};

@@ -31,10 +31,10 @@
 
 use super::daemon::{telemetry_json, DRAIN};
 use super::execute::{chunk_path, result_path};
-use super::json::Json;
 use super::proto::{self, write_frame, Stream};
 use super::scheduler::{Job, JobPhase, Outcome, Scheduler};
 use crate::experiments::manifest::fnv64;
+use spicier::json::Json;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 

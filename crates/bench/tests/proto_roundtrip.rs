@@ -5,9 +5,9 @@
 //! digests through the same pipe.
 
 use cml_bench::experiments::manifest::fnv64;
-use cml_bench::server::json::Json;
 use cml_bench::server::proto::{read_frame, write_frame, CampaignSpec, Request, MAX_FRAME};
 use cml_bench::server::watch::{chunk_event, lagged_frame, ping_event};
+use spicier::json::Json;
 use xrand::StdRng;
 
 /// A random path-safe name (`valid_name` charset, 1..=16 chars).

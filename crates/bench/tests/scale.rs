@@ -5,8 +5,8 @@
 //!
 //! * every cml-cells gate (buffer, AND, OR, XOR, MUX, latch, DFF) is
 //!   assembled at Newton-shaped pseudo-iterates and its MNA system solved
-//!   by the natural-order, fill-reducing-ordered, and BBD-armed solver
-//!   paths — all three must certify and agree;
+//!   by the natural-order and fill-reducing-ordered solver paths — both
+//!   must certify and agree;
 //! * a generator-scale buffer chain (10k+ unknowns in release builds)
 //!   must reach a certified DC operating point under the *default*
 //!   analysis budget, riding the automatic fill-reducing ordering that
@@ -132,7 +132,7 @@ const GENERATOR_DEPTH: usize = 8;
 /// A generator-shaped circuit: `chains` parallel buffer chains of
 /// [`GENERATOR_DEPTH`], all driven from one static input and sharing the
 /// rails — repeated channel-connected stages off a common border, the
-/// shape the BBD partition and the fill-reducing ordering are built for.
+/// shape the fill-reducing ordering is built for.
 fn wide_circuit(chains: usize) -> Circuit {
     build(|b| {
         let a = b.diff("a");
@@ -158,8 +158,8 @@ fn chains_for_dim(target: usize) -> usize {
 
 /// Every cml-cells gate's MNA system, assembled at several Newton-shaped
 /// iterates, must be solved identically (within certified backward
-/// error) by the natural-order, forced-ordering, and BBD-armed paths —
-/// the structure-aware machinery must be invisible to the answers on
+/// error) by the natural-order and forced-ordering paths — the
+/// structure-aware machinery must be invisible to the answers on
 /// every real cell of the library.
 #[test]
 fn all_cml_cells_gates_agree_across_solver_paths() {
@@ -173,12 +173,8 @@ fn all_cml_cells_gates_agree_across_solver_paths() {
 
         let mut natural = SparseSolver::default();
         natural.force_ordering(false);
-        natural.force_bbd(false);
         let mut ordered = SparseSolver::default();
         ordered.force_ordering(true);
-        ordered.force_bbd(false);
-        let mut bbd = SparseSolver::default();
-        bbd.force_bbd(true);
 
         // Deterministic pseudo-iterates like the Newton loop visits
         // (same construction as the stamp-map faithfulness test); the
@@ -195,14 +191,8 @@ fn all_cml_cells_gates_agree_across_solver_paths() {
             let mut xo = rhs.clone();
             ordered.solve_in_place(&triplets, &mut xo).unwrap();
             assert!(ordered.ordering_active(), "{label}: forced ordering");
-            let mut xb = rhs.clone();
-            bbd.solve_in_place(&triplets, &mut xb).unwrap();
 
-            for (path, x, solver) in [
-                ("natural", &xn, &natural),
-                ("ordered", &xo, &ordered),
-                ("bbd", &xb, &bbd),
-            ] {
+            for (path, x, solver) in [("natural", &xn, &natural), ("ordered", &xo, &ordered)] {
                 assert!(
                     solver.last_quality().backward_error <= tol,
                     "{label}/{path} step={step}: {:?}",
@@ -213,10 +203,11 @@ fn all_cml_cells_gates_agree_across_solver_paths() {
                     "{label}/{path} step={step}: residual"
                 );
             }
-            for (path, x) in [("ordered", &xo), ("bbd", &xb)] {
-                let diff = rel_diff(&xn, x);
-                assert!(diff < 1.0e-6, "{label}/{path} step={step}: diff {diff:.3e}");
-            }
+            let diff = rel_diff(&xn, &xo);
+            assert!(
+                diff < 1.0e-6,
+                "{label}/ordered step={step}: diff {diff:.3e}"
+            );
         }
     }
 }

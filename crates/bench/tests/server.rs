@@ -9,9 +9,9 @@
 
 use cml_bench::experiments::manifest::fnv64;
 use cml_bench::server::client::{Client, ClientConfig, RetryClient, WatchOutcome};
-use cml_bench::server::json::Json;
 use cml_bench::server::loadgen::{DIVIDER_DECK, OP_DECK};
 use cml_bench::server::proto::{status, CampaignSpec, Request};
+use spicier::json::Json;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};

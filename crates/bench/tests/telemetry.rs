@@ -8,6 +8,7 @@
 //! * the `EXP_INJECT_BAD_CORNER=1` drill must leave a non-empty
 //!   `FLIGHT_RECORDER.jsonl` identifying the failing corner.
 
+use spicier::json::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -89,29 +90,46 @@ fn telemetry_keeps_artifacts_byte_identical_and_writes_run_report() {
     // The traced run additionally reports its solver work.
     let report = std::fs::read_to_string(traced_dir.join("RUN_REPORT.json"))
         .expect("EXP_TELEMETRY=1 must write RUN_REPORT.json");
-    for needle in [
-        "\"schema\": \"spicier-run-report-v1\"",
-        "\"FIG5\"",
-        "\"status\": \"ok\"",
-        "\"wall_secs\"",
-        "\"analyses\"",
-        "\"newton_iterations\"",
-        "\"rung_iterations\"",
-        "\"lu\": {\"full_factors\"",
-        "\"solves\"",
-        "\"worst_backward_error\"",
-        "\"quarantined\"",
-        "\"timed_out\"",
-        "\"totals\"",
+    let doc = Json::parse(&report).unwrap_or_else(|e| panic!("{e} in:\n{report}"));
+    assert_eq!(
+        doc.str_field("schema").as_deref(),
+        Some("spicier-run-report-v1")
+    );
+    let fig5 = doc
+        .get("experiments")
+        .and_then(|e| e.get("FIG5"))
+        .unwrap_or_else(|| panic!("missing FIG5 in:\n{report}"));
+    let totals = doc
+        .get("totals")
+        .unwrap_or_else(|| panic!("missing totals in:\n{report}"));
+    assert_eq!(fig5.str_field("status").as_deref(), Some("ok"));
+    for key in [
+        "wall_secs",
+        "analyses",
+        "newton_iterations",
+        "rung_iterations",
+        "lu",
+        "worst_backward_error",
+        "quarantined",
+        "timed_out",
     ] {
-        assert!(report.contains(needle), "missing {needle} in:\n{report}");
+        assert!(fig5.get(key).is_some(), "missing {key} in:\n{report}");
+    }
+    let lu = fig5.get("lu").unwrap();
+    for key in ["full_factors", "solves"] {
+        assert!(lu.get(key).is_some(), "missing lu.{key} in:\n{report}");
     }
     assert!(
         !traced_dir.join("RUN_REPORT.json.tmp").exists(),
         "the report write must be atomic"
     );
     // FIG5 solves real circuits: the rollup cannot be all-zero.
-    assert!(!report.contains("\"newton_iterations\": 0,"), "{report}");
+    for entry in [fig5, totals] {
+        assert!(
+            entry.u64_field("newton_iterations").is_some_and(|n| n > 0),
+            "{report}"
+        );
+    }
 }
 
 #[test]
@@ -137,5 +155,9 @@ fn bad_corner_drill_dumps_flight_recorder_naming_the_corner() {
 
     // The run report tallies the healthy corners alongside the failure.
     let report = std::fs::read_to_string(dir.join("RUN_REPORT.json")).unwrap();
-    assert!(report.contains("\"FIG8\""), "{report}");
+    let doc = Json::parse(&report).unwrap();
+    assert!(
+        doc.get("experiments").and_then(|e| e.get("FIG8")).is_some(),
+        "{report}"
+    );
 }

@@ -227,6 +227,7 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
         data.push(x);
     }
     let summary = TelemetrySummary {
+        analyses: 1,
         wall: started.elapsed(),
         lu: ws.solver.stats(),
         worst_backward_error: Some(quality.backward_error),

@@ -444,6 +444,7 @@ fn dc_summary(
     quality: SolveQuality,
 ) -> TelemetrySummary {
     TelemetrySummary {
+        analyses: 1,
         wall,
         newton_iterations: report.total_iterations() as u64,
         rung_iterations: report

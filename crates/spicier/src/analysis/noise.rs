@@ -238,6 +238,7 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
         psd_out.push(total);
     }
     let summary = TelemetrySummary {
+        analyses: 1,
         wall: started.elapsed(),
         lu: ws.solver.stats(),
         worst_backward_error: Some(quality.backward_error),

@@ -562,6 +562,7 @@ pub fn transient_salvage_with(
         }
     }
     result.telemetry = TelemetrySummary {
+        analyses: 1,
         wall: started.elapsed(),
         newton_iterations: result.newton_iterations as u64,
         accepted_steps: result.accepted_steps as u64,

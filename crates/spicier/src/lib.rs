@@ -50,6 +50,7 @@ pub mod analysis;
 pub mod chaos;
 pub mod devices;
 pub mod error;
+pub mod json;
 pub mod linalg;
 pub mod netlist;
 pub mod runner;

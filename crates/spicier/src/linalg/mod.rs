@@ -15,7 +15,6 @@
 //! Both kernels implement [`Solver`], and [`AutoSolver`] picks between them
 //! by size. The sparse kernel is property-tested against the dense one.
 
-pub mod bbd;
 pub mod complex;
 pub mod dense;
 pub mod order;

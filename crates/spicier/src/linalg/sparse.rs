@@ -11,7 +11,6 @@
 // the mathematical objects (pivot rows, column positions).
 #![allow(clippy::needless_range_loop)]
 
-use super::bbd::{BbdSolver, BbdStats};
 use super::order::min_degree_pinv;
 use super::{verify, verify::SolveQuality, Solver};
 use crate::error::Error;
@@ -20,37 +19,14 @@ use crate::error::Error;
 const PIVOT_FLOOR: f64 = 1e-13;
 
 /// Unknown count from which [`SparseSolver`] applies the fill-reducing
-/// ordering (and, when enabled, attempts the BBD partition) automatically.
+/// ordering automatically.
 /// Below this the natural MNA order's fill is already near-optimal on
 /// circuit sparsity and the permuted scatter would be pure overhead —
 /// and, critically, every circuit in the frozen experiment baselines sits
 /// far below it, so the new solve paths cannot perturb baseline bytes.
-/// Override with `SPICIER_ORDERING=1`/`0` or the
-/// [`force_ordering`](SparseSolver::force_ordering) /
-/// [`force_bbd`](SparseSolver::force_bbd) setters.
+/// Override with the [`force_ordering`](SparseSolver::force_ordering)
+/// setter.
 pub const ORDERING_MIN_DIM: usize = 1024;
-
-/// `SPICIER_ORDERING` knob: `"0"` forces the natural order, `"1"` forces
-/// the minimum-degree ordering at every size, unset defers to the
-/// [`ORDERING_MIN_DIM`] auto threshold. Read once per process.
-fn ordering_env() -> Option<bool> {
-    static KNOB: std::sync::OnceLock<Option<bool>> = std::sync::OnceLock::new();
-    *KNOB.get_or_init(|| match std::env::var("SPICIER_ORDERING") {
-        Ok(v) if v == "0" => Some(false),
-        Ok(v) if v == "1" => Some(true),
-        _ => None,
-    })
-}
-
-/// `SPICIER_BBD` knob: any value other than `"0"` arms the
-/// bordered-block-diagonal path for systems at or above
-/// [`ORDERING_MIN_DIM`] unknowns. Off by default — the certified LU path
-/// with ordering is the reference; BBD is the structure-exploiting
-/// accelerator. Read once per process.
-fn bbd_env() -> bool {
-    static KNOB: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *KNOB.get_or_init(|| matches!(std::env::var("SPICIER_BBD"), Ok(v) if v != "0"))
-}
 
 /// Coordinate-format accumulator for assembling MNA matrices.
 ///
@@ -180,35 +156,6 @@ impl SparseMatrix {
     /// Value of each stored nonzero, parallel to [`rows`](Self::rows).
     pub fn vals(&self) -> &[f64] {
         &self.vals
-    }
-
-    /// Mutable view of the stored values, for in-place numeric refresh on
-    /// a fixed pattern (the BBD block pool reuses local matrices this way
-    /// to keep [`SparseLu::refactor`]'s fast path).
-    pub(crate) fn vals_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
-    }
-
-    /// Builds a matrix directly from CSC arrays. The caller must supply a
-    /// valid pattern: `col_ptr` ascending with `n + 1` entries, row
-    /// indices below `n`, at most one entry per `(row, column)`. Rows
-    /// need not be sorted within a column — the LU kernel scatters.
-    pub(crate) fn from_raw_csc(
-        n: usize,
-        col_ptr: Vec<usize>,
-        rows: Vec<usize>,
-        vals: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(col_ptr.len(), n + 1);
-        debug_assert_eq!(*col_ptr.last().unwrap_or(&0), rows.len());
-        debug_assert_eq!(rows.len(), vals.len());
-        debug_assert!(rows.iter().all(|&r| r < n));
-        Self {
-            n,
-            col_ptr,
-            rows,
-            vals,
-        }
     }
 
     /// Computes `(‖A‖∞, ‖A‖₁)` — the max row and column absolute sums —
@@ -1113,10 +1060,7 @@ pub struct SolverStats {
 /// computes a minimum-degree fill-reducing ordering
 /// ([`order`](super::order)) and caches the *permuted* matrix, so every
 /// refactor and solve runs on the low-fill pattern at zero per-iteration
-/// cost; when armed (`SPICIER_BBD` or [`force_bbd`](Self::force_bbd)) a
-/// bordered-block-diagonal partition ([`bbd`](super::bbd)) is tried
-/// first, with any BBD failure falling back transparently to the
-/// certified LU path.
+/// cost.
 #[derive(Debug, Default)]
 pub struct SparseSolver {
     lu: SparseLu,
@@ -1125,42 +1069,21 @@ pub struct SparseSolver {
     pattern_rebuilds: usize,
     last_quality: SolveQuality,
     /// Active fill-reducing permutation (`perm[original] = permuted`);
-    /// `None` when factoring in natural order (including whenever the
-    /// BBD path owns the cached matrix, which is stored unpermuted).
+    /// `None` when factoring in natural order.
     perm: Option<Vec<usize>>,
     perm_scratch: Vec<f64>,
     force_ordering: Option<bool>,
-    force_bbd: Option<bool>,
-    bbd: Option<BbdSolver>,
-    /// Set when the BBD path errored for the current pattern; cleared on
-    /// the next pattern rebuild.
-    bbd_disabled: bool,
-    bbd_fallbacks: usize,
 }
 
 impl SparseSolver {
     /// Forces the fill-reducing ordering on (`true`) or off (`false`)
-    /// regardless of size and environment; invalidates the cached
-    /// pattern so the next solve rebuilds.
+    /// regardless of size; invalidates the cached pattern so the next
+    /// solve rebuilds.
     pub fn force_ordering(&mut self, on: bool) {
         self.force_ordering = Some(on);
-        self.invalidate();
-    }
-
-    /// Forces the BBD partition attempt on (`true`) or off (`false`)
-    /// regardless of size and environment; invalidates the cached
-    /// pattern so the next solve rebuilds.
-    pub fn force_bbd(&mut self, on: bool) {
-        self.force_bbd = Some(on);
-        self.invalidate();
-    }
-
-    fn invalidate(&mut self) {
         self.map = None;
         self.matrix = None;
         self.perm = None;
-        self.bbd = None;
-        self.bbd_disabled = false;
     }
 
     /// Whether solves currently run on a fill-reduced permuted pattern.
@@ -1168,48 +1091,12 @@ impl SparseSolver {
         self.perm.is_some()
     }
 
-    /// Whether the BBD partitioned path is current (detected on this
-    /// pattern and not disabled by a runtime fallback).
-    pub fn bbd_active(&self) -> bool {
-        self.bbd.is_some() && !self.bbd_disabled
-    }
-
-    /// Partition shape of the active BBD path, if any.
-    pub fn bbd_stats(&self) -> Option<BbdStats> {
-        self.bbd.as_ref().map(BbdSolver::stats)
-    }
-
-    /// Times a BBD solve failed and the certified LU path took over.
-    pub fn bbd_fallbacks(&self) -> usize {
-        self.bbd_fallbacks
-    }
-
     /// Rebuilds the cached stamp map/matrix for a new stamp sequence,
-    /// deciding the solve strategy for this pattern: BBD when armed and
-    /// a profitable partition exists (matrix cached unpermuted so the
-    /// LU fallback stays valid), else minimum-degree ordering when on
-    /// for this size, else the natural order.
+    /// deciding the solve strategy for this pattern: minimum-degree
+    /// ordering when on for this size, else the natural order.
     fn rebuild(&mut self, triplets: &Triplets) {
         let dim = triplets.dim();
-        self.invalidate_pattern_state();
-        let want_bbd = self
-            .force_bbd
-            .unwrap_or_else(|| bbd_env() && dim >= ORDERING_MIN_DIM);
-        let want_ordering = self
-            .force_ordering
-            .or_else(ordering_env)
-            .unwrap_or(dim >= ORDERING_MIN_DIM);
-        if want_bbd {
-            let (map, matrix) = StampMap::build(triplets);
-            self.bbd = BbdSolver::detect(&matrix);
-            if self.bbd.is_some() || !want_ordering {
-                self.map = Some(map);
-                self.matrix = Some(matrix);
-                self.pattern_rebuilds += 1;
-                return;
-            }
-            // No profitable partition: fall through to the ordered build.
-        }
+        let want_ordering = self.force_ordering.unwrap_or(dim >= ORDERING_MIN_DIM);
         if want_ordering {
             let a = SparseMatrix::from_triplets(triplets);
             let pinv = min_degree_pinv(dim, a.col_ptr(), a.rows());
@@ -1219,16 +1106,11 @@ impl SparseSolver {
             self.matrix = Some(matrix);
         } else {
             let (map, matrix) = StampMap::build(triplets);
+            self.perm = None;
             self.map = Some(map);
             self.matrix = Some(matrix);
         }
         self.pattern_rebuilds += 1;
-    }
-
-    fn invalidate_pattern_state(&mut self) {
-        self.perm = None;
-        self.bbd = None;
-        self.bbd_disabled = false;
     }
     /// Counters for the assembly and factorization fast paths.
     pub fn stats(&self) -> SolverStats {
@@ -1258,56 +1140,6 @@ impl SparseSolver {
     }
 }
 
-/// Runs one fully certified BBD solve: numeric factor, chaos hook,
-/// solve into a scratch copy, residual certification against the
-/// unpermuted matrix. `rhs` is written only on success, so a failure
-/// leaves the caller's `b` intact for the LU fallback.
-fn bbd_solve_certified(
-    bbd: &mut BbdSolver,
-    a: &SparseMatrix,
-    rhs: &mut [f64],
-) -> Result<SolveQuality, Error> {
-    bbd.factor(a)?;
-    if crate::chaos::perturb_lu_active() {
-        bbd.perturb_pivot();
-    }
-    let b = rhs.to_vec();
-    let mut x = b.clone();
-    bbd.solve(&mut x)?;
-    let (norm_a_inf, norm_a_1) = a.norms();
-    let bbd_ref: &BbdSolver = bbd;
-    let quality = verify::certify_in_place(
-        &mut x,
-        &b,
-        norm_a_inf,
-        norm_a_1,
-        |xv, out| {
-            out.copy_from_slice(&b);
-            for c in 0..a.n {
-                let xc = xv[c];
-                if xc == 0.0 {
-                    continue;
-                }
-                for p in a.col_ptr[c]..a.col_ptr[c + 1] {
-                    out[a.rows[p]] -= a.vals[p] * xc;
-                }
-            }
-        },
-        |v| bbd_ref.solve(v),
-        // No transposed BBD solve: the condition estimator (failure
-        // path only) sees a solve error and reports an infinite
-        // estimate, which is the honest answer for a path about to
-        // fall back anyway.
-        |_v| {
-            Err(Error::SolverContract {
-                reason: "BBD transposed solve unavailable".to_string(),
-            })
-        },
-    )?;
-    rhs.copy_from_slice(&x);
-    Ok(quality)
-}
-
 impl Solver for SparseSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
         let cached = match (&self.map, &mut self.matrix) {
@@ -1316,45 +1148,6 @@ impl Solver for SparseSolver {
         };
         if !cached {
             self.rebuild(triplets);
-        }
-        // ----- BBD partitioned path (matrix cached unpermuted) -----
-        if !self.bbd_disabled {
-            if let Some(mut bbd) = self.bbd.take() {
-                let a = self.matrix.as_ref().expect("matrix cached above");
-                let result = bbd_solve_certified(&mut bbd, a, rhs);
-                self.bbd = Some(bbd);
-                match result {
-                    Ok(quality) => {
-                        self.last_quality = quality;
-                        if crate::telemetry::enabled() {
-                            crate::telemetry::event(
-                                "sparse_solve",
-                                &[
-                                    ("dim", a.n.into()),
-                                    ("bwerr", quality.backward_error.into()),
-                                    ("refinement_steps", quality.refinement_steps.into()),
-                                    ("ordered", 0usize.into()),
-                                    ("bbd", 1usize.into()),
-                                ],
-                            );
-                        }
-                        return Ok(());
-                    }
-                    Err(err) => {
-                        // Singular block, partition/value mismatch, or a
-                        // certification miss: disable BBD for this
-                        // pattern and fall through to certified LU.
-                        self.bbd_disabled = true;
-                        self.bbd_fallbacks += 1;
-                        if crate::telemetry::enabled() {
-                            crate::telemetry::event(
-                                "bbd_fallback",
-                                &[("dim", a.n.into()), ("error", format!("{err}").into())],
-                            );
-                        }
-                    }
-                }
-            }
         }
         let a = self.matrix.as_ref().expect("matrix cached above");
         // ----- permute b into elimination order when ordering is active -----
@@ -1416,7 +1209,6 @@ impl Solver for SparseSolver {
                         self.last_quality.refinement_steps.into(),
                     ),
                     ("ordered", usize::from(self.perm.is_some()).into()),
-                    ("bbd", 0usize.into()),
                 ],
             );
         }

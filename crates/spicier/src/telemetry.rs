@@ -48,13 +48,14 @@
 //! `crates/bench/tests/telemetry.rs` and the CI telemetry job).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::json::Json;
 use crate::linalg::LuStats;
 
 // ---------------------------------------------------------------------------
@@ -332,38 +333,13 @@ impl Drop for Span {
 // JSONL serialization
 // ---------------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
-
 impl Value {
-    fn to_json(&self) -> String {
+    fn to_json(&self) -> Json {
         match self {
-            Value::Int(v) => format!("{v}"),
-            Value::Float(v) => json_f64(*v),
-            Value::Str(s) => format!("\"{}\"", json_escape(s)),
-            Value::Bool(b) => format!("{b}"),
+            Value::Int(v) => Json::Num(*v as f64),
+            Value::Float(v) => Json::num_tagged(*v),
+            Value::Str(s) => Json::str(s.as_str()),
+            Value::Bool(b) => Json::Bool(*b),
         }
     }
 }
@@ -372,26 +348,22 @@ impl Event {
     /// Serializes the event as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"seq\": {}, \"t_us\": {}, \"thread\": {}, \"span\": \"{}\", \"name\": \"{}\"",
-            self.seq,
-            self.t_us,
-            self.thread,
-            json_escape(&self.span),
-            json_escape(&self.name),
-        );
+        let mut members = vec![
+            ("seq", Json::Num(self.seq as f64)),
+            ("t_us", Json::Num(self.t_us as f64)),
+            ("thread", Json::Num(self.thread as f64)),
+            ("span", Json::str(self.span.as_str())),
+            ("name", Json::str(self.name.as_str())),
+        ];
         if !self.fields.is_empty() {
-            out.push_str(", \"fields\": {");
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", json_escape(k), v.to_json()));
-            }
-            out.push('}');
+            let fields = self
+                .fields
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_json()))
+                .collect();
+            members.push(("fields", Json::Obj(fields)));
         }
-        out.push('}');
-        out
+        Json::obj(members).render()
     }
 }
 
@@ -451,13 +423,14 @@ pub fn record_failure(kind: &str, detail: &str) {
         ring.dropped = 0;
         (std::mem::take(&mut ring.events), dropped)
     };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"name\": \"dump_begin\", \"kind\": \"{}\", \"events\": {}, \"dropped\": {}}}\n",
-        json_escape(kind),
-        events.len(),
-        dropped,
-    ));
+    let mut out = Json::obj(vec![
+        ("name", Json::str("dump_begin")),
+        ("kind", Json::str(kind)),
+        ("events", Json::Num(events.len() as f64)),
+        ("dropped", Json::Num(dropped as f64)),
+    ])
+    .render();
+    out.push('\n');
     for ev in &events {
         out.push_str(&ev.to_jsonl());
         out.push('\n');
@@ -521,13 +494,19 @@ fn worst_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
 }
 
 /// Per-analysis telemetry rollup attached to `DcSolution`,
-/// `TranResult`, `AcResult`, and `NoiseResult`.
+/// `TranResult`, `AcResult`, and `NoiseResult`; [`absorb`] folds many of
+/// them into one, as the process-global rollup does.
 ///
 /// Built from counters the analyses already track, so populating it is
 /// cheap and unconditional; only the merge into the process-global
 /// rollup is gated on [`enabled`].
+///
+/// [`absorb`]: TelemetrySummary::absorb
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySummary {
+    /// Number of analyses summarized: 1 for one analysis's summary, the
+    /// sum for a merged rollup.
+    pub analyses: u64,
     /// Wall-clock time spent in the analysis.
     pub wall: Duration,
     /// Total Newton iterations across all solves.
@@ -552,6 +531,7 @@ pub struct TelemetrySummary {
 impl TelemetrySummary {
     /// Merges `other` into `self` (durations add, worsts worst-merge).
     pub fn absorb(&mut self, other: &TelemetrySummary) {
+        self.analyses += other.analyses;
         self.wall += other.wall;
         self.newton_iterations += other.newton_iterations;
         for (label, n) in &other.rung_iterations {
@@ -571,8 +551,9 @@ impl TelemetrySummary {
     /// Folds many summaries into one under [`absorb`]'s discipline:
     /// durations and counters add, worsts worst-merge (`NaN` pessimal).
     /// An empty iterator yields the default (all-zero) summary. Used by
-    /// the campaign daemon's drain report to roll every job this
-    /// incarnation touched into a single line.
+    /// the campaign run report's totals and by the campaign daemon's
+    /// drain report to roll every job this incarnation touched into a
+    /// single line.
     ///
     /// [`absorb`]: TelemetrySummary::absorb
     #[must_use]
@@ -587,27 +568,7 @@ impl TelemetrySummary {
 
 /// Process-global telemetry rollup, drained per experiment by the
 /// campaign driver via [`take_global_summary`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GlobalSummary {
-    /// Number of analysis summaries merged in.
-    pub analyses: u64,
-    /// Total Newton iterations.
-    pub newton_iterations: u64,
-    /// Newton iterations per recovery-ladder rung label.
-    pub rung_iterations: BTreeMap<String, u64>,
-    /// Accepted transient timesteps.
-    pub accepted_steps: u64,
-    /// Rejected transient timesteps.
-    pub rejected_steps: u64,
-    /// Linear-kernel counters.
-    pub lu: LuStats,
-    /// Worst certified backward error observed.
-    pub worst_backward_error: Option<f64>,
-    /// Worst condition-number estimate observed, when computed.
-    pub worst_cond_estimate: Option<f64>,
-}
-
-static GLOBAL: Mutex<Option<GlobalSummary>> = Mutex::new(None);
+static GLOBAL: Mutex<Option<TelemetrySummary>> = Mutex::new(None);
 
 /// Merges an analysis summary into the process-global rollup. No-op
 /// when telemetry is disabled (the rollup only feeds `RUN_REPORT.json`,
@@ -616,23 +577,16 @@ pub fn record_summary(summary: &TelemetrySummary) {
     if !enabled() {
         return;
     }
-    let mut global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let g = global.get_or_insert_with(GlobalSummary::default);
-    g.analyses += 1;
-    g.newton_iterations += summary.newton_iterations;
-    for (label, n) in &summary.rung_iterations {
-        *g.rung_iterations.entry(label.clone()).or_insert(0) += n;
-    }
-    g.accepted_steps += summary.accepted_steps;
-    g.rejected_steps += summary.rejected_steps;
-    g.lu.absorb(&summary.lu);
-    g.worst_backward_error = worst_opt(g.worst_backward_error, summary.worst_backward_error);
-    g.worst_cond_estimate = worst_opt(g.worst_cond_estimate, summary.cond_estimate);
+    GLOBAL
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get_or_insert_with(TelemetrySummary::default)
+        .absorb(summary);
 }
 
 /// Drains the process-global rollup, returning everything recorded
 /// since the previous call (default-empty if nothing was recorded).
-pub fn take_global_summary() -> GlobalSummary {
+pub fn take_global_summary() -> TelemetrySummary {
     GLOBAL
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -779,14 +733,19 @@ mod tests {
             ],
         };
         let line = ev.to_jsonl();
-        assert!(line.contains("\"span\": \"dc/rung \\\"weird\\\\node\\\"\""));
-        assert!(line.contains("\"name\": \"new\\u000aline\""));
-        assert!(line.contains("\"node\": \"n\\\"1\\\\2\\u0009\""));
-        assert!(line.contains("\"residual\": \"NaN\""));
-        assert!(line.contains("\"vmax\": \"inf\""));
-        assert!(line.contains("\"iter\": -3"));
-        assert!(line.contains("\"ok\": false"));
         assert!(!line.contains('\n'));
+        let doc = Json::parse(&line).unwrap();
+        assert_eq!(
+            doc.str_field("span").as_deref(),
+            Some("dc/rung \"weird\\node\"")
+        );
+        assert_eq!(doc.str_field("name").as_deref(), Some("new\nline"));
+        let fields = doc.get("fields").unwrap();
+        assert_eq!(fields.str_field("node").as_deref(), Some("n\"1\\2\t"));
+        assert_eq!(fields.str_field("residual").as_deref(), Some("NaN"));
+        assert_eq!(fields.str_field("vmax").as_deref(), Some("inf"));
+        assert_eq!(fields.num_field("iter"), Some(-3.0));
+        assert_eq!(fields.get("ok").and_then(Json::as_bool), Some(false));
     }
 
     #[test]
@@ -830,12 +789,14 @@ mod tests {
         with_trace(|| {
             take_global_summary();
             let mut a = TelemetrySummary {
+                analyses: 1,
                 newton_iterations: 10,
                 rung_iterations: vec![("newton".to_string(), 8), ("gmin".to_string(), 2)],
                 worst_backward_error: Some(1e-12),
                 ..TelemetrySummary::default()
             };
             let b = TelemetrySummary {
+                analyses: 1,
                 newton_iterations: 5,
                 rung_iterations: vec![("newton".to_string(), 5)],
                 worst_backward_error: Some(1e-9),
@@ -843,6 +804,7 @@ mod tests {
                 ..TelemetrySummary::default()
             };
             a.absorb(&b);
+            assert_eq!(a.analyses, 2);
             assert_eq!(a.newton_iterations, 15);
             assert_eq!(
                 a.rung_iterations,
@@ -852,12 +814,16 @@ mod tests {
             record_summary(&a);
             record_summary(&b);
             let g = take_global_summary();
-            assert_eq!(g.analyses, 2);
+            // `a` already summarizes two analyses, so three in all.
+            assert_eq!(g.analyses, 3);
             assert_eq!(g.newton_iterations, 20);
-            assert_eq!(g.rung_iterations.get("newton"), Some(&18));
-            assert_eq!(g.worst_cond_estimate, Some(1e8));
+            assert_eq!(
+                g.rung_iterations,
+                vec![("newton".to_string(), 18), ("gmin".to_string(), 2)]
+            );
+            assert_eq!(g.cond_estimate, Some(1e8));
             // Drained: the next take is empty.
-            assert_eq!(take_global_summary(), GlobalSummary::default());
+            assert_eq!(take_global_summary(), TelemetrySummary::default());
         });
     }
 

@@ -1,16 +1,12 @@
 //! Property tests of the structure-aware solver paths (seeded,
 //! deterministic — see `xrand`).
 //!
-//! Three families:
+//! Two families:
 //!
 //! * the fill-reducing-ordered path (`force_ordering`) must produce the
 //!   same certified answers as the natural-order path on randomized
 //!   MNA-shaped systems, across pattern rebuilds and value-only
 //!   refactorizations;
-//! * the bordered-block-diagonal path (`force_bbd`) must agree with the
-//!   plain LU path on the CML stage-chain shape it is built for, and
-//!   must fall back transparently — still certified — when its solve is
-//!   sabotaged;
 //! * the `CHAOS_PERTURB_LU` drill on the *permuted* path: a corrupted
 //!   factorization behind a fill-reducing permutation must still surface
 //!   [`spicier::Error::UntrustedSolution`], and a pivot flip under a
@@ -57,33 +53,6 @@ fn stamp_network(rng: &mut StdRng, n: usize, edges: &[(usize, usize)]) -> Triple
     t
 }
 
-/// The CML generator shape: `stages` identical 3-node channel-connected
-/// stages, each coupled to a shared rail node 0 — repeated blocks hanging
-/// off one border hub, with randomized conductances (diagonally dominant
-/// by construction). Fixed `stages` gives a fixed stamp sequence.
-fn stage_chain(rng: &mut StdRng, stages: usize) -> Triplets {
-    let n = 1 + 3 * stages;
-    let mut t = Triplets::new(n);
-    t.add(0, 0, rng.gen_range(0.5..2.0));
-    for s in 0..stages {
-        let base = 1 + 3 * s;
-        for k in 0..3 {
-            let g = rng.gen_range(0.05..0.5);
-            t.add(base + k, base + k, rng.gen_range(2.0..8.0) + g);
-            t.add(0, base + k, -g);
-            t.add(base + k, 0, -g);
-            t.add(0, 0, g);
-        }
-        let g01 = rng.gen_range(0.2..1.5);
-        let g12 = rng.gen_range(0.2..1.5);
-        t.add(base, base + 1, -g01);
-        t.add(base + 1, base, -g01);
-        t.add(base + 1, base + 2, -g12);
-        t.add(base + 2, base + 1, -g12);
-    }
-    t
-}
-
 fn random_rhs(rng: &mut StdRng, n: usize) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range(-1.0e-2..1.0e-2)).collect()
 }
@@ -110,20 +79,12 @@ fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
 fn natural_order_solver() -> SparseSolver {
     let mut s = SparseSolver::default();
     s.force_ordering(false);
-    s.force_bbd(false);
     s
 }
 
 fn ordered_solver() -> SparseSolver {
     let mut s = SparseSolver::default();
     s.force_ordering(true);
-    s.force_bbd(false);
-    s
-}
-
-fn bbd_solver() -> SparseSolver {
-    let mut s = SparseSolver::default();
-    s.force_bbd(true);
     s
 }
 
@@ -173,55 +134,6 @@ fn ordered_path_agrees_with_natural_order_within_certified_error() {
     }
 }
 
-/// The BBD path must detect the stage-chain partition, certify every
-/// solve, and agree with the natural-order path across value-only
-/// refactorizations (fresh conductances, fixed topology — the Newton
-/// shape the block-factor pool is built for).
-#[test]
-fn bbd_path_agrees_with_natural_order_on_stage_chains() {
-    let mut rng = StdRng::seed_from_u64(0xb1ded);
-    let tol = bwerr_tol();
-    for stages in [12, 40] {
-        let n = 1 + 3 * stages;
-        let mut plain = natural_order_solver();
-        let mut bbd = bbd_solver();
-        for round in 0..4 {
-            // Same `stages` → same stamp sequence; fresh values each round.
-            let t = stage_chain(&mut rng, stages);
-            let b = random_rhs(&mut rng, n);
-
-            let mut xp = b.clone();
-            plain.solve_in_place(&t, &mut xp).unwrap();
-
-            let mut xb = b.clone();
-            bbd.solve_in_place(&t, &mut xb).unwrap();
-            assert!(
-                bbd.bbd_active(),
-                "stage chain must partition at stages={stages}"
-            );
-            let stats = bbd.bbd_stats().expect("active partition has stats");
-            assert!(stats.blocks >= 2, "{stats:?}");
-            assert!(stats.border >= 1, "{stats:?}");
-            assert!(
-                bbd.last_quality().backward_error <= tol,
-                "BBD certification failed at stages={stages} round={round}: {:?}",
-                bbd.last_quality()
-            );
-
-            assert!(
-                measured_bwerr(&t, &xb, &b) <= tol,
-                "BBD residual stages={stages} round={round}"
-            );
-            let diff = rel_diff(&xp, &xb);
-            assert!(
-                diff < 1.0e-8,
-                "BBD vs natural disagree at stages={stages} round={round}: {diff:.3e}"
-            );
-        }
-        assert_eq!(bbd.bbd_fallbacks(), 0, "clean solves must not fall back");
-    }
-}
-
 /// `CHAOS_PERTURB_LU` on the permuted path: corrupting a pivot of the
 /// fill-reduced factorization must surface `UntrustedSolution` — the
 /// permutation must not hide the corruption from the certifier.
@@ -247,49 +159,6 @@ fn chaos_perturb_lu_is_caught_on_the_permuted_path() {
         solver.solve_in_place(&t, &mut x).unwrap();
         assert!(solver.last_quality().backward_error <= bwerr_tol());
     }
-}
-
-/// `CHAOS_PERTURB_LU` against the BBD path: the corrupted block/Schur
-/// factorization fails certification, the solver falls back to plain LU
-/// (which the drill also corrupts, so the whole solve surfaces
-/// `UntrustedSolution`) — and once the chaos clears, the fallback LU path
-/// keeps producing certified answers.
-#[test]
-fn chaos_perturb_lu_on_bbd_falls_back_and_is_caught() {
-    let mut rng = StdRng::seed_from_u64(0xbbdbad);
-    let stages = 12;
-    let n = 1 + 3 * stages;
-    let t = stage_chain(&mut rng, stages);
-    let b = random_rhs(&mut rng, n);
-
-    let mut solver = bbd_solver();
-    // Clean solve first: the partition must be live before the drill.
-    let mut x = b.clone();
-    solver.solve_in_place(&t, &mut x).unwrap();
-    assert!(solver.bbd_active());
-
-    let err = with_perturb_lu(|| solver.solve_in_place(&t, &mut b.clone()))
-        .expect_err("corrupted BBD + corrupted fallback LU must not certify");
-    assert!(err.is_untrusted_solution(), "got: {err}");
-    assert!(
-        solver.bbd_fallbacks() >= 1,
-        "the BBD failure must be counted as a fallback"
-    );
-    assert!(
-        !solver.bbd_active(),
-        "a failed BBD solve disarms the partition until the next rebuild"
-    );
-
-    // Chaos off: the fallback LU path recovers with a certified answer
-    // that matches a natural-order reference.
-    let mut xr = b.clone();
-    solver.solve_in_place(&t, &mut xr).unwrap();
-    assert!(solver.last_quality().backward_error <= bwerr_tol());
-    let mut x_ref = b.clone();
-    natural_order_solver()
-        .solve_in_place(&t, &mut x_ref)
-        .unwrap();
-    assert!(rel_diff(&xr, &x_ref) < 1.0e-8);
 }
 
 /// Pivot-fallback drill on the permuted path: re-stamping a cached
