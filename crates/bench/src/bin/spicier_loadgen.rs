@@ -2,8 +2,7 @@
 //! `spicier-serve` instances, drives mixed interactive/campaign load
 //! with chaos (client drops, slowloris writes, SIGKILL mid-campaign),
 //! writes the rollup to `BENCH_server.json`, and exits non-zero when a
-//! robustness gate fails. `--quick` (or `LOADGEN_QUICK=1`) is the CI
-//! mode.
+//! robustness gate fails. `--quick` is the CI mode.
 
 use cml_bench::server::loadgen::{run, LoadgenOptions};
 

@@ -129,8 +129,8 @@ pub fn run_campaign(opts: &CampaignOptions, steps: &[(&str, ExperimentFn)]) -> C
     // explicit path, and aggregate per-experiment rollups into
     // RUN_REPORT.json. With telemetry off, neither file is touched.
     let telemetry_on = telemetry::enabled();
-    if telemetry_on && std::env::var("SPICIER_TRACE").map_or(true, |v| v.is_empty()) {
-        telemetry::set_dump_path(Some(exp::report::out_dir().join("FLIGHT_RECORDER.jsonl")));
+    if telemetry_on {
+        telemetry::set_fallback_dump_path(exp::report::out_dir().join("FLIGHT_RECORDER.jsonl"));
     }
     let mut run_report = RunReport::default();
     // A fresh campaign starts from an empty manifest; resume keeps the

@@ -185,10 +185,10 @@ impl Manifest {
 }
 
 /// Hash of everything that determines an experiment's output: its name,
-/// the scale, and the chaos/injection environment knobs. FNV-1a over the
-/// joined string; a hex digest. If any of these change between the
-/// original run and `--resume`, the entry no longer matches and the
-/// experiment reruns.
+/// the scale, and the chaos/injection and telemetry environment knobs.
+/// FNV-1a over the joined string; a hex digest. If any of these change
+/// between the original run and `--resume`, the entry no longer matches
+/// and the experiment reruns.
 pub fn input_hash(name: &str, scale: Scale) -> String {
     let scale_tag = match scale {
         Scale::Full => "full",
@@ -199,17 +199,16 @@ pub fn input_hash(name: &str, scale: Scale) -> String {
         "EXP_INJECT_BAD_CORNER",
         "EXP_INJECT_HANG_CORNER",
         "EXP_CORNER_DEADLINE_MS",
-        "CHAOS_HANG_NEWTON",
-        "CHAOS_NAN_STAMP",
         "CHAOS_PERTURB_LU",
-        "SOLVE_BWERR_TOL",
         "EXP_TELEMETRY",
-        "SPICIER_TRACE",
-        "SPICIER_CONDEST",
         "SPICIER_FAILPOINTS",
     ] {
         input.push('|');
         input.push_str(&std::env::var(var).unwrap_or_default());
+    }
+    input.push('|');
+    if let Some(trace) = spicier::telemetry::trace_path() {
+        input.push_str(&trace.to_string_lossy());
     }
     fnv64(&input)
 }

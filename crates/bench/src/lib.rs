@@ -35,3 +35,21 @@ impl Scale {
         }
     }
 }
+
+/// Name prefixes of every environment knob the workspace reads.
+pub const KNOB_PREFIXES: [&str; 6] = ["BENCH_", "CHAOS_", "EXP_", "LOADGEN_", "SERVE_", "SPICIER_"];
+
+/// Removes from `cmd` every variable it would inherit whose name starts
+/// with one of [`KNOB_PREFIXES`], so the child sees only the knobs set on
+/// `cmd` after this call. Call it before setting the child's own knobs.
+pub fn scrub_knobs(cmd: &mut std::process::Command) -> &mut std::process::Command {
+    for (name, _) in std::env::vars_os() {
+        if name
+            .to_str()
+            .is_some_and(|n| KNOB_PREFIXES.iter().any(|p| n.starts_with(p)))
+        {
+            cmd.env_remove(name);
+        }
+    }
+    cmd
+}

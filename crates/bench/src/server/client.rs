@@ -16,77 +16,52 @@
 //!   caller beyond latency.
 //!
 //! The client is also where client-side chaos lives: under
-//! `spicier::chaos::with_drop_client` (or `CHAOS_DROP_CLIENT=n`) a
-//! request is written and the socket slammed shut before the reply —
-//! the daemon must detect the orphan and cancel its work. Under
-//! `with_slow_client(ms)` (or `CHAOS_SLOW_CLIENT_MS`) every frame byte
-//! is trickled with a delay — the slowloris the daemon's two-phase read
-//! timeout must shrug off.
+//! `spicier::chaos::with_drop_client` a request is written and the
+//! socket slammed shut before the reply — the daemon must detect the
+//! orphan and cancel its work.
 
 use super::proto::{read_frame, write_frame, CampaignSpec, Request, Stream};
 use spicier::chaos;
 use spicier::json::Json;
-use std::cell::Cell;
 use std::io::Write;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-thread_local! {
-    /// Requests sent on this thread, for `CHAOS_DROP_CLIENT=n` cadence.
-    static SENT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Client-side knobs, read once from `CLIENT_*` environment variables
-/// (documented per field).
+/// Client-side settings; [`Default`] gives the values documented per
+/// field, and tests and the load harness override single fields.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// `CLIENT_READ_TIMEOUT_MS`: reply-read timeout for ordinary
-    /// request/response round trips. Default 120 s (campaign finalize
-    /// replies can trail a long solve).
+    /// Reply-read timeout for ordinary request/response round trips.
+    /// Default 120 s (campaign finalize replies can trail a long solve).
     pub read_timeout: Duration,
-    /// `CLIENT_WATCH_IDLE_MS`: per-read timeout while following a watch
-    /// stream. Default 30 s — far above the daemon's keepalive cadence
+    /// Per-read timeout while following a watch stream. Default 30 s —
+    /// far above the daemon's keepalive cadence
     /// (`SERVE_WATCH_KEEPALIVE_MS`, 5 s), so a healthy-but-quiet stream
     /// never trips it and a dead daemon is detected in bounded time
     /// instead of after a silent 120 s cutoff.
     pub watch_idle_timeout: Duration,
-    /// `CLIENT_BACKOFF_BASE_MS`: first backoff ceiling. Default 10 ms.
+    /// First backoff ceiling. Default 10 ms.
     pub backoff_base: Duration,
-    /// `CLIENT_BACKOFF_CAP_MS`: backoff ceiling cap. Default 500 ms.
+    /// Backoff ceiling cap. Default 500 ms.
     pub backoff_cap: Duration,
-    /// `CLIENT_RETRY_BUDGET`: consecutive failures tolerated per
-    /// idempotent operation before the error surfaces. Watch resumption
-    /// resets the count whenever the stream makes progress. Default 6.
+    /// Consecutive failures tolerated per idempotent operation before
+    /// the error surfaces. Watch resumption resets the count whenever
+    /// the stream makes progress. Default 6.
     pub retry_budget: u32,
-    /// `CLIENT_BACKOFF_SEED`: xrand seed for the jitter, so tests can
-    /// pin the exact delay sequence. Default `0x5eed`.
+    /// xrand seed for the jitter, so tests can pin the exact delay
+    /// sequence. Default `0x5eed`.
     pub backoff_seed: u64,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-impl ClientConfig {
-    /// Reads every knob from the environment (defaults documented on
-    /// the fields).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let env_u64 = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        };
         Self {
-            read_timeout: Duration::from_millis(env_u64("CLIENT_READ_TIMEOUT_MS", 120_000)),
-            watch_idle_timeout: Duration::from_millis(env_u64("CLIENT_WATCH_IDLE_MS", 30_000)),
-            backoff_base: Duration::from_millis(env_u64("CLIENT_BACKOFF_BASE_MS", 10)),
-            backoff_cap: Duration::from_millis(env_u64("CLIENT_BACKOFF_CAP_MS", 500)),
-            retry_budget: env_u64("CLIENT_RETRY_BUDGET", 6) as u32,
-            backoff_seed: env_u64("CLIENT_BACKOFF_SEED", 0x5eed),
+            read_timeout: Duration::from_secs(120),
+            watch_idle_timeout: Duration::from_secs(30),
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(500),
+            retry_budget: 6,
+            backoff_seed: 0x5eed,
         }
     }
 }
@@ -166,13 +141,13 @@ pub struct Client {
 
 impl Client {
     /// Connects to `addr` (`tcp:host:port`, `unix:/path`, or bare
-    /// `host:port`) with knobs from the environment.
+    /// `host:port`) with the default [`ClientConfig`].
     ///
     /// # Errors
     ///
     /// Propagates connection errors.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
-        Self::connect_with(addr, &ClientConfig::from_env())
+        Self::connect_with(addr, &ClientConfig::default())
     }
 
     /// Connects with explicit knobs.
@@ -215,42 +190,18 @@ impl Client {
         }
     }
 
-    /// Writes one frame, honouring the client-chaos knobs.
-    fn send(&mut self, doc: &Json) -> std::io::Result<()> {
-        if let Some(ms) = chaos::slow_client_ms() {
-            // Slowloris mode: length prefix + body, one byte at a time.
-            let body = doc.render().into_bytes();
-            let len = u32::try_from(body.len())
-                .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame"))?;
-            for byte in len.to_be_bytes().iter().chain(body.iter()) {
-                self.stream.write_all(&[*byte])?;
-                self.stream.flush()?;
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            return Ok(());
-        }
-        write_frame(&mut self.stream, doc)
-    }
-
     /// Writes one request frame under the drop-client chaos gate (the
     /// shared front half of [`Client::request`] and [`Client::watch`]).
-    fn send_counted(&mut self, doc: &Json) -> std::io::Result<()> {
-        let n = SENT.with(|s| {
-            let n = s.get() + 1;
-            s.set(n);
-            n
-        });
-        if let Some(every) = chaos::drop_client_every() {
-            if every > 0 && n.is_multiple_of(every) {
-                self.send(doc)?;
-                self.stream.shutdown();
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "chaos: client dropped after send",
-                ));
-            }
+    fn send(&mut self, doc: &Json) -> std::io::Result<()> {
+        write_frame(&mut self.stream, doc)?;
+        if chaos::drop_client_active() {
+            self.stream.shutdown();
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "chaos: client dropped after send",
+            ));
         }
-        self.send(doc)
+        Ok(())
     }
 
     /// One request/response round trip. Under drop-client chaos the
@@ -262,7 +213,7 @@ impl Client {
     /// Propagates I/O errors; a clean server-side close surfaces as
     /// `UnexpectedEof`.
     pub fn request(&mut self, req: &Request) -> std::io::Result<Json> {
-        self.send_counted(&req.to_json())?;
+        self.send(&req.to_json())?;
         read_frame(&mut self.stream)?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
@@ -279,7 +230,7 @@ impl Client {
     ///
     /// Propagates I/O errors.
     pub fn send_request_raw(&mut self, req: &Request) -> std::io::Result<()> {
-        self.send(&req.to_json())
+        write_frame(&mut self.stream, &req.to_json())
     }
 
     /// Sends only the first `bytes` bytes of the request's frame and
@@ -454,7 +405,7 @@ impl Client {
         from_seq: u64,
         mut on_event: impl FnMut(&Json) -> bool,
     ) -> std::io::Result<WatchOutcome> {
-        self.send_counted(
+        self.send(
             &Request::Watch {
                 job: job.to_string(),
                 from_seq,
@@ -531,10 +482,10 @@ pub struct RetryClient {
 }
 
 impl RetryClient {
-    /// A retrying client for `addr` with knobs from the environment.
+    /// A retrying client for `addr` with the default [`ClientConfig`].
     #[must_use]
     pub fn new(addr: &str) -> RetryClient {
-        Self::with_config(addr, ClientConfig::from_env())
+        Self::with_config(addr, ClientConfig::default())
     }
 
     /// A retrying client with explicit knobs.

@@ -1,7 +1,7 @@
 //! The daemon proper: listener, connection lifecycle, request dispatch,
 //! and graceful drain.
 //!
-//! One thread per connection (bounded by `SERVE_MAX_CONNS`; excess
+//! One thread per connection (at most `MAX_CONNS` = 64; excess
 //! connections get a `busy` frame and are closed). Frame reads are
 //! two-phase: an idle wait for the first byte (checking the drain flag
 //! every 100 ms), then a hard whole-frame deadline of
@@ -26,6 +26,17 @@ use std::time::{Duration, Instant};
 
 /// Set by SIGTERM or a `drain` request; the accept loop polls it.
 pub static DRAIN: AtomicBool = AtomicBool::new(false);
+
+/// Max simultaneous connections; beyond this the daemon sheds with
+/// `busy` at accept time.
+const MAX_CONNS: usize = 64;
+
+/// Deadline for interactive requests that do not carry their own.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Access-log size threshold in bytes; past it the file rotates to
+/// `<path>.1` (one generation kept).
+const ACCESS_LOG_ROTATE: u64 = 8 * 1024 * 1024;
 
 const SIGTERM: i32 = 15;
 
@@ -62,12 +73,10 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<i32> {
     println!("[serve] listening on {addr}");
     let sched = Scheduler::new(cfg.clone());
 
-    // Crash containment dumps panic payloads through the PR-5 flight
+    // Crash containment dumps panic payloads through the flight
     // recorder; give it a home under the state dir unless the operator
     // already routed it somewhere via SPICIER_TRACE.
-    if std::env::var_os("SPICIER_TRACE").is_none() {
-        spicier::telemetry::set_dump_path(Some(cfg.state_dir.join("FLIGHT_RECORDER.jsonl")));
-    }
+    spicier::telemetry::set_fallback_dump_path(cfg.state_dir.join("FLIGHT_RECORDER.jsonl"));
 
     // Journal replay: every accepted-but-unfinished campaign is
     // re-admitted as resumed; its chunk manifest trims the work to the
@@ -134,32 +143,19 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<i32> {
         })
         .collect();
 
-    if let Some(timeout) = cfg.heartbeat_timeout {
-        let sched = Arc::clone(&sched);
-        std::thread::spawn(move || {
-            while !DRAIN.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(200));
-                let culled = sched.cancel_orphans(timeout);
-                if culled > 0 {
-                    eprintln!("[serve] cancelled {culled} orphaned job(s) (no heartbeat)");
-                }
-            }
-        });
-    }
-
     // The access log is strictly opt-in (`SERVE_ACCESS_LOG`): unset, the
     // request path does zero logging IO.
     let access_log = cfg
         .access_log
         .as_ref()
-        .map(|p| Arc::new(AccessLog::new(p.clone(), cfg.access_log_rotate)));
+        .map(|p| Arc::new(AccessLog::new(p.clone(), ACCESS_LOG_ROTATE)));
 
     listener.set_nonblocking(true)?;
     let conns = Arc::new(AtomicUsize::new(0));
     while !DRAIN.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(mut stream) => {
-                if conns.load(Ordering::SeqCst) >= cfg.max_conns {
+                if conns.load(Ordering::SeqCst) >= MAX_CONNS {
                     // Shed at the door: an explicit busy frame, never an
                     // unbounded thread pile.
                     let _ = write_frame(
@@ -497,7 +493,7 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
         } => {
             let deadline = deadline_ms
                 .map(Duration::from_millis)
-                .unwrap_or(sched.config().default_deadline);
+                .unwrap_or(DEFAULT_DEADLINE);
             match sched.admit_interactive(&tenant, deck, deadline) {
                 Err(e) => Some(admit_error_response(&e)),
                 Ok(job) => wait_interactive(sched, stream, &job),
@@ -517,7 +513,6 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
                     super::scheduler::JobSpec::Campaign(s) if s.fingerprint() == spec.fingerprint()
                 );
                 if fp_match {
-                    existing.touch();
                     sched.counters.dedup_accepts.fetch_add(1, Ordering::Relaxed);
                     return Some(Json::obj(vec![
                         ("status", Json::str(proto::status::ACCEPTED)),
@@ -548,7 +543,6 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
             match sched.admit_campaign(&tenant, &id, spec.clone(), pending.clone(), done, false) {
                 Err(e) => Some(admit_error_response(&e)),
                 Ok(job) => {
-                    job.touch();
                     if pending.is_empty() {
                         finalize_job(
                             sched,
@@ -581,10 +575,7 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
                 ("status", Json::str(proto::status::UNKNOWN)),
                 ("job", Json::str(&job)),
             ])),
-            Some(job) => {
-                job.touch();
-                Some(job_response(&job))
-            }
+            Some(job) => Some(job_response(&job)),
         },
         Request::Cancel { job } => {
             let hit = sched.cancel(&job, &sched.counters.explicit_cancels);

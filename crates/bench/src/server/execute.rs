@@ -24,6 +24,13 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Per-corner deadline inside campaign chunks.
+const CORNER_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How many times a panicking campaign chunk is retried before the
+/// chunk is quarantined and the job finishes `quarantined`.
+const PANIC_RETRIES: u64 = 1;
+
 /// Worker thread body: pull units until the scheduler shuts down.
 ///
 /// Every unit runs under a `catch_unwind` backstop: a panic anywhere in
@@ -207,7 +214,7 @@ fn slow_corner_sleep(sched: &Scheduler, unit: &Unit) {
 }
 
 /// Runs one campaign chunk under the poison-chunk quarantine ladder:
-/// a panicking attempt is caught, retried up to `SERVE_PANIC_RETRIES`
+/// a panicking attempt is caught, retried up to [`PANIC_RETRIES`]
 /// times, and — if every attempt panics — the chunk is quarantined:
 /// its rows carry `PANIC` markers, its manifest entry is flagged so a
 /// resume redoes it, and the job finishes `quarantined` instead of
@@ -225,7 +232,6 @@ fn run_chunk(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec) {
         );
         return;
     }
-    let retries = sched.config().panic_retries;
     let mut attempt: u64 = 0;
     loop {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -249,7 +255,7 @@ fn run_chunk(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec) {
         if job.is_done() {
             return;
         }
-        if attempt > retries {
+        if attempt > PANIC_RETRIES {
             quarantine_chunk(sched, unit, spec, dir, &msg);
             return;
         }
@@ -326,7 +332,6 @@ fn run_chunk_attempt(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec, dir: &
     };
     let values = spec.values();
     let (lo, hi) = spec.chunk_range(unit.index);
-    let corner_deadline = sched.config().corner_deadline;
     let mut rows = String::new();
     for &v in &values[lo..hi] {
         slow_corner_sleep(sched, unit);
@@ -337,7 +342,7 @@ fn run_chunk_attempt(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec, dir: &
             sched.finish_job(job, Outcome::Cancelled);
             return;
         }
-        let token = job.handle.child_with_deadline(corner_deadline);
+        let token = job.handle.child_with_deadline(CORNER_DEADLINE);
         let result = with_corner_token(&token, || {
             sweep_vsource(&circuit, &spec.source, &[v], &DcOptions::default())
         });
@@ -579,8 +584,7 @@ mod tests {
 
     #[test]
     fn panicking_chunk_is_quarantined_and_job_completes() {
-        let mut cfg = temp_cfg("panic");
-        cfg.panic_retries = 1;
+        let cfg = temp_cfg("panic");
         let state_dir = cfg.state_dir.clone();
         let dump = state_dir.join("panic-dump.jsonl");
         spicier::telemetry::set_dump_path(Some(dump.clone()));
@@ -591,7 +595,7 @@ mod tests {
             .admit_campaign("t", "p", spec.clone(), pending, 0, false)
             .unwrap();
         // Chunk 0 is attempt/hit 1 (clean); chunk 1 panics on both its
-        // attempts (hits 2 and 3) and exhausts SERVE_PANIC_RETRIES=1;
+        // attempts (hits 2 and 3) and exhausts its one retry (PANIC_RETRIES);
         // chunk 2 is hit 4 (clean again).
         spicier::chaos::with_failpoints("chunk.run=panic@2;chunk.run=panic@3", || {
             while let Some(unit) = sched.try_next_unit() {

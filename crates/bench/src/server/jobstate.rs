@@ -290,8 +290,8 @@ impl Journal {
         }
     }
 
-    /// Overrides the compaction threshold (`SERVE_JOURNAL_COMPACT`);
-    /// `0` disables compaction.
+    /// Overrides the compaction threshold; `0` disables compaction.
+    #[cfg(test)]
     #[must_use]
     pub fn with_compact_threshold(mut self, threshold: u64) -> Self {
         self.compact_threshold = threshold;

@@ -51,53 +51,19 @@ pub const DIVIDER_DECK: &str = "divider\nV1 in 0 0\nR1 in out 1k\nR2 out 0 1k\n.
 /// The deck interactive clients run.
 pub const OP_DECK: &str = "op\nV1 in 0 3.3\nR1 in out 1k\nR2 out 0 2k\n.op\n.end\n";
 
-/// Environment that must not leak from the caller into spawned daemons
-/// (chaos or scale knobs would skew the measurement).
-const SCRUBBED: &[&str] = &[
-    "CHAOS_HANG_NEWTON",
-    "CHAOS_NAN_STAMP",
-    "CHAOS_PERTURB_LU",
-    "CHAOS_KILL_AFTER_EXPERIMENTS",
-    "CHAOS_DROP_CLIENT",
-    "CHAOS_SLOW_CLIENT_MS",
-    "EXP_TELEMETRY",
-    "SPICIER_TRACE",
-    "EXP_SCALE",
-    "SERVE_ADDR",
-    "SERVE_STATE_DIR",
-    "SERVE_WORKERS",
-    "SERVE_QUEUE_INTERACTIVE",
-    "SERVE_QUEUE_BATCH",
-    "SERVE_INTERACTIVE_WEIGHT",
-    "SERVE_DEFAULT_DEADLINE_MS",
-    "SERVE_CORNER_DEADLINE_MS",
-    "SERVE_READ_TIMEOUT_MS",
-    "SERVE_HEARTBEAT_TIMEOUT_MS",
-    "SERVE_MAX_CONNS",
-    "SERVE_SLOW_CORNER_MS",
-    "SPICIER_FAILPOINTS",
-    "SERVE_JOURNAL_POLICY",
-    "SERVE_JOURNAL_COMPACT",
-    "SERVE_PANIC_RETRIES",
-    "SERVE_WATCH_KEEPALIVE_MS",
-    "SERVE_WATCH_WRITE_TIMEOUT_MS",
-    "SERVE_WATCH_LAG_BUDGET",
-    "SERVE_WATCH_SNDBUF",
-    "SERVE_ACCESS_LOG",
-    "SERVE_ACCESS_LOG_ROTATE",
-    "CLIENT_READ_TIMEOUT_MS",
-    "CLIENT_WATCH_IDLE_MS",
-    "CLIENT_BACKOFF_BASE_MS",
-    "CLIENT_BACKOFF_CAP_MS",
-    "CLIENT_RETRY_BUDGET",
-    "CLIENT_BACKOFF_SEED",
-];
+/// Interactive p99 gate, milliseconds.
+const P99_GATE_MS: f64 = 2000.0;
+
+/// Watch event-delivery p99 gate, milliseconds. Measured from the
+/// daemon's `sent_ms` stamp to client receipt — the retry/SIGKILL
+/// window is excluded by construction because a killed daemon sends
+/// nothing.
+const STREAM_P99_GATE_MS: f64 = 1000.0;
 
 /// Loadgen knobs.
 #[derive(Debug, Clone)]
 pub struct LoadgenOptions {
-    /// Smaller grids and bursts (`--quick` / `LOADGEN_QUICK=1`); the CI
-    /// mode.
+    /// Smaller grids and bursts (`--quick`); the CI mode.
     pub quick: bool,
     /// Where the JSON rollup goes (`LOADGEN_OUT`, default
     /// `target/bench/BENCH_server.json`, next to `BENCH_solver.json`).
@@ -108,23 +74,13 @@ pub struct LoadgenOptions {
     /// Scratch root for per-phase state dirs (`LOADGEN_DIR`, default: a
     /// fresh dir under the system temp dir).
     pub work_dir: PathBuf,
-    /// Interactive p99 gate, milliseconds (`LOADGEN_P99_GATE_MS`,
-    /// default 2000).
-    pub p99_gate_ms: f64,
-    /// Watch event-delivery p99 gate, milliseconds
-    /// (`LOADGEN_STREAM_P99_GATE_MS`, default 1000). Measured from the
-    /// daemon's `sent_ms` stamp to client receipt — the retry/SIGKILL
-    /// window is excluded by construction because a killed daemon sends
-    /// nothing.
-    pub stream_p99_gate_ms: f64,
 }
 
 impl LoadgenOptions {
     /// Reads knobs from the environment and argv.
     #[must_use]
     pub fn from_env_and_args() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("LOADGEN_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+        let quick = std::env::args().any(|a| a == "--quick");
         let out_path = match std::env::var("LOADGEN_OUT") {
             Ok(v) if !v.is_empty() => PathBuf::from(v),
             _ => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -146,14 +102,6 @@ impl LoadgenOptions {
             out_path,
             serve_bin,
             work_dir,
-            p99_gate_ms: std::env::var("LOADGEN_P99_GATE_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2000.0),
-            stream_p99_gate_ms: std::env::var("LOADGEN_STREAM_P99_GATE_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1000.0),
         }
     }
 }
@@ -198,10 +146,10 @@ fn spawn_daemon(
     // A stale ADDR from a killed predecessor would race wait_for_addr.
     let _ = std::fs::remove_file(state_dir.join("ADDR"));
     let mut cmd = Command::new(&opts.serve_bin);
-    for var in SCRUBBED {
-        cmd.env_remove(var);
-    }
-    cmd.env("SERVE_ADDR", "tcp:127.0.0.1:0")
+    // Chaos or scale knobs leaking in from the caller would skew the
+    // measurement.
+    crate::scrub_knobs(&mut cmd)
+        .env("SERVE_ADDR", "tcp:127.0.0.1:0")
         .env("SERVE_STATE_DIR", state_dir)
         .stdout(Stdio::null())
         .stderr(Stdio::inherit());
@@ -456,7 +404,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
     let p99 = percentile(&latencies_ms, 0.99);
     // Agreement: the daemon's histogram quantile reports a bucket upper
     // bound and its `job_ms` tail also covers the cancelled drop-client
-    // probe (orphan-reap delay included), which the client-side burst
+    // probe (disconnect-detection delay included), which the client-side burst
     // sample never sees — so the gate is a sanity band, not an equality:
     // within 50 ms absolute or a factor of three both ways. That still
     // catches unit mistakes (ms vs s vs µs) and double-counted spans.
@@ -543,7 +491,6 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         // manifest save tears mid-rename.
         let env = [
             ("SERVE_WORKERS", "1".to_string()),
-            ("SERVE_PANIC_RETRIES", "1".to_string()),
             (
                 "SPICIER_FAILPOINTS",
                 "journal.append=enospc@1;chunk.run=panic@2;chunk.run=panic@3;\
@@ -626,7 +573,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
             // with a modest cap instead of a handful of long ones.
             retry_budget: 80,
             backoff_cap: Duration::from_millis(250),
-            ..ClientConfig::from_env()
+            ..ClientConfig::default()
         };
         let mut submit = RetryClient::with_config(&addr, watcher_cfg.clone());
         let accept = submit.submit_campaign("stream", "job", &spec).map_err(io)?;
@@ -804,10 +751,9 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
             .failures
             .push("resumed result CSV differs from uninterrupted run".into());
     }
-    if p99 > opts.p99_gate_ms {
+    if p99 > P99_GATE_MS {
         report.failures.push(format!(
-            "interactive p99 {p99:.1} ms exceeds gate {:.1} ms",
-            opts.p99_gate_ms
+            "interactive p99 {p99:.1} ms exceeds gate {P99_GATE_MS:.1} ms"
         ));
     }
     if !slowloris_ok {
@@ -860,10 +806,9 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
             .failures
             .push("stream-reassembled CSV differs from uninterrupted run".into());
     }
-    if stream_p99 > opts.stream_p99_gate_ms {
+    if stream_p99 > STREAM_P99_GATE_MS {
         report.failures.push(format!(
-            "watch event p99 {stream_p99:.1} ms exceeds gate {:.1} ms",
-            opts.stream_p99_gate_ms
+            "watch event p99 {stream_p99:.1} ms exceeds gate {STREAM_P99_GATE_MS:.1} ms"
         ));
     }
     if lagged_evictions == 0.0 {

@@ -45,8 +45,9 @@ pub mod watch;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// All daemon knobs, read once at startup from `SERVE_*` environment
-/// variables (documented per field).
+/// Daemon settings, read once at startup by [`ServerConfig::from_env`]
+/// from the `SERVE_*` variables named per field. Fields without a
+/// variable are fixed defaults that unit tests override.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// `SERVE_ADDR`: `tcp:<host>:<port>` (port 0 picks a free one) or
@@ -58,31 +59,18 @@ pub struct ServerConfig {
     pub state_dir: PathBuf,
     /// `SERVE_WORKERS`: size of the worker pool.
     pub workers: usize,
-    /// `SERVE_QUEUE_INTERACTIVE`: max queued interactive requests;
-    /// beyond this the daemon sheds with `busy`.
+    /// Max queued interactive requests (64); beyond this the daemon
+    /// sheds with `busy`.
     pub queue_interactive: usize,
     /// `SERVE_QUEUE_BATCH`: max campaign jobs in flight (queued or
     /// running); beyond this the daemon sheds with `busy`.
     pub queue_batch: usize,
-    /// `SERVE_INTERACTIVE_WEIGHT`: interactive units dispatched per
-    /// campaign chunk when both queues are non-empty.
+    /// Interactive units dispatched per campaign chunk when both queues
+    /// are non-empty (3).
     pub interactive_weight: usize,
-    /// `SERVE_DEFAULT_DEADLINE_MS`: deadline for interactive requests
-    /// that do not carry their own.
-    pub default_deadline: Duration,
-    /// `SERVE_CORNER_DEADLINE_MS`: per-corner deadline inside campaign
-    /// chunks.
-    pub corner_deadline: Duration,
     /// `SERVE_READ_TIMEOUT_MS`: once the first byte of a frame arrives,
     /// the rest must follow within this window (slowloris defence).
     pub read_timeout: Duration,
-    /// `SERVE_HEARTBEAT_TIMEOUT_MS`: when set, campaign jobs nobody has
-    /// polled for this long are cancelled as orphaned. Off by default so
-    /// resumed jobs survive pollers that died with the previous daemon.
-    pub heartbeat_timeout: Option<Duration>,
-    /// `SERVE_MAX_CONNS`: max simultaneous connections; beyond this the
-    /// daemon sheds with `busy` at accept time.
-    pub max_conns: usize,
     /// `SERVE_SLOW_CORNER_MS`: artificial per-corner delay, used by the
     /// load harness and drills to make campaigns take real wall time.
     pub slow_corner: Duration,
@@ -91,14 +79,6 @@ pub struct ServerConfig {
     /// `lenient` (default) logs the damage, surfaces it in `stats`, and
     /// serves what survived.
     pub journal_strict: bool,
-    /// `SERVE_JOURNAL_COMPACT`: number of journaled `finish` records
-    /// that triggers a snapshot-and-truncate compaction (0 disables).
-    /// Bounds replay cost by *open* jobs instead of lifetime history.
-    pub journal_compact: u64,
-    /// `SERVE_PANIC_RETRIES`: how many times a panicking campaign chunk
-    /// is retried before the chunk is quarantined and the job finishes
-    /// `quarantined`.
-    pub panic_retries: u64,
     /// `SERVE_WATCH_KEEPALIVE_MS`: idle gap after which a watch stream
     /// emits a `ping` event frame so clients can distinguish a quiet
     /// campaign from a dead daemon.
@@ -123,9 +103,6 @@ pub struct ServerConfig {
     /// moved). Unset (default) the request path does no logging IO —
     /// the same opt-in discipline as `SPICIER_TRACE`.
     pub access_log: Option<PathBuf>,
-    /// `SERVE_ACCESS_LOG_ROTATE`: access-log size threshold in bytes;
-    /// past it the file rotates to `<path>.1` (one generation kept).
-    pub access_log_rotate: u64,
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -167,25 +144,13 @@ impl ServerConfig {
             addr: std::env::var("SERVE_ADDR").unwrap_or_else(|_| "tcp:127.0.0.1:0".to_string()),
             state_dir,
             workers: env_usize("SERVE_WORKERS", default_workers).max(1),
-            queue_interactive: env_usize("SERVE_QUEUE_INTERACTIVE", 64),
+            queue_interactive: 64,
             queue_batch: env_usize("SERVE_QUEUE_BATCH", 16),
-            interactive_weight: env_usize("SERVE_INTERACTIVE_WEIGHT", 3).max(1),
-            default_deadline: env_ms("SERVE_DEFAULT_DEADLINE_MS", 30_000),
-            corner_deadline: env_ms("SERVE_CORNER_DEADLINE_MS", 10_000),
+            interactive_weight: 3,
             read_timeout: env_ms("SERVE_READ_TIMEOUT_MS", 5_000),
-            heartbeat_timeout: std::env::var("SERVE_HEARTBEAT_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .map(Duration::from_millis),
-            max_conns: env_usize("SERVE_MAX_CONNS", 64),
             slow_corner: env_ms("SERVE_SLOW_CORNER_MS", 0),
             journal_strict: std::env::var("SERVE_JOURNAL_POLICY")
                 .is_ok_and(|v| v.trim() == "strict"),
-            journal_compact: env_usize(
-                "SERVE_JOURNAL_COMPACT",
-                jobstate::DEFAULT_COMPACT_THRESHOLD as usize,
-            ) as u64,
-            panic_retries: env_usize("SERVE_PANIC_RETRIES", 1) as u64,
             watch_keepalive: env_ms("SERVE_WATCH_KEEPALIVE_MS", 5_000),
             watch_write_timeout: env_ms("SERVE_WATCH_WRITE_TIMEOUT_MS", 2_000),
             watch_lag_budget: env_usize("SERVE_WATCH_LAG_BUDGET", 256) as u64,
@@ -194,7 +159,6 @@ impl ServerConfig {
                 .ok()
                 .filter(|v| !v.trim().is_empty())
                 .map(PathBuf::from),
-            access_log_rotate: env_usize("SERVE_ACCESS_LOG_ROTATE", 8 * 1024 * 1024) as u64,
         }
     }
 

@@ -29,8 +29,7 @@ pub mod status {
     pub const RUNNING: &str = "running";
     /// Work executed but could not produce a result.
     pub const FAILED: &str = "failed";
-    /// Cancelled remotely (explicit `cancel`, disconnect, or orphan
-    /// heartbeat).
+    /// Cancelled remotely (explicit `cancel` or client disconnect).
     pub const CANCELLED: &str = "cancelled";
     /// A request-level deadline expired.
     pub const TIMED_OUT: &str = "timed_out";

@@ -64,8 +64,7 @@ pub enum Outcome {
     Ok,
     /// Could not produce a result (parse/solve error text attached).
     Failed(String),
-    /// Cancelled remotely: explicit request, client disconnect, or
-    /// orphan-heartbeat expiry.
+    /// Cancelled remotely: explicit request or client disconnect.
     Cancelled,
     /// The request deadline expired mid-work.
     TimedOut,
@@ -207,7 +206,6 @@ pub struct Job {
     pub dir: Option<PathBuf>,
     state: Mutex<JobState>,
     cv: Condvar,
-    last_touch: Mutex<Instant>,
 }
 
 impl Job {
@@ -238,7 +236,6 @@ impl Job {
                 resumed,
             )),
             cv: Condvar::new(),
-            last_touch: Mutex::new(Instant::now()),
         })
     }
 
@@ -320,20 +317,6 @@ impl Job {
             state = next;
         }
     }
-
-    /// Records client contact (accept or poll) for orphan detection.
-    pub fn touch(&self) {
-        *self.last_touch.lock().unwrap_or_else(|e| e.into_inner()) = Instant::now();
-    }
-
-    /// Time since the owning client last touched the job.
-    #[must_use]
-    pub fn idle(&self) -> Duration {
-        self.last_touch
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .elapsed()
-    }
 }
 
 /// One dispatchable unit: a job and the unit index within it.
@@ -387,8 +370,6 @@ pub struct Counters {
     pub explicit_cancels: AtomicU64,
     /// Jobs cancelled because their client disconnected mid-wait.
     pub disconnect_cancels: AtomicU64,
-    /// Jobs cancelled by orphan-heartbeat expiry.
-    pub orphan_cancels: AtomicU64,
     /// Campaign submissions refused because the accept could not be
     /// made durable (journal append/fsync failure → `busy` reply).
     pub journal_refusals: AtomicU64,
@@ -442,7 +423,6 @@ impl Counters {
             resumed_chunks_skipped: get(&self.resumed_chunks_skipped),
             explicit_cancels: get(&self.explicit_cancels),
             disconnect_cancels: get(&self.disconnect_cancels),
-            orphan_cancels: get(&self.orphan_cancels),
             journal_refusals: get(&self.journal_refusals),
             panics_contained: get(&self.panics_contained),
             chunks_quarantined: get(&self.chunks_quarantined),
@@ -472,7 +452,6 @@ pub struct CounterSnapshot {
     pub resumed_chunks_skipped: u64,
     pub explicit_cancels: u64,
     pub disconnect_cancels: u64,
-    pub orphan_cancels: u64,
     pub journal_refusals: u64,
     pub panics_contained: u64,
     pub chunks_quarantined: u64,
@@ -501,7 +480,6 @@ impl CounterSnapshot {
             ("resumed_chunks_skipped", self.resumed_chunks_skipped as f64),
             ("explicit_cancels", self.explicit_cancels as f64),
             ("disconnect_cancels", self.disconnect_cancels as f64),
-            ("orphan_cancels", self.orphan_cancels as f64),
             ("journal_refusals", self.journal_refusals as f64),
             ("panics_contained", self.panics_contained as f64),
             ("chunks_quarantined", self.chunks_quarantined as f64),
@@ -589,7 +567,6 @@ impl Scheduler {
     pub fn new(cfg: ServerConfig) -> Arc<Scheduler> {
         let metrics = Registry::new();
         let journal = Journal::new(cfg.state_dir.join("journal.jsonl"))
-            .with_compact_threshold(cfg.journal_compact)
             .with_fsync_observer(Arc::clone(&metrics.journal_sync_ms));
         Arc::new(Scheduler {
             inner: Mutex::new(SchedInner {
@@ -939,7 +916,7 @@ impl Scheduler {
     }
 
     /// Remote cancellation of `key`. `counter` attributes the reason
-    /// (explicit / disconnect / orphan). Returns whether the job existed
+    /// (explicit / disconnect). Returns whether the job existed
     /// and was still live.
     pub fn cancel(&self, key: &str, counter: &AtomicU64) -> bool {
         let Some(job) = self.job(key) else {
@@ -954,22 +931,6 @@ impl Scheduler {
         counter.fetch_add(1, Ordering::Relaxed);
         self.finish_job(&job, Outcome::Cancelled);
         true
-    }
-
-    /// Cancels running campaigns whose client has not polled within
-    /// `timeout` (the orphan heartbeat). Returns how many were culled.
-    pub fn cancel_orphans(&self, timeout: Duration) -> usize {
-        let mut culled = 0;
-        for job in self.all_jobs() {
-            if job.class == JobClass::Batch
-                && !job.is_done()
-                && job.idle() > timeout
-                && self.cancel(&job.key, &self.counters.orphan_cancels)
-            {
-                culled += 1;
-            }
-        }
-        culled
     }
 
     /// Whether the scheduler has begun draining.

@@ -25,9 +25,8 @@
 //!   (catch-up replay after reconnect is exempt — a client resuming
 //!   from seq 1 is *supposed* to be far behind).
 //!
-//! Disconnects mid-stream never cancel the job: watching counts as a
-//! heartbeat (each delivered frame touches the job), and only
-//! orphan-reaping may reap.
+//! Disconnects mid-stream never cancel the job: a watch is a read-only
+//! view, and the job runs to its end whether or not anyone watches.
 
 use super::daemon::{telemetry_json, DRAIN};
 use super::execute::{chunk_path, result_path};
@@ -161,7 +160,6 @@ pub(super) fn stream_watch(
             ("job", Json::str(job_key)),
         ]));
     };
-    job.touch();
     let (total_units, frontier0) = job.with_state(|s| (s.total_units, s.frontier));
     let terminal_seq = total_units as u64 + 1;
     if from_seq > terminal_seq {
@@ -263,7 +261,6 @@ fn stream_events(
                     sched.counters.watch_events.fetch_add(1, Ordering::Relaxed);
                     seq += 1;
                     last_write = Instant::now();
-                    job.touch();
                 }
                 Err(e) if is_write_stall(&e) => {
                     // Mid-frame stall: the stream is corrupt from the
@@ -315,9 +312,6 @@ fn stream_events(
                     Err(_) => return WatchEnd::Close,
                 }
             }
-            // Watching is a heartbeat: an attached subscriber must not
-            // be orphan-reaped out from under its own stream.
-            job.touch();
         }
     }
 }

@@ -4,34 +4,19 @@
 //! run, and a kill between the `.tmp` write and the rename must never
 //! leave a truncated CSV behind.
 
+use cml_bench::scrub_knobs;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Chaos/injection variables that must not leak in from the environment.
-const SCRUBBED: &[&str] = &[
-    "CHAOS_KILL_AFTER_EXPERIMENTS",
-    "CHAOS_KILL_MID_WRITE",
-    "CHAOS_HANG_NEWTON",
-    "CHAOS_NAN_STAMP",
-    "EXP_INJECT_BAD_CORNER",
-    "EXP_INJECT_HANG_CORNER",
-    "EXP_CORNER_DEADLINE_MS",
-    "EXP_TELEMETRY",
-    "SPICIER_TRACE",
-    "SPICIER_CONDEST",
-];
-
 /// Runs `exp_all` sandboxed into `dir` on a quick FIG2+FIG4 subset.
 fn run_campaign(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_all"));
-    cmd.args(args)
+    scrub_knobs(&mut cmd)
+        .args(args)
         .env("EXP_OUT_DIR", dir)
         .env("EXP_SCALE", "quick")
         .env("EXP_ONLY", "FIG2,FIG4");
-    for key in SCRUBBED {
-        cmd.env_remove(key);
-    }
     for (key, value) in envs {
         cmd.env(key, value);
     }

@@ -8,6 +8,7 @@
 //! `spicier-loadgen` harness passes its own gates.
 
 use cml_bench::experiments::manifest::fnv64;
+use cml_bench::scrub_knobs;
 use cml_bench::server::client::{Client, ClientConfig, RetryClient, WatchOutcome};
 use cml_bench::server::loadgen::{DIVIDER_DECK, OP_DECK};
 use cml_bench::server::proto::{status, CampaignSpec, Request};
@@ -16,54 +17,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Environment that must not leak from the outer world into daemons.
-const SCRUBBED: &[&str] = &[
-    "CHAOS_KILL_AFTER_EXPERIMENTS",
-    "CHAOS_KILL_MID_WRITE",
-    "CHAOS_HANG_NEWTON",
-    "CHAOS_NAN_STAMP",
-    "CHAOS_PERTURB_LU",
-    "CHAOS_DROP_CLIENT",
-    "CHAOS_SLOW_CLIENT_MS",
-    "EXP_TELEMETRY",
-    "SPICIER_TRACE",
-    "SPICIER_CONDEST",
-    "SERVE_ADDR",
-    "SERVE_STATE_DIR",
-    "SERVE_WORKERS",
-    "SERVE_QUEUE_INTERACTIVE",
-    "SERVE_QUEUE_BATCH",
-    "SERVE_INTERACTIVE_WEIGHT",
-    "SERVE_DEFAULT_DEADLINE_MS",
-    "SERVE_CORNER_DEADLINE_MS",
-    "SERVE_READ_TIMEOUT_MS",
-    "SERVE_HEARTBEAT_TIMEOUT_MS",
-    "SERVE_MAX_CONNS",
-    "SERVE_SLOW_CORNER_MS",
-    "LOADGEN_QUICK",
-    "LOADGEN_OUT",
-    "LOADGEN_DIR",
-    "LOADGEN_P99_GATE_MS",
-    "SERVE_BIN",
-    "SPICIER_FAILPOINTS",
-    "SERVE_JOURNAL_POLICY",
-    "SERVE_JOURNAL_COMPACT",
-    "SERVE_PANIC_RETRIES",
-    "SERVE_WATCH_KEEPALIVE_MS",
-    "SERVE_WATCH_WRITE_TIMEOUT_MS",
-    "SERVE_WATCH_LAG_BUDGET",
-    "SERVE_WATCH_SNDBUF",
-    "SERVE_ACCESS_LOG",
-    "SERVE_ACCESS_LOG_ROTATE",
-    "CLIENT_READ_TIMEOUT_MS",
-    "CLIENT_WATCH_IDLE_MS",
-    "CLIENT_BACKOFF_BASE_MS",
-    "CLIENT_BACKOFF_CAP_MS",
-    "CLIENT_RETRY_BUDGET",
-    "CLIENT_BACKOFF_SEED",
-    "LOADGEN_STREAM_P99_GATE_MS",
-];
 
 struct Daemon {
     child: Child,
@@ -89,10 +42,8 @@ fn fresh_dir(name: &str) -> PathBuf {
 fn spawn_daemon(dir: &Path, envs: &[(&str, &str)]) -> Daemon {
     let _ = std::fs::remove_file(dir.join("ADDR"));
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_spicier-serve"));
-    for key in SCRUBBED {
-        cmd.env_remove(key);
-    }
-    cmd.env("SERVE_ADDR", "tcp:127.0.0.1:0")
+    scrub_knobs(&mut cmd)
+        .env("SERVE_ADDR", "tcp:127.0.0.1:0")
         .env("SERVE_STATE_DIR", dir)
         .stdout(Stdio::null())
         .stderr(Stdio::null());
@@ -766,12 +717,13 @@ fn panicking_chunk_is_quarantined_and_daemon_survives() {
     let dir = fresh_dir("panic");
     // One worker runs chunks in order; chunk.run hits 2 and 3 are
     // chunk 1's first attempt and its single retry — both panic, so
-    // exactly that chunk is quarantined.
+    // exactly that chunk is quarantined. An empty SPICIER_TRACE names
+    // no path, so the panic dump must still land in the state dir.
     let daemon = spawn_daemon(
         &dir,
         &[
             ("SERVE_WORKERS", "1"),
-            ("SERVE_PANIC_RETRIES", "1"),
+            ("SPICIER_TRACE", ""),
             ("SPICIER_FAILPOINTS", "chunk.run=panic@2;chunk.run=panic@3"),
         ],
     );
@@ -816,10 +768,7 @@ fn journal_policy_strict_refuses_lenient_serves_corruption() {
 
     // Strict policy: the daemon must refuse to start.
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_spicier-serve"));
-    for key in SCRUBBED {
-        cmd.env_remove(key);
-    }
-    let mut child = cmd
+    let mut child = scrub_knobs(&mut cmd)
         .env("SERVE_ADDR", "tcp:127.0.0.1:0")
         .env("SERVE_STATE_DIR", &dir)
         .env("SERVE_JOURNAL_POLICY", "strict")
@@ -858,10 +807,7 @@ fn loadgen_quick_passes_its_gates_and_writes_report() {
     let dir = fresh_dir("loadgen");
     let out = dir.join("BENCH_server.json");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_spicier-loadgen"));
-    for key in SCRUBBED {
-        cmd.env_remove(key);
-    }
-    let output = cmd
+    let output = scrub_knobs(&mut cmd)
         .arg("--quick")
         .env("LOADGEN_OUT", &out)
         .env("LOADGEN_DIR", dir.join("work"))
@@ -986,7 +932,7 @@ fn watch_survives_sigkill_resume_with_exactly_once_delivery() {
     let cfg = ClientConfig {
         retry_budget: 120,
         backoff_cap: Duration::from_millis(250),
-        ..ClientConfig::from_env()
+        ..ClientConfig::default()
     };
     let mut submit = RetryClient::with_config(&daemon.addr, cfg.clone());
     let accept = submit.submit_campaign("wk", "job", &spec(10, 2)).unwrap();

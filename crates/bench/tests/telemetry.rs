@@ -8,36 +8,20 @@
 //! * the `EXP_INJECT_BAD_CORNER=1` drill must leave a non-empty
 //!   `FLIGHT_RECORDER.jsonl` identifying the failing corner.
 
+use cml_bench::scrub_knobs;
 use spicier::json::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Chaos/injection/telemetry variables that must not leak in from the
-/// environment.
-const SCRUBBED: &[&str] = &[
-    "CHAOS_KILL_AFTER_EXPERIMENTS",
-    "CHAOS_KILL_MID_WRITE",
-    "CHAOS_HANG_NEWTON",
-    "CHAOS_NAN_STAMP",
-    "EXP_INJECT_BAD_CORNER",
-    "EXP_INJECT_HANG_CORNER",
-    "EXP_CORNER_DEADLINE_MS",
-    "EXP_TELEMETRY",
-    "SPICIER_TRACE",
-    "SPICIER_CONDEST",
-];
-
 /// Runs `exp_all` sandboxed into `dir` on a quick single-experiment
 /// subset.
 fn run_campaign(dir: &Path, only: &str, envs: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_all"));
-    cmd.env("EXP_OUT_DIR", dir)
+    scrub_knobs(&mut cmd)
+        .env("EXP_OUT_DIR", dir)
         .env("EXP_SCALE", "quick")
         .env("EXP_ONLY", only);
-    for key in SCRUBBED {
-        cmd.env_remove(key);
-    }
     for (key, value) in envs {
         cmd.env(key, value);
     }

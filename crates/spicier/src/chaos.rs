@@ -21,12 +21,15 @@
 //!
 //! Injection is scoped: [`with_hang`] / [`with_nan_stamp`] poison only
 //! the solves performed inside the closure on the current thread, which
-//! is how the experiment harness poisons exactly one sweep corner. The
-//! env vars `CHAOS_HANG_NEWTON` / `CHAOS_NAN_STAMP` (set non-empty, not
-//! `"0"`) poison an entire process instead, mirroring the existing
-//! `EXP_INJECT_BAD_CORNER` convention. Production code paths never call
-//! the injection points with chaos active; with both sources off, the
-//! checks are a thread-local counter read per Newton attempt.
+//! is how the experiment harness poisons exactly one sweep corner. LU
+//! perturbation also has a process-wide form, `CHAOS_PERTURB_LU` (set
+//! non-empty, not `"0"`). Production code paths never call the injection
+//! points with chaos active; with every source off, the checks are a
+//! thread-local counter read per Newton attempt.
+//!
+//! A client-side fault, [`with_drop_client`], makes the campaign-server
+//! client send its request and then sever the connection before the
+//! reply, modelling a client that vanishes mid-request.
 //!
 //! A fourth family targets the *durable-state* layer: named IO
 //! **failpoints** (see [`failpoint`]) let tests and the loadgen harness
@@ -44,27 +47,12 @@ thread_local! {
     static HANG_DEPTH: Cell<u32> = const { Cell::new(0) };
     static NAN_DEPTH: Cell<u32> = const { Cell::new(0) };
     static PERTURB_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static DROP_CLIENT_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static SLOW_CLIENT_MS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-fn env_hang() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| env_flag("CHAOS_HANG_NEWTON"))
-}
-
-fn env_nan() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| env_flag("CHAOS_NAN_STAMP"))
+    static DROP_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 fn env_perturb() -> bool {
     static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| env_flag("CHAOS_PERTURB_LU"))
+    *FLAG.get_or_init(|| std::env::var("CHAOS_PERTURB_LU").is_ok_and(|v| !v.is_empty() && v != "0"))
 }
 
 struct DepthGuard(&'static std::thread::LocalKey<Cell<u32>>);
@@ -100,17 +88,16 @@ pub fn with_perturb_lu<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether hang injection is active (scoped guard or `CHAOS_HANG_NEWTON`).
+/// Whether hang injection is active on this thread.
 #[must_use]
 pub fn hang_active() -> bool {
-    HANG_DEPTH.with(Cell::get) > 0 || env_hang()
+    HANG_DEPTH.with(Cell::get) > 0
 }
 
-/// Whether NaN-stamp injection is active (scoped guard or
-/// `CHAOS_NAN_STAMP`).
+/// Whether NaN-stamp injection is active on this thread.
 #[must_use]
 pub fn nan_stamp_active() -> bool {
-    NAN_DEPTH.with(Cell::get) > 0 || env_nan()
+    NAN_DEPTH.with(Cell::get) > 0
 }
 
 /// Whether LU-perturbation injection is active (scoped guard or
@@ -126,68 +113,20 @@ pub(crate) fn hang_beat() {
     std::thread::sleep(Duration::from_micros(200));
 }
 
-// ---------------------------------------------------------------------
-// Client-side network chaos, consumed by the campaign-server client and
-// load generator to exercise the daemon's disconnect and slowloris
-// defenses deterministically.
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&v| v > 0)
-}
-
-fn env_drop_client() -> Option<u64> {
-    static VAL: OnceLock<Option<u64>> = OnceLock::new();
-    *VAL.get_or_init(|| env_u64("CHAOS_DROP_CLIENT"))
-}
-
-fn env_slow_client() -> Option<u64> {
-    static VAL: OnceLock<Option<u64>> = OnceLock::new();
-    *VAL.get_or_init(|| env_u64("CHAOS_SLOW_CLIENT_MS"))
-}
-
 /// Runs `f` with client-drop injection active on this thread: the request
-/// client truncates its next frame mid-write and severs the connection,
-/// modelling a client that vanishes while talking to the daemon.
+/// client sends each request and then severs the connection before the
+/// reply, modelling a client that vanishes while talking to the daemon.
 pub fn with_drop_client<R>(f: impl FnOnce() -> R) -> R {
-    DROP_CLIENT_DEPTH.with(|d| d.set(d.get() + 1));
-    let _guard = DepthGuard(&DROP_CLIENT_DEPTH);
+    DROP_DEPTH.with(|d| d.set(d.get() + 1));
+    let _guard = DepthGuard(&DROP_DEPTH);
     f()
 }
 
-/// Runs `f` with slowloris injection active on this thread: the request
-/// client trickles frame bytes with `ms` milliseconds between writes,
-/// modelling a client slow enough to hold a server read slot hostage.
-pub fn with_slow_client<R>(ms: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SLOW_CLIENT_MS.with(|v| v.set(self.0));
-        }
-    }
-    let prev = SLOW_CLIENT_MS.with(|v| v.replace(Some(ms)));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// `CHAOS_DROP_CLIENT=N` (or a scoped [`with_drop_client`]): the request
-/// client should sever every `N`-th connection mid-frame. The scoped
-/// guard reads as "every request" (`Some(1)`).
+/// Whether client-drop injection ([`with_drop_client`]) is active on
+/// this thread.
 #[must_use]
-pub fn drop_client_every() -> Option<u64> {
-    if DROP_CLIENT_DEPTH.with(Cell::get) > 0 {
-        return Some(1);
-    }
-    env_drop_client()
-}
-
-/// Per-byte write delay for slowloris injection, from a scoped
-/// [`with_slow_client`] or `CHAOS_SLOW_CLIENT_MS`.
-#[must_use]
-pub fn slow_client_ms() -> Option<u64> {
-    SLOW_CLIENT_MS.with(Cell::get).or_else(env_slow_client)
+pub fn drop_client_active() -> bool {
+    DROP_DEPTH.with(Cell::get) > 0
 }
 
 // ---------------------------------------------------------------------
@@ -424,16 +363,9 @@ mod tests {
 
     #[test]
     fn client_chaos_guards_scope_and_restore() {
-        assert_eq!(drop_client_every(), None);
-        with_drop_client(|| assert_eq!(drop_client_every(), Some(1)));
-        assert_eq!(drop_client_every(), None);
-        assert_eq!(slow_client_ms(), None);
-        with_slow_client(7, || {
-            assert_eq!(slow_client_ms(), Some(7));
-            with_slow_client(3, || assert_eq!(slow_client_ms(), Some(3)));
-            assert_eq!(slow_client_ms(), Some(7));
-        });
-        assert_eq!(slow_client_ms(), None);
+        assert!(!drop_client_active());
+        with_drop_client(|| assert!(drop_client_active()));
+        assert!(!drop_client_active());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub enum Error {
         /// after the last refinement step.
         backward_error: f64,
         /// The certification tolerance the solve had to meet
-        /// (`SOLVE_BWERR_TOL`, default `1e-8`).
+        /// (`linalg::verify::DEFAULT_BWERR_TOL`, `1e-8`).
         tolerance: f64,
         /// Iterative-refinement steps spent before giving up.
         refinement_steps: usize,

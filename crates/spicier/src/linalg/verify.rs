@@ -8,8 +8,8 @@
 //! 1. after the triangular solves, the normalized ∞-norm **backward error**
 //!    `‖Ax − b‖ / (‖A‖·‖x‖ + ‖b‖)` is computed from the original (unfactored)
 //!    matrix — a couple of mat-vecs, negligible next to the factorization;
-//! 2. when it exceeds the certification tolerance (`SOLVE_BWERR_TOL`,
-//!    default `1e-8`), **one step of iterative refinement** re-solves for
+//! 2. when it exceeds the certification tolerance ([`DEFAULT_BWERR_TOL`],
+//!    `1e-8`), **one step of iterative refinement** re-solves for
 //!    the residual correction and the backward error is re-measured;
 //! 3. when refinement cannot reach tolerance either, the solve fails with
 //!    [`Error::UntrustedSolution`], carrying a Hager/Higham style **1-norm
@@ -21,7 +21,6 @@
 //! experiment CSV baselines byte-identical with certification enabled.
 
 use crate::error::Error;
-use std::sync::OnceLock;
 
 /// Default certification tolerance on the normalized backward error.
 ///
@@ -30,28 +29,11 @@ use std::sync::OnceLock;
 /// growth while still catching any genuinely corrupted factorization.
 pub const DEFAULT_BWERR_TOL: f64 = 1e-8;
 
-/// Certification tolerance: `SOLVE_BWERR_TOL` when set to a positive
-/// finite number, [`DEFAULT_BWERR_TOL`] otherwise. Read once per process.
+/// The certification tolerance every real solve is held to:
+/// [`DEFAULT_BWERR_TOL`].
+#[must_use]
 pub fn bwerr_tol() -> f64 {
-    static TOL: OnceLock<f64> = OnceLock::new();
-    *TOL.get_or_init(|| {
-        std::env::var("SOLVE_BWERR_TOL")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|t| t.is_finite() && *t > 0.0)
-            .unwrap_or(DEFAULT_BWERR_TOL)
-    })
-}
-
-/// Whether `SPICIER_CONDEST` (set non-empty, not `"0"`) asks for a
-/// condition estimate on *successful-but-slow* solves — ones that only
-/// certified after a refinement step. Healthy solves (no refinement)
-/// never pay for the extra triangular solves, and with the flag unset
-/// the estimate is computed only on the `UntrustedSolution` failure
-/// path, exactly as before. Read once per process.
-pub fn condest_opt_in() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("SPICIER_CONDEST").is_ok_and(|v| !v.is_empty() && v != "0"))
+    DEFAULT_BWERR_TOL
 }
 
 /// Quality record of a certified linear solve.
@@ -63,10 +45,9 @@ pub struct SolveQuality {
     /// Iterative-refinement steps that were needed to reach tolerance
     /// (`0` for a healthy solve).
     pub refinement_steps: usize,
-    /// Hager/Higham 1-norm condition estimate. Computed on the failure
-    /// path, and — when `SPICIER_CONDEST` is set — on successful solves
-    /// that needed a refinement step (it costs extra solves, so a
-    /// healthy solve always carries `None`).
+    /// Condition estimate. Solves compute one only on their failure
+    /// path, where it travels in [`Error::UntrustedSolution`], so a
+    /// certified solve carries `None`.
     pub cond_estimate: Option<f64>,
 }
 
@@ -292,18 +273,10 @@ where
             });
         }
     }
-    // A solve that only certified after refinement is the "slow but
-    // successful" class the telemetry summary wants a condition estimate
-    // for; the extra solves are opt-in via `SPICIER_CONDEST`.
-    let cond_estimate = if steps > 0 && condest_opt_in() {
-        condest_1norm(x.len(), norm_a_1, &mut solve, &mut solve_transposed)
-    } else {
-        None
-    };
     Ok(SolveQuality {
         backward_error: bwerr,
         refinement_steps: steps,
-        cond_estimate,
+        cond_estimate: None,
     })
 }
 

@@ -30,9 +30,10 @@
 //!   `failure` event to the JSONL dump file — so every
 //!   `DcNoConvergence`, `DeadlineExceeded`, or `UntrustedSolution`
 //!   ships with the last N solver events that led to it. The dump path
-//!   is `SPICIER_TRACE=<path>` or a programmatic [`set_dump_path`]
-//!   (the experiment harness points it at
-//!   `target/experiments/FLIGHT_RECORDER.jsonl`).
+//!   is `SPICIER_TRACE=<path>` or a programmatic [`set_dump_path`];
+//!   the experiment harness and the daemon use
+//!   [`set_fallback_dump_path`] to put it under their output directory
+//!   when `SPICIER_TRACE` names no path.
 //! * **Summaries** — each analysis attaches a [`TelemetrySummary`]
 //!   (wall time, Newton totals, ladder-rung histogram, kernel
 //!   [`LuStats`], worst backward error) to its result and, while
@@ -80,8 +81,7 @@ fn env_flag(name: &str) -> bool {
 
 #[cold]
 fn init_env_state() -> bool {
-    let on =
-        std::env::var("SPICIER_TRACE").is_ok_and(|v| !v.is_empty()) || env_flag("EXP_TELEMETRY");
+    let on = env_dump_path().is_some() || env_flag("EXP_TELEMETRY");
     ENV_STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     on
 }
@@ -373,6 +373,8 @@ impl Event {
 
 static DUMP_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
 
+/// `SPICIER_TRACE` as a dump path; unset and empty both mean none.
+/// This is the only place the variable is read.
 fn env_dump_path() -> Option<&'static PathBuf> {
     static PATH: OnceLock<Option<PathBuf>> = OnceLock::new();
     PATH.get_or_init(|| {
@@ -384,11 +386,25 @@ fn env_dump_path() -> Option<&'static PathBuf> {
     .as_ref()
 }
 
+/// The dump file `SPICIER_TRACE` names, if any.
+#[must_use]
+pub fn trace_path() -> Option<&'static std::path::Path> {
+    env_dump_path().map(PathBuf::as_path)
+}
+
 /// Sets (or clears) the flight-recorder dump file programmatically,
-/// overriding `SPICIER_TRACE`. Used by the experiment harness to point
-/// dumps at the campaign output directory, and by tests.
+/// overriding `SPICIER_TRACE`. Used by tests.
 pub fn set_dump_path(path: Option<PathBuf>) {
     *DUMP_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = path;
+}
+
+/// Points flight-recorder dumps at `path` unless `SPICIER_TRACE` names
+/// a dump file. The campaign runner and the daemon call it with a path
+/// under their output directory.
+pub fn set_fallback_dump_path(path: PathBuf) {
+    if env_dump_path().is_none() {
+        set_dump_path(Some(path));
+    }
 }
 
 fn dump_path() -> Option<PathBuf> {
@@ -522,9 +538,10 @@ pub struct TelemetrySummary {
     pub lu: LuStats,
     /// Worst certified backward error observed (`NaN` is pessimal).
     pub worst_backward_error: Option<f64>,
-    /// Worst condition-number estimate observed, when one was computed
-    /// (failure path, or `SPICIER_CONDEST=1` on slow-but-successful
-    /// solves).
+    /// Worst condition-number estimate carried by a solve's
+    /// `SolveQuality`. Solves only estimate on their failure path, which
+    /// returns an error instead of a quality record, so analyses leave
+    /// this `None`.
     pub cond_estimate: Option<f64>,
 }
 
