@@ -79,7 +79,6 @@ fn entry_json(e: &ExperimentTelemetry) -> Json {
             ]),
         ),
         ("worst_backward_error", worst(s.worst_backward_error)),
-        ("worst_cond_estimate", worst(s.cond_estimate)),
         ("quarantined", Json::Num(e.quarantined as f64)),
         ("timed_out", Json::Num(e.timed_out as f64)),
     ])

@@ -231,7 +231,6 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
         wall: started.elapsed(),
         lu: ws.solver.stats(),
         worst_backward_error: Some(quality.backward_error),
-        cond_estimate: quality.cond_estimate,
         ..TelemetrySummary::default()
     };
     telemetry::record_summary(&summary);

@@ -454,7 +454,6 @@ fn dc_summary(
             .collect(),
         lu,
         worst_backward_error: Some(quality.backward_error),
-        cond_estimate: quality.cond_estimate,
         ..TelemetrySummary::default()
     }
 }

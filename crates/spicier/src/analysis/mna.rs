@@ -9,7 +9,7 @@
 //! applied inside the assembly so the Newton loop above stays generic.
 
 use crate::devices::{pnjlim, BjtBatch, BjtEval, BjtModel};
-use crate::linalg::{AutoSolver, Triplets, EXPERIMENT_DENSE_CUTOFF};
+use crate::linalg::{AutoSolver, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::VT_300K;
 
@@ -24,10 +24,9 @@ use crate::VT_300K;
 /// source sweep, or every corner a sweep worker processes.
 #[derive(Debug)]
 pub struct SolveWorkspace {
-    /// Linear solver, dense or sparse by system size. Pinned to
-    /// [`EXPERIMENT_DENSE_CUTOFF`] so published experiment baselines keep
-    /// seeing the same kernel (and the same rounding) they were recorded
-    /// with, independent of the measured-crossover default.
+    /// Linear solver: dense up to
+    /// [`DENSE_CUTOFF`](crate::linalg::DENSE_CUTOFF) unknowns, which
+    /// covers every paper circuit, and sparse above.
     pub solver: AutoSolver,
     /// Triplet accumulator reused across assemblies.
     pub triplets: Triplets,
@@ -45,7 +44,7 @@ impl SolveWorkspace {
     /// Creates a workspace sized for a `dim`-unknown system.
     pub fn new(dim: usize) -> Self {
         Self {
-            solver: AutoSolver::with_cutoff(EXPERIMENT_DENSE_CUTOFF),
+            solver: AutoSolver::new(),
             triplets: Triplets::new(dim),
             rhs: Vec::with_capacity(dim),
         }

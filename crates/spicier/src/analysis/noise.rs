@@ -242,7 +242,6 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
         wall: started.elapsed(),
         lu: ws.solver.stats(),
         worst_backward_error: Some(quality.backward_error),
-        cond_estimate: quality.cond_estimate,
         ..TelemetrySummary::default()
     };
     telemetry::record_summary(&summary);

@@ -569,7 +569,6 @@ pub fn transient_salvage_with(
         rejected_steps: result.rejected_steps as u64,
         lu: ws.solver.stats().delta_since(&lu_before),
         worst_backward_error: Some(result.quality.backward_error),
-        cond_estimate: result.quality.cond_estimate,
         ..TelemetrySummary::default()
     };
     telemetry::record_summary(&result.telemetry);

@@ -230,7 +230,6 @@ impl ComplexDenseMatrix {
             return Ok(super::SolveQuality {
                 backward_error: f64::NAN,
                 refinement_steps: 0,
-                cond_estimate: None,
             });
         }
         if super::verify::uncertified(bwerr, tol) {
@@ -264,7 +263,6 @@ impl ComplexDenseMatrix {
         Ok(super::SolveQuality {
             backward_error: bwerr,
             refinement_steps: steps,
-            cond_estimate: None,
         })
     }
 

@@ -1,7 +1,9 @@
 //! Dense LU factorization with partial pivoting.
 //!
 //! Used directly for small MNA systems and as the reference oracle for the
-//! sparse kernel's tests.
+//! sparse kernel's tests. [`DenseSolver`] replays a recorded elimination
+//! once a stamp pattern's pivot order has settled; the replay is
+//! bit-identical to a full factorization (see [`DenseSolver`]).
 
 // Index-based loops are kept in these numeric kernels: the indices are
 // the mathematical objects (pivot rows, column positions).
@@ -110,36 +112,8 @@ impl DenseMatrix {
     /// Returns [`Error::SingularMatrix`] when no acceptable pivot exists in
     /// some column.
     pub fn lu_factor(&mut self) -> Result<Vec<usize>, Error> {
-        let n = self.n;
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            // Pivot search down column k.
-            let mut pivot_row = k;
-            let mut pivot_mag = self.data[perm[k] * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.data[perm[r] * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < PIVOT_FLOOR {
-                return Err(Error::SingularMatrix { column: k });
-            }
-            perm.swap(k, pivot_row);
-            let pk = perm[k];
-            let pivot = self.data[pk * n + k];
-            for r in (k + 1)..n {
-                let pr = perm[r];
-                let factor = self.data[pr * n + k] / pivot;
-                self.data[pr * n + k] = factor;
-                if factor != 0.0 {
-                    for c in (k + 1)..n {
-                        self.data[pr * n + c] -= factor * self.data[pk * n + c];
-                    }
-                }
-            }
-        }
+        let mut perm: Vec<usize> = (0..self.n).collect();
+        eliminate(&mut self.data, self.n, &mut perm, 0)?;
         Ok(perm)
     }
 
@@ -150,11 +124,17 @@ impl DenseMatrix {
     ///
     /// Panics if `rhs.len() != dim()` or `perm.len() != dim()`.
     pub fn lu_solve(&self, perm: &[usize], rhs: &mut [f64]) {
+        let mut y = vec![0.0; self.n];
+        self.lu_solve_with(perm, rhs, &mut y);
+    }
+
+    /// [`lu_solve`](Self::lu_solve) with caller-owned scratch `y` of
+    /// length `dim()`, so repeated solves allocate nothing.
+    fn lu_solve_with(&self, perm: &[usize], rhs: &mut [f64], y: &mut [f64]) {
         let n = self.n;
         assert_eq!(rhs.len(), n, "rhs dimension mismatch");
         assert_eq!(perm.len(), n, "permutation dimension mismatch");
         // Forward substitution with implicit unit diagonal, permuted rows.
-        let mut y = vec![0.0; n];
         for r in 0..n {
             let pr = perm[r];
             let mut sum = rhs[pr];
@@ -213,18 +193,320 @@ impl DenseMatrix {
     }
 }
 
-/// Reusable dense solver workspace with a cached stamp-slot map.
+/// Runs partial-pivoting elimination steps `from..n` on the row-major
+/// `n × n` matrix `data`, in place. `perm` is the row order the earlier
+/// steps left (the identity when `from == 0`); on return `perm[k]` is
+/// the pivot row of step `k`, and `data` holds `P A = L U` with `L`'s
+/// unit diagonal implied.
+///
+/// The single elimination loop behind [`DenseMatrix::lu_factor`], the
+/// solver's full factorization, and the continuation of an abandoned
+/// replay.
+///
+/// # Errors
+///
+/// Returns [`Error::SingularMatrix`] when no acceptable pivot exists in
+/// some column.
+fn eliminate(data: &mut [f64], n: usize, perm: &mut [usize], from: usize) -> Result<(), Error> {
+    for k in from..n {
+        // Pivot search down column k: the first strict maximum.
+        let mut pivot_row = k;
+        let mut pivot_mag = data[perm[k] * n + k].abs();
+        for r in (k + 1)..n {
+            let mag = data[perm[r] * n + k].abs();
+            if mag > pivot_mag {
+                pivot_mag = mag;
+                pivot_row = r;
+            }
+        }
+        if pivot_mag < PIVOT_FLOOR {
+            return Err(Error::SingularMatrix { column: k });
+        }
+        perm.swap(k, pivot_row);
+        let pk = perm[k];
+        let pivot = data[pk * n + k];
+        for r in (k + 1)..n {
+            let pr = perm[r];
+            let factor = data[pr * n + k] / pivot;
+            data[pr * n + k] = factor;
+            if factor != 0.0 {
+                for c in (k + 1)..n {
+                    data[pr * n + c] -= factor * data[pk * n + c];
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Which path a [`DenseSolver`] factorization took; the `path` field of
+/// the `dense_solve` telemetry event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FactorPath {
+    /// Full elimination.
+    Full,
+    /// The recorded plan replayed to the end.
+    Refactor,
+    /// The replay was abandoned and the full elimination finished it.
+    Fallback,
+}
+
+impl FactorPath {
+    fn label(self) -> &'static str {
+        match self {
+            FactorPath::Full => "full",
+            FactorPath::Refactor => "refactor",
+            FactorPath::Fallback => "fallback",
+        }
+    }
+}
+
+/// The recorded elimination of one stamp pattern in one pivot order: a
+/// symbolic run of [`eliminate`] over the unique stamped slots, fill
+/// included. Step `k`'s entries of each list live at
+/// `ptr[k]..ptr[k + 1]`.
+#[derive(Debug, Default)]
+struct Plan {
+    /// Pivot row of each step (the final row permutation).
+    pivot_row: Vec<usize>,
+    /// Position of step `k`'s pivot row in the search order when the
+    /// step starts (the `perm` index [`eliminate`] swaps with `k`).
+    pivot_pos: Vec<usize>,
+    /// Rows after position `k` in search order that are structurally
+    /// nonzero in column `k`: the only rows that can win the search.
+    cands: Vec<usize>,
+    cand_ptr: Vec<usize>,
+    /// Rows below the pivot that are structurally nonzero in column `k`.
+    lower: Vec<usize>,
+    lower_ptr: Vec<usize>,
+    /// Columns after `k` that are structurally nonzero in the pivot row.
+    upper: Vec<usize>,
+    upper_ptr: Vec<usize>,
+    /// Flat offsets of the structurally zero `L` entries of column `k`.
+    zeros: Vec<usize>,
+    zero_ptr: Vec<usize>,
+    /// Scratch: structural nonzero map and search order while recording.
+    nz: Vec<bool>,
+    order: Vec<usize>,
+}
+
+impl Plan {
+    /// Records the elimination of the stamped slots `pattern` (flat
+    /// offsets into an `n × n` matrix) in pivot order `pivots`,
+    /// overwriting any previous plan.
+    fn record(&mut self, n: usize, pattern: &[usize], pivots: &[usize]) {
+        self.pivot_row.clear();
+        self.pivot_row.extend_from_slice(pivots);
+        self.pivot_pos.clear();
+        for list in [&mut self.cands, &mut self.lower, &mut self.upper] {
+            list.clear();
+        }
+        self.zeros.clear();
+        for ptr in [
+            &mut self.cand_ptr,
+            &mut self.lower_ptr,
+            &mut self.upper_ptr,
+            &mut self.zero_ptr,
+        ] {
+            ptr.clear();
+            ptr.push(0);
+        }
+        self.nz.clear();
+        self.nz.resize(n * n, false);
+        for &slot in pattern {
+            self.nz[slot] = true;
+        }
+        self.order.clear();
+        self.order.extend(0..n);
+        for k in 0..n {
+            let pivot = pivots[k];
+            let pos = k + self.order[k..]
+                .iter()
+                .position(|&r| r == pivot)
+                .expect("pivots is a permutation");
+            self.pivot_pos.push(pos);
+            for &r in &self.order[k + 1..] {
+                if self.nz[r * n + k] {
+                    self.cands.push(r);
+                }
+            }
+            self.order.swap(k, pos);
+            let upper_start = self.upper.len();
+            for c in (k + 1)..n {
+                if self.nz[pivot * n + c] {
+                    self.upper.push(c);
+                }
+            }
+            for &r in &self.order[k + 1..] {
+                if self.nz[r * n + k] {
+                    self.lower.push(r);
+                    for &c in &self.upper[upper_start..] {
+                        self.nz[r * n + c] = true;
+                    }
+                } else {
+                    self.zeros.push(r * n + k);
+                }
+            }
+            self.cand_ptr.push(self.cands.len());
+            self.lower_ptr.push(self.lower.len());
+            self.upper_ptr.push(self.upper.len());
+            self.zero_ptr.push(self.zeros.len());
+        }
+    }
+
+    /// Factors `data` (the assembled, all-finite matrix of the recorded
+    /// pattern) by replaying the plan; `perm` must enter as the
+    /// identity. Each step reruns the pivot search over the candidate
+    /// rows; the first step whose search picks another row (or finds no
+    /// acceptable pivot) hands the matrix, as it stands, to
+    /// [`eliminate`] from that step on.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SingularMatrix`] from the continued elimination.
+    fn replay(&self, data: &mut [f64], n: usize, perm: &mut [usize]) -> Result<FactorPath, Error> {
+        for k in 0..n {
+            // The search of `eliminate`, skipping rows that are
+            // structurally zero in column k: they hold +0.0 and never
+            // beat the running maximum.
+            let mut best = perm[k];
+            let mut best_mag = data[best * n + k].abs();
+            for &r in &self.cands[self.cand_ptr[k]..self.cand_ptr[k + 1]] {
+                let mag = data[r * n + k].abs();
+                if mag > best_mag {
+                    best_mag = mag;
+                    best = r;
+                }
+            }
+            let pk = self.pivot_row[k];
+            // A NaN pivot is handed over too: its full elimination
+            // spreads NaN through every row below it.
+            if best != pk || best_mag.is_nan() || best_mag < PIVOT_FLOOR {
+                eliminate(data, n, perm, k)?;
+                return Ok(FactorPath::Fallback);
+            }
+            perm.swap(k, self.pivot_pos[k]);
+            let pivot = data[pk * n + k];
+            let upper = &self.upper[self.upper_ptr[k]..self.upper_ptr[k + 1]];
+            let mut diverged = false;
+            for &r in &self.lower[self.lower_ptr[k]..self.lower_ptr[k + 1]] {
+                let factor = data[r * n + k] / pivot;
+                data[r * n + k] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                if factor.is_finite() {
+                    for &c in upper {
+                        data[r * n + c] -= factor * data[pk * n + c];
+                    }
+                } else {
+                    // factor · (+0.0) is NaN, so the full elimination
+                    // also changes this row's structurally zero columns.
+                    for c in (k + 1)..n {
+                        data[r * n + c] -= factor * data[pk * n + c];
+                    }
+                    diverged = true;
+                }
+            }
+            if pivot < 0.0 {
+                // What `eliminate` stores as +0.0 / pivot.
+                for &slot in &self.zeros[self.zero_ptr[k]..self.zero_ptr[k + 1]] {
+                    data[slot] = -0.0;
+                }
+            }
+            if diverged {
+                eliminate(data, n, perm, k + 1)?;
+                return Ok(FactorPath::Fallback);
+            }
+        }
+        Ok(FactorPath::Refactor)
+    }
+}
+
+/// `(‖A‖∞, ‖A‖₁, every entry finite)` of the row-major `n × n` matrix
+/// `data`, summed over the unique stamped slots `pattern` (sorted
+/// row-major, row `r` at `row_ptr[r]..row_ptr[r + 1]`). Unstamped
+/// entries are +0.0 and adding +0.0 to a non-negative sum changes
+/// nothing, so this equals [`DenseMatrix::norms`] bit for bit.
+fn pattern_norms(
+    data: &[f64],
+    n: usize,
+    pattern: &[usize],
+    row_ptr: &[usize],
+    col_sums: &mut Vec<f64>,
+) -> (f64, f64, bool) {
+    col_sums.clear();
+    col_sums.resize(n, 0.0);
+    let mut row_max = 0.0f64;
+    let mut total = 0.0f64;
+    for r in 0..n {
+        let mut row_sum = 0.0;
+        for &slot in &pattern[row_ptr[r]..row_ptr[r + 1]] {
+            let a = data[slot].abs();
+            row_sum += a;
+            col_sums[slot - r * n] += a;
+        }
+        row_max = row_max.max(row_sum);
+        total += row_sum;
+    }
+    (
+        row_max,
+        col_sums.iter().fold(0.0f64, |m, &s| m.max(s)),
+        total.is_finite(),
+    )
+}
+
+/// Reusable dense solver workspace with a cached stamp-slot map and a
+/// cached-pattern refactorization.
 ///
 /// Like the sparse kernel's `StampMap`, the flattened `row * n + col`
 /// offsets of the stamp sequence are computed once; repeat calls with the
 /// same `(row, col)` sequence scatter through the cached slots without
 /// per-entry bounds checks. Scatter order is insertion order either way,
 /// so the assembled matrix is bit-identical to the uncached path.
+///
+/// **Refactorization.** When a full factorization on the cached pattern
+/// picks the same pivot sequence as the previous full factorization on
+/// it, the solver records a plan: a symbolic elimination of the unique
+/// stamped slots in that order. Later calls replay the plan, updating
+/// only the structurally nonzero `L` rows × `U` columns of each step and
+/// rerunning the partial-pivoting search over the candidate rows. The
+/// first step whose search picks a different row continues the ordinary
+/// elimination in place from that step (one pivot fallback; the plan is
+/// dropped). A matrix with a non-finite entry always takes the full
+/// path.
+///
+/// The replay is bit-identical to a full factorization. The scatter
+/// starts every entry from +0.0, so no assembled entry is −0.0, and no
+/// update `a − f·u` can produce −0.0 from an `a` that is not −0.0.
+/// Structurally zero entries therefore hold exactly +0.0, and each update
+/// the replay skips is `a − f·(+0.0)` with `a ≠ −0.0` and `f` finite,
+/// which leaves `a` unchanged. Rows whose factor is zero are skipped by
+/// both paths. The one value a skipped step would have written is the
+/// structurally zero `L` factor `+0.0 / pivot`, which the replay writes
+/// as −0.0 when the pivot is negative. A non-finite factor (overflow)
+/// makes `f·(+0.0)` NaN, so that row gets the full update and the rest
+/// of the factorization runs on the full path.
 #[derive(Debug, Default)]
 pub struct DenseSolver {
     matrix: Option<DenseMatrix>,
     keys: Vec<(u32, u32)>,
     slots: Vec<u32>,
+    /// Unique stamped slots, sorted row-major, with per-row boundaries.
+    pattern: Vec<usize>,
+    pattern_row_ptr: Vec<usize>,
+    /// Row permutation of the current factorization.
+    perm: Vec<usize>,
+    /// Pivot sequence of the last full factorization on this pattern.
+    last_pivots: Option<Vec<usize>>,
+    plan: Plan,
+    /// Whether `plan` describes the cached pattern and is replayed.
+    replaying: bool,
+    // Per-solve scratch.
+    col_sums: Vec<f64>,
+    b: Vec<f64>,
+    y: Vec<f64>,
+    residual: Vec<f64>,
     last_quality: SolveQuality,
     stats: LuStats,
 }
@@ -241,13 +523,73 @@ impl DenseSolver {
                 .all(|(&(r, c, _), &(kr, kc))| r as u32 == kr && c as u32 == kc)
     }
 
+    /// Caches `triplets`' stamp sequence: slot map, unique stamped
+    /// pattern, an `n × n` matrix; forgets the refactorization state.
+    fn rebuild(&mut self, triplets: &Triplets) {
+        let n = triplets.dim();
+        if !matches!(&self.matrix, Some(m) if m.dim() == n) {
+            self.matrix = Some(DenseMatrix::zeros(n));
+        }
+        // Triplets::add already bounds-checked every (row, col), so the
+        // flattened offsets are valid for an n × n matrix.
+        self.keys.clear();
+        self.slots.clear();
+        for &(r, c, _) in triplets.entries() {
+            self.keys.push((r as u32, c as u32));
+            self.slots.push((r * n + c) as u32);
+        }
+        self.pattern.clear();
+        self.pattern
+            .extend(self.slots.iter().map(|&slot| slot as usize));
+        self.pattern.sort_unstable();
+        self.pattern.dedup();
+        self.pattern_row_ptr.clear();
+        self.pattern_row_ptr.resize(n + 1, 0);
+        for &slot in &self.pattern {
+            self.pattern_row_ptr[slot / n + 1] += 1;
+        }
+        for r in 0..n {
+            self.pattern_row_ptr[r + 1] += self.pattern_row_ptr[r];
+        }
+        self.last_pivots = None;
+        self.replaying = false;
+    }
+
+    /// Updates the counters and the refactorization state after a
+    /// factorization that took `path` and left its pivots in `perm`.
+    fn record_path(&mut self, path: FactorPath) {
+        match path {
+            FactorPath::Refactor => self.stats.refactors += 1,
+            FactorPath::Full | FactorPath::Fallback => {
+                self.stats.full_factors += 1;
+                if path == FactorPath::Fallback {
+                    self.stats.pivot_fallbacks += 1;
+                    self.replaying = false;
+                }
+                // A full factorization while replaying only happens on
+                // non-finite data; it leaves the plan alone.
+                if !self.replaying {
+                    match &mut self.last_pivots {
+                        Some(last) if *last == self.perm => {
+                            let n = self.perm.len();
+                            self.plan.record(n, &self.pattern, &self.perm);
+                            self.replaying = true;
+                        }
+                        Some(last) => last.clone_from(&self.perm),
+                        None => self.last_pivots = Some(self.perm.clone()),
+                    }
+                }
+            }
+        }
+    }
+
     /// Certification record of the most recent successful solve.
     pub fn last_quality(&self) -> SolveQuality {
         self.last_quality
     }
 
-    /// Kernel counters (every dense factorization is a "full factor";
-    /// the dense path has no cached-pattern refactor).
+    /// Kernel counters: full factorizations (pivot fallbacks included),
+    /// replayed refactorizations, abandoned replays, triangular solves.
     pub fn stats(&self) -> LuStats {
         self.stats
     }
@@ -257,33 +599,34 @@ impl Solver for DenseSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
         let n = triplets.dim();
         let cached = matches!(&self.matrix, Some(m) if m.dim() == n) && self.slots_match(triplets);
-        let matrix = match &mut self.matrix {
-            Some(m) if m.dim() == n => {
-                m.clear();
-                m
-            }
-            slot => slot.insert(DenseMatrix::zeros(n)),
-        };
-        if cached {
-            for (&(_, _, v), &slot) in triplets.entries().iter().zip(&self.slots) {
-                matrix.data[slot as usize] += v;
-            }
-        } else {
-            // Triplets::add already bounds-checked every (row, col), so the
-            // flattened offsets are valid for an n × n matrix.
-            self.keys.clear();
-            self.slots.clear();
-            for &(r, c, v) in triplets.entries() {
-                self.keys.push((r as u32, c as u32));
-                self.slots.push((r * n + c) as u32);
-                matrix.data[r * n + c] += v;
-            }
+        if !cached {
+            self.rebuild(triplets);
+        }
+        let matrix = self.matrix.as_mut().expect("sized by rebuild");
+        matrix.clear();
+        for (&(_, _, v), &slot) in triplets.entries().iter().zip(&self.slots) {
+            matrix.data[slot as usize] += v;
         }
         // Norms for the certification denominator, while the assembled
         // values are still intact (the factorization overwrites them).
-        let (norm_a_inf, norm_a_1) = matrix.norms();
-        let perm = matrix.lu_factor()?;
-        self.stats.full_factors += 1;
+        let (norm_a_inf, norm_a_1, finite) = pattern_norms(
+            &matrix.data,
+            n,
+            &self.pattern,
+            &self.pattern_row_ptr,
+            &mut self.col_sums,
+        );
+        self.perm.clear();
+        self.perm.extend(0..n);
+        let path = if self.replaying && finite {
+            self.plan.replay(&mut matrix.data, n, &mut self.perm)?
+        } else {
+            eliminate(&mut matrix.data, n, &mut self.perm, 0)?;
+            FactorPath::Full
+        };
+        self.record_path(path);
+        let matrix = self.matrix.as_mut().expect("sized by rebuild");
+        let perm = &self.perm;
         if crate::chaos::perturb_lu_active() && n > 0 {
             // Chaos drill: corrupt one pivot of the completed
             // factorization. The triangular solves still finish cleanly;
@@ -291,33 +634,36 @@ impl Solver for DenseSolver {
             let k = n / 2;
             matrix.data[perm[k] * n + k] *= 1.0e3;
         }
-        let b = rhs.to_vec();
-        matrix.lu_solve(&perm, rhs);
-        // Triangular-solve tally shared with the certifier's closures,
-        // which only get `&self` borrows.
+        self.b.clear();
+        self.b.extend_from_slice(rhs);
+        self.y.resize(n, 0.0);
+        self.residual.resize(n, 0.0);
+        let (b, y) = (&self.b, &mut self.y);
+        matrix.lu_solve_with(perm, rhs, y);
+        // Triangular-solve tally shared with the certifier's closures.
         let solves = std::cell::Cell::new(1usize);
         let matrix: &DenseMatrix = matrix;
-        self.last_quality = verify::certify_in_place(
+        self.last_quality = verify::certify_with(
             rhs,
-            &b,
-            norm_a_inf,
-            norm_a_1,
+            b,
+            &mut self.residual,
+            (norm_a_inf, norm_a_1),
             |x, out| {
                 // r = b − A x straight from the triplets: duplicate
                 // entries distribute over the mat-vec sum, so this equals
                 // the assembled-matrix residual.
-                out.copy_from_slice(&b);
+                out.copy_from_slice(b);
                 for &(r, c, v) in triplets.entries() {
                     out[r] -= v * x[c];
                 }
             },
             |v| {
-                matrix.lu_solve(&perm, v);
+                matrix.lu_solve_with(perm, v, y);
                 solves.set(solves.get() + 1);
                 Ok(())
             },
             |v| {
-                matrix.lu_solve_transposed(&perm, v);
+                matrix.lu_solve_transposed(perm, v);
                 solves.set(solves.get() + 1);
                 Ok(())
             },
@@ -328,6 +674,7 @@ impl Solver for DenseSolver {
                 "dense_solve",
                 &[
                     ("dim", n.into()),
+                    ("path", path.label().into()),
                     ("bwerr", self.last_quality.backward_error.into()),
                     (
                         "refinement_steps",
@@ -446,6 +793,41 @@ mod tests {
     }
 
     #[test]
+    fn replayed_factors_match_full_elimination_bitwise() {
+        // Tridiagonal plus a corner stamp, with alternating signs so half
+        // the pivots are negative and their structurally zero L entries
+        // must read −0.0, as a full elimination stores them.
+        let n = 12;
+        let build = |round: usize| {
+            let mut t = Triplets::new(n);
+            for i in 0..n {
+                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                t.add(i, i, sign * (6.0 + (i + round) as f64 * 0.25));
+                if i + 1 < n {
+                    t.add(i, i + 1, 1.0 + round as f64 * 0.125);
+                    t.add(i + 1, i, -0.5);
+                }
+            }
+            t.add(n - 1, 0, 0.75);
+            t
+        };
+        let mut solver = DenseSolver::default();
+        for round in 0..6 {
+            let t = build(round);
+            let mut rhs = vec![1.0; n];
+            solver.solve_in_place(&t, &mut rhs).unwrap();
+            let mut full = DenseMatrix::from_triplets(&t);
+            let perm = full.lu_factor().unwrap();
+            let replayed = solver.matrix.as_ref().unwrap();
+            let bits = |m: &DenseMatrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(replayed), bits(&full), "round {round}");
+            assert_eq!(solver.perm, perm);
+        }
+        let stats = solver.stats();
+        assert_eq!((stats.full_factors, stats.refactors), (2, 4));
+    }
+
+    #[test]
     fn norms_are_row_and_col_abs_sums() {
         let mut m = DenseMatrix::zeros(2);
         m.add(0, 0, 1.0);
@@ -455,6 +837,51 @@ mod tests {
         let (inf, one) = m.norms();
         assert_eq!(inf, 7.0);
         assert_eq!(one, 6.0);
+    }
+
+    #[test]
+    fn pattern_norms_match_dense_norms_bitwise() {
+        // Duplicate stamps, an exactly cancelling pair and an empty row:
+        // summing only the stamped slots must give the full-matrix sums.
+        let mut t = Triplets::new(4);
+        for (r, c, v) in [
+            (0, 0, 0.1),
+            (0, 3, -0.7),
+            (0, 0, 0.2),
+            (2, 1, 1.0e-3),
+            (2, 1, -1.0e-3),
+            (3, 3, 5.5),
+            (3, 0, -2.25),
+            (2, 2, 0.3),
+        ] {
+            t.add(r, c, v);
+        }
+        let mut solver = DenseSolver::default();
+        solver.rebuild(&t);
+        let full = DenseMatrix::from_triplets(&t);
+        let (inf, one, finite) = pattern_norms(
+            &full.data,
+            4,
+            &solver.pattern,
+            &solver.pattern_row_ptr,
+            &mut solver.col_sums,
+        );
+        let (dense_inf, dense_one) = full.norms();
+        assert_eq!(
+            (inf.to_bits(), one.to_bits()),
+            (dense_inf.to_bits(), dense_one.to_bits())
+        );
+        assert!(finite);
+        let mut poisoned = full.clone();
+        poisoned.add(3, 0, f64::NAN);
+        let (.., finite) = pattern_norms(
+            &poisoned.data,
+            4,
+            &solver.pattern,
+            &solver.pattern_row_ptr,
+            &mut solver.col_sums,
+        );
+        assert!(!finite);
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! be factored thousands of times per transient run. Two kernels are
 //! provided:
 //!
-//! * [`dense`]: LU with partial pivoting on a row-major dense matrix —
-//!   simple, cache-friendly and used as the reference implementation and
-//!   for systems below [`DENSE_CUTOFF`] unknowns;
+//! * [`dense`]: LU with partial pivoting on a row-major dense matrix, used
+//!   for systems of up to [`DENSE_CUTOFF`] unknowns and as the reference
+//!   implementation; once a stamp pattern's pivot order settles it replays
+//!   a recorded elimination over the structural nonzeros, bit-identical
+//!   to a full factorization;
 //! * [`sparse`]: a left-looking Gilbert–Peierls LU with partial pivoting
-//!   on compressed-sparse-column storage, used for larger systems.
+//!   on compressed-sparse-column storage, used for larger systems, with a
+//!   cached-pattern numeric refactorization.
 //!
 //! Both kernels implement [`Solver`], and [`AutoSolver`] picks between them
 //! by size. The sparse kernel is property-tested against the dense one.
@@ -29,34 +32,17 @@ pub use verify::SolveQuality;
 use crate::error::Error;
 
 /// Unknown-count threshold above which [`AutoSolver`] switches from the
-/// dense kernel to the sparse kernel, calibrated against the cutoff bench
-/// (`cargo bench -p cml-bench --bench solver -- cutoff`): with the
-/// cached-pattern refactorization fast path the sparse kernel wins on
-/// circuit-like sparsity at every measured size from 20 unknowns up —
-/// including the assembled FIG3-chain stamps at 32 unknowns — so the
-/// crossover sits at the bottom of the measured band. The bench asserts
-/// this constant stays inside the measured crossover band, so a kernel
-/// regression that moves the crossover shows up as a bench failure rather
-/// than silent mis-selection.
+/// dense kernel to the sparse kernel.
 ///
-/// Existing experiment pipelines do NOT use this value: they pin
-/// [`EXPERIMENT_DENSE_CUTOFF`] instead, because moving circuits across
-/// the cutoff changes which kernel's rounding they see and breaks
-/// byte-stable baselines.
-pub const DENSE_CUTOFF: usize = 20;
-
-/// Kernel-selection threshold pinned by the experiment pipelines
-/// (`SolveWorkspace`), frozen at the historical value of 80.
-///
-/// The measured performance crossover is [`DENSE_CUTOFF`] = 20, but
-/// moving a circuit across the cutoff changes which kernel's rounding it
-/// sees, and the adaptive transient step control amplifies that last-bit
-/// difference into different time grids and recovery-ladder decisions
-/// (observed on fig7/robustness artifacts), breaking byte-stable
-/// experiment baselines. Analyses therefore construct their solver with
-/// [`AutoSolver::with_cutoff`]`(EXPERIMENT_DENSE_CUTOFF)`. Lower this
-/// only together with a deliberate baseline refresh.
-pub const EXPERIMENT_DENSE_CUTOFF: usize = 80;
+/// Calibrated against the cutoff bench (`cargo bench -p cml-bench --bench
+/// solver -- cutoff`): with its replayed refactorization the dense kernel
+/// beats the cached sparse path on real MNA stamps at every size the
+/// paper's circuits use (buffer chains and shared detectors, up to 72
+/// unknowns), and the sparse kernel wins above. The bench
+/// asserts the crossover stays at this constant, so a kernel regression
+/// that moves it shows up as a bench failure rather than silent
+/// mis-selection.
+pub const DENSE_CUTOFF: usize = 80;
 
 /// A linear solver for `A x = b` where `A` is assembled from triplets.
 pub trait Solver {
@@ -69,44 +55,24 @@ pub trait Solver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error>;
 }
 
-/// Chooses the dense kernel for small systems and the sparse kernel for
-/// large ones; reuses workspace between calls.
-#[derive(Debug)]
+/// Chooses the dense kernel for systems of up to [`DENSE_CUTOFF`]
+/// unknowns and the sparse kernel above; reuses workspace between calls.
+#[derive(Debug, Default)]
 pub struct AutoSolver {
     dense: dense::DenseSolver,
     sparse: sparse::SparseSolver,
     last_quality: SolveQuality,
-    cutoff: usize,
-}
-
-impl Default for AutoSolver {
-    fn default() -> Self {
-        Self::with_cutoff(DENSE_CUTOFF)
-    }
 }
 
 impl AutoSolver {
-    /// Creates a solver with empty workspaces and the measured
-    /// [`DENSE_CUTOFF`] kernel-selection threshold.
+    /// Creates a solver with empty workspaces.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a solver that switches kernels at `cutoff` unknowns
-    /// instead of [`DENSE_CUTOFF`]. The experiment pipelines pass
-    /// [`EXPERIMENT_DENSE_CUTOFF`] to keep their baselines byte-stable.
-    pub fn with_cutoff(cutoff: usize) -> Self {
-        Self {
-            dense: dense::DenseSolver::default(),
-            sparse: sparse::SparseSolver::default(),
-            last_quality: SolveQuality::default(),
-            cutoff,
-        }
-    }
-
-    /// The kernel-selection threshold this solver was built with.
+    /// The kernel-selection threshold: [`DENSE_CUTOFF`].
     pub fn cutoff(&self) -> usize {
-        self.cutoff
+        DENSE_CUTOFF
     }
 
     /// Certification record of the most recent successful solve
@@ -128,7 +94,7 @@ impl AutoSolver {
 
 impl Solver for AutoSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
-        if triplets.dim() <= self.cutoff {
+        if triplets.dim() <= DENSE_CUTOFF {
             self.dense.solve_in_place(triplets, rhs)?;
             self.last_quality = self.dense.last_quality();
         } else {

@@ -433,17 +433,22 @@ impl FactorCsc {
     }
 }
 
-/// Running counters for the factorization fast path.
+/// Running counters for the factorization fast paths of both kernels
+/// (`SparseLu::refactor` and the dense kernel's replayed elimination).
+/// Every factorization counts once, as either a full factor or a
+/// refactor.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LuStats {
-    /// Full symbolic + numeric factorizations (first use, pattern change,
-    /// or pivot-degradation fallback).
+    /// Full factorizations: first use, pattern change, a pivot order not
+    /// yet seen twice (dense), or a pivot-degradation fallback.
     pub full_factors: usize,
-    /// Numeric-only refactorizations that reused the cached pattern.
+    /// Numeric-only refactorizations that reused the cached pattern and
+    /// pivot order to the end.
     pub refactors: usize,
     /// Refactorizations abandoned mid-replay because partial pivoting
-    /// would now choose a different pivot (see
-    /// [`SparseLu::last_pivot_fallback`] for the triggering ratio).
+    /// would now choose a different pivot; each also counts as a full
+    /// factor. For the sparse kernel, [`SparseLu::last_pivot_fallback`]
+    /// gives the triggering ratio.
     pub pivot_fallbacks: usize,
     /// Triangular solves applied against the factors (Newton steps,
     /// refinement re-solves, and condition-estimator probes alike).
@@ -1073,6 +1078,9 @@ pub struct SparseSolver {
     perm: Option<Vec<usize>>,
     perm_scratch: Vec<f64>,
     force_ordering: Option<bool>,
+    // Per-solve scratch: the right-hand side and the residual.
+    b: Vec<f64>,
+    residual: Vec<f64>,
 }
 
 impl SparseSolver {
@@ -1163,21 +1171,23 @@ impl Solver for SparseSolver {
         if crate::chaos::perturb_lu_active() {
             self.lu.perturb_pivot();
         }
-        let b = rhs.to_vec();
+        self.b.clear();
+        self.b.extend_from_slice(rhs);
+        self.residual.resize(rhs.len(), 0.0);
         self.lu.solve(rhs)?;
         // Norms are permutation-invariant and `a` IS the permuted matrix,
         // so the certification below is exact for the permuted system —
         // and backward error is identical in original coordinates.
-        let (norm_a_inf, norm_a_1) = a.norms();
-        let lu = &self.lu;
-        self.last_quality = verify::certify_in_place(
+        let norms = a.norms();
+        let (lu, b) = (&self.lu, &self.b);
+        self.last_quality = verify::certify_with(
             rhs,
-            &b,
-            norm_a_inf,
-            norm_a_1,
+            b,
+            &mut self.residual,
+            norms,
             |x, out| {
                 // r = b − A x over the cached CSC matrix.
-                out.copy_from_slice(&b);
+                out.copy_from_slice(b);
                 for c in 0..a.n {
                     let xc = x[c];
                     if xc == 0.0 {

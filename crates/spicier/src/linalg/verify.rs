@@ -45,10 +45,6 @@ pub struct SolveQuality {
     /// Iterative-refinement steps that were needed to reach tolerance
     /// (`0` for a healthy solve).
     pub refinement_steps: usize,
-    /// Condition estimate. Solves compute one only on their failure
-    /// path, where it travels in [`Error::UntrustedSolution`], so a
-    /// certified solve carries `None`.
-    pub cond_estimate: Option<f64>,
 }
 
 impl Default for SolveQuality {
@@ -56,14 +52,13 @@ impl Default for SolveQuality {
         Self {
             backward_error: 0.0,
             refinement_steps: 0,
-            cond_estimate: None,
         }
     }
 }
 
 impl SolveQuality {
     /// Merges two quality records pessimistically: the larger backward
-    /// error, the larger refinement count, the larger condition estimate.
+    /// error and the larger refinement count.
     /// Used by analyses that perform many solves and report the worst.
     #[must_use]
     pub fn worst(self, other: SolveQuality) -> SolveQuality {
@@ -76,10 +71,6 @@ impl SolveQuality {
                 self.backward_error.max(other.backward_error)
             },
             refinement_steps: self.refinement_steps.max(other.refinement_steps),
-            cond_estimate: match (self.cond_estimate, other.cond_estimate) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            },
         }
     }
 }
@@ -212,6 +203,35 @@ pub fn certify_in_place<Res, S, St>(
     b: &[f64],
     norm_a_inf: f64,
     norm_a_1: f64,
+    residual: Res,
+    solve: S,
+    solve_transposed: St,
+) -> Result<SolveQuality, Error>
+where
+    Res: FnMut(&[f64], &mut [f64]),
+    S: FnMut(&mut [f64]) -> Result<(), Error>,
+    St: FnMut(&mut [f64]) -> Result<(), Error>,
+{
+    let mut r = vec![0.0; x.len()];
+    certify_with(
+        x,
+        b,
+        &mut r,
+        (norm_a_inf, norm_a_1),
+        residual,
+        solve,
+        solve_transposed,
+    )
+}
+
+/// [`certify_in_place`] with caller-owned residual scratch `r` (length
+/// `x.len()`) and the norms as `(‖A‖∞, ‖A‖₁)`, so the kernels' per-solve
+/// path allocates nothing.
+pub(crate) fn certify_with<Res, S, St>(
+    x: &mut [f64],
+    b: &[f64],
+    r: &mut [f64],
+    (norm_a_inf, norm_a_1): (f64, f64),
     mut residual: Res,
     mut solve: S,
     mut solve_transposed: St,
@@ -223,9 +243,8 @@ where
 {
     let tol = bwerr_tol();
     let b_inf = inf_norm(b);
-    let mut r = vec![0.0; x.len()];
-    residual(x, &mut r);
-    let mut bwerr = backward_error(inf_norm(&r), norm_a_inf, inf_norm(x), b_inf);
+    residual(x, r);
+    let mut bwerr = backward_error(inf_norm(r), norm_a_inf, inf_norm(x), b_inf);
     let mut steps = 0usize;
     if bwerr.is_nan() {
         // Non-finite data (NaN in `b` or the computed `x`): no residual
@@ -238,7 +257,6 @@ where
         return Ok(SolveQuality {
             backward_error: f64::NAN,
             refinement_steps: 0,
-            cond_estimate: None,
         });
     }
     if uncertified(bwerr, tol) {
@@ -246,13 +264,13 @@ where
         // residual is computed from the original matrix, so this corrects
         // ordinary rounding accumulation; it cannot (and must not) rescue
         // a genuinely corrupted factorization.
-        solve(&mut r)?;
-        for (xi, di) in x.iter_mut().zip(&r) {
+        solve(r)?;
+        for (xi, di) in x.iter_mut().zip(r.iter()) {
             *xi += *di;
         }
         steps = 1;
-        residual(x, &mut r);
-        bwerr = backward_error(inf_norm(&r), norm_a_inf, inf_norm(x), b_inf);
+        residual(x, r);
+        bwerr = backward_error(inf_norm(r), norm_a_inf, inf_norm(x), b_inf);
         if uncertified(bwerr, tol) {
             let cond = condest_1norm(x.len(), norm_a_1, &mut solve, &mut solve_transposed)
                 .unwrap_or(f64::INFINITY);
@@ -276,7 +294,6 @@ where
     Ok(SolveQuality {
         backward_error: bwerr,
         refinement_steps: steps,
-        cond_estimate: None,
     })
 }
 
@@ -387,7 +404,6 @@ mod tests {
         assert_eq!(x, b);
         assert_eq!(q.backward_error, 0.0);
         assert_eq!(q.refinement_steps, 0);
-        assert_eq!(q.cond_estimate, None);
     }
 
     #[test]
@@ -471,16 +487,13 @@ mod tests {
         let a = SolveQuality {
             backward_error: 1e-12,
             refinement_steps: 0,
-            cond_estimate: None,
         };
         let b = SolveQuality {
             backward_error: 1e-10,
             refinement_steps: 1,
-            cond_estimate: Some(1e6),
         };
         let w = a.worst(b);
         assert_eq!(w.backward_error, 1e-10);
         assert_eq!(w.refinement_steps, 1);
-        assert_eq!(w.cond_estimate, Some(1e6));
     }
 }

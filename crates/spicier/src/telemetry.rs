@@ -538,11 +538,6 @@ pub struct TelemetrySummary {
     pub lu: LuStats,
     /// Worst certified backward error observed (`NaN` is pessimal).
     pub worst_backward_error: Option<f64>,
-    /// Worst condition-number estimate carried by a solve's
-    /// `SolveQuality`. Solves only estimate on their failure path, which
-    /// returns an error instead of a quality record, so analyses leave
-    /// this `None`.
-    pub cond_estimate: Option<f64>,
 }
 
 impl TelemetrySummary {
@@ -562,7 +557,6 @@ impl TelemetrySummary {
         self.lu.absorb(&other.lu);
         self.worst_backward_error =
             worst_opt(self.worst_backward_error, other.worst_backward_error);
-        self.cond_estimate = worst_opt(self.cond_estimate, other.cond_estimate);
     }
 
     /// Folds many summaries into one under [`absorb`]'s discipline:
@@ -817,7 +811,6 @@ mod tests {
                 newton_iterations: 5,
                 rung_iterations: vec![("newton".to_string(), 5)],
                 worst_backward_error: Some(1e-9),
-                cond_estimate: Some(1e8),
                 ..TelemetrySummary::default()
             };
             a.absorb(&b);
@@ -838,7 +831,7 @@ mod tests {
                 g.rung_iterations,
                 vec![("newton".to_string(), 18), ("gmin".to_string(), 2)]
             );
-            assert_eq!(g.cond_estimate, Some(1e8));
+            assert_eq!(g.worst_backward_error, Some(1e-9));
             // Drained: the next take is empty.
             assert_eq!(take_global_summary(), TelemetrySummary::default());
         });

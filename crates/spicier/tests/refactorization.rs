@@ -1,8 +1,11 @@
-//! Property tests of the numeric-refactorization fast path: on a fixed
+//! Property tests of the numeric-refactorization fast paths: on a fixed
 //! sparsity pattern, `SparseLu::refactor` must reproduce a from-scratch
-//! `factor` bit-for-bit (same pivots, same arithmetic order), and the
-//! stamp-slot map must reproduce `SparseMatrix::from_triplets` exactly.
+//! `factor` bit-for-bit (same pivots, same arithmetic order), a
+//! long-lived `DenseSolver` replaying its recorded elimination must match
+//! a fresh one bit for bit, and the stamp-slot map must reproduce
+//! `SparseMatrix::from_triplets` exactly.
 
+use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::{DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets};
 use xrand::StdRng;
@@ -238,4 +241,122 @@ fn caching_solver_matches_one_shot_solver_across_perturbations() {
         assert_eq!(stats.full_factors, 1);
         assert_eq!(stats.refactors, 4);
     }
+}
+
+/// Bit pattern of `v`, with every NaN mapped to one value (the payload
+/// carries no meaning).
+fn canonical_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+#[test]
+fn dense_refactor_matches_fresh_solver_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0xDE45E);
+    let (mut refactors, mut fallbacks) = (0, 0);
+    for _ in 0..12 {
+        let n = rng.gen_range(6usize..40);
+        let mid = n / 2;
+        let mut keys = random_pattern(&mut rng, n);
+        // A slot that can out-pivot the middle diagonal, and a pair of
+        // stamps on one off-diagonal slot that can cancel exactly.
+        let flip = keys.len();
+        keys.push((mid + 1, mid));
+        let pair = keys.len();
+        let (pr, pc) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        keys.push((pr, (pc + (pc == pr) as usize) % n));
+        keys.push(keys[pair]);
+
+        let mut live = DenseSolver::default();
+        // Model of the replay trigger: a plan is recorded when a full
+        // factorization repeats the previous one's pivots, and dropped
+        // when a replay meets a different pivot sequence.
+        let mut plan: Option<Vec<usize>> = None;
+        let mut last: Option<Vec<usize>> = None;
+        let (mut calls, mut abandoned) = (0, 0);
+        for _ in 0..40 {
+            let base = instantiate(&mut rng, n, &keys);
+            let negated: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+            let flipped = rng.gen_bool(0.25);
+            let cancel = rng.gen_bool(0.5);
+            let nan_at = rng.gen_bool(0.05).then(|| rng.gen_range(0..keys.len()));
+            let mut t = Triplets::new(n);
+            for (i, &(r, c, v)) in base.entries().iter().enumerate() {
+                let mut v = if i == flip && flipped {
+                    50.0 * n as f64
+                } else if i == pair + 1 && cancel {
+                    -base.entries()[pair].2
+                } else {
+                    v
+                };
+                if negated[r] {
+                    v = -v;
+                }
+                if nan_at == Some(i) {
+                    v = f64::NAN;
+                }
+                t.add(r, c, v);
+            }
+            let rhs: Vec<f64> = (0..n)
+                .map(|i| match rng.gen_range(0..4) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => (i as f64 * 0.37).sin(),
+                })
+                .collect();
+
+            let mut x_live = rhs.clone();
+            let live_result = live.solve_in_place(&t, &mut x_live);
+            let mut fresh = DenseSolver::default();
+            let mut x_fresh = rhs.clone();
+            let fresh_result = fresh.solve_in_place(&t, &mut x_fresh);
+            match (live_result, fresh_result) {
+                (Ok(()), Ok(())) => {
+                    let bits = |v: &[f64]| v.iter().map(|&x| canonical_bits(x)).collect::<Vec<_>>();
+                    assert_eq!(bits(&x_live), bits(&x_fresh), "x diverged at n = {n}");
+                    assert_eq!(
+                        canonical_bits(live.last_quality().backward_error),
+                        canonical_bits(fresh.last_quality().backward_error),
+                        "backward error diverged at n = {n}"
+                    );
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string());
+                    continue;
+                }
+                (a, b) => panic!("live {a:?} vs fresh {b:?} at n = {n}"),
+            }
+            calls += 1;
+            let pivots = DenseMatrix::from_triplets(&t)
+                .lu_factor()
+                .expect("the fresh solver factored it");
+            let finite = t.entries().iter().all(|e| e.2.is_finite());
+            match &plan {
+                Some(p) if finite => {
+                    if *p != pivots {
+                        abandoned += 1;
+                        plan = None;
+                        last = Some(pivots);
+                    }
+                }
+                Some(_) => {}
+                None => {
+                    if last.as_ref() == Some(&pivots) {
+                        plan = Some(pivots.clone());
+                    }
+                    last = Some(pivots);
+                }
+            }
+        }
+        let stats = live.stats();
+        assert_eq!(stats.full_factors + stats.refactors, calls);
+        assert_eq!(stats.pivot_fallbacks, abandoned);
+        refactors += stats.refactors;
+        fallbacks += stats.pivot_fallbacks;
+    }
+    assert!(refactors > 0, "no call replayed the recorded elimination");
+    assert!(fallbacks > 0, "no replay met a changed pivot");
 }

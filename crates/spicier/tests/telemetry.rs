@@ -1,12 +1,15 @@
 //! Integration tests for the telemetry layer: a failing analysis must
 //! dump a flight-recorder JSONL trajectory identifying the failing rung
-//! or corner, and every successful result must carry a telemetry rollup
-//! even with tracing fully disabled.
+//! or corner, every successful result must carry a telemetry rollup
+//! even with tracing fully disabled, and dense solves must name the
+//! factorization path they took.
 
 use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::analysis::tran::{transient, TranOptions};
 use spicier::analysis::{operating_point, DcOptions};
 use spicier::devices::DiodeModel;
+use spicier::linalg::dense::DenseSolver;
+use spicier::linalg::{Solver, Triplets};
 use spicier::netlist::Netlist;
 use spicier::{chaos, telemetry, Circuit, Error};
 use std::path::PathBuf;
@@ -129,4 +132,39 @@ fn results_carry_rollup_without_tracing() {
         "every Newton iteration performs at least one solve: {}",
         res.telemetry().lu
     );
+}
+
+#[test]
+fn dense_solve_events_name_the_factorization_path() {
+    let _guard = DUMP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Column 0 pivots on the larger of a00 and a10.
+    let system = |a00: f64, a10: f64| {
+        let mut t = Triplets::new(2);
+        t.add(0, 0, a00);
+        t.add(1, 0, a10);
+        t.add(0, 1, 2.0);
+        t.add(1, 1, 7.0);
+        t
+    };
+    let mut solver = DenseSolver::default();
+    let events = telemetry::with_trace(|| {
+        let _span = telemetry::span("dense_path_probe");
+        for (a00, a10) in [(1.0, 5.0), (2.0, 6.0), (3.0, 7.0), (9.0, 0.5)] {
+            solver
+                .solve_in_place(&system(a00, a10), &mut [1.0, 1.0])
+                .unwrap();
+        }
+        telemetry::drain()
+    });
+    let paths: Vec<&str> = events
+        .iter()
+        .filter(|e| e.name == "dense_solve" && e.span.ends_with("dense_path_probe"))
+        .filter_map(|e| match e.fields.iter().find(|(k, _)| k == "path") {
+            Some((_, telemetry::Value::Str(p))) => Some(p.as_str()),
+            _ => None,
+        })
+        .collect();
+    // Two full factorizations with one pivot order record the plan; the
+    // third call replays it; the swapped column-0 magnitudes abandon it.
+    assert_eq!(paths, ["full", "full", "refactor", "fallback"]);
 }
