@@ -10,15 +10,19 @@
 //! * a generator-scale buffer chain (10k+ unknowns in release builds)
 //!   must reach a certified DC operating point under the *default*
 //!   analysis budget, riding the automatic fill-reducing ordering that
-//!   arms itself above [`ORDERING_MIN_DIM`].
+//!   arms itself from [`ORDERING_MIN_DIM`] unknowns;
+//! * every sparse solve of a cold-start operating point just above the
+//!   dense kernel's range runs on the ordered pattern with low fill.
 
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
+use cml_dft::sharing::SharedDetector;
+use cml_dft::Variant3;
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::{Assembler, EvalMode};
 use spicier::linalg::sparse::{SparseSolver, ORDERING_MIN_DIM};
 use spicier::linalg::verify::{backward_error, bwerr_tol, inf_norm};
-use spicier::linalg::{Solver, SparseMatrix, Triplets};
-use spicier::Circuit;
+use spicier::linalg::{Solver, SparseMatrix, Triplets, DENSE_CUTOFF};
+use spicier::{telemetry, Circuit};
 
 fn build(f: impl FnOnce(&mut CmlCircuitBuilder)) -> Circuit {
     let mut b = CmlCircuitBuilder::new(CmlProcess::paper());
@@ -212,8 +216,10 @@ fn all_cml_cells_gates_agree_across_solver_paths() {
     }
 }
 
-/// Above [`ORDERING_MIN_DIM`] unknowns the default solver arms the
-/// fill-reducing ordering on its own — no forcing, no environment knobs.
+/// Every system the sparse kernel gets — more than [`DENSE_CUTOFF`]
+/// unknowns — arms the fill-reducing ordering on its own, no forcing, no
+/// environment knobs: the smallest generator-shaped circuit at
+/// [`ORDERING_MIN_DIM`] already runs ordered.
 #[test]
 fn default_solver_arms_ordering_on_generator_scale_chains() {
     let circuit = wide_circuit(chains_for_dim(ORDERING_MIN_DIM));
@@ -233,6 +239,75 @@ fn default_solver_arms_ordering_on_generator_scale_chains() {
         "dim {dim} >= {ORDERING_MIN_DIM} must auto-arm the ordering"
     );
     assert!(solver.last_quality().backward_error <= bwerr_tol());
+}
+
+/// Largest fill (factor nonzeros ÷ matrix nonzeros) any solve of the
+/// ordered pattern may reach on the circuits below; they read at most
+/// 1.8, and natural order reads 10–18 at the same Newton iterates.
+const MAX_ORDERED_FILL: f64 = 2.0;
+
+/// A cold-start operating point on circuits just above the dense
+/// kernel's range — wide generator-shaped circuits and the Figure 14
+/// shared detector — factors every system on the ordered pattern with
+/// low fill. Natural-order partial pivoting at far-from-converged
+/// iterates picks pivots whose fill grows with the circuit; the flight
+/// recorder's `sparse_solve` events show which pattern each solve used.
+#[test]
+fn cold_start_sparse_solves_run_ordered_with_low_fill() {
+    let shared = SharedDetector::new(Variant3::paper(), CmlProcess::paper());
+    let circuits = [
+        ("wide-8x8", wide_circuit(8)),
+        ("wide-16x8", wide_circuit(16)),
+        ("shared-30", shared.build(30, None).unwrap().1),
+    ];
+    // One op records more events than the default ring holds.
+    telemetry::set_capacity(1 << 16);
+    for (label, circuit) in circuits {
+        assert!(
+            circuit.dim() > DENSE_CUTOFF,
+            "{label}: dim {}",
+            circuit.dim()
+        );
+        let probe = format!("fill_probe_{label}");
+        let events = telemetry::with_trace(|| {
+            {
+                let _span = telemetry::span(&probe);
+                operating_point(&circuit, &DcOptions::default())
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+            }
+            telemetry::drain()
+        });
+        let mine: Vec<_> = events
+            .iter()
+            .filter(|e| e.span.split('/').next() == Some(probe.as_str()))
+            .collect();
+        assert!(
+            mine.first().is_some_and(|e| e.name == "span_begin"),
+            "{label}: the ring dropped the start of the op"
+        );
+        let solves: Vec<_> = mine.iter().filter(|e| e.name == "sparse_solve").collect();
+        assert!(!solves.is_empty(), "{label}: no sparse solve recorded");
+        let field = |e: &telemetry::Event, key: &str| -> f64 {
+            match e.fields.iter().find(|(k, _)| k == key) {
+                Some((_, telemetry::Value::Int(v))) => *v as f64,
+                Some((_, telemetry::Value::Float(v))) => *v,
+                other => panic!("{label}: field {key}: {other:?}"),
+            }
+        };
+        let worst_fill = solves
+            .iter()
+            .map(|e| field(e, "fill"))
+            .fold(0.0f64, f64::max);
+        for e in &solves {
+            assert_eq!(field(e, "ordered"), 1.0, "{label}: natural-order solve");
+        }
+        assert!(
+            worst_fill <= MAX_ORDERED_FILL,
+            "{label}: worst fill {worst_fill:.2} over {} solves",
+            solves.len()
+        );
+    }
+    telemetry::set_capacity(telemetry::DEFAULT_CAPACITY);
 }
 
 /// The acceptance-scale run: a DC operating point on a generator-shaped

@@ -12,8 +12,9 @@
 //!   a recorded elimination over the structural nonzeros, bit-identical
 //!   to a full factorization;
 //! * [`sparse`]: a left-looking Gilbert–Peierls LU with partial pivoting
-//!   on compressed-sparse-column storage, used for larger systems, with a
-//!   cached-pattern numeric refactorization.
+//!   on compressed-sparse-column storage, used for larger systems, always
+//!   on a fill-reducing [`order`]ing of the pattern, with a cached-pattern
+//!   numeric refactorization.
 //!
 //! Both kernels implement [`Solver`], and [`AutoSolver`] picks between them
 //! by size. The sparse kernel is property-tested against the dense one.

@@ -12,21 +12,25 @@
 #![allow(clippy::needless_range_loop)]
 
 use super::order::min_degree_pinv;
-use super::{verify, verify::SolveQuality, Solver};
+use super::{verify, verify::SolveQuality, Solver, DENSE_CUTOFF};
 use crate::error::Error;
 
 /// Smallest pivot magnitude accepted before the matrix is declared singular.
 const PIVOT_FLOOR: f64 = 1e-13;
 
 /// Unknown count from which [`SparseSolver`] applies the fill-reducing
-/// ordering automatically.
-/// Below this the natural MNA order's fill is already near-optimal on
-/// circuit sparsity and the permuted scatter would be pure overhead —
-/// and, critically, every circuit in the frozen experiment baselines sits
-/// far below it, so the new solve paths cannot perturb baseline bytes.
-/// Override with the [`force_ordering`](SparseSolver::force_ordering)
-/// setter.
-pub const ORDERING_MIN_DIM: usize = 1024;
+/// ordering automatically: every system too large for the dense kernel,
+/// so there is one size policy, dense up to [`DENSE_CUTOFF`] unknowns and
+/// ordered sparse above.
+///
+/// Natural order is not near-optimal there: at far-from-converged Newton
+/// iterates partial pivoting picks pivots whose fill (factor nonzeros ÷
+/// matrix nonzeros) grows with the circuit, 5.6× at 104 unknowns and 35×
+/// at 584–776 on the worst solve of a cold-start operating point, against
+/// at most 1.8× ordered. [`force_ordering`](SparseSolver::force_ordering)
+/// overrides the policy; its natural order is the reference the
+/// agreement tests compare against.
+pub const ORDERING_MIN_DIM: usize = DENSE_CUTOFF + 1;
 
 /// Coordinate-format accumulator for assembling MNA matrices.
 ///
@@ -1061,7 +1065,7 @@ pub struct SolverStats {
 /// every Newton iteration of a fixed circuit — scatter values straight
 /// into the cached CSC matrix and run [`SparseLu::refactor`].
 ///
-/// Above [`ORDERING_MIN_DIM`] unknowns the pattern rebuild additionally
+/// From [`ORDERING_MIN_DIM`] unknowns the pattern rebuild additionally
 /// computes a minimum-degree fill-reducing ordering
 /// ([`order`](super::order)) and caches the *permuted* matrix, so every
 /// refactor and solve runs on the low-fill pattern at zero per-iteration
@@ -1219,6 +1223,10 @@ impl Solver for SparseSolver {
                         self.last_quality.refinement_steps.into(),
                     ),
                     ("ordered", usize::from(self.perm.is_some()).into()),
+                    (
+                        "fill",
+                        (self.lu.factor_nnz() as f64 / a.nnz().max(1) as f64).into(),
+                    ),
                 ],
             );
         }
