@@ -12,7 +12,7 @@ use cml_bench::microbench::{quick_mode, run_benches, take_records, write_json_re
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::tran::{transient, TranOptions};
-use spicier::analysis::{Assembler, EvalMode};
+use spicier::analysis::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::{
     DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets, DENSE_CUTOFF,
@@ -212,17 +212,9 @@ fn bench_cutoff(c: &mut Harness) {
     group.finish();
 }
 
-/// Telemetry overhead on the FIG3 refactor-solve pair (DESIGN.md §3.5):
-/// `baseline` has no telemetry gate at all, `gated` adds the disabled
-/// check exactly as the hot call sites write it (one relaxed atomic load
-/// per solve), `traced` runs the same loop inside `with_trace` with the
-/// event actually recorded. CI asserts `gated/baseline` stays under 2%.
-/// Structure-aware scaling (DESIGN.md §3.7): repeated cached solves on
-/// the generator-shaped chain matrix at 640/2560/10240 unknowns, on
-/// two solve paths — natural-order Gilbert–Peierls and min-degree
-/// ordered. The natural order goes superlinear with the hub fill (so it
-/// is only measured through 2560); the ordered path records the scaling
-/// trajectory CI gates on.
+/// Structure-aware scaling (DESIGN.md §3.7): repeated cached solves of
+/// the sparse kernel, always on its min-degree ordering, on the
+/// generator-shaped chain matrix at 640/2560/10240 unknowns.
 fn bench_scaling(c: &mut Harness) {
     use spicier::linalg::sparse::SparseSolver;
     let quick = quick_mode();
@@ -239,22 +231,8 @@ fn bench_scaling(c: &mut Harness) {
     for &n in dims {
         let t = chain_matrix(n);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        if n <= 2560 {
-            // Natural order: hub fill makes this path quadratic-ish; at
-            // 10240 a single sample would dominate the whole bench run.
-            group.bench_with_input(format!("gp_unordered/{n}"), &t, |bench, t| {
-                let mut solver = SparseSolver::default();
-                solver.force_ordering(false);
-                bench.iter(|| {
-                    let mut rhs = b.clone();
-                    solver.solve_in_place(t, &mut rhs).expect("nonsingular");
-                    rhs
-                })
-            });
-        }
         group.bench_with_input(format!("ordered/{n}"), &t, |bench, t| {
             let mut solver = SparseSolver::default();
-            solver.force_ordering(true);
             bench.iter(|| {
                 let mut rhs = b.clone();
                 solver.solve_in_place(t, &mut rhs).expect("nonsingular");
@@ -265,6 +243,11 @@ fn bench_scaling(c: &mut Harness) {
     group.finish();
 }
 
+/// Telemetry overhead on the FIG3 refactor-solve pair (DESIGN.md §3.5):
+/// `baseline` has no telemetry gate at all, `gated` adds the disabled
+/// check exactly as the hot call sites write it (one relaxed atomic load
+/// per solve), `traced` runs the same loop inside `with_trace` with the
+/// event actually recorded. CI asserts `gated/baseline` stays under 2%.
 fn bench_telemetry(c: &mut Harness) {
     let mut group = c.benchmark_group("telemetry");
     group
@@ -327,6 +310,55 @@ fn bench_telemetry(c: &mut Harness) {
     group.finish();
 }
 
+/// One Newton iteration of a FIG3 transient step through a warm
+/// `SolveWorkspace` (DESIGN.md §3.2): `fig3` assembles and solves,
+/// `fig3_assemble` only assembles. Both replay the sealed stamp program,
+/// as every iteration after a step's first does.
+fn bench_newton_iter(c: &mut Harness) {
+    let mut group = c.benchmark_group("newton_iter");
+    group
+        .sample_size(40)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2));
+
+    let circuit = fig3_chain_circuit(1.0e9);
+    let n = circuit.dim();
+    let x = operating_point(&circuit, &DcOptions::default())
+        .expect("op")
+        .into_unknowns();
+    let mode = EvalMode {
+        integ: Integration::Step {
+            method: Method::Trapezoidal,
+            h: 1.0e-12,
+        },
+        time: 0.0,
+        gmin: 1.0e-12,
+        source_scale: 1.0,
+    };
+    let mut assembler = Assembler::new(&circuit);
+    assembler.init_charges(&x);
+    let mut ws = SolveWorkspace::for_circuit(&circuit);
+
+    group.bench_function(format!("fig3/{n}"), |bench| {
+        bench.iter(|| {
+            assembler.assemble(&x, &mode, &mut ws.triplets, &mut ws.rhs);
+            ws.solver
+                .solve_in_place(&ws.triplets, &mut ws.rhs)
+                .expect("nonsingular");
+            ws.rhs[0]
+        })
+    });
+
+    group.bench_function(format!("fig3_assemble/{n}"), |bench| {
+        bench.iter(|| {
+            assembler.assemble(&x, &mode, &mut ws.triplets, &mut ws.rhs);
+            ws.rhs[0]
+        })
+    });
+
+    group.finish();
+}
+
 fn bench_circuit_kernels(c: &mut Harness) {
     let mut group = c.benchmark_group("circuit");
     group
@@ -360,6 +392,7 @@ fn main() {
         ("bench_cutoff", bench_cutoff as fn(&mut Harness)),
         ("bench_scaling", bench_scaling as fn(&mut Harness)),
         ("bench_telemetry", bench_telemetry as fn(&mut Harness)),
+        ("bench_newton_iter", bench_newton_iter as fn(&mut Harness)),
         (
             "bench_circuit_kernels",
             bench_circuit_kernels as fn(&mut Harness),
@@ -409,6 +442,13 @@ fn main() {
     if let (Some(full), Some(replay)) = (dense_full, dense_replay) {
         metrics.push(("fig3_dense_refactor_speedup", full / replay));
     }
+    // One FIG3 Newton iteration and its assembly: recorded, not gated.
+    if let Some(v) = find("newton_iter", "fig3/") {
+        metrics.push(("fig3_newton_iter_ns", v));
+    }
+    if let Some(v) = find("newton_iter", "fig3_assemble/") {
+        metrics.push(("fig3_assemble_ns", v));
+    }
     let stamps = fig3_stamps();
     let (_, a) = StampMap::build(&stamps);
     let mut lu = SparseLu::new();
@@ -418,25 +458,16 @@ fn main() {
     metrics.push(("fig3_factor_nnz", lu.factor_nnz() as f64));
     metrics.push(("dense_cutoff", DENSE_CUTOFF as f64));
 
-    // Structure-aware scaling trajectory (DESIGN.md §3.7): the dim-640
-    // repeated-solve medians CI gates on, plus the large-dim ordered
-    // trajectory.
+    // Structure-aware scaling trajectory (DESIGN.md §3.7): the ordered
+    // repeated-solve medians at every measured size.
     let find_id = |group: &str, id: String| {
         records
             .iter()
             .find(|r| r.group == group && r.id == id)
             .map(|r| r.median_ns as f64)
     };
-    let gp640 = find_id("scaling", "gp_unordered/640".to_string());
-    let ord640 = find_id("scaling", "ordered/640".to_string());
-    if let Some(gp) = gp640 {
-        metrics.push(("dim640_gp_ns", gp));
-    }
-    if let Some(ord) = ord640 {
+    if let Some(ord) = find_id("scaling", "ordered/640".to_string()) {
         metrics.push(("dim640_ordered_ns", ord));
-    }
-    if let (Some(gp), Some(ord)) = (gp640, ord640) {
-        metrics.push(("dim640_ordered_speedup", gp / ord));
     }
     for n in [2560usize, 10240] {
         if let Some(v) = find_id("scaling", format!("ordered/{n}")) {

@@ -5,12 +5,11 @@
 //!
 //! * every cml-cells gate (buffer, AND, OR, XOR, MUX, latch, DFF) is
 //!   assembled at Newton-shaped pseudo-iterates and its MNA system solved
-//!   by the natural-order and fill-reducing-ordered solver paths — both
-//!   must certify and agree;
+//!   by the dense kernel and the fill-reducing-ordered sparse kernel —
+//!   both must certify and agree;
 //! * a generator-scale buffer chain (10k+ unknowns in release builds)
 //!   must reach a certified DC operating point under the *default*
-//!   analysis budget, riding the automatic fill-reducing ordering that
-//!   arms itself from [`ORDERING_MIN_DIM`] unknowns;
+//!   analysis budget, on the sparse kernel's fill-reducing ordering;
 //! * every sparse solve of a cold-start operating point just above the
 //!   dense kernel's range runs on the ordered pattern with low fill.
 
@@ -19,7 +18,8 @@ use cml_dft::sharing::SharedDetector;
 use cml_dft::Variant3;
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::{Assembler, EvalMode};
-use spicier::linalg::sparse::{SparseSolver, ORDERING_MIN_DIM};
+use spicier::linalg::dense::DenseSolver;
+use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::verify::{backward_error, bwerr_tol, inf_norm};
 use spicier::linalg::{Solver, SparseMatrix, Triplets, DENSE_CUTOFF};
 use spicier::{telemetry, Circuit};
@@ -162,7 +162,7 @@ fn chains_for_dim(target: usize) -> usize {
 
 /// Every cml-cells gate's MNA system, assembled at several Newton-shaped
 /// iterates, must be solved identically (within certified backward
-/// error) by the natural-order and forced-ordering paths — the
+/// error) by the dense kernel and the ordered sparse kernel — the
 /// structure-aware machinery must be invisible to the answers on
 /// every real cell of the library.
 #[test]
@@ -175,10 +175,8 @@ fn all_cml_cells_gates_agree_across_solver_paths() {
         let mut rhs = Vec::new();
         let mode = EvalMode::dc(1.0e-12);
 
-        let mut natural = SparseSolver::default();
-        natural.force_ordering(false);
+        let mut dense = DenseSolver::default();
         let mut ordered = SparseSolver::default();
-        ordered.force_ordering(true);
 
         // Deterministic pseudo-iterates like the Newton loop visits
         // (same construction as the stamp-map faithfulness test); the
@@ -190,55 +188,31 @@ fn all_cml_cells_gates_agree_across_solver_paths() {
                 .collect();
             assembler.assemble(&x, &mode, &mut triplets, &mut rhs);
 
-            let mut xn = rhs.clone();
-            natural.solve_in_place(&triplets, &mut xn).unwrap();
+            let mut xd = rhs.clone();
+            dense.solve_in_place(&triplets, &mut xd).unwrap();
             let mut xo = rhs.clone();
             ordered.solve_in_place(&triplets, &mut xo).unwrap();
-            assert!(ordered.ordering_active(), "{label}: forced ordering");
 
-            for (path, x, solver) in [("natural", &xn, &natural), ("ordered", &xo, &ordered)] {
+            for (path, x, quality) in [
+                ("dense", &xd, dense.last_quality()),
+                ("ordered", &xo, ordered.last_quality()),
+            ] {
                 assert!(
-                    solver.last_quality().backward_error <= tol,
-                    "{label}/{path} step={step}: {:?}",
-                    solver.last_quality()
+                    quality.backward_error <= tol,
+                    "{label}/{path} step={step}: {quality:?}"
                 );
                 assert!(
                     measured_bwerr(&triplets, x, &rhs) <= tol,
                     "{label}/{path} step={step}: residual"
                 );
             }
-            let diff = rel_diff(&xn, &xo);
+            let diff = rel_diff(&xd, &xo);
             assert!(
                 diff < 1.0e-6,
                 "{label}/ordered step={step}: diff {diff:.3e}"
             );
         }
     }
-}
-
-/// Every system the sparse kernel gets — more than [`DENSE_CUTOFF`]
-/// unknowns — arms the fill-reducing ordering on its own, no forcing, no
-/// environment knobs: the smallest generator-shaped circuit at
-/// [`ORDERING_MIN_DIM`] already runs ordered.
-#[test]
-fn default_solver_arms_ordering_on_generator_scale_chains() {
-    let circuit = wide_circuit(chains_for_dim(ORDERING_MIN_DIM));
-    let dim = circuit.dim();
-    assert!(dim >= ORDERING_MIN_DIM, "probe sizing: dim = {dim}");
-    let mut assembler = Assembler::new(&circuit);
-    let mut triplets = Triplets::new(dim);
-    let mut rhs = Vec::new();
-    let x = vec![0.0; dim];
-    assembler.assemble(&x, &EvalMode::dc(1.0e-12), &mut triplets, &mut rhs);
-
-    let mut solver = SparseSolver::default();
-    let mut sol = rhs.clone();
-    solver.solve_in_place(&triplets, &mut sol).unwrap();
-    assert!(
-        solver.ordering_active(),
-        "dim {dim} >= {ORDERING_MIN_DIM} must auto-arm the ordering"
-    );
-    assert!(solver.last_quality().backward_error <= bwerr_tol());
 }
 
 /// Largest fill (factor nonzeros ÷ matrix nonzeros) any solve of the
@@ -251,7 +225,7 @@ const MAX_ORDERED_FILL: f64 = 2.0;
 /// shared detector — factors every system on the ordered pattern with
 /// low fill. Natural-order partial pivoting at far-from-converged
 /// iterates picks pivots whose fill grows with the circuit; the flight
-/// recorder's `sparse_solve` events show which pattern each solve used.
+/// recorder's `sparse_solve` events carry each solve's fill.
 #[test]
 fn cold_start_sparse_solves_run_ordered_with_low_fill() {
     let shared = SharedDetector::new(Variant3::paper(), CmlProcess::paper());
@@ -298,9 +272,6 @@ fn cold_start_sparse_solves_run_ordered_with_low_fill() {
             .iter()
             .map(|e| field(e, "fill"))
             .fold(0.0f64, f64::max);
-        for e in &solves {
-            assert_eq!(field(e, "ordered"), 1.0, "{label}: natural-order solve");
-        }
         assert!(
             worst_fill <= MAX_ORDERED_FILL,
             "{label}: worst fill {worst_fill:.2} over {} solves",

@@ -301,10 +301,9 @@ fn newton_run(
             triplets,
             rhs,
         } = ws;
-        assembler.assemble(x, mode, triplets, rhs);
+        assembler.assemble_with_ptran(x, mode, ptran.map(|pt| pt.g), triplets, rhs);
         if let Some(pt) = ptran {
             for (i, r) in rhs.iter_mut().enumerate().take(n_nodes) {
-                triplets.add(i, i, pt.g);
                 *r += pt.g * pt.anchor[i];
             }
         }

@@ -9,26 +9,29 @@
 //! applied inside the assembly so the Newton loop above stays generic.
 
 use crate::devices::{pnjlim, BjtBatch, BjtEval, BjtModel};
-use crate::linalg::{AutoSolver, Triplets};
+use crate::linalg::{fresh_id, AutoSolver, ProgramKey, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::VT_300K;
 
 /// Reusable scratch for the assemble–solve inner loop: the linear solver
-/// (with its cached stamp-slot maps and factorization pattern), the triplet
-/// accumulator, and the right-hand-side vector.
+/// (with its compiled slot maps and factorization pattern), the stamp
+/// program, and the right-hand-side vector.
 ///
-/// The refactorization fast path lives inside the solver, keyed on the
-/// stamp sequence — so the win comes from passing *one* workspace through
-/// consecutive solves of the same circuit: every rung of the DC recovery
-/// ladder, every Newton iteration of a transient run, every point of a
-/// source sweep, or every corner a sweep worker processes.
+/// The assembler compiles the stamp program once per mode pattern and
+/// then rewrites its values; the solver compiles the program's keys once
+/// per program id and then refactors. Both caches pay off when *one*
+/// workspace goes through consecutive solves of the same circuit: every
+/// rung of the DC recovery ladder, every Newton iteration of a transient
+/// run, every point of a source sweep, or every corner a sweep worker
+/// processes. A new assembler recompiles the program under a new id, and
+/// the solver keeps its caches when the keys are unchanged.
 #[derive(Debug)]
 pub struct SolveWorkspace {
     /// Linear solver: dense up to
     /// [`DENSE_CUTOFF`](crate::linalg::DENSE_CUTOFF) unknowns, which
     /// covers every paper circuit, and sparse above.
     pub solver: AutoSolver,
-    /// Triplet accumulator reused across assemblies.
+    /// Stamp program reused across assemblies.
     pub triplets: Triplets,
     /// Right-hand side on entry to a solve, solution on exit.
     pub rhs: Vec<f64>,
@@ -138,6 +141,8 @@ pub struct Assembler<'c> {
     /// over parallel arrays before the stamping loop (bit-identical per
     /// lane to the scalar `BjtModel::eval`, see `devices::batch`).
     bjt_batch: BjtBatch,
+    /// Owner id of the stamp programs this assembler compiles.
+    program_owner: u64,
 }
 
 fn charge_slots(e: &Element) -> usize {
@@ -199,6 +204,7 @@ impl<'c> Assembler<'c> {
             junctions: vec![0.0; n_junctions],
             limited: false,
             bjt_batch,
+            program_owner: fresh_id(),
         }
     }
 
@@ -301,6 +307,9 @@ impl<'c> Assembler<'c> {
     }
 
     /// Assembles `A·x_new = b` linearized at `x` into `triplets`/`rhs`.
+    ///
+    /// The first assembly of a mode pattern into `triplets` compiles the
+    /// stamp program (see [`Triplets`]); later ones rewrite its values.
     pub fn assemble(
         &mut self,
         x: &[f64],
@@ -308,8 +317,34 @@ impl<'c> Assembler<'c> {
         triplets: &mut Triplets,
         rhs: &mut Vec<f64>,
     ) {
+        self.assemble_with_ptran(x, mode, None, triplets, rhs);
+    }
+
+    /// [`assemble`](Self::assemble), plus the pseudo-transient conductance
+    /// `ptran_g` on every node diagonal after the device stamps when
+    /// given. The diagonal is part of the mode pattern, so switching it on
+    /// or off recompiles the program.
+    pub(crate) fn assemble_with_ptran(
+        &mut self,
+        x: &[f64],
+        mode: &EvalMode,
+        ptran_g: Option<f64>,
+        triplets: &mut Triplets,
+        rhs: &mut Vec<f64>,
+    ) {
         let dim = self.circuit.dim();
-        triplets.reset(dim);
+        // The mode pattern: everything about the mode that changes which
+        // keys the stamps emit.
+        let pattern = u8::from(mode.gmin > 0.0)
+            | u8::from(matches!(mode.integ, Integration::Step { .. })) << 1
+            | u8::from(ptran_g.is_some()) << 2;
+        triplets.open(
+            dim,
+            ProgramKey {
+                owner: self.program_owner,
+                pattern,
+            },
+        );
         rhs.clear();
         rhs.resize(dim, 0.0);
         self.limited = false;
@@ -317,7 +352,7 @@ impl<'c> Assembler<'c> {
         // gmin from every node to ground.
         if mode.gmin > 0.0 {
             for i in 0..self.n_nodes {
-                triplets.add(i, i, mode.gmin);
+                triplets.stamp(i, i, mode.gmin);
             }
         }
 
@@ -395,13 +430,13 @@ impl<'c> Assembler<'c> {
                                 Method::BackwardEuler => {
                                     // v - (L/h)·i = -(L/h)·i_old
                                     let leq = value / h;
-                                    triplets.add(branch, branch, -leq);
+                                    triplets.stamp(branch, branch, -leq);
                                     rhs[branch] = -leq * old.q / value;
                                 }
                                 Method::Trapezoidal => {
                                     // v - (2L/h)·i = -(2L/h)·i_old - v_old
                                     let leq = 2.0 * value / h;
-                                    triplets.add(branch, branch, -leq);
+                                    triplets.stamp(branch, branch, -leq);
                                     rhs[branch] = -leq * old.q / value - old.i;
                                 }
                             }
@@ -466,10 +501,10 @@ impl<'c> Assembler<'c> {
                     // Constitutive row: v_p − v_n − gain·(v_cp − v_cn) = 0.
                     stamp_branch_voltage(triplets, *p, *n, branch);
                     if let Some(i) = cp.unknown() {
-                        triplets.add(branch, i, -gain);
+                        triplets.stamp(branch, i, -gain);
                     }
                     if let Some(j) = cn.unknown() {
-                        triplets.add(branch, j, *gain);
+                        triplets.stamp(branch, j, *gain);
                     }
                 }
                 Element::Vccs { p, n, cp, cn, gm } => {
@@ -477,16 +512,22 @@ impl<'c> Assembler<'c> {
                     for (row, sign) in [(*p, 1.0), (*n, -1.0)] {
                         if let Some(r) = row.unknown() {
                             if let Some(i) = cp.unknown() {
-                                triplets.add(r, i, sign * gm);
+                                triplets.stamp(r, i, sign * gm);
                             }
                             if let Some(j) = cn.unknown() {
-                                triplets.add(r, j, -sign * gm);
+                                triplets.stamp(r, j, -sign * gm);
                             }
                         }
                     }
                 }
             }
         }
+        if let Some(g) = ptran_g {
+            for i in 0..self.n_nodes {
+                triplets.stamp(i, i, g);
+            }
+        }
+        triplets.seal();
     }
 
     fn limit_junction(&mut self, slot: usize, v_raw: f64, vcrit: f64, vt: f64) -> f64 {
@@ -563,7 +604,7 @@ impl<'c> Assembler<'c> {
             };
             for k in 0..3 {
                 if let Some(col) = nodes[k].unknown() {
-                    triplets.add(row, col, partials[k]);
+                    triplets.stamp(row, col, partials[k]);
                 }
             }
             rhs[row] -= i_const;
@@ -613,14 +654,14 @@ impl<'c> Assembler<'c> {
 /// Stamps a conductance `g` between `p` and `n`.
 fn stamp_conductance(triplets: &mut Triplets, p: NodeId, n: NodeId, g: f64) {
     if let Some(i) = p.unknown() {
-        triplets.add(i, i, g);
+        triplets.stamp(i, i, g);
     }
     if let Some(j) = n.unknown() {
-        triplets.add(j, j, g);
+        triplets.stamp(j, j, g);
     }
     if let (Some(i), Some(j)) = (p.unknown(), n.unknown()) {
-        triplets.add(i, j, -g);
-        triplets.add(j, i, -g);
+        triplets.stamp(i, j, -g);
+        triplets.stamp(j, i, -g);
     }
 }
 
@@ -639,20 +680,20 @@ fn stamp_current(rhs: &mut [f64], p: NodeId, n: NodeId, i: f64) {
 /// (current flows from `p` through the element to `n`).
 fn stamp_branch_kcl(triplets: &mut Triplets, p: NodeId, n: NodeId, branch: usize) {
     if let Some(i) = p.unknown() {
-        triplets.add(i, branch, 1.0);
+        triplets.stamp(i, branch, 1.0);
     }
     if let Some(j) = n.unknown() {
-        triplets.add(j, branch, -1.0);
+        triplets.stamp(j, branch, -1.0);
     }
 }
 
 /// Writes the `v_p − v_n` part of a branch constitutive row.
 fn stamp_branch_voltage(triplets: &mut Triplets, p: NodeId, n: NodeId, branch: usize) {
     if let Some(i) = p.unknown() {
-        triplets.add(branch, i, 1.0);
+        triplets.stamp(branch, i, 1.0);
     }
     if let Some(j) = n.unknown() {
-        triplets.add(branch, j, -1.0);
+        triplets.stamp(branch, j, -1.0);
     }
 }
 
@@ -790,6 +831,56 @@ mod tests {
             (vb - expected).abs() < 1e-9,
             "vb = {vb}, expected {expected}"
         );
+    }
+
+    #[test]
+    fn pseudo_transient_diagonal_is_its_own_program() {
+        // DC, pseudo-transient steps of falling g, a polish, and back: the
+        // replayed program matches a fresh assembly bit for bit and
+        // recompiles exactly when the diagonal switches on or off.
+        let mut nl = Netlist::new();
+        let vcc = nl.node("vcc");
+        let b = nl.node("b");
+        let e = nl.node("e");
+        nl.vdc("VCC", vcc, Netlist::GROUND, 3.3).unwrap();
+        nl.resistor("RB", vcc, b, 10.0e3).unwrap();
+        nl.bjt("Q1", vcc, b, e, BjtModel::fast_npn()).unwrap();
+        nl.resistor("RE", e, Netlist::GROUND, 1.0e3).unwrap();
+        let c = nl.compile().unwrap();
+        let mut asm = Assembler::new(&c);
+        let mut program = Triplets::new(c.dim());
+        let mut rhs = Vec::new();
+        let mode = EvalMode::dc(1e-12);
+        let mut previous: Option<(Option<f64>, u64)> = None;
+        for (round, g) in [None, Some(1.0), Some(0.25), None, Some(1e-3), Some(1e-4)]
+            .into_iter()
+            .enumerate()
+        {
+            let x: Vec<f64> = (0..c.dim()).map(|i| 0.1 * (i + round) as f64).collect();
+            asm.reset_junctions(&x);
+            let mut fresh = Triplets::new(c.dim());
+            let mut fresh_rhs = Vec::new();
+            asm.assemble_with_ptran(&x, &mode, g, &mut fresh, &mut fresh_rhs);
+            asm.reset_junctions(&x);
+            asm.assemble_with_ptran(&x, &mode, g, &mut program, &mut rhs);
+            let bits = |t: &Triplets| {
+                t.entries()
+                    .iter()
+                    .map(|&(r, c, v)| (r, c, v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&program), bits(&fresh), "round {round}");
+            assert_eq!(rhs, fresh_rhs, "round {round}");
+            let id = program.program_id().expect("sealed");
+            if let Some((prev_g, prev_id)) = previous {
+                assert_eq!(
+                    id == prev_id,
+                    prev_g.is_some() == g.is_some(),
+                    "round {round}"
+                );
+            }
+            previous = Some((g, id));
+        }
     }
 
     #[test]

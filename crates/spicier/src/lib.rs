@@ -16,9 +16,9 @@
 //!   stepping, source stepping, pseudo-transient continuation — reported
 //!   per solve via [`analysis::dc::ConvergenceReport`];
 //! * adaptive transient analysis with trapezoidal / backward-Euler
-//!   integration, local-truncation-error step control, source breakpoints,
-//!   and salvage of partial waveforms on mid-run failure
-//!   ([`analysis::tran`]);
+//!   integration, step control by a per-step node-voltage-change bound
+//!   (`dv_max`) with Newton-failure backoff, source breakpoints, and
+//!   salvage of partial waveforms on mid-run failure ([`analysis::tran`]);
 //! * dense and sparse (Gilbert–Peierls) LU solvers ([`linalg`]);
 //! * parameter sweeps with thread-level parallelism ([`analysis::sweep`]).
 //!

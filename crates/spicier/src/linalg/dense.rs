@@ -9,7 +9,7 @@
 // the mathematical objects (pivot rows, column positions).
 #![allow(clippy::needless_range_loop)]
 
-use super::{sparse::LuStats, sparse::Triplets, verify, verify::SolveQuality, Solver};
+use super::{sparse::LuStats, verify, verify::SolveQuality, Solver, Triplets};
 use crate::error::Error;
 
 /// Smallest pivot magnitude accepted before the matrix is declared singular.
@@ -456,14 +456,19 @@ fn pattern_norms(
     )
 }
 
-/// Reusable dense solver workspace with a cached stamp-slot map and a
-/// cached-pattern refactorization.
+/// Reusable dense solver workspace: the compiled stamp program of the last
+/// pattern it saw, and a replayed refactorization.
 ///
-/// Like the sparse kernel's `StampMap`, the flattened `row * n + col`
-/// offsets of the stamp sequence are computed once; repeat calls with the
-/// same `(row, col)` sequence scatter through the cached slots without
-/// per-entry bounds checks. Scatter order is insertion order either way,
-/// so the assembled matrix is bit-identical to the uncached path.
+/// **Compilation.** Like the sparse kernel's [`StampMap`](super::StampMap),
+/// the solver turns a [`Triplets`] key sequence into flattened
+/// `row * n + col` slot offsets once, and later calls scatter the values
+/// through the cached slots. While the triplets carry a program id the
+/// solver has matched before, the keys are not compared again; on a new
+/// id they are compared once, and the id is adopted when they are equal,
+/// so the slots, the plan below and the counters survive a workspace
+/// shared by several assemblers of one topology. Scatter order is
+/// emission order either way, so the assembled matrix is bit-identical to
+/// the uncached path.
 ///
 /// **Refactorization.** When a full factorization on the cached pattern
 /// picks the same pivot sequence as the previous full factorization on
@@ -490,6 +495,8 @@ fn pattern_norms(
 #[derive(Debug, Default)]
 pub struct DenseSolver {
     matrix: Option<DenseMatrix>,
+    /// Id of the stamp program last matched against `keys`.
+    program: Option<u64>,
     keys: Vec<(u32, u32)>,
     slots: Vec<u32>,
     /// Unique stamped slots, sorted row-major, with per-row boundaries.
@@ -530,8 +537,8 @@ impl DenseSolver {
         if !matches!(&self.matrix, Some(m) if m.dim() == n) {
             self.matrix = Some(DenseMatrix::zeros(n));
         }
-        // Triplets::add already bounds-checked every (row, col), so the
-        // flattened offsets are valid for an n × n matrix.
+        // Triplets bounds-checked every (row, col) when it was pushed, so
+        // the flattened offsets are valid for an n × n matrix.
         self.keys.clear();
         self.slots.clear();
         for &(r, c, _) in triplets.entries() {
@@ -598,9 +605,15 @@ impl DenseSolver {
 impl Solver for DenseSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
         let n = triplets.dim();
-        let cached = matches!(&self.matrix, Some(m) if m.dim() == n) && self.slots_match(triplets);
-        if !cached {
-            self.rebuild(triplets);
+        // A program id matched before vouches for the keys; otherwise
+        // compare them once.
+        let id = triplets.program_id();
+        let sized = matches!(&self.matrix, Some(m) if m.dim() == n);
+        if !(sized && id.is_some() && id == self.program) {
+            if !(sized && self.slots_match(triplets)) {
+                self.rebuild(triplets);
+            }
+            self.program = id;
         }
         let matrix = self.matrix.as_mut().expect("sized by rebuild");
         matrix.clear();

@@ -18,16 +18,21 @@
 //!
 //! Both kernels implement [`Solver`], and [`AutoSolver`] picks between them
 //! by size. The sparse kernel is property-tested against the dense one.
+//! Both take the system as a [`Triplets`] stamp program and cache their
+//! compilation of its keys under the program's id.
 
 pub mod complex;
 pub mod dense;
 pub mod order;
+mod program;
 pub mod sparse;
 pub mod verify;
 
 pub use complex::{Complex, ComplexDenseMatrix};
 pub use dense::DenseMatrix;
-pub use sparse::{LuStats, PivotFallback, SolverStats, SparseLu, SparseMatrix, StampMap, Triplets};
+pub use program::Triplets;
+pub(crate) use program::{fresh_id, ProgramKey};
+pub use sparse::{LuStats, PivotFallback, SolverStats, SparseLu, SparseMatrix, StampMap};
 pub use verify::SolveQuality;
 
 use crate::error::Error;

@@ -12,90 +12,23 @@
 #![allow(clippy::needless_range_loop)]
 
 use super::order::min_degree_pinv;
-use super::{verify, verify::SolveQuality, Solver, DENSE_CUTOFF};
+use super::{verify, verify::SolveQuality, Solver, Triplets, DENSE_CUTOFF};
 use crate::error::Error;
 
 /// Smallest pivot magnitude accepted before the matrix is declared singular.
 const PIVOT_FLOOR: f64 = 1e-13;
 
-/// Unknown count from which [`SparseSolver`] applies the fill-reducing
-/// ordering automatically: every system too large for the dense kernel,
-/// so there is one size policy, dense up to [`DENSE_CUTOFF`] unknowns and
-/// ordered sparse above.
+/// Smallest system [`AutoSolver`](super::AutoSolver) hands to the sparse
+/// kernel, which factors every system on a fill-reducing ordering: there
+/// is one size policy, dense up to [`DENSE_CUTOFF`] unknowns and ordered
+/// sparse above.
 ///
 /// Natural order is not near-optimal there: at far-from-converged Newton
 /// iterates partial pivoting picks pivots whose fill (factor nonzeros ÷
 /// matrix nonzeros) grows with the circuit, 5.6× at 104 unknowns and 35×
 /// at 584–776 on the worst solve of a cold-start operating point, against
-/// at most 1.8× ordered. [`force_ordering`](SparseSolver::force_ordering)
-/// overrides the policy; its natural order is the reference the
-/// agreement tests compare against.
+/// at most 1.8× ordered.
 pub const ORDERING_MIN_DIM: usize = DENSE_CUTOFF + 1;
-
-/// Coordinate-format accumulator for assembling MNA matrices.
-///
-/// Duplicate `(row, col)` entries are summed when the matrix is compressed,
-/// which is exactly the semantics device stamps need.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Triplets {
-    dim: usize,
-    entries: Vec<(usize, usize, f64)>,
-}
-
-impl Triplets {
-    /// Creates an accumulator for an `n × n` system.
-    pub fn new(n: usize) -> Self {
-        Self {
-            dim: n,
-            entries: Vec::new(),
-        }
-    }
-
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Raw `(row, col, value)` entries, in insertion order.
-    pub fn entries(&self) -> &[(usize, usize, f64)] {
-        &self.entries
-    }
-
-    /// Number of raw entries (before duplicate merging).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no entries have been added.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Adds `value` at `(row, col)`; duplicates accumulate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.dim && col < self.dim, "index out of bounds");
-        self.entries.push((row, col, value));
-    }
-
-    /// Drops all entries but keeps the allocation, ready for re-assembly.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Resizes the system dimension (entries must already fit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an existing entry would fall out of bounds.
-    pub fn reset(&mut self, n: usize) {
-        self.entries.clear();
-        self.dim = n;
-    }
-}
 
 /// An immutable compressed-sparse-column matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,7 +98,14 @@ impl SparseMatrix {
     /// Computes `(‖A‖∞, ‖A‖₁)` — the max row and column absolute sums —
     /// in one pass over the stored nonzeros.
     pub fn norms(&self) -> (f64, f64) {
-        let mut row_sums = vec![0.0f64; self.n];
+        self.norms_with(&mut Vec::new())
+    }
+
+    /// [`norms`](Self::norms) with caller-owned row-sum scratch, so the
+    /// solver's per-solve path allocates nothing.
+    pub(crate) fn norms_with(&self, row_sums: &mut Vec<f64>) -> (f64, f64) {
+        row_sums.clear();
+        row_sums.resize(self.n, 0.0);
         let mut one = 0.0f64;
         for c in 0..self.n {
             let mut col_sum = 0.0;
@@ -200,19 +140,22 @@ impl SparseMatrix {
     }
 }
 
-/// A precomputed map from a fixed stamp sequence to CSC value slots.
+/// The sparse kernel's compilation of a stamp program: a map from each
+/// entry of a fixed key sequence to its CSC value slot.
 ///
-/// MNA assembly emits the same `(row, col)` sequence every Newton iteration
-/// once the circuit topology and evaluation mode are fixed; only the values
-/// change. `StampMap::build` runs the triplet sort once and records, for
-/// each sorted position, which raw entry it came from and which CSC slot it
-/// lands in. [`StampMap::scatter`] then refreshes a cached
-/// [`SparseMatrix`]'s values without sorting or reallocating.
+/// A [`Triplets`] program keeps its `(row, col)` keys for as long as its
+/// circuit and mode pattern stay fixed; only the values change.
+/// [`build_permuted`](Self::build_permuted) runs the key sort once and
+/// records, for each sorted position, which entry it came from and which
+/// CSC slot it lands in. [`scatter`](Self::scatter) then refreshes a
+/// cached [`SparseMatrix`]'s values without sorting or reallocating; the
+/// solver skips its key check while the program's id is one it has
+/// matched before.
 ///
-/// The scatter replays the exact accumulation order of
-/// [`SparseMatrix::from_triplets`] (the sort permutation depends only on the
-/// `(row, col)` keys, never on the values), so the refreshed matrix is
-/// bit-identical to one built from scratch.
+/// The scatter replays the exact accumulation order of the compression
+/// the map was built with (the sort permutation depends only on the keys,
+/// never on the values), so the refreshed matrix is bit-identical to one
+/// built from scratch.
 #[derive(Debug, Clone)]
 pub struct StampMap {
     dim: usize,
@@ -379,6 +322,14 @@ impl StampMap {
         if !self.matches(triplets) || matrix.nnz() != self.slot_count() {
             return false;
         }
+        self.scatter_unchecked(triplets, matrix);
+        true
+    }
+
+    /// [`scatter`](Self::scatter) without the key check: `triplets` must
+    /// carry the key sequence this map was built for, and `matrix` must
+    /// belong to this map.
+    pub(crate) fn scatter_unchecked(&self, triplets: &Triplets, matrix: &mut SparseMatrix) {
         let entries = triplets.entries();
         let vals = &mut matrix.vals;
         let mut prev_slot = u32::MAX;
@@ -394,7 +345,6 @@ impl StampMap {
                 prev_slot = slot;
             }
         }
-        true
     }
 
     /// Number of CSC slots (merged nonzeros) this map addresses.
@@ -928,6 +878,12 @@ impl SparseLu {
     /// workers and the recovery ladder can treat it as a convergence
     /// failure instead of aborting.
     pub fn solve(&self, rhs: &mut [f64]) -> Result<(), Error> {
+        self.solve_with(rhs, &mut Vec::new())
+    }
+
+    /// [`solve`](Self::solve) with caller-owned scratch `x`, so the
+    /// solver's per-solve path allocates nothing.
+    pub(crate) fn solve_with(&self, rhs: &mut [f64], x: &mut Vec<f64>) -> Result<(), Error> {
         let n = self.n;
         if self.lower.col_ptr.len() != n + 1 {
             return Err(Error::SolverContract {
@@ -940,7 +896,8 @@ impl SparseLu {
             });
         }
         // x = P b
-        let mut x = vec![0.0; n];
+        x.clear();
+        x.resize(n, 0.0);
         for (i, &v) in rhs.iter().enumerate() {
             x[self.pinv[i] as usize] = v;
         }
@@ -965,7 +922,7 @@ impl SparseLu {
                 }
             }
         }
-        rhs.copy_from_slice(&x);
+        rhs.copy_from_slice(x);
         self.solves
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
@@ -1057,73 +1014,50 @@ pub struct SolverStats {
     pub pivot_fallbacks: usize,
 }
 
-/// Reusable sparse solver workspace with a cached stamp-slot map.
+/// Reusable sparse solver workspace: the compiled stamp program of the
+/// last pattern it saw, on a fill-reducing ordering.
 ///
-/// The first call (and any call whose stamp sequence differs from the
-/// cached one) compresses the triplets, builds a [`StampMap`], and runs a
-/// full factorization. Subsequent calls with the same stamp sequence —
-/// every Newton iteration of a fixed circuit — scatter values straight
-/// into the cached CSC matrix and run [`SparseLu::refactor`].
-///
-/// From [`ORDERING_MIN_DIM`] unknowns the pattern rebuild additionally
-/// computes a minimum-degree fill-reducing ordering
-/// ([`order`](super::order)) and caches the *permuted* matrix, so every
-/// refactor and solve runs on the low-fill pattern at zero per-iteration
-/// cost.
+/// The first call, and any call whose key sequence differs from the cached
+/// one, computes a minimum-degree ordering ([`order`](super::order)) of the
+/// pattern, builds the permuted [`StampMap`] and matrix, and runs a full
+/// factorization. Later calls scatter values straight into the cached
+/// permuted CSC matrix and run [`SparseLu::refactor`], so every refactor and
+/// solve runs on the low-fill pattern at no per-iteration cost. While the
+/// [`Triplets`] carries a program id the solver has matched before, the
+/// keys are not compared again.
 #[derive(Debug, Default)]
 pub struct SparseSolver {
     lu: SparseLu,
     map: Option<StampMap>,
     matrix: Option<SparseMatrix>,
+    /// Id of the stamp program last matched against `map`.
+    program: Option<u64>,
     pattern_rebuilds: usize,
     last_quality: SolveQuality,
-    /// Active fill-reducing permutation (`perm[original] = permuted`);
-    /// `None` when factoring in natural order.
-    perm: Option<Vec<usize>>,
+    /// Fill-reducing permutation of the cached pattern
+    /// (`perm[original] = permuted`).
+    perm: Vec<usize>,
+    // Per-solve scratch: the permuted vector, the right-hand side, the
+    // residual, the norms' row sums and the triangular solves' vector.
     perm_scratch: Vec<f64>,
-    force_ordering: Option<bool>,
-    // Per-solve scratch: the right-hand side and the residual.
     b: Vec<f64>,
     residual: Vec<f64>,
+    row_sums: Vec<f64>,
+    x: Vec<f64>,
 }
 
 impl SparseSolver {
-    /// Forces the fill-reducing ordering on (`true`) or off (`false`)
-    /// regardless of size; invalidates the cached pattern so the next
-    /// solve rebuilds.
-    pub fn force_ordering(&mut self, on: bool) {
-        self.force_ordering = Some(on);
-        self.map = None;
-        self.matrix = None;
-        self.perm = None;
-    }
-
-    /// Whether solves currently run on a fill-reduced permuted pattern.
-    pub fn ordering_active(&self) -> bool {
-        self.perm.is_some()
-    }
-
-    /// Rebuilds the cached stamp map/matrix for a new stamp sequence,
-    /// deciding the solve strategy for this pattern: minimum-degree
-    /// ordering when on for this size, else the natural order.
+    /// Rebuilds the cached ordering, stamp map and matrix for a new key
+    /// sequence.
     fn rebuild(&mut self, triplets: &Triplets) {
-        let dim = triplets.dim();
-        let want_ordering = self.force_ordering.unwrap_or(dim >= ORDERING_MIN_DIM);
-        if want_ordering {
-            let a = SparseMatrix::from_triplets(triplets);
-            let pinv = min_degree_pinv(dim, a.col_ptr(), a.rows());
-            let (map, matrix) = StampMap::build_permuted(triplets, &pinv);
-            self.perm = Some(pinv);
-            self.map = Some(map);
-            self.matrix = Some(matrix);
-        } else {
-            let (map, matrix) = StampMap::build(triplets);
-            self.perm = None;
-            self.map = Some(map);
-            self.matrix = Some(matrix);
-        }
+        let a = SparseMatrix::from_triplets(triplets);
+        self.perm = min_degree_pinv(triplets.dim(), a.col_ptr(), a.rows());
+        let (map, matrix) = StampMap::build_permuted(triplets, &self.perm);
+        self.map = Some(map);
+        self.matrix = Some(matrix);
         self.pattern_rebuilds += 1;
     }
+
     /// Counters for the assembly and factorization fast paths.
     pub fn stats(&self) -> SolverStats {
         let lu = self.lu.stats();
@@ -1154,23 +1088,25 @@ impl SparseSolver {
 
 impl Solver for SparseSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
-        let cached = match (&self.map, &mut self.matrix) {
-            (Some(map), Some(matrix)) => map.scatter(triplets, matrix),
-            _ => false,
-        };
-        if !cached {
-            self.rebuild(triplets);
-        }
-        let a = self.matrix.as_ref().expect("matrix cached above");
-        // ----- permute b into elimination order when ordering is active -----
-        if let Some(perm) = &self.perm {
-            self.perm_scratch.clear();
-            self.perm_scratch.resize(rhs.len(), 0.0);
-            for (i, &v) in rhs.iter().enumerate() {
-                self.perm_scratch[perm[i]] = v;
+        // A program id matched before vouches for the keys; otherwise
+        // compare them once.
+        let id = triplets.program_id();
+        match &self.map {
+            Some(map) if (id.is_some() && id == self.program) || map.matches(triplets) => {
+                let matrix = self.matrix.as_mut().expect("built with the map");
+                map.scatter_unchecked(triplets, matrix);
             }
-            rhs.copy_from_slice(&self.perm_scratch);
+            _ => self.rebuild(triplets),
         }
+        self.program = id;
+        let a = self.matrix.as_ref().expect("matrix cached above");
+        // ----- permute b into elimination order -----
+        self.perm_scratch.clear();
+        self.perm_scratch.resize(rhs.len(), 0.0);
+        for (i, &v) in rhs.iter().enumerate() {
+            self.perm_scratch[self.perm[i]] = v;
+        }
+        rhs.copy_from_slice(&self.perm_scratch);
         self.lu.refactor(a)?;
         if crate::chaos::perturb_lu_active() {
             self.lu.perturb_pivot();
@@ -1178,12 +1114,12 @@ impl Solver for SparseSolver {
         self.b.clear();
         self.b.extend_from_slice(rhs);
         self.residual.resize(rhs.len(), 0.0);
-        self.lu.solve(rhs)?;
+        self.lu.solve_with(rhs, &mut self.x)?;
         // Norms are permutation-invariant and `a` IS the permuted matrix,
         // so the certification below is exact for the permuted system —
         // and backward error is identical in original coordinates.
-        let norms = a.norms();
-        let (lu, b) = (&self.lu, &self.b);
+        let norms = a.norms_with(&mut self.row_sums);
+        let (lu, b, x) = (&self.lu, &self.b, &mut self.x);
         self.last_quality = verify::certify_with(
             rhs,
             b,
@@ -1202,16 +1138,14 @@ impl Solver for SparseSolver {
                     }
                 }
             },
-            |v| lu.solve(v),
+            |v| lu.solve_with(v, x),
             |v| lu.solve_transposed(v),
         )?;
         // ----- back to original coordinates -----
-        if let Some(perm) = &self.perm {
-            for (i, slot) in self.perm_scratch.iter_mut().enumerate() {
-                *slot = rhs[perm[i]];
-            }
-            rhs.copy_from_slice(&self.perm_scratch);
+        for (i, slot) in self.perm_scratch.iter_mut().enumerate() {
+            *slot = rhs[self.perm[i]];
         }
+        rhs.copy_from_slice(&self.perm_scratch);
         if crate::telemetry::enabled() {
             crate::telemetry::event(
                 "sparse_solve",
@@ -1222,7 +1156,6 @@ impl Solver for SparseSolver {
                         "refinement_steps",
                         self.last_quality.refinement_steps.into(),
                     ),
-                    ("ordered", usize::from(self.perm.is_some()).into()),
                     (
                         "fill",
                         (self.lu.factor_nnz() as f64 / a.nnz().max(1) as f64).into(),

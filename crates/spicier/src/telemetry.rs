@@ -532,7 +532,8 @@ pub struct TelemetrySummary {
     pub rung_iterations: Vec<(String, u64)>,
     /// Accepted transient timesteps.
     pub accepted_steps: u64,
-    /// Rejected transient timesteps (LTE or Newton rejections).
+    /// Rejected transient timesteps: a node voltage moved more than
+    /// `dv_max` in the step, or Newton failed to converge.
     pub rejected_steps: u64,
     /// Linear-kernel counters accumulated during the analysis.
     pub lu: LuStats,

@@ -3,10 +3,10 @@
 //!
 //! Two families:
 //!
-//! * the fill-reducing-ordered path (`force_ordering`) must produce the
-//!   same certified answers as the natural-order path on randomized
-//!   MNA-shaped systems, across pattern rebuilds and value-only
-//!   refactorizations;
+//! * the sparse kernel, which always factors on a fill-reducing ordering,
+//!   must produce the same certified answers as the dense kernel on
+//!   randomized MNA-shaped systems, across pattern rebuilds and
+//!   value-only refactorizations;
 //! * the `CHAOS_PERTURB_LU` drill on the *permuted* path: a corrupted
 //!   factorization behind a fill-reducing permutation must still surface
 //!   [`spicier::Error::UntrustedSolution`], and a pivot flip under a
@@ -14,6 +14,7 @@
 //!   certify.
 
 use spicier::chaos::with_perturb_lu;
+use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::verify::{backward_error, bwerr_tol, inf_norm};
 use spicier::linalg::{Solver, SparseMatrix, Triplets};
@@ -76,43 +77,29 @@ fn rel_diff(a: &[f64], b: &[f64]) -> f64 {
         / scale
 }
 
-fn natural_order_solver() -> SparseSolver {
-    let mut s = SparseSolver::default();
-    s.force_ordering(false);
-    s
-}
-
-fn ordered_solver() -> SparseSolver {
-    let mut s = SparseSolver::default();
-    s.force_ordering(true);
-    s
-}
-
 /// The ordered (fill-reducing permuted) path must certify every solve of
-/// a random MNA-shaped system and agree with the natural-order path, on
-/// the first factorization and across value-only refactorizations of the
+/// a random MNA-shaped system and agree with the dense kernel, on the
+/// first factorization and across value-only refactorizations of the
 /// same cached pattern.
 #[test]
-fn ordered_path_agrees_with_natural_order_within_certified_error() {
+fn ordered_path_agrees_with_dense_kernel_within_certified_error() {
     let mut rng = StdRng::seed_from_u64(0x0de4ed);
     let tol = bwerr_tol();
     for n in [30, 90, 250] {
         let edges = random_edges(&mut rng, n);
-        let mut plain = natural_order_solver();
-        let mut ordered = ordered_solver();
+        let mut dense = DenseSolver::default();
+        let mut ordered = SparseSolver::default();
         // Round 0 builds the pattern (and the permutation); later rounds
         // must ride the permuted scatter + refactor fast path.
         for round in 0..4 {
             let t = stamp_network(&mut rng, n, &edges);
             let b = random_rhs(&mut rng, n);
 
-            let mut xp = b.clone();
-            plain.solve_in_place(&t, &mut xp).unwrap();
-            assert!(!plain.ordering_active(), "forced off at n={n}");
+            let mut xd = b.clone();
+            dense.solve_in_place(&t, &mut xd).unwrap();
 
             let mut xo = b.clone();
             ordered.solve_in_place(&t, &mut xo).unwrap();
-            assert!(ordered.ordering_active(), "forced on at n={n}");
             assert!(
                 ordered.last_quality().backward_error <= tol,
                 "ordered certification failed at n={n} round={round}: {:?}",
@@ -123,10 +110,10 @@ fn ordered_path_agrees_with_natural_order_within_certified_error() {
                 measured_bwerr(&t, &xo, &b) <= tol,
                 "ordered residual n={n} round={round}"
             );
-            let diff = rel_diff(&xp, &xo);
+            let diff = rel_diff(&xd, &xo);
             assert!(
                 diff < 1.0e-8,
-                "ordered vs natural disagree at n={n} round={round}: {diff:.3e}"
+                "ordered vs dense disagree at n={n} round={round}: {diff:.3e}"
             );
         }
         // All later rounds reused the cached permuted pattern.
@@ -144,7 +131,7 @@ fn chaos_perturb_lu_is_caught_on_the_permuted_path() {
         let edges = random_edges(&mut rng, n);
         let t = stamp_network(&mut rng, n, &edges);
         let b = random_rhs(&mut rng, n);
-        let mut solver = ordered_solver();
+        let mut solver = SparseSolver::default();
         let err = with_perturb_lu(|| solver.solve_in_place(&t, &mut b.clone()))
             .expect_err("corrupted permuted factorization must not certify");
         assert!(
@@ -152,7 +139,6 @@ fn chaos_perturb_lu_is_caught_on_the_permuted_path() {
             "ordered path at n={n}: expected UntrustedSolution, got {err}"
         );
         assert!(err.is_non_retriable(), "n={n}");
-        assert!(solver.ordering_active(), "drill must run the permuted path");
         // The drill must not poison the solver: the next clean solve on
         // the same cached pattern certifies again.
         let mut x = b.clone();
@@ -183,11 +169,10 @@ fn pivot_flip_under_cached_permuted_pattern_takes_the_fallback() {
     t2.add(0, 1, 1.0);
     t2.add(1, 1, 10.0);
 
-    let mut solver = ordered_solver();
+    let mut solver = SparseSolver::default();
     // b = A1·[1, 1]ᵀ, so the exact answer is all-ones.
     let mut x1 = vec![11.0, 11.0];
     solver.solve_in_place(&t1, &mut x1).unwrap();
-    assert!(solver.ordering_active());
     assert_eq!(solver.stats().pivot_fallbacks, 0);
     assert!((x1[0] - 1.0).abs() < 1e-12 && (x1[1] - 1.0).abs() < 1e-12);
 
