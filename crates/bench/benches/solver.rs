@@ -8,8 +8,10 @@
 //! the next session can compare runs without scraping stdout. Set
 //! `BENCH_QUICK=1` for the trimmed smoke run.
 
+use cml_bench::experiments::fig7::detector_circuit;
 use cml_bench::microbench::{quick_mode, run_benches, take_records, write_json_report, Harness};
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
+use cml_dft::DetectorLoad;
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::tran::{transient, TranOptions};
 use spicier::analysis::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
@@ -310,10 +312,12 @@ fn bench_telemetry(c: &mut Harness) {
     group.finish();
 }
 
-/// One Newton iteration of a FIG3 transient step through a warm
-/// `SolveWorkspace` (DESIGN.md §3.2): `fig3` assembles and solves,
-/// `fig3_assemble` only assembles. Both replay the sealed stamp program,
-/// as every iteration after a step's first does.
+/// One Newton iteration of a transient step through a warm
+/// `SolveWorkspace` (DESIGN.md §3.2), on the FIG3 chain and on the
+/// FIG7/FIG8 detector-settling circuit at a mid-grid corner (1 GHz,
+/// 2 kΩ pipe, 10 pF load). `<circuit>` assembles and solves,
+/// `<circuit>_assemble` only assembles. Both replay the sealed stamp
+/// program, as every iteration after a step's first does.
 fn bench_newton_iter(c: &mut Harness) {
     let mut group = c.benchmark_group("newton_iter");
     group
@@ -321,40 +325,43 @@ fn bench_newton_iter(c: &mut Harness) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    let circuit = fig3_chain_circuit(1.0e9);
-    let n = circuit.dim();
-    let x = operating_point(&circuit, &DcOptions::default())
-        .expect("op")
-        .into_unknowns();
-    let mode = EvalMode {
-        integ: Integration::Step {
-            method: Method::Trapezoidal,
-            h: 1.0e-12,
-        },
-        time: 0.0,
-        gmin: 1.0e-12,
-        source_scale: 1.0,
-    };
-    let mut assembler = Assembler::new(&circuit);
-    assembler.init_charges(&x);
-    let mut ws = SolveWorkspace::for_circuit(&circuit);
+    let (fig8, _) =
+        detector_circuit(2.0e3, DetectorLoad::diode_cap(10.0e-12), 1.0e9, None).expect("build");
+    for (name, circuit) in [("fig3", fig3_chain_circuit(1.0e9)), ("fig8", fig8)] {
+        let n = circuit.dim();
+        let x = operating_point(&circuit, &DcOptions::default())
+            .expect("op")
+            .into_unknowns();
+        let mode = EvalMode {
+            integ: Integration::Step {
+                method: Method::Trapezoidal,
+                h: 1.0e-12,
+            },
+            time: 0.0,
+            gmin: 1.0e-12,
+            source_scale: 1.0,
+        };
+        let mut assembler = Assembler::new(&circuit);
+        assembler.init_charges(&x);
+        let mut ws = SolveWorkspace::for_circuit(&circuit);
 
-    group.bench_function(format!("fig3/{n}"), |bench| {
-        bench.iter(|| {
-            assembler.assemble(&x, &mode, &mut ws.triplets, &mut ws.rhs);
-            ws.solver
-                .solve_in_place(&ws.triplets, &mut ws.rhs)
-                .expect("nonsingular");
-            ws.rhs[0]
-        })
-    });
+        group.bench_function(format!("{name}/{n}"), |bench| {
+            bench.iter(|| {
+                assembler.assemble(&x, &mode, &mut ws.triplets, &mut ws.rhs);
+                ws.solver
+                    .solve_in_place(&ws.triplets, &mut ws.rhs)
+                    .expect("nonsingular");
+                ws.rhs[0]
+            })
+        });
 
-    group.bench_function(format!("fig3_assemble/{n}"), |bench| {
-        bench.iter(|| {
-            assembler.assemble(&x, &mode, &mut ws.triplets, &mut ws.rhs);
-            ws.rhs[0]
-        })
-    });
+        group.bench_function(format!("{name}_assemble/{n}"), |bench| {
+            bench.iter(|| {
+                assembler.assemble(&x, &mode, &mut ws.triplets, &mut ws.rhs);
+                ws.rhs[0]
+            })
+        });
+    }
 
     group.finish();
 }
@@ -442,12 +449,17 @@ fn main() {
     if let (Some(full), Some(replay)) = (dense_full, dense_replay) {
         metrics.push(("fig3_dense_refactor_speedup", full / replay));
     }
-    // One FIG3 Newton iteration and its assembly: recorded, not gated.
-    if let Some(v) = find("newton_iter", "fig3/") {
-        metrics.push(("fig3_newton_iter_ns", v));
-    }
-    if let Some(v) = find("newton_iter", "fig3_assemble/") {
-        metrics.push(("fig3_assemble_ns", v));
+    // One FIG3 and one FIG8 Newton iteration and their assemblies:
+    // recorded, not gated.
+    for (prefix, key) in [
+        ("fig3/", "fig3_newton_iter_ns"),
+        ("fig3_assemble/", "fig3_assemble_ns"),
+        ("fig8/", "fig8_newton_iter_ns"),
+        ("fig8_assemble/", "fig8_assemble_ns"),
+    ] {
+        if let Some(v) = find("newton_iter", prefix) {
+            metrics.push((key, v));
+        }
     }
     let stamps = fig3_stamps();
     let (_, a) = StampMap::build(&stamps);

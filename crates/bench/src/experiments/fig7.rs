@@ -7,10 +7,10 @@ use super::common::wf;
 use super::report::{ns, out_dir, v};
 use crate::Scale;
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
-use cml_dft::{DetectorLoad, Variant1};
+use cml_dft::{DetectorHandle, DetectorLoad, Variant1};
 use faults::Defect;
 use spicier::analysis::tran::{transient, TranOptions};
-use spicier::Error;
+use spicier::{Circuit, Error};
 use waveform::{write_csv_file, SettlingInfo, StabilityOptions, StabilityResult, Waveform};
 
 /// Detector output excursion below which a run counts as "did not fire".
@@ -29,8 +29,37 @@ pub struct Fig7Result {
     pub settling: Option<SettlingInfo>,
 }
 
-/// Builds a DUT buffer (in a 3-stage chain) with a variant-1 detector and
-/// the given pipe/load/frequency; returns the simulated detector output.
+/// Builds a DUT buffer (in a 3-stage chain) driven at `freq`, with a
+/// detector on its output (variant 1, or variant 2 at `vtest`) and a pipe
+/// of `pipe_ohms` on `DUT.Q3` when finite.
+///
+/// # Errors
+///
+/// Propagates netlist and fault-injection failures.
+pub fn detector_circuit(
+    pipe_ohms: f64,
+    load: DetectorLoad,
+    freq: f64,
+    variant2: Option<f64>,
+) -> Result<(Circuit, DetectorHandle), Error> {
+    let mut b = CmlCircuitBuilder::new(CmlProcess::paper());
+    let input = b.diff("a");
+    b.drive_differential("a", input, freq)?;
+    let chain = b.buffer_chain(&["X1", "DUT", "X2"], input)?;
+    let dut = &chain.cells[1];
+    let handle = match variant2 {
+        None => Variant1::new(load).attach(&mut b, "DET", dut.output)?,
+        Some(vtest) => cml_dft::Variant2::new(load, vtest).attach(&mut b, "DET", dut.output)?,
+    };
+    let mut nl = b.finish();
+    if pipe_ohms.is_finite() {
+        Defect::pipe("DUT.Q3", pipe_ohms).inject(&mut nl)?;
+    }
+    Ok((nl.compile()?, handle))
+}
+
+/// Simulates [`detector_circuit`] to `t_stop`; returns the detector
+/// output.
 ///
 /// # Errors
 ///
@@ -42,21 +71,7 @@ pub fn detector_response(
     t_stop: f64,
     variant2: Option<f64>,
 ) -> Result<Fig7Result, Error> {
-    let mut b = CmlCircuitBuilder::new(CmlProcess::paper());
-    let input = b.diff("a");
-    b.drive_differential("a", input, freq)?;
-    let chain = b.buffer_chain(&["X1", "DUT", "X2"], input)?;
-    let dut = &chain.cells[1];
-    let handle = match variant2 {
-        None => Variant1::new(load).attach(&mut b, "DET", dut.output)?,
-        Some(vtest) => cml_dft::Variant2::new(load, vtest).attach(&mut b, "DET", dut.output)?,
-    };
-    let vgnd_level = b.process().vgnd;
-    let mut nl = b.finish();
-    if pipe_ohms.is_finite() {
-        Defect::pipe("DUT.Q3", pipe_ohms).inject(&mut nl)?;
-    }
-    let circuit = nl.compile()?;
+    let (circuit, handle) = detector_circuit(pipe_ohms, load, freq, variant2)?;
     let mut opts = TranOptions::new(t_stop);
     opts.probes = spicier::analysis::tran::Probe::Nodes(vec![handle.vout]);
     if variant2.is_some() {
@@ -65,7 +80,7 @@ pub fn detector_response(
         // fault is already asserted at the operating point (§6.6: "fully
         // detectable with DC test"), so without this pre-history there
         // would be no settling transient to measure.
-        opts = opts.with_initial_voltage(handle.vout, vgnd_level);
+        opts = opts.with_initial_voltage(handle.vout, CmlProcess::paper().vgnd);
     }
     let res = transient(&circuit, &opts)?;
     let vout = wf(&res, handle.vout)?;

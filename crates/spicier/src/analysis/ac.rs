@@ -12,7 +12,7 @@
 
 use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::dc::{self, DcOptions};
-use super::mna::{Assembler, SolveWorkspace};
+use super::mna::{stamp_conductance, Assembler, EvalMode, SolveWorkspace};
 use crate::error::Error;
 use crate::linalg::complex::{Complex, ComplexDenseMatrix};
 use crate::linalg::{SolveQuality, Triplets};
@@ -155,32 +155,19 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
     let started = Instant::now();
     let _span = telemetry::span("ac");
     let mut tracker = BudgetTracker::new(&opts.budget, Phase::Ac);
-    // 1. Operating point.
-    let mut assembler = Assembler::new(circuit);
-    let mut ws = SolveWorkspace::for_circuit(circuit);
-    let x_op = dc::operating_point_with(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
-    let mut quality = ws.solver.last_quality();
-    drop(assembler);
-
-    // 2. Linearize into G and C triplets.
+    // 1. Excitation vector: unit AC on the named source, checked before
+    //    any solve.
     let dim = circuit.dim();
-    let n_nodes = circuit.node_unknowns();
-    let (g, c) = linearized_matrices(circuit, &x_op, opts.dc.gmin);
-
-    // 3. Excitation vector: unit AC on the named source.
+    let mut assembler = Assembler::new(circuit);
     let mut rhs0 = vec![Complex::ZERO; dim];
     let mut found_source = false;
-    let mut branch_of = vec![usize::MAX; circuit.element_slice().len()];
-    for (b, &e_idx) in circuit.branch_elements().iter().enumerate() {
-        branch_of[e_idx] = n_nodes + b;
-    }
     for (e_idx, (name, element)) in circuit.element_slice().iter().enumerate() {
         if name != &opts.source {
             continue;
         }
         match element {
             Element::VoltageSource { .. } => {
-                rhs0[branch_of[e_idx]] = Complex::ONE;
+                rhs0[assembler.branch_unknown(e_idx)] = Complex::ONE;
                 found_source = true;
             }
             Element::CurrentSource { p, n, .. } => {
@@ -199,7 +186,13 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
         return Err(Error::UnknownElement(opts.source.clone()));
     }
 
-    // 4. Solve per frequency.
+    // 2. Operating point, and G and C linearized there.
+    let mut ws = SolveWorkspace::for_circuit(circuit);
+    let x_op = dc::operating_point_with(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
+    let mut quality = ws.solver.last_quality();
+    let (g, c) = linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
+
+    // 3. Solve per frequency.
     let mut data = Vec::with_capacity(opts.freqs.len());
     for (k, &f) in opts.freqs.iter().enumerate() {
         tracker.set_progress(k as f64 / opts.freqs.len().max(1) as f64);
@@ -236,7 +229,7 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
     telemetry::record_summary(&summary);
     Ok(AcResult {
         freqs: opts.freqs.clone(),
-        n_nodes,
+        n_nodes: circuit.node_unknowns(),
         data,
         quality,
         telemetry: summary,
@@ -244,82 +237,49 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
 }
 
 /// Linearizes the circuit at the operating point `x_op` into conductance
-/// (`G`) and capacitance (`C`) triplet matrices, with all independent
-/// sources zeroed (voltage sources keep their branch rows — i.e. they are
-/// AC shorts — and current sources are opens). Shared by the AC and noise
-/// analyses.
+/// (`G`) and capacitance (`C`) triplet matrices. Shared by the AC and
+/// noise analyses.
+///
+/// `G` is the DC Newton Jacobian at `x_op`, stamped by `assembler` itself:
+/// the junction memory is reset to `x_op` so no voltage is limited, the
+/// right-hand side is discarded, and the `gmin` diagonal is added after
+/// the device stamps. Independent sources therefore drop out: voltage
+/// sources keep their branch rows (AC shorts) and current sources stamp
+/// nothing (opens). `C` holds the charge-storage derivatives: capacitors,
+/// `−L` on each inductor's branch diagonal, and the diode and BJT
+/// junction capacitances.
 pub(crate) fn linearized_matrices(
     circuit: &Circuit,
+    assembler: &mut Assembler<'_>,
     x_op: &[f64],
     gmin: f64,
 ) -> (Triplets, Triplets) {
     let dim = circuit.dim();
-    let n_nodes = circuit.node_unknowns();
     let mut g = Triplets::new(dim);
-    let mut c = Triplets::new(dim);
-    let mut branch_of = vec![usize::MAX; circuit.element_slice().len()];
-    for (b, &e_idx) in circuit.branch_elements().iter().enumerate() {
-        branch_of[e_idx] = n_nodes + b;
+    let mut rhs = Vec::with_capacity(dim);
+    assembler.reset_junctions(x_op);
+    assembler.assemble(x_op, &EvalMode::dc(0.0), &mut g, &mut rhs);
+    for i in 0..circuit.node_unknowns() {
+        g.add(i, i, gmin);
     }
-    let v_of = |node: NodeId| -> f64 {
-        match node.unknown() {
-            Some(i) => x_op[i],
-            None => 0.0,
-        }
-    };
-    let stamp_g2 = |g: &mut Triplets, p: NodeId, n: NodeId, value: f64| {
-        if let Some(i) = p.unknown() {
-            g.add(i, i, value);
-        }
-        if let Some(j) = n.unknown() {
-            g.add(j, j, value);
-        }
-        if let (Some(i), Some(j)) = (p.unknown(), n.unknown()) {
-            g.add(i, j, -value);
-            g.add(j, i, -value);
-        }
-    };
 
+    let mut c = Triplets::new(dim);
+    let v_of = |node: NodeId| node.unknown().map_or(0.0, |i| x_op[i]);
     for (e_idx, (_, element)) in circuit.element_slice().iter().enumerate() {
         match element {
-            Element::Resistor { p, n, value } => stamp_g2(&mut g, *p, *n, 1.0 / value),
-            Element::Capacitor { p, n, value } => stamp_g2(&mut c, *p, *n, *value),
-            Element::Inductor { p, n, value } => {
-                let branch = branch_of[e_idx];
-                if let Some(i) = p.unknown() {
-                    g.add(i, branch, 1.0);
-                    g.add(branch, i, 1.0);
-                }
-                if let Some(j) = n.unknown() {
-                    g.add(j, branch, -1.0);
-                    g.add(branch, j, -1.0);
-                }
+            Element::Capacitor { p, n, value } => stamp_conductance(&mut c, *p, *n, *value),
+            Element::Inductor { value, .. } => {
                 // v − jωL·i = 0 → −L into the C matrix at (branch, branch).
+                let branch = assembler.branch_unknown(e_idx);
                 c.add(branch, branch, -value);
-            }
-            Element::VoltageSource { p, n, .. } => {
-                let branch = branch_of[e_idx];
-                if let Some(i) = p.unknown() {
-                    g.add(i, branch, 1.0);
-                    g.add(branch, i, 1.0);
-                }
-                if let Some(j) = n.unknown() {
-                    g.add(j, branch, -1.0);
-                    g.add(branch, j, -1.0);
-                }
-            }
-            Element::CurrentSource { .. } => {
-                // Zeroed in small-signal analysis: an open circuit.
             }
             Element::Diode {
                 anode,
                 cathode,
                 model,
             } => {
-                let vd = v_of(*anode) - v_of(*cathode);
-                let eval = model.eval(vd);
-                stamp_g2(&mut g, *anode, *cathode, eval.gd);
-                stamp_g2(&mut c, *anode, *cathode, eval.c);
+                let eval = model.eval(v_of(*anode) - v_of(*cathode));
+                stamp_conductance(&mut c, *anode, *cathode, eval.c);
             }
             Element::Bjt {
                 collector,
@@ -331,65 +291,11 @@ pub(crate) fn linearized_matrices(
                 let vbe = s * (v_of(*base) - v_of(*emitter));
                 let vbc = s * (v_of(*base) - v_of(*collector));
                 let eval = model.eval(vbe, vbc);
-                // Current partials into G (signs as in the transient stamp).
-                let nodes = [*collector, *base, *emitter];
-                let dic = [
-                    -eval.dic_dvbc,
-                    eval.dic_dvbe + eval.dic_dvbc,
-                    -eval.dic_dvbe,
-                ];
-                let dib = [
-                    -eval.dib_dvbc,
-                    eval.dib_dvbe + eval.dib_dvbc,
-                    -eval.dib_dvbe,
-                ];
-                let die = [-(dic[0] + dib[0]), -(dic[1] + dib[1]), -(dic[2] + dib[2])];
-                for (row_node, partials) in [(*collector, dic), (*base, dib), (*emitter, die)] {
-                    if let Some(row) = row_node.unknown() {
-                        for (k, node) in nodes.iter().enumerate() {
-                            if let Some(col) = node.unknown() {
-                                g.add(row, col, partials[k]);
-                            }
-                        }
-                    }
-                }
-                stamp_g2(&mut c, *base, *emitter, eval.cbe);
-                stamp_g2(&mut c, *base, *collector, eval.cbc);
+                stamp_conductance(&mut c, *base, *emitter, eval.cbe);
+                stamp_conductance(&mut c, *base, *collector, eval.cbc);
             }
-            Element::Vcvs { p, n, cp, cn, gain } => {
-                let branch = branch_of[e_idx];
-                if let Some(i) = p.unknown() {
-                    g.add(i, branch, 1.0);
-                    g.add(branch, i, 1.0);
-                }
-                if let Some(j) = n.unknown() {
-                    g.add(j, branch, -1.0);
-                    g.add(branch, j, -1.0);
-                }
-                if let Some(i) = cp.unknown() {
-                    g.add(branch, i, -gain);
-                }
-                if let Some(j) = cn.unknown() {
-                    g.add(branch, j, *gain);
-                }
-            }
-            Element::Vccs { p, n, cp, cn, gm } => {
-                for (row, sign) in [(*p, 1.0), (*n, -1.0)] {
-                    if let Some(r) = row.unknown() {
-                        if let Some(i) = cp.unknown() {
-                            g.add(r, i, sign * gm);
-                        }
-                        if let Some(j) = cn.unknown() {
-                            g.add(r, j, -sign * gm);
-                        }
-                    }
-                }
-            }
+            _ => {}
         }
-    }
-    // gmin blanket, as in DC.
-    for i in 0..n_nodes {
-        g.add(i, i, gmin);
     }
     (g, c)
 }
@@ -510,14 +416,110 @@ mod tests {
         );
     }
 
+    /// The source is looked up before any solve: with a second, parallel
+    /// 2 V source there is no operating point, and the error must still
+    /// name the source.
     #[test]
     fn unknown_source_is_an_error() {
+        for contradictory in [false, true] {
+            let mut nl = Netlist::new();
+            let a = nl.node("a");
+            nl.vdc("V1", a, Netlist::GROUND, 1.0).unwrap();
+            if contradictory {
+                nl.vdc("V2", a, Netlist::GROUND, 2.0).unwrap();
+            }
+            nl.resistor("R1", a, Netlist::GROUND, 1.0).unwrap();
+            let circuit = nl.compile().unwrap();
+            let res = ac_analysis(&circuit, &AcOptions::new("VX", vec![1.0e3]));
+            assert!(
+                matches!(res, Err(Error::UnknownElement(ref name)) if name == "VX"),
+                "{res:?}"
+            );
+        }
+    }
+
+    /// One circuit with every element kind: R, C, L, a diode, an NPN, a
+    /// PNP, a VCVS, a VCCS, and V and I sources, biased at `vin` and `i1`.
+    fn every_element(vin: f64, i1: f64) -> Circuit {
+        use crate::devices::{BjtModel, DiodeModel};
+        let gnd = Netlist::GROUND;
         let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.vdc("V1", a, Netlist::GROUND, 1.0).unwrap();
-        nl.resistor("R1", a, Netlist::GROUND, 1.0).unwrap();
-        let circuit = nl.compile().unwrap();
-        assert!(ac_analysis(&circuit, &AcOptions::new("VX", vec![1.0e3])).is_err());
+        let vcc = nl.node("vcc");
+        let input = nl.node("in");
+        let b1 = nl.node("b1");
+        let c1 = nl.node("c1");
+        let e1 = nl.node("e1");
+        let e2 = nl.node("e2");
+        let c2 = nl.node("c2");
+        let dn = nl.node("dn");
+        let lo = nl.node("lo");
+        let eo = nl.node("eo");
+        nl.vdc("VCC", vcc, gnd, 3.3).unwrap();
+        nl.vdc("VIN", input, gnd, vin).unwrap();
+        nl.resistor("RB", input, b1, 1.0e3).unwrap();
+        nl.bjt("Q1", c1, b1, e1, BjtModel::fast_npn()).unwrap();
+        nl.resistor("RE1", e1, gnd, 500.0).unwrap();
+        nl.resistor("RC1", vcc, c1, 2.0e3).unwrap();
+        nl.capacitor("C1", c1, gnd, 1.0e-12).unwrap();
+        nl.idc("I1", gnd, c1, i1).unwrap();
+        nl.resistor("RE2", vcc, e2, 500.0).unwrap();
+        nl.bjt("Q2", c2, c1, e2, BjtModel::fast_pnp()).unwrap();
+        nl.resistor("RC2", c2, gnd, 1.0e3).unwrap();
+        nl.vccs("G1", gnd, dn, c2, gnd, 1.0e-3).unwrap();
+        nl.diode("D1", dn, gnd, DiodeModel::new()).unwrap();
+        nl.inductor("L1", dn, lo, 1.0e-9).unwrap();
+        nl.resistor("RL", lo, gnd, 10.0e3).unwrap();
+        nl.vcvs("E1", eo, gnd, lo, e1, 2.0).unwrap();
+        nl.resistor("RO", eo, gnd, 1.0e3).unwrap();
+        nl.compile().unwrap()
+    }
+
+    /// At 1 Hz the AC response to a unit excitation is the derivative of
+    /// the operating point with respect to that source. Check it on every
+    /// node against a central difference of two operating points.
+    #[test]
+    fn small_signal_response_is_the_operating_point_derivative() {
+        use crate::analysis::dc::operating_point;
+        const VIN: f64 = 1.2;
+        const I1: f64 = 50.0e-6;
+        // Operating points converged far below the default tolerances;
+        // `OP_ERROR` bounds their absolute error.
+        const OP_ERROR: f64 = 1.0e-10;
+        let dc = DcOptions {
+            abstol_v: 1.0e-13,
+            abstol_i: 1.0e-16,
+            reltol: 1.0e-10,
+            ..DcOptions::default()
+        };
+        let op = |vin: f64, i1: f64| operating_point(&every_element(vin, i1), &dc).unwrap();
+        // (source, step, operating points at ∓step)
+        let cases = [
+            ("VIN", 1.0e-4, op(VIN - 1.0e-4, I1), op(VIN + 1.0e-4, I1)),
+            ("I1", 5.0e-8, op(VIN, I1 - 5.0e-8), op(VIN, I1 + 5.0e-8)),
+        ];
+        let circuit = every_element(VIN, I1);
+        for (source, step, low, high) in cases {
+            let mut opts = AcOptions::new(source, vec![1.0]);
+            opts.dc = dc.clone();
+            let res = ac_analysis(&circuit, &opts).unwrap();
+            let mut moved = 0;
+            for node in circuit.node_ids() {
+                let fd = (high.voltage(node) - low.voltage(node)) / (2.0 * step);
+                let ac = res.response(node, 0);
+                // Central-difference truncation is O((step/Vt)²) relative;
+                // the operating points' error enters divided by the step.
+                let tol = 1.0e-4 * fd.abs() + OP_ERROR / step;
+                let name = circuit.node_name(node);
+                assert!(
+                    (ac.re - fd).abs() <= tol && ac.im.abs() <= tol,
+                    "{source} → {name}: AC {ac:?} vs difference {fd:e}"
+                );
+                if fd.abs() > 1.0e3 * tol {
+                    moved += 1;
+                }
+            }
+            assert!(moved >= 6, "{source} moves only {moved} nodes");
+        }
     }
 
     #[test]

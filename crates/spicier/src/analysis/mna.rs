@@ -8,7 +8,7 @@
 //! active integration method. Junction-voltage limiting (`pnjlim`) is
 //! applied inside the assembly so the Newton loop above stays generic.
 
-use crate::devices::{pnjlim, BjtBatch, BjtEval, BjtModel};
+use crate::devices::{pnjlim, BjtEval, BjtModel};
 use crate::linalg::{fresh_id, AutoSolver, ProgramKey, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::VT_300K;
@@ -136,11 +136,6 @@ pub struct Assembler<'c> {
     junction_offset: Vec<usize>,
     /// Whether the last assembly clamped any junction voltage.
     limited: bool,
-    /// Struct-of-arrays batch of every BJT in element order: all
-    /// transistor evaluations for one Newton iteration run in one pass
-    /// over parallel arrays before the stamping loop (bit-identical per
-    /// lane to the scalar `BjtModel::eval`, see `devices::batch`).
-    bjt_batch: BjtBatch,
     /// Owner id of the stamp programs this assembler compiles.
     program_owner: u64,
 }
@@ -183,15 +178,11 @@ impl<'c> Assembler<'c> {
         let mut junction_offset = Vec::with_capacity(elements.len());
         let mut n_charges = 0;
         let mut n_junctions = 0;
-        let mut bjt_batch = BjtBatch::new();
         for (_, e) in elements {
             charge_offset.push(n_charges);
             junction_offset.push(n_junctions);
             n_charges += charge_slots(e);
             n_junctions += junction_slots(e);
-            if let Element::Bjt { model, .. } = e {
-                bjt_batch.push_model(model);
-            }
         }
         Self {
             circuit,
@@ -203,7 +194,6 @@ impl<'c> Assembler<'c> {
             junction_offset,
             junctions: vec![0.0; n_junctions],
             limited: false,
-            bjt_batch,
             program_owner: fresh_id(),
         }
     }
@@ -211,6 +201,12 @@ impl<'c> Assembler<'c> {
     /// The circuit being assembled.
     pub fn circuit(&self) -> &Circuit {
         self.circuit
+    }
+
+    /// The branch-current unknown of element `e_idx` (voltage sources,
+    /// inductors and VCVSs have one).
+    pub(crate) fn branch_unknown(&self, e_idx: usize) -> usize {
+        self.branch_index[e_idx]
     }
 
     /// Whether the previous [`assemble`](Self::assemble) call clamped any
@@ -239,15 +235,11 @@ impl<'c> Assembler<'c> {
                         i: 0.0,
                     };
                 }
-                Element::Inductor { .. } => {
-                    let branch = self.branch_index[e_idx];
-                    let i = x[branch];
-                    if let Element::Inductor { value, .. } = element {
-                        self.charges[off] = ChargeState {
-                            q: value * i,
-                            i: 0.0,
-                        };
-                    }
+                Element::Inductor { value, .. } => {
+                    self.charges[off] = ChargeState {
+                        q: value * x[self.branch_index[e_idx]],
+                        i: 0.0,
+                    };
                 }
                 Element::Diode {
                     anode,
@@ -356,36 +348,6 @@ impl<'c> Assembler<'c> {
             }
         }
 
-        // Batched BJT phase: gather + limit every transistor's junction
-        // voltages (limiting is per-slot and the `limited` flag an OR, so
-        // hoisting it out of the stamping loop is value-identical), then
-        // evaluate all devices in one SoA pass. The stamping loop below
-        // reads the results back by lane.
-        if !self.bjt_batch.is_empty() {
-            let mut lane = 0usize;
-            for (e_idx, (_, element)) in self.circuit.element_slice().iter().enumerate() {
-                if let Element::Bjt {
-                    collector,
-                    base,
-                    emitter,
-                    model,
-                } = element
-                {
-                    let s = model.polarity.sign();
-                    let j_off = self.junction_offset[e_idx];
-                    let vcrit = model.vcrit();
-                    let vbe_raw = s * (v_of(x, *base) - v_of(x, *emitter));
-                    let vbc_raw = s * (v_of(x, *base) - v_of(x, *collector));
-                    let vbe = self.limit_junction(j_off, vbe_raw, vcrit, VT_300K);
-                    let vbc = self.limit_junction(j_off + 1, vbc_raw, vcrit, VT_300K);
-                    self.bjt_batch.set_bias(lane, vbe, vbc);
-                    lane += 1;
-                }
-            }
-            self.bjt_batch.eval_all();
-        }
-
-        let mut bjt_lane = 0usize;
         for (e_idx, (_, element)) in self.circuit.element_slice().iter().enumerate() {
             match element {
                 Element::Resistor { p, n, value } => {
@@ -485,11 +447,14 @@ impl<'c> Assembler<'c> {
                     emitter,
                     model,
                 } => {
+                    let s = model.polarity.sign();
                     let j_off = self.junction_offset[e_idx];
-                    let vbe = self.junctions[j_off];
-                    let vbc = self.junctions[j_off + 1];
-                    let eval = self.bjt_batch.eval_of(bjt_lane);
-                    bjt_lane += 1;
+                    let vcrit = model.vcrit();
+                    let vbe_raw = s * (v_of(x, *base) - v_of(x, *emitter));
+                    let vbc_raw = s * (v_of(x, *base) - v_of(x, *collector));
+                    let vbe = self.limit_junction(j_off, vbe_raw, vcrit, VT_300K);
+                    let vbc = self.limit_junction(j_off + 1, vbc_raw, vcrit, VT_300K);
+                    let eval = model.eval(vbe, vbc);
                     self.stamp_bjt(
                         mode, triplets, rhs, e_idx, *collector, *base, *emitter, model, vbe, vbc,
                         eval,
@@ -540,9 +505,8 @@ impl<'c> Assembler<'c> {
         v_lim
     }
 
-    /// Stamps one BJT from its already-limited junction voltages and its
-    /// batched evaluation (see the batched phase in
-    /// [`assemble`](Self::assemble)).
+    /// Stamps one BJT from its limited junction voltages and its
+    /// evaluation there.
     #[allow(clippy::too_many_arguments)]
     fn stamp_bjt(
         &mut self,
@@ -652,7 +616,7 @@ impl<'c> Assembler<'c> {
 }
 
 /// Stamps a conductance `g` between `p` and `n`.
-fn stamp_conductance(triplets: &mut Triplets, p: NodeId, n: NodeId, g: f64) {
+pub(crate) fn stamp_conductance(triplets: &mut Triplets, p: NodeId, n: NodeId, g: f64) {
     if let Some(i) = p.unknown() {
         triplets.stamp(i, i, g);
     }

@@ -21,8 +21,8 @@ pub use noise::{noise_analysis, NoiseOptions, NoiseResult};
 pub use power::{power_report, PowerReport};
 pub use preflight::{assert_preflight, preflight, PreflightFinding, PreflightReport};
 pub use sweep::{
-    grid2, grid3, linspace, par_map, par_map_with, par_try_map, par_try_map_with, CornerFailure,
-    SweepFailure, SweepReport, TryMapOptions,
+    grid2, grid3, linspace, par_try_map, par_try_map_with, CornerFailure, SweepFailure,
+    SweepReport, TryMapOptions,
 };
 pub use tran::{
     transient, transient_salvage, transient_salvage_with, transient_with, Probe, TranFailure,

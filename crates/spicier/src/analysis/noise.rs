@@ -126,19 +126,22 @@ struct NoiseSource {
 ///
 /// # Errors
 ///
-/// Fails when the operating point does not converge, a frequency point
-/// is singular, or `opts.budget` is spent ([`Error::DeadlineExceeded`]
+/// Fails when the output is ground ([`Error::InvalidOptions`]), the
+/// operating point does not converge, a frequency point is singular, or `opts.budget` is spent ([`Error::DeadlineExceeded`]
 /// with phase `noise`).
 pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseResult, Error> {
     let started = Instant::now();
     let _span = telemetry::span("noise");
     let mut tracker = BudgetTracker::new(&opts.budget, Phase::Noise);
+    let out_idx = opts
+        .output
+        .unknown()
+        .ok_or_else(|| Error::InvalidOptions("noise output cannot be ground".to_string()))?;
     // Operating point (bias-dependent shot noise).
     let mut assembler = Assembler::new(circuit);
     let mut ws = SolveWorkspace::for_circuit(circuit);
     let x_op = dc::operating_point_with(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
     let mut quality = ws.solver.last_quality();
-    drop(assembler);
     let v_of = |node: NodeId| -> f64 {
         match node.unknown() {
             Some(i) => x_op[i],
@@ -193,16 +196,10 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
         }
     }
 
-    // Reuse the AC linearization by building G and C through the AC module
-    // (a zero-amplitude excitation on no source: we only need the matrix,
-    // which the adjoint path rebuilds below).
-    let (g, c) = super::ac::linearized_matrices(circuit, &x_op, opts.dc.gmin);
+    // The AC linearization; the adjoint solves below use its transpose.
+    let (g, c) = super::ac::linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
 
     let dim = circuit.dim();
-    let out_idx = opts
-        .output
-        .unknown()
-        .ok_or_else(|| Error::InvalidOptions("noise output cannot be ground".to_string()))?;
 
     let mut psd_out = Vec::with_capacity(opts.freqs.len());
     for (k, &f) in opts.freqs.iter().enumerate() {
@@ -346,15 +343,22 @@ mod tests {
         assert!(p > 5.0 * thermal);
     }
 
+    /// The output is checked before any solve: with a second, parallel
+    /// 2 V source there is no operating point, and a ground output must
+    /// still be reported as such.
     #[test]
     fn ground_output_is_rejected() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.resistor("R1", a, Netlist::GROUND, 1.0e3).unwrap();
-        nl.vdc("V1", a, Netlist::GROUND, 1.0).unwrap();
-        let circuit = nl.compile().unwrap();
-        assert!(
-            noise_analysis(&circuit, &NoiseOptions::new(Netlist::GROUND, vec![1.0e3])).is_err()
-        );
+        for contradictory in [false, true] {
+            let mut nl = Netlist::new();
+            let a = nl.node("a");
+            nl.resistor("R1", a, Netlist::GROUND, 1.0e3).unwrap();
+            nl.vdc("V1", a, Netlist::GROUND, 1.0).unwrap();
+            if contradictory {
+                nl.vdc("V2", a, Netlist::GROUND, 2.0).unwrap();
+            }
+            let circuit = nl.compile().unwrap();
+            let res = noise_analysis(&circuit, &NoiseOptions::new(Netlist::GROUND, vec![1.0e3]));
+            assert!(matches!(res, Err(Error::InvalidOptions(_))), "{res:?}");
+        }
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! The paper's figures are all parameter sweeps (pipe resistance ×
 //! frequency × load capacitance). Individual transient runs are
-//! single-threaded; [`par_map`] fans independent runs out over OS threads
-//! with `std::thread::scope`, so no external dependency is needed.
+//! single-threaded; [`par_try_map`] fans independent runs out over OS
+//! threads with `std::thread::scope`, so no external dependency is needed.
 //!
-//! [`par_try_map`] is the resilient variant: each corner runs behind
-//! `catch_unwind`, solver errors and panics are captured per corner (with
-//! optional retry and a wall-clock budget) instead of killing the whole
-//! sweep, and a [`SweepReport`] records exactly which corners failed and
-//! why — one diverging corner costs one missing data point, not the run.
+//! Each corner runs behind `catch_unwind`: solver errors and panics are
+//! captured per corner (with optional retry and a wall-clock budget)
+//! instead of killing the whole sweep, and a [`SweepReport`] records
+//! exactly which corners failed and why — one diverging corner costs one
+//! missing data point, not the run.
 
 use super::budget::{with_corner_token, CancelHandle, CancelToken};
 use crate::error::Error;
@@ -24,69 +24,6 @@ use std::time::{Duration, Instant};
 /// most once, after the fallible work has already finished.
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Maps `f` over `items` in parallel, preserving order.
-///
-/// Spawns at most `available_parallelism()` worker threads. Panics in `f`
-/// propagate to the caller (use [`par_try_map`] to isolate them instead);
-/// a panicking worker no longer poisons the other workers' queue.
-pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_with(items, || (), |(), value| f(value))
-}
-
-/// [`par_map`] with per-worker scratch state, preserving order.
-///
-/// `init` runs once on each worker thread; the scratch it builds is handed
-/// to `f` for every corner that worker dequeues. Sweeps use this to keep
-/// one solver workspace per thread, so consecutive corners with the same
-/// matrix pattern reuse the cached stamp map and symbolic factorization.
-pub fn par_map_with<T, S, R, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
-    let n_workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(items.len().max(1));
-    if n_workers <= 1 || items.len() <= 1 {
-        let mut scratch = init();
-        return items.into_iter().map(|v| f(&mut scratch, v)).collect();
-    }
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let work: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-    let queue = Mutex::new(work);
-    let results = Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let item = lock(&queue).pop();
-                    match item {
-                        Some((idx, value)) => {
-                            let r = f(&mut scratch, value);
-                            lock(&results)[idx] = Some(r);
-                        }
-                        None => break,
-                    }
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect()
 }
 
 /// Why one sweep corner produced no result.
@@ -337,8 +274,12 @@ where
     par_try_map_with(items, opts, || (), |(), value| f(value))
 }
 
-/// [`par_try_map`] with per-worker scratch state; see [`par_map_with`].
+/// [`par_try_map`] with per-worker scratch state, preserving order.
 ///
+/// `init` runs once on each worker thread; the scratch it builds is handed
+/// to `f` for every corner that worker dequeues. Sweeps use this to keep
+/// one solver workspace per thread, so consecutive corners with the same
+/// matrix pattern reuse the cached stamp map and symbolic factorization.
 /// A corner that panics gets its worker's scratch rebuilt with `init`
 /// before the next attempt, so a half-updated workspace can never leak
 /// into later corners.
@@ -611,21 +552,6 @@ pub fn linspace(start: f64, stop: f64, count: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map((0..100).collect(), |i: i32| i * i);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * i) as i32);
-        }
-    }
-
-    #[test]
-    fn par_map_empty_and_single() {
-        let empty: Vec<i32> = par_map(Vec::new(), |i: i32| i);
-        assert!(empty.is_empty());
-        assert_eq!(par_map(vec![7], |i: i32| i + 1), vec![8]);
-    }
 
     #[test]
     fn try_map_isolates_panics_and_errors() {

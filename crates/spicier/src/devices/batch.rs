@@ -1,67 +1,28 @@
-//! Batched BJT evaluation over a struct-of-arrays layout.
+//! A lane store of BJT instances, each evaluated by [`BjtModel::eval`].
 //!
-//! A generator-shaped circuit stamps thousands of identical BJTs per
-//! Newton iteration, and [`BjtModel::eval`] is dominated by the two
-//! `limexp` calls and their derivatives. Evaluating device-by-device
-//! interleaves that transcendental work with stamping and pointer
-//! chasing; evaluating all devices first over parallel arrays keeps the
-//! hot loop branch-light and lets the compiler vectorize the shared
-//! polynomial work.
-//!
-//! **Bit-identity contract**: every arithmetic expression in
-//! [`BjtBatch::eval_all`] is copied operation-for-operation from
-//! [`BjtModel::eval`], in the same order, on the same scalar types —
-//! only the loop structure differs (a gather pass filling the `limexp`
-//! arrays, then the main pass). IEEE-754 makes each lane's result
-//! bitwise equal to the scalar path, which the property tests below
-//! assert exhaustively; the MNA assembler relies on this to keep frozen
-//! experiment baselines byte-stable.
+//! The assembler evaluates every BJT inline through [`BjtModel::eval`];
+//! nothing in the solver uses this type. It is kept for the `cml_perf`
+//! benchmark's device-evaluation probe, which compiles against it.
 
 use super::bjt::{BjtEval, BjtModel};
-use super::{depletion_charge, limexp, limexp_deriv};
-use crate::VT_300K;
 
-/// Struct-of-arrays batch of BJT instances with their current bias.
+/// BJT instances with their current bias and last evaluation, one lane
+/// per instance.
 ///
-/// Built once per circuit by the assembler (one lane per BJT element in
-/// element order); each Newton iteration writes the limited junction
-/// voltages with [`set_bias`](Self::set_bias), runs
-/// [`eval_all`](Self::eval_all), and reads the results back with
-/// [`eval_of`](Self::eval_of) while stamping.
+/// Write the limited junction voltages with [`set_bias`](Self::set_bias),
+/// run [`eval_all`](Self::eval_all), and read each lane back with
+/// [`eval_of`](Self::eval_of).
 #[derive(Debug, Default)]
 pub struct BjtBatch {
-    // Model parameters, one lane per instance.
-    is: Vec<f64>,
-    bf: Vec<f64>,
-    br: Vec<f64>,
-    vaf: Vec<f64>,
-    cje: Vec<f64>,
-    vje: Vec<f64>,
-    mje: Vec<f64>,
-    cjc: Vec<f64>,
-    vjc: Vec<f64>,
-    mjc: Vec<f64>,
-    tf: Vec<f64>,
-    tr: Vec<f64>,
-    // Bias inputs (polarity-normalized, already junction-limited).
-    vbe: Vec<f64>,
-    vbc: Vec<f64>,
-    // limexp scratch shared between the gather pass and the main pass.
-    ebe: Vec<f64>,
-    ebc: Vec<f64>,
-    debe: Vec<f64>,
-    debc: Vec<f64>,
-    // Outputs, mirroring the BjtEval fields.
-    ic: Vec<f64>,
-    ib: Vec<f64>,
-    dic_dvbe: Vec<f64>,
-    dic_dvbc: Vec<f64>,
-    dib_dvbe: Vec<f64>,
-    dib_dvbc: Vec<f64>,
-    qbe: Vec<f64>,
-    cbe: Vec<f64>,
-    qbc: Vec<f64>,
-    cbc: Vec<f64>,
+    lanes: Vec<Lane>,
+}
+
+#[derive(Debug)]
+struct Lane {
+    model: BjtModel,
+    vbe: f64,
+    vbc: f64,
+    eval: BjtEval,
 }
 
 impl BjtBatch {
@@ -72,135 +33,43 @@ impl BjtBatch {
 
     /// Number of instances in the batch.
     pub fn len(&self) -> usize {
-        self.is.len()
+        self.lanes.len()
     }
 
     /// Whether the batch has no instances.
     pub fn is_empty(&self) -> bool {
-        self.is.is_empty()
+        self.lanes.is_empty()
     }
 
-    /// Appends one instance's model parameters; returns its lane index.
+    /// Appends one instance; returns its lane index.
     pub fn push_model(&mut self, model: &BjtModel) -> usize {
-        let lane = self.is.len();
-        self.is.push(model.is);
-        self.bf.push(model.bf);
-        self.br.push(model.br);
-        self.vaf.push(model.vaf);
-        self.cje.push(model.cje);
-        self.vje.push(model.vje);
-        self.mje.push(model.mje);
-        self.cjc.push(model.cjc);
-        self.vjc.push(model.vjc);
-        self.mjc.push(model.mjc);
-        self.tf.push(model.tf);
-        self.tr.push(model.tr);
-        for arr in [
-            &mut self.vbe,
-            &mut self.vbc,
-            &mut self.ebe,
-            &mut self.ebc,
-            &mut self.debe,
-            &mut self.debc,
-            &mut self.ic,
-            &mut self.ib,
-            &mut self.dic_dvbe,
-            &mut self.dic_dvbc,
-            &mut self.dib_dvbe,
-            &mut self.dib_dvbc,
-            &mut self.qbe,
-            &mut self.cbe,
-            &mut self.qbc,
-            &mut self.cbc,
-        ] {
-            arr.push(0.0);
-        }
-        lane
+        self.lanes.push(Lane {
+            model: *model,
+            vbe: 0.0,
+            vbc: 0.0,
+            eval: model.eval(0.0, 0.0),
+        });
+        self.lanes.len() - 1
     }
 
     /// Sets the (polarity-normalized, limited) junction voltages of one
     /// lane for the next [`eval_all`](Self::eval_all).
     pub fn set_bias(&mut self, lane: usize, vbe: f64, vbc: f64) {
-        self.vbe[lane] = vbe;
-        self.vbc[lane] = vbc;
+        let lane = &mut self.lanes[lane];
+        lane.vbe = vbe;
+        lane.vbc = vbc;
     }
 
-    /// Evaluates every lane; expression-for-expression identical to
-    /// [`BjtModel::eval`] per lane (see the module doc's bit-identity
-    /// contract).
+    /// Evaluates every lane at its bias.
     pub fn eval_all(&mut self) {
-        let vt = VT_300K;
-        // Pass 1: the transcendental gather — the expensive part, over
-        // contiguous arrays with no data-dependent control flow beyond
-        // limexp's own branch.
-        for lane in 0..self.vbe.len() {
-            self.ebe[lane] = limexp(self.vbe[lane] / vt);
-            self.ebc[lane] = limexp(self.vbc[lane] / vt);
-            self.debe[lane] = limexp_deriv(self.vbe[lane] / vt) / vt;
-            self.debc[lane] = limexp_deriv(self.vbc[lane] / vt) / vt;
-        }
-        // Pass 2: polynomial work per lane, same expressions and order
-        // as the scalar eval.
-        for lane in 0..self.vbe.len() {
-            let vbe = self.vbe[lane];
-            let vbc = self.vbc[lane];
-            let ebe = self.ebe[lane];
-            let ebc = self.ebc[lane];
-            let debe = self.debe[lane];
-            let debc = self.debc[lane];
-            let is = self.is[lane];
-            let vaf = self.vaf[lane];
-
-            let (early, dearly_dvbc) = if vaf.is_finite() {
-                let d = 1.0 - vbc / vaf;
-                if d > 0.1 {
-                    (d, -1.0 / vaf)
-                } else {
-                    (0.1, 0.0)
-                }
-            } else {
-                (1.0, 0.0)
-            };
-
-            let ibe = is / self.bf[lane] * (ebe - 1.0);
-            let gbe = (is / self.bf[lane] * debe).max(1.0e-14);
-            let ibc = is / self.br[lane] * (ebc - 1.0);
-            let gbc = (is / self.br[lane] * debc).max(1.0e-14);
-
-            let ict = is * (ebe - ebc) * early;
-            let dict_dvbe = is * debe * early;
-            let dict_dvbc = -is * debc * early + is * (ebe - ebc) * dearly_dvbc;
-
-            self.ic[lane] = ict - ibc;
-            self.ib[lane] = ibe + ibc;
-            self.dic_dvbe[lane] = dict_dvbe;
-            self.dic_dvbc[lane] = dict_dvbc - gbc;
-            self.dib_dvbe[lane] = gbe;
-            self.dib_dvbc[lane] = gbc;
-
-            let (qje, cje) = depletion_charge(vbe, self.cje[lane], self.vje[lane], self.mje[lane]);
-            let (qjc, cjc) = depletion_charge(vbc, self.cjc[lane], self.vjc[lane], self.mjc[lane]);
-            self.qbe[lane] = self.tf[lane] * is * (ebe - 1.0) + qje;
-            self.cbe[lane] = self.tf[lane] * is * debe + cje;
-            self.qbc[lane] = self.tr[lane] * is * (ebc - 1.0) + qjc;
-            self.cbc[lane] = self.tr[lane] * is * debc + cjc;
+        for lane in &mut self.lanes {
+            lane.eval = lane.model.eval(lane.vbe, lane.vbc);
         }
     }
 
-    /// The evaluation of one lane, as the scalar-path struct.
+    /// The last evaluation of one lane.
     pub fn eval_of(&self, lane: usize) -> BjtEval {
-        BjtEval {
-            ic: self.ic[lane],
-            ib: self.ib[lane],
-            dic_dvbe: self.dic_dvbe[lane],
-            dic_dvbc: self.dic_dvbc[lane],
-            dib_dvbe: self.dib_dvbe[lane],
-            dib_dvbc: self.dib_dvbc[lane],
-            qbe: self.qbe[lane],
-            cbe: self.cbe[lane],
-            qbc: self.qbc[lane],
-            cbc: self.cbc[lane],
-        }
+        self.lanes[lane].eval
     }
 }
 
