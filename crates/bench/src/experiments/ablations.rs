@@ -14,6 +14,7 @@ use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::{DetectorLoad, Variant3};
 use faults::Defect;
 use spicier::analysis::dc::{operating_point, DcOptions};
+use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::Error;
 
 /// Load-style ablation result.
@@ -25,7 +26,8 @@ pub struct LoadAblation {
     pub resistor_tstab: f64,
 }
 
-/// Runs the diode-vs-resistor load ablation (same fault, same cap).
+/// Runs the diode-vs-resistor load ablation (same fault, same cap), one
+/// load per sweep worker.
 ///
 /// # Errors
 ///
@@ -40,19 +42,20 @@ pub fn load_ablation(scale: Scale) -> Result<LoadAblation, Error> {
     // current snaps vout down quickly, while the 160 kΩ resistor must
     // discharge the capacitor with its fixed RC (160 µs·pF scale).
     let pipe = 2.5e3;
-    let diode = detector_response(pipe, DetectorLoad::diode_cap(cap), 100.0e6, t_stop, None)?;
-    let resistor = detector_response(
-        pipe,
+    let loads = vec![
+        DetectorLoad::diode_cap(cap),
         DetectorLoad::resistor_cap(160.0e3, cap),
-        100.0e6,
-        t_stop,
-        None,
-    )?;
-    // Band-entry settling; a run that never settles scores the full span.
-    let t = |r: &super::fig7::Fig7Result| r.settling.map(|s| s.t_settle).unwrap_or(t_stop);
+    ];
+    let (slots, report) = par_try_map(loads, &TryMapOptions::default(), |&load| {
+        let r = detector_response(pipe, load, 100.0e6, t_stop, None)?;
+        // Band-entry settling; a run that never settles scores the full span.
+        Ok(r.settling.map_or(t_stop, |s| s.t_settle))
+    });
+    report.into_result()?;
+    let tstab: Vec<f64> = slots.into_iter().flatten().collect();
     Ok(LoadAblation {
-        diode_tstab: t(&diode),
-        resistor_tstab: t(&resistor),
+        diode_tstab: tstab[0],
+        resistor_tstab: tstab[1],
     })
 }
 

@@ -11,6 +11,7 @@
 use crate::detector::{DetectorHandle, Variant1, Variant2};
 use cml_cells::{waveform_of, CmlCircuitBuilder, CmlProcess, DiffPair};
 use faults::Defect;
+use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::analysis::tran::{transient_salvage, TranOptions, TranResult};
 use spicier::{Error, RunBudget};
 use waveform::LevelStats;
@@ -158,22 +159,25 @@ fn run_or_salvage(
     }
 }
 
-/// Sweeps pipe resistances (plus the fault-free baseline, returned first).
+/// Sweeps pipe resistances (plus the fault-free baseline, returned first),
+/// one point per sweep worker.
 ///
 /// # Errors
 ///
-/// Propagates failures from any point.
+/// The first failed point's error, in sweep order.
 pub fn pipe_sweep(
     det: &AnyDetector,
     pipes: &[f64],
     opts: &SweepOptions,
 ) -> Result<Vec<SweepPoint>, Error> {
-    let mut out = Vec::with_capacity(pipes.len() + 1);
-    out.push(measure_point(det, None, opts)?);
-    for &ohms in pipes {
-        out.push(measure_point(det, Some(ohms), opts)?);
-    }
-    Ok(out)
+    let points: Vec<Option<f64>> = std::iter::once(None)
+        .chain(pipes.iter().copied().map(Some))
+        .collect();
+    let (slots, report) = par_try_map(points, &TryMapOptions::default(), |&pipe| {
+        measure_point(det, pipe, opts)
+    });
+    report.into_result()?;
+    Ok(slots.into_iter().flatten().collect())
 }
 
 /// The smallest amplitude the detector flags, given that a reading counts

@@ -153,6 +153,32 @@ impl SweepReport {
             .count()
     }
 
+    /// `Ok` when every corner succeeded; otherwise the first failure in
+    /// input order as an error, for callers that need every corner. A
+    /// corner that panicked panics again here, as it would have inline.
+    ///
+    /// # Errors
+    ///
+    /// The first failed corner's error. A corner skipped or cancelled
+    /// before it ran has none and reports [`Error::SolverContract`].
+    pub fn into_result(self) -> Result<(), Error> {
+        let Some(fail) = self.failures.into_iter().next() else {
+            return Ok(());
+        };
+        match fail.failure {
+            SweepFailure::Solver(error)
+            | SweepFailure::TimedOut { error, .. }
+            | SweepFailure::Untrusted { error }
+            | SweepFailure::Cancelled {
+                error: Some(error), ..
+            } => Err(error),
+            SweepFailure::Panicked(message) => std::panic::resume_unwind(Box::new(message)),
+            other => Err(Error::SolverContract {
+                reason: format!("corner {}: {other}", fail.index),
+            }),
+        }
+    }
+
     /// One-line summary, e.g.
     /// `"38/40 corners ok in 2.1 s (1 solver failure, 1 panicked)"`.
     #[must_use]
@@ -552,6 +578,32 @@ pub fn linspace(start: f64, stop: f64, count: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn into_result_reports_the_first_failure_in_input_order() {
+        let fail_at = |bad: &'static [i32]| {
+            let (_, report) = par_try_map((0..12).collect(), &TryMapOptions::default(), |&i| {
+                if bad.contains(&i) {
+                    Err(Error::SingularMatrix { column: i as usize })
+                } else {
+                    Ok(i)
+                }
+            });
+            report.into_result()
+        };
+        assert!(fail_at(&[]).is_ok());
+        assert!(matches!(
+            fail_at(&[9, 4, 7]),
+            Err(Error::SingularMatrix { column: 4 })
+        ));
+        let (_, report) = par_try_map(vec![0, 1], &TryMapOptions::default(), |&i: &i32| {
+            assert!(i == 0, "corner {i} broke");
+            Ok(i)
+        });
+        let panic = std::panic::catch_unwind(AssertUnwindSafe(|| report.into_result()))
+            .expect_err("the panic is raised again");
+        assert_eq!(panic.downcast_ref::<String>().unwrap(), "corner 1 broke");
+    }
 
     #[test]
     fn try_map_isolates_panics_and_errors() {

@@ -1,9 +1,10 @@
 //! Dense LU factorization with partial pivoting.
 //!
 //! Used directly for small MNA systems and as the reference oracle for the
-//! sparse kernel's tests. [`DenseSolver`] replays a recorded elimination
-//! once a stamp pattern's pivot order has settled; the replay is
-//! bit-identical to a full factorization (see [`DenseSolver`]).
+//! sparse kernel's tests. [`DenseSolver`] replays recorded eliminations,
+//! one per pivot order of a stamp pattern, switching between them as the
+//! order moves; the replay is bit-identical to a full factorization (see
+//! [`DenseSolver`]).
 
 // Index-based loops are kept in these numeric kernels: the indices are
 // the mathematical objects (pivot rows, column positions).
@@ -245,9 +246,11 @@ fn eliminate(data: &mut [f64], n: usize, perm: &mut [usize], from: usize) -> Res
 enum FactorPath {
     /// Full elimination.
     Full,
-    /// The recorded plan replayed to the end.
+    /// Recorded plans replayed to the end, switching between them where
+    /// the pivot order moved.
     Refactor,
-    /// The replay was abandoned and the full elimination finished it.
+    /// No recorded plan had the pivot order; the full elimination
+    /// finished the replay.
     Fallback,
 }
 
@@ -261,166 +264,264 @@ impl FactorPath {
     }
 }
 
-/// The recorded elimination of one stamp pattern in one pivot order: a
-/// symbolic run of [`eliminate`] over the unique stamped slots, fill
-/// included. Step `k`'s entries of each list live at
-/// `ptr[k]..ptr[k + 1]`.
-#[derive(Debug, Default)]
-struct Plan {
-    /// Pivot row of each step (the final row permutation).
-    pivot_row: Vec<usize>,
-    /// Position of step `k`'s pivot row in the search order when the
-    /// step starts (the `perm` index [`eliminate`] swaps with `k`).
-    pivot_pos: Vec<usize>,
-    /// Rows after position `k` in search order that are structurally
-    /// nonzero in column `k`: the only rows that can win the search.
-    cands: Vec<usize>,
-    cand_ptr: Vec<usize>,
-    /// Rows below the pivot that are structurally nonzero in column `k`.
-    lower: Vec<usize>,
-    lower_ptr: Vec<usize>,
-    /// Columns after `k` that are structurally nonzero in the pivot row.
-    upper: Vec<usize>,
-    upper_ptr: Vec<usize>,
-    /// Flat offsets of the structurally zero `L` entries of column `k`.
-    zeros: Vec<usize>,
-    zero_ptr: Vec<usize>,
-    /// Scratch: structural nonzero map and search order while recording.
-    nz: Vec<bool>,
-    order: Vec<usize>,
+/// Most pivot orders a [`DenseSolver`] keeps a recorded plan for, per
+/// stamp pattern; the least recently used plan is evicted.
+const MAX_PLANS: usize = 32;
+
+/// Step `k`'s entries of a plan list: `list[ptr[k]..ptr[k + 1]]`.
+fn step<'a>(list: &'a [u32], ptr: &[u32], k: usize) -> &'a [u32] {
+    &list[ptr[k] as usize..ptr[k + 1] as usize]
 }
 
-impl Plan {
+/// The recorded elimination of one stamp pattern in one pivot order: a
+/// symbolic run of [`eliminate`] over the unique stamped slots, fill
+/// included. Step `k`'s entries of each list live at `ptr[k]..ptr[k + 1]`.
+#[derive(Debug, Default, Clone)]
+struct Plan {
+    /// Pivot row of each step (the final row permutation).
+    pivot_row: Vec<u32>,
+    /// Position of step `k`'s pivot row in the search order when the
+    /// step starts (the `perm` index [`eliminate`] swaps with `k`).
+    pivot_pos: Vec<u32>,
+    /// Flat offsets `r·n + k` of the rows `r` after position `k` in search
+    /// order that are structurally nonzero in column `k`: the only rows
+    /// that can win the search.
+    cands: Vec<u32>,
+    cand_ptr: Vec<u32>,
+    /// Rows below the pivot that are structurally nonzero in column `k`.
+    lower: Vec<u32>,
+    lower_ptr: Vec<u32>,
+    /// Columns after `k` that are structurally nonzero in the pivot row.
+    upper: Vec<u32>,
+    upper_ptr: Vec<u32>,
+    /// Flat offsets of the structurally zero `L` entries of column `k`.
+    zeros: Vec<u32>,
+    zero_ptr: Vec<u32>,
+    /// Clock of the last factorization that ended in this pivot order.
+    last_used: u64,
+}
+
+/// Symbolic scratch shared by every recording: the structural nonzero
+/// map, the search order, and a plan whose lists keep their capacity from
+/// one recording to the next.
+#[derive(Debug, Default)]
+struct Recorder {
+    nz: Vec<bool>,
+    order: Vec<usize>,
+    plan: Plan,
+}
+
+impl Recorder {
     /// Records the elimination of the stamped slots `pattern` (flat
-    /// offsets into an `n × n` matrix) in pivot order `pivots`,
-    /// overwriting any previous plan.
-    fn record(&mut self, n: usize, pattern: &[usize], pivots: &[usize]) {
-        self.pivot_row.clear();
-        self.pivot_row.extend_from_slice(pivots);
-        self.pivot_pos.clear();
-        for list in [&mut self.cands, &mut self.lower, &mut self.upper] {
+    /// offsets into an `n × n` matrix) in pivot order `pivots`, and
+    /// returns it with lists of exactly their length.
+    fn record(&mut self, n: usize, pattern: &[usize], pivots: &[usize]) -> Plan {
+        let Recorder { nz, order, plan } = self;
+        plan.pivot_row.clear();
+        plan.pivot_row.extend(pivots.iter().map(|&r| r as u32));
+        plan.pivot_pos.clear();
+        for list in [
+            &mut plan.cands,
+            &mut plan.lower,
+            &mut plan.upper,
+            &mut plan.zeros,
+        ] {
             list.clear();
         }
-        self.zeros.clear();
         for ptr in [
-            &mut self.cand_ptr,
-            &mut self.lower_ptr,
-            &mut self.upper_ptr,
-            &mut self.zero_ptr,
+            &mut plan.cand_ptr,
+            &mut plan.lower_ptr,
+            &mut plan.upper_ptr,
+            &mut plan.zero_ptr,
         ] {
             ptr.clear();
             ptr.push(0);
         }
-        self.nz.clear();
-        self.nz.resize(n * n, false);
+        nz.clear();
+        nz.resize(n * n, false);
         for &slot in pattern {
-            self.nz[slot] = true;
+            nz[slot] = true;
         }
-        self.order.clear();
-        self.order.extend(0..n);
+        order.clear();
+        order.extend(0..n);
         for k in 0..n {
             let pivot = pivots[k];
-            let pos = k + self.order[k..]
+            let pos = k + order[k..]
                 .iter()
                 .position(|&r| r == pivot)
                 .expect("pivots is a permutation");
-            self.pivot_pos.push(pos);
-            for &r in &self.order[k + 1..] {
-                if self.nz[r * n + k] {
-                    self.cands.push(r);
+            plan.pivot_pos.push(pos as u32);
+            for &r in &order[k + 1..] {
+                if nz[r * n + k] {
+                    plan.cands.push((r * n + k) as u32);
                 }
             }
-            self.order.swap(k, pos);
-            let upper_start = self.upper.len();
+            order.swap(k, pos);
+            let upper_start = plan.upper.len();
             for c in (k + 1)..n {
-                if self.nz[pivot * n + c] {
-                    self.upper.push(c);
+                if nz[pivot * n + c] {
+                    plan.upper.push(c as u32);
                 }
             }
-            for &r in &self.order[k + 1..] {
-                if self.nz[r * n + k] {
-                    self.lower.push(r);
-                    for &c in &self.upper[upper_start..] {
-                        self.nz[r * n + c] = true;
+            for &r in &order[k + 1..] {
+                if nz[r * n + k] {
+                    plan.lower.push(r as u32);
+                    for &c in &plan.upper[upper_start..] {
+                        nz[r * n + c as usize] = true;
                     }
                 } else {
-                    self.zeros.push(r * n + k);
+                    plan.zeros.push((r * n + k) as u32);
                 }
             }
-            self.cand_ptr.push(self.cands.len());
-            self.lower_ptr.push(self.lower.len());
-            self.upper_ptr.push(self.upper.len());
-            self.zero_ptr.push(self.zeros.len());
+            plan.cand_ptr.push(plan.cands.len() as u32);
+            plan.lower_ptr.push(plan.lower.len() as u32);
+            plan.upper_ptr.push(plan.upper.len() as u32);
+            plan.zero_ptr.push(plan.zeros.len() as u32);
         }
+        plan.clone()
     }
+}
 
-    /// Factors `data` (the assembled, all-finite matrix of the recorded
-    /// pattern) by replaying the plan; `perm` must enter as the
-    /// identity. Each step reruns the pivot search over the candidate
-    /// rows; the first step whose search picks another row (or finds no
-    /// acceptable pivot) hands the matrix, as it stands, to
-    /// [`eliminate`] from that step on.
+impl Plan {
+    /// Solves `A x = b` with the factors a replay ending on this plan left
+    /// in `data`, visiting only the structural nonzeros: the forward
+    /// solve runs column by column over the `L` rows, the backward solve
+    /// row by row over the `U` columns, each in the operation order of
+    /// [`DenseMatrix::lu_solve`]. `rhs` holds `b` on entry and `x` on
+    /// exit; `acc` and `x` are `n`-long scratch.
     ///
-    /// # Errors
-    ///
-    /// [`Error::SingularMatrix`] from the continued elimination.
-    fn replay(&self, data: &mut [f64], n: usize, perm: &mut [usize]) -> Result<FactorPath, Error> {
+    /// Returns `false`, with `rhs` untouched, when `b` holds a −0.0 or
+    /// `x` is not finite: only then can a skipped `(±0)·v` term change a
+    /// bit, so the caller runs the dense solve instead.
+    fn solve(
+        &self,
+        data: &[f64],
+        n: usize,
+        rhs: &mut [f64],
+        acc: &mut [f64],
+        x: &mut [f64],
+    ) -> bool {
+        if rhs.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()) {
+            return false;
+        }
+        acc.copy_from_slice(rhs);
         for k in 0..n {
-            // The search of `eliminate`, skipping rows that are
-            // structurally zero in column k: they hold +0.0 and never
-            // beat the running maximum.
-            let mut best = perm[k];
-            let mut best_mag = data[best * n + k].abs();
-            for &r in &self.cands[self.cand_ptr[k]..self.cand_ptr[k + 1]] {
-                let mag = data[r * n + k].abs();
-                if mag > best_mag {
-                    best_mag = mag;
-                    best = r;
-                }
-            }
-            let pk = self.pivot_row[k];
-            // A NaN pivot is handed over too: its full elimination
-            // spreads NaN through every row below it.
-            if best != pk || best_mag.is_nan() || best_mag < PIVOT_FLOOR {
-                eliminate(data, n, perm, k)?;
-                return Ok(FactorPath::Fallback);
-            }
-            perm.swap(k, self.pivot_pos[k]);
-            let pivot = data[pk * n + k];
-            let upper = &self.upper[self.upper_ptr[k]..self.upper_ptr[k + 1]];
-            let mut diverged = false;
-            for &r in &self.lower[self.lower_ptr[k]..self.lower_ptr[k + 1]] {
-                let factor = data[r * n + k] / pivot;
-                data[r * n + k] = factor;
-                if factor == 0.0 {
-                    continue;
-                }
-                if factor.is_finite() {
-                    for &c in upper {
-                        data[r * n + c] -= factor * data[pk * n + c];
-                    }
-                } else {
-                    // factor · (+0.0) is NaN, so the full elimination
-                    // also changes this row's structurally zero columns.
-                    for c in (k + 1)..n {
-                        data[r * n + c] -= factor * data[pk * n + c];
-                    }
-                    diverged = true;
-                }
-            }
-            if pivot < 0.0 {
-                // What `eliminate` stores as +0.0 / pivot.
-                for &slot in &self.zeros[self.zero_ptr[k]..self.zero_ptr[k + 1]] {
-                    data[slot] = -0.0;
-                }
-            }
-            if diverged {
-                eliminate(data, n, perm, k + 1)?;
-                return Ok(FactorPath::Fallback);
+            let yk = acc[self.pivot_row[k] as usize];
+            for &r in step(&self.lower, &self.lower_ptr, k) {
+                let r = r as usize;
+                acc[r] -= data[r * n + k] * yk;
             }
         }
-        Ok(FactorPath::Refactor)
+        for k in (0..n).rev() {
+            let pk = self.pivot_row[k] as usize;
+            let mut sum = acc[pk];
+            for &c in step(&self.upper, &self.upper_ptr, k) {
+                sum -= data[pk * n + c as usize] * x[c as usize];
+            }
+            x[k] = sum / data[pk * n + k];
+        }
+        if !x.iter().all(|v| v.is_finite()) {
+            return false;
+        }
+        rhs.copy_from_slice(x);
+        true
     }
+}
+
+/// Factors `data` (the assembled, all-finite matrix of the recorded
+/// pattern) by replaying `plans[start]`; `perm` must enter as the
+/// identity. Each step reruns the pivot search over the candidate rows.
+/// When the search picks another row, the replay switches to a plan with
+/// the same pivots before the step and that row at it; when no plan has
+/// them (or the search finds no acceptable pivot), it hands the matrix,
+/// as it stands, to [`eliminate`] from that step on. Returns the path and
+/// the plan the replay ended on.
+///
+/// # Errors
+///
+/// [`Error::SingularMatrix`] from the continued elimination.
+fn replay(
+    plans: &[Plan],
+    start: usize,
+    data: &mut [f64],
+    n: usize,
+    perm: &mut [usize],
+) -> Result<(FactorPath, usize), Error> {
+    let mut p = start;
+    for k in 0..n {
+        let mut plan = &plans[p];
+        // The search of `eliminate`, skipping rows that are structurally
+        // zero in column k: they hold +0.0 and never beat the running
+        // maximum.
+        let mut best = perm[k] * n + k;
+        let mut best_mag = data[best].abs();
+        for &slot in step(&plan.cands, &plan.cand_ptr, k) {
+            let mag = data[slot as usize].abs();
+            if mag > best_mag {
+                best_mag = mag;
+                best = slot as usize;
+            }
+        }
+        // A NaN pivot is handed over too: its full elimination spreads
+        // NaN through every row below it.
+        if best_mag.is_nan() || best_mag < PIVOT_FLOOR {
+            eliminate(data, n, perm, k)?;
+            return Ok((FactorPath::Fallback, p));
+        }
+        if best != plan.pivot_row[k] as usize * n + k {
+            let row = ((best - k) / n) as u32;
+            let prefix = &plan.pivot_row[..k];
+            match plans
+                .iter()
+                .position(|q| q.pivot_row[k] == row && q.pivot_row[..k] == *prefix)
+            {
+                Some(q) => {
+                    p = q;
+                    plan = &plans[q];
+                }
+                None => {
+                    eliminate(data, n, perm, k)?;
+                    return Ok((FactorPath::Fallback, p));
+                }
+            }
+        }
+        perm.swap(k, plan.pivot_pos[k] as usize);
+        let pk = plan.pivot_row[k] as usize * n;
+        let pivot = data[pk + k];
+        let upper = step(&plan.upper, &plan.upper_ptr, k);
+        let mut diverged = false;
+        for &r in step(&plan.lower, &plan.lower_ptr, k) {
+            let r = r as usize * n;
+            let factor = data[r + k] / pivot;
+            data[r + k] = factor;
+            if factor == 0.0 {
+                continue;
+            }
+            if factor.is_finite() {
+                for &c in upper {
+                    data[r + c as usize] -= factor * data[pk + c as usize];
+                }
+            } else {
+                // factor · (+0.0) is NaN, so the full elimination also
+                // changes this row's structurally zero columns.
+                for c in (k + 1)..n {
+                    data[r + c] -= factor * data[pk + c];
+                }
+                diverged = true;
+            }
+        }
+        if pivot < 0.0 {
+            // What `eliminate` stores as +0.0 / pivot.
+            for &slot in step(&plan.zeros, &plan.zero_ptr, k) {
+                data[slot as usize] = -0.0;
+            }
+        }
+        if diverged {
+            eliminate(data, n, perm, k + 1)?;
+            return Ok((FactorPath::Fallback, p));
+        }
+    }
+    Ok((FactorPath::Refactor, p))
 }
 
 /// `(‖A‖∞, ‖A‖₁, every entry finite)` of the row-major `n × n` matrix
@@ -457,7 +558,8 @@ fn pattern_norms(
 }
 
 /// Reusable dense solver workspace: the compiled stamp program of the last
-/// pattern it saw, and a replayed refactorization.
+/// pattern it saw, and replayed refactorizations over a cache of recorded
+/// pivot orders.
 ///
 /// **Compilation.** Like the sparse kernel's [`StampMap`](super::StampMap),
 /// the solver turns a [`Triplets`] key sequence into flattened
@@ -465,33 +567,56 @@ fn pattern_norms(
 /// through the cached slots. While the triplets carry a program id the
 /// solver has matched before, the keys are not compared again; on a new
 /// id they are compared once, and the id is adopted when they are equal,
-/// so the slots, the plan below and the counters survive a workspace
+/// so the slots, the plans below and the counters survive a workspace
 /// shared by several assemblers of one topology. Scatter order is
 /// emission order either way, so the assembled matrix is bit-identical to
 /// the uncached path.
 ///
-/// **Refactorization.** When a full factorization on the cached pattern
-/// picks the same pivot sequence as the previous full factorization on
-/// it, the solver records a plan: a symbolic elimination of the unique
-/// stamped slots in that order. Later calls replay the plan, updating
-/// only the structurally nonzero `L` rows × `U` columns of each step and
-/// rerunning the partial-pivoting search over the candidate rows. The
-/// first step whose search picks a different row continues the ordinary
-/// elimination in place from that step (one pivot fallback; the plan is
-/// dropped). A matrix with a non-finite entry always takes the full
-/// path.
+/// **Plans.** A plan is a symbolic elimination of the unique stamped slots
+/// in one pivot order. The solver keeps up to 32 plans per stamp pattern,
+/// keyed by pivot order, evicts the least recently used, and drops them
+/// all when the pattern changes. A replay updates only the structurally
+/// nonzero `L` rows × `U` columns of each step and reruns the
+/// partial-pivoting search over the candidate rows.
 ///
-/// The replay is bit-identical to a full factorization. The scatter
-/// starts every entry from +0.0, so no assembled entry is −0.0, and no
-/// update `a − f·u` can produce −0.0 from an `a` that is not −0.0.
-/// Structurally zero entries therefore hold exactly +0.0, and each update
-/// the replay skips is `a − f·(+0.0)` with `a ≠ −0.0` and `f` finite,
-/// which leaves `a` unchanged. Rows whose factor is zero are skipped by
-/// both paths. The one value a skipped step would have written is the
-/// structurally zero `L` factor `+0.0 / pivot`, which the replay writes
-/// as −0.0 when the pivot is negative. A non-finite factor (overflow)
-/// makes `f·(+0.0)` NaN, so that row gets the full update and the rest
-/// of the factorization runs on the full path.
+/// **Switching.** When step `k`'s search picks row `w` but the plan
+/// recorded another row, the replay continues from step `k` with a cached
+/// plan that has the same pivots before `k` and `w` at `k`. Equal pivots
+/// before `k` mean the same search order and the same fill at step `k`,
+/// because both depend only on the earlier pivots. So that plan's step-`k`
+/// lists are exactly what a full elimination of this matrix sees, and the
+/// search already run over the first plan's candidates is the search over
+/// the new plan's. Only when no cached plan matches does [`eliminate`]
+/// take over from step `k` (one pivot fallback). A switched replay counts
+/// as a refactor.
+///
+/// **Replay policy.** The solver replays only while the previous
+/// factorization's pivot order is cached: after a refactor, or after a
+/// full factorization whose order is cached or was just recorded.
+/// Otherwise it runs the full elimination. It records a new order, lazily,
+/// when two consecutive full factorizations pick the same pivots. A matrix
+/// with a non-finite entry always takes the full path and leaves the
+/// replay state alone.
+///
+/// **Bit identity.** The replay is bit-identical to a full factorization.
+/// The scatter starts every entry from +0.0, so no assembled entry is
+/// −0.0, and no update `a − f·u` can produce −0.0 from an `a` that is not
+/// −0.0. Structurally zero entries therefore hold exactly +0.0, and each
+/// update the replay skips is `a − f·(+0.0)` with `a ≠ −0.0` and `f`
+/// finite, which leaves `a` unchanged. Rows whose factor is zero are
+/// skipped by both paths. The one value a skipped step would have written
+/// is the structurally zero `L` factor `+0.0 / pivot`, which the replay
+/// writes as −0.0 when the pivot is negative. A non-finite factor
+/// (overflow) makes `f·(+0.0)` NaN, so that row gets the full update and
+/// the rest of the factorization runs on the full path.
+///
+/// **Structural solves.** After a replay the triangular solves also visit
+/// only the final plan's structural nonzeros, in the dense loops'
+/// operation order. A skipped term is `s − (±0)·v`. Without a −0.0 in `b`
+/// no running sum is ever −0.0, and with `v` finite such a term leaves `s`
+/// unchanged. So a right-hand side holding −0.0, or a non-finite result
+/// (the only way a non-finite `v` shows), takes the dense solve instead.
+/// The certification residual is computed from the triplets either way.
 #[derive(Debug, Default)]
 pub struct DenseSolver {
     matrix: Option<DenseMatrix>,
@@ -506,13 +631,19 @@ pub struct DenseSolver {
     perm: Vec<usize>,
     /// Pivot sequence of the last full factorization on this pattern.
     last_pivots: Option<Vec<usize>>,
-    plan: Plan,
-    /// Whether `plan` describes the cached pattern and is replayed.
-    replaying: bool,
+    /// Recorded plans of the cached pattern, one per pivot order.
+    plans: Vec<Plan>,
+    /// The plan of the previous factorization's pivot order, which the
+    /// next call replays.
+    active: Option<usize>,
+    /// Factorization clock for least-recently-used eviction.
+    clock: u64,
+    recorder: Recorder,
     // Per-solve scratch.
     col_sums: Vec<f64>,
     b: Vec<f64>,
     y: Vec<f64>,
+    acc: Vec<f64>,
     residual: Vec<f64>,
     last_quality: SolveQuality,
     stats: LuStats,
@@ -531,7 +662,7 @@ impl DenseSolver {
     }
 
     /// Caches `triplets`' stamp sequence: slot map, unique stamped
-    /// pattern, an `n × n` matrix; forgets the refactorization state.
+    /// pattern, an `n × n` matrix; forgets the recorded plans.
     fn rebuild(&mut self, triplets: &Triplets) {
         let n = triplets.dim();
         if !matches!(&self.matrix, Some(m) if m.dim() == n) {
@@ -559,34 +690,56 @@ impl DenseSolver {
             self.pattern_row_ptr[r + 1] += self.pattern_row_ptr[r];
         }
         self.last_pivots = None;
-        self.replaying = false;
+        self.plans.clear();
+        self.active = None;
     }
 
-    /// Updates the counters and the refactorization state after a
-    /// factorization that took `path` and left its pivots in `perm`.
-    fn record_path(&mut self, path: FactorPath) {
+    /// Updates the counters and the replay state after a factorization
+    /// that took `path`, ended on plan `ended` (a refactor) and left its
+    /// pivots in `perm`.
+    fn record_path(&mut self, path: FactorPath, ended: usize) {
+        self.clock += 1;
         match path {
-            FactorPath::Refactor => self.stats.refactors += 1,
+            FactorPath::Refactor => {
+                self.stats.refactors += 1;
+                self.active = Some(ended);
+            }
+            // Non-finite data while replaying: the plans stay as they are.
+            FactorPath::Full if self.active.is_some() => self.stats.full_factors += 1,
             FactorPath::Full | FactorPath::Fallback => {
                 self.stats.full_factors += 1;
                 if path == FactorPath::Fallback {
                     self.stats.pivot_fallbacks += 1;
-                    self.replaying = false;
                 }
-                // A full factorization while replaying only happens on
-                // non-finite data; it leaves the plan alone.
-                if !self.replaying {
-                    match &mut self.last_pivots {
-                        Some(last) if *last == self.perm => {
-                            let n = self.perm.len();
-                            self.plan.record(n, &self.pattern, &self.perm);
-                            self.replaying = true;
-                        }
-                        Some(last) => last.clone_from(&self.perm),
-                        None => self.last_pivots = Some(self.perm.clone()),
-                    }
+                let perm = &self.perm;
+                self.active = self.plans.iter().position(|plan| {
+                    plan.pivot_row
+                        .iter()
+                        .zip(perm)
+                        .all(|(&a, &b)| a as usize == b)
+                });
+                if self.active.is_none() && self.last_pivots.as_ref() == Some(perm) {
+                    let plan = self.recorder.record(perm.len(), &self.pattern, perm);
+                    let slot = if self.plans.len() < MAX_PLANS {
+                        self.plans.push(plan);
+                        self.plans.len() - 1
+                    } else {
+                        let lru = (0..self.plans.len())
+                            .min_by_key(|&i| self.plans[i].last_used)
+                            .expect("the cache is full");
+                        self.plans[lru] = plan;
+                        lru
+                    };
+                    self.active = Some(slot);
+                }
+                match &mut self.last_pivots {
+                    Some(last) => last.clone_from(&self.perm),
+                    None => self.last_pivots = Some(self.perm.clone()),
                 }
             }
+        }
+        if let Some(active) = self.active {
+            self.plans[active].last_used = self.clock;
         }
     }
 
@@ -596,7 +749,8 @@ impl DenseSolver {
     }
 
     /// Kernel counters: full factorizations (pivot fallbacks included),
-    /// replayed refactorizations, abandoned replays, triangular solves.
+    /// replayed refactorizations, replays no cached plan could finish,
+    /// triangular solves.
     pub fn stats(&self) -> LuStats {
         self.stats
     }
@@ -631,13 +785,17 @@ impl Solver for DenseSolver {
         );
         self.perm.clear();
         self.perm.extend(0..n);
-        let path = if self.replaying && finite {
-            self.plan.replay(&mut matrix.data, n, &mut self.perm)?
-        } else {
-            eliminate(&mut matrix.data, n, &mut self.perm, 0)?;
-            FactorPath::Full
+        let (path, ended) = match self.active {
+            Some(start) if finite => {
+                replay(&self.plans, start, &mut matrix.data, n, &mut self.perm)?
+            }
+            _ => {
+                eliminate(&mut matrix.data, n, &mut self.perm, 0)?;
+                (FactorPath::Full, 0)
+            }
         };
-        self.record_path(path);
+        self.record_path(path, ended);
+        let plan = (path == FactorPath::Refactor).then(|| &self.plans[ended]);
         let matrix = self.matrix.as_mut().expect("sized by rebuild");
         let perm = &self.perm;
         if crate::chaos::perturb_lu_active() && n > 0 {
@@ -650,12 +808,18 @@ impl Solver for DenseSolver {
         self.b.clear();
         self.b.extend_from_slice(rhs);
         self.y.resize(n, 0.0);
+        self.acc.resize(n, 0.0);
         self.residual.resize(n, 0.0);
-        let (b, y) = (&self.b, &mut self.y);
-        matrix.lu_solve_with(perm, rhs, y);
+        let matrix: &DenseMatrix = matrix;
+        let (b, y, acc) = (&self.b, &mut self.y, &mut self.acc);
+        let mut lu_solve = |v: &mut [f64]| {
+            if !plan.is_some_and(|plan| plan.solve(&matrix.data, n, v, acc, y)) {
+                matrix.lu_solve_with(perm, v, y);
+            }
+        };
+        lu_solve(rhs);
         // Triangular-solve tally shared with the certifier's closures.
         let solves = std::cell::Cell::new(1usize);
-        let matrix: &DenseMatrix = matrix;
         self.last_quality = verify::certify_with(
             rhs,
             b,
@@ -671,7 +835,7 @@ impl Solver for DenseSolver {
                 }
             },
             |v| {
-                matrix.lu_solve_with(perm, v, y);
+                lu_solve(v);
                 solves.set(solves.get() + 1);
                 Ok(())
             },

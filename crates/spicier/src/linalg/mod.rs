@@ -8,9 +8,9 @@
 //!
 //! * [`dense`]: LU with partial pivoting on a row-major dense matrix, used
 //!   for systems of up to [`DENSE_CUTOFF`] unknowns and as the reference
-//!   implementation; once a stamp pattern's pivot order settles it replays
-//!   a recorded elimination over the structural nonzeros, bit-identical
-//!   to a full factorization;
+//!   implementation; it replays recorded eliminations over the
+//!   structural nonzeros, one per pivot order a stamp pattern has
+//!   settled in, bit-identical to a full factorization;
 //! * [`sparse`]: a left-looking Gilbert–Peierls LU with partial pivoting
 //!   on compressed-sparse-column storage, used for larger systems, always
 //!   on a fill-reducing [`order`]ing of the pattern, with a cached-pattern

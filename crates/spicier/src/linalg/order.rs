@@ -28,17 +28,23 @@
 /// natural order is no worse than a quadratic-time ordering attempt.
 const WORK_CAP_FACTOR: usize = 64;
 
+/// A neighbour list more than this many times longer than the clique
+/// merged into it is updated in place by binary search instead of a
+/// full merge.
+const SPLICE_RATIO: usize = 8;
+
 /// Builds the symmetrized adjacency (pattern of `A + Aᵀ`, diagonal
-/// dropped) of a CSC pattern, as sorted per-node neighbour lists.
-pub(crate) fn symmetric_adjacency(n: usize, col_ptr: &[usize], rows: &[usize]) -> Vec<Vec<u32>> {
+/// dropped) of the `(row, col)` entries `pattern`, as sorted per-node
+/// neighbour lists.
+pub(crate) fn symmetric_adjacency(
+    n: usize,
+    pattern: impl IntoIterator<Item = (usize, usize)>,
+) -> Vec<Vec<u32>> {
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for c in 0..n {
-        for p in col_ptr[c]..col_ptr[c + 1] {
-            let r = rows[p];
-            if r != c {
-                adj[r].push(c as u32);
-                adj[c].push(r as u32);
-            }
+    for (r, c) in pattern {
+        if r != c {
+            adj[r].push(c as u32);
+            adj[c].push(r as u32);
         }
     }
     for list in &mut adj {
@@ -57,8 +63,18 @@ pub(crate) fn symmetric_adjacency(n: usize, col_ptr: &[usize], rows: &[usize]) -
 /// permutation; when the work cap trips, the tail of the order is the
 /// natural order of the remaining nodes.
 pub fn min_degree_pinv(n: usize, col_ptr: &[usize], rows: &[usize]) -> Vec<usize> {
-    let mut adj = symmetric_adjacency(n, col_ptr, rows);
-    let nnz = rows.len();
+    let pattern = (0..n).flat_map(|c| {
+        rows[col_ptr[c]..col_ptr[c + 1]]
+            .iter()
+            .map(move |&r| (r, c))
+    });
+    min_degree_order(symmetric_adjacency(n, pattern), rows.len())
+}
+
+/// [`min_degree_pinv`] on a prebuilt [`symmetric_adjacency`] of a pattern
+/// with `nnz` unique entries (diagonal included).
+pub(crate) fn min_degree_order(mut adj: Vec<Vec<u32>>, nnz: usize) -> Vec<usize> {
+    let n = adj.len();
     let work_cap = WORK_CAP_FACTOR * nnz + n;
     let mut work = 0usize;
 
@@ -86,50 +102,69 @@ pub fn min_degree_pinv(n: usize, col_ptr: &[usize], rows: &[usize]) -> Vec<usize
             continue; // cap tripped: stop updating, drain by stale degrees
         }
         // Fill-graph update: v's neighbours become a clique. Each
-        // neighbour's list is merged with v's (minus the two endpoints
-        // and anything already eliminated).
+        // neighbour's list becomes its union with v's, minus the two
+        // endpoints and anything already eliminated. The lists of live
+        // nodes never hold an eliminated node other than v (each
+        // elimination rewrites all of its neighbours' lists), so a short
+        // clique against a long list (a rail node losing one chain
+        // neighbour) is spliced in place by binary search: the same list
+        // as the merge, without walking the whole of it.
         let clique = std::mem::take(&mut adj[v]);
         for &u in &clique {
             let u = u as usize;
             if eliminated[u] {
                 continue;
             }
-            merged.clear();
-            let (a, b) = (&adj[u], &clique);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < a.len() || j < b.len() {
-                let cand = match (a.get(i), b.get(j)) {
-                    (Some(&x), Some(&y)) => {
-                        if x <= y {
-                            if x == y {
+            let list = &mut adj[u];
+            work += list.len() + clique.len();
+            if SPLICE_RATIO * clique.len() < list.len() {
+                if let Ok(at) = list.binary_search(&(v as u32)) {
+                    list.remove(at);
+                }
+                for &w in &clique {
+                    if w as usize != u && !eliminated[w as usize] {
+                        if let Err(at) = list.binary_search(&w) {
+                            list.insert(at, w);
+                        }
+                    }
+                }
+            } else {
+                merged.clear();
+                let (a, b) = (&*list, &clique);
+                let (mut i, mut j) = (0usize, 0usize);
+                while i < a.len() || j < b.len() {
+                    let cand = match (a.get(i), b.get(j)) {
+                        (Some(&x), Some(&y)) => {
+                            if x <= y {
+                                if x == y {
+                                    j += 1;
+                                }
+                                i += 1;
+                                x
+                            } else {
                                 j += 1;
+                                y
                             }
+                        }
+                        (Some(&x), None) => {
                             i += 1;
                             x
-                        } else {
+                        }
+                        (None, Some(&y)) => {
                             j += 1;
                             y
                         }
+                        (None, None) => break,
+                    };
+                    let cu = cand as usize;
+                    if cu != u && cu != v && !eliminated[cu] {
+                        merged.push(cand);
                     }
-                    (Some(&x), None) => {
-                        i += 1;
-                        x
-                    }
-                    (None, Some(&y)) => {
-                        j += 1;
-                        y
-                    }
-                    (None, None) => break,
-                };
-                let cu = cand as usize;
-                if cu != u && cu != v && !eliminated[cu] {
-                    merged.push(cand);
                 }
+                list.clear();
+                list.extend_from_slice(&merged);
             }
-            work += a.len() + b.len();
-            adj[u].clear();
-            adj[u].extend_from_slice(&merged);
-            heap.push(std::cmp::Reverse((adj[u].len() as u64, u as u32)));
+            heap.push(std::cmp::Reverse((list.len() as u64, u as u32)));
         }
     }
     // Any node never reached through the heap (cannot normally happen,
@@ -242,6 +277,114 @@ mod tests {
             ordered * 2 < natural,
             "ordered fill {ordered} vs natural {natural}"
         );
+    }
+
+    /// Reference ordering in which every update re-merges the whole
+    /// neighbour list, the result the in-place splice must reproduce.
+    /// Returns the order and whether the work cap tripped.
+    fn merge_only_pinv(n: usize, col_ptr: &[usize], rows: &[usize]) -> (Vec<usize>, bool) {
+        let pattern = (0..n).flat_map(|c| {
+            rows[col_ptr[c]..col_ptr[c + 1]]
+                .iter()
+                .map(move |&r| (r, c))
+        });
+        let mut adj = symmetric_adjacency(n, pattern);
+        let work_cap = WORK_CAP_FACTOR * rows.len() + n;
+        let mut work = 0usize;
+        let mut heap = std::collections::BinaryHeap::new();
+        for (i, list) in adj.iter().enumerate() {
+            heap.push(std::cmp::Reverse((list.len() as u64, i as u32)));
+        }
+        let mut eliminated = vec![false; n];
+        let mut pinv = vec![usize::MAX; n];
+        let mut next = 0usize;
+        while let Some(std::cmp::Reverse((deg, v))) = heap.pop() {
+            let v = v as usize;
+            if eliminated[v] || adj[v].len() as u64 != deg {
+                continue;
+            }
+            eliminated[v] = true;
+            pinv[v] = next;
+            next += 1;
+            if work >= work_cap {
+                continue;
+            }
+            let clique = std::mem::take(&mut adj[v]);
+            for &u in &clique {
+                let u = u as usize;
+                if eliminated[u] {
+                    continue;
+                }
+                let mut merged: Vec<u32> = adj[u]
+                    .iter()
+                    .chain(&clique)
+                    .copied()
+                    .filter(|&w| w as usize != u && w as usize != v && !eliminated[w as usize])
+                    .collect();
+                merged.sort_unstable();
+                merged.dedup();
+                work += adj[u].len() + clique.len();
+                adj[u] = merged;
+                heap.push(std::cmp::Reverse((adj[u].len() as u64, u as u32)));
+            }
+        }
+        (pinv, work >= work_cap)
+    }
+
+    /// A random graph: `n` nodes, a chain, a few random edges per node,
+    /// and `hubs` nodes each coupled to a random fifth of the others.
+    fn random_hub_graph(rng: &mut xrand::StdRng, n: usize, hubs: usize) -> SparseMatrix {
+        let mut t = Triplets::new(n);
+        for i in 0..n {
+            t.add(i, i, 1.0);
+            if i + 1 < n {
+                t.add(i, i + 1, 1.0);
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                t.add(i, rng.gen_range(0..n), 1.0);
+            }
+        }
+        for _ in 0..hubs {
+            let hub = rng.gen_range(0..n);
+            for _ in 0..n / 5 {
+                let j = rng.gen_range(0..n);
+                t.add(hub, j, 1.0);
+                t.add(j, hub, 1.0);
+            }
+        }
+        SparseMatrix::from_triplets(&t)
+    }
+
+    #[test]
+    fn splicing_keeps_the_merge_order() {
+        let check = |a: &SparseMatrix| {
+            let (want, tripped) = merge_only_pinv(a.dim(), a.col_ptr(), a.rows());
+            assert_eq!(min_degree_pinv(a.dim(), a.col_ptr(), a.rows()), want);
+            tripped
+        };
+        for n in [2usize, 50, 321, 1200] {
+            assert!(!check(&SparseMatrix::from_triplets(&hub_chain(n))));
+        }
+        let mut rng = xrand::StdRng::seed_from_u64(0x0DE6);
+        for _ in 0..24 {
+            let n = rng.gen_range(20usize..400);
+            let hubs = rng.gen_range(0usize..6);
+            check(&random_hub_graph(&mut rng, n, hubs));
+        }
+        // Dense enough that the work cap trips part way.
+        let mut tripped = false;
+        for n in [120usize, 160] {
+            let mut t = Triplets::new(n);
+            for r in 0..n {
+                for c in 0..n {
+                    if r == c || rng.gen_bool(0.5) {
+                        t.add(r, c, 1.0);
+                    }
+                }
+            }
+            tripped |= check(&SparseMatrix::from_triplets(&t));
+        }
+        assert!(tripped, "no case tripped the work cap");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 // the mathematical objects (pivot rows, column positions).
 #![allow(clippy::needless_range_loop)]
 
-use super::order::min_degree_pinv;
+use super::order::{min_degree_order, symmetric_adjacency};
 use super::{verify, verify::SolveQuality, Solver, Triplets, DENSE_CUTOFF};
 use crate::error::Error;
 
@@ -394,15 +394,18 @@ impl FactorCsc {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LuStats {
     /// Full factorizations: first use, pattern change, a pivot order not
-    /// yet seen twice (dense), or a pivot-degradation fallback.
+    /// cached (dense: recorded once two consecutive full factorizations
+    /// pick it), or a pivot-degradation fallback.
     pub full_factors: usize,
     /// Numeric-only refactorizations that reused the cached pattern and
-    /// pivot order to the end.
+    /// a recorded pivot order to the end. A dense replay that switched
+    /// between cached pivot orders on the way counts here.
     pub refactors: usize,
-    /// Refactorizations abandoned mid-replay because partial pivoting
-    /// would now choose a different pivot; each also counts as a full
-    /// factor. For the sparse kernel, [`SparseLu::last_pivot_fallback`]
-    /// gives the triggering ratio.
+    /// Refactorizations handed to the full elimination mid-replay because
+    /// partial pivoting now chose a pivot no cached order has (the dense
+    /// kernel caches several orders, the sparse kernel one); each also
+    /// counts as a full factor. For the sparse kernel,
+    /// [`SparseLu::last_pivot_fallback`] gives the triggering ratio.
     pub pivot_fallbacks: usize,
     /// Triangular solves applied against the factors (Newton steps,
     /// refinement re-solves, and condition-estimator probes alike).
@@ -554,16 +557,25 @@ impl SparseLu {
     /// Returns [`Error::SingularMatrix`] when no acceptable pivot exists in
     /// some column.
     pub fn factor(&mut self, a: &SparseMatrix) -> Result<(), Error> {
-        let n = a.dim();
-        self.resize(n);
+        self.resize(a.dim());
         self.lower.begin();
         self.upper.begin();
-        self.sym_valid = false;
         self.sym_xi.clear();
         self.sym_xi_ptr.clear();
         self.sym_xi_ptr.push(0);
         self.sym_pivot.clear();
-        for k in 0..n {
+        self.factor_from(a, 0)
+    }
+
+    /// Runs the column loop of [`factor`](Self::factor) from column
+    /// `from` to the end. The factors, the symbolic state and `pinv` must
+    /// hold exactly what a factorization of `a` leaves after its first
+    /// `from` columns, with `L`'s rows in original coordinates and the
+    /// workspaces clean.
+    fn factor_from(&mut self, a: &SparseMatrix, from: usize) -> Result<(), Error> {
+        let n = a.dim();
+        self.sym_valid = false;
+        for k in from..n {
             // ----- symbolic: pattern of x = L \ A[:, k] via DFS reach -----
             self.work_xi.clear();
             for p in a.col_ptr[k]..a.col_ptr[k + 1] {
@@ -672,9 +684,12 @@ impl SparseLu {
     /// The numeric replay is bit-identical to a from-scratch factorization
     /// as long as the stored pivot order is still what partial pivoting
     /// would choose. Each column's pivot search is re-run over the new
-    /// values; when the winner differs from the stored pivot (degradation),
-    /// or when there is no prior factorization or the pattern changed, the
-    /// call transparently falls back to a full [`factor`](Self::factor).
+    /// values; when the winner differs from the stored pivot (degradation)
+    /// at column `k`, the columns before `k` already equal a fresh
+    /// factorization's, so the call cuts the factors back to them and
+    /// continues [`factor`](Self::factor)'s column loop from `k` (one full
+    /// factor and one pivot fallback). With no prior factorization or a
+    /// changed pattern it runs [`factor`](Self::factor) itself.
     ///
     /// # Errors
     ///
@@ -763,7 +778,8 @@ impl SparseLu {
                 for &i in xi {
                     self.work_x[i] = 0.0;
                 }
-                return self.factor(a);
+                self.truncate_to(k);
+                return self.factor_from(a, k);
             }
             let pivot = self.work_x[pivot_row];
 
@@ -801,6 +817,32 @@ impl SparseLu {
         }
         self.stats.refactors += 1;
         Ok(())
+    }
+
+    /// Cuts the factorization back to its first `k` columns, as
+    /// [`factor`](Self::factor) holds them before column `k`: `L`'s rows
+    /// back in original coordinates and only the rows pivotal before `k`
+    /// in `pinv`. The replay has already rewritten those columns with
+    /// exactly a fresh factorization's values.
+    fn truncate_to(&mut self, k: usize) {
+        for factor in [&mut self.lower, &mut self.upper] {
+            factor.col_ptr.truncate(k + 1);
+            let len = factor.col_ptr[k];
+            factor.rows.truncate(len);
+            factor.vals.truncate(len);
+        }
+        let kept = self.lower.rows.len();
+        self.lower
+            .rows
+            .copy_from_slice(&self.sym_lower_rows[..kept]);
+        self.sym_xi.truncate(self.sym_xi_ptr[k]);
+        self.sym_xi_ptr.truncate(k + 1);
+        self.sym_pivot.truncate(k);
+        for p in &mut self.pinv {
+            if *p >= k as isize {
+                *p = -1;
+            }
+        }
     }
 
     /// Counters for full factorizations vs. numeric-only
@@ -1050,8 +1092,17 @@ impl SparseSolver {
     /// Rebuilds the cached ordering, stamp map and matrix for a new key
     /// sequence.
     fn rebuild(&mut self, triplets: &Triplets) {
-        let a = SparseMatrix::from_triplets(triplets);
-        self.perm = min_degree_pinv(triplets.dim(), a.col_ptr(), a.rows());
+        // Order the unique stamp keys: the pattern `min_degree_pinv` would
+        // read from the compressed matrix, without compressing it.
+        let mut keys: Vec<(u32, u32)> = triplets
+            .entries()
+            .iter()
+            .map(|&(r, c, _)| (r as u32, c as u32))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let pattern = keys.iter().map(|&(r, c)| (r as usize, c as usize));
+        self.perm = min_degree_order(symmetric_adjacency(triplets.dim(), pattern), keys.len());
         let (map, matrix) = StampMap::build_permuted(triplets, &self.perm);
         self.map = Some(map);
         self.matrix = Some(matrix);
@@ -1338,6 +1389,84 @@ mod tests {
         let mut x = vec![11.0, 2.0];
         lu.solve(&mut x).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
+    }
+
+    /// A tridiagonal matrix whose partial pivoting leaves the diagonal at
+    /// column `flip` (row `flip + 1` out-pivots it), with every other row
+    /// negated so half the pivots are negative.
+    fn flipped_tridiagonal(n: usize, flip: usize) -> SparseMatrix {
+        let mut t = Triplets::new(n);
+        for i in 0..n {
+            let sign = if i % 2 == 1 { -1.0 } else { 1.0 };
+            t.add(i, i, sign * (5.0 + i as f64 * 0.1));
+            if i + 1 < n {
+                t.add(i, i + 1, sign * 0.5);
+            }
+            if i > 0 {
+                t.add(i, i - 1, sign * if i - 1 == flip { 20.0 } else { 1.0 });
+            }
+        }
+        SparseMatrix::from_triplets(&t)
+    }
+
+    #[test]
+    fn refactor_continues_from_the_changed_column_bitwise() {
+        let n = 9;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Column n − 1 has one row left, so n − 2 is the last column with
+        // a choice.
+        for flip in [0, n / 2, n - 2] {
+            for (before, after) in [(n, flip), (flip, n)] {
+                let mut lu = SparseLu::new();
+                lu.factor(&flipped_tridiagonal(n, before)).unwrap();
+                let a = flipped_tridiagonal(n, after);
+                lu.refactor(&a).unwrap();
+                let fallback = lu.last_pivot_fallback().expect("the pivot moved");
+                assert_eq!(fallback.column, flip);
+                let stats = lu.stats();
+                assert_eq!((stats.full_factors, stats.pivot_fallbacks), (2, 1));
+                let mut fresh = SparseLu::new();
+                fresh.factor(&a).unwrap();
+                for (got, want) in [(&lu.lower, &fresh.lower), (&lu.upper, &fresh.upper)] {
+                    assert_eq!(got.col_ptr, want.col_ptr, "flip {flip}");
+                    assert_eq!(got.rows, want.rows, "flip {flip}");
+                    assert_eq!(bits(&got.vals), bits(&want.vals), "flip {flip}");
+                }
+                assert_eq!(lu.pinv, fresh.pinv);
+                assert_eq!(lu.sym_xi, fresh.sym_xi);
+                assert_eq!(lu.sym_lower_rows, fresh.sym_lower_rows);
+                let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos()).collect();
+                let (mut x, mut x_fresh) = (b.clone(), b);
+                lu.solve(&mut x).unwrap();
+                fresh.solve(&mut x_fresh).unwrap();
+                assert_eq!(bits(&x), bits(&x_fresh));
+                // The continued factorization replays like a fresh one.
+                lu.refactor(&a).unwrap();
+                assert_eq!(lu.stats().refactors, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn refactor_continuation_reports_a_collapsed_last_column() {
+        // The last column collapses to exactly zero: the continuation
+        // from it fails where a fresh factorization does.
+        let build = |a11: f64| {
+            let mut t = Triplets::new(2);
+            t.add(0, 0, 2.0);
+            t.add(0, 1, 1.0);
+            t.add(1, 0, 1.0);
+            t.add(1, 1, a11);
+            SparseMatrix::from_triplets(&t)
+        };
+        let mut lu = SparseLu::new();
+        lu.factor(&build(3.0)).unwrap();
+        let err = lu.refactor(&build(0.5)).unwrap_err();
+        let fresh = SparseLu::new().factor(&build(0.5)).unwrap_err();
+        assert_eq!(err.to_string(), fresh.to_string());
+        assert!(matches!(err, Error::SingularMatrix { column: 1 }));
+        lu.refactor(&build(3.0)).unwrap();
+        assert_eq!(lu.stats().full_factors, 2);
     }
 
     #[test]

@@ -253,6 +253,58 @@ fn canonical_bits(v: f64) -> u64 {
     }
 }
 
+/// Model of the dense solver's replay policy: up to 32 plans keyed by
+/// pivot order, the least recently used evicted; a replay from the
+/// previous factorization's plan, while that plan is cached; lazy
+/// recording when two consecutive full factorizations agree.
+#[derive(Default)]
+struct PlanCacheModel {
+    /// Cached pivot orders with the clock of their last use.
+    plans: Vec<(Vec<usize>, u64)>,
+    active: Option<usize>,
+    last: Option<Vec<usize>>,
+    clock: u64,
+}
+
+impl PlanCacheModel {
+    /// Accounts one successful factorization whose partial-pivoting order
+    /// is `pivots`; returns the path the solver must have taken.
+    fn factor(&mut self, pivots: Vec<usize>, finite: bool) -> &'static str {
+        self.clock += 1;
+        let cached = self.plans.iter().position(|(order, _)| *order == pivots);
+        let path = match (self.active, finite) {
+            // A replay finishes, switching plans as needed, exactly when
+            // the final order is cached.
+            (Some(_), true) if cached.is_some() => {
+                self.active = cached;
+                "refactor"
+            }
+            (Some(_), false) => return "full",
+            (active, _) => {
+                self.active = cached;
+                if cached.is_none() && self.last.as_ref() == Some(&pivots) {
+                    if self.plans.len() == 32 {
+                        let lru = (0..32).min_by_key(|&i| self.plans[i].1).unwrap();
+                        self.plans.remove(lru);
+                    }
+                    self.plans.push((pivots.clone(), 0));
+                    self.active = Some(self.plans.len() - 1);
+                }
+                self.last = Some(pivots);
+                if active.is_some() {
+                    "fallback"
+                } else {
+                    "full"
+                }
+            }
+        };
+        if let Some(active) = self.active {
+            self.plans[active].1 = self.clock;
+        }
+        path
+    }
+}
+
 #[test]
 fn dense_refactor_matches_fresh_solver_bitwise() {
     let mut rng = StdRng::seed_from_u64(0xDE45E);
@@ -271,11 +323,7 @@ fn dense_refactor_matches_fresh_solver_bitwise() {
         keys.push(keys[pair]);
 
         let mut live = DenseSolver::default();
-        // Model of the replay trigger: a plan is recorded when a full
-        // factorization repeats the previous one's pivots, and dropped
-        // when a replay meets a different pivot sequence.
-        let mut plan: Option<Vec<usize>> = None;
-        let mut last: Option<Vec<usize>> = None;
+        let mut model = PlanCacheModel::default();
         let (mut calls, mut abandoned) = (0, 0);
         for _ in 0..40 {
             let base = instantiate(&mut rng, n, &keys);
@@ -334,21 +382,8 @@ fn dense_refactor_matches_fresh_solver_bitwise() {
                 .lu_factor()
                 .expect("the fresh solver factored it");
             let finite = t.entries().iter().all(|e| e.2.is_finite());
-            match &plan {
-                Some(p) if finite => {
-                    if *p != pivots {
-                        abandoned += 1;
-                        plan = None;
-                        last = Some(pivots);
-                    }
-                }
-                Some(_) => {}
-                None => {
-                    if last.as_ref() == Some(&pivots) {
-                        plan = Some(pivots.clone());
-                    }
-                    last = Some(pivots);
-                }
+            if model.factor(pivots, finite) == "fallback" {
+                abandoned += 1;
             }
         }
         let stats = live.stats();
@@ -359,4 +394,147 @@ fn dense_refactor_matches_fresh_solver_bitwise() {
     }
     assert!(refactors > 0, "no call replayed the recorded elimination");
     assert!(fallbacks > 0, "no replay met a changed pivot");
+}
+
+/// A tridiagonal system whose partial-pivoting order leaves the diagonal
+/// at step `flip` (row `flip + 1` out-pivots it), with every other row
+/// negated so half the pivots are negative. `round` varies the values
+/// but not the order.
+fn flipped_tridiagonal(n: usize, flip: usize, round: usize) -> Triplets {
+    let mut t = Triplets::new(n);
+    let wobble = 1.0 + round as f64 * 0.002;
+    for i in 0..n {
+        let sign = if i % 2 == 1 { -1.0 } else { 1.0 };
+        t.add(i, i, sign * (5.0 + i as f64 * 0.1) * wobble);
+        if i + 1 < n {
+            t.add(i, i + 1, sign * 0.5);
+        }
+        if i > 0 {
+            let sub = if i - 1 == flip { 20.0 * wobble } else { 1.0 };
+            t.add(i, i - 1, sign * sub);
+        }
+    }
+    t
+}
+
+#[test]
+fn dense_replay_switches_between_cached_pivot_orders() {
+    let n = 10;
+    // Step n − 1 has one row left, so n − 2 is the last step with a choice.
+    let flips = [0, n / 2, n - 2];
+    let base = DenseMatrix::from_triplets(&flipped_tridiagonal(n, n, 0))
+        .lu_factor()
+        .unwrap();
+    for &flip in &flips {
+        let order = DenseMatrix::from_triplets(&flipped_tridiagonal(n, flip, 0))
+            .lu_factor()
+            .unwrap();
+        let first_change = (0..n).find(|&k| order[k] != base[k]);
+        assert_eq!(first_change, Some(flip), "order {order:?}");
+    }
+    let mut live = DenseSolver::default();
+    let mut full_after_cycle = Vec::new();
+    let mut round = 0;
+    for _cycle in 0..4 {
+        for &flip in &flips {
+            // A few Newton iterations per order, as between two switching
+            // events of a CML pair.
+            for _ in 0..3 {
+                round += 1;
+                let t = flipped_tridiagonal(n, flip, round);
+                let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+                let mut x_live = b.clone();
+                live.solve_in_place(&t, &mut x_live).unwrap();
+                let mut fresh = DenseSolver::default();
+                let mut x_fresh = b.clone();
+                fresh.solve_in_place(&t, &mut x_fresh).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x_live), bits(&x_fresh), "round {round}");
+                assert_eq!(
+                    live.last_quality().backward_error.to_bits(),
+                    fresh.last_quality().backward_error.to_bits(),
+                    "round {round}"
+                );
+            }
+        }
+        full_after_cycle.push(live.stats().full_factors);
+    }
+    // The first cycle records each order; from then on every flip is a
+    // switch between cached plans.
+    assert_eq!(
+        full_after_cycle[1], full_after_cycle[3],
+        "{full_after_cycle:?}"
+    );
+    assert_eq!(
+        live.stats().refactors + full_after_cycle[3],
+        4 * 3 * flips.len()
+    );
+}
+
+/// Solves `t` with a solver that has recorded `t`'s pivot order from two
+/// warm-up systems `warm`, and with `DenseMatrix::lu_factor` plus
+/// `lu_solve`; returns both results' bits and whether the solver replayed.
+fn replayed_and_dense_bits(warm: &Triplets, t: &Triplets, b: &[f64]) -> (Vec<u64>, Vec<u64>, bool) {
+    let mut live = DenseSolver::default();
+    for _ in 0..2 {
+        let mut rhs = vec![1.0; warm.dim()];
+        live.solve_in_place(warm, &mut rhs).unwrap();
+    }
+    let refactors = live.stats().refactors;
+    let mut x_live = b.to_vec();
+    live.solve_in_place(t, &mut x_live).unwrap();
+    let replayed = live.stats().refactors > refactors;
+    let mut dense = DenseMatrix::from_triplets(t);
+    let perm = dense.lu_factor().unwrap();
+    let mut x_dense = b.to_vec();
+    dense.lu_solve(&perm, &mut x_dense);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (bits(&x_live), bits(&x_dense), replayed)
+}
+
+#[test]
+fn structural_solve_takes_the_dense_solve_where_a_skipped_zero_matters() {
+    // −0.0 in b: the dense forward solve turns −0.0 − (+0.0)·(−0.0) into
+    // +0.0, which skipping the structurally zero L entry would not.
+    let mut t = Triplets::new(3);
+    t.add(0, 0, 2.0);
+    t.add(0, 1, 1.0);
+    t.add(1, 1, 3.0);
+    t.add(2, 2, 4.0);
+    let (live, dense, replayed) = replayed_and_dense_bits(&t, &t, &[-0.0, -0.0, -0.0]);
+    assert!(replayed);
+    assert_eq!(live, dense);
+
+    // An overflowing factor: Wilkinson's growth matrix doubles the last
+    // column at every step, so U[3][4] and U[4][4] overflow while every
+    // entry, and their sum, is finite. x[4] is then 0 and x[3] NaN, and
+    // the dense backward solve's +0.0·NaN makes x[0..3] NaN where a
+    // structural solve would leave them finite.
+    let growth = |s: f64| {
+        let mut t = Triplets::new(5);
+        for i in 0..5 {
+            for j in 0..i {
+                t.add(i, j, -1.0);
+            }
+            if i < 4 {
+                t.add(i, i, 1.0);
+            }
+            t.add(i, 4, s);
+        }
+        t
+    };
+    let (live, dense, replayed) =
+        replayed_and_dense_bits(&growth(1.0), &growth(3.0e307), &[1.0; 5]);
+    assert!(replayed);
+    assert!(f64::from_bits(dense[0]).is_nan(), "{dense:?}");
+    assert_eq!(live, dense);
+
+    // A NaN stamp: the full path, whose bits equal the one-shot solve's.
+    let mut poisoned = growth(1.0);
+    poisoned.add(2, 2, f64::NAN);
+    let mut warm = growth(1.0);
+    warm.add(2, 2, 0.0);
+    let (live, dense, replayed) = replayed_and_dense_bits(&warm, &poisoned, &[1.0; 5]);
+    assert!(!replayed);
+    assert_eq!(live, dense);
 }
