@@ -72,7 +72,7 @@ pub fn settle_sweep_grid(grid: Vec<(f64, f64, f64)>, vtest: Option<f64>) -> Sett
 }
 
 /// [`settle_sweep_grid`] with explicit sweep options (per-corner deadline,
-/// retries, worker cap). A corner equal to [`HANG_CORNER`] runs with the
+/// worker cap). A corner equal to [`HANG_CORNER`] runs with the
 /// chaos hang injector active, so its Newton loops spin without
 /// converging — the per-corner deadline must cut it loose as a timeout
 /// while the rest of the grid completes untouched.

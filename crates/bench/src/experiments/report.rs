@@ -154,7 +154,6 @@ pub fn report_sweep(name: &str, report: &SweepReport, labels: &[String]) {
                     .get(fail.index)
                     .cloned()
                     .unwrap_or_else(|| "?".to_string()),
-                fail.attempts.to_string(),
                 if quarantined { "yes" } else { "no" }.to_string(),
                 // Commas would break the CSV row.
                 fail.failure.to_string().replace(',', ";"),
@@ -163,13 +162,7 @@ pub fn report_sweep(name: &str, report: &SweepReport, labels: &[String]) {
         .collect();
     write_rows_csv(
         &format!("{name}_failures"),
-        &[
-            "corner_index",
-            "corner",
-            "attempts",
-            "quarantined",
-            "failure",
-        ],
+        &["corner_index", "corner", "quarantined", "failure"],
         &rows,
     );
     for fail in &report.failures {
@@ -230,7 +223,6 @@ mod tests {
             succeeded: 1,
             failures: vec![CornerFailure {
                 index: 1,
-                attempts: 1,
                 failure: SweepFailure::Panicked("boom, with comma".to_string()),
             }],
             elapsed: std::time::Duration::from_millis(10),
@@ -240,7 +232,7 @@ mod tests {
         let body = std::fs::read_to_string(&path).expect("failures csv written");
         assert!(body.contains("corner_index"));
         assert!(body.contains("quarantined"), "{body}");
-        assert!(body.contains("1,b,1,no,"), "{body}");
+        assert!(body.contains("1,b,no,"), "{body}");
         assert!(body.contains("boom; with comma"), "{body}");
         let _ = std::fs::remove_file(path);
     }
@@ -253,7 +245,6 @@ mod tests {
             succeeded: 2,
             failures: vec![CornerFailure {
                 index: 2,
-                attempts: 1,
                 failure: SweepFailure::Untrusted {
                     error: spicier::Error::UntrustedSolution {
                         backward_error: 1.0e-3,
@@ -274,7 +265,7 @@ mod tests {
         assert_eq!(take_quarantined(), 1);
         let path = out_dir().join("report_quarantine_test_failures.csv");
         let body = std::fs::read_to_string(&path).expect("failures csv written");
-        assert!(body.contains("2,c,1,yes,quarantined:"), "{body}");
+        assert!(body.contains("2,c,yes,quarantined:"), "{body}");
         let _ = std::fs::remove_file(path);
     }
 }

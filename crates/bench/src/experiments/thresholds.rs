@@ -43,7 +43,6 @@ pub fn run(scale: Scale) -> Result<ThresholdResult, Error> {
             SweepOptions {
                 freq: 100.0e6,
                 t_stop: 40.0e-9,
-                ..SweepOptions::default()
             },
         ),
     };

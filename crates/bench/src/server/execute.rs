@@ -2,13 +2,13 @@
 //! campaign chunks, with budget/cancellation wiring and chunk-level
 //! resume bookkeeping.
 //!
-//! Every unit runs under a corner token derived from its job's
-//! [`spicier::CancelHandle`] via `with_corner_token`, so the existing
-//! `RunBudget` checks inside the solvers observe remote cancellation
-//! and per-unit deadlines with no extra plumbing. Campaign chunks write
-//! their rows to an atomic part CSV and record completion in a per-job
-//! chunk manifest (the PR-3 `Manifest`), which is what makes
-//! kill-and-resume reproduce byte-identical results.
+//! Every unit runs under a corner token derived with a deadline from its
+//! job's root [`spicier::CancelToken`] and installed via
+//! `with_corner_token`, so the budget checks inside the solvers observe
+//! remote cancellation and per-unit deadlines with no extra plumbing.
+//! Campaign chunks write their rows to an atomic part CSV and record
+//! completion in a per-job chunk manifest (the PR-3 `Manifest`), which
+//! is what makes kill-and-resume reproduce byte-identical results.
 
 use super::proto::CampaignSpec;
 use super::scheduler::{JobPhase, JobSpec, Outcome, Scheduler, Unit};
@@ -35,7 +35,7 @@ const PANIC_RETRIES: u64 = 1;
 ///
 /// Every unit runs under a `catch_unwind` backstop: a panic anywhere in
 /// unit execution (campaign chunks get their own finer-grained ladder
-/// in [`run_chunk`]) finishes that job `failed` and the worker keeps
+/// in `run_chunk`) finishes that job `failed` and the worker keeps
 /// serving — one pathological deck can never take the thread, and with
 /// it a slice of the daemon's capacity, down.
 pub fn worker_loop(sched: &Arc<Scheduler>) {
@@ -110,8 +110,9 @@ pub fn run_unit(sched: &Scheduler, unit: &Unit) {
 }
 
 /// Maps a solver error to the job outcome it implies, given whether the
-/// job's cancel handle fired (a cancelled handle turns the resulting
-/// `DeadlineExceeded` into `Cancelled` rather than `TimedOut`).
+/// job's root token was cancelled (a cancelled job turns the resulting
+/// `DeadlineExceeded` into `Cancelled` rather than `TimedOut`; the root
+/// never expires, so only an explicit cancel reads as one).
 fn classify(err: &Error, cancelled: bool) -> Outcome {
     if err.is_deadline_exceeded() {
         if cancelled {
@@ -554,6 +555,49 @@ mod tests {
             "{state:?}"
         );
         assert!(state.output.unwrap().contains("V(out) = 2.2"));
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+
+    #[test]
+    fn interactive_unit_tells_a_timeout_from_a_cancel() {
+        const DECK: &str = "divider\nV1 in 0 3.3\nR1 in out 1k\nR2 out 0 2k\n.op\n.end\n";
+        let cfg = temp_cfg("timeout-vs-cancel");
+        let state_dir = cfg.state_dir.clone();
+        let sched = Scheduler::new(cfg);
+
+        // An expired request deadline is a timeout, not a cancel: the
+        // job's root token never expires, so it stays uncancelled.
+        let job = sched
+            .admit_interactive("t", DECK.into(), Duration::ZERO)
+            .unwrap();
+        let unit = sched.try_next_unit().unwrap();
+        run_unit(&sched, &unit);
+        let state = job.snapshot();
+        assert!(
+            matches!(state.phase, JobPhase::Done(Outcome::TimedOut)),
+            "{state:?}"
+        );
+        assert!(!job.handle.is_cancelled());
+        let stats = sched.stats_snapshot().counters;
+        assert_eq!(stats.timed_out, 1);
+        assert_eq!(stats.cancelled, 0);
+
+        // The same deck cancelled before it runs ends cancelled.
+        let job = sched
+            .admit_interactive("t", DECK.into(), Duration::from_secs(10))
+            .unwrap();
+        let unit = sched.try_next_unit().unwrap();
+        assert!(sched.cancel(&job.key, &sched.counters.explicit_cancels));
+        assert!(job.handle.is_cancelled());
+        run_unit(&sched, &unit);
+        let state = job.snapshot();
+        assert!(
+            matches!(state.phase, JobPhase::Done(Outcome::Cancelled)),
+            "{state:?}"
+        );
+        let stats = sched.stats_snapshot().counters;
+        assert_eq!(stats.timed_out, 1);
+        assert_eq!(stats.cancelled, 1);
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 

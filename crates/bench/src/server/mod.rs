@@ -15,11 +15,12 @@
 //!   most [`ServerConfig::interactive_weight`] interactive units per
 //!   campaign chunk when both queues are non-empty, so a long campaign
 //!   cannot starve interactive latency and vice versa.
-//! * **Budgets and cancellation** — every unit of work runs under a
-//!   [`spicier::CancelHandle`]-derived corner token installed with
-//!   `with_corner_token`, so the whole existing `RunBudget` machinery
-//!   observes remote cancellation, client disconnects, and per-request
-//!   deadlines without new solver plumbing.
+//! * **Budgets and cancellation** — every job holds a root
+//!   [`spicier::CancelToken`]; each unit of work runs under a corner
+//!   token derived from it with a deadline and installed with
+//!   `with_corner_token`, so the solvers' budget checks observe remote
+//!   cancellation, client disconnects, and per-request deadlines without
+//!   new solver plumbing.
 //! * **Graceful drain** — SIGTERM (or a `drain` request) stops
 //!   admissions, lets in-flight corners finish, and leaves queued jobs
 //!   journaled; a restarted daemon replays the journal and resumes them

@@ -15,7 +15,7 @@ use super::metrics::{self, MetricsDoc, Registry, Timeline};
 use super::proto::CampaignSpec;
 use super::ServerConfig;
 use spicier::linalg::LuStats;
-use spicier::CancelHandle;
+use spicier::CancelToken;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -197,8 +197,10 @@ pub struct Job {
     pub class: JobClass,
     /// What to run.
     pub spec: JobSpec,
-    /// Cancellation source every unit's corner token derives from.
-    pub handle: CancelHandle,
+    /// Root cancellation token every unit's corner token derives from.
+    /// It never expires, so it reads cancelled only after an explicit
+    /// cancel.
+    pub handle: CancelToken,
     /// Whether this job was replayed from the journal at startup.
     pub resumed: bool,
     /// On-disk directory (campaigns only): chunk parts, manifest,
@@ -226,7 +228,7 @@ impl Job {
             tenant,
             class,
             spec,
-            handle: CancelHandle::new(),
+            handle: CancelToken::new(),
             resumed,
             dir,
             state: Mutex::new(JobState::new(

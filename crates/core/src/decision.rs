@@ -93,8 +93,8 @@ pub fn characterize_hysteresis(
 }
 
 /// [`characterize_hysteresis`] with explicit DC options, so callers can
-/// attach a [`spicier::RunBudget`] (deadline, iteration caps, cancel
-/// token) to the underlying double sweep.
+/// attach a [`spicier::RunBudget`] (Newton-iteration cap) to the
+/// underlying double sweep.
 ///
 /// # Errors
 ///

@@ -231,8 +231,8 @@ pub fn monte_carlo_study(
 
 /// [`monte_carlo_study`] with sweep options: a per-sample wall-clock
 /// deadline ([`TryMapOptions::corner_deadline`], surfaced in
-/// [`MonteCarloReport::failed_samples`] as a timeout), retries, and a
-/// worker-count cap.
+/// [`MonteCarloReport::failed_samples`] as a timeout) and a worker-count
+/// cap.
 ///
 /// Samples run in parallel, but each sample's process draw comes from its
 /// own RNG seeded by `(seed, sample index)`, so the report is **identical

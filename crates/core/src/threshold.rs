@@ -13,7 +13,7 @@ use cml_cells::{waveform_of, CmlCircuitBuilder, CmlProcess, DiffPair};
 use faults::Defect;
 use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::analysis::tran::{transient_salvage, TranOptions, TranResult};
-use spicier::{Error, RunBudget};
+use spicier::Error;
 use waveform::LevelStats;
 
 /// Either single-output-pair detector variant (variant 3 shares variant
@@ -59,11 +59,6 @@ pub struct SweepOptions {
     pub freq: f64,
     /// Simulated time, seconds (must cover the detector's settling).
     pub t_stop: f64,
-    /// Execution budget applied to *each* transient run inside a
-    /// measurement (the deadline slice restarts per run). A deadline
-    /// firing mid-run is propagated, never silently salvaged into a
-    /// truncated measurement.
-    pub budget: RunBudget,
 }
 
 impl Default for SweepOptions {
@@ -71,7 +66,6 @@ impl Default for SweepOptions {
         Self {
             freq: 100.0e6,
             t_stop: 60.0e-9,
-            budget: RunBudget::default(),
         }
     }
 }
@@ -149,8 +143,7 @@ fn run_or_salvage(
     opts: &SweepOptions,
 ) -> Result<(TranResult, f64), Error> {
     const MIN_PROGRESS: f64 = 0.8;
-    let tran = TranOptions::new(opts.t_stop).with_budget(opts.budget.clone());
-    let res = transient_salvage(circuit, &tran)?;
+    let res = transient_salvage(circuit, &TranOptions::new(opts.t_stop))?;
     let t_end = res.time().last().copied().unwrap_or(0.0);
     match res.failure() {
         Some(fail) if fail.error.is_deadline_exceeded() => Err(fail.error.clone()),
@@ -216,18 +209,17 @@ mod tests {
         SweepOptions {
             freq: 100.0e6,
             t_stop: 40.0e-9,
-            ..SweepOptions::default()
         }
     }
 
     #[test]
     fn spent_budget_is_never_salvaged_into_a_reading() {
         let det = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
-        let opts = SweepOptions {
-            budget: RunBudget::unlimited().with_deadline(std::time::Duration::ZERO),
-            ..fast_opts()
-        };
-        let err = measure_point(&det, None, &opts).unwrap_err();
+        let expired = spicier::CancelToken::with_deadline(std::time::Duration::ZERO);
+        let err = spicier::analysis::with_corner_token(&expired, || {
+            measure_point(&det, None, &fast_opts())
+        })
+        .unwrap_err();
         assert!(err.is_deadline_exceeded(), "{err}");
     }
 

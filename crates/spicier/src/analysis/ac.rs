@@ -30,9 +30,6 @@ pub struct AcOptions {
     pub freqs: Vec<f64>,
     /// DC operating-point options.
     pub dc: DcOptions,
-    /// Execution budget for the whole AC call, including its operating
-    /// point (this field governs the run, not `dc.budget`).
-    pub budget: RunBudget,
 }
 
 impl AcOptions {
@@ -42,7 +39,6 @@ impl AcOptions {
             source: source.to_string(),
             freqs,
             dc: DcOptions::default(),
-            budget: RunBudget::default(),
         }
     }
 }
@@ -149,12 +145,13 @@ impl AcResult {
 /// # Errors
 ///
 /// Fails when the operating point does not converge, the named source does
-/// not exist, a frequency point is singular, or `opts.budget` is spent
-/// ([`Error::DeadlineExceeded`] with phase `ac`).
+/// not exist, a frequency point is singular, or the corner token installed
+/// with [`with_corner_token`](super::budget::with_corner_token) is
+/// cancelled ([`Error::DeadlineExceeded`] with phase `ac`).
 pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Error> {
     let started = Instant::now();
     let _span = telemetry::span("ac");
-    let mut tracker = BudgetTracker::new(&opts.budget, Phase::Ac);
+    let mut tracker = BudgetTracker::new(&RunBudget::default(), Phase::Ac);
     // 1. Excitation vector: unit AC on the named source, checked before
     //    any solve.
     let dim = circuit.dim();

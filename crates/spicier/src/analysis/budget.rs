@@ -1,23 +1,23 @@
-//! Budgeted execution: wall-clock deadlines, iteration caps, and
-//! cooperative cancellation for every analysis entry point.
+//! Budgeted execution: iteration caps and cooperative cancellation for
+//! every analysis entry point.
 //!
-//! A [`RunBudget`] rides inside each analysis' options struct. Every
-//! public entry point (`operating_point`, `sweep_vsource`, the transient
-//! family, `ac_analysis`, `noise_analysis`) opens a [`BudgetTracker`]
-//! when it starts and consults it at each unit of work: every Newton
-//! iteration of every recovery-ladder rung, every transient timestep
-//! attempt, every AC/noise frequency point, every DC sweep point. A
-//! violation surfaces as [`Error::DeadlineExceeded`], which the salvage
-//! and retry machinery treats as **non-retriable** — the budget is spent,
-//! so burning the remainder on ladder escalation or retries would defeat
-//! the point.
+//! Every public entry point (`operating_point`, `sweep_vsource`, the
+//! transient family, `ac_analysis`, `noise_analysis`) opens a
+//! `BudgetTracker` when it starts and consults it at each unit of work:
+//! every Newton iteration of every recovery-ladder rung, every transient
+//! timestep attempt, every AC/noise frequency point, every DC sweep point.
+//! A violation surfaces as [`Error::DeadlineExceeded`], which the ladder
+//! and salvage machinery treats as **non-retriable** — the budget is
+//! spent, so burning the remainder on ladder escalation would defeat the
+//! point.
 //!
-//! Cancellation is cooperative: a [`CancelToken`] is a cheap shared flag
-//! (optionally with a fixed expiry instant) that long solves poll between
-//! iterations. Sweep workers additionally install a per-corner token in
-//! thread-local storage ([`with_corner_token`]), so a corner's deadline
-//! reaches every solve the corner performs even when the corner's closure
-//! never threads a `RunBudget` explicitly.
+//! Two things stop a solve. A [`RunBudget`] in the options struct caps
+//! Newton iterations and timestep attempts. Deadlines and cancels arrive
+//! in one way only: a [`CancelToken`] — a cheap shared flag, optionally
+//! with a fixed expiry instant — installed in thread-local storage with
+//! [`with_corner_token`]. Sweep workers install one per corner and the
+//! daemon one per unit of work, so a deadline or a remote cancel reaches
+//! every solve inside without the closure threading anything through.
 
 use crate::error::Error;
 use std::cell::RefCell;
@@ -65,28 +65,20 @@ impl fmt::Display for Phase {
 struct TokenInner {
     cancelled: AtomicBool,
     expires_at: Option<Instant>,
-    /// Parent token, when this token was derived with [`CancelToken::child`]
-    /// or [`CancelToken::child_with_deadline`]: cancelling the parent
-    /// cancels every descendant, while a child's own deadline or explicit
-    /// cancel never propagates upward.
+    /// Parent token, when this token was derived with
+    /// [`CancelToken::child_with_deadline`]: cancelling the parent cancels
+    /// every descendant, while a child's own deadline or explicit cancel
+    /// never propagates upward.
     parent: Option<Arc<TokenInner>>,
 }
 
 impl TokenInner {
-    /// Whether an explicit `cancel()` landed on this token or any ancestor.
-    fn flag_set(&self) -> bool {
-        if self.cancelled.load(Ordering::Acquire) {
-            return true;
-        }
-        self.parent.as_deref().is_some_and(TokenInner::flag_set)
-    }
-
-    /// Whether this token's expiry, or any ancestor's, has passed.
-    fn expired(&self) -> bool {
-        if self.expires_at.is_some_and(|at| Instant::now() >= at) {
-            return true;
-        }
-        self.parent.as_deref().is_some_and(TokenInner::expired)
+    /// Whether an explicit `cancel()` landed on this token or any
+    /// ancestor, or the expiry of any of them passed.
+    fn cancelled(&self) -> bool {
+        self.cancelled.load(Ordering::Acquire)
+            || self.expires_at.is_some_and(|at| Instant::now() >= at)
+            || self.parent.as_deref().is_some_and(TokenInner::cancelled)
     }
 }
 
@@ -95,6 +87,11 @@ impl TokenInner {
 /// per-corner deadlines work without a watchdog thread: the token is
 /// "cancelled" the moment `Instant::now()` passes the expiry, and the
 /// next budget check inside the solve observes it.
+///
+/// A root token ([`new`](Self::new)) never expires, so on a root token
+/// [`is_cancelled`](Self::is_cancelled) reports exactly whether
+/// [`cancel`](Self::cancel) was called — the daemon keeps one per job and
+/// derives each unit's deadline token from it.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -121,23 +118,9 @@ impl CancelToken {
         }
     }
 
-    /// Derives a child token: cancelled whenever `self` is, but with its
-    /// own independent flag — cancelling the child leaves `self` (and any
-    /// sibling) untouched.
-    #[must_use]
-    pub fn child(&self) -> CancelToken {
-        Self {
-            inner: Arc::new(TokenInner {
-                cancelled: AtomicBool::new(false),
-                expires_at: None,
-                parent: Some(self.inner.clone()),
-            }),
-        }
-    }
-
-    /// Derives a child token that additionally auto-cancels `slice` from
-    /// now — the shape every per-corner deadline under an external
-    /// [`CancelHandle`] takes.
+    /// Derives a child token that is cancelled whenever `self` is and
+    /// additionally auto-cancels `slice` from now. Cancelling the child
+    /// leaves `self` (and any sibling) untouched.
     #[must_use]
     pub fn child_with_deadline(&self, slice: Duration) -> CancelToken {
         Self {
@@ -159,15 +142,7 @@ impl CancelToken {
     /// on this token or any ancestor.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.inner.flag_set() || self.inner.expired()
-    }
-
-    /// Whether an explicit [`cancel`](Self::cancel) call landed on this
-    /// token or an ancestor — distinguishes remote cancellation from a
-    /// deadline quietly expiring, which degraded-outcome reporting needs.
-    #[must_use]
-    pub fn was_cancelled_explicitly(&self) -> bool {
-        self.inner.flag_set()
+        self.inner.cancelled()
     }
 }
 
@@ -177,98 +152,17 @@ fn deadline_instant(slice: Duration) -> Instant {
         .unwrap_or_else(Instant::now)
 }
 
-/// Cloneable, externally triggerable cancellation source for a sweep or a
-/// served request: the promotion of the sweep-internal corner-deadline
-/// token into a public API.
-///
-/// A `CancelHandle` lives *outside* the threads doing the work — a daemon
-/// connection handler, a drain loop, a test — and is wired in through
-/// `TryMapOptions::cancel` or by deriving per-corner tokens with
-/// [`child_with_deadline`](Self::child_with_deadline) and installing them
-/// via [`with_corner_token`]. Calling [`cancel`](Self::cancel) stops every
-/// solve running under a derived token at its next budget check, from any
-/// thread, fixing the previous "deadline-only" limitation of
-/// `par_try_map_with`.
-#[derive(Debug, Clone, Default)]
-pub struct CancelHandle {
-    token: CancelToken,
-}
-
-impl CancelHandle {
-    /// A fresh, untriggered handle.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Triggers cancellation: every token derived from this handle is
-    /// cancelled at its next poll.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Whether [`cancel`](Self::cancel) was called on any clone.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.token.was_cancelled_explicitly()
-    }
-
-    /// The handle's root token, for callers that want to install it
-    /// directly with [`with_corner_token`].
-    #[must_use]
-    pub fn token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Derives a corner token tied to this handle with no extra deadline.
-    #[must_use]
-    pub fn child(&self) -> CancelToken {
-        self.token.child()
-    }
-
-    /// Derives a corner token tied to this handle that also auto-cancels
-    /// after `slice`.
-    #[must_use]
-    pub fn child_with_deadline(&self, slice: Duration) -> CancelToken {
-        self.token.child_with_deadline(slice)
-    }
-}
-
-impl PartialEq for CancelHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.token == other.token
-    }
-}
-
-impl PartialEq for CancelToken {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-/// Execution budget for one analysis call. The default is unlimited —
-/// every limit is opt-in, so existing callers pay only a flag check per
-/// Newton iteration.
-#[derive(Debug, Clone, Default)]
+/// Iteration caps for one analysis call. The default is unlimited, so
+/// callers that set no cap pay only two `None` checks per Newton
+/// iteration. Deadlines and cancels do not live here: they reach a solve
+/// through the corner token ([`with_corner_token`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunBudget {
-    /// Wall-clock deadline for the whole call, measured from entry.
-    pub deadline: Option<Duration>,
     /// Cap on total Newton iterations across the call (summed over every
     /// ladder rung, homotopy step, and transient timestep).
     pub max_newton_iterations: Option<usize>,
     /// Cap on transient timestep attempts, accepted and rejected alike.
     pub max_timesteps: Option<usize>,
-    /// Cooperative cancellation handle polled between iterations.
-    pub cancel: CancelToken,
-}
-
-impl PartialEq for RunBudget {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline
-            && self.max_newton_iterations == other.max_newton_iterations
-            && self.max_timesteps == other.max_timesteps
-            && self.cancel == other.cancel
-    }
 }
 
 impl RunBudget {
@@ -276,13 +170,6 @@ impl RunBudget {
     #[must_use]
     pub fn unlimited() -> Self {
         Self::default()
-    }
-
-    /// Sets the wall-clock deadline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     /// Sets the total Newton-iteration cap.
@@ -298,22 +185,6 @@ impl RunBudget {
         self.max_timesteps = Some(cap);
         self
     }
-
-    /// Attaches a cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Whether no limit of any kind is set (the cancel token may still
-    /// fire; this only reflects the declarative caps).
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_newton_iterations.is_none()
-            && self.max_timesteps.is_none()
-    }
 }
 
 thread_local! {
@@ -321,10 +192,12 @@ thread_local! {
 }
 
 /// Runs `f` with `token` installed as this thread's corner token. Budget
-/// checks inside any analysis `f` performs consult the token in addition
-/// to the analysis' own [`RunBudget`], which is how sweep workers impose
-/// per-corner deadlines on closures that never mention budgets. Nested
-/// installs shadow (and then restore) the outer token.
+/// checks inside any analysis `f` performs on this thread consult the
+/// token in addition to the analysis' own [`RunBudget`]: this is the one
+/// way a deadline or a cancel reaches a solve. Sweep workers impose
+/// per-corner deadlines this way on closures that never mention budgets.
+/// The token does not follow work onto other threads. Nested installs
+/// shadow (and then restore) the outer token.
 pub fn with_corner_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<CancelToken>);
     impl Drop for Restore {
@@ -388,9 +261,10 @@ impl BudgetTracker {
         self.progress = progress.clamp(0.0, 1.0);
     }
 
-    /// Checks every limit; `Err(DeadlineExceeded)` when one is spent.
+    /// Checks the corner token, then both caps; `Err(DeadlineExceeded)`
+    /// when one is spent.
     pub(crate) fn check(&self) -> Result<(), Error> {
-        if self.budget.cancel.is_cancelled() || corner_token_cancelled() {
+        if corner_token_cancelled() {
             return Err(self.exceeded("cancelled-or-corner-deadline"));
         }
         if let Some(cap) = self.budget.max_newton_iterations {
@@ -401,11 +275,6 @@ impl BudgetTracker {
         if let Some(cap) = self.budget.max_timesteps {
             if self.timesteps >= cap {
                 return Err(self.exceeded("timestep-cap"));
-            }
-        }
-        if let Some(deadline) = self.budget.deadline {
-            if self.started.elapsed() >= deadline {
-                return Err(self.exceeded("wall-clock-deadline"));
             }
         }
         Ok(())
@@ -469,16 +338,26 @@ mod tests {
     }
 
     #[test]
-    fn budget_equality_is_by_token_identity() {
-        let a = RunBudget::default();
-        let b = RunBudget::default();
-        assert_ne!(a, b, "distinct tokens compare unequal");
-        assert_eq!(a, a.clone());
-        assert!(a.is_unlimited());
-        assert!(!a
-            .clone()
-            .with_deadline(Duration::from_secs(1))
-            .is_unlimited());
+    fn options_compare_by_value() {
+        use crate::analysis::{AcOptions, DcOptions, NoiseOptions, TranOptions};
+        use crate::netlist::NodeId;
+        assert_eq!(RunBudget::default(), RunBudget::default());
+        assert_eq!(DcOptions::default(), DcOptions::default());
+        assert_eq!(TranOptions::new(1e-9), TranOptions::new(1e-9));
+        assert_eq!(
+            AcOptions::new("V1", vec![1e3]),
+            AcOptions::new("V1", vec![1e3])
+        );
+        let out = NodeId(1);
+        assert_eq!(
+            NoiseOptions::new(out, vec![1e3]),
+            NoiseOptions::new(out, vec![1e3])
+        );
+        let capped = DcOptions {
+            budget: RunBudget::unlimited().with_max_newton_iterations(3),
+            ..DcOptions::default()
+        };
+        assert_ne!(capped, DcOptions::default());
     }
 
     #[test]
@@ -503,27 +382,23 @@ mod tests {
         t.count_timestep();
         assert!(t.check().is_err());
 
-        let t = BudgetTracker::new(
-            &RunBudget::unlimited().with_deadline(Duration::ZERO),
-            Phase::Ac,
-        );
-        assert!(t.check().is_err());
+        let t = BudgetTracker::new(&RunBudget::unlimited(), Phase::Ac);
+        let expired = CancelToken::with_deadline(Duration::ZERO);
+        assert!(with_corner_token(&expired, || t.check()).is_err());
 
         let cancel = CancelToken::new();
-        let t = BudgetTracker::new(
-            &RunBudget::unlimited().with_cancel(cancel.clone()),
-            Phase::Noise,
-        );
-        assert!(t.check().is_ok());
+        let t = BudgetTracker::new(&RunBudget::unlimited(), Phase::Noise);
+        assert!(with_corner_token(&cancel, || t.check()).is_ok());
         cancel.cancel();
-        assert!(t.check().is_err());
+        assert!(with_corner_token(&cancel, || t.check()).is_err());
     }
 
     #[test]
     fn child_tokens_observe_parent_cancellation_not_vice_versa() {
+        let hour = Duration::from_secs(3600);
         let parent = CancelToken::new();
-        let child = parent.child();
-        let sibling = parent.child();
+        let child = parent.child_with_deadline(hour);
+        let sibling = parent.child_with_deadline(hour);
         assert!(!child.is_cancelled());
         child.cancel();
         assert!(child.is_cancelled());
@@ -531,7 +406,6 @@ mod tests {
         assert!(!sibling.is_cancelled(), "or sideways");
         parent.cancel();
         assert!(sibling.is_cancelled());
-        assert!(sibling.was_cancelled_explicitly());
     }
 
     #[test]
@@ -539,26 +413,23 @@ mod tests {
         let parent = CancelToken::new();
         let child = parent.child_with_deadline(Duration::ZERO);
         assert!(child.is_cancelled(), "zero slice expires immediately");
-        assert!(
-            !child.was_cancelled_explicitly(),
-            "expiry is not an explicit cancel"
-        );
         assert!(!parent.is_cancelled());
         // Expired parent reaches the child too.
         let expired = CancelToken::with_deadline(Duration::ZERO);
-        assert!(expired.child().is_cancelled());
+        assert!(expired
+            .child_with_deadline(Duration::from_secs(3600))
+            .is_cancelled());
     }
 
     #[test]
-    fn cancel_handle_reaches_derived_corner_tokens() {
-        let handle = CancelHandle::new();
-        let corner = handle.child_with_deadline(Duration::from_secs(3600));
+    fn root_cancel_reaches_derived_corner_tokens() {
+        let root = CancelToken::new();
+        let corner = root.child_with_deadline(Duration::from_secs(3600));
         assert!(!corner.is_cancelled());
-        let remote = handle.clone();
+        let remote = root.clone();
         std::thread::spawn(move || remote.cancel()).join().unwrap();
-        assert!(handle.is_cancelled());
+        assert!(root.is_cancelled());
         assert!(corner.is_cancelled());
-        assert!(corner.was_cancelled_explicitly());
         // The tracker observes it through the TLS install, the way sweep
         // workers wire it.
         let tracker = BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep);

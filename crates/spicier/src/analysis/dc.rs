@@ -169,8 +169,9 @@ pub struct DcOptions {
     pub reltol: f64,
     /// Final gmin left in the circuit, siemens.
     pub gmin: f64,
-    /// Execution budget (wall clock, iteration caps, cancellation) for
-    /// the analysis call this options struct drives. Unlimited by default.
+    /// Iteration caps for the analysis call this options struct drives.
+    /// Unlimited by default; deadlines and cancels arrive through the
+    /// corner token instead.
     pub budget: RunBudget,
 }
 
@@ -414,7 +415,8 @@ pub(crate) fn newton(
 /// Returns [`Error::DcNoConvergence`] — with the full report embedded —
 /// when every rung of the ladder fails, [`Error::SingularMatrix`] for
 /// structurally broken circuits on which no Newton iteration completes,
-/// or [`Error::DeadlineExceeded`] when `opts.budget` is spent first.
+/// or [`Error::DeadlineExceeded`] when `opts.budget` or the corner token
+/// stops it first.
 pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcSolution, Error> {
     let started = Instant::now();
     let mut assembler = Assembler::new(circuit);
@@ -778,8 +780,9 @@ fn rung_pseudo_transient(
 /// # Errors
 ///
 /// Fails if any point fails to converge, or with
-/// [`Error::DeadlineExceeded`] when `opts.budget` runs out mid-sweep (the
-/// error's `progress` records the fraction of points completed).
+/// [`Error::DeadlineExceeded`] when `opts.budget` or the corner token
+/// stops it mid-sweep (the error's `progress` records the fraction of
+/// points completed).
 pub fn sweep_vsource(
     circuit: &Circuit,
     source: &str,

@@ -11,7 +11,7 @@ pub mod sweep;
 pub mod tran;
 
 pub use ac::{ac_analysis, decade_freqs, AcOptions, AcResult};
-pub use budget::{with_corner_token, CancelHandle, CancelToken, Phase, RunBudget};
+pub use budget::{with_corner_token, CancelToken, Phase, RunBudget};
 pub use dc::{
     operating_point, sweep_vsource, ConvergenceReport, DcOptions, DcSolution, RecoveryRung,
     RungAttempt,

@@ -42,9 +42,6 @@ pub struct NoiseOptions {
     pub freqs: Vec<f64>,
     /// DC options for the operating point.
     pub dc: DcOptions,
-    /// Execution budget for the whole noise call, including its operating
-    /// point (this field governs the run, not `dc.budget`).
-    pub budget: RunBudget,
 }
 
 impl NoiseOptions {
@@ -54,7 +51,6 @@ impl NoiseOptions {
             output,
             freqs,
             dc: DcOptions::default(),
-            budget: RunBudget::default(),
         }
     }
 }
@@ -127,12 +123,14 @@ struct NoiseSource {
 /// # Errors
 ///
 /// Fails when the output is ground ([`Error::InvalidOptions`]), the
-/// operating point does not converge, a frequency point is singular, or `opts.budget` is spent ([`Error::DeadlineExceeded`]
-/// with phase `noise`).
+/// operating point does not converge, a frequency point is singular, or
+/// the corner token installed with
+/// [`with_corner_token`](super::budget::with_corner_token) is cancelled
+/// ([`Error::DeadlineExceeded`] with phase `noise`).
 pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseResult, Error> {
     let started = Instant::now();
     let _span = telemetry::span("noise");
-    let mut tracker = BudgetTracker::new(&opts.budget, Phase::Noise);
+    let mut tracker = BudgetTracker::new(&RunBudget::default(), Phase::Noise);
     let out_idx = opts
         .output
         .unknown()

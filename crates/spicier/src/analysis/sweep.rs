@@ -5,13 +5,13 @@
 //! single-threaded; [`par_try_map`] fans independent runs out over OS
 //! threads with `std::thread::scope`, so no external dependency is needed.
 //!
-//! Each corner runs behind `catch_unwind`: solver errors and panics are
-//! captured per corner (with optional retry and a wall-clock budget)
-//! instead of killing the whole sweep, and a [`SweepReport`] records
-//! exactly which corners failed and why — one diverging corner costs one
-//! missing data point, not the run.
+//! Each corner runs once behind `catch_unwind`, under an optional
+//! per-corner deadline: solver errors, timeouts and panics are captured
+//! per corner instead of killing the whole sweep, and a [`SweepReport`]
+//! records exactly which corners failed and why — one diverging corner
+//! costs one missing data point, not the run.
 
-use super::budget::{with_corner_token, CancelHandle, CancelToken};
+use super::budget::{with_corner_token, CancelToken};
 use crate::error::Error;
 use crate::telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,13 +34,10 @@ pub enum SweepFailure {
     Solver(Error),
     /// The corner's closure panicked; the payload message is preserved.
     Panicked(String),
-    /// The corner never ran: the sweep's wall-clock budget was exhausted.
-    Skipped,
     /// The corner exceeded its per-corner deadline
     /// ([`TryMapOptions::corner_deadline`]) and was cancelled mid-solve.
     TimedOut {
-        /// Wall-clock time the corner ran before cancellation (across all
-        /// attempts).
+        /// Wall-clock time the corner ran before cancellation.
         elapsed: Duration,
         /// The [`Error::DeadlineExceeded`] that surfaced from the solve,
         /// carrying the interrupted phase and its partial progress.
@@ -48,23 +45,12 @@ pub enum SweepFailure {
     },
     /// Residual certification failed at this corner: a solve completed but
     /// its backward error stayed above tolerance after refinement, so the
-    /// numbers cannot be trusted. Quarantined without retry — re-running
-    /// the same factorization reproduces the same untrusted solution.
+    /// numbers cannot be trusted. Quarantined: re-running the same
+    /// factorization reproduces the same untrusted solution.
     Untrusted {
         /// The [`Error::UntrustedSolution`] carrying the backward error,
         /// tolerance, and condition estimate.
         error: Error,
-    },
-    /// The sweep's external [`TryMapOptions::cancel`] handle was triggered:
-    /// the corner was cancelled remotely (client disconnect, drain, an
-    /// operator), as opposed to quietly running out its deadline slice.
-    Cancelled {
-        /// Wall-clock time the corner ran before the cancel landed
-        /// (`Duration::ZERO` when it was cancelled before starting).
-        elapsed: Duration,
-        /// The [`Error::DeadlineExceeded`] that surfaced from the
-        /// interrupted solve; `None` when the corner never ran.
-        error: Option<Error>,
     },
 }
 
@@ -74,10 +60,8 @@ impl SweepFailure {
         match self {
             SweepFailure::Solver(_) => "solver",
             SweepFailure::Panicked(_) => "panicked",
-            SweepFailure::Skipped => "skipped",
             SweepFailure::TimedOut { .. } => "timed-out",
             SweepFailure::Untrusted { .. } => "untrusted",
-            SweepFailure::Cancelled { .. } => "cancelled",
         }
     }
 }
@@ -87,15 +71,10 @@ impl std::fmt::Display for SweepFailure {
         match self {
             SweepFailure::Solver(e) => write!(f, "solver error: {e}"),
             SweepFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
-            SweepFailure::Skipped => f.write_str("skipped: sweep budget exhausted"),
             SweepFailure::TimedOut { elapsed, error } => {
                 write!(f, "timed out after {:.3} s: {error}", elapsed.as_secs_f64())
             }
             SweepFailure::Untrusted { error } => write!(f, "quarantined: {error}"),
-            SweepFailure::Cancelled { elapsed, error } => match error {
-                Some(e) => write!(f, "cancelled after {:.3} s: {e}", elapsed.as_secs_f64()),
-                None => f.write_str("cancelled before start"),
-            },
         }
     }
 }
@@ -105,9 +84,7 @@ impl std::fmt::Display for SweepFailure {
 pub struct CornerFailure {
     /// Index of the corner in the input item list.
     pub index: usize,
-    /// How many attempts ran (0 when the corner was skipped).
-    pub attempts: usize,
-    /// The final failure, after any retries.
+    /// Why the corner failed.
     pub failure: SweepFailure,
 }
 
@@ -143,24 +120,13 @@ impl SweepReport {
             .count()
     }
 
-    /// Number of corners cancelled through the sweep's external
-    /// [`TryMapOptions::cancel`] handle ([`SweepFailure::Cancelled`]).
-    #[must_use]
-    pub fn cancelled(&self) -> usize {
-        self.failures
-            .iter()
-            .filter(|f| matches!(f.failure, SweepFailure::Cancelled { .. }))
-            .count()
-    }
-
     /// `Ok` when every corner succeeded; otherwise the first failure in
     /// input order as an error, for callers that need every corner. A
     /// corner that panicked panics again here, as it would have inline.
     ///
     /// # Errors
     ///
-    /// The first failed corner's error. A corner skipped or cancelled
-    /// before it ran has none and reports [`Error::SolverContract`].
+    /// The first failed corner's error.
     pub fn into_result(self) -> Result<(), Error> {
         let Some(fail) = self.failures.into_iter().next() else {
             return Ok(());
@@ -168,14 +134,8 @@ impl SweepReport {
         match fail.failure {
             SweepFailure::Solver(error)
             | SweepFailure::TimedOut { error, .. }
-            | SweepFailure::Untrusted { error }
-            | SweepFailure::Cancelled {
-                error: Some(error), ..
-            } => Err(error),
+            | SweepFailure::Untrusted { error } => Err(error),
             SweepFailure::Panicked(message) => std::panic::resume_unwind(Box::new(message)),
-            other => Err(Error::SolverContract {
-                reason: format!("corner {}: {other}", fail.index),
-            }),
         }
     }
 
@@ -192,18 +152,14 @@ impl SweepReport {
         }
         let mut solver = 0usize;
         let mut panicked = 0usize;
-        let mut skipped = 0usize;
         let mut timed_out = 0usize;
         let mut quarantined = 0usize;
-        let mut cancelled = 0usize;
         for fail in &self.failures {
             match fail.failure {
                 SweepFailure::Solver(_) => solver += 1,
                 SweepFailure::Panicked(_) => panicked += 1,
-                SweepFailure::Skipped => skipped += 1,
                 SweepFailure::TimedOut { .. } => timed_out += 1,
                 SweepFailure::Untrusted { .. } => quarantined += 1,
-                SweepFailure::Cancelled { .. } => cancelled += 1,
             }
         }
         let mut parts = Vec::new();
@@ -216,17 +172,11 @@ impl SweepReport {
         if panicked > 0 {
             parts.push(format!("{panicked} panicked"));
         }
-        if skipped > 0 {
-            parts.push(format!("{skipped} skipped"));
-        }
         if timed_out > 0 {
             parts.push(format!("{timed_out} timed out"));
         }
         if quarantined > 0 {
             parts.push(format!("{quarantined} quarantined"));
-        }
-        if cancelled > 0 {
-            parts.push(format!("{cancelled} cancelled"));
         }
         format!(
             "{}/{} corners ok in {:.1} s ({})",
@@ -241,33 +191,17 @@ impl SweepReport {
 /// Knobs for [`par_try_map`].
 #[derive(Debug, Clone, Default)]
 pub struct TryMapOptions {
-    /// Extra attempts per corner after the first failure (solver error or
-    /// panic). `0` means fail fast per corner.
-    pub retries: usize,
-    /// Wall-clock budget for the whole sweep. Corners dequeued after the
-    /// budget is spent are recorded as [`SweepFailure::Skipped`] without
-    /// running; corners already in flight are allowed to finish.
-    pub budget: Option<Duration>,
-    /// Wall-clock slice for each individual corner (all of its attempts
-    /// together). The worker installs an expiring [`CancelToken`] around
-    /// the corner's closure, so any budget-aware solve inside it —
-    /// including ones that never see a `RunBudget` — cooperatively stops
-    /// once the slice is spent. The corner is then recorded as
-    /// [`SweepFailure::TimedOut`] (non-retriable) and the worker's scratch
-    /// is rebuilt before its next corner.
+    /// Wall-clock slice for each individual corner. The worker installs an
+    /// expiring [`CancelToken`] around the corner's closure with
+    /// [`with_corner_token`], so any solve the closure runs on the worker's
+    /// thread cooperatively stops once the slice is spent. The corner is
+    /// then recorded as [`SweepFailure::TimedOut`] and the worker's
+    /// scratch is rebuilt before its next corner.
     pub corner_deadline: Option<Duration>,
     /// Cap on worker threads (`None` → `available_parallelism()`). The
     /// determinism tests pin this to compare single- and multi-worker
     /// runs of the same sweep.
     pub max_workers: Option<usize>,
-    /// External cancellation source for the whole sweep. Per-corner tokens
-    /// are derived from it, so triggering the handle from *any* thread —
-    /// a daemon connection handler reacting to a client disconnect, a
-    /// drain loop, a test — stops in-flight solves at their next budget
-    /// check and records the remaining corners as
-    /// [`SweepFailure::Cancelled`] (distinguishable from
-    /// [`SweepFailure::TimedOut`], whose deadline merely expired).
-    pub cancel: Option<CancelHandle>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -306,9 +240,9 @@ where
 /// to `f` for every corner that worker dequeues. Sweeps use this to keep
 /// one solver workspace per thread, so consecutive corners with the same
 /// matrix pattern reuse the cached stamp map and symbolic factorization.
-/// A corner that panics gets its worker's scratch rebuilt with `init`
-/// before the next attempt, so a half-updated workspace can never leak
-/// into later corners.
+/// A corner that panics or is cut off mid-solve gets its worker's scratch
+/// rebuilt with `init` before the next corner, so a half-updated workspace
+/// can never leak into later corners.
 pub fn par_try_map_with<T, S, R, I, F>(
     items: Vec<T>,
     opts: &TryMapOptions,
@@ -345,129 +279,22 @@ where
             loop {
                 let item = lock(&queue).pop();
                 let Some((idx, value)) = item else { break };
-                if opts.cancel.as_ref().is_some_and(CancelHandle::is_cancelled) {
-                    // The sweep was cancelled externally; corners not yet
-                    // started are recorded without running, like Skipped,
-                    // but with the cancellation cause.
-                    if telemetry::enabled() {
-                        telemetry::event(
-                            "corner_failed",
-                            &[
-                                ("index", idx.into()),
-                                ("worker", worker_id.into()),
-                                ("kind", "cancelled".into()),
-                                ("attempts", 0usize.into()),
-                            ],
-                        );
-                    }
-                    lock(&failed).push(CornerFailure {
-                        index: idx,
-                        attempts: 0,
-                        failure: SweepFailure::Cancelled {
-                            elapsed: Duration::ZERO,
-                            error: None,
-                        },
-                    });
-                    continue;
-                }
-                if opts.budget.is_some_and(|b| started.elapsed() >= b) {
-                    if telemetry::enabled() {
-                        telemetry::event(
-                            "corner_failed",
-                            &[
-                                ("index", idx.into()),
-                                ("worker", worker_id.into()),
-                                ("kind", "skipped".into()),
-                                ("attempts", 0usize.into()),
-                            ],
-                        );
-                    }
-                    lock(&failed).push(CornerFailure {
-                        index: idx,
-                        attempts: 0,
-                        failure: SweepFailure::Skipped,
-                    });
-                    continue;
-                }
-                let mut attempts = 0usize;
-                let mut last = SweepFailure::Skipped;
                 let corner_started = Instant::now();
-                // One deadline slice covers all of the corner's attempts:
-                // the token expires on wall clock, not per retry. With an
-                // external handle wired in, the corner token is derived
-                // from it so a remote cancel lands mid-solve.
-                let token = match (&opts.cancel, opts.corner_deadline) {
-                    (Some(handle), Some(slice)) => Some(handle.child_with_deadline(slice)),
-                    (Some(handle), None) => Some(handle.child()),
-                    (None, Some(slice)) => Some(CancelToken::with_deadline(slice)),
-                    (None, None) => None,
-                };
-                let outcome = loop {
-                    attempts += 1;
-                    let mut attempt = || catch_unwind(AssertUnwindSafe(|| f(&mut scratch, &value)));
-                    let result = match &token {
-                        Some(tok) => with_corner_token(tok, attempt),
-                        None => attempt(),
-                    };
-                    match result {
-                        Ok(Ok(r)) => break Some(r),
-                        Ok(Err(e)) if e.is_deadline_exceeded() => {
-                            // Cancellation interrupts a solve mid-flight;
-                            // the workspace may hold partial state, so
-                            // rebuild it. Non-retriable: the slice is spent.
-                            scratch = init();
-                            // An explicit trigger on the external handle is
-                            // a remote cancel; otherwise the corner's own
-                            // deadline slice ran out.
-                            let remote =
-                                opts.cancel.as_ref().is_some_and(CancelHandle::is_cancelled);
-                            last = if remote {
-                                SweepFailure::Cancelled {
-                                    elapsed: corner_started.elapsed(),
-                                    error: Some(e),
-                                }
-                            } else {
-                                SweepFailure::TimedOut {
-                                    elapsed: corner_started.elapsed(),
-                                    error: e,
-                                }
-                            };
-                            break None;
-                        }
-                        Ok(Err(e)) if e.is_untrusted_solution() => {
-                            // Certification failure is a property of the
-                            // matrix, not of workspace state: a retry would
-                            // reproduce the same untrusted numbers.
-                            // Quarantine the corner, and rebuild the scratch
-                            // anyway — the factorization it caches is the
-                            // one that failed certification.
-                            scratch = init();
-                            last = SweepFailure::Untrusted { error: e };
-                            break None;
-                        }
-                        Ok(Err(e)) => last = SweepFailure::Solver(e),
-                        Err(payload) => {
-                            // The panic may have left the scratch half
-                            // updated; start the next attempt clean.
-                            scratch = init();
-                            last = SweepFailure::Panicked(panic_message(payload));
-                        }
-                    }
-                    let out_of_budget = opts.budget.is_some_and(|b| started.elapsed() >= b);
-                    if attempts > opts.retries || out_of_budget {
-                        break None;
-                    }
+                let token = opts.corner_deadline.map(CancelToken::with_deadline);
+                let mut run = || catch_unwind(AssertUnwindSafe(|| f(&mut scratch, &value)));
+                let result = match &token {
+                    Some(tok) => with_corner_token(tok, run),
+                    None => run(),
                 };
                 handled += 1;
-                match outcome {
-                    Some(r) => {
+                let failure = match result {
+                    Ok(Ok(r)) => {
                         if telemetry::enabled() {
                             telemetry::event(
                                 "corner_done",
                                 &[
                                     ("index", idx.into()),
                                     ("worker", worker_id.into()),
-                                    ("attempts", attempts.into()),
                                     (
                                         "elapsed_ms",
                                         (corner_started.elapsed().as_secs_f64() * 1e3).into(),
@@ -476,34 +303,54 @@ where
                             );
                         }
                         lock(&results)[idx] = Some(r);
+                        continue;
                     }
-                    None => {
-                        if telemetry::enabled() {
-                            telemetry::event(
-                                "corner_failed",
-                                &[
-                                    ("index", idx.into()),
-                                    ("worker", worker_id.into()),
-                                    ("kind", last.kind().into()),
-                                    ("attempts", attempts.into()),
-                                    (
-                                        "elapsed_ms",
-                                        (corner_started.elapsed().as_secs_f64() * 1e3).into(),
-                                    ),
-                                ],
-                            );
-                            telemetry::record_failure(
-                                "CornerFailure",
-                                &format!("corner {idx} failed after {attempts} attempt(s): {last}"),
-                            );
+                    Ok(Err(e)) if e.is_deadline_exceeded() => {
+                        // The deadline interrupts a solve mid-flight; the
+                        // workspace may hold partial state, so rebuild it.
+                        scratch = init();
+                        SweepFailure::TimedOut {
+                            elapsed: corner_started.elapsed(),
+                            error: e,
                         }
-                        lock(&failed).push(CornerFailure {
-                            index: idx,
-                            attempts,
-                            failure: last,
-                        });
                     }
+                    Ok(Err(e)) if e.is_untrusted_solution() => {
+                        // Quarantine the corner, and rebuild the scratch:
+                        // the factorization it caches is the one that
+                        // failed certification.
+                        scratch = init();
+                        SweepFailure::Untrusted { error: e }
+                    }
+                    Ok(Err(e)) => SweepFailure::Solver(e),
+                    Err(payload) => {
+                        // The panic may have left the scratch half
+                        // updated; start the next corner clean.
+                        scratch = init();
+                        SweepFailure::Panicked(panic_message(payload))
+                    }
+                };
+                if telemetry::enabled() {
+                    telemetry::event(
+                        "corner_failed",
+                        &[
+                            ("index", idx.into()),
+                            ("worker", worker_id.into()),
+                            ("kind", failure.kind().into()),
+                            (
+                                "elapsed_ms",
+                                (corner_started.elapsed().as_secs_f64() * 1e3).into(),
+                            ),
+                        ],
+                    );
+                    telemetry::record_failure(
+                        "CornerFailure",
+                        &format!("corner {idx} failed: {failure}"),
+                    );
                 }
+                lock(&failed).push(CornerFailure {
+                    index: idx,
+                    failure,
+                });
             }
             // Occupancy: how many corners this worker ended up draining —
             // a skewed distribution flags one slow corner starving the
@@ -647,47 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn try_map_retries_flaky_corners() {
-        let calls = AtomicUsize::new(0);
-        let opts = TryMapOptions {
-            retries: 1,
-            ..TryMapOptions::default()
-        };
-        let (out, report) = par_try_map(vec![1], &opts, |&i| {
-            // First attempt fails, retry succeeds.
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                Err(Error::DcNoConvergence {
-                    iterations: 1,
-                    residual: 1.0,
-                    report: None,
-                })
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(out, vec![Some(1)]);
-        assert!(report.all_ok());
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn try_map_budget_skips_pending_corners() {
-        let opts = TryMapOptions {
-            budget: Some(Duration::ZERO),
-            ..TryMapOptions::default()
-        };
-        let (out, report) = par_try_map((0..8).collect(), &opts, |&i: &i32| Ok(i));
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(report.succeeded, 0);
-        assert_eq!(report.failures.len(), 8);
-        assert!(report
-            .failures
-            .iter()
-            .all(|f| f.failure == SweepFailure::Skipped && f.attempts == 0));
-        assert!(report.summary().contains("8 skipped"));
-    }
-
-    #[test]
     fn try_map_all_ok_summary() {
         let (out, report) = par_try_map((0..5).collect(), &TryMapOptions::default(), |&i: &i32| {
             Ok(i + 1)
@@ -715,7 +521,6 @@ mod tests {
         assert_eq!(report.succeeded, 0);
         assert_eq!(report.failures.len(), 6);
         for fail in &report.failures {
-            assert_eq!(fail.attempts, 1, "timeouts must not be retried");
             assert!(
                 matches!(&fail.failure, SweepFailure::TimedOut { error, .. }
                     if error.is_deadline_exceeded()),
@@ -733,17 +538,13 @@ mod tests {
     #[test]
     fn untrusted_corners_are_quarantined_without_retry() {
         let calls = AtomicUsize::new(0);
-        let opts = TryMapOptions {
-            retries: 3,
-            ..TryMapOptions::default()
-        };
         let untrusted = || Error::UntrustedSolution {
             backward_error: 1.0e-2,
             tolerance: 1.0e-8,
             refinement_steps: 1,
             cond_estimate: 1.0e16,
         };
-        let (out, report) = par_try_map((0..4).collect(), &opts, |&i: &i32| {
+        let (out, report) = par_try_map((0..4).collect(), &TryMapOptions::default(), |&i: &i32| {
             calls.fetch_add(1, Ordering::SeqCst);
             if i == 2 {
                 return Err(untrusted());
@@ -752,11 +553,10 @@ mod tests {
         });
         assert_eq!(out, vec![Some(0), Some(1), None, Some(3)]);
         assert_eq!(report.quarantined(), 1);
-        // Despite `retries: 3`, the quarantined corner ran exactly once.
+        // The quarantined corner ran exactly once.
         assert_eq!(calls.load(Ordering::SeqCst), 4);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].index, 2);
-        assert_eq!(report.failures[0].attempts, 1);
         assert!(matches!(
             &report.failures[0].failure,
             SweepFailure::Untrusted { error } if error.is_untrusted_solution()
@@ -773,103 +573,6 @@ mod tests {
             report.summary().contains("1 quarantined"),
             "{}",
             report.summary()
-        );
-    }
-
-    #[test]
-    fn pre_triggered_cancel_handle_cancels_every_corner_without_running() {
-        let handle = CancelHandle::new();
-        handle.cancel();
-        let opts = TryMapOptions {
-            cancel: Some(handle),
-            retries: 2,
-            ..TryMapOptions::default()
-        };
-        let calls = AtomicUsize::new(0);
-        let (out, report) = par_try_map((0..5).collect(), &opts, |&i: &i32| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Ok(i)
-        });
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "no corner may run");
-        assert_eq!(report.cancelled(), 5);
-        for fail in &report.failures {
-            assert_eq!(fail.attempts, 0);
-            assert!(matches!(
-                fail.failure,
-                SweepFailure::Cancelled { error: None, .. }
-            ));
-            assert_eq!(fail.failure.to_string(), "cancelled before start");
-        }
-        assert!(
-            report.summary().contains("5 cancelled"),
-            "{}",
-            report.summary()
-        );
-    }
-
-    #[test]
-    fn remote_cancel_mid_solve_is_distinguished_from_timeout() {
-        use crate::analysis::budget::{BudgetTracker, Phase, RunBudget};
-        let handle = CancelHandle::new();
-        let opts = TryMapOptions {
-            cancel: Some(handle.clone()),
-            max_workers: Some(2),
-            ..TryMapOptions::default()
-        };
-        // Each corner polls its corner token the way budgeted solves do;
-        // the handle fires from outside the sweep threads after the first
-        // poll, so every corner is interrupted mid-"solve".
-        let (out, report) =
-            par_try_map((0..4).collect(), &opts, |&i: &i32| -> Result<i32, Error> {
-                let tracker = BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep);
-                handle.cancel();
-                loop {
-                    tracker.check()?;
-                    let _ = i;
-                }
-            });
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(report.succeeded, 0);
-        assert!(report.cancelled() >= 1, "{}", report.summary());
-        for fail in &report.failures {
-            match &fail.failure {
-                SweepFailure::Cancelled { error, .. } => {
-                    if fail.attempts > 0 {
-                        assert!(error.as_ref().is_some_and(Error::is_deadline_exceeded));
-                        assert!(fail.failure.to_string().starts_with("cancelled after"));
-                    }
-                }
-                other => panic!("expected cancelled, got {other}"),
-            }
-        }
-        assert!(
-            report.summary().contains("cancelled"),
-            "{}",
-            report.summary()
-        );
-    }
-
-    #[test]
-    fn corner_deadline_without_handle_still_reports_timeout() {
-        // Regression guard: wiring `cancel` must not reclassify plain
-        // deadline expiries as cancellations.
-        use crate::analysis::budget::{BudgetTracker, Phase, RunBudget};
-        let opts = TryMapOptions {
-            corner_deadline: Some(Duration::ZERO),
-            cancel: Some(CancelHandle::new()),
-            ..TryMapOptions::default()
-        };
-        let (_, report) = par_try_map(vec![0], &opts, |&i: &i32| {
-            let tracker = BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep);
-            tracker.check()?;
-            Ok(i)
-        });
-        assert_eq!(report.failures.len(), 1);
-        assert!(
-            matches!(report.failures[0].failure, SweepFailure::TimedOut { .. }),
-            "{}",
-            report.failures[0].failure
         );
     }
 

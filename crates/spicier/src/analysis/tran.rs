@@ -58,10 +58,10 @@ pub struct TranOptions {
     /// vector). Useful to start an analysis from a known pre-history, e.g.
     /// a detector capacitor still at the rail when test mode engages.
     pub initial_voltages: Vec<(NodeId, f64)>,
-    /// Execution budget for the whole transient call — wall clock,
-    /// total Newton iterations, timestep attempts, cancellation. This
-    /// field (not `dc.budget`, which only governs standalone DC calls)
-    /// bounds the run, including its initial operating point.
+    /// Iteration caps for the whole transient call — total Newton
+    /// iterations and timestep attempts. This field (not `dc.budget`,
+    /// which only governs standalone DC calls) bounds the run, including
+    /// its initial operating point.
     pub budget: RunBudget,
 }
 
@@ -103,12 +103,6 @@ impl TranOptions {
     /// Forces node voltages at `t = 0` (SPICE `.IC`).
     pub fn with_initial_voltage(mut self, node: NodeId, volts: f64) -> Self {
         self.initial_voltages.push((node, volts));
-        self
-    }
-
-    /// Sets the execution budget for the run.
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
         self
     }
 

@@ -65,11 +65,11 @@ pub enum Error {
     InvalidOptions(String),
     /// Failure while parsing an engineering-notation value such as `"4k"`.
     ParseValue(String),
-    /// A budgeted analysis ran out of wall-clock, Newton-iteration, or
-    /// timestep budget, or was cooperatively cancelled. Non-retriable:
-    /// the recovery ladder, transient salvage, and sweep retry machinery
-    /// surface it immediately instead of spending the remaining budget on
-    /// escalation or retries.
+    /// A budgeted analysis hit its `RunBudget` Newton-iteration or
+    /// timestep cap, or the corner token installed with
+    /// `with_corner_token` expired or was cancelled. Non-retriable: the
+    /// recovery ladder and transient salvage surface it immediately
+    /// instead of spending the remaining budget on escalation.
     DeadlineExceeded {
         /// Analysis that was interrupted.
         phase: crate::analysis::budget::Phase,
@@ -84,7 +84,7 @@ pub enum Error {
     /// solution cannot be trusted. Non-retriable, like
     /// [`Error::DeadlineExceeded`]: the factorization (or the matrix
     /// itself) is numerically rotten, and re-running the same solve —
-    /// another ladder rung, a sweep retry — would only reproduce the same
+    /// another ladder rung, another attempt — would only reproduce the same
     /// untrusted numbers.
     UntrustedSolution {
         /// Normalized ∞-norm backward error `‖Ax−b‖ / (‖A‖‖x‖+‖b‖)`

@@ -58,7 +58,7 @@ pub mod spice;
 pub mod telemetry;
 pub mod units;
 
-pub use crate::analysis::budget::{CancelHandle, CancelToken, Phase, RunBudget};
+pub use crate::analysis::budget::{CancelToken, Phase, RunBudget};
 pub use crate::analysis::dc::{
     operating_point, ConvergenceReport, DcOptions, DcSolution, RecoveryRung,
 };

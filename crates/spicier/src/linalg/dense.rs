@@ -586,7 +586,7 @@ fn pattern_norms(
 /// because both depend only on the earlier pivots. So that plan's step-`k`
 /// lists are exactly what a full elimination of this matrix sees, and the
 /// search already run over the first plan's candidates is the search over
-/// the new plan's. Only when no cached plan matches does [`eliminate`]
+/// the new plan's. Only when no cached plan matches does `eliminate`
 /// take over from step `k` (one pivot fallback). A switched replay counts
 /// as a refactor.
 ///

@@ -95,7 +95,7 @@ pub fn inf_norm(v: &[f64]) -> f64 {
 /// A zero denominator with a zero residual is a perfect solve (`0`); a
 /// zero denominator with a nonzero residual is reported as `∞`. NaN inputs
 /// yield NaN, which callers must treat as failed certification (gate with
-/// [`uncertified`]).
+/// `uncertified`).
 pub fn backward_error(residual_inf: f64, norm_a: f64, x_inf: f64, b_inf: f64) -> f64 {
     let denom = norm_a * x_inf + b_inf;
     if denom == 0.0 {

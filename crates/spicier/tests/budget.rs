@@ -1,17 +1,20 @@
-//! Budget edge cases: deadlines and iteration caps firing inside every
-//! DC ladder rung, between transient steps, across sweeps, and in the
-//! AC/noise analyses — plus the chaos-injection harness that proves a
-//! hung or NaN-poisoned Newton loop cannot escape the budget layer.
+//! Budget edge cases: corner-token deadlines and iteration caps firing
+//! inside every DC ladder rung, between transient steps, across sweeps,
+//! and in the AC/noise analyses — plus the chaos-injection harness that
+//! proves a hung or NaN-poisoned Newton loop cannot escape the budget
+//! layer.
 
 use spicier::analysis::ac::{ac_analysis, AcOptions};
 use spicier::analysis::noise::{noise_analysis, NoiseOptions};
 use spicier::analysis::sweep::{par_try_map, SweepFailure, TryMapOptions};
 use spicier::analysis::tran::{transient, transient_salvage, TranOptions};
-use spicier::analysis::{operating_point, sweep_vsource, DcOptions, Phase, RunBudget};
+use spicier::analysis::{
+    operating_point, sweep_vsource, with_corner_token, DcOptions, Phase, RunBudget,
+};
 use spicier::devices::DiodeModel;
 use spicier::netlist::Netlist;
 use spicier::{chaos, CancelToken, Circuit, Error};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Nonlinear two-node circuit (source, resistor, diode): converges under
 /// plain Newton, but needs several iterations.
@@ -39,11 +42,9 @@ fn rc_circuit() -> Circuit {
 #[test]
 fn zero_deadline_fails_operating_point_before_any_work() {
     let c = diode_circuit();
-    let opts = DcOptions {
-        budget: RunBudget::unlimited().with_deadline(Duration::ZERO),
-        ..DcOptions::default()
-    };
-    let err = operating_point(&c, &opts).unwrap_err();
+    let expired = CancelToken::with_deadline(Duration::ZERO);
+    let err =
+        with_corner_token(&expired, || operating_point(&c, &DcOptions::default())).unwrap_err();
     match err {
         Error::DeadlineExceeded {
             phase, progress, ..
@@ -60,13 +61,11 @@ fn pre_cancelled_token_fails_operating_point() {
     let c = diode_circuit();
     let cancel = CancelToken::new();
     cancel.cancel();
-    let opts = DcOptions {
-        budget: RunBudget::unlimited().with_cancel(cancel),
-        ..DcOptions::default()
-    };
-    assert!(operating_point(&c, &opts)
-        .unwrap_err()
-        .is_deadline_exceeded());
+    assert!(
+        with_corner_token(&cancel, || operating_point(&c, &DcOptions::default()))
+            .unwrap_err()
+            .is_deadline_exceeded()
+    );
 }
 
 /// Drives the iteration cap into every one of the five ladder rungs: a
@@ -118,13 +117,16 @@ fn newton_iteration_cap_fires_inside_each_ladder_rung() {
 #[test]
 fn wall_clock_deadline_bounds_a_hung_newton_loop() {
     let c = diode_circuit();
-    let opts = DcOptions {
-        budget: RunBudget::unlimited().with_deadline(Duration::from_millis(50)),
-        ..DcOptions::default()
-    };
-    let err = chaos::with_hang(|| operating_point(&c, &opts).unwrap_err());
+    // The error's own `elapsed` starts when the solve does, after the
+    // token's clock: bound the deadline with a clock started first.
+    let started = Instant::now();
+    let token = CancelToken::with_deadline(Duration::from_millis(50));
+    let err = with_corner_token(&token, || {
+        chaos::with_hang(|| operating_point(&c, &DcOptions::default()).unwrap_err())
+    });
+    let elapsed = started.elapsed();
     match err {
-        Error::DeadlineExceeded { phase, elapsed, .. } => {
+        Error::DeadlineExceeded { phase, .. } => {
             assert_eq!(phase, Phase::DcOperatingPoint);
             assert!(elapsed >= Duration::from_millis(50), "{elapsed:?}");
             assert!(elapsed < Duration::from_secs(10), "{elapsed:?}");
@@ -184,9 +186,9 @@ fn transient_newton_iteration_budget_salvages_midrun() {
 #[test]
 fn transient_zero_deadline_cannot_start() {
     let c = rc_circuit();
-    let mut opts = TranOptions::new(1.0e-6);
-    opts.budget = RunBudget::unlimited().with_deadline(Duration::ZERO);
-    assert!(transient_salvage(&c, &opts)
+    let opts = TranOptions::new(1.0e-6);
+    let expired = CancelToken::with_deadline(Duration::ZERO);
+    assert!(with_corner_token(&expired, || transient_salvage(&c, &opts))
         .unwrap_err()
         .is_deadline_exceeded());
 }
@@ -232,15 +234,14 @@ fn ac_and_noise_respect_their_budgets() {
     nl.capacitor("C1", b, Netlist::GROUND, 1.0e-9).unwrap();
     let c = nl.compile().unwrap();
     let freqs: Vec<f64> = vec![1.0e3, 1.0e4, 1.0e5];
-    let mut ac = AcOptions::new("V1", freqs.clone());
-    ac.budget = RunBudget::unlimited().with_deadline(Duration::ZERO);
-    match ac_analysis(&c, &ac).unwrap_err() {
+    let expired = CancelToken::with_deadline(Duration::ZERO);
+    let ac = AcOptions::new("V1", freqs.clone());
+    match with_corner_token(&expired, || ac_analysis(&c, &ac)).unwrap_err() {
         Error::DeadlineExceeded { phase, .. } => assert_eq!(phase, Phase::Ac),
         other => panic!("{other}"),
     }
-    let mut noise = NoiseOptions::new(b, freqs);
-    noise.budget = RunBudget::unlimited().with_deadline(Duration::ZERO);
-    match noise_analysis(&c, &noise).unwrap_err() {
+    let noise = NoiseOptions::new(b, freqs);
+    match with_corner_token(&expired, || noise_analysis(&c, &noise)).unwrap_err() {
         Error::DeadlineExceeded { phase, .. } => assert_eq!(phase, Phase::Noise),
         other => panic!("{other}"),
     }
@@ -275,7 +276,6 @@ fn hung_corner_is_isolated_and_healthy_corners_match_clean_run() {
     let chaos_opts = TryMapOptions {
         corner_deadline: Some(Duration::from_millis(150)),
         max_workers: Some(1),
-        ..TryMapOptions::default()
     };
     let (chaotic, report) = par_try_map(values, &chaos_opts, |v: &f64| {
         if *v == 3.0 {
