@@ -69,6 +69,7 @@ fn entry_json(e: &ExperimentTelemetry) -> Json {
         ("rung_iterations", Json::Obj(rungs)),
         ("accepted_steps", Json::Num(s.accepted_steps as f64)),
         ("rejected_steps", Json::Num(s.rejected_steps as f64)),
+        ("replicated_periods", Json::Num(s.replicated_periods as f64)),
         (
             "lu",
             Json::obj(vec![
@@ -147,6 +148,7 @@ mod tests {
             rung_iterations: vec![("newton".to_string(), newton)],
             accepted_steps: 10,
             rejected_steps: 1,
+            replicated_periods: 4,
             worst_backward_error: bwerr,
             ..TelemetrySummary::default()
         };
@@ -189,8 +191,10 @@ mod tests {
         assert_eq!(fig5.num_field("worst_backward_error"), Some(2.0e-13));
         assert_eq!(fig2.u64_field("quarantined"), Some(0));
         assert_eq!(fig2.u64_field("timed_out"), Some(1));
+        assert_eq!(fig2.u64_field("replicated_periods"), Some(4));
         let totals = doc.get("totals").unwrap();
         assert_eq!(totals.u64_field("newton_iterations"), Some(100));
+        assert_eq!(totals.u64_field("replicated_periods"), Some(8));
     }
 
     #[test]

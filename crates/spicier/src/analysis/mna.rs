@@ -134,6 +134,9 @@ pub struct Assembler<'c> {
     /// Junction voltages from the previous Newton iteration (limiting).
     junctions: Vec<f64>,
     junction_offset: Vec<usize>,
+    /// Limiting voltage (`vcrit`) per element; zero for elements without
+    /// a junction.
+    vcrit: Vec<f64>,
     /// Whether the last assembly clamped any junction voltage.
     limited: bool,
     /// Owner id of the stamp programs this assembler compiles.
@@ -176,6 +179,7 @@ impl<'c> Assembler<'c> {
         }
         let mut charge_offset = Vec::with_capacity(elements.len());
         let mut junction_offset = Vec::with_capacity(elements.len());
+        let mut vcrit = Vec::with_capacity(elements.len());
         let mut n_charges = 0;
         let mut n_junctions = 0;
         for (_, e) in elements {
@@ -183,6 +187,11 @@ impl<'c> Assembler<'c> {
             junction_offset.push(n_junctions);
             n_charges += charge_slots(e);
             n_junctions += junction_slots(e);
+            vcrit.push(match e {
+                Element::Diode { model, .. } => model.vcrit(),
+                Element::Bjt { model, .. } => model.vcrit(),
+                _ => 0.0,
+            });
         }
         Self {
             circuit,
@@ -193,6 +202,7 @@ impl<'c> Assembler<'c> {
             charge_offset,
             junction_offset,
             junctions: vec![0.0; n_junctions],
+            vcrit,
             limited: false,
             program_owner: fresh_id(),
         }
@@ -428,7 +438,8 @@ impl<'c> Assembler<'c> {
                 } => {
                     let j_off = self.junction_offset[e_idx];
                     let vd_raw = v_of(x, *anode) - v_of(x, *cathode);
-                    let vd = self.limit_junction(j_off, vd_raw, model.vcrit(), model.n * VT_300K);
+                    let vcrit = self.vcrit[e_idx];
+                    let vd = self.limit_junction(j_off, vd_raw, vcrit, model.n * VT_300K);
                     let eval = model.eval(vd);
                     stamp_conductance(triplets, *anode, *cathode, eval.gd);
                     stamp_current(rhs, *anode, *cathode, eval.id - eval.gd * vd);
@@ -449,7 +460,7 @@ impl<'c> Assembler<'c> {
                 } => {
                     let s = model.polarity.sign();
                     let j_off = self.junction_offset[e_idx];
-                    let vcrit = model.vcrit();
+                    let vcrit = self.vcrit[e_idx];
                     let vbe_raw = s * (v_of(x, *base) - v_of(x, *emitter));
                     let vbc_raw = s * (v_of(x, *base) - v_of(x, *collector));
                     let vbe = self.limit_junction(j_off, vbe_raw, vcrit, VT_300K);

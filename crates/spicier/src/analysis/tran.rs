@@ -13,15 +13,35 @@
 //! far — partial waveform plus a [`TranFailure`] diagnostic — instead of
 //! discarding hours of simulation; [`transient`] keeps the strict
 //! all-or-nothing contract on top of it.
+//!
+//! **Periodic steady-state skip:** when every independent source is DC or
+//! a `Pulse` with one shared `(delay, period)`, the pulse starts are the
+//! run's period boundaries. The stepper lands on each one (they are
+//! breakpoints) and compares the state with the previous boundary's. The
+//! boundary is *calm* when `N·|x_i(b_j) − x_i(b_{j−1})|` is within the
+//! Newton absolute tolerance of every unknown (`dc.abstol_v` for node
+//! voltages, `dc.abstol_i` for branch currents), where `N` counts the
+//! periods, whole or partial, left until `t_stop`. After two calm
+//! boundaries in a row the stepper copies the last simulated period
+//! forward up to the second-to-last pulse start, then simulates the final
+//! period and the tail as usual. The state it resumes from (`x`, charges,
+//! predictor history, step size) is the one a simulated run would hold
+//! there, because the state is periodic. Any PWL or SIN source, pulses
+//! with different delays or periods, or fewer than three boundaries turn
+//! the skip off; such a run is stepped in full. The step, Newton and LU
+//! counters count simulated work only; [`TranResult::replicated_periods`]
+//! reports the copied periods.
 
 use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::dc::{self, DcOptions};
 use super::mna::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
 use crate::error::Error;
 use crate::linalg::SolveQuality;
-use crate::netlist::{Circuit, NodeId};
+use crate::netlist::{Circuit, Element, NodeId, SourceWave};
 use crate::telemetry::{self, TelemetrySummary};
+use std::iter::Peekable;
 use std::time::Instant;
+use std::vec::IntoIter;
 
 /// Which quantities a transient run records.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -107,11 +127,19 @@ impl TranOptions {
     }
 
     fn resolved(&self) -> Result<(f64, f64), Error> {
-        if !(self.t_stop.is_finite() && self.t_stop > 0.0) {
-            return Err(Error::InvalidOptions(format!(
-                "t_stop must be positive, got {}",
-                self.t_stop
-            )));
+        for (name, value, zero_ok) in [
+            ("t_stop", self.t_stop, false),
+            ("dv_max", self.dv_max, false),
+            ("h_min", self.h_min, false),
+            ("h_max", self.h_max, true),
+            ("h_init", self.h_init, true),
+        ] {
+            if !(value.is_finite() && (value > 0.0 || zero_ok && value == 0.0)) {
+                let bound = if zero_ok { "non-negative" } else { "positive" };
+                return Err(Error::InvalidOptions(format!(
+                    "{name} must be finite and {bound}, got {value}"
+                )));
+            }
         }
         let h_max = if self.h_max > 0.0 {
             self.h_max
@@ -157,6 +185,12 @@ impl TranFailure {
 /// A result from [`transient_salvage`] may be *partial*: check
 /// [`TranResult::failure`] (or [`TranResult::is_complete`]) before treating
 /// the waveform as covering the full requested interval.
+///
+/// The time axis holds the `t = 0` sample, one sample per accepted step,
+/// and the samples of every period the steady-state skip copied
+/// ([`TranResult::replicated_periods`]). The step, Newton and LU counters
+/// count simulated work only, so `time().len()` equals
+/// `accepted_steps() + 1` exactly when no period was copied.
 #[derive(Debug, Clone)]
 pub struct TranResult {
     time: Vec<f64>,
@@ -165,6 +199,8 @@ pub struct TranResult {
     accepted_steps: usize,
     rejected_steps: usize,
     newton_iterations: usize,
+    replicated_periods: usize,
+    replicated_samples: usize,
     failure: Option<TranFailure>,
     quality: SolveQuality,
     telemetry: TelemetrySummary,
@@ -181,6 +217,7 @@ impl PartialEq for TranResult {
             && self.accepted_steps == other.accepted_steps
             && self.rejected_steps == other.rejected_steps
             && self.newton_iterations == other.newton_iterations
+            && self.replicated_periods == other.replicated_periods
             && self.failure == other.failure
             && self.quality == other.quality
     }
@@ -205,7 +242,8 @@ impl TranResult {
         &self.nodes
     }
 
-    /// Number of accepted timesteps.
+    /// Number of accepted timesteps. Only simulated steps count: the
+    /// samples of periods copied by the steady-state skip do not.
     pub fn accepted_steps(&self) -> usize {
         self.accepted_steps
     }
@@ -218,6 +256,13 @@ impl TranResult {
     /// Total Newton iterations across the run (performance diagnostic).
     pub fn newton_iterations(&self) -> usize {
         self.newton_iterations
+    }
+
+    /// Stimulus periods copied forward instead of simulated, once the run
+    /// reached periodic steady state (see the [module docs](self)). Zero
+    /// for a run that was not skipped.
+    pub fn replicated_periods(&self) -> usize {
+        self.replicated_periods
     }
 
     /// Why the run stopped early, when it did. `None` means the run covered
@@ -244,6 +289,160 @@ impl TranResult {
     pub fn telemetry(&self) -> &TelemetrySummary {
         &self.telemetry
     }
+}
+
+/// Breakpoint spacing below which two breakpoints are the same instant.
+const BP_EPS: f64 = 1e-18;
+
+/// The period boundaries of a periodically driven run and the state the
+/// steady-state test compares across them (see the module docs).
+struct PeriodicSkip {
+    period: f64,
+    /// Number of boundaries: pulse starts in `[0, t_stop)`.
+    count: usize,
+    /// Index and time of the next boundary.
+    next_index: usize,
+    next: f64,
+    /// State at the previous boundary and the index of its sample.
+    last: Vec<f64>,
+    last_sample: usize,
+    /// Whether the previous boundary was calm.
+    calm: bool,
+}
+
+/// A skip decided at a boundary: copy the samples after `first_sample` up
+/// to and including the boundary's own, `periods` times.
+struct Skip {
+    /// Index and time of the boundary.
+    boundary: usize,
+    from: f64,
+    period: f64,
+    first_sample: usize,
+    periods: usize,
+    /// The largest `N·|Δx_i|` over the unknowns.
+    worst: f64,
+}
+
+impl PeriodicSkip {
+    /// The boundaries of `circuit`'s run to `t_stop`, or `None` when the
+    /// skip does not apply: a source other than DC or one shared pulse
+    /// train, or fewer than three boundaries. Allocates nothing then.
+    fn new(circuit: &Circuit, t_stop: f64) -> Option<Self> {
+        let mut shared = None;
+        for (_, e) in circuit.elements() {
+            let wave = match e {
+                Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => wave,
+                _ => continue,
+            };
+            if matches!(wave, SourceWave::Dc(_)) {
+                continue;
+            }
+            let train = wave.pulse_period()?;
+            if *shared.get_or_insert(train) != train {
+                return None;
+            }
+        }
+        let (delay, period) = shared?;
+        let mut starts = SourceWave::pulse_starts(delay, period, t_stop).filter(|&b| b >= 0.0);
+        let next = starts.next()?;
+        let count = 1 + starts.count();
+        (count >= 3).then(|| Self {
+            period,
+            count,
+            next_index: 0,
+            next,
+            last: Vec::new(),
+            last_sample: 0,
+            calm: false,
+        })
+    }
+
+    /// Whether the stepper, now at `t`, has reached the next boundary.
+    fn reached(&self, t: f64) -> bool {
+        t >= self.next - BP_EPS
+    }
+
+    /// Takes the state `x` at the next boundary, recorded as sample
+    /// `sample`, and decides whether to skip from there.
+    fn boundary(
+        &mut self,
+        x: &[f64],
+        sample: usize,
+        n_nodes: usize,
+        dc: &DcOptions,
+    ) -> Option<Skip> {
+        let j = self.next_index;
+        let left = (self.count - j) as f64;
+        let mut calm = !self.last.is_empty();
+        let mut worst = 0.0f64;
+        if calm {
+            for (i, (now, before)) in x.iter().zip(&self.last).enumerate() {
+                let drift = left * (now - before).abs();
+                let tol = if i < n_nodes {
+                    dc.abstol_v
+                } else {
+                    dc.abstol_i
+                };
+                calm &= drift <= tol;
+                worst = worst.max(drift);
+            }
+        }
+        // The skip lands on the second-to-last boundary, which must lie
+        // ahead.
+        let target = self.count - 2;
+        let skip = (calm && self.calm && j < target).then(|| Skip {
+            boundary: j,
+            from: self.next,
+            period: self.period,
+            first_sample: self.last_sample,
+            periods: target - j,
+            worst,
+        });
+        self.last.clear();
+        self.last.extend_from_slice(x);
+        self.last_sample = sample;
+        self.calm = calm;
+        self.next_index += 1;
+        self.next += self.period;
+        skip
+    }
+}
+
+/// Copies the period that ended at `skip.from` forward `skip.periods`
+/// times and consumes the breakpoints the copies cover. Returns the time
+/// the stepper resumes from: the last copied boundary, as its breakpoint
+/// holds it.
+fn replicate(
+    result: &mut TranResult,
+    skip: &Skip,
+    breakpoints: &mut Peekable<IntoIter<f64>>,
+) -> f64 {
+    let samples = skip.first_sample + 1..result.time.len();
+    let copied = samples.len() * skip.periods;
+    result.time.reserve(copied);
+    for trace in &mut result.data {
+        trace.reserve(copied);
+    }
+    let mut boundary = skip.from;
+    for _ in 0..skip.periods {
+        boundary += skip.period;
+        let shift = boundary - skip.from;
+        for k in samples.start..samples.end - 1 {
+            let t = result.time[k] + shift;
+            result.time.push(t);
+        }
+        result.time.push(boundary);
+        for trace in &mut result.data {
+            trace.extend_from_within(samples.clone());
+        }
+    }
+    result.replicated_periods += skip.periods;
+    result.replicated_samples += copied;
+    let mut t = boundary;
+    while let Some(bp) = breakpoints.next_if(|&bp| bp <= boundary + BP_EPS) {
+        t = bp;
+    }
+    t
 }
 
 /// Runs a transient analysis, failing the whole run on any mid-run error.
@@ -334,15 +533,14 @@ pub fn transient_salvage_with(
     let mut breakpoints: Vec<f64> = Vec::new();
     for (_, e) in circuit.elements() {
         match e {
-            crate::netlist::Element::VoltageSource { wave, .. }
-            | crate::netlist::Element::CurrentSource { wave, .. } => {
+            Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => {
                 wave.breakpoints(opts.t_stop, &mut breakpoints);
             }
             _ => {}
         }
     }
     breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-    breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1e-18);
+    breakpoints.dedup_by(|a, b| (*a - *b).abs() < BP_EPS);
     let mut bp_iter = breakpoints.into_iter().peekable();
 
     // Probe bookkeeping.
@@ -357,6 +555,8 @@ pub fn transient_salvage_with(
         accepted_steps: 0,
         rejected_steps: 0,
         newton_iterations: 0,
+        replicated_periods: 0,
+        replicated_samples: 0,
         failure: None,
         quality: ws.solver.last_quality(),
         telemetry: TelemetrySummary::default(),
@@ -374,6 +574,12 @@ pub fn transient_salvage_with(
     record(&mut result, 0.0, &x);
 
     let n_nodes = circuit.node_unknowns();
+    let mut periodic = PeriodicSkip::new(circuit, opts.t_stop);
+    if let Some(p) = periodic.as_mut() {
+        if p.reached(0.0) {
+            p.boundary(&x, 0, n_nodes, &opts.dc);
+        }
+    }
 
     let mut t = 0.0;
     let mut h = h_init.min(h_max);
@@ -496,6 +702,35 @@ pub fn transient_salvage_with(
                         h *= 1.5;
                     }
                 }
+                let skip = match periodic.as_mut() {
+                    Some(p) if p.reached(t) => {
+                        if hit_bp && t <= p.next + BP_EPS {
+                            p.boundary(&x, result.time.len() - 1, n_nodes, &opts.dc)
+                        } else {
+                            // A boundary passed without a landing: stop
+                            // watching rather than compare off-boundary
+                            // states.
+                            periodic = None;
+                            None
+                        }
+                    }
+                    _ => None,
+                };
+                if let Some(skip) = skip {
+                    if telemetry::enabled() {
+                        telemetry::event(
+                            "periodic_skip",
+                            &[
+                                ("t", t.into()),
+                                ("boundary", skip.boundary.into()),
+                                ("periods", skip.periods.into()),
+                                ("worst", skip.worst.into()),
+                            ],
+                        );
+                    }
+                    t = replicate(&mut result, &skip, &mut bp_iter);
+                    periodic = None;
+                }
             }
             // A spent budget or a failed certification inside the step is
             // non-retriable: no BE retry, no step shrink — salvage the
@@ -561,6 +796,7 @@ pub fn transient_salvage_with(
         newton_iterations: result.newton_iterations as u64,
         accepted_steps: result.accepted_steps as u64,
         rejected_steps: result.rejected_steps as u64,
+        replicated_periods: result.replicated_periods as u64,
         lu: ws.solver.stats().delta_since(&lu_before),
         worst_backward_error: Some(result.quality.backward_error),
         ..TelemetrySummary::default()
@@ -748,6 +984,160 @@ mod tests {
         let c = nl.compile().unwrap();
         assert!(transient(&c, &TranOptions::new(-1.0)).is_err());
         assert!(transient(&c, &TranOptions::new(0.0)).is_err());
+    }
+
+    #[test]
+    fn options_that_can_only_crawl_are_rejected() {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let b = nl.node("b");
+        nl.vdc("V1", a, Netlist::GROUND, 1.0).unwrap();
+        nl.resistor("R1", a, b, 1.0e3).unwrap();
+        nl.capacitor("C1", b, Netlist::GROUND, 1.0e-12).unwrap();
+        let c = nl.compile().unwrap();
+        let base = || {
+            let mut opts = TranOptions::new(1.0e-8);
+            opts.budget = RunBudget::default().with_max_timesteps(1_000);
+            opts
+        };
+        type Spoil = fn(&mut TranOptions);
+        let cases: [(&str, Spoil); 8] = [
+            ("dv_max", |o| o.dv_max = -1.0),
+            ("dv_max", |o| o.dv_max = f64::NAN),
+            ("h_min", |o| o.h_min = 0.0),
+            ("h_min", |o| o.h_min = f64::INFINITY),
+            ("h_max", |o| o.h_max = -1.0e-9),
+            ("h_max", |o| o.h_max = f64::NAN),
+            ("h_init", |o| o.h_init = -1.0e-12),
+            ("h_init", |o| o.h_init = f64::INFINITY),
+        ];
+        for (field, spoil) in cases {
+            let mut opts = base();
+            spoil(&mut opts);
+            match transient(&c, &opts) {
+                Err(Error::InvalidOptions(reason)) => assert!(reason.contains(field), "{reason}"),
+                other => panic!("{field}: expected InvalidOptions, got {other:?}"),
+            }
+        }
+        // The defaults, and zero for the two fields where it means
+        // "derive from t_stop", still run.
+        assert!(transient(&c, &base()).is_ok());
+    }
+
+    /// A 1 kΩ RC low-pass with capacitor `cap`, driven by `wave`; returns
+    /// the circuit and the output node.
+    fn rc_lowpass(wave: SourceWave, cap: f64) -> (Circuit, NodeId) {
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let b = nl.node("b");
+        nl.vsource("V1", a, Netlist::GROUND, wave).unwrap();
+        nl.resistor("R1", a, b, 1.0e3).unwrap();
+        nl.capacitor("C1", b, Netlist::GROUND, cap).unwrap();
+        (nl.compile().unwrap(), b)
+    }
+
+    /// `wave` as a PWL through its own breakpoints: the same stimulus, but
+    /// a PWL source turns the steady-state skip off.
+    fn as_pwl(wave: &SourceWave, t_stop: f64) -> SourceWave {
+        let mut times = vec![0.0];
+        wave.breakpoints(t_stop, &mut times);
+        times.sort_by(f64::total_cmp);
+        times.dedup();
+        SourceWave::Pwl(times.into_iter().map(|t| (t, wave.value_at(t))).collect())
+    }
+
+    const SQUARE_HZ: f64 = 1.0e8;
+    const SQUARE_PERIODS: f64 = 40.0;
+
+    /// The skipped run (pulse source) and its reference (the same stimulus
+    /// as PWL) of an RC low-pass with capacitor `cap`.
+    fn square_pair(cap: f64) -> (TranResult, TranResult, NodeId, f64) {
+        let wave = SourceWave::square(0.0, 1.0, SQUARE_HZ, 0.2);
+        let t_stop = SQUARE_PERIODS / SQUARE_HZ;
+        let opts = TranOptions::new(t_stop);
+        let (pwl, _) = rc_lowpass(as_pwl(&wave, t_stop), cap);
+        let (pulse, out) = rc_lowpass(wave, cap);
+        let skipped = transient(&pulse, &opts).unwrap();
+        let reference = transient(&pwl, &opts).unwrap();
+        assert_eq!(reference.replicated_periods(), 0);
+        (skipped, reference, out, t_stop)
+    }
+
+    #[test]
+    fn settled_periods_are_copied_within_abstol() {
+        // τ = 1 ns against a 10 ns period: settled after a few periods.
+        let (res, reference, out, t_stop) = square_pair(1.0e-12);
+        assert!(res.replicated_periods() > 0, "nothing copied");
+        assert!(res.accepted_steps() < reference.accepted_steps() / 2);
+        let abstol_v = DcOptions::default().abstol_v;
+        let at = |r: &TranResult, t: f64| {
+            let k = r.time().iter().position(|&s| (s - t).abs() <= BP_EPS);
+            r.trace(out).unwrap()[k.unwrap_or_else(|| panic!("no sample at {t:e}"))]
+        };
+        for b in SourceWave::pulse_starts(0.0, 1.0 / SQUARE_HZ, t_stop) {
+            let (v, v_ref) = (at(&res, b), at(&reference, b));
+            assert!((v - v_ref).abs() <= abstol_v, "t = {b:e}: {v} vs {v_ref}");
+        }
+        let time = res.time();
+        assert!(
+            time.windows(2).all(|w| w[0] < w[1]),
+            "time axis not increasing"
+        );
+        assert_eq!(*time.last().unwrap(), t_stop);
+        assert_eq!(
+            time.len(),
+            res.accepted_steps() + 1 + res.replicated_samples
+        );
+        assert_eq!(
+            res.telemetry().replicated_periods,
+            res.replicated_periods() as u64
+        );
+    }
+
+    #[test]
+    fn unsettled_response_is_stepped_in_full() {
+        // τ = 1 µs against a 400 ns run: every period still drifts.
+        let (res, reference, out, _) = square_pair(1.0e-6);
+        assert_eq!(res.replicated_periods(), 0);
+        assert_eq!(res.time().len(), reference.time().len());
+        let pairs = res.time().iter().zip(reference.time()).chain(
+            res.trace(out)
+                .unwrap()
+                .iter()
+                .zip(reference.trace(out).unwrap()),
+        );
+        for (a, b) in pairs {
+            assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn mixed_periods_and_sine_are_never_skipped() {
+        let t_stop = SQUARE_PERIODS / SQUARE_HZ;
+        let sine = SourceWave::Sin {
+            offset: 0.0,
+            amplitude: 1.0,
+            freq: SQUARE_HZ,
+            delay: 0.0,
+        };
+        let (c, _) = rc_lowpass(sine, 1.0e-12);
+        let res = transient(&c, &TranOptions::new(t_stop)).unwrap();
+        assert_eq!(res.replicated_periods(), 0);
+
+        let mut nl = Netlist::new();
+        let a = nl.node("a");
+        let b = nl.node("b");
+        let out = nl.node("out");
+        let fast = SourceWave::square(0.0, 1.0, SQUARE_HZ, 0.2);
+        let slow = SourceWave::square(0.0, 1.0, SQUARE_HZ / 2.0, 0.2);
+        nl.vsource("V1", a, Netlist::GROUND, fast).unwrap();
+        nl.vsource("V2", b, Netlist::GROUND, slow).unwrap();
+        nl.resistor("R1", a, out, 1.0e3).unwrap();
+        nl.resistor("R2", b, out, 1.0e3).unwrap();
+        nl.capacitor("C1", out, Netlist::GROUND, 1.0e-12).unwrap();
+        let res = transient(&nl.compile().unwrap(), &TranOptions::new(t_stop)).unwrap();
+        assert_eq!(res.replicated_periods(), 0);
+        assert_eq!(res.time().len(), res.accepted_steps() + 1);
     }
 
     #[test]

@@ -129,6 +129,29 @@ impl SourceWave {
         self.value_at(0.0)
     }
 
+    /// The `(delay, period)` of a repeating pulse train: a `Pulse` with a
+    /// positive period. `None` for every other wave.
+    pub(crate) fn pulse_period(&self) -> Option<(f64, f64)> {
+        match self {
+            SourceWave::Pulse { delay, period, .. } if *period > 0.0 => Some((*delay, *period)),
+            _ => None,
+        }
+    }
+
+    /// The start times of a pulse train's pulses below `t_stop`: `delay`,
+    /// then `delay + period`, ... accumulated one period at a time. A
+    /// non-positive `period` yields `delay` alone. [`breakpoints`] and the
+    /// transient stepper's period boundaries both come from here, so a
+    /// boundary equals its breakpoint bit for bit.
+    ///
+    /// [`breakpoints`]: SourceWave::breakpoints
+    pub(crate) fn pulse_starts(delay: f64, period: f64, t_stop: f64) -> impl Iterator<Item = f64> {
+        std::iter::successors(Some(delay), move |&start| {
+            (period > 0.0).then_some(start + period)
+        })
+        .take_while(move |&start| start < t_stop)
+    }
+
     /// Appends slope-discontinuity times in `(0, t_stop]` to `out` so the
     /// transient engine can land on them exactly.
     pub fn breakpoints(&self, t_stop: f64, out: &mut Vec<f64>) {
@@ -142,17 +165,12 @@ impl SourceWave {
                 period,
                 ..
             } => {
-                let mut start = *delay;
-                while start < t_stop {
+                for start in Self::pulse_starts(*delay, *period, t_stop) {
                     for offset in [0.0, *rise, rise + width, rise + width + fall] {
                         let t = start + offset;
                         if t > 0.0 && t <= t_stop {
                             out.push(t);
                         }
-                    }
-                    start += period;
-                    if *period <= 0.0 {
-                        break;
                     }
                 }
             }

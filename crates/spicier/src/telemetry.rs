@@ -535,6 +535,9 @@ pub struct TelemetrySummary {
     /// Rejected transient timesteps: a node voltage moved more than
     /// `dv_max` in the step, or Newton failed to converge.
     pub rejected_steps: u64,
+    /// Stimulus periods a transient copied forward instead of simulating,
+    /// once it reached periodic steady state.
+    pub replicated_periods: u64,
     /// Linear-kernel counters accumulated during the analysis.
     pub lu: LuStats,
     /// Worst certified backward error observed (`NaN` is pessimal).
@@ -555,6 +558,7 @@ impl TelemetrySummary {
         }
         self.accepted_steps += other.accepted_steps;
         self.rejected_steps += other.rejected_steps;
+        self.replicated_periods += other.replicated_periods;
         self.lu.absorb(&other.lu);
         self.worst_backward_error =
             worst_opt(self.worst_backward_error, other.worst_backward_error);
@@ -625,18 +629,21 @@ mod tests {
         let a = TelemetrySummary {
             wall: Duration::from_millis(10),
             newton_iterations: 3,
+            replicated_periods: 2,
             worst_backward_error: Some(1e-12),
             ..Default::default()
         };
         let b = TelemetrySummary {
             wall: Duration::from_millis(5),
             newton_iterations: 4,
+            replicated_periods: 5,
             worst_backward_error: Some(1e-9),
             ..Default::default()
         };
         let total = TelemetrySummary::merged([&a, &b]);
         assert_eq!(total.wall, Duration::from_millis(15));
         assert_eq!(total.newton_iterations, 7);
+        assert_eq!(total.replicated_periods, 7);
         assert_eq!(total.worst_backward_error, Some(1e-9));
         assert_eq!(
             TelemetrySummary::merged(std::iter::empty()),
