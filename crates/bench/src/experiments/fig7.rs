@@ -10,7 +10,7 @@ use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::{DetectorHandle, DetectorLoad, Variant1};
 use faults::Defect;
 use spicier::analysis::tran::{transient, TranOptions};
-use spicier::{Circuit, Error};
+use spicier::{Circuit, Error, NodeId};
 use waveform::{write_csv_file, SettlingInfo, StabilityOptions, StabilityResult, Waveform};
 
 /// Detector output excursion below which a run counts as "did not fire".
@@ -72,18 +72,29 @@ pub fn detector_response(
     variant2: Option<f64>,
 ) -> Result<Fig7Result, Error> {
     let (circuit, handle) = detector_circuit(pipe_ohms, load, freq, variant2)?;
+    let opts = detector_options(handle.vout, t_stop, variant2.is_some());
+    let res = transient(&circuit, &opts)?;
+    Ok(measure_detector(wf(&res, handle.vout)?))
+}
+
+/// The transient options of [`detector_response`] for a detector output
+/// `vout` (`variant2` as there).
+pub(crate) fn detector_options(vout: NodeId, t_stop: f64, variant2: bool) -> TranOptions {
     let mut opts = TranOptions::new(t_stop);
-    opts.probes = spicier::analysis::tran::Probe::Nodes(vec![handle.vout]);
-    if variant2.is_some() {
+    opts.probes = spicier::analysis::tran::Probe::Nodes(vec![vout]);
+    if variant2 {
         // A test session *switches test mode on*: before it, the detector
         // load capacitor idles at the rail. With a static DC input the
         // fault is already asserted at the operating point (§6.6: "fully
         // detectable with DC test"), so without this pre-history there
         // would be no settling transient to measure.
-        opts = opts.with_initial_voltage(handle.vout, CmlProcess::paper().vgnd);
+        opts = opts.with_initial_voltage(vout, CmlProcess::paper().vgnd);
     }
-    let res = transient(&circuit, &opts)?;
-    let vout = wf(&res, handle.vout)?;
+    opts
+}
+
+/// The measurements of [`detector_response`] on a detector output.
+pub(crate) fn measure_detector(vout: Waveform) -> Fig7Result {
     let stability = StabilityResult::measure(
         &vout,
         &StabilityOptions {
@@ -92,11 +103,11 @@ pub fn detector_response(
         },
     );
     let settling = SettlingInfo::measure(&vout, 0.1).filter(|s| s.depth > FIRE_DEPTH);
-    Ok(Fig7Result {
+    Fig7Result {
         vout,
         stability,
         settling,
-    })
+    }
 }
 
 /// Runs the paper's exact Figure 7 configuration.

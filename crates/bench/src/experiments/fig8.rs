@@ -86,9 +86,7 @@ pub fn settle_sweep_grid_with(
         grid,
         opts,
         |&(freq, pipe, cap)| -> Result<SettlePoint, Error> {
-            // Longer horizon for the big capacitor; always at least 12 periods.
-            let base: f64 = if cap > 5.0e-12 { 300.0e-9 } else { 80.0e-9 };
-            let t_stop = base.max(12.0 / freq);
+            let t_stop = settle_horizon(freq, cap);
             let solve =
                 || detector_response(pipe, DetectorLoad::diode_cap(cap), freq, t_stop, vtest);
             let r = if (freq, pipe, cap) == HANG_CORNER {
@@ -126,6 +124,13 @@ pub fn settle_sweep_grid_with(
         })
         .collect();
     SettleSweep { points, report }
+}
+
+/// The simulated horizon of a settling corner: longer for the big
+/// capacitor, and always at least 12 stimulus periods.
+fn settle_horizon(freq: f64, cap: f64) -> f64 {
+    let base: f64 = if cap > 5.0e-12 { 300.0e-9 } else { 80.0e-9 };
+    base.max(12.0 / freq)
 }
 
 /// The FIG8 grids.
@@ -268,7 +273,73 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::common::wf;
+    use super::super::fig7::{detector_circuit, detector_options, measure_detector};
     use super::*;
+    use spicier::netlist::{Element, SourceWave};
+    use spicier::transient;
+
+    #[test]
+    fn extrapolated_corners_match_the_full_transient() {
+        // The full transient stays the reference: each corner again with
+        // its square-wave drive swapped for PWL twins through the same
+        // breakpoints, which the stepper never skips.
+        let corners = [
+            // Fires while its detector still drifts.
+            (1.0e9, 2.0e3, 10.0e-12, None),
+            (2.0e9, 2.0e3, 1.0e-12, None),
+            (2.0e9, 4.0e3, 10.0e-12, Some(super::super::fig10::VTEST)),
+        ];
+        for (freq, pipe, cap, vtest) in corners {
+            let label = corner_label(freq, pipe, cap);
+            let t_stop = settle_horizon(freq, cap);
+            let load = DetectorLoad::diode_cap(cap);
+            let (circuit, handle) = detector_circuit(pipe, load, freq, vtest).unwrap();
+            let opts = detector_options(handle.vout, t_stop, vtest.is_some());
+            let fast = transient(&circuit, &opts).unwrap();
+            let mut nl = circuit.into_netlist();
+            for name in ["Vap", "Van"] {
+                let Element::VoltageSource { p, n, wave } = nl.remove_element(name).unwrap() else {
+                    panic!("{name} is not a voltage source");
+                };
+                let mut times = vec![0.0];
+                wave.breakpoints(t_stop, &mut times);
+                times.sort_by(f64::total_cmp);
+                times.dedup();
+                let points = times.iter().map(|&t| (t, wave.value_at(t))).collect();
+                nl.vsource(name, p, n, SourceWave::Pwl(points)).unwrap();
+            }
+            let full = transient(&nl.compile().unwrap(), &opts).unwrap();
+            assert!(fast.extrapolated_periods() > 0, "{label}: not extrapolated");
+            assert_eq!(full.replicated_periods(), 0, "{label}");
+
+            let fast = measure_detector(wf(&fast, handle.vout).unwrap());
+            let full = measure_detector(wf(&full, handle.vout).unwrap());
+            let (s, s_ref) = (fast.settling, full.settling);
+            assert_eq!(s.is_some(), s_ref.is_some(), "{label}: fired differently");
+            if let (Some(s), Some(s_ref)) = (s, s_ref) {
+                assert!(
+                    (s.t_settle - s_ref.t_settle).abs() <= 1.0 / freq,
+                    "{label}: t_settle {:e} vs {:e}",
+                    s.t_settle,
+                    s_ref.t_settle
+                );
+                assert!(
+                    (s.v_band_max - s_ref.v_band_max).abs() <= 2.0e-3,
+                    "{label}: v_band_max {} vs {}",
+                    s.v_band_max,
+                    s_ref.v_band_max
+                );
+            }
+            for (&t, &v_ref) in full.vout.time().iter().zip(full.vout.values()) {
+                let v = fast.vout.value_at(t);
+                assert!(
+                    (v - v_ref).abs() <= 50.0e-6,
+                    "{label}: t = {t:e}: {v} vs {v_ref}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bigger_cap_settles_slower() {

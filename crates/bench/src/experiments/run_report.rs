@@ -71,6 +71,10 @@ fn entry_json(e: &ExperimentTelemetry) -> Json {
         ("rejected_steps", Json::Num(s.rejected_steps as f64)),
         ("replicated_periods", Json::Num(s.replicated_periods as f64)),
         (
+            "extrapolated_periods",
+            Json::Num(s.extrapolated_periods as f64),
+        ),
+        (
             "lu",
             Json::obj(vec![
                 ("full_factors", Json::Num(s.lu.full_factors as f64)),
@@ -149,6 +153,7 @@ mod tests {
             accepted_steps: 10,
             rejected_steps: 1,
             replicated_periods: 4,
+            extrapolated_periods: 3,
             worst_backward_error: bwerr,
             ..TelemetrySummary::default()
         };
@@ -195,6 +200,8 @@ mod tests {
         let totals = doc.get("totals").unwrap();
         assert_eq!(totals.u64_field("newton_iterations"), Some(100));
         assert_eq!(totals.u64_field("replicated_periods"), Some(8));
+        assert_eq!(fig2.u64_field("extrapolated_periods"), Some(3));
+        assert_eq!(totals.u64_field("extrapolated_periods"), Some(6));
     }
 
     #[test]

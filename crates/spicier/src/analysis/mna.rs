@@ -232,6 +232,22 @@ impl<'c> Assembler<'c> {
         self.charges.copy_from_slice(&self.scratch);
     }
 
+    /// Copies the committed charges, one per charge-storage site, into
+    /// `out`.
+    pub(crate) fn committed_charges(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.charges.iter().map(|c| c.q));
+    }
+
+    /// Advances every committed charge by `periods` times its change since
+    /// `before`, as [`committed_charges`](Self::committed_charges) recorded
+    /// it one period earlier.
+    pub(crate) fn extrapolate_charges(&mut self, before: &[f64], periods: f64) {
+        for (c, &q) in self.charges.iter_mut().zip(before) {
+            c.q += periods * (c.q - q);
+        }
+    }
+
     /// Initializes committed charge states from a converged DC solution
     /// (zero charging currents — steady state).
     pub fn init_charges(&mut self, x: &[f64]) {

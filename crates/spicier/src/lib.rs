@@ -18,8 +18,9 @@
 //! * adaptive transient analysis with trapezoidal / backward-Euler
 //!   integration, step control by a per-step node-voltage-change bound
 //!   (`dv_max`) with Newton-failure backoff, source breakpoints, a skip
-//!   of pulse periods that repeat a settled one, and salvage of partial
-//!   waveforms on mid-run failure ([`analysis::tran`]);
+//!   of pulse periods that repeat a settled one or drift steadily from
+//!   it, and salvage of partial waveforms on mid-run failure
+//!   ([`analysis::tran`]);
 //! * dense and sparse (Gilbert–Peierls) LU solvers ([`linalg`]);
 //! * parameter sweeps with thread-level parallelism ([`analysis::sweep`]).
 //!

@@ -535,9 +535,12 @@ pub struct TelemetrySummary {
     /// Rejected transient timesteps: a node voltage moved more than
     /// `dv_max` in the step, or Newton failed to converge.
     pub rejected_steps: u64,
-    /// Stimulus periods a transient copied forward instead of simulating,
-    /// once it reached periodic steady state.
+    /// Stimulus periods a transient did not simulate: copied forward once
+    /// it reached periodic steady state, or extrapolated along a steady
+    /// per-period drift.
     pub replicated_periods: u64,
+    /// The subset of `replicated_periods` that was extrapolated.
+    pub extrapolated_periods: u64,
     /// Linear-kernel counters accumulated during the analysis.
     pub lu: LuStats,
     /// Worst certified backward error observed (`NaN` is pessimal).
@@ -559,6 +562,7 @@ impl TelemetrySummary {
         self.accepted_steps += other.accepted_steps;
         self.rejected_steps += other.rejected_steps;
         self.replicated_periods += other.replicated_periods;
+        self.extrapolated_periods += other.extrapolated_periods;
         self.lu.absorb(&other.lu);
         self.worst_backward_error =
             worst_opt(self.worst_backward_error, other.worst_backward_error);
@@ -630,6 +634,7 @@ mod tests {
             wall: Duration::from_millis(10),
             newton_iterations: 3,
             replicated_periods: 2,
+            extrapolated_periods: 1,
             worst_backward_error: Some(1e-12),
             ..Default::default()
         };
@@ -637,6 +642,7 @@ mod tests {
             wall: Duration::from_millis(5),
             newton_iterations: 4,
             replicated_periods: 5,
+            extrapolated_periods: 3,
             worst_backward_error: Some(1e-9),
             ..Default::default()
         };
@@ -644,6 +650,7 @@ mod tests {
         assert_eq!(total.wall, Duration::from_millis(15));
         assert_eq!(total.newton_iterations, 7);
         assert_eq!(total.replicated_periods, 7);
+        assert_eq!(total.extrapolated_periods, 4);
         assert_eq!(total.worst_backward_error, Some(1e-9));
         assert_eq!(
             TelemetrySummary::merged(std::iter::empty()),

@@ -10,7 +10,7 @@ use spicier::analysis::{operating_point, DcOptions};
 use spicier::devices::DiodeModel;
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::{Solver, Triplets};
-use spicier::netlist::Netlist;
+use spicier::netlist::{Netlist, SourceWave};
 use spicier::{chaos, telemetry, Circuit, Error};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -167,4 +167,53 @@ fn dense_solve_events_name_the_factorization_path() {
     // Two full factorizations with one pivot order record the plan; the
     // third call replays it; the swapped column-0 magnitudes abandon it.
     assert_eq!(paths, ["full", "full", "refactor", "fallback"]);
+}
+
+/// A 1 kΩ RC low-pass with capacitor `cap` under a 100 MHz square wave.
+fn square_rc(cap: f64) -> Circuit {
+    let mut nl = Netlist::new();
+    let a = nl.node("a");
+    let b = nl.node("b");
+    let wave = SourceWave::square(0.0, 1.0, 1.0e8, 0.2);
+    nl.vsource("V1", a, Netlist::GROUND, wave).unwrap();
+    nl.resistor("R1", a, b, 1.0e3).unwrap();
+    nl.capacitor("C1", b, Netlist::GROUND, cap).unwrap();
+    nl.compile().unwrap()
+}
+
+#[test]
+fn periodic_skip_events_name_their_kind() {
+    let _guard = DUMP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Each skip's `kind` and, for a jump along a drift, the unknown that
+    // limited it (-1 when the second-to-last boundary did).
+    let skips = |cap: f64| -> Vec<(String, i64)> {
+        let c = square_rc(cap);
+        let events = telemetry::with_trace(|| {
+            let _span = telemetry::span("periodic_skip_probe");
+            transient(&c, &TranOptions::new(4.0e-7)).unwrap();
+            telemetry::drain()
+        });
+        events
+            .iter()
+            .filter(|e| e.name == "periodic_skip" && e.span.contains("periodic_skip_probe"))
+            .map(|e| {
+                let field = |key: &str| e.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                match (field("kind"), field("limiter")) {
+                    (Some(telemetry::Value::Str(kind)), Some(telemetry::Value::Int(limiter))) => {
+                        (kind.clone(), *limiter)
+                    }
+                    other => panic!("malformed periodic_skip event: {other:?}"),
+                }
+            })
+            .collect()
+    };
+    // τ = 1 ns against a 10 ns period: settles, and is copied once.
+    assert_eq!(skips(1.0e-12), [("copy".to_string(), -1)]);
+    // τ = 1 ms: charges by a nearly constant amount every period.
+    let drifting = skips(1.0e-6);
+    assert!(!drifting.is_empty());
+    assert!(
+        drifting.iter().all(|(kind, _)| kind == "extrapolate"),
+        "{drifting:?}"
+    );
 }
