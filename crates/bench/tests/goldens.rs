@@ -1,5 +1,8 @@
-//! Golden checker: the real `exp_all` campaign at quick scale must
-//! reproduce every committed CSV under `tests/goldens/quick/`.
+//! Golden checker: the real `exp_all` campaign must reproduce every
+//! committed CSV under `tests/goldens/`. `quick/` holds all of the
+//! quick-scale campaign's CSVs; `full/` holds FIG8's and FIG10's at full
+//! scale, whose ≥ 1 GHz corners are the ones the periodic copy and
+//! extrapolation act on and quick scale never reaches.
 //!
 //! - The set of CSV files must match: a missing or an extra file fails.
 //! - Tables need the same header and row count. Text cells must be equal;
@@ -12,12 +15,15 @@
 //! A failure names the file, row and column, and both values.
 //!
 //! To regenerate the goldens after a deliberate change of results, run the
-//! quick campaign into an empty directory and copy its CSVs over:
+//! campaign into an empty directory and copy its CSVs over:
 //!
 //! ```text
 //! rm -rf target/goldens
 //! EXP_OUT_DIR=$PWD/target/goldens EXP_SCALE=quick cargo run --release -p cml-bench --bin exp_all
 //! cp target/goldens/*.csv crates/bench/tests/goldens/quick/
+//! rm -rf target/goldens
+//! EXP_OUT_DIR=$PWD/target/goldens EXP_ONLY=FIG8,FIG10 cargo run --release -p cml-bench --bin exp_all
+//! cp target/goldens/*.csv crates/bench/tests/goldens/full/
 //! ```
 
 use cml_bench::scrub_knobs;
@@ -31,8 +37,10 @@ const WAVE_TOL_V: f64 = 10.0e-6;
 /// At most this many mismatches are listed in a failure message.
 const MAX_REPORTED: usize = 20;
 
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/quick")
+fn golden_dir(scale: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(scale)
 }
 
 /// Every CSV in `dir`, file name → contents.
@@ -158,15 +166,16 @@ fn check_waveform(name: &str, golden: &[Vec<&str>], got: &[Vec<&str>], errors: &
     }
 }
 
-#[test]
-fn quick_campaign_matches_the_goldens() {
-    let out = std::env::temp_dir().join("exp_goldens_tests").join("quick");
+/// Runs `exp_all` with `knobs` into a fresh directory and checks every
+/// CSV it writes against `tests/goldens/<scale>/`.
+fn campaign_matches_the_goldens(scale: &str, knobs: &[(&str, &str)]) {
+    let out = std::env::temp_dir().join("exp_goldens_tests").join(scale);
     let _ = std::fs::remove_dir_all(&out);
     std::fs::create_dir_all(&out).unwrap();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp_all"));
     let run = scrub_knobs(&mut cmd)
         .env("EXP_OUT_DIR", &out)
-        .env("EXP_SCALE", "quick")
+        .envs(knobs.iter().copied())
         .output()
         .expect("exp_all spawns");
     assert!(
@@ -175,9 +184,10 @@ fn quick_campaign_matches_the_goldens() {
         String::from_utf8_lossy(&run.stdout)
     );
 
-    let golden = csvs(&golden_dir());
+    let dir = golden_dir(scale);
+    let golden = csvs(&dir);
     let got = csvs(&out);
-    assert!(!golden.is_empty(), "no goldens under {:?}", golden_dir());
+    assert!(!golden.is_empty(), "no goldens under {dir:?}");
     let mut errors = Vec::new();
     for name in golden.keys().filter(|n| !got.contains_key(*n)) {
         errors.push(format!("{name}: golden file not produced"));
@@ -209,6 +219,16 @@ fn quick_campaign_matches_the_goldens() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+#[test]
+fn quick_campaign_matches_the_goldens() {
+    campaign_matches_the_goldens("quick", &[("EXP_SCALE", "quick")]);
+}
+
+#[test]
+fn full_scale_fig8_and_fig10_match_the_goldens() {
+    campaign_matches_the_goldens("full", &[("EXP_ONLY", "FIG8,FIG10")]);
 }
 
 #[test]
