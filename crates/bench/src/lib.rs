@@ -6,7 +6,7 @@
 //! `execute(scale)` entry point that prints the paper-shaped table and
 //! writes the underlying series as CSV under `target/experiments/`.
 //!
-//! Binaries `exp_*` (one per artifact, plus `exp_all`) drive these; the
+//! The `exp_all` binary drives these (`EXP_ONLY=FIG8` runs one); the
 //! benches reuse the same kernels at [`Scale::Quick`].
 
 #![warn(missing_docs)]

@@ -25,6 +25,5 @@ pub use sweep::{
     SweepReport, TryMapOptions,
 };
 pub use tran::{
-    transient, transient_salvage, transient_salvage_with, transient_with, Probe, TranFailure,
-    TranOptions, TranResult,
+    transient, transient_salvage, transient_with, Probe, TranFailure, TranOptions, TranResult,
 };

@@ -14,6 +14,18 @@
 //! discarding hours of simulation; [`transient`] keeps the strict
 //! all-or-nothing contract on top of it.
 //!
+//! **Structure:** one run's state lives in a crate-private `Stepper`: time,
+//! step size, predictor history, the backward-Euler flags, the breakpoint
+//! cursor, the assembler and solver workspace, the budget, and the result
+//! recorded so far. `Stepper::start` finds the operating point and records
+//! the `t = 0` sample; `run_until(t)` makes step attempts until `t` is
+//! reached, and never sizes a step for it, so a run stopped and resumed
+//! steps exactly like one run straight through; `jump` applies a copy or
+//! an extrapolation (below); `finish` rolls the run up. The public entry
+//! points all go through one short driver that runs the `Stepper` from
+//! period boundary to period boundary, lets the period watcher read the
+//! state and decide at each, applies its skip, and then runs to `t_stop`.
+//!
 //! **Periodic steady state and linear envelope extrapolation:** when every
 //! independent source is DC or a `Pulse` with one shared `(delay,
 //! period)`, the pulse starts are the run's period boundaries. The stepper
@@ -60,12 +72,10 @@ use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::dc::{self, DcOptions};
 use super::mna::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
 use crate::error::Error;
-use crate::linalg::SolveQuality;
+use crate::linalg::{LuStats, SolveQuality};
 use crate::netlist::{Circuit, Element, NodeId, SourceWave};
 use crate::telemetry::{self, TelemetrySummary};
-use std::iter::Peekable;
 use std::time::Instant;
-use std::vec::IntoIter;
 
 /// Which quantities a transient run records.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -333,6 +343,9 @@ const BP_EPS: f64 = 1e-18;
 
 /// The period boundaries of a periodically driven run and the history the
 /// copy and extrapolation rules compare across them (see the module docs).
+/// At each boundary it reads the [`Stepper`] and decides; the stepper
+/// applies the skip.
+#[derive(Default)]
 struct PeriodicSkip {
     period: f64,
     /// Number of boundaries: pulse starts in `[0, t_stop)`.
@@ -349,35 +362,37 @@ struct PeriodicSkip {
     /// it was simulated since the start or the last jump.
     delta: Vec<f64>,
     has_delta: bool,
-    /// Which unknowns were not calm at the previous boundary.
-    drifting: Vec<bool>,
+    /// The unknowns that were not calm at the previous boundary, with
+    /// their `Δ`.
+    drifting: Vec<(usize, f64)>,
     /// Whether every unknown was calm at the previous boundary.
     calm: bool,
 }
 
 /// How a skip fills the periods it does not simulate.
-#[derive(Clone, Copy, PartialEq)]
 enum SkipKind {
     /// Repeat the last period verbatim; the run is periodic.
     Copy,
     /// Repeat it with every drifting unknown shifted by its per-period
-    /// change. `limiter` is the unknown that bounded the jump, `None` when
-    /// the second-to-last boundary did.
-    Extrapolate { limiter: Option<usize> },
+    /// change.
+    Extrapolate {
+        /// The unknowns that drift, with their change across the last
+        /// period.
+        drift: Vec<(usize, f64)>,
+        /// The committed charges at the boundary one period earlier.
+        charges: Vec<f64>,
+    },
 }
 
 /// A skip decided at a boundary: repeat the samples after `first_sample`
 /// up to and including the boundary's own, `periods` times.
 struct Skip {
     kind: SkipKind,
-    /// Index and time of the boundary.
-    boundary: usize,
+    /// Time of the boundary.
     from: f64,
     period: f64,
     first_sample: usize,
     periods: usize,
-    /// The largest `N·|Δx_i|` over the unknowns.
-    worst: f64,
 }
 
 /// The longest jump, in periods, that an unknown changing by `delta` per
@@ -398,20 +413,21 @@ fn steady_periods(delta: f64, bend: f64, tol: f64, reach: f64) -> f64 {
     bounds.into_iter().fold(f64::INFINITY, f64::min).floor()
 }
 
+/// The waveforms of `circuit`'s independent sources.
+fn source_waves(circuit: &Circuit) -> impl Iterator<Item = &SourceWave> {
+    circuit.elements().filter_map(|(_, e)| match e {
+        Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => Some(wave),
+        _ => None,
+    })
+}
+
 impl PeriodicSkip {
     /// The boundaries of `circuit`'s run to `t_stop`, or `None` when the
     /// skip does not apply: a source other than DC or one shared pulse
     /// train, or fewer than three boundaries. Allocates nothing then.
     fn new(circuit: &Circuit, t_stop: f64) -> Option<Self> {
         let mut shared = None;
-        for (_, e) in circuit.elements() {
-            let wave = match e {
-                Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => wave,
-                _ => continue,
-            };
-            if matches!(wave, SourceWave::Dc(_)) {
-                continue;
-            }
+        for wave in source_waves(circuit).filter(|w| !matches!(w, SourceWave::Dc(_))) {
             let train = wave.pulse_period()?;
             if *shared.get_or_insert(train) != train {
                 return None;
@@ -424,54 +440,29 @@ impl PeriodicSkip {
         (count >= 3).then(|| Self {
             period,
             count,
-            next_index: 0,
             next,
-            last: Vec::new(),
-            last_charges: Vec::new(),
-            last_sample: 0,
-            delta: Vec::new(),
-            has_delta: false,
-            drifting: Vec::new(),
-            calm: false,
+            ..Self::default()
         })
     }
 
-    /// Whether the stepper, now at `t`, has reached the next boundary.
-    fn reached(&self, t: f64) -> bool {
-        t >= self.next - BP_EPS
+    /// The time of the next boundary, while one is left.
+    fn next_boundary(&self) -> Option<f64> {
+        (self.next_index < self.count).then_some(self.next)
     }
 
-    /// The per-period change of unknown `i` when it drifted at the last
-    /// boundary.
-    fn drift(&self, i: usize) -> Option<f64> {
-        self.drifting[i].then(|| self.delta[i])
-    }
-
-    /// Takes the state `x` at the next boundary, recorded as sample
-    /// `sample`, and decides whether to skip from there. An extrapolating
-    /// skip also advances `x`, the predictor's previous point `x_prev` and
-    /// the committed charges to the boundary it lands on, and restarts the
-    /// history there.
-    fn boundary(
-        &mut self,
-        x: &mut [f64],
-        x_prev: &mut [f64],
-        assembler: &mut Assembler<'_>,
-        sample: usize,
-        opts: &TranOptions,
-    ) -> Option<Skip> {
-        let n_nodes = assembler.circuit().node_unknowns();
+    /// Compares the state `run` stands in at the next boundary with the
+    /// previous boundary's and decides whether to skip from there. Moves
+    /// past the boundary and the periods a skip covers;
+    /// [`remember`](Self::remember) follows once the skip is applied.
+    fn boundary(&mut self, run: &Stepper<'_>) -> Option<Skip> {
+        let (x, opts) = (&run.x, run.opts);
+        let n_nodes = run.assembler.circuit().node_unknowns();
         let j = self.next_index;
         let left = (self.count - j) as f64;
         // Both jumps land at most on the second-to-last boundary, which
         // must lie ahead.
         let target = self.count - 2;
         let seen = !self.last.is_empty();
-        if !seen {
-            self.delta.resize(x.len(), 0.0);
-            self.drifting.resize(x.len(), false);
-        }
-        let mut calm = seen;
         let mut worst = 0.0f64;
         let mut jump = if self.has_delta && j < target {
             (target - j) as f64
@@ -479,133 +470,489 @@ impl PeriodicSkip {
             0.0
         };
         let mut limiter = None;
-        if seen {
-            for (i, (now, before)) in x.iter().zip(&self.last).enumerate() {
-                let delta = now - before;
-                // A jump moves a node voltage at most `dv_max`, as one
-                // step may; branch currents follow the nodes.
-                let (tol, reach) = if i < n_nodes {
-                    (opts.dc.abstol_v, opts.dv_max)
-                } else {
-                    (opts.dc.abstol_i, f64::INFINITY)
-                };
-                let drift = left * delta.abs();
-                let is_calm = drift <= tol;
-                if !is_calm && jump > 0.0 {
-                    let bend = (delta - self.delta[i]).abs();
-                    let allowed = steady_periods(delta, bend, tol, reach);
-                    if allowed < jump {
-                        jump = allowed;
-                        limiter = Some(i);
-                    }
+        self.drifting.clear();
+        // Before the first boundary `last` is empty and nothing compares.
+        for (i, (now, before)) in x.iter().zip(&self.last).enumerate() {
+            let delta = now - before;
+            // A jump moves a node voltage at most `dv_max`, as one step
+            // may; branch currents follow the nodes.
+            let (tol, reach) = if i < n_nodes {
+                (opts.dc.abstol_v, opts.dv_max)
+            } else {
+                (opts.dc.abstol_i, f64::INFINITY)
+            };
+            let drift = left * delta.abs();
+            let is_calm = drift <= tol;
+            if !is_calm && jump > 0.0 {
+                let bend = (delta - self.delta[i]).abs();
+                let allowed = steady_periods(delta, bend, tol, reach);
+                if allowed < jump {
+                    jump = allowed;
+                    limiter = Some(i);
                 }
-                self.delta[i] = delta;
-                self.drifting[i] = !is_calm;
-                calm &= is_calm;
-                worst = worst.max(drift);
             }
+            self.delta[i] = delta;
+            if !is_calm {
+                self.drifting.push((i, delta));
+            }
+            worst = worst.max(drift);
         }
-        let kind = if calm {
-            (self.calm && j < target).then_some(SkipKind::Copy)
+        let calm = seen && self.drifting.is_empty();
+        let (kind, periods, name) = if calm && self.calm && j < target {
+            (SkipKind::Copy, target - j, "copy")
+        } else if !calm && jump >= 2.0 {
+            let kind = SkipKind::Extrapolate {
+                drift: std::mem::take(&mut self.drifting),
+                charges: std::mem::take(&mut self.last_charges),
+            };
+            (kind, jump as usize, "extrapolate")
         } else {
-            (jump >= 2.0).then_some(SkipKind::Extrapolate { limiter })
+            (self.calm, self.has_delta) = (calm, seen);
+            self.next_index += 1;
+            self.next += self.period;
+            return None;
         };
-        let skip = kind.map(|kind| Skip {
+        if telemetry::enabled() {
+            // `worst` is the largest `N·|Δx_i|`; `limiter` the unknown
+            // that bounded an extrapolating jump, -1 when the
+            // second-to-last boundary did.
+            telemetry::event(
+                "periodic_skip",
+                &[
+                    ("t", run.t.into()),
+                    ("kind", name.into()),
+                    ("boundary", j.into()),
+                    ("periods", periods.into()),
+                    ("worst", worst.into()),
+                    ("limiter", limiter.map_or(-1, |i| i as i64).into()),
+                ],
+            );
+        }
+        let skip = Skip {
             kind,
-            boundary: j,
             from: self.next,
             period: self.period,
             first_sample: self.last_sample,
-            periods: match kind {
-                SkipKind::Copy => target - j,
-                SkipKind::Extrapolate { .. } => jump as usize,
-            },
-            worst,
-        });
-        self.next_index += 1;
-        self.next += self.period;
-        self.last_sample = sample;
-        self.calm = calm;
-        self.has_delta = seen;
-        if let Some(Skip {
-            kind: SkipKind::Extrapolate { .. },
             periods,
-            first_sample,
-            ..
-        }) = skip
-        {
-            for i in 0..x.len() {
-                if self.drifting[i] {
-                    x[i] += jump * self.delta[i];
-                    x_prev[i] += jump * self.delta[i];
-                }
-            }
-            assembler.extrapolate_charges(&self.last_charges, jump);
-            self.next_index += periods;
-            for _ in 0..periods {
-                self.next += self.period;
-            }
-            self.last_sample += (sample - first_sample) * periods;
-            self.calm = false;
-            self.has_delta = false;
+        };
+        // The history restarts at the boundary the skip lands on.
+        (self.calm, self.has_delta) = (false, false);
+        self.next_index += 1 + periods;
+        for _ in 0..=periods {
+            self.next += self.period;
         }
+        Some(skip)
+    }
+
+    /// Records where `run` stands after a boundary and any skip from it:
+    /// what the next boundary compares against.
+    fn remember(&mut self, run: &Stepper<'_>) {
+        self.delta.resize(run.x.len(), 0.0);
         self.last.clear();
-        self.last.extend_from_slice(x);
-        assembler.committed_charges(&mut self.last_charges);
-        skip
+        self.last.extend_from_slice(&run.x);
+        run.assembler.committed_charges(&mut self.last_charges);
+        self.last_sample = run.result.time.len() - 1;
     }
 }
 
-/// Repeats the period that ended at `skip.from` forward `skip.periods`
-/// times and consumes the breakpoints the repeats cover. Repeat `m` of a
-/// probe whose unknown drifts by `Δ` per period (see
-/// [`PeriodicSkip::drift`]) is shifted by `m·Δ`; calm probes are copied
-/// verbatim. Returns the time the stepper resumes from: the last repeated
-/// boundary, as its breakpoint holds it.
-fn replicate(
-    result: &mut TranResult,
-    skip: &Skip,
-    watcher: &PeriodicSkip,
-    breakpoints: &mut Peekable<IntoIter<f64>>,
-) -> f64 {
-    let samples = skip.first_sample + 1..result.time.len();
-    let copied = samples.len() * skip.periods;
-    result.time.reserve(copied);
-    let mut boundary = skip.from;
-    for _ in 0..skip.periods {
-        boundary += skip.period;
-        let shift = boundary - skip.from;
-        for k in samples.start..samples.end - 1 {
-            let t = result.time[k] + shift;
-            result.time.push(t);
+/// One transient run, resumable between calls: where it stands (`t`, `x`),
+/// its step control and predictor history, the breakpoints ahead, the
+/// solver state, the budget and the result recorded so far.
+/// [`transient_salvage_with`] drives it.
+struct Stepper<'a> {
+    opts: &'a TranOptions,
+    ws: &'a mut SolveWorkspace,
+    assembler: Assembler<'a>,
+    tracker: BudgetTracker,
+    /// Source breakpoints not yet stepped past.
+    breakpoints: std::iter::Peekable<std::vec::IntoIter<f64>>,
+    h_max: f64,
+    h_init: f64,
+    t: f64,
+    /// The next step to try.
+    h: f64,
+    x: Vec<f64>,
+    /// Predictor history: the accepted point before `x` and the step that
+    /// left it (zero before the first step).
+    x_prev: Vec<f64>,
+    h_prev: f64,
+    /// Newton's guess, rotated into `x` on accept.
+    guess: Vec<f64>,
+    /// Step with backward Euler next: the last accepted step landed on a
+    /// breakpoint, or the run stands at its DC start.
+    force_be: bool,
+    /// Salvage: retry a failed trapezoidal step with backward Euler.
+    be_retry: bool,
+    result: TranResult,
+    started: Instant,
+    lu_before: LuStats,
+    _span: telemetry::Span,
+}
+
+impl<'a> Stepper<'a> {
+    /// Finds the operating point, applies the `.IC` overrides, initializes
+    /// the charges, collects the breakpoints and records the `t = 0`
+    /// sample.
+    fn start(
+        circuit: &'a Circuit,
+        opts: &'a TranOptions,
+        ws: &'a mut SolveWorkspace,
+    ) -> Result<Self, Error> {
+        let (h_max, h_init) = opts.resolved()?;
+        let started = Instant::now();
+        let lu_before = ws.solver.stats();
+        let span = telemetry::span("transient");
+        let mut assembler = Assembler::new(circuit);
+        let mut tracker = BudgetTracker::new(&opts.budget, Phase::Transient);
+
+        // Initial operating point with sources at t = 0.
+        let mut x = dc::operating_point_with(circuit, &opts.dc, &mut assembler, ws, &mut tracker)?;
+        // Apply .IC overrides before charge initialization so capacitors start
+        // from the forced voltages.
+        for &(node, volts) in &opts.initial_voltages {
+            if let Some(i) = node.unknown() {
+                x[i] = volts;
+            }
         }
-        result.time.push(boundary);
+        assembler.init_charges(&x);
+
+        let mut breakpoints = Vec::new();
+        for wave in source_waves(circuit) {
+            wave.breakpoints(opts.t_stop, &mut breakpoints);
+        }
+        breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
+        breakpoints.dedup_by(|a, b| (*a - *b).abs() < BP_EPS);
+
+        let nodes: Vec<NodeId> = match &opts.probes {
+            Probe::AllNodes => circuit.node_ids().collect(),
+            Probe::Nodes(list) => list.clone(),
+        };
+        let mut run = Self {
+            result: TranResult {
+                time: Vec::new(),
+                data: vec![Vec::new(); nodes.len()],
+                nodes,
+                accepted_steps: 0,
+                rejected_steps: 0,
+                newton_iterations: 0,
+                replicated_periods: 0,
+                extrapolated_periods: 0,
+                replicated_samples: 0,
+                failure: None,
+                quality: ws.solver.last_quality(),
+                telemetry: TelemetrySummary::default(),
+            },
+            opts,
+            ws,
+            assembler,
+            tracker,
+            breakpoints: breakpoints.into_iter().peekable(),
+            h_max,
+            h_init,
+            t: 0.0,
+            h: h_init.min(h_max),
+            x_prev: vec![0.0; x.len()],
+            h_prev: 0.0,
+            guess: vec![0.0; x.len()],
+            x,
+            force_be: true,
+            be_retry: false,
+            started,
+            lu_before,
+            _span: span,
+        };
+        run.record();
+        Ok(run)
     }
-    for (node, trace) in result.nodes.iter().zip(&mut result.data) {
-        trace.reserve(copied);
-        let delta = node.unknown().and_then(|i| watcher.drift(i));
-        for m in 1..=skip.periods {
-            match delta {
-                Some(delta) => {
-                    let offset = m as f64 * delta;
-                    for k in samples.clone() {
-                        trace.push(trace[k] + offset);
+
+    /// Steps until `t` reaches `until` (within [`BP_EPS`]) or the end of
+    /// the run, or the run fails, and returns whether the run stands on
+    /// `until`: its last accepted step landed on a breakpoint within
+    /// [`BP_EPS`] of it (the operating point at `t = 0` counts as one).
+    /// `until` never sizes a step, so a run stopped and resumed steps
+    /// exactly as one run through. `f64::INFINITY` runs to the end; on a
+    /// run shorter than a microsecond, `t_stop` may stop up to [`BP_EPS`]
+    /// short of the end test `t ≥ t_stop·(1 − 1e-12)`.
+    fn run_until(&mut self, until: f64) -> bool {
+        while self.result.failure.is_none()
+            && self.t < self.opts.t_stop * (1.0 - 1e-12)
+            && self.t < until - BP_EPS
+        {
+            self.attempt();
+        }
+        // `force_be` is set exactly when the last accepted step hit a
+        // breakpoint, and at the start.
+        self.force_be && self.t >= until - BP_EPS && self.t <= until + BP_EPS
+    }
+
+    /// Fraction of the requested interval done, in `[0, 1]`.
+    fn progress(&self) -> f64 {
+        (self.t / self.opts.t_stop).clamp(0.0, 1.0)
+    }
+
+    /// Stops the run at `t`, keeping everything recorded so far.
+    fn fail(&mut self, error: Error) {
+        self.result.failure = Some(TranFailure {
+            time: self.t,
+            progress: self.progress(),
+            error,
+        });
+    }
+
+    /// Appends the sample at `t`.
+    fn record(&mut self) {
+        self.result.time.push(self.t);
+        for (node, trace) in self.result.nodes.iter().zip(&mut self.result.data) {
+            trace.push(node.unknown().map_or(0.0, |i| self.x[i]));
+        }
+    }
+
+    /// One step attempt from `t`: lands on the breakpoint ahead, charges
+    /// the budget, predicts, solves, and accepts, rejects or fails the step.
+    fn attempt(&mut self) {
+        let (opts, t) = (self.opts, self.t);
+        self.h = self.h.min(self.h_max).min(opts.t_stop - t);
+        // Land exactly on the next breakpoint.
+        let end = t + self.h;
+        let bp = self.breakpoints.peek().filter(|&&bp| end >= bp - 1e-21);
+        if let Some(&bp) = bp {
+            self.h = bp - t;
+            if self.h <= 0.0 {
+                self.breakpoints.next();
+                return;
+            }
+        }
+        let (h, hit_bp) = (self.h, bp.is_some());
+
+        // Budget gate: one timestep attempt (accepted or rejected) is the
+        // unit of accounting. A budget that runs out here salvages the
+        // prefix computed so far instead of erroring the whole run.
+        self.tracker.set_progress(self.progress());
+        if let Err(err) = self.tracker.check() {
+            return self.fail(err);
+        }
+        self.tracker.count_timestep();
+
+        // Predictor: linear extrapolation of the last accepted step.
+        self.guess.copy_from_slice(&self.x);
+        if self.h_prev > 0.0 {
+            let r = h / self.h_prev;
+            for ((g, &x), &x_prev) in self.guess.iter_mut().zip(&self.x).zip(&self.x_prev) {
+                *g = x + (x - x_prev) * r;
+            }
+        }
+
+        let method = if self.force_be || self.be_retry {
+            Method::BackwardEuler
+        } else {
+            opts.method
+        };
+        let mode = EvalMode {
+            integ: Integration::Step { method, h },
+            time: t + h,
+            gmin: opts.dc.gmin,
+            source_scale: 1.0,
+        };
+        self.assembler.reset_junctions(&self.x);
+        let solved = dc::newton(
+            &mut self.assembler,
+            &mode,
+            &mut self.guess,
+            &opts.dc,
+            self.ws,
+            &mut self.tracker,
+        );
+        let result = &mut self.result;
+        match solved {
+            Ok(iters) => {
+                result.newton_iterations += iters;
+                result.quality = result.quality.worst(self.ws.solver.last_quality());
+                // Voltage-change step control.
+                let n = self.assembler.circuit().node_unknowns();
+                let dv = self.guess[..n]
+                    .iter()
+                    .zip(&self.x[..n])
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max);
+                if dv > opts.dv_max && h > 4.0 * opts.h_min && !(hit_bp && h <= self.h_init) {
+                    result.rejected_steps += 1;
+                    self.be_retry = false;
+                    if telemetry::enabled() {
+                        telemetry::event(
+                            "step_reject_dv",
+                            &[
+                                ("t", t.into()),
+                                ("h", h.into()),
+                                ("dv", dv.into()),
+                                ("dv_max", opts.dv_max.into()),
+                            ],
+                        );
                     }
+                    self.h *= (opts.dv_max / dv).max(0.25) * 0.9;
+                } else {
+                    self.accept(iters, dv, hit_bp);
                 }
-                None => trace.extend_from_within(samples.clone()),
+            }
+            // A spent budget or a failed certification inside the step is
+            // non-retriable: no BE retry, no step shrink — salvage the
+            // prefix immediately.
+            Err(err) if err.is_non_retriable() => self.fail(err),
+            Err(err) => {
+                result.rejected_steps += 1;
+                // Salvage rung 1: a trapezoidal step that Newton rejects is
+                // often rescued by backward Euler at the *same* size (no
+                // trap ringing, heavier damping). Try that once before
+                // shrinking the step.
+                if !self.be_retry && method == Method::Trapezoidal {
+                    self.be_retry = true;
+                    if telemetry::enabled() {
+                        telemetry::event("be_retry", &[("t", t.into()), ("h", h.into())]);
+                    }
+                    return;
+                }
+                self.be_retry = false;
+                if telemetry::enabled() {
+                    telemetry::event("step_reject_newton", &[("t", t.into()), ("h", h.into())]);
+                }
+                self.h *= 0.25;
+                if self.h < opts.h_min {
+                    // Salvage rung 2: keep the waveform computed so far and
+                    // report where and why the run died.
+                    let step = self.h;
+                    self.fail(match err {
+                        e @ Error::SingularMatrix { .. } => e,
+                        _ => Error::TimestepTooSmall { time: t, step },
+                    });
+                }
             }
         }
     }
-    result.replicated_periods += skip.periods;
-    if let SkipKind::Extrapolate { .. } = skip.kind {
-        result.extrapolated_periods += skip.periods;
+
+    /// Accepts the step of size `h` just solved into `guess`, which moved
+    /// the nodes by `dv` in `iters` Newton iterations, and sizes the next.
+    fn accept(&mut self, iters: usize, dv: f64, hit_bp: bool) {
+        let h = self.h;
+        self.assembler.commit_charges();
+        std::mem::swap(&mut self.x_prev, &mut self.x);
+        std::mem::swap(&mut self.x, &mut self.guess);
+        self.h_prev = h;
+        self.t += h;
+        self.result.accepted_steps += 1;
+        self.record();
+        if telemetry::enabled() {
+            telemetry::event(
+                "step_accept",
+                &[
+                    ("t", self.t.into()),
+                    ("h", h.into()),
+                    ("iters", iters.into()),
+                    ("dv", dv.into()),
+                ],
+            );
+        }
+        self.be_retry = false;
+        if hit_bp {
+            self.breakpoints.next();
+            self.h = self.h_init;
+            self.force_be = true;
+        } else {
+            self.force_be = false;
+            if iters <= 5 && dv < 0.5 * self.opts.dv_max {
+                self.h *= 1.5;
+            }
+        }
     }
-    result.replicated_samples += copied;
-    let mut t = boundary;
-    while let Some(bp) = breakpoints.next_if(|&bp| bp <= boundary + BP_EPS) {
-        t = bp;
+
+    /// Applies `skip` instead of simulating the periods it covers. The
+    /// period that ended at `skip.from` is repeated `skip.periods` times,
+    /// repeat `m` of a probe whose unknown drifts by `Δ` per period shifted
+    /// by `m·Δ` and calm probes copied verbatim. An extrapolation also
+    /// advances `x`, the predictor's previous point and every committed
+    /// charge by `skip.periods` times their change across the last period.
+    /// The breakpoints the repeats cover are consumed, and the run resumes
+    /// at the last repeated boundary, as its breakpoint holds it.
+    fn jump(&mut self, skip: &Skip) {
+        let periods = skip.periods as f64;
+        let drift: &[(usize, f64)] = match &skip.kind {
+            SkipKind::Copy => &[],
+            SkipKind::Extrapolate { drift, charges } => {
+                for &(i, delta) in drift {
+                    self.x[i] += periods * delta;
+                    self.x_prev[i] += periods * delta;
+                }
+                self.assembler.extrapolate_charges(charges, periods);
+                self.result.extrapolated_periods += skip.periods;
+                drift
+            }
+        };
+        let result = &mut self.result;
+        let samples = skip.first_sample + 1..result.time.len();
+        let copied = samples.len() * skip.periods;
+        result.time.reserve(copied);
+        let mut boundary = skip.from;
+        for _ in 0..skip.periods {
+            boundary += skip.period;
+            let shift = boundary - skip.from;
+            for k in samples.start..samples.end - 1 {
+                let t = result.time[k] + shift;
+                result.time.push(t);
+            }
+            result.time.push(boundary);
+        }
+        for (node, trace) in result.nodes.iter().zip(&mut result.data) {
+            trace.reserve(copied);
+            let drifts = drift.iter().find(|&&(i, _)| node.unknown() == Some(i));
+            for m in 1..=skip.periods {
+                match drifts {
+                    Some(&(_, delta)) => {
+                        let offset = m as f64 * delta;
+                        for k in samples.clone() {
+                            trace.push(trace[k] + offset);
+                        }
+                    }
+                    None => trace.extend_from_within(samples.clone()),
+                }
+            }
+        }
+        result.replicated_periods += skip.periods;
+        result.replicated_samples += copied;
+        self.t = boundary;
+        while let Some(bp) = self.breakpoints.next_if(|&bp| bp <= boundary + BP_EPS) {
+            self.t = bp;
+        }
     }
-    t
+
+    /// Ends the run: dumps the flight recorder for a failure the stepper
+    /// diagnosed itself and rolls the run up into its telemetry summary.
+    fn finish(self) -> TranResult {
+        let mut result = self.result;
+        if let Some(fail) = &result.failure {
+            // Deadline and certification failures already dumped the
+            // flight recorder at their source (budget tracker / solve
+            // certifier).
+            let dumped = matches!(
+                fail.error,
+                Error::DeadlineExceeded { .. } | Error::UntrustedSolution { .. }
+            );
+            if telemetry::enabled() && !dumped {
+                telemetry::record_failure("TranFailure", &fail.summary());
+            }
+        }
+        result.telemetry = TelemetrySummary {
+            analyses: 1,
+            wall: self.started.elapsed(),
+            newton_iterations: result.newton_iterations as u64,
+            accepted_steps: result.accepted_steps as u64,
+            rejected_steps: result.rejected_steps as u64,
+            replicated_periods: result.replicated_periods as u64,
+            extrapolated_periods: result.extrapolated_periods as u64,
+            lu: self.ws.solver.stats().delta_since(&self.lu_before),
+            worst_backward_error: Some(result.quality.backward_error),
+            ..TelemetrySummary::default()
+        };
+        telemetry::record_summary(&result.telemetry);
+        result
+    }
 }
 
 /// Runs a transient analysis, failing the whole run on any mid-run error.
@@ -663,326 +1010,31 @@ pub fn transient_salvage(circuit: &Circuit, opts: &TranOptions) -> Result<TranRe
     transient_salvage_with(circuit, opts, &mut ws)
 }
 
-/// [`transient_salvage`] with a caller-owned [`SolveWorkspace`]; see
-/// [`transient_with`] for when that pays off.
-///
-/// # Errors
-///
-/// Same contract as [`transient_salvage`].
-pub fn transient_salvage_with(
+/// [`transient_salvage`] with a caller-owned [`SolveWorkspace`]. While the
+/// sources make the run periodic, it steps from one period boundary to the
+/// next and lets [`PeriodicSkip`] decide at each whether to skip; then it
+/// steps to the end.
+fn transient_salvage_with(
     circuit: &Circuit,
     opts: &TranOptions,
     ws: &mut SolveWorkspace,
 ) -> Result<TranResult, Error> {
-    let (h_max, h_init) = opts.resolved()?;
-    let started = Instant::now();
-    let lu_before = ws.solver.stats();
-    let _tran_span = telemetry::span("transient");
-    let mut assembler = Assembler::new(circuit);
-    let mut tracker = BudgetTracker::new(&opts.budget, Phase::Transient);
-
-    // Initial operating point with sources at t = 0.
-    let mut x = dc::operating_point_with(circuit, &opts.dc, &mut assembler, ws, &mut tracker)?;
-    // Apply .IC overrides before charge initialization so capacitors start
-    // from the forced voltages.
-    for &(node, volts) in &opts.initial_voltages {
-        if let Some(i) = node.unknown() {
-            x[i] = volts;
-        }
-    }
-    assembler.init_charges(&x);
-
-    // Breakpoints from every source.
-    let mut breakpoints: Vec<f64> = Vec::new();
-    for (_, e) in circuit.elements() {
-        match e {
-            Element::VoltageSource { wave, .. } | Element::CurrentSource { wave, .. } => {
-                wave.breakpoints(opts.t_stop, &mut breakpoints);
-            }
-            _ => {}
-        }
-    }
-    breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-    breakpoints.dedup_by(|a, b| (*a - *b).abs() < BP_EPS);
-    let mut bp_iter = breakpoints.into_iter().peekable();
-
-    // Probe bookkeeping.
-    let nodes: Vec<NodeId> = match &opts.probes {
-        Probe::AllNodes => circuit.node_ids().collect(),
-        Probe::Nodes(list) => list.clone(),
-    };
-    let mut result = TranResult {
-        time: Vec::new(),
-        nodes: nodes.clone(),
-        data: vec![Vec::new(); nodes.len()],
-        accepted_steps: 0,
-        rejected_steps: 0,
-        newton_iterations: 0,
-        replicated_periods: 0,
-        extrapolated_periods: 0,
-        replicated_samples: 0,
-        failure: None,
-        quality: ws.solver.last_quality(),
-        telemetry: TelemetrySummary::default(),
-    };
-    fn record(result: &mut TranResult, t: f64, x: &[f64]) {
-        result.time.push(t);
-        for k in 0..result.nodes.len() {
-            let v = match result.nodes[k].unknown() {
-                Some(i) => x[i],
-                None => 0.0,
-            };
-            result.data[k].push(v);
-        }
-    }
-    record(&mut result, 0.0, &x);
-
-    // Predictor buffers: the previous accepted point and the step that
-    // left it (zero before the first step), and the Newton guess. Filled
-    // in place and rotated on accept.
-    let mut x_prev = vec![0.0; x.len()];
-    let mut h_prev = 0.0;
-    let mut guess = vec![0.0; x.len()];
-
-    let n_nodes = circuit.node_unknowns();
-    let mut periodic = PeriodicSkip::new(circuit, opts.t_stop);
-    if let Some(p) = periodic.as_mut() {
-        if p.reached(0.0) {
-            p.boundary(&mut x, &mut x_prev, &mut assembler, 0, opts);
-        }
-    }
-
-    let mut t = 0.0;
-    let mut h = h_init.min(h_max);
-    let mut force_be = true; // first step after DC: backward Euler
-    let mut be_retry = false; // salvage: retry a failed trap step with BE
-    let t_end = opts.t_stop;
-
-    while t < t_end * (1.0 - 1e-12) {
-        h = h.min(h_max).min(t_end - t);
-        // Land exactly on the next breakpoint.
-        let mut hit_bp = false;
-        if let Some(&bp) = bp_iter.peek() {
-            if t + h >= bp - 1e-21 {
-                h = bp - t;
-                hit_bp = true;
-                if h <= 0.0 {
-                    bp_iter.next();
-                    continue;
-                }
-            }
-        }
-
-        // Budget gate: one timestep attempt (accepted or rejected) is the
-        // unit of accounting. A budget that runs out here salvages the
-        // prefix computed so far instead of erroring the whole run.
-        tracker.set_progress((t / t_end).clamp(0.0, 1.0));
-        if let Err(err) = tracker.check() {
-            result.failure = Some(TranFailure {
-                time: t,
-                progress: (t / t_end).clamp(0.0, 1.0),
-                error: err,
-            });
-            break;
-        }
-        tracker.count_timestep();
-
-        // Predictor: linear extrapolation of the last accepted step.
-        guess.copy_from_slice(&x);
-        if h_prev > 0.0 {
-            let r = h / h_prev;
-            for i in 0..guess.len() {
-                guess[i] = x[i] + (x[i] - x_prev[i]) * r;
-            }
-        }
-
-        let method = if force_be || be_retry {
-            Method::BackwardEuler
-        } else {
-            opts.method
-        };
-        let mode = EvalMode {
-            integ: Integration::Step { method, h },
-            time: t + h,
-            gmin: opts.dc.gmin,
-            source_scale: 1.0,
-        };
-        assembler.reset_junctions(&x);
-        match dc::newton(
-            &mut assembler,
-            &mode,
-            &mut guess,
-            &opts.dc,
-            ws,
-            &mut tracker,
-        ) {
-            Ok(iters) => {
-                result.newton_iterations += iters;
-                result.quality = result.quality.worst(ws.solver.last_quality());
-                // Voltage-change step control.
-                let dv = guess[..n_nodes]
-                    .iter()
-                    .zip(&x[..n_nodes])
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                if dv > opts.dv_max && h > 4.0 * opts.h_min && !(hit_bp && h <= h_init) {
-                    result.rejected_steps += 1;
-                    be_retry = false;
-                    if telemetry::enabled() {
-                        telemetry::event(
-                            "step_reject_dv",
-                            &[
-                                ("t", t.into()),
-                                ("h", h.into()),
-                                ("dv", dv.into()),
-                                ("dv_max", opts.dv_max.into()),
-                            ],
-                        );
-                    }
-                    h *= (opts.dv_max / dv).max(0.25) * 0.9;
-                    continue;
-                }
-                // Accept.
-                assembler.commit_charges();
-                std::mem::swap(&mut x_prev, &mut x);
-                std::mem::swap(&mut x, &mut guess);
-                h_prev = h;
-                t += h;
-                result.accepted_steps += 1;
-                record(&mut result, t, &x);
-                if telemetry::enabled() {
-                    telemetry::event(
-                        "step_accept",
-                        &[
-                            ("t", t.into()),
-                            ("h", h.into()),
-                            ("iters", iters.into()),
-                            ("dv", dv.into()),
-                        ],
-                    );
-                }
-                be_retry = false;
-                if hit_bp {
-                    bp_iter.next();
-                    h = h_init;
-                    force_be = true;
-                } else {
-                    force_be = false;
-                    if iters <= 5 && dv < 0.5 * opts.dv_max {
-                        h *= 1.5;
-                    }
-                }
-                let skip = match periodic.as_mut() {
-                    Some(p) if p.reached(t) => {
-                        if hit_bp && t <= p.next + BP_EPS {
-                            let sample = result.time.len() - 1;
-                            p.boundary(&mut x, &mut x_prev, &mut assembler, sample, opts)
-                        } else {
-                            // A boundary passed without a landing: stop
-                            // watching rather than compare off-boundary
-                            // states.
-                            periodic = None;
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let (Some(skip), Some(p)) = (skip, periodic.as_ref()) {
-                    if telemetry::enabled() {
-                        let (kind, limiter) = match skip.kind {
-                            SkipKind::Copy => ("copy", None),
-                            SkipKind::Extrapolate { limiter } => ("extrapolate", limiter),
-                        };
-                        telemetry::event(
-                            "periodic_skip",
-                            &[
-                                ("t", t.into()),
-                                ("kind", kind.into()),
-                                ("boundary", skip.boundary.into()),
-                                ("periods", skip.periods.into()),
-                                ("worst", skip.worst.into()),
-                                ("limiter", limiter.map_or(-1, |i| i as i64).into()),
-                            ],
-                        );
-                    }
-                    t = replicate(&mut result, &skip, p, &mut bp_iter);
-                    if skip.kind == SkipKind::Copy {
-                        periodic = None;
-                    }
-                }
-            }
-            // A spent budget or a failed certification inside the step is
-            // non-retriable: no BE retry, no step shrink — salvage the
-            // prefix immediately.
-            Err(err) if err.is_non_retriable() => {
-                result.failure = Some(TranFailure {
-                    time: t,
-                    progress: (t / t_end).clamp(0.0, 1.0),
-                    error: err,
-                });
+    let mut run = Stepper::start(circuit, opts, ws)?;
+    if let Some(mut watcher) = PeriodicSkip::new(circuit, opts.t_stop) {
+        while let Some(next) = watcher.next_boundary() {
+            // A boundary passed without a landing (or never reached) ends
+            // the watch rather than compare off-boundary states.
+            if !run.run_until(next) {
                 break;
             }
-            Err(err) => {
-                result.rejected_steps += 1;
-                // Salvage rung 1: a trapezoidal step that Newton rejects is
-                // often rescued by backward Euler at the *same* size (no
-                // trap ringing, heavier damping). Try that once before
-                // shrinking the step.
-                if !be_retry && method == Method::Trapezoidal {
-                    be_retry = true;
-                    if telemetry::enabled() {
-                        telemetry::event("be_retry", &[("t", t.into()), ("h", h.into())]);
-                    }
-                    continue;
-                }
-                be_retry = false;
-                if telemetry::enabled() {
-                    telemetry::event("step_reject_newton", &[("t", t.into()), ("h", h.into())]);
-                }
-                h *= 0.25;
-                if h < opts.h_min {
-                    // Salvage rung 2: keep the waveform computed so far and
-                    // report where and why the run died.
-                    result.failure = Some(TranFailure {
-                        time: t,
-                        progress: (t / t_end).clamp(0.0, 1.0),
-                        error: match err {
-                            e @ Error::SingularMatrix { .. } => e,
-                            _ => Error::TimestepTooSmall { time: t, step: h },
-                        },
-                    });
-                    break;
-                }
+            if let Some(skip) = watcher.boundary(&run) {
+                run.jump(&skip);
             }
+            watcher.remember(&run);
         }
     }
-    if telemetry::enabled() {
-        // Deadline and certification failures already dumped the flight
-        // recorder at their source (budget tracker / solve certifier); dump
-        // here only for failures first diagnosed by the stepper itself.
-        if let Some(fail) = &result.failure {
-            if !matches!(
-                fail.error,
-                Error::DeadlineExceeded { .. } | Error::UntrustedSolution { .. }
-            ) {
-                telemetry::record_failure("TranFailure", &fail.summary());
-            }
-        }
-    }
-    result.telemetry = TelemetrySummary {
-        analyses: 1,
-        wall: started.elapsed(),
-        newton_iterations: result.newton_iterations as u64,
-        accepted_steps: result.accepted_steps as u64,
-        rejected_steps: result.rejected_steps as u64,
-        replicated_periods: result.replicated_periods as u64,
-        extrapolated_periods: result.extrapolated_periods as u64,
-        lu: ws.solver.stats().delta_since(&lu_before),
-        worst_backward_error: Some(result.quality.backward_error),
-        ..TelemetrySummary::default()
-    };
-    telemetry::record_summary(&result.telemetry);
-    Ok(result)
+    run.run_until(f64::INFINITY);
+    Ok(run.finish())
 }
 
 #[cfg(test)]
@@ -1387,6 +1439,38 @@ mod tests {
         let res = transient(&nl.compile().unwrap(), &TranOptions::new(t_stop)).unwrap();
         assert_eq!(res.replicated_periods(), 0);
         assert_eq!(res.time().len(), res.accepted_steps() + 1);
+    }
+
+    #[test]
+    fn a_run_stopped_and_resumed_steps_as_one_run() {
+        // A PWL-driven RC, so the period watcher is off, stopped at every
+        // breakpoint, at a time that is none, and then run to the end: the
+        // stops must change no step.
+        let t_stop = 2.0e-8;
+        let pwl = vec![(0.0, 0.0), (1.0e-9, 1.0), (4.0e-9, 1.0), (4.5e-9, 0.2)];
+        let (c, _) = rc_lowpass(SourceWave::Pwl(pwl), 1.0e-12);
+        let opts = TranOptions::new(t_stop);
+        let whole = transient(&c, &opts).unwrap();
+        let mut ws = SolveWorkspace::for_circuit(&c);
+        let mut run = Stepper::start(&c, &opts, &mut ws).unwrap();
+        let mut stops = Vec::new();
+        for wave in source_waves(&c) {
+            wave.breakpoints(t_stop, &mut stops);
+        }
+        assert!(stops.len() >= 3, "{stops:?}");
+        for &bp in &stops {
+            assert!(run.run_until(bp), "no landing on {bp:e}");
+            assert_eq!(run.t, bp);
+        }
+        let between = 1.0e-8;
+        assert!(!run.run_until(between));
+        assert!(run.t >= between && run.t < t_stop);
+        run.run_until(t_stop);
+        let pieces = run.finish();
+        assert!(pieces.is_complete());
+        assert_eq!(pieces, whole);
+        let bits = |r: &TranResult| r.time().iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pieces), bits(&whole));
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub use crate::analysis::preflight::{
     assert_preflight, preflight, PreflightFinding, PreflightReport,
 };
 pub use crate::analysis::tran::{
-    transient, transient_salvage, transient_salvage_with, transient_with, TranFailure, TranOptions,
-    TranResult,
+    transient, transient_salvage, transient_with, TranFailure, TranOptions, TranResult,
 };
 pub use crate::error::Error;
 pub use crate::linalg::SolveQuality;
