@@ -20,14 +20,15 @@ fn bench_experiments(c: &mut Harness) {
     group.bench_function("fig2_stuck_at", |b| {
         b.iter(|| exp::fig2::run(Scale::Quick).expect("fig2"))
     });
-    group.bench_function("fig4_pipe_healing", |b| {
-        b.iter(|| exp::fig4::run(Scale::Quick).expect("fig4"))
-    });
-    group.bench_function("table1_fixed_level_delays", |b| {
-        b.iter(|| exp::table1::run(Scale::Quick).expect("table1"))
-    });
-    group.bench_function("table2_differential_delays", |b| {
-        b.iter(|| exp::table2::run(Scale::Quick).expect("table2"))
+    group.bench_function("fig4_tables_1_2_pipe_healing", |b| {
+        b.iter(|| {
+            let pair = exp::fig4::simulate(Scale::Quick).expect("fig3 chains");
+            (
+                exp::fig4::swings(&pair).expect("fig4"),
+                exp::table1::measure(&pair).expect("table1"),
+                exp::table2::measure(&pair).expect("table2"),
+            )
+        })
     });
     group.bench_function("fig5_levels_vs_pipe_freq", |b| {
         b.iter(|| exp::fig5::run(Scale::Quick))

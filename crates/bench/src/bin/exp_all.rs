@@ -12,7 +12,10 @@ use cml_bench::experiments::campaign::{
 };
 
 fn main() {
-    let opts = CampaignOptions::from_env_and_args();
+    let opts = CampaignOptions::from_env_and_args().unwrap_or_else(|e| {
+        eprintln!("exp_all: {e}");
+        std::process::exit(2);
+    });
     let summary = run_campaign(&opts, &standard_experiments());
     print_summary(&summary);
     if !summary.all_ok() {

@@ -20,6 +20,8 @@
 //!   then never satisfies the resume skip test — quarantined work is
 //!   always redone;
 //! * `EXP_ONLY=FIG2,FIG4` restricts the run to a comma-separated subset;
+//!   an unknown name, like an unknown `EXP_SCALE`, is rejected before
+//!   anything runs;
 //! * `CHAOS_KILL_AFTER_EXPERIMENTS=N` kills the process (exit 137) after
 //!   `N` experiments have executed — the kill/resume drill.
 
@@ -31,14 +33,13 @@ use spicier::telemetry;
 /// One experiment entry point, as registered in [`standard_experiments`].
 pub type ExperimentFn = fn(Scale) -> Result<(), spicier::Error>;
 
-/// Every paper artifact, in canonical campaign order.
+/// Every paper artifact, in canonical campaign order. `FIG4` produces
+/// Figure 4, Table 1 and Table 2 from one simulation.
 #[must_use]
 pub fn standard_experiments() -> Vec<(&'static str, ExperimentFn)> {
     vec![
         ("FIG2", exp::fig2::execute as ExperimentFn),
         ("FIG4", exp::fig4::execute),
-        ("TABLE1", exp::table1::execute),
-        ("TABLE2", exp::table2::execute),
         ("FIG5", exp::fig5::execute),
         ("FIG7", exp::fig7::execute),
         ("FIG8", exp::fig8::execute),
@@ -71,25 +72,42 @@ pub struct CampaignOptions {
 impl CampaignOptions {
     /// The binary's configuration surface: `EXP_SCALE`, `--resume`,
     /// `EXP_ONLY`, `CHAOS_KILL_AFTER_EXPERIMENTS`.
-    #[must_use]
-    pub fn from_env_and_args() -> Self {
-        let only = std::env::var("EXP_ONLY").ok().and_then(|v| {
-            let names: Vec<String> = v
-                .split(',')
-                .map(|s| s.trim().to_ascii_uppercase())
-                .filter(|s| !s.is_empty())
-                .collect();
-            (!names.is_empty()).then_some(names)
-        });
-        Self {
-            scale: Scale::from_env(),
+    ///
+    /// # Errors
+    ///
+    /// An `EXP_SCALE` other than `quick` or `full` (any case), or an
+    /// `EXP_ONLY` name that is not in [`standard_experiments`]: a
+    /// campaign that would silently run the wrong scale or nothing at all.
+    pub fn from_env_and_args() -> Result<Self, String> {
+        Ok(Self {
+            scale: Scale::from_env()?,
             resume: std::env::args().any(|a| a == "--resume"),
-            only,
+            only: parse_only(std::env::var("EXP_ONLY").ok().as_deref())?,
             kill_after: std::env::var("CHAOS_KILL_AFTER_EXPERIMENTS")
                 .ok()
                 .and_then(|v| v.trim().parse().ok()),
-        }
+        })
     }
+}
+
+/// Parses `EXP_ONLY`: comma-separated, case-insensitive experiment
+/// names, each of which must be in [`standard_experiments`]. Unset or
+/// empty selects every experiment.
+fn parse_only(value: Option<&str>) -> Result<Option<Vec<String>>, String> {
+    let names: Vec<String> = value
+        .unwrap_or_default()
+        .split(',')
+        .map(|s| s.trim().to_ascii_uppercase())
+        .filter(|s| !s.is_empty())
+        .collect();
+    let known: Vec<&str> = standard_experiments().iter().map(|(n, _)| *n).collect();
+    if let Some(bad) = names.iter().find(|n| !known.contains(&n.as_str())) {
+        return Err(format!(
+            "EXP_ONLY names unknown experiment {bad}; valid names: {}",
+            known.join(", ")
+        ));
+    }
+    Ok((!names.is_empty()).then_some(names))
 }
 
 /// Outcome of a campaign run.
@@ -250,11 +268,26 @@ mod tests {
     #[test]
     fn standard_experiments_are_unique_and_complete() {
         let steps = standard_experiments();
-        assert_eq!(steps.len(), 17);
+        assert_eq!(steps.len(), 15);
         let mut names: Vec<&str> = steps.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 17, "duplicate experiment name");
+        assert_eq!(names.len(), 15, "duplicate experiment name");
+    }
+
+    #[test]
+    fn only_accepts_known_names_in_any_case() {
+        assert_eq!(parse_only(None), Ok(None));
+        assert_eq!(parse_only(Some(" , ")), Ok(None));
+        assert_eq!(
+            parse_only(Some("fig2, Fig4")),
+            Ok(Some(vec!["FIG2".to_string(), "FIG4".to_string()]))
+        );
+        let err = parse_only(Some("FIG4,TABLE1")).unwrap_err();
+        assert!(
+            err.contains("TABLE1") && err.contains("FIG2, FIG4, FIG5"),
+            "{err}"
+        );
     }
 
     #[test]

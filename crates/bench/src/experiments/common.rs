@@ -49,20 +49,9 @@ pub fn run_periods(circuit: &Circuit, freq: f64, periods: f64) -> Result<TranRes
     transient(circuit, &TranOptions::new(periods / freq))
 }
 
-/// Runs with a restricted probe set (memory-friendly sweeps).
-pub fn run_periods_probed(
-    circuit: &Circuit,
-    freq: f64,
-    periods: f64,
-    probes: Vec<spicier::NodeId>,
-) -> Result<TranResult, Error> {
-    let mut ws = SolveWorkspace::for_circuit(circuit);
-    run_periods_probed_with(circuit, freq, periods, probes, &mut ws)
-}
-
-/// [`run_periods_probed`] with a caller-owned solver workspace, so sweep
-/// workers reuse the cached stamp map and symbolic factorization across
-/// same-topology corners.
+/// Runs with a restricted probe set (memory-friendly sweeps) and a
+/// caller-owned solver workspace, so sweep workers reuse the cached stamp
+/// map and symbolic factorization across same-topology corners.
 pub fn run_periods_probed_with(
     circuit: &Circuit,
     freq: f64,

@@ -1,4 +1,6 @@
 //! FIG4 — chain outputs with a 4 kΩ pipe on the DUT's Q3 (paper Figure 4).
+//! [`simulate`] runs that chain pair once; Figure 4's [`swings`] and
+//! Tables 1 and 2 ([`super::table1`], [`super::table2`]) all measure it.
 //!
 //! The pipe nearly doubles the swing at the faulty gate's output, "but,
 //! after 4 logic gates, the degraded signal due to the pipe can be
@@ -7,9 +9,46 @@
 
 use super::common::{fig3_circuit, run_periods, wf};
 use super::report::{out_dir, print_table, v, write_rows_csv};
+use super::{table1, table2};
 use crate::Scale;
+use cml_cells::BufferChain;
+use spicier::analysis::tran::TranResult;
 use spicier::Error;
 use waveform::{write_csv_file, LevelStats};
+
+/// The fault-free and faulty Figure 3 chains over the same stimulus.
+#[derive(Debug, Clone)]
+pub struct ChainPair {
+    /// The chain's cells; the pipe adds no node, so they probe both runs.
+    pub chain: BufferChain,
+    /// Fault-free transient.
+    pub fault_free: TranResult,
+    /// Transient with the 4 kΩ pipe on DUT.Q3.
+    pub faulty: TranResult,
+    /// The last two stimulus periods, where the chain has settled, seconds.
+    pub settled: (f64, f64),
+}
+
+/// Builds and simulates both chains at 100 MHz (4 periods; quick: 3).
+///
+/// # Errors
+///
+/// Propagates simulation failures.
+pub fn simulate(scale: Scale) -> Result<ChainPair, Error> {
+    let freq = 100.0e6;
+    let periods = match scale {
+        Scale::Full => 4.0,
+        Scale::Quick => 3.0,
+    };
+    let (chain, clean) = fig3_circuit(freq, None)?;
+    let (_, faulty) = fig3_circuit(freq, Some(4.0e3))?;
+    Ok(ChainPair {
+        chain,
+        fault_free: run_periods(&clean, freq, periods)?,
+        faulty: run_periods(&faulty, freq, periods)?,
+        settled: ((periods - 2.0) / freq, periods / freq),
+    })
+}
 
 /// Per-stage swing, fault-free vs faulty.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,63 +74,52 @@ impl Fig4Result {
     }
 }
 
-/// Runs both chains at 100 MHz and measures per-stage swings.
+/// Measures per-stage swings over the settled periods.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn run(scale: Scale) -> Result<Fig4Result, Error> {
-    let freq = 100.0e6;
-    let periods = match scale {
-        Scale::Full => 4.0,
-        Scale::Quick => 3.0,
+/// Fails when a probe is missing.
+pub fn swings(pair: &ChainPair) -> Result<Fig4Result, Error> {
+    let (t0, t1) = pair.settled;
+    let swing = |res, node| -> Result<f64, Error> {
+        Ok(LevelStats::measure(&wf(res, node)?, t0, t1).swing())
     };
-    let (chain_ff, clean) = fig3_circuit(freq, None)?;
-    let (chain_flt, faulty) = fig3_circuit(freq, Some(4.0e3))?;
-    let res_ff = run_periods(&clean, freq, periods)?;
-    let res_flt = run_periods(&faulty, freq, periods)?;
-    let t0 = (periods - 2.0) / freq;
-    let t1 = periods / freq;
     let mut stages = Vec::new();
-    for (cf, cx) in chain_ff.cells.iter().zip(&chain_flt.cells) {
-        let w_ff = wf(&res_ff, cf.output.p)?;
-        let w_flt = wf(&res_flt, cx.output.p)?;
+    for cell in &pair.chain.cells {
         stages.push((
-            cf.name.clone(),
-            LevelStats::measure(&w_ff, t0, t1).swing(),
-            LevelStats::measure(&w_flt, t0, t1).swing(),
+            cell.name.clone(),
+            swing(&pair.fault_free, cell.output.p)?,
+            swing(&pair.faulty, cell.output.p)?,
         ));
     }
-    // Dump the paper's plotted signals: DUT and X66 outputs, both runs.
-    let dut_ff = wf(&res_ff, chain_ff.dut().output.p)?;
-    let dutb_ff = wf(&res_ff, chain_ff.dut().output.n)?;
-    let x66_ff = wf(&res_ff, chain_ff.cells[6].output.p)?;
-    write_csv_file(
-        out_dir().join("fig4_fault_free.csv"),
-        &[("op", &dut_ff), ("opb", &dutb_ff), ("op6", &x66_ff)],
-    )
-    .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))?;
-    let dut_flt = wf(&res_flt, chain_flt.dut().output.p)?;
-    let dutb_flt = wf(&res_flt, chain_flt.dut().output.n)?;
-    let x66_flt = wf(&res_flt, chain_flt.cells[6].output.p)?;
-    write_csv_file(
-        out_dir().join("fig4_faulty.csv"),
-        &[("opf", &dut_flt), ("opbf", &dutb_flt), ("op6f", &x66_flt)],
-    )
-    .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))?;
     Ok(Fig4Result {
         stages,
         dut_index: cml_cells::FIG3_DUT_INDEX,
     })
 }
 
-/// Runs and prints the paper-shaped report.
+/// Simulates the pair once, then prints and writes Figure 4, Table 1 and
+/// Table 2.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
+/// Propagates simulation and measurement failures.
 pub fn execute(scale: Scale) -> Result<(), Error> {
-    let r = run(scale)?;
+    let pair = simulate(scale)?;
+    // Dump the paper's plotted signals: DUT and X66 outputs, both runs.
+    let (dut, x66) = (pair.chain.dut(), &pair.chain.cells[6]);
+    for (name, res, cols) in [
+        ("fig4_fault_free", &pair.fault_free, ["op", "opb", "op6"]),
+        ("fig4_faulty", &pair.faulty, ["opf", "opbf", "op6f"]),
+    ] {
+        let [p, n, p6] = [dut.output.p, dut.output.n, x66.output.p].map(|node| wf(res, node));
+        write_csv_file(
+            out_dir().join(format!("{name}.csv")),
+            &[(cols[0], &p?), (cols[1], &n?), (cols[2], &p6?)],
+        )
+        .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))?;
+    }
+    let r = swings(&pair)?;
     let rows: Vec<Vec<String>> = r
         .stages
         .iter()
@@ -111,7 +139,17 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
         100.0 * r.healing_residual()
     );
     write_rows_csv("fig4_swings", &["stage", "ff", "pipe", "ratio"], &rows);
+    table1::report(&table1::measure(&pair)?);
+    table2::report(&table2::measure(&pair)?);
     Ok(())
+}
+
+/// The quick-scale pair, simulated once for every unit test that
+/// measures it.
+#[cfg(test)]
+pub(crate) fn quick_pair() -> &'static ChainPair {
+    static PAIR: std::sync::OnceLock<ChainPair> = std::sync::OnceLock::new();
+    PAIR.get_or_init(|| simulate(Scale::Quick).unwrap())
 }
 
 #[cfg(test)]
@@ -120,7 +158,7 @@ mod tests {
 
     #[test]
     fn pipe_roughly_doubles_dut_swing_and_heals() {
-        let r = run(Scale::Quick).unwrap();
+        let r = swings(quick_pair()).unwrap();
         let amp = r.dut_amplification();
         assert!(
             (1.6..3.2).contains(&amp),

@@ -24,7 +24,7 @@ pub const SCHEMA: &str = "spicier-run-report-v1";
 /// Telemetry rollup of one experiment in the campaign.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentTelemetry {
-    /// Experiment name (`FIG2`, `TABLE1`, ...).
+    /// Experiment name (`FIG2`, `FIG4`, ...).
     pub name: String,
     /// `"ok"` or `"failed"` — mirrors the manifest record.
     pub status: String,

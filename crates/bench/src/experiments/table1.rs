@@ -1,4 +1,5 @@
-//! TAB1 — delays at the fixed 3.165 V-style crossing (paper Table 1).
+//! TAB1 — delays at the fixed 3.165 V-style crossing (paper Table 1),
+//! measured on [`super::fig4::simulate`]'s chain pair.
 //!
 //! Delays are measured where each output crosses the *normal* crossing
 //! point of an output and its complement (`vcross` of the process) — "this
@@ -7,10 +8,11 @@
 //! headline: the faulty DUT output appears ~58 ps late at this reference,
 //! yet the difference at the final chain output is insignificant.
 
-use super::common::{fig3_circuit, run_periods, wf};
+use super::common::wf;
+use super::fig4::ChainPair;
 use super::report::{print_table, ps, write_rows_csv};
-use crate::Scale;
 use cml_cells::CmlProcess;
+use spicier::analysis::tran::TranResult;
 use spicier::Error;
 use waveform::Edge;
 
@@ -42,56 +44,45 @@ impl Table1Result {
     }
 }
 
-fn measure_chain(pipe: Option<f64>, periods: f64) -> Result<ChainCrossings, Error> {
-    let freq = 100.0e6;
-    let p = CmlProcess::paper();
-    let (chain, circuit) = fig3_circuit(freq, pipe)?;
-    let res = run_periods(&circuit, freq, periods)?;
-    // Reference: the input's rising crossing after the chain has settled.
-    let w_in = wf(&res, chain.cells[0].input.p)?;
-    let t_in = w_in
-        .first_crossing_after(p.vcross(), Edge::Rising, (periods - 2.0) / freq)
+/// Crossings of one of `pair`'s runs at the fixed reference, timed from
+/// the input's first rising crossing once the chain has settled.
+fn crossings(pair: &ChainPair, res: &TranResult) -> Result<ChainCrossings, Error> {
+    let vcross = CmlProcess::paper().vcross();
+    let t_in = wf(res, pair.chain.cells[0].input.p)?
+        .first_crossing_after(vcross, Edge::Rising, pair.settled.0)
         .ok_or_else(|| Error::InvalidOptions("input never crosses".to_string()))?;
+    // Strictly after the reference: a stage crossing coincident with the
+    // stimulus edge is not that stage's response.
+    let after_input = |node| -> Result<Option<f64>, Error> {
+        Ok(wf(res, node)?
+            .first_crossing_strictly_after(vcross, Edge::Any, t_in)
+            .map(|t| t - t_in))
+    };
     let mut stages = Vec::new();
-    for cell in &chain.cells {
-        let w_op = wf(&res, cell.output.p)?;
-        let w_opb = wf(&res, cell.output.n)?;
-        // Strictly after the reference: a stage crossing coincident with
-        // the stimulus edge is not that stage's response.
-        let t_op = w_op
-            .first_crossing_strictly_after(p.vcross(), Edge::Any, t_in)
-            .map(|t| t - t_in);
-        let t_opb = w_opb
-            .first_crossing_strictly_after(p.vcross(), Edge::Any, t_in)
-            .map(|t| t - t_in);
-        stages.push((cell.name.clone(), t_op, t_opb));
+    for cell in &pair.chain.cells {
+        stages.push((
+            cell.name.clone(),
+            after_input(cell.output.p)?,
+            after_input(cell.output.n)?,
+        ));
     }
     Ok(ChainCrossings { stages })
 }
 
-/// Runs both chains and extracts the fixed-level crossing table.
+/// Extracts the fixed-level crossing table from the simulated pair.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn run(scale: Scale) -> Result<Table1Result, Error> {
-    let periods = match scale {
-        Scale::Full => 4.0,
-        Scale::Quick => 3.0,
-    };
+/// Fails when a probe is missing or the input never crosses.
+pub fn measure(pair: &ChainPair) -> Result<Table1Result, Error> {
     Ok(Table1Result {
-        fault_free: measure_chain(None, periods)?,
-        faulty: measure_chain(Some(4.0e3), periods)?,
+        fault_free: crossings(pair, &pair.fault_free)?,
+        faulty: crossings(pair, &pair.faulty)?,
     })
 }
 
-/// Runs and prints the paper-shaped report.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn execute(scale: Scale) -> Result<(), Error> {
-    let r = run(scale)?;
+/// Prints the paper-shaped table and writes `table1.csv`.
+pub fn report(r: &Table1Result) {
     let fmt = |t: Option<f64>| t.map(ps).unwrap_or_else(|| "-".to_string());
     let mut rows = Vec::new();
     for (k, (name, _, _)) in r.fault_free.stages.iter().enumerate() {
@@ -119,7 +110,6 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
          (paper: fault heals to an insignificant difference)"
     );
     write_rows_csv("table1", &["output", "ff_ps", "pipe_ps", "delta_ps"], &rows);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -128,7 +118,7 @@ mod tests {
 
     #[test]
     fn dut_shifts_but_final_output_heals() {
-        let r = run(Scale::Quick).unwrap();
+        let r = measure(super::super::fig4::quick_pair()).unwrap();
         let dut = cml_cells::FIG3_DUT_INDEX;
         let d_dut = r
             .delta_op(dut)

@@ -1,13 +1,16 @@
-//! TAB2 — delays at the *actual* crossing voltage (paper Table 2).
+//! TAB2 — delays at the *actual* crossing voltage (paper Table 2),
+//! measured on [`super::fig4::simulate`]'s chain pair.
 //!
 //! Repeating Table 1's measurement "by using the actual crossing voltage,
 //! whatever its value, as the time measurement point" shows that even at
 //! the faulty gate the delay differences are modest — the defect is not
 //! meaningfully delay-testable even locally.
 
-use super::common::{fig3_circuit, run_periods, wf};
+use super::common::wf;
+use super::fig4::ChainPair;
 use super::report::{print_table, ps, write_rows_csv};
-use crate::Scale;
+use cml_cells::DiffPair;
+use spicier::analysis::tran::TranResult;
 use spicier::Error;
 use waveform::{differential_crossings, Edge};
 
@@ -41,59 +44,45 @@ impl Table2Result {
     }
 }
 
-fn measure_chain(pipe: Option<f64>, periods: f64) -> Result<ChainDiffDelays, Error> {
-    let freq = 100.0e6;
-    let (chain, circuit) = fig3_circuit(freq, pipe)?;
-    let res = run_periods(&circuit, freq, periods)?;
-    let w_in_p = wf(&res, chain.cells[0].input.p)?;
-    let w_in_n = wf(&res, chain.cells[0].input.n)?;
-    let t_settled = (periods - 2.0) / freq;
-    let t_in = differential_crossings(&w_in_p, &w_in_n, Edge::Any)
-        .map_err(|e| Error::InvalidOptions(e.to_string()))?
-        .into_iter()
-        .find(|&t| t >= t_settled)
+/// Differential-crossing delays of one of `pair`'s runs, timed from the
+/// input's first differential crossing once the chain has settled.
+fn diff_delays(pair: &ChainPair, res: &TranResult) -> Result<ChainDiffDelays, Error> {
+    // First differential crossing of `rails` at or after `from`.
+    let crossing_from = |rails: DiffPair, from: f64| -> Result<Option<f64>, Error> {
+        let (w_p, w_n) = (wf(res, rails.p)?, wf(res, rails.n)?);
+        Ok(differential_crossings(&w_p, &w_n, Edge::Any)
+            .map_err(|e| Error::InvalidOptions(e.to_string()))?
+            .into_iter()
+            .find(|&t| t >= from))
+    };
+    let t_in = crossing_from(pair.chain.cells[0].input, pair.settled.0)?
         .ok_or_else(|| Error::InvalidOptions("input never crosses".to_string()))?;
     let mut stages = Vec::new();
     let mut prev = t_in;
-    for cell in &chain.cells {
-        let w_p = wf(&res, cell.output.p)?;
-        let w_n = wf(&res, cell.output.n)?;
-        let t = differential_crossings(&w_p, &w_n, Edge::Any)
-            .map_err(|e| Error::InvalidOptions(e.to_string()))?
-            .into_iter()
-            .find(|&t| t >= prev)
-            .ok_or_else(|| {
-                Error::InvalidOptions(format!("{} never crosses differentially", cell.name))
-            })?;
+    for cell in &pair.chain.cells {
+        let t = crossing_from(cell.output, prev)?.ok_or_else(|| {
+            Error::InvalidOptions(format!("{} never crosses differentially", cell.name))
+        })?;
         stages.push((cell.name.clone(), t - t_in, t - prev));
         prev = t;
     }
     Ok(ChainDiffDelays { stages })
 }
 
-/// Runs both chains and measures differential-crossing delays.
+/// Measures differential-crossing delays on the simulated pair.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn run(scale: Scale) -> Result<Table2Result, Error> {
-    let periods = match scale {
-        Scale::Full => 4.0,
-        Scale::Quick => 3.0,
-    };
+/// Fails when a probe is missing or a stage never crosses.
+pub fn measure(pair: &ChainPair) -> Result<Table2Result, Error> {
     Ok(Table2Result {
-        fault_free: measure_chain(None, periods)?,
-        faulty: measure_chain(Some(4.0e3), periods)?,
+        fault_free: diff_delays(pair, &pair.fault_free)?,
+        faulty: diff_delays(pair, &pair.faulty)?,
     })
 }
 
-/// Runs and prints the paper-shaped report.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn execute(scale: Scale) -> Result<(), Error> {
-    let r = run(scale)?;
+/// Prints the paper-shaped table and writes `table2.csv`.
+pub fn report(r: &Table2Result) {
     let mut rows = Vec::new();
     for (k, (name, tau_ff, d_ff)) in r.fault_free.stages.iter().enumerate() {
         let (_, tau_p, d_p) = &r.faulty.stages[k];
@@ -140,7 +129,6 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
         ],
         &rows,
     );
-    Ok(())
 }
 
 #[cfg(test)]
@@ -149,7 +137,7 @@ mod tests {
 
     #[test]
     fn gate_delay_near_50ps_and_differences_are_modest() {
-        let r = run(Scale::Quick).unwrap();
+        let r = measure(super::super::fig4::quick_pair()).unwrap();
         // Mid-chain fault-free delay in the paper's ballpark.
         let d_mid = r.fault_free.stages[4].2;
         assert!(

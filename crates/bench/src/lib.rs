@@ -5,6 +5,8 @@
 //! DESIGN.md): a `run(scale)` function returning typed results, and a
 //! `execute(scale)` entry point that prints the paper-shaped table and
 //! writes the underlying series as CSV under `target/experiments/`.
+//! Tables 1 and 2 are the exception: `table1` and `table2` measure the
+//! chain pair `fig4::simulate` runs, and `fig4::execute` writes all three.
 //!
 //! The `exp_all` binary drives these (`EXP_ONLY=FIG8` runs one); the
 //! benches reuse the same kernels at [`Scale::Quick`].
@@ -27,11 +29,22 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `EXP_SCALE=quick` from the environment (default: full).
-    pub fn from_env() -> Self {
-        match std::env::var("EXP_SCALE").as_deref() {
-            Ok("quick") | Ok("QUICK") => Scale::Quick,
-            _ => Scale::Full,
+    /// Reads `EXP_SCALE` from the environment: `quick` or `full` in any
+    /// case; unset means full.
+    ///
+    /// # Errors
+    ///
+    /// Any other value, so a misspelt scale never silently runs full.
+    pub fn from_env() -> Result<Self, String> {
+        Self::parse(std::env::var("EXP_SCALE").ok().as_deref())
+    }
+
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None => Ok(Scale::Full),
+            Some(v) if v.eq_ignore_ascii_case("full") => Ok(Scale::Full),
+            Some(v) if v.eq_ignore_ascii_case("quick") => Ok(Scale::Quick),
+            Some(v) => Err(format!("EXP_SCALE={v} is neither quick nor full")),
         }
     }
 }
@@ -52,4 +65,19 @@ pub fn scrub_knobs(cmd: &mut std::process::Command) -> &mut std::process::Comman
         }
     }
     cmd
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Scale;
+
+    #[test]
+    fn scale_accepts_quick_and_full_in_any_case() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("Quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("QUICK")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert!(Scale::parse(Some("quik")).is_err());
+        assert!(Scale::parse(Some("")).is_err());
+    }
 }

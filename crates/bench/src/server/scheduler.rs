@@ -259,17 +259,6 @@ impl Job {
         self.with_state(|s| matches!(s.phase, JobPhase::Done(_)))
     }
 
-    /// Marks the job done with `outcome` (first writer wins) and wakes
-    /// every waiter.
-    pub fn mark_done(&self, outcome: Outcome) {
-        self.with_state(|s| {
-            if !matches!(s.phase, JobPhase::Done(_)) {
-                s.phase = JobPhase::Done(outcome);
-            }
-        });
-        self.cv.notify_all();
-    }
-
     /// Blocks until the job is done or `timeout` elapses; returns
     /// whether it finished.
     pub fn wait_done(&self, timeout: Duration) -> bool {

@@ -128,3 +128,22 @@ fn stale_input_hash_forces_a_rerun() {
     let log = stdout_of(&resumed);
     assert!(log.contains("(2 run, 0 resumed)"), "{log}");
 }
+
+#[test]
+fn input_that_selects_nothing_is_rejected_before_anything_runs() {
+    for (name, envs) in [
+        ("unknown_only", [("EXP_ONLY", "FIG4,TABLE1")]),
+        ("unknown_scale", [("EXP_SCALE", "quik")]),
+    ] {
+        let dir = fresh_dir(name);
+        let out = run_campaign(&dir, &[], &envs);
+        assert!(!out.status.success(), "{name}: {}", stdout_of(&out));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(envs[0].0), "{name}: {stderr}");
+        assert!(csv_bytes(&dir).is_empty(), "{name}: CSVs written");
+        assert!(
+            !dir.join("MANIFEST.json").exists(),
+            "{name}: manifest written"
+        );
+    }
+}

@@ -73,12 +73,6 @@ impl CmlProcess {
         self.itail = itail;
         self
     }
-
-    /// Sets the single-ended swing.
-    pub fn with_swing(mut self, swing: f64) -> Self {
-        self.swing = swing;
-        self
-    }
 }
 
 impl Default for CmlProcess {

@@ -80,8 +80,8 @@ impl DetectorLoad {
 /// Whether the two detector transistors of variants 2/3 are drawn as two
 /// devices or merged into one multiple-emitter transistor (§6.5, Figure
 /// 15). Electrically the merged device behaves as two transistors sharing
-/// base and collector, which is exactly how it is simulated; the area
-/// accounting differs.
+/// base and collector, which is how every detector is simulated; only the
+/// area accounting of [`crate::overhead::DftScheme`] differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MultiEmitterStyle {
     /// Two separate transistors (Figure 9).
@@ -168,24 +168,12 @@ pub struct Variant2 {
     pub load: DetectorLoad,
     /// Test-mode bias voltage on the detector bases.
     pub vtest: f64,
-    /// Device style for the detector pair.
-    pub style: MultiEmitterStyle,
 }
 
 impl Variant2 {
     /// Creates a variant-2 detector with the given load and `vtest`.
     pub fn new(load: DetectorLoad, vtest: f64) -> Self {
-        Self {
-            load,
-            vtest,
-            style: MultiEmitterStyle::TwoTransistors,
-        }
-    }
-
-    /// Uses the multiple-emitter merged device (§6.5).
-    pub fn with_style(mut self, style: MultiEmitterStyle) -> Self {
-        self.style = style;
-        self
+        Self { load, vtest }
     }
 
     /// Sizes the test-mode bias for a target detectable amplitude: the
@@ -272,8 +260,6 @@ pub struct Variant3 {
     pub cmp_itail: f64,
     /// Comparator load resistance, ohms (sets the hysteresis width).
     pub cmp_rload: f64,
-    /// Device style for the detector pairs.
-    pub style: MultiEmitterStyle,
     /// `None` = positive feedback (`vfb` is the reference, §6.3's chosen
     /// design); `Some(v)` = a fixed reference voltage instead (the
     /// alternative §6.3 rejects because it halves the comparator's noise
@@ -293,7 +279,6 @@ impl Variant3 {
             c0: 10.0e-12,
             cmp_itail: 0.1e-3,
             cmp_rload: 1.5e3,
-            style: MultiEmitterStyle::TwoTransistors,
             reference: None,
         }
     }
@@ -301,24 +286,6 @@ impl Variant3 {
     /// Sets the bleed resistor.
     pub fn with_r0(mut self, r0: f64) -> Self {
         self.r0 = r0;
-        self
-    }
-
-    /// Sets the load capacitor.
-    pub fn with_c0(mut self, c0: f64) -> Self {
-        self.c0 = c0;
-        self
-    }
-
-    /// Sets the detector-pair device style.
-    pub fn with_style(mut self, style: MultiEmitterStyle) -> Self {
-        self.style = style;
-        self
-    }
-
-    /// Sets the comparator swing via its load resistance.
-    pub fn with_cmp_rload(mut self, ohms: f64) -> Self {
-        self.cmp_rload = ohms;
         self
     }
 

@@ -136,12 +136,6 @@ impl TranOptions {
         }
     }
 
-    /// Sets the maximum step size.
-    pub fn with_h_max(mut self, h_max: f64) -> Self {
-        self.h_max = h_max;
-        self
-    }
-
     /// Sets the per-step voltage-change bound (accuracy knob).
     pub fn with_dv_max(mut self, dv_max: f64) -> Self {
         self.dv_max = dv_max;

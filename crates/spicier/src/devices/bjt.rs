@@ -119,13 +119,6 @@ impl BjtModel {
         self
     }
 
-    /// Sets the junction capacitances.
-    pub fn with_caps(mut self, cje: f64, cjc: f64) -> Self {
-        self.cje = cje;
-        self.cjc = cjc;
-        self
-    }
-
     /// Sets junction grading for both junctions (`mj = 0.33` graded,
     /// `0.5` abrupt). The default (`mj = 0`) keeps the capacitances
     /// bias-independent, which is the calibration DESIGN.md documents.

@@ -9,11 +9,12 @@ use cml_bench::{experiments as exp, Scale};
 fn claim_pipe_defects_heal_and_escape_delay_test() {
     // §5, Tables 1–2: a 4 kΩ pipe doubles the DUT swing; the disturbance
     // is invisible in delays a few stages later.
-    let fig4 = exp::fig4::run(Scale::Quick).unwrap();
+    let pair = exp::fig4::simulate(Scale::Quick).unwrap();
+    let fig4 = exp::fig4::swings(&pair).unwrap();
     assert!((1.6..3.2).contains(&fig4.dut_amplification()));
     assert!(fig4.healing_residual() < 0.05);
 
-    let t1 = exp::table1::run(Scale::Quick).unwrap();
+    let t1 = exp::table1::measure(&pair).unwrap();
     let dut = cml_cells::FIG3_DUT_INDEX;
     let d_dut = t1
         .delta_op(dut)
