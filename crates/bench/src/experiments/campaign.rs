@@ -23,7 +23,8 @@
 //!   an unknown name, like an unknown `EXP_SCALE`, is rejected before
 //!   anything runs;
 //! * `CHAOS_KILL_AFTER_EXPERIMENTS=N` kills the process (exit 137) after
-//!   `N` experiments have executed — the kill/resume drill.
+//!   `N` experiments have executed — the kill/resume drill. A value that
+//!   is not a count is rejected before anything runs.
 
 use super::manifest::{input_hash, ExperimentRecord, Manifest};
 use super::run_report::{ExperimentTelemetry, RunReport};
@@ -75,18 +76,34 @@ impl CampaignOptions {
     ///
     /// # Errors
     ///
-    /// An `EXP_SCALE` other than `quick` or `full` (any case), or an
-    /// `EXP_ONLY` name that is not in [`standard_experiments`]: a
-    /// campaign that would silently run the wrong scale or nothing at all.
+    /// An `EXP_SCALE` other than `quick` or `full` (any case), an
+    /// `EXP_ONLY` name that is not in [`standard_experiments`], or a
+    /// `CHAOS_KILL_AFTER_EXPERIMENTS` that is not a count: a campaign that
+    /// would silently run the wrong scale, nothing at all, or without the
+    /// kill it was asked for.
     pub fn from_env_and_args() -> Result<Self, String> {
         Ok(Self {
             scale: Scale::from_env()?,
             resume: std::env::args().any(|a| a == "--resume"),
             only: parse_only(std::env::var("EXP_ONLY").ok().as_deref())?,
-            kill_after: std::env::var("CHAOS_KILL_AFTER_EXPERIMENTS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok()),
+            kill_after: parse_kill_after(
+                std::env::var("CHAOS_KILL_AFTER_EXPERIMENTS")
+                    .ok()
+                    .as_deref(),
+            )?,
         })
+    }
+}
+
+/// Parses `CHAOS_KILL_AFTER_EXPERIMENTS`: a non-negative count of
+/// experiments. Unset or empty disables the kill.
+fn parse_kill_after(value: Option<&str>) -> Result<Option<usize>, String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("CHAOS_KILL_AFTER_EXPERIMENTS={v} is not a count of experiments")),
     }
 }
 

@@ -289,6 +289,9 @@ mod tests {
             (1.0e9, 2.0e3, 10.0e-12, None),
             (2.0e9, 2.0e3, 1.0e-12, None),
             (2.0e9, 4.0e3, 10.0e-12, Some(super::super::fig10::VTEST)),
+            // Decays geometrically; a fill that shifted each repeated
+            // period by its boundary change alone strayed 122 µV here.
+            (1.5e9, 5.0e3, 1.0e-12, Some(super::super::fig10::VTEST)),
         ];
         for (freq, pipe, cap, vtest) in corners {
             let label = corner_label(freq, pipe, cap);

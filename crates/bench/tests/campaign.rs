@@ -131,9 +131,12 @@ fn stale_input_hash_forces_a_rerun() {
 
 #[test]
 fn input_that_selects_nothing_is_rejected_before_anything_runs() {
+    // A malformed kill count is rejected too: read as unset, it would run
+    // the campaign through without the kill the drill asked for.
     for (name, envs) in [
         ("unknown_only", [("EXP_ONLY", "FIG4,TABLE1")]),
         ("unknown_scale", [("EXP_SCALE", "quik")]),
+        ("malformed_kill", [("CHAOS_KILL_AFTER_EXPERIMENTS", "one")]),
     ] {
         let dir = fresh_dir(name);
         let out = run_campaign(&dir, &[], &envs);

@@ -232,40 +232,39 @@ impl<'c> Assembler<'c> {
         self.charges.copy_from_slice(&self.scratch);
     }
 
-    /// Copies the committed charges, one per charge-storage site, into
-    /// `out`.
-    pub(crate) fn committed_charges(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.charges.iter().map(|c| c.q));
-    }
-
-    /// Advances every committed charge by `periods` times its change since
-    /// `before`, as [`committed_charges`](Self::committed_charges) recorded
-    /// it one period earlier.
-    pub(crate) fn extrapolate_charges(&mut self, before: &[f64], periods: f64) {
-        for (c, &q) in self.charges.iter_mut().zip(before) {
-            c.q += periods * (c.q - q);
+    /// Moves every committed charge by the change its device equation
+    /// gives between the unknowns `from` and `to`, keeping its charging
+    /// current: a charge whose terminals did not move stays, and the
+    /// charges stay consistent with the moved unknowns.
+    pub(crate) fn advance_charges(&mut self, from: &[f64], to: &[f64]) {
+        let (before, after) = (self.charges_at(from), self.charges_at(to));
+        for ((c, q0), q1) in self.charges.iter_mut().zip(before).zip(after) {
+            c.q += q1 - q0;
         }
     }
 
     /// Initializes committed charge states from a converged DC solution
     /// (zero charging currents — steady state).
     pub fn init_charges(&mut self, x: &[f64]) {
+        let charges = self.charges_at(x);
+        for (c, q) in self.charges.iter_mut().zip(charges) {
+            *c = ChargeState { q, i: 0.0 };
+        }
+        self.reset_junctions(x);
+    }
+
+    /// The charge of every charge-storage site at the unknowns `x`.
+    fn charges_at(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.charges.len()];
         for (e_idx, (_, element)) in self.circuit.element_slice().iter().enumerate() {
             let off = self.charge_offset[e_idx];
             match element {
                 Element::Capacitor { p, n, value } => {
                     let v = v_of(x, *p) - v_of(x, *n);
-                    self.charges[off] = ChargeState {
-                        q: value * v,
-                        i: 0.0,
-                    };
+                    out[off] = value * v;
                 }
                 Element::Inductor { value, .. } => {
-                    self.charges[off] = ChargeState {
-                        q: value * x[self.branch_index[e_idx]],
-                        i: 0.0,
-                    };
+                    out[off] = value * x[self.branch_index[e_idx]];
                 }
                 Element::Diode {
                     anode,
@@ -273,8 +272,7 @@ impl<'c> Assembler<'c> {
                     model,
                 } => {
                     let vd = v_of(x, *anode) - v_of(x, *cathode);
-                    let eval = model.eval(vd);
-                    self.charges[off] = ChargeState { q: eval.q, i: 0.0 };
+                    out[off] = model.eval(vd).q;
                 }
                 Element::Bjt {
                     collector,
@@ -286,19 +284,13 @@ impl<'c> Assembler<'c> {
                     let vbe = s * (v_of(x, *base) - v_of(x, *emitter));
                     let vbc = s * (v_of(x, *base) - v_of(x, *collector));
                     let eval = model.eval(vbe, vbc);
-                    self.charges[off] = ChargeState {
-                        q: eval.qbe,
-                        i: 0.0,
-                    };
-                    self.charges[off + 1] = ChargeState {
-                        q: eval.qbc,
-                        i: 0.0,
-                    };
+                    out[off] = eval.qbe;
+                    out[off + 1] = eval.qbc;
                 }
                 _ => {}
             }
         }
-        self.reset_junctions(x);
+        out
     }
 
     /// Seeds the junction-limiting memory from an unknown vector.

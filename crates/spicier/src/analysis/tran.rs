@@ -26,11 +26,12 @@
 //! period boundary to period boundary, lets the period watcher read the
 //! state and decide at each, applies its skip, and then runs to `t_stop`.
 //!
-//! **Periodic steady state and linear envelope extrapolation:** when every
+//! **Periodic steady state and envelope extrapolation:** when every
 //! independent source is DC or a `Pulse` with one shared `(delay,
 //! period)`, the pulse starts are the run's period boundaries. The stepper
 //! lands on each one (they are breakpoints) and compares the state with
-//! the previous boundary's. Let `Δ_i = x_i(b_j) − x_i(b_{j−1})`, `N` the
+//! the previous boundary's. Let `Δ_i = x_i(b_j) − x_i(b_{j−1})`, `Δ'_i`
+//! and `Δ''_i` the changes across the two periods before, `N` the
 //! periods, whole or partial, left until `t_stop`, and `tol_i` the Newton
 //! absolute tolerance (`dc.abstol_v` for node voltages, `dc.abstol_i` for
 //! branch currents). Unknown `i` is *calm* when `N·|Δ_i| ≤ tol_i`.
@@ -41,24 +42,36 @@
 //!   predictor history, step size) is the one a simulated run would hold
 //!   there, because the state is periodic.
 //! - *Extrapolate.* Otherwise, once two periods have been simulated since
-//!   the start or the last jump, every unknown that is not calm is a
-//!   candidate *steady drifter*. With `d_i = |Δ_i − Δ'_i|` its change
-//!   between the last two periods, the stepper jumps the largest `M` with
-//!   `M(M+1)/2·d_i ≤ tol_i` (the jump's extrapolation error stays within
-//!   the tolerance), `M·d_i ≤ |Δ_i|` (the drift is steady, not a decaying
-//!   transient) and, for node voltages, `M·|Δ_i| ≤ dv_max` (a jump moves a
-//!   node no further than one step may, so a clamp or threshold ahead is
-//!   met by simulated periods) for every drifter, capped at the
-//!   second-to-last pulse start, when `M ≥ 2`. Calm unknowns are copied;
-//!   drifters, the predictor's previous point and every committed charge
-//!   advance by `M` times their change across the last period. The copied
-//!   samples of a drifting probe are shifted the same way. The stepper
-//!   then simulates two fresh periods and decides again.
+//!   the start or the last jump, every unknown that is not calm must allow
+//!   the jump under one of two models, whichever allows it further:
+//!   - *steady drift*, `Δ` per period: with `d_i = |Δ_i − Δ'_i|`, up to
+//!     `M` periods with `M(M+1)/2·d_i ≤ tol_i` (the jump's extrapolation
+//!     error stays within the tolerance) and `M·d_i ≤ |Δ_i|` (the drift is
+//!     steady);
+//!   - *geometric decay*, once three periods have been simulated: the
+//!     change scales by `r_i = Δ_i/Δ'_i` a period, with `r_i` and
+//!     `r'_i = Δ'_i/Δ''_i` positive, up to the `M` whose cumulative error
+//!     stays within `tol_i` if the ratio keeps changing by `r_i − r'_i` a
+//!     period.
+//!
+//!   For node voltages both models also keep the jump's move within
+//!   `dv_max` (a jump moves a node no further than one step may, so a
+//!   clamp or threshold ahead is met by simulated periods). The stepper
+//!   jumps the largest such `M`, capped at the second-to-last pulse start,
+//!   when `M ≥ 2`. Calm unknowns are copied; a drifter moves by
+//!   `Δ_i·(r_i + … + r_i^M)`, with `r_i = 1` (so `M·Δ_i`) when the steady
+//!   model carries it that far, and the predictor's previous point with
+//!   it. Every committed charge moves by the change its device equation
+//!   gives between the old and the new `x`. The repeated samples of a
+//!   steady probe are shifted by `m·Δ_i` in repeat `m`; those of a
+//!   decaying probe by their own change over the period before times
+//!   `r_i + … + r_i^m`, sample by sample. The stepper then simulates two
+//!   fresh periods and decides again.
 //!
 //! The tolerance bounds each jump's error, not the run's: jumps repeat
-//! every two simulated periods, so their errors may add up. The run-wide
-//! error is measured against the full transient, not bounded; on the
-//! paper's detector sweeps it reads at most 26 µV.
+//! every two or three simulated periods, so their errors may add up. The
+//! run-wide error is measured against the full transient, not bounded; on
+//! the paper's detector sweeps it reads at most 25 µV.
 //!
 //! Both jumps land on a boundary, and the final period and the tail are
 //! always simulated. Any PWL or SIN source, pulses with different delays
@@ -347,34 +360,43 @@ struct PeriodicSkip {
     /// Index and time of the next boundary.
     next_index: usize,
     next: f64,
-    /// State and committed charges at the previous boundary, and the index
-    /// of its sample. Empty before the first boundary.
+    /// State at the previous boundary, and the indices of its sample and
+    /// the one a boundary before. Empty before the first boundary.
     last: Vec<f64>,
-    last_charges: Vec<f64>,
     last_sample: usize,
-    /// Change of every unknown across the last period (`Δ`), and whether
-    /// it was simulated since the start or the last jump.
+    before_sample: usize,
+    /// Change of every unknown across the last period (`Δ`) and the one
+    /// before (`Δ'`), and how many of the two were simulated since the
+    /// start or the last jump.
     delta: Vec<f64>,
-    has_delta: bool,
-    /// The unknowns that were not calm at the previous boundary, with
-    /// their `Δ`.
-    drifting: Vec<(usize, f64)>,
+    delta_before: Vec<f64>,
+    deltas: usize,
+    /// The unknowns that were not calm at the previous boundary, with the
+    /// longest jump the steady model allows each.
+    drifting: Vec<(Drift, f64)>,
     /// Whether every unknown was calm at the previous boundary.
     calm: bool,
+}
+
+/// An unknown that a jump extrapolates: its change across the last period
+/// and the ratio by which that change is taken to scale each period, 1
+/// for a steady drift.
+#[derive(Clone, Copy)]
+struct Drift {
+    unknown: usize,
+    delta: f64,
+    ratio: f64,
 }
 
 /// How a skip fills the periods it does not simulate.
 enum SkipKind {
     /// Repeat the last period verbatim; the run is periodic.
     Copy,
-    /// Repeat it with every drifting unknown shifted by its per-period
-    /// change.
+    /// Repeat it with every drifting unknown advanced along its ratio.
     Extrapolate {
-        /// The unknowns that drift, with their change across the last
-        /// period.
-        drift: Vec<(usize, f64)>,
-        /// The committed charges at the boundary one period earlier.
-        charges: Vec<f64>,
+        drift: Vec<Drift>,
+        /// The sample at the boundary two periods back.
+        before_sample: usize,
     },
 }
 
@@ -387,6 +409,18 @@ struct Skip {
     period: f64,
     first_sample: usize,
     periods: usize,
+}
+
+/// `r + r² + … + r^m` for `r > 0`: how many periods' worth of its last
+/// change an unknown scaling that change by `r` each period moves in `m`
+/// periods. Exactly `m` when `r = 1`, and accurate near it: `r^m − 1` is
+/// taken as `expm1(m·ln_1p(r − 1))`, where `r − 1` is exact.
+fn ratio_sum(r: f64, m: usize) -> f64 {
+    if r == 1.0 {
+        m as f64
+    } else {
+        r * (m as f64 * (r - 1.0).ln_1p()).exp_m1() / (r - 1.0)
+    }
 }
 
 /// The longest jump, in periods, that an unknown changing by `delta` per
@@ -405,6 +439,65 @@ fn steady_periods(delta: f64, bend: f64, tol: f64, reach: f64) -> f64 {
         return 0.0;
     }
     bounds.into_iter().fold(f64::INFINITY, f64::min).floor()
+}
+
+/// The longest jump, at most `cap` periods, along a geometric decay or
+/// growth: an unknown whose change `delta` across the last period is
+/// `ratio` times the one before, which was `ratio_before` times its own
+/// predecessor. The largest `M` whose cumulative error,
+/// `|delta|·Σ_{m≤M} |Π_{k≤m}(ratio + k·(ratio − ratio_before)) − ratio^m|`,
+/// stays within `tol` if the ratio keeps changing as it did, and whose
+/// move `|delta|·(ratio + … + ratio^M)` stays within `reach`. Zero unless
+/// both ratios are positive.
+fn geometric_periods(
+    delta: f64,
+    ratio: f64,
+    ratio_before: f64,
+    tol: f64,
+    reach: f64,
+    cap: f64,
+) -> f64 {
+    if !(ratio > 0.0 && ratio_before > 0.0) {
+        return 0.0;
+    }
+    let bend = ratio - ratio_before;
+    let (mut model, mut truth, mut error, mut sum) = (1.0, 1.0, 0.0, 0.0);
+    let mut periods = 0.0;
+    while periods < cap {
+        let m = periods + 1.0;
+        model *= ratio;
+        truth *= (ratio + m * bend).max(0.0);
+        error += (truth - model).abs();
+        sum += model;
+        if !(delta.abs() * error <= tol && delta.abs() * sum <= reach) {
+            break;
+        }
+        periods = m;
+    }
+    periods
+}
+
+/// The change over one period of `trace` at every sample after `first`:
+/// the sample minus the trace one `period` earlier, interpolated linearly
+/// between the samples `before..=first` of the period before.
+fn period_changes(
+    time: &[f64],
+    trace: &[f64],
+    before: usize,
+    first: usize,
+    period: f64,
+) -> Vec<f64> {
+    let mut p = before;
+    (first + 1..time.len())
+        .map(|k| {
+            let t = time[k] - period;
+            while p + 1 < first && time[p + 1] <= t {
+                p += 1;
+            }
+            let w = ((t - time[p]) / (time[p + 1] - time[p])).clamp(0.0, 1.0);
+            trace[k] - (trace[p] + w * (trace[p + 1] - trace[p]))
+        })
+        .collect()
 }
 
 /// The waveforms of `circuit`'s independent sources.
@@ -458,7 +551,7 @@ impl PeriodicSkip {
         let target = self.count - 2;
         let seen = !self.last.is_empty();
         let mut worst = 0.0f64;
-        let mut jump = if self.has_delta && j < target {
+        let mut jump = if self.deltas > 0 && j < target {
             (target - j) as f64
         } else {
             0.0
@@ -477,17 +570,38 @@ impl PeriodicSkip {
             };
             let drift = left * delta.abs();
             let is_calm = drift <= tol;
+            let (delta_1, delta_2) = (self.delta[i], self.delta_before[i]);
+            let ratio = delta / delta_1;
+            let mut steady = 0.0;
             if !is_calm && jump > 0.0 {
-                let bend = (delta - self.delta[i]).abs();
-                let allowed = steady_periods(delta, bend, tol, reach);
+                // Each unknown takes whichever model jumps it further.
+                steady = steady_periods(delta, (delta - delta_1).abs(), tol, reach);
+                let mut allowed = steady;
+                if steady < jump && self.deltas > 1 {
+                    let ratio_before = delta_1 / delta_2;
+                    allowed = allowed.max(geometric_periods(
+                        delta,
+                        ratio,
+                        ratio_before,
+                        tol,
+                        reach,
+                        jump,
+                    ));
+                }
                 if allowed < jump {
                     jump = allowed;
                     limiter = Some(i);
                 }
             }
+            self.delta_before[i] = delta_1;
             self.delta[i] = delta;
             if !is_calm {
-                self.drifting.push((i, delta));
+                let drift = Drift {
+                    unknown: i,
+                    delta,
+                    ratio,
+                };
+                self.drifting.push((drift, steady));
             }
             worst = worst.max(drift);
         }
@@ -495,13 +609,25 @@ impl PeriodicSkip {
         let (kind, periods, name) = if calm && self.calm && j < target {
             (SkipKind::Copy, target - j, "copy")
         } else if !calm && jump >= 2.0 {
+            // An unknown the steady model carries as far keeps its steady
+            // drift, so a jump that it allows for all of them is the same
+            // as without the geometric model.
+            let drift = self
+                .drifting
+                .iter()
+                .map(|&(d, steady)| Drift {
+                    ratio: if steady >= jump { 1.0 } else { d.ratio },
+                    ..d
+                })
+                .collect();
             let kind = SkipKind::Extrapolate {
-                drift: std::mem::take(&mut self.drifting),
-                charges: std::mem::take(&mut self.last_charges),
+                drift,
+                before_sample: self.before_sample,
             };
             (kind, jump as usize, "extrapolate")
         } else {
-            (self.calm, self.has_delta) = (calm, seen);
+            self.calm = calm;
+            self.deltas = if seen { (self.deltas + 1).min(2) } else { 0 };
             self.next_index += 1;
             self.next += self.period;
             return None;
@@ -530,7 +656,7 @@ impl PeriodicSkip {
             periods,
         };
         // The history restarts at the boundary the skip lands on.
-        (self.calm, self.has_delta) = (false, false);
+        (self.calm, self.deltas) = (false, 0);
         self.next_index += 1 + periods;
         for _ in 0..=periods {
             self.next += self.period;
@@ -542,9 +668,10 @@ impl PeriodicSkip {
     /// what the next boundary compares against.
     fn remember(&mut self, run: &Stepper<'_>) {
         self.delta.resize(run.x.len(), 0.0);
+        self.delta_before.resize(run.x.len(), 0.0);
         self.last.clear();
         self.last.extend_from_slice(&run.x);
-        run.assembler.committed_charges(&mut self.last_charges);
+        self.before_sample = self.last_sample;
         self.last_sample = run.result.time.len() - 1;
     }
 }
@@ -858,30 +985,54 @@ impl<'a> Stepper<'a> {
     }
 
     /// Applies `skip` instead of simulating the periods it covers. The
-    /// period that ended at `skip.from` is repeated `skip.periods` times,
-    /// repeat `m` of a probe whose unknown drifts by `Δ` per period shifted
-    /// by `m·Δ` and calm probes copied verbatim. An extrapolation also
-    /// advances `x`, the predictor's previous point and every committed
-    /// charge by `skip.periods` times their change across the last period.
-    /// The breakpoints the repeats cover are consumed, and the run resumes
-    /// at the last repeated boundary, as its breakpoint holds it.
+    /// period that ended at `skip.from` is repeated `M = skip.periods`
+    /// times, calm probes copied verbatim. An extrapolation moves each
+    /// drifting unknown `i` of `x`, and the predictor's previous point, by
+    /// `Δ_i·(r_i + … + r_i^M)`, and every committed charge by the change
+    /// its device equation gives between the old and the new `x`. Repeat
+    /// `m` of a probe with `r_i = 1` is shifted by `m·Δ_i`; other drifting
+    /// probes advance sample by sample, by their change over the period
+    /// before times `r_i + … + r_i^m`. The breakpoints the repeats cover
+    /// are consumed, and the run resumes at the last repeated boundary, as
+    /// its breakpoint holds it.
     fn jump(&mut self, skip: &Skip) {
-        let periods = skip.periods as f64;
-        let drift: &[(usize, f64)] = match &skip.kind {
-            SkipKind::Copy => &[],
-            SkipKind::Extrapolate { drift, charges } => {
-                for &(i, delta) in drift {
-                    self.x[i] += periods * delta;
-                    self.x_prev[i] += periods * delta;
-                }
-                self.assembler.extrapolate_charges(charges, periods);
-                self.result.extrapolated_periods += skip.periods;
-                drift
-            }
-        };
         let result = &mut self.result;
         let samples = skip.first_sample + 1..result.time.len();
+        let (drift, before_sample): (&[Drift], _) = match &skip.kind {
+            SkipKind::Copy => (&[], 0),
+            SkipKind::Extrapolate {
+                drift,
+                before_sample,
+            } => {
+                let from = self.x.clone();
+                for d in drift {
+                    let moved = d.delta * ratio_sum(d.ratio, skip.periods);
+                    self.x[d.unknown] += moved;
+                    self.x_prev[d.unknown] += moved;
+                }
+                self.assembler.advance_charges(&from, &self.x);
+                result.extrapolated_periods += skip.periods;
+                (drift, *before_sample)
+            }
+        };
         let copied = samples.len() * skip.periods;
+        // A drifting probe's ratio and its change over one period at each
+        // repeated sample.
+        let drifting: Vec<Option<(f64, Vec<f64>)>> = result
+            .nodes
+            .iter()
+            .zip(&result.data)
+            .map(|(node, trace)| {
+                let d = drift.iter().find(|d| node.unknown() == Some(d.unknown))?;
+                let changes = if d.ratio == 1.0 {
+                    vec![d.delta; samples.len()]
+                } else {
+                    let (before, first) = (before_sample, skip.first_sample);
+                    period_changes(&result.time, trace, before, first, skip.period)
+                };
+                Some((d.ratio, changes))
+            })
+            .collect();
         result.time.reserve(copied);
         let mut boundary = skip.from;
         for _ in 0..skip.periods {
@@ -893,15 +1044,14 @@ impl<'a> Stepper<'a> {
             }
             result.time.push(boundary);
         }
-        for (node, trace) in result.nodes.iter().zip(&mut result.data) {
+        for (trace, drifting) in result.data.iter_mut().zip(drifting) {
             trace.reserve(copied);
-            let drifts = drift.iter().find(|&&(i, _)| node.unknown() == Some(i));
             for m in 1..=skip.periods {
-                match drifts {
-                    Some(&(_, delta)) => {
-                        let offset = m as f64 * delta;
-                        for k in samples.clone() {
-                            trace.push(trace[k] + offset);
+                match &drifting {
+                    Some((ratio, changes)) => {
+                        let sum = ratio_sum(*ratio, m);
+                        for (k, change) in samples.clone().zip(changes) {
+                            trace.push(trace[k] + change * sum);
                         }
                     }
                     None => trace.extend_from_within(samples.clone()),
@@ -1348,6 +1498,34 @@ mod tests {
             reference.accepted_steps()
         );
         assert_skip_matches(&res, &reference, out, t_stop);
+    }
+
+    #[test]
+    fn decaying_response_is_extrapolated_geometrically() {
+        // τ = 50 ns against a 10 ns period: the output approaches its
+        // periodic state by a factor of about e^(−1/5) ≈ 0.82 a period, a
+        // decay the steady-drift rule refuses to jump. The geometric rule
+        // jumps it, and the samples it fills in follow the decay within
+        // the period, not only at its boundaries.
+        let (res, reference, out, t_stop) = square_pair(50.0e-12, SQUARE_PERIODS);
+        assert!(res.extrapolated_periods() > 0, "nothing extrapolated");
+        assert!(
+            res.accepted_steps() < reference.accepted_steps() / 2,
+            "{} steps against {}",
+            res.accepted_steps(),
+            reference.accepted_steps()
+        );
+        assert_skip_matches(&res, &reference, out, t_stop);
+        let (time, v) = (res.time(), res.trace(out).unwrap());
+        let mut k = 0;
+        for (&t, &v_ref) in reference.time().iter().zip(reference.trace(out).unwrap()) {
+            while time[k + 1] < t {
+                k += 1;
+            }
+            let (t0, t1) = (time[k], time[k + 1]);
+            let at = v[k] + (v[k + 1] - v[k]) * (t - t0) / (t1 - t0);
+            assert!((at - v_ref).abs() <= 20.0e-6, "t = {t:e}: {at} vs {v_ref}");
+        }
     }
 
     #[test]
