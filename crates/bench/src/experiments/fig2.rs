@@ -6,13 +6,13 @@
 //! experiment establishes the contrast with the pipe defects of FIG4+.
 
 use super::common::{run_periods, wf};
-use super::report::{print_table, v, write_rows_csv};
+use super::report::{print_table, v, write_rows_csv, write_waveforms_csv};
 use crate::Scale;
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use faults::Defect;
 use spicier::netlist::Terminal;
 use spicier::Error;
-use waveform::{write_csv_file, LevelStats};
+use waveform::LevelStats;
 
 /// Measured levels of the faulty buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,11 +52,10 @@ pub fn run(scale: Scale) -> Result<Fig2Result, Error> {
     let w_in = wf(&res, input.p)?;
     let w_op = wf(&res, cell.output.p)?;
     let w_opb = wf(&res, cell.output.n)?;
-    write_csv_file(
-        super::report::out_dir().join("fig2_waveforms.csv"),
+    write_waveforms_csv(
+        "fig2_waveforms",
         &[("af", &w_in), ("opf", &w_op), ("opbf", &w_opb)],
-    )
-    .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))?;
+    )?;
     let input_stats = LevelStats::measure(&w_in, t0, t1);
     let op = LevelStats::measure(&w_op, t0, t1);
     let opb = LevelStats::measure(&w_opb, t0, t1);

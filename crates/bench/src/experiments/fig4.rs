@@ -8,13 +8,13 @@
 //! *healing* phenomenon that motivates the whole DFT technique.
 
 use super::common::{fig3_circuit, run_periods, wf};
-use super::report::{out_dir, print_table, v, write_rows_csv};
+use super::report::{print_table, v, write_rows_csv, write_waveforms_csv};
 use super::{table1, table2};
 use crate::Scale;
 use cml_cells::BufferChain;
 use spicier::analysis::tran::TranResult;
 use spicier::Error;
-use waveform::{write_csv_file, LevelStats};
+use waveform::LevelStats;
 
 /// The fault-free and faulty Figure 3 chains over the same stimulus.
 #[derive(Debug, Clone)]
@@ -113,11 +113,7 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
         ("fig4_faulty", &pair.faulty, ["opf", "opbf", "op6f"]),
     ] {
         let [p, n, p6] = [dut.output.p, dut.output.n, x66.output.p].map(|node| wf(res, node));
-        write_csv_file(
-            out_dir().join(format!("{name}.csv")),
-            &[(cols[0], &p?), (cols[1], &n?), (cols[2], &p6?)],
-        )
-        .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))?;
+        write_waveforms_csv(name, &[(cols[0], &p?), (cols[1], &n?), (cols[2], &p6?)])?;
     }
     let r = swings(&pair)?;
     let rows: Vec<Vec<String>> = r

@@ -4,14 +4,14 @@
 //! time of the first minimum, `Vmax` the maximum of the ripple afterwards.
 
 use super::common::wf;
-use super::report::{ns, out_dir, v};
+use super::report::{ns, out_dir, v, write_waveforms_csv};
 use crate::Scale;
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::{DetectorHandle, DetectorLoad, Variant1};
 use faults::Defect;
 use spicier::analysis::tran::{transient, TranOptions};
 use spicier::{Circuit, Error, NodeId};
-use waveform::{write_csv_file, SettlingInfo, StabilityOptions, StabilityResult, Waveform};
+use waveform::{SettlingInfo, StabilityOptions, StabilityResult, Waveform};
 
 /// Detector output excursion below which a run counts as "did not fire".
 pub const FIRE_DEPTH: f64 = 0.08;
@@ -130,8 +130,7 @@ pub fn run(scale: Scale) -> Result<Fig7Result, Error> {
 /// Propagates simulation failures.
 pub fn execute(scale: Scale) -> Result<(), Error> {
     let r = run(scale)?;
-    write_csv_file(out_dir().join("fig7_vout.csv"), &[("vout", &r.vout)])
-        .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))?;
+    write_waveforms_csv("fig7_vout", &[("vout", &r.vout)])?;
     println!("\n== FIG7: variant-1 detector response, 1 kΩ pipe, diode load, 100 MHz ==");
     match &r.stability {
         Some(s) => {
@@ -159,5 +158,12 @@ mod tests {
         assert!(s.t_stability > 0.0 && s.t_stability < 60.0e-9);
         assert!(s.v_max < 3.25, "post-stability Vmax {}", s.v_max);
         assert!(s.v_max >= s.v_min);
+    }
+
+    #[test]
+    fn a_waveform_csv_that_cannot_be_written_fails_the_experiment() {
+        let result = spicier::chaos::with_failpoints("csv.write=err", || execute(Scale::Quick));
+        let err = result.expect_err("the csv.write failpoint must stop fig7_vout.csv");
+        assert!(err.to_string().contains("csv.write"), "{err}");
     }
 }

@@ -1,13 +1,16 @@
 //! Table printing and CSV output shared by all experiments.
 //!
-//! All output here is best-effort: a read-only filesystem or full disk
+//! Table output is best-effort: a read-only filesystem or full disk
 //! degrades to a printed warning, never a panic — losing a CSV must not
-//! lose the sweep that produced it.
+//! lose the sweep that produced it. Tables and waveforms share one
+//! durable writer.
 
 use spicier::analysis::sweep::{SweepFailure, SweepReport};
+use spicier::Error;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use waveform::Waveform;
 
 /// Quarantined corners seen by [`report_sweep`] since the last
 /// [`take_quarantined`] call. The campaign driver drains this after each
@@ -82,31 +85,51 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Writes generic rows as CSV into `target/experiments/<name>.csv`.
 /// IO failures are reported as warnings, not panics.
-///
-/// The write is crash-safe: content goes to `<name>.csv.tmp` and is
-/// atomically renamed into place, so a process killed mid-write (see
-/// `CHAOS_KILL_MID_WRITE`) can leave a stale or missing CSV behind, but
-/// never a truncated one.
 pub fn write_rows_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let mut text = headers.join(",");
+    text.push('\n');
+    for row in rows {
+        text.push_str(&row.join(","));
+        text.push('\n');
+    }
     let path = out_dir().join(format!("{name}.csv"));
-    let tmp = out_dir().join(format!("{name}.csv.tmp"));
-    let write = || -> std::io::Result<()> {
-        spicier::chaos::io_failpoint("csv.write")?;
-        let mut f = std::fs::File::create(&tmp)?;
-        writeln!(f, "{}", headers.join(","))?;
-        for row in rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        f.sync_all()?;
-        drop(f);
-        chaos_kill_mid_write(name);
-        std::fs::rename(&tmp, &path)?;
-        crate::durable::fsync_parent(&path)
-    };
-    match write() {
+    match write_csv(name, text.as_bytes()) {
         Ok(()) => println!("  [csv] {}", path.display()),
         Err(e) => eprintln!("  [warn] could not write {}: {e}", path.display()),
     }
+}
+
+/// Writes waveforms sharing one time axis (see [`waveform::write_csv`])
+/// into `target/experiments/<name>.csv` through the same durable path as
+/// [`write_rows_csv`]. A figure's waveform is its result, so unlike a
+/// table a failed write fails the experiment.
+///
+/// # Errors
+///
+/// Mismatched time axes and IO failures, as [`Error::InvalidOptions`].
+pub fn write_waveforms_csv(name: &str, traces: &[(&str, &Waveform)]) -> Result<(), Error> {
+    let mut bytes = Vec::new();
+    waveform::write_csv(&mut bytes, traces)
+        .and_then(|()| write_csv(name, &bytes))
+        .map_err(|e| Error::InvalidOptions(format!("csv: {e}")))
+}
+
+/// The one experiment CSV writer. The write is crash-safe: content goes
+/// to `<name>.csv.tmp`, is fsynced and atomically renamed into place,
+/// and the directory is fsynced, so a process killed mid-write (see
+/// `CHAOS_KILL_MID_WRITE`) can leave a stale or missing CSV behind, but
+/// never a truncated one. The `csv.write` failpoint is consulted first.
+fn write_csv(name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let path = out_dir().join(format!("{name}.csv"));
+    let tmp = out_dir().join(format!("{name}.csv.tmp"));
+    spicier::chaos::io_failpoint("csv.write")?;
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    chaos_kill_mid_write(name);
+    std::fs::rename(&tmp, &path)?;
+    crate::durable::fsync_parent(&path)
 }
 
 /// Chaos hook for the crash-safety drills: when `CHAOS_KILL_MID_WRITE` is
@@ -212,6 +235,28 @@ mod tests {
         let path = out_dir().join("report_atomic_test.csv");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         assert!(!out_dir().join("report_atomic_test.csv.tmp").exists());
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn waveform_csv_is_written_durably_or_not_at_all() {
+        let w = Waveform::new(vec![0.0, 1.0], vec![1.0, 2.0]).unwrap();
+        write_waveforms_csv("report_waveform_test", &[("v", &w)]).unwrap();
+        let path = out_dir().join("report_waveform_test.csv");
+        let before = std::fs::read(&path).unwrap();
+        let mut expected = Vec::new();
+        waveform::write_csv(&mut expected, &[("v", &w)]).unwrap();
+        assert_eq!(before, expected);
+        assert!(!out_dir().join("report_waveform_test.csv.tmp").exists());
+        // Neither mismatched axes nor a failed write touch the old file.
+        let other = Waveform::new(vec![0.0, 2.0], vec![3.0, 4.0]).unwrap();
+        let mismatched = [("a", &w), ("b", &other)];
+        assert!(write_waveforms_csv("report_waveform_test", &mismatched).is_err());
+        let failed = spicier::chaos::with_failpoints("csv.write=err", || {
+            write_waveforms_csv("report_waveform_test", &[("v", &other)])
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_file(path);
     }
 

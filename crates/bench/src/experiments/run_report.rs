@@ -51,42 +51,16 @@ pub fn run_report_path() -> PathBuf {
 }
 
 fn entry_json(e: &ExperimentTelemetry) -> Json {
-    let s = &e.summary;
-    // Sorted, so the report does not depend on which analysis (or
-    // worker) first reported a rung.
-    let mut rungs: Vec<(String, Json)> = s
-        .rung_iterations
-        .iter()
-        .map(|(label, n)| (label.clone(), Json::Num(*n as f64)))
-        .collect();
-    rungs.sort_by(|a, b| a.0.cmp(&b.0));
-    let worst = |v: Option<f64>| v.map_or(Json::Null, Json::num_tagged);
-    Json::obj(vec![
+    let mut entry = Json::obj(vec![
         ("status", Json::str(e.status.as_str())),
         ("wall_secs", Json::num(e.wall_secs)),
-        ("analyses", Json::Num(s.analyses as f64)),
-        ("newton_iterations", Json::Num(s.newton_iterations as f64)),
-        ("rung_iterations", Json::Obj(rungs)),
-        ("accepted_steps", Json::Num(s.accepted_steps as f64)),
-        ("rejected_steps", Json::Num(s.rejected_steps as f64)),
-        ("replicated_periods", Json::Num(s.replicated_periods as f64)),
-        (
-            "extrapolated_periods",
-            Json::Num(s.extrapolated_periods as f64),
-        ),
-        (
-            "lu",
-            Json::obj(vec![
-                ("full_factors", Json::Num(s.lu.full_factors as f64)),
-                ("refactors", Json::Num(s.lu.refactors as f64)),
-                ("pivot_fallbacks", Json::Num(s.lu.pivot_fallbacks as f64)),
-                ("solves", Json::Num(s.lu.solves as f64)),
-            ]),
-        ),
-        ("worst_backward_error", worst(s.worst_backward_error)),
+    ]);
+    entry.extend(e.summary.to_json());
+    entry.extend(Json::obj(vec![
         ("quarantined", Json::Num(e.quarantined as f64)),
         ("timed_out", Json::Num(e.timed_out as f64)),
-    ])
+    ]));
+    entry
 }
 
 impl RunReport {

@@ -16,9 +16,10 @@
 use super::execute::{self, finalize_job, split_chunks, worker_loop};
 use super::metrics::{self, AccessLog};
 use super::proto::{self, write_frame, Listener, Request, Stream};
-use super::scheduler::{AdmitError, Job, JobClass, JobPhase, Outcome, Scheduler, Unit};
+use super::scheduler::{AdmitError, Counter, Job, JobClass, JobPhase, Outcome, Scheduler, Unit};
 use super::ServerConfig;
 use spicier::json::Json;
+use spicier::TelemetrySummary;
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -92,10 +93,10 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<i32> {
         );
     }
     if replay_report.corrupt_records > 0 {
-        sched
-            .counters
-            .journal_corrupt_records
-            .store(replay_report.corrupt_records as u64, Ordering::Relaxed);
+        sched.counters.set(
+            Counter::JournalCorruptRecords,
+            replay_report.corrupt_records as u64,
+        );
         eprintln!(
             "[serve] journal replay found {} corrupt record(s) mid-file",
             replay_report.corrupt_records
@@ -166,7 +167,7 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<i32> {
                         ]),
                     );
                     stream.shutdown();
-                    sched.counters.shed.fetch_add(1, Ordering::Relaxed);
+                    sched.counters.bump(Counter::Shed);
                     continue;
                 }
                 conns.fetch_add(1, Ordering::SeqCst);
@@ -200,27 +201,23 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<i32> {
 
 /// Writes `<state_dir>/SERVE_REPORT.json` at drain time: the final
 /// metrics document plus one entry per job this incarnation touched
-/// (class, status, lifecycle timeline) and a worst-merge telemetry
-/// rollup across all of them, built with the PR-5
-/// [`spicier::telemetry::TelemetrySummary::merged`] discipline.
+/// (class, status, lifecycle timeline) and a rollup of every job's
+/// solver cost, merged with [`TelemetrySummary::absorb`] and rendered
+/// by [`TelemetrySummary::to_json`] like every other cost record.
 fn write_serve_report(sched: &Scheduler, cfg: &ServerConfig) {
     let mut jobs = sched.all_jobs();
     jobs.sort_by(|a, b| a.key.cmp(&b.key));
     let mut entries = Vec::with_capacity(jobs.len());
-    let mut summaries = Vec::with_capacity(jobs.len());
+    let mut cost = TelemetrySummary::default();
+    let mut wall = Duration::ZERO;
     for job in &jobs {
         let s = job.snapshot();
         let status = match &s.phase {
             JobPhase::Done(outcome) => outcome.status(),
             JobPhase::Queued | JobPhase::Running => proto::status::RUNNING,
         };
-        summaries.push(spicier::telemetry::TelemetrySummary {
-            wall: s.wall,
-            newton_iterations: s.newton_iterations,
-            lu: s.lu,
-            worst_backward_error: (s.worst_backward_error > 0.0).then_some(s.worst_backward_error),
-            ..Default::default()
-        });
+        cost.absorb(&s.telemetry);
+        wall += s.wall;
         entries.push(Json::obj(vec![
             ("job", Json::str(&job.key)),
             ("class", Json::str(job.class.metrics_class().label())),
@@ -229,27 +226,16 @@ fn write_serve_report(sched: &Scheduler, cfg: &ServerConfig) {
             ("timeline", s.timeline.to_json()),
         ]));
     }
-    let rollup = spicier::telemetry::TelemetrySummary::merged(&summaries);
+    let mut rollup = Json::obj(vec![
+        ("jobs", Json::num(jobs.len() as f64)),
+        ("wall_ms", Json::num(wall.as_secs_f64() * 1e3)),
+    ]);
+    rollup.extend(cost.to_json());
     let report = Json::obj(vec![
         ("schema", Json::str("spicier-serve-report-v1")),
         ("drained_at_ms", Json::num(metrics::epoch_ms())),
         ("metrics", sched.metrics_doc().to_json()),
-        (
-            "rollup",
-            Json::obj(vec![
-                ("jobs", Json::num(jobs.len() as f64)),
-                ("wall_ms", Json::num(rollup.wall.as_secs_f64() * 1e3)),
-                (
-                    "newton_iterations",
-                    Json::num(rollup.newton_iterations as f64),
-                ),
-                ("lu_solves", Json::num(rollup.lu.solves as f64)),
-                (
-                    "worst_backward_error",
-                    rollup.worst_backward_error.map_or(Json::Null, Json::num),
-                ),
-            ]),
-        ),
+        ("rollup", rollup),
         ("jobs", Json::Arr(entries)),
     ]);
     let path = cfg.state_dir.join("SERVE_REPORT.json");
@@ -411,26 +397,23 @@ fn admit_error_response(e: &AdmitError) -> Json {
 }
 
 /// The per-request telemetry rollup attached to every terminal
-/// response: wall time, Newton totals, kernel counters, degraded-corner
-/// counts. Watch streams attach the same rollup (incrementally) to
-/// their event frames.
+/// response: the units' wall time, the job's solver-cost record
+/// ([`TelemetrySummary::to_json`]) and the degraded-corner counts.
+/// Watch streams attach the same rollup (incrementally) to their event
+/// frames.
 pub(super) fn telemetry_json(job: &Job) -> Json {
     let s = job.snapshot();
-    Json::obj(vec![
-        ("wall_ms", Json::num(s.wall.as_secs_f64() * 1e3)),
-        ("newton_iterations", Json::num(s.newton_iterations as f64)),
-        ("lu_full_factors", Json::num(s.lu.full_factors as f64)),
-        ("lu_refactors", Json::num(s.lu.refactors as f64)),
-        ("lu_pivot_fallbacks", Json::num(s.lu.pivot_fallbacks as f64)),
-        ("lu_solves", Json::num(s.lu.solves as f64)),
-        ("worst_backward_error", Json::num(s.worst_backward_error)),
+    let mut telemetry = Json::obj(vec![("wall_ms", Json::num(s.wall.as_secs_f64() * 1e3))]);
+    telemetry.extend(s.telemetry.to_json());
+    telemetry.extend(Json::obj(vec![
         ("failed_corners", Json::num(s.failed_corners as f64)),
         ("timed_out_corners", Json::num(s.timed_out_corners as f64)),
         (
             "quarantined_corners",
             Json::num(s.quarantined_corners as f64),
         ),
-    ])
+    ]));
+    telemetry
 }
 
 /// Terminal (or progress) response for a job, shared by `run` and
@@ -513,7 +496,7 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
                     super::scheduler::JobSpec::Campaign(s) if s.fingerprint() == spec.fingerprint()
                 );
                 if fp_match {
-                    sched.counters.dedup_accepts.fetch_add(1, Ordering::Relaxed);
+                    sched.counters.bump(Counter::DedupAccepts);
                     return Some(Json::obj(vec![
                         ("status", Json::str(proto::status::ACCEPTED)),
                         ("job", Json::str(&existing.key)),
@@ -578,7 +561,7 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
             Some(job) => Some(job_response(&job)),
         },
         Request::Cancel { job } => {
-            let hit = sched.cancel(&job, &sched.counters.explicit_cancels);
+            let hit = sched.cancel(&job, Counter::ExplicitCancels);
             Some(Json::obj(vec![
                 (
                     "status",
@@ -592,24 +575,21 @@ fn dispatch(sched: &Scheduler, stream: &mut Stream, req: Request) -> Option<Json
             ]))
         }
         Request::Stats => {
+            let doc = sched.metrics_doc();
             let mut m: Vec<(&str, Json)> = vec![("status", Json::str(proto::status::OK))];
-            let fields = sched.stats_fields();
-            for (k, v) in fields {
+            for (k, v) in doc.stats_fields() {
                 m.push((k, Json::num(v)));
             }
-            m.push(("draining", Json::Bool(sched.is_draining())));
+            m.push(("draining", Json::Bool(doc.draining)));
             Some(Json::obj(m))
         }
         Request::Metrics => {
             // The full `spicier-serve-metrics-v1` document (counters,
             // gauges, lifecycle histograms, Prometheus text) with the
             // protocol status field spliced in front.
-            let mut fields = match sched.metrics_doc().to_json() {
-                Json::Obj(fields) => fields,
-                other => vec![("metrics".to_string(), other)],
-            };
-            fields.insert(0, ("status".to_string(), Json::str(proto::status::OK)));
-            Some(Json::Obj(fields))
+            let mut reply = Json::obj(vec![("status", Json::str(proto::status::OK))]);
+            reply.extend(sched.metrics_doc().to_json());
+            Some(reply)
         }
         Request::Drain => {
             DRAIN.store(true, Ordering::SeqCst);
@@ -637,12 +617,12 @@ fn wait_interactive(sched: &Scheduler, stream: &mut Stream, job: &Job) -> Option
             .set_read_timeout(Some(Duration::from_millis(1)))
             .is_err()
         {
-            sched.cancel(&job.key, &sched.counters.disconnect_cancels);
+            sched.cancel(&job.key, Counter::DisconnectCancels);
             return None;
         }
         match stream.read(&mut probe) {
             Ok(0) => {
-                sched.cancel(&job.key, &sched.counters.disconnect_cancels);
+                sched.cancel(&job.key, Counter::DisconnectCancels);
                 return None;
             }
             Ok(_) => {} // stray bytes between frames; ignored
@@ -650,7 +630,7 @@ fn wait_interactive(sched: &Scheduler, stream: &mut Stream, job: &Job) -> Option
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(_) => {
-                sched.cancel(&job.key, &sched.counters.disconnect_cancels);
+                sched.cancel(&job.key, Counter::DisconnectCancels);
                 return None;
             }
         }

@@ -11,7 +11,7 @@
 //! is what makes kill-and-resume reproduce byte-identical results.
 
 use super::proto::CampaignSpec;
-use super::scheduler::{JobPhase, JobSpec, Outcome, Scheduler, Unit};
+use super::scheduler::{Counter, JobPhase, JobSpec, Outcome, Scheduler, Unit};
 use crate::durable::write_atomic;
 use crate::experiments::manifest::{ExperimentRecord, Manifest};
 use spicier::analysis::budget::with_corner_token;
@@ -45,10 +45,7 @@ pub fn worker_loop(sched: &Arc<Scheduler>) {
         }));
         if let Err(payload) = caught {
             let msg = panic_message(payload.as_ref());
-            sched
-                .counters
-                .panics_contained
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            sched.counters.bump(Counter::PanicsContained);
             dump_panic(&unit, "worker backstop", &msg);
             eprintln!(
                 "[serve] worker caught panic in {} unit {}: {msg}",
@@ -149,8 +146,11 @@ fn run_interactive(sched: &Scheduler, unit: &Unit, deck: &str, deadline: Duratio
         s.done_units = 1;
     });
     match result {
-        Ok(report) => {
-            job.with_state(|s| s.output = Some(report));
+        Ok((report, cost)) => {
+            job.with_state(|s| {
+                s.output = Some(report);
+                s.telemetry.absorb(&cost);
+            });
             sched.finish_job(job, Outcome::Ok);
         }
         Err(e) => sched.finish_job(job, classify(&e, job.handle.is_cancelled())),
@@ -244,10 +244,7 @@ fn run_chunk(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec) {
         };
         attempt += 1;
         let msg = panic_message(payload.as_ref());
-        sched
-            .counters
-            .panics_contained
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        sched.counters.bump(Counter::PanicsContained);
         dump_panic(unit, &format!("attempt {attempt}"), &msg);
         eprintln!(
             "[serve] contained panic in {} chunk {} (attempt {attempt}): {msg}",
@@ -271,10 +268,7 @@ fn run_chunk(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec) {
 /// `quarantined` — instead of wedging the scheduler forever.
 fn quarantine_chunk(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec, dir: &Path, msg: &str) {
     let job = &unit.job;
-    sched
-        .counters
-        .chunks_quarantined
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    sched.counters.bump(Counter::ChunksQuarantined);
     let values = spec.values();
     let (lo, hi) = spec.chunk_range(unit.index);
     let mut rows = String::new();
@@ -353,16 +347,7 @@ fn run_chunk_attempt(sched: &Scheduler, unit: &Unit, spec: &CampaignSpec, dir: &
                 for node in circuit.node_ids().skip(1) {
                     let _ = write!(rows, ",{:.6}", sol.voltage(node));
                 }
-                let telemetry = sol.telemetry();
-                job.with_state(|s| {
-                    s.newton_iterations += telemetry.newton_iterations;
-                    s.lu.absorb(&telemetry.lu);
-                    if let Some(bwerr) = telemetry.worst_backward_error {
-                        if bwerr > s.worst_backward_error {
-                            s.worst_backward_error = bwerr;
-                        }
-                    }
-                });
+                job.with_state(|s| s.telemetry.absorb(sol.telemetry()));
             }
             Ok(_) => {
                 let _ = write!(rows, ",FAILED:internal");
@@ -517,8 +502,8 @@ mod tests {
         // Header + 5 corner rows; midpoint divider halves the sweep value.
         assert_eq!(csv.lines().count(), 6, "{csv}");
         assert!(csv.contains("2.000000,2.000000,1.000000"), "{csv}");
-        assert!(state.newton_iterations > 0);
-        assert!(state.lu.solves > 0);
+        assert!(state.telemetry.newton_iterations > 0);
+        assert!(state.telemetry.lu.solves > 0);
         // Lifecycle timeline: running/finalized stamped, every chunk
         // timed exactly once, and the server-side histograms saw the
         // queue wait, three chunk executions, and one finalize.
@@ -578,16 +563,15 @@ mod tests {
             "{state:?}"
         );
         assert!(!job.handle.is_cancelled());
-        let stats = sched.stats_snapshot().counters;
-        assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.cancelled, 0);
+        assert_eq!(sched.counters.get(Counter::TimedOut), 1);
+        assert_eq!(sched.counters.get(Counter::Cancelled), 0);
 
         // The same deck cancelled before it runs ends cancelled.
         let job = sched
             .admit_interactive("t", DECK.into(), Duration::from_secs(10))
             .unwrap();
         let unit = sched.try_next_unit().unwrap();
-        assert!(sched.cancel(&job.key, &sched.counters.explicit_cancels));
+        assert!(sched.cancel(&job.key, Counter::ExplicitCancels));
         assert!(job.handle.is_cancelled());
         run_unit(&sched, &unit);
         let state = job.snapshot();
@@ -595,9 +579,8 @@ mod tests {
             matches!(state.phase, JobPhase::Done(Outcome::Cancelled)),
             "{state:?}"
         );
-        let stats = sched.stats_snapshot().counters;
-        assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.cancelled, 1);
+        assert_eq!(sched.counters.get(Counter::TimedOut), 1);
+        assert_eq!(sched.counters.get(Counter::Cancelled), 1);
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 
@@ -662,9 +645,8 @@ mod tests {
         assert_eq!(csv.lines().count(), 6, "{csv}");
         assert!(csv.contains("2.000000,2.000000,1.000000"), "{csv}");
         // Both panicking attempts were contained; one chunk quarantined.
-        let get = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(get(&sched.counters.panics_contained), 2);
-        assert_eq!(get(&sched.counters.chunks_quarantined), 1);
+        assert_eq!(sched.counters.get(Counter::PanicsContained), 2);
+        assert_eq!(sched.counters.get(Counter::ChunksQuarantined), 1);
         // The flight recorder names the poisoned chunk.
         let dumped = std::fs::read_to_string(&dump).unwrap();
         assert!(dumped.contains("ChunkPanic"), "{dumped}");

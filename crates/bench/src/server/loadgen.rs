@@ -36,6 +36,7 @@
 use super::client::{Client, ClientConfig, RetryClient};
 use super::metrics::{self, epoch_ms, percentile};
 use super::proto::{status, CampaignSpec, Request};
+use super::scheduler::Counter;
 use crate::microbench::write_json_report;
 use spicier::chaos;
 use spicier::json::Json;
@@ -277,7 +278,9 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         drain_and_wait(&mut daemon);
         (shed, accepted_keys.len() as i64 - finished as i64)
     };
-    report.metrics.push(("shed".into(), shed as f64));
+    report
+        .metrics
+        .push((Counter::Shed.name().into(), shed as f64));
     report
         .metrics
         .push(("saturation_lost_jobs".into(), sat_lost as f64));
@@ -363,7 +366,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
             let mut seen = 0.0;
             while t0.elapsed() < Duration::from_secs(10) {
                 let stats = client.stats().map_err(io)?;
-                seen = stat(&stats, "disconnect_cancels");
+                seen = stat(&stats, Counter::DisconnectCancels.name());
                 if seen > 0.0 {
                     break;
                 }
@@ -426,7 +429,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         .push(("interactive_throughput_rps".into(), throughput_rps));
     report
         .metrics
-        .push(("disconnect_cancels".into(), disconnects));
+        .push((Counter::DisconnectCancels.name().into(), disconnects));
     report
         .metrics
         .push(("slowloris_survived".into(), f64::from(slowloris_ok)));
@@ -472,7 +475,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         let csv = std::fs::read(kill_dir.join("jobs/kill/job/result.csv")).unwrap_or_default();
         let identical = finished && csv == reference;
         let stats = client.stats().map_err(io)?;
-        let resumed_jobs = stat(&stats, "resumed_jobs").max(resumed);
+        let resumed_jobs = stat(&stats, Counter::ResumedJobs.name()).max(resumed);
         drain_and_wait(&mut daemon);
         (i64::from(!finished), f64::from(identical), resumed_jobs)
     };
@@ -480,7 +483,9 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
     report
         .metrics
         .push(("resume_byte_identical".into(), byte_identical));
-    report.metrics.push(("resumed_jobs".into(), resumed_jobs));
+    report
+        .metrics
+        .push((Counter::ResumedJobs.name().into(), resumed_jobs));
 
     // -- Phase 5: failpoint matrix -----------------------------------------
     println!("[loadgen] phase 5: failpoint matrix");
@@ -710,7 +715,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
             let mut seen = 0.0;
             while t0.elapsed() < Duration::from_secs(20) {
                 let stats = client.stats().map_err(io)?;
-                seen = stat(&stats, "watch_lagged");
+                seen = stat(&stats, Counter::WatchLagged.name());
                 if seen > 0.0 {
                     break;
                 }

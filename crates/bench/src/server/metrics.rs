@@ -358,6 +358,15 @@ pub struct MetricsDoc {
 }
 
 impl MetricsDoc {
+    /// The `stats` reply's numeric fields in their stable wire order:
+    /// the counters, then the gauges, then `uptime_ms`.
+    #[must_use]
+    pub fn stats_fields(&self) -> Vec<(&'static str, f64)> {
+        let mut fields: Vec<_> = self.counters.iter().chain(&self.gauges).copied().collect();
+        fields.push(("uptime_ms", self.uptime_ms));
+        fields
+    }
+
     /// The `spicier-serve-metrics-v1` JSON document, including the
     /// Prometheus text under the `"prometheus"` key.
     #[must_use]

@@ -12,10 +12,9 @@
 
 use super::jobstate::Journal;
 use super::metrics::{self, MetricsDoc, Registry, Timeline};
-use super::proto::CampaignSpec;
+use super::proto::{status, CampaignSpec};
 use super::ServerConfig;
-use spicier::linalg::LuStats;
-use spicier::CancelToken;
+use spicier::{CancelToken, TelemetrySummary};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,12 +78,12 @@ impl Outcome {
     #[must_use]
     pub fn status(&self) -> &'static str {
         match self {
-            Outcome::Ok => super::proto::status::OK,
-            Outcome::Failed(_) => super::proto::status::FAILED,
-            Outcome::Cancelled => super::proto::status::CANCELLED,
-            Outcome::TimedOut => super::proto::status::TIMED_OUT,
-            Outcome::Quarantined => super::proto::status::QUARANTINED,
-            Outcome::Draining => super::proto::status::DRAINING,
+            Outcome::Ok => status::OK,
+            Outcome::Failed(_) => status::FAILED,
+            Outcome::Cancelled => status::CANCELLED,
+            Outcome::TimedOut => status::TIMED_OUT,
+            Outcome::Quarantined => status::QUARANTINED,
+            Outcome::Draining => status::DRAINING,
         }
     }
 }
@@ -122,12 +121,9 @@ pub struct JobState {
     /// attempt panicked, the chunk's rows carry `PANIC` markers, and
     /// the job finishes `quarantined` instead of `ok`.
     pub panicked_chunks: usize,
-    /// Newton iterations absorbed from per-corner telemetry.
-    pub newton_iterations: u64,
-    /// Linear-kernel counters absorbed from per-corner telemetry.
-    pub lu: LuStats,
-    /// Worst certified backward error seen across corners.
-    pub worst_backward_error: f64,
+    /// Solver cost of every analysis this job ran: each campaign
+    /// corner's, or the interactive deck's.
+    pub telemetry: TelemetrySummary,
     /// Wall time spent executing this job's units.
     pub wall: Duration,
     /// Per-chunk completion bitmap (campaigns; empty for interactive).
@@ -162,9 +158,7 @@ impl JobState {
             timed_out_corners: 0,
             quarantined_corners: 0,
             panicked_chunks: 0,
-            newton_iterations: 0,
-            lu: LuStats::default(),
-            worst_backward_error: 0.0,
+            telemetry: TelemetrySummary::default(),
             wall: Duration::ZERO,
             complete_chunks,
             frontier,
@@ -332,190 +326,132 @@ pub enum AdmitError {
     Journal(String),
 }
 
-/// Monotonic daemon counters, all visible in the `stats` reply and the
-/// load-harness rollup.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// Declares [`Counter`] and its wire-name table from one list, so a
+/// counter's variant, meaning and name are written once.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $name:expr,)+) => {
+        /// The daemon's monotonic counters, in their stable `stats` and
+        /// `metrics` order; [`Counters`] holds one cell per variant.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter's wire name, indexed by the counter.
+            pub const NAMES: &'static [&'static str] = &[$($name),+];
+        }
+    };
+}
+
+counters! {
     /// Interactive requests admitted.
-    pub accepted_interactive: AtomicU64,
+    AcceptedInteractive => "accepted_interactive",
     /// Campaign jobs admitted (journaled).
-    pub accepted_batch: AtomicU64,
+    AcceptedBatch => "accepted_batch",
     /// Requests shed by admission control.
-    pub shed: AtomicU64,
+    Shed => "shed",
     /// Jobs that finished `ok`.
-    pub completed: AtomicU64,
-    /// Jobs that finished `failed`.
-    pub failed: AtomicU64,
+    Completed => "completed",
+    /// Jobs that finished `failed`. Each outcome counter is named by the
+    /// wire status it counts.
+    Failed => status::FAILED,
     /// Jobs cancelled (any cancellation path).
-    pub cancelled: AtomicU64,
+    Cancelled => status::CANCELLED,
     /// Jobs that timed out.
-    pub timed_out: AtomicU64,
+    TimedOut => status::TIMED_OUT,
     /// Jobs quarantined by certification.
-    pub quarantined: AtomicU64,
+    Quarantined => status::QUARANTINED,
     /// Jobs replayed from the journal at startup.
-    pub resumed_jobs: AtomicU64,
+    ResumedJobs => "resumed_jobs",
     /// Chunks skipped on resume because their manifest entry was
     /// complete.
-    pub resumed_chunks_skipped: AtomicU64,
+    ResumedChunksSkipped => "resumed_chunks_skipped",
     /// Jobs cancelled by an explicit `cancel` request.
-    pub explicit_cancels: AtomicU64,
+    ExplicitCancels => "explicit_cancels",
     /// Jobs cancelled because their client disconnected mid-wait.
-    pub disconnect_cancels: AtomicU64,
+    DisconnectCancels => "disconnect_cancels",
     /// Campaign submissions refused because the accept could not be
     /// made durable (journal append/fsync failure → `busy` reply).
-    pub journal_refusals: AtomicU64,
+    JournalRefusals => "journal_refusals",
     /// Worker panics caught by chunk containment (includes retries).
-    pub panics_contained: AtomicU64,
+    PanicsContained => "panics_contained",
     /// Chunks quarantined after exhausting their panic retries.
-    pub chunks_quarantined: AtomicU64,
+    ChunksQuarantined => "chunks_quarantined",
     /// Corrupt (non-tail) journal records found by replay at startup.
-    pub journal_corrupt_records: AtomicU64,
+    JournalCorruptRecords => "journal_corrupt_records",
     /// Watch subscriptions served (including reconnects).
-    pub watch_streams: AtomicU64,
+    WatchStreams => "watch_streams",
     /// Event frames delivered across all watch streams.
-    pub watch_events: AtomicU64,
+    WatchEvents => "watch_events",
     /// Subscribers shed by the slow-consumer policy (lag-budget
     /// demotions plus mid-frame write-timeout disconnects).
-    pub watch_lagged: AtomicU64,
+    WatchLagged => "watch_lagged",
     /// Campaign re-submissions answered `accepted {dedup: true}` because
     /// the key and spec fingerprint matched an existing job.
-    pub dedup_accepts: AtomicU64,
+    DedupAccepts => "dedup_accepts",
 }
+
+impl Counter {
+    /// The counter's name in the `stats` reply and the `metrics`
+    /// document.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
+
+/// Number of daemon counters.
+const COUNTERS: usize = Counter::NAMES.len();
+
+/// The daemon's counter cells, one per [`Counter`], all visible in the
+/// `stats` reply, the `metrics` document and the load-harness rollup.
+#[derive(Debug, Default)]
+pub struct Counters([AtomicU64; COUNTERS]);
 
 impl Counters {
+    /// Adds `n` to `counter`.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds one to `counter`.
+    pub fn bump(&self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    /// Overwrites `counter` (replay reports its findings once, at startup).
+    pub fn set(&self, counter: Counter, value: u64) {
+        self.0[counter as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// The current value of `counter`.
+    #[must_use]
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.0[counter as usize].load(Ordering::Acquire)
+    }
+
     fn count_outcome(&self, outcome: &Outcome) {
-        let cell = match outcome {
-            Outcome::Ok => &self.completed,
-            Outcome::Failed(_) => &self.failed,
-            Outcome::Cancelled => &self.cancelled,
-            Outcome::TimedOut => &self.timed_out,
-            Outcome::Quarantined => &self.quarantined,
-            Outcome::Draining => &self.shed,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
+        self.bump(match outcome {
+            Outcome::Ok => Counter::Completed,
+            Outcome::Failed(_) => Counter::Failed,
+            Outcome::Cancelled => Counter::Cancelled,
+            Outcome::TimedOut => Counter::TimedOut,
+            Outcome::Quarantined => Counter::Quarantined,
+            Outcome::Draining => Counter::Shed,
+        });
     }
 
-    /// Loads every counter in one pass into a plain-value snapshot, so
-    /// a reply renders from a single point-in-time view instead of
-    /// interleaving relaxed loads with worker updates field-by-field.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterSnapshot {
-        let get = |a: &AtomicU64| a.load(Ordering::Acquire);
-        CounterSnapshot {
-            accepted_interactive: get(&self.accepted_interactive),
-            accepted_batch: get(&self.accepted_batch),
-            shed: get(&self.shed),
-            completed: get(&self.completed),
-            failed: get(&self.failed),
-            cancelled: get(&self.cancelled),
-            timed_out: get(&self.timed_out),
-            quarantined: get(&self.quarantined),
-            resumed_jobs: get(&self.resumed_jobs),
-            resumed_chunks_skipped: get(&self.resumed_chunks_skipped),
-            explicit_cancels: get(&self.explicit_cancels),
-            disconnect_cancels: get(&self.disconnect_cancels),
-            journal_refusals: get(&self.journal_refusals),
-            panics_contained: get(&self.panics_contained),
-            chunks_quarantined: get(&self.chunks_quarantined),
-            journal_corrupt_records: get(&self.journal_corrupt_records),
-            watch_streams: get(&self.watch_streams),
-            watch_events: get(&self.watch_events),
-            watch_lagged: get(&self.watch_lagged),
-            dedup_accepts: get(&self.dedup_accepts),
-        }
-    }
-}
-
-/// A plain-value copy of every [`Counters`] cell, taken in one pass.
-/// Field meanings match the counter of the same name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct CounterSnapshot {
-    pub accepted_interactive: u64,
-    pub accepted_batch: u64,
-    pub shed: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub cancelled: u64,
-    pub timed_out: u64,
-    pub quarantined: u64,
-    pub resumed_jobs: u64,
-    pub resumed_chunks_skipped: u64,
-    pub explicit_cancels: u64,
-    pub disconnect_cancels: u64,
-    pub journal_refusals: u64,
-    pub panics_contained: u64,
-    pub chunks_quarantined: u64,
-    pub journal_corrupt_records: u64,
-    pub watch_streams: u64,
-    pub watch_events: u64,
-    pub watch_lagged: u64,
-    pub dedup_accepts: u64,
-}
-
-impl CounterSnapshot {
-    /// The counters as `(name, value)` pairs in the stable `stats`
-    /// reply order.
+    /// Every counter as a `(name, value)` pair in wire order, loaded in
+    /// one pass so a reply renders from a single point-in-time view
+    /// instead of interleaving loads with worker updates field by field.
     #[must_use]
     pub fn fields(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("accepted_interactive", self.accepted_interactive as f64),
-            ("accepted_batch", self.accepted_batch as f64),
-            ("shed", self.shed as f64),
-            ("completed", self.completed as f64),
-            ("failed", self.failed as f64),
-            ("cancelled", self.cancelled as f64),
-            ("timed_out", self.timed_out as f64),
-            ("quarantined", self.quarantined as f64),
-            ("resumed_jobs", self.resumed_jobs as f64),
-            ("resumed_chunks_skipped", self.resumed_chunks_skipped as f64),
-            ("explicit_cancels", self.explicit_cancels as f64),
-            ("disconnect_cancels", self.disconnect_cancels as f64),
-            ("journal_refusals", self.journal_refusals as f64),
-            ("panics_contained", self.panics_contained as f64),
-            ("chunks_quarantined", self.chunks_quarantined as f64),
-            (
-                "journal_corrupt_records",
-                self.journal_corrupt_records as f64,
-            ),
-            ("watch_streams", self.watch_streams as f64),
-            ("watch_events", self.watch_events as f64),
-            ("watch_lagged", self.watch_lagged as f64),
-            ("dedup_accepts", self.dedup_accepts as f64),
-        ]
-    }
-}
-
-/// One coherent `stats` view: counters snapshotted in a single pass,
-/// queue gauges captured under the scheduler lock, daemon uptime, and
-/// the drain flag.
-#[derive(Debug, Clone)]
-pub struct StatsSnapshot {
-    /// Lifetime counters.
-    pub counters: CounterSnapshot,
-    /// Interactive units currently queued.
-    pub queue_interactive: usize,
-    /// Campaign chunk units currently queued.
-    pub queue_batch_units: usize,
-    /// Campaign jobs admitted and not yet terminal.
-    pub batch_jobs_in_flight: usize,
-    /// Milliseconds since the scheduler was built.
-    pub uptime_ms: f64,
-    /// Whether the daemon is draining.
-    pub draining: bool,
-}
-
-impl StatsSnapshot {
-    /// The `stats` reply fields in their stable wire order: the legacy
-    /// counter names, then the queue gauges, then `uptime_ms`.
-    #[must_use]
-    pub fn fields(&self) -> Vec<(&'static str, f64)> {
-        let mut out = self.counters.fields();
-        out.push(("queue_interactive", self.queue_interactive as f64));
-        out.push(("queue_batch_units", self.queue_batch_units as f64));
-        out.push(("batch_jobs_in_flight", self.batch_jobs_in_flight as f64));
-        out.push(("uptime_ms", self.uptime_ms));
-        out
+        Counter::NAMES
+            .iter()
+            .zip(&self.0)
+            .map(|(&name, cell)| (name, cell.load(Ordering::Acquire) as f64))
+            .collect()
     }
 }
 
@@ -660,11 +596,11 @@ impl Scheduler {
         {
             let mut inner = self.lock_inner();
             if inner.draining {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::Shed);
                 return Err(AdmitError::Draining);
             }
             if inner.interactive.len() >= self.cfg.queue_interactive {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::Shed);
                 return Err(AdmitError::Busy("interactive queue full"));
             }
             inner.interactive.push_back(Unit {
@@ -676,9 +612,7 @@ impl Scheduler {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, Arc::clone(&job));
-        self.counters
-            .accepted_interactive
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Counter::AcceptedInteractive);
         self.work.notify_one();
         Ok(job)
     }
@@ -754,13 +688,13 @@ impl Scheduler {
         {
             let mut inner = self.lock_inner();
             if inner.draining {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::Shed);
                 return Err(AdmitError::Draining);
             }
             // Resumed jobs were admitted (and journaled) by a previous
             // daemon; the cap applies to new admissions only.
             if !resumed && inner.batch_jobs >= self.cfg.queue_batch {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::Shed);
                 return Err(AdmitError::Busy("batch queue full"));
             }
             if !resumed {
@@ -773,9 +707,7 @@ impl Scheduler {
                 self.journal
                     .append_accept(&key, tenant, id, &spec)
                     .map_err(|e| {
-                        self.counters
-                            .journal_refusals
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.counters.bump(Counter::JournalRefusals);
                         AdmitError::Journal(e.to_string())
                     })?;
             }
@@ -796,12 +728,11 @@ impl Scheduler {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, Arc::clone(&job));
-        self.counters.accepted_batch.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Counter::AcceptedBatch);
         if resumed {
-            self.counters.resumed_jobs.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(Counter::ResumedJobs);
             self.counters
-                .resumed_chunks_skipped
-                .fetch_add(already_done as u64, Ordering::Relaxed);
+                .add(Counter::ResumedChunksSkipped, already_done as u64);
         }
         self.work.notify_all();
         Ok(job)
@@ -909,7 +840,7 @@ impl Scheduler {
     /// Remote cancellation of `key`. `counter` attributes the reason
     /// (explicit / disconnect). Returns whether the job existed
     /// and was still live.
-    pub fn cancel(&self, key: &str, counter: &AtomicU64) -> bool {
+    pub fn cancel(&self, key: &str, counter: Counter) -> bool {
         let Some(job) = self.job(key) else {
             return false;
         };
@@ -919,15 +850,9 @@ impl Scheduler {
         // The handle first: anything mid-corner observes it via its
         // corner token at the next budget check.
         job.handle.cancel();
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(counter);
         self.finish_job(&job, Outcome::Cancelled);
         true
-    }
-
-    /// Whether the scheduler has begun draining.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.lock_inner().draining
     }
 
     /// Graceful drain: stop admissions, shed queued interactive work
@@ -955,49 +880,26 @@ impl Scheduler {
         self.metrics.drain_ms.record(t0.elapsed());
     }
 
-    /// One coherent point-in-time `stats` view (counters in a single
-    /// pass, queue gauges under the scheduler lock, uptime).
-    #[must_use]
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let (qi, qb, jobs, draining) = {
-            let inner = self.lock_inner();
-            (
-                inner.interactive.len(),
-                inner.batch.len(),
-                inner.batch_jobs,
-                inner.draining,
-            )
-        };
-        StatsSnapshot {
-            counters: self.counters.snapshot(),
-            queue_interactive: qi,
-            queue_batch_units: qb,
-            batch_jobs_in_flight: jobs,
-            uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            draining,
-        }
-    }
-
-    /// Counters snapshot plus queue depths, as `stats` reply fields.
-    #[must_use]
-    pub fn stats_fields(&self) -> Vec<(&'static str, f64)> {
-        self.stats_snapshot().fields()
-    }
-
-    /// The full `spicier-serve-metrics-v1` document for the `metrics`
-    /// verb: the coherent stats snapshot plus every registry histogram.
+    /// One coherent point-in-time view of the daemon, which both the
+    /// `stats` reply and the `metrics` verb render: counters in a single
+    /// pass, queue gauges and the drain flag under the scheduler lock,
+    /// uptime, and every registry histogram.
     #[must_use]
     pub fn metrics_doc(&self) -> MetricsDoc {
-        let stats = self.stats_snapshot();
+        let (gauges, draining) = {
+            let inner = self.lock_inner();
+            let gauges = vec![
+                ("queue_interactive", inner.interactive.len() as f64),
+                ("queue_batch_units", inner.batch.len() as f64),
+                ("batch_jobs_in_flight", inner.batch_jobs as f64),
+            ];
+            (gauges, inner.draining)
+        };
         MetricsDoc {
-            uptime_ms: stats.uptime_ms,
-            draining: stats.draining,
-            counters: stats.counters.fields(),
-            gauges: vec![
-                ("queue_interactive", stats.queue_interactive as f64),
-                ("queue_batch_units", stats.queue_batch_units as f64),
-                ("batch_jobs_in_flight", stats.batch_jobs_in_flight as f64),
-            ],
+            uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
+            draining,
+            counters: self.counters.fields(),
+            gauges,
             histograms: self.metrics.snapshot(),
         }
     }
@@ -1066,7 +968,7 @@ mod tests {
             sched.admit_campaign("t", "c1", spec(4, 2), vec![0, 1], 0, false),
             Err(AdmitError::Duplicate)
         ));
-        assert_eq!(sched.counters.shed.load(Ordering::Relaxed), 2);
+        assert_eq!(sched.counters.get(Counter::Shed), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1083,8 +985,8 @@ mod tests {
         assert!(!sched.journal().path().exists());
         assert!(sched.job("t/c1").is_none());
         assert!(sched.try_next_unit().is_none());
-        assert_eq!(sched.counters.journal_refusals.load(Ordering::Relaxed), 1);
-        assert_eq!(sched.counters.accepted_batch.load(Ordering::Relaxed), 0);
+        assert_eq!(sched.counters.get(Counter::JournalRefusals), 1);
+        assert_eq!(sched.counters.get(Counter::AcceptedBatch), 0);
         // The same submission goes through once the disk recovers, and
         // the journal replays it as open.
         sched
@@ -1139,7 +1041,7 @@ mod tests {
         let job = sched
             .admit_campaign("t", "c", spec(4, 2), vec![0, 1], 0, false)
             .unwrap();
-        assert!(sched.cancel("t/c", &sched.counters.disconnect_cancels));
+        assert!(sched.cancel("t/c", Counter::DisconnectCancels));
         assert!(job.handle.is_cancelled());
         assert!(job.is_done());
         // Both queued units are skipped; an interactive unit queued after
@@ -1150,8 +1052,8 @@ mod tests {
         let unit = sched.next_unit().unwrap();
         assert_eq!(unit.job.class, JobClass::Interactive);
         // Second cancel is a no-op.
-        assert!(!sched.cancel("t/c", &sched.counters.disconnect_cancels));
-        assert_eq!(sched.counters.disconnect_cancels.load(Ordering::Relaxed), 1);
+        assert!(!sched.cancel("t/c", Counter::DisconnectCancels));
+        assert_eq!(sched.counters.get(Counter::DisconnectCancels), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1191,15 +1093,14 @@ mod tests {
         sched
             .admit_campaign("t", "c", spec(4, 2), vec![0, 1], 0, false)
             .unwrap();
-        let snap = sched.stats_snapshot();
-        assert_eq!(snap.counters.accepted_interactive, 1);
-        assert_eq!(snap.counters.accepted_batch, 1);
-        assert_eq!(snap.queue_interactive, 1);
-        assert_eq!(snap.queue_batch_units, 2);
-        assert_eq!(snap.batch_jobs_in_flight, 1);
-        let fields = snap.fields();
-        assert!(fields.iter().any(|&(k, v)| k == "uptime_ms" && v >= 0.0));
-        assert!(fields.iter().any(|&(k, _)| k == "queue_interactive"));
+        let fields = sched.metrics_doc().stats_fields();
+        let field = |name: &str| fields.iter().find(|&&(k, _)| k == name).map(|&(_, v)| v);
+        assert_eq!(field("accepted_interactive"), Some(1.0));
+        assert_eq!(field("accepted_batch"), Some(1.0));
+        assert_eq!(field("queue_interactive"), Some(1.0));
+        assert_eq!(field("queue_batch_units"), Some(2.0));
+        assert_eq!(field("batch_jobs_in_flight"), Some(1.0));
+        assert!(field("uptime_ms").is_some_and(|v| v >= 0.0));
         // Both admissions went through the timed edge, and the journal
         // fsync for the campaign accept reached its observer histogram.
         assert_eq!(sched.metrics.admission_ms.snapshot().count, 2);

@@ -31,7 +31,7 @@
 use super::daemon::{telemetry_json, DRAIN};
 use super::execute::{chunk_path, result_path};
 use super::proto::{self, write_frame, Stream};
-use super::scheduler::{Job, JobPhase, Outcome, Scheduler};
+use super::scheduler::{Counter, Job, JobPhase, Outcome, Scheduler};
 use crate::experiments::manifest::fnv64;
 use spicier::json::Json;
 use std::sync::atomic::Ordering;
@@ -174,7 +174,7 @@ pub(super) fn stream_watch(
             ),
         ]));
     }
-    sched.counters.watch_streams.fetch_add(1, Ordering::Relaxed);
+    sched.counters.bump(Counter::WatchStreams);
     if cfg.watch_sndbuf > 0 {
         let _ = stream.set_send_buffer(cfg.watch_sndbuf);
     }
@@ -228,7 +228,7 @@ fn stream_events(
                 // Clean demotion between frames: the subscriber fell
                 // past the budget while following live. It re-subscribes
                 // from `next_seq` (or polls) when it can keep up.
-                sched.counters.watch_lagged.fetch_add(1, Ordering::Relaxed);
+                sched.counters.bump(Counter::WatchLagged);
                 let _ = write_frame(stream, &lagged_frame(&job.key, seq));
                 return WatchEnd::Continue;
             }
@@ -258,7 +258,7 @@ fn stream_events(
             ) {
                 Ok(()) => {
                     sched.metrics.watch_frame_ms.record(t0.elapsed());
-                    sched.counters.watch_events.fetch_add(1, Ordering::Relaxed);
+                    sched.counters.bump(Counter::WatchEvents);
                     seq += 1;
                     last_write = Instant::now();
                 }
@@ -267,7 +267,7 @@ fn stream_events(
                     // subscriber's perspective, so demotion cannot be
                     // signalled in-band — disconnect. The client's
                     // reconnect-resume picks up from its last seen seq.
-                    sched.counters.watch_lagged.fetch_add(1, Ordering::Relaxed);
+                    sched.counters.bump(Counter::WatchLagged);
                     return WatchEnd::Close;
                 }
                 Err(_) => return WatchEnd::Close,
@@ -284,7 +284,7 @@ fn stream_events(
                 match write_frame(stream, &done_event(job, seq)) {
                     Ok(()) => {
                         sched.metrics.watch_frame_ms.record(t0.elapsed());
-                        sched.counters.watch_events.fetch_add(1, Ordering::Relaxed);
+                        sched.counters.bump(Counter::WatchEvents);
                     }
                     Err(_) => return WatchEnd::Close,
                 }

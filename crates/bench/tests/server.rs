@@ -108,6 +108,14 @@ fn interactive_round_trip_with_telemetry() {
     assert!(output.contains("V(out) = 2.2"), "{output}");
     let telemetry = reply.get("telemetry").expect("telemetry rollup");
     assert!(telemetry.num_field("wall_ms").unwrap() >= 0.0);
+    // The reply reports the deck's real solver cost.
+    assert!(
+        telemetry.num_field("newton_iterations").unwrap() > 0.0,
+        "{}",
+        telemetry.render()
+    );
+    let lu_solves = telemetry.get("lu").and_then(|lu| lu.num_field("solves"));
+    assert!(lu_solves.unwrap() > 0.0, "{}", telemetry.render());
 
     // A parse failure is a distinguishable `failed`, not a dropped conn.
     let bad = client.run("t1", "broken\nR1 a 0\n.end\n", None).unwrap();
@@ -124,6 +132,60 @@ fn interactive_round_trip_with_telemetry() {
         "{}",
         stats.render()
     );
+}
+
+/// The `stats` reply's members, in wire order: the 20 counters, the 3
+/// queue gauges, `uptime_ms`, then the drain flag.
+#[test]
+fn stats_reply_keeps_its_field_order() {
+    let dir = fresh_dir("stats_order");
+    let daemon = spawn_daemon(&dir, &[]);
+    let mut client = Client::connect(&daemon.addr).unwrap();
+    let stats = client.stats().unwrap();
+    let Json::Obj(members) = &stats else {
+        panic!("stats reply is not an object: {}", stats.render());
+    };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "status",
+            "accepted_interactive",
+            "accepted_batch",
+            "shed",
+            "completed",
+            "failed",
+            "cancelled",
+            "timed_out",
+            "quarantined",
+            "resumed_jobs",
+            "resumed_chunks_skipped",
+            "explicit_cancels",
+            "disconnect_cancels",
+            "journal_refusals",
+            "panics_contained",
+            "chunks_quarantined",
+            "journal_corrupt_records",
+            "watch_streams",
+            "watch_events",
+            "watch_lagged",
+            "dedup_accepts",
+            "queue_interactive",
+            "queue_batch_units",
+            "batch_jobs_in_flight",
+            "uptime_ms",
+            "draining",
+        ]
+    );
+    // The `metrics` document lists the same counters and gauges, in the
+    // same order.
+    let scrape = client.metrics().unwrap();
+    let names = |key: &str| match scrape.get(key) {
+        Some(Json::Obj(members)) => members.iter().map(|(k, _)| k.clone()).collect(),
+        _ => Vec::new(),
+    };
+    assert_eq!(names("counters"), keys[1..21]);
+    assert_eq!(names("gauges"), keys[21..24]);
 }
 
 #[test]
@@ -150,7 +212,8 @@ fn campaign_completes_and_polls_through_lifecycle() {
     assert_eq!(std::fs::read_to_string(path).unwrap(), csv);
     // Telemetry rollup absorbed real solver counters.
     let telemetry = done.get("telemetry").unwrap();
-    assert!(telemetry.num_field("lu_solves").unwrap() >= 6.0);
+    let lu_solves = telemetry.get("lu").and_then(|lu| lu.num_field("solves"));
+    assert!(lu_solves.unwrap() >= 6.0, "{}", telemetry.render());
     // Re-submitting the same key with the same spec is idempotent: the
     // daemon acknowledges without running anything twice.
     let dup = client

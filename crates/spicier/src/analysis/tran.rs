@@ -103,14 +103,12 @@ pub enum Probe {
 /// Options for [`transient`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranOptions {
-    /// End time, seconds.
+    /// End time, seconds. The largest step is `t_stop / 200`; the first
+    /// step, and the restart step after each breakpoint, is a hundredth
+    /// of that.
     pub t_stop: f64,
-    /// Largest allowed step (`0.0` → `t_stop / 200`).
-    pub h_max: f64,
     /// Smallest allowed step before the run aborts.
     pub h_min: f64,
-    /// First step and re-start step after breakpoints (`0.0` → `h_max / 100`).
-    pub h_init: f64,
     /// Largest node-voltage change accepted in one step, volts. This is the
     /// accuracy knob: smaller values resolve edges more finely.
     pub dv_max: f64,
@@ -137,9 +135,7 @@ impl TranOptions {
     pub fn new(t_stop: f64) -> Self {
         Self {
             t_stop,
-            h_max: 0.0,
             h_min: 1.0e-18,
-            h_init: 0.0,
             dv_max: 0.06,
             method: Method::Trapezoidal,
             probes: Probe::AllNodes,
@@ -167,32 +163,21 @@ impl TranOptions {
         self
     }
 
+    /// Checks the options and returns the largest and the first step.
     fn resolved(&self) -> Result<(f64, f64), Error> {
-        for (name, value, zero_ok) in [
-            ("t_stop", self.t_stop, false),
-            ("dv_max", self.dv_max, false),
-            ("h_min", self.h_min, false),
-            ("h_max", self.h_max, true),
-            ("h_init", self.h_init, true),
+        for (name, value) in [
+            ("t_stop", self.t_stop),
+            ("dv_max", self.dv_max),
+            ("h_min", self.h_min),
         ] {
-            if !(value.is_finite() && (value > 0.0 || zero_ok && value == 0.0)) {
-                let bound = if zero_ok { "non-negative" } else { "positive" };
+            if !(value.is_finite() && value > 0.0) {
                 return Err(Error::InvalidOptions(format!(
-                    "{name} must be finite and {bound}, got {value}"
+                    "{name} must be finite and positive, got {value}"
                 )));
             }
         }
-        let h_max = if self.h_max > 0.0 {
-            self.h_max
-        } else {
-            self.t_stop / 200.0
-        };
-        let h_init = if self.h_init > 0.0 {
-            self.h_init
-        } else {
-            h_max / 100.0
-        };
-        Ok((h_max, h_init))
+        let h_max = self.t_stop / 200.0;
+        Ok((h_max, h_max / 100.0))
     }
 }
 
@@ -771,7 +756,7 @@ impl<'a> Stepper<'a> {
             h_max,
             h_init,
             t: 0.0,
-            h: h_init.min(h_max),
+            h: h_init,
             x_prev: vec![0.0; x.len()],
             h_prev: 0.0,
             guess: vec![0.0; x.len()],
@@ -1377,15 +1362,12 @@ mod tests {
             opts
         };
         type Spoil = fn(&mut TranOptions);
-        let cases: [(&str, Spoil); 8] = [
+        let cases: [(&str, Spoil); 5] = [
+            ("t_stop", |o| o.t_stop = f64::INFINITY),
             ("dv_max", |o| o.dv_max = -1.0),
             ("dv_max", |o| o.dv_max = f64::NAN),
             ("h_min", |o| o.h_min = 0.0),
             ("h_min", |o| o.h_min = f64::INFINITY),
-            ("h_max", |o| o.h_max = -1.0e-9),
-            ("h_max", |o| o.h_max = f64::NAN),
-            ("h_init", |o| o.h_init = -1.0e-12),
-            ("h_init", |o| o.h_init = f64::INFINITY),
         ];
         for (field, spoil) in cases {
             let mut opts = base();
@@ -1395,8 +1377,7 @@ mod tests {
                 other => panic!("{field}: expected InvalidOptions, got {other:?}"),
             }
         }
-        // The defaults, and zero for the two fields where it means
-        // "derive from t_stop", still run.
+        // The defaults still run.
         assert!(transient(&c, &base()).is_ok());
     }
 

@@ -18,7 +18,7 @@ fn main() {
         }
     };
     match spicier::runner::run_deck(&text) {
-        Ok(report) => print!("{report}"),
+        Ok((report, _)) => print!("{report}"),
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(1);

@@ -114,6 +114,16 @@ impl Json {
         )
     }
 
+    /// Appends the members of the object `other` to this object, in
+    /// order: how a document splices a shared record (such as a
+    /// telemetry summary) beside its own members. A non-object on either
+    /// side leaves `self` unchanged.
+    pub fn extend(&mut self, other: Json) {
+        if let (Json::Obj(members), Json::Obj(more)) = (self, other) {
+            members.extend(more);
+        }
+    }
+
     /// Builds a string value.
     #[must_use]
     pub fn str(s: impl Into<String>) -> Json {

@@ -7,10 +7,12 @@ use crate::analysis::dc::{operating_point, sweep_vsource, DcOptions};
 use crate::analysis::tran::{transient, TranOptions};
 use crate::error::Error;
 use crate::spice::{parse_deck, AnalysisCard};
+use crate::telemetry::TelemetrySummary;
 use std::fmt::Write as _;
 
 /// Parses `text` as a SPICE deck and runs every analysis card, returning
-/// a human-readable report.
+/// a human-readable report and the merged solver cost of the analyses
+/// it ran.
 ///
 /// `.op` prints node voltages; `.dc` prints the swept node table; `.tran`
 /// prints a CSV of all node voltages; `.ac` prints magnitude/phase of all
@@ -19,10 +21,11 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Propagates parse and simulation failures.
-pub fn run_deck(text: &str) -> Result<String, Error> {
+pub fn run_deck(text: &str) -> Result<(String, TelemetrySummary), Error> {
     let deck = parse_deck(text)?;
     let circuit = deck.netlist.compile()?;
     let mut out = String::new();
+    let mut cost = TelemetrySummary::default();
     let _ = writeln!(out, "* {}", deck.title);
 
     if deck.analyses.is_empty() {
@@ -38,6 +41,7 @@ pub fn run_deck(text: &str) -> Result<String, Error> {
         match card {
             AnalysisCard::Op => {
                 let op = operating_point(&circuit, &DcOptions::default())?;
+                cost.absorb(op.telemetry());
                 let _ = writeln!(out, "\n[op]");
                 for node in circuit.node_ids().skip(1) {
                     let _ = writeln!(
@@ -67,6 +71,9 @@ pub fn run_deck(text: &str) -> Result<String, Error> {
                     v += step;
                 }
                 let sols = sweep_vsource(&circuit, source, &values, &DcOptions::default())?;
+                for sol in &sols {
+                    cost.absorb(sol.telemetry());
+                }
                 let _ = writeln!(out, "\n[dc {source}]");
                 let mut header = String::from("sweep");
                 for node in circuit.node_ids().skip(1) {
@@ -88,6 +95,7 @@ pub fn run_deck(text: &str) -> Result<String, Error> {
                     opts = opts.with_initial_voltage(node, *volts);
                 }
                 let res = transient(&circuit, &opts)?;
+                cost.absorb(res.telemetry());
                 let _ = writeln!(out, "\n[tran {t_stop:e}]");
                 let mut header = String::from("time");
                 for node in circuit.node_ids().skip(1) {
@@ -121,6 +129,7 @@ pub fn run_deck(text: &str) -> Result<String, Error> {
                     })?;
                 let freqs = decade_freqs(*f_start, *f_stop, *points_per_decade);
                 let res = ac_analysis(&circuit, &AcOptions::new(&source, freqs))?;
+                cost.absorb(res.telemetry());
                 let _ = writeln!(out, "\n[ac {source}]");
                 let mut header = String::from("freq");
                 for node in circuit.node_ids().skip(1) {
@@ -139,7 +148,7 @@ pub fn run_deck(text: &str) -> Result<String, Error> {
             }
         }
     }
-    Ok(out)
+    Ok((out, cost))
 }
 
 #[cfg(test)]
@@ -148,10 +157,12 @@ mod tests {
 
     #[test]
     fn runs_op_deck() {
-        let report =
+        let (report, cost) =
             run_deck("divider\nV1 in 0 3.3\nR1 in out 1k\nR2 out 0 2k\n.op\n.end\n").unwrap();
         assert!(report.contains("[op]"));
         assert!(report.contains("V(out) = 2.2"), "{report}");
+        assert_eq!(cost.analyses, 1);
+        assert!(cost.newton_iterations > 0 && cost.lu.solves > 0, "{cost:?}");
     }
 
     #[test]
@@ -159,7 +170,8 @@ mod tests {
         let report = run_deck(
             "rc\nV1 in 0 1.0\nR1 in out 1k\nC1 out 0 1n\n.ic V(out)=0.5\n.tran 10n 3u\n.end\n",
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.contains("[tran"));
         // First data row starts at the IC value.
         let first_row = report
@@ -173,8 +185,9 @@ mod tests {
 
     #[test]
     fn runs_dc_sweep() {
-        let report =
-            run_deck("sweep\nV1 in 0 0\nR1 in out 1k\nR2 out 0 1k\n.dc V1 0 2 1\n.end\n").unwrap();
+        let report = run_deck("sweep\nV1 in 0 0\nR1 in out 1k\nR2 out 0 1k\n.dc V1 0 2 1\n.end\n")
+            .unwrap()
+            .0;
         assert!(report.contains("[dc V1]"));
         // Three sweep rows: 0, 1, 2 → out = 0, 0.5, 1.0.
         assert!(report.contains("2.000000,1.000000"), "{report}");
@@ -184,14 +197,15 @@ mod tests {
     fn runs_ac_deck() {
         let report =
             run_deck("lowpass\nV1 in 0 0\nR1 in out 1k\nC1 out 0 1n\n.ac dec 10 1k 10meg\n.end\n")
-                .unwrap();
+                .unwrap()
+                .0;
         assert!(report.contains("[ac V1]"));
         assert!(report.contains("mag_db(out)"));
     }
 
     #[test]
     fn defaults_to_op_without_cards() {
-        let report = run_deck("bare\nV1 a 0 1\nR1 a 0 1k\n.end\n").unwrap();
+        let (report, _) = run_deck("bare\nV1 a 0 1\nR1 a 0 1k\n.end\n").unwrap();
         assert!(report.contains("[op]"));
     }
 

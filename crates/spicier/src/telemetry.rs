@@ -584,6 +584,48 @@ impl TelemetrySummary {
         }
         total
     }
+
+    /// The solver-cost record as one JSON object, the layout every
+    /// report shares: `RUN_REPORT.json` entries, a daemon job's
+    /// `telemetry` member and `SERVE_REPORT.json`'s rollup splice it
+    /// beside their own members. Wall time is left to the caller, which
+    /// knows which clock it means. Rungs are sorted, so the record does
+    /// not depend on which analysis (or worker) first reported one; a
+    /// missing worst backward error is `null`, a NaN one `"NaN"`.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let count = |n: u64| Json::Num(n as f64);
+        let mut rungs: Vec<(String, Json)> = self
+            .rung_iterations
+            .iter()
+            .map(|(label, n)| (label.clone(), count(*n)))
+            .collect();
+        rungs.sort_by(|a, b| a.0.cmp(&b.0));
+        let lu = &self.lu;
+        Json::obj(vec![
+            ("analyses", count(self.analyses)),
+            ("newton_iterations", count(self.newton_iterations)),
+            ("rung_iterations", Json::Obj(rungs)),
+            ("accepted_steps", count(self.accepted_steps)),
+            ("rejected_steps", count(self.rejected_steps)),
+            ("replicated_periods", count(self.replicated_periods)),
+            ("extrapolated_periods", count(self.extrapolated_periods)),
+            (
+                "lu",
+                Json::obj(vec![
+                    ("full_factors", count(lu.full_factors as u64)),
+                    ("refactors", count(lu.refactors as u64)),
+                    ("pivot_fallbacks", count(lu.pivot_fallbacks as u64)),
+                    ("solves", count(lu.solves as u64)),
+                ]),
+            ),
+            (
+                "worst_backward_error",
+                self.worst_backward_error
+                    .map_or(Json::Null, Json::num_tagged),
+            ),
+        ])
+    }
 }
 
 /// Process-global telemetry rollup, drained per experiment by the

@@ -3,7 +3,6 @@
 
 use crate::wave::{Waveform, WaveformError};
 use std::io::{self, Write};
-use std::path::Path;
 
 /// Writes `traces` (name, waveform) sharing one time axis as CSV:
 /// `time,<name1>,<name2>,...`.
@@ -45,37 +44,6 @@ pub fn write_csv<W: Write>(mut out: W, traces: &[(&str, &Waveform)]) -> io::Resu
     Ok(())
 }
 
-/// Writes traces to a file path, creating parent directories.
-///
-/// The write is crash-safe: content goes to a `.tmp` sibling first and is
-/// atomically renamed into place, so a reader (or a killed process) never
-/// observes a half-written CSV at `path` — only the old file or the new
-/// one.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_csv_file<P: AsRef<Path>>(path: P, traces: &[(&str, &Waveform)]) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = tmp_sibling(path);
-    let file = std::fs::File::create(&tmp)?;
-    let mut out = io::BufWriter::new(file);
-    write_csv(&mut out, traces)?;
-    out.flush()?;
-    drop(out);
-    std::fs::rename(&tmp, path)
-}
-
-/// `<path>.tmp` next to `path` (same directory, so the rename is atomic).
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,33 +74,5 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&mut buf, &[]).unwrap();
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("waveform_csv_test");
-        let path = dir.join("x/trace.csv");
-        let w = Waveform::new(vec![0.0, 1.0], vec![1.0, 2.0]).unwrap();
-        write_csv_file(&path, &[("v", &w)]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("time,v"));
-        // The atomic write leaves no .tmp sibling behind.
-        assert!(!dir.join("x/trace.csv.tmp").exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_write_leaves_existing_file_untouched() {
-        let dir = std::env::temp_dir().join("waveform_csv_atomic_test");
-        let path = dir.join("trace.csv");
-        let w1 = Waveform::new(vec![0.0, 1.0], vec![1.0, 2.0]).unwrap();
-        write_csv_file(&path, &[("v", &w1)]).unwrap();
-        let before = std::fs::read_to_string(&path).unwrap();
-        // Mismatched axes error out *before* the rename: the original
-        // content must survive.
-        let w2 = Waveform::new(vec![0.0, 2.0], vec![3.0, 4.0]).unwrap();
-        assert!(write_csv_file(&path, &[("a", &w1), ("b", &w2)]).is_err());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@ mod measure;
 mod spectrum;
 mod wave;
 
-pub use csv::{write_csv, write_csv_file};
+pub use csv::write_csv;
 pub use measure::{
     differential_crossings, differential_delay, propagation_delay, LevelStats, SettlingInfo,
     StabilityOptions, StabilityResult,
