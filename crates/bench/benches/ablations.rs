@@ -61,14 +61,8 @@ fn bench_ablation_kernels(c: &mut Harness) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
-    group.bench_function("detector_load_styles", |b| {
-        b.iter(|| ablations::load_ablation(Scale::Quick).expect("load ablation"))
-    });
-    group.bench_function("r0_sweep", |b| {
-        b.iter(|| ablations::r0_ablation(Scale::Quick).expect("r0 ablation"))
-    });
-    group.bench_function("comparator_feedback", |b| {
-        b.iter(|| ablations::feedback_ablation().expect("feedback ablation"))
+    group.bench_function("ablation_study", |b| {
+        b.iter(|| ablations::run(Scale::Quick).expect("ablations"))
     });
     group.finish();
 }

@@ -5,7 +5,11 @@
 //! * the R0 bleed value around the paper's 40 kΩ (§6.3: trade-off between
 //!   relieving the comparator bias droop and keeping fault sensitivity);
 //! * comparator positive feedback vs a fixed reference (§6.3: feedback
-//!   recovers the noise margin a fixed mid reference halves).
+//!   recovers the noise margin a fixed mid reference halves);
+//! * junction grading: constant vs graded depletion capacitances.
+//!
+//! [`run`] runs every analysis of the four as one task list on the sweep
+//! workers.
 
 use super::fig7::detector_response;
 use super::report::{print_table, v, write_rows_csv};
@@ -26,37 +30,30 @@ pub struct LoadAblation {
     pub resistor_tstab: f64,
 }
 
-/// Runs the diode-vs-resistor load ablation (same fault, same cap), one
-/// load per sweep worker.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn load_ablation(scale: Scale) -> Result<LoadAblation, Error> {
+/// The two detector loads of the load ablation (same fault, same cap) and
+/// the simulated span.
+fn loads(scale: Scale) -> ([DetectorLoad; 2], f64) {
     let (cap, t_stop) = match scale {
         Scale::Full => (10.0e-12, 1.5e-6),
         Scale::Quick => (1.0e-12, 200.0e-9),
     };
+    let loads = [
+        DetectorLoad::diode_cap(cap),
+        DetectorLoad::resistor_cap(160.0e3, cap),
+    ];
+    (loads, t_stop)
+}
+
+/// Time to stability of the detector with `load`.
+fn load_tstab(load: DetectorLoad, t_stop: f64) -> Result<f64, Error> {
     // A *mild* fault (2.5 kΩ pipe → µA-scale detector currents) is where
     // the load choice matters: the diode's low dynamic resistance at high
     // current snaps vout down quickly, while the 160 kΩ resistor must
     // discharge the capacitor with its fixed RC (160 µs·pF scale).
     let pipe = 2.5e3;
-    let loads = vec![
-        DetectorLoad::diode_cap(cap),
-        DetectorLoad::resistor_cap(160.0e3, cap),
-    ];
-    let (slots, report) = par_try_map(loads, &TryMapOptions::default(), |&load| {
-        let r = detector_response(pipe, load, 100.0e6, t_stop, None)?;
-        // Band-entry settling; a run that never settles scores the full span.
-        Ok(r.settling.map_or(t_stop, |s| s.t_settle))
-    });
-    report.into_result()?;
-    let tstab: Vec<f64> = slots.into_iter().flatten().collect();
-    Ok(LoadAblation {
-        diode_tstab: tstab[0],
-        resistor_tstab: tstab[1],
-    })
+    let r = detector_response(pipe, load, 100.0e6, t_stop, None)?;
+    // Band-entry settling; a run that never settles scores the full span.
+    Ok(r.settling.map_or(t_stop, |s| s.t_settle))
 }
 
 /// One row of the R0 ablation: fault-free vs faulty `vout` margins.
@@ -70,41 +67,11 @@ pub struct R0Point {
     pub vout_faulty: f64,
 }
 
-fn variant3_vout(cfg: &Variant3, pipe: Option<f64>) -> Result<f64, Error> {
-    let mut b = CmlCircuitBuilder::new(CmlProcess::paper());
-    let input = b.diff("a");
-    b.drive_static("a", input, true)?;
-    let cell = b.buffer("DUT", input)?;
-    let det = cfg.attach(&mut b, "DET", cell.output)?;
-    let mut nl = b.finish();
-    if let Some(ohms) = pipe {
-        Defect::pipe("DUT.Q3", ohms).inject(&mut nl)?;
-    }
-    let circuit = nl.compile()?;
-    let op = operating_point(&circuit, &DcOptions::default())?;
-    Ok(op.voltage(det.vout))
-}
-
-/// Runs the R0 sweep.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn r0_ablation(scale: Scale) -> Result<Vec<R0Point>, Error> {
-    let r0s: Vec<f64> = match scale {
+fn r0_values(scale: Scale) -> Vec<f64> {
+    match scale {
         Scale::Full => vec![10.0e3, 20.0e3, 40.0e3, 80.0e3, 160.0e3],
         Scale::Quick => vec![20.0e3, 40.0e3, 80.0e3],
-    };
-    r0s.into_iter()
-        .map(|r0| {
-            let cfg = Variant3::paper().with_r0(r0);
-            Ok(R0Point {
-                r0,
-                vout_clean: variant3_vout(&cfg, None)?,
-                vout_faulty: variant3_vout(&cfg, Some(2.0e3))?,
-            })
-        })
-        .collect()
+    }
 }
 
 /// Feedback ablation (§6.3). Two observables distinguish the designs:
@@ -142,12 +109,9 @@ fn variant3_inputs(cfg: &Variant3, pipe: Option<f64>) -> Result<(f64, f64), Erro
     Ok((op.voltage(det.vout), op.voltage(det.vfb)))
 }
 
-/// Runs the feedback ablation.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn feedback_ablation() -> Result<FeedbackAblation, Error> {
+/// Runs the feedback ablation: one chain, since the fixed reference sits
+/// between the feedback design's clean and faulty readings.
+fn feedback_ablation() -> Result<FeedbackAblation, Error> {
     let fb = Variant3::paper();
     // §6.3 sets the fixed reference "centred between the expected vout
     // value for a fault-free circuit and for a circuit with a 0.35 V
@@ -191,48 +155,144 @@ pub struct GradingAblation {
     pub delay_graded: f64,
 }
 
-/// Runs the grading ablation.
+/// Gate delay of a 5-stage ring oscillator, with constant or graded
+/// junction capacitances.
+fn ring_gate_delay(graded: bool) -> Result<f64, Error> {
+    use spicier::analysis::tran::{transient, TranOptions};
+    use waveform::{Edge, Waveform};
+    let mut process = CmlProcess::paper();
+    if graded {
+        process.npn = process.npn.with_grading(0.75, 0.33);
+    }
+    let vcross = process.vcross();
+    let vhigh = process.vhigh();
+    let mut b = CmlCircuitBuilder::new(process);
+    let ring = b.ring_oscillator("RING", 5)?;
+    let circuit = b.finish().compile()?;
+    let opts = TranOptions::new(6.0e-9)
+        .with_probes(vec![ring.probe.p])
+        .with_initial_voltage(ring.probe.p, vhigh);
+    let res = transient(&circuit, &opts)?;
+    let w = Waveform::from_slices(
+        res.time(),
+        res.trace(ring.probe.p)
+            .ok_or_else(|| Error::InvalidOptions("ring probe missing".to_string()))?,
+    )
+    .map_err(|e| Error::InvalidOptions(e.to_string()))?;
+    let crossings: Vec<f64> = w
+        .crossings(vcross, Edge::Rising)
+        .into_iter()
+        .filter(|&t| t > 2.0e-9)
+        .collect();
+    if crossings.len() < 2 {
+        return Err(Error::InvalidOptions("ring did not oscillate".to_string()));
+    }
+    let period = crossings[crossings.len() - 1] - crossings[crossings.len() - 2];
+    Ok(period / 10.0)
+}
+
+/// Every ablation's result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AblationResult {
+    /// Diode vs resistor detector load.
+    pub load: LoadAblation,
+    /// The R0 sweep, in R0 order.
+    pub r0: Vec<R0Point>,
+    /// Constant vs graded junctions.
+    pub grading: GradingAblation,
+    /// Comparator feedback vs a fixed reference.
+    pub feedback: FeedbackAblation,
+}
+
+/// One analysis of the ablations. The derived order is the order the
+/// ablations meet their failures in: load, R0, grading, feedback.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Task {
+    /// Settling time with the diode (0) or resistor (1) load.
+    Load(usize),
+    /// Clean or faulty `vout` at the `index`-th R0.
+    R0 { index: usize, faulty: bool },
+    /// Ring-oscillator gate delay.
+    Grading { graded: bool },
+    /// The feedback chain.
+    Feedback,
+}
+
+/// What a [`Task`] measured.
+enum Reading {
+    Value(f64),
+    Feedback(FeedbackAblation),
+}
+
+/// Runs every ablation as one task list on the sweep workers.
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn grading_ablation() -> Result<GradingAblation, Error> {
-    use spicier::analysis::tran::{transient, TranOptions};
-    use waveform::{Edge, Waveform};
-    let measure = |graded: bool| -> Result<f64, Error> {
-        let mut process = CmlProcess::paper();
-        if graded {
-            process.npn = process.npn.with_grading(0.75, 0.33);
+/// The first failure in [`Task`] order: the load pair, the R0 points (each
+/// clean before faulty), the grading pair, then the feedback chain.
+pub fn run(scale: Scale) -> Result<AblationResult, Error> {
+    let (loads, t_stop) = loads(scale);
+    let r0s = r0_values(scale);
+    // Workers take tasks from the end of the list: the 10 pF resistor
+    // load, the longest transient by far, starts first.
+    let mut tasks: Vec<Task> = (0..r0s.len())
+        .flat_map(|index| [false, true].map(|faulty| Task::R0 { index, faulty }))
+        .collect();
+    tasks.extend([
+        Task::Grading { graded: false },
+        Task::Grading { graded: true },
+        Task::Feedback,
+        Task::Load(0),
+        Task::Load(1),
+    ]);
+    let measure = |task: &Task| match *task {
+        Task::Load(k) => load_tstab(loads[k], t_stop).map(Reading::Value),
+        Task::R0 { index, faulty } => {
+            let cfg = Variant3::paper().with_r0(r0s[index]);
+            let pipe = faulty.then_some(2.0e3);
+            variant3_inputs(&cfg, pipe).map(|(vout, _)| Reading::Value(vout))
         }
-        let vcross = process.vcross();
-        let vhigh = process.vhigh();
-        let mut b = CmlCircuitBuilder::new(process);
-        let ring = b.ring_oscillator("RING", 5)?;
-        let circuit = b.finish().compile()?;
-        let opts = TranOptions::new(6.0e-9)
-            .with_probes(vec![ring.probe.p])
-            .with_initial_voltage(ring.probe.p, vhigh);
-        let res = transient(&circuit, &opts)?;
-        let w = Waveform::from_slices(
-            res.time(),
-            res.trace(ring.probe.p)
-                .ok_or_else(|| Error::InvalidOptions("ring probe missing".to_string()))?,
-        )
-        .map_err(|e| Error::InvalidOptions(e.to_string()))?;
-        let crossings: Vec<f64> = w
-            .crossings(vcross, Edge::Rising)
-            .into_iter()
-            .filter(|&t| t > 2.0e-9)
-            .collect();
-        if crossings.len() < 2 {
-            return Err(Error::InvalidOptions("ring did not oscillate".to_string()));
-        }
-        let period = crossings[crossings.len() - 1] - crossings[crossings.len() - 2];
-        Ok(period / 10.0)
+        Task::Grading { graded } => ring_gate_delay(graded).map(Reading::Value),
+        Task::Feedback => feedback_ablation().map(Reading::Feedback),
     };
-    Ok(GradingAblation {
-        delay_constant: measure(false)?,
-        delay_graded: measure(true)?,
+    let (slots, mut report) = par_try_map(tasks.clone(), &TryMapOptions::default(), measure);
+    report.failures.sort_by_key(|f| tasks[f.index]);
+    report.into_result()?;
+
+    let mut tstab = [0.0; 2];
+    let mut r0: Vec<R0Point> = r0s
+        .iter()
+        .map(|&r0| R0Point {
+            r0,
+            vout_clean: 0.0,
+            vout_faulty: 0.0,
+        })
+        .collect();
+    let mut delay = [0.0; 2];
+    let mut feedback = None;
+    for (task, reading) in tasks.into_iter().zip(slots.into_iter().flatten()) {
+        match (task, reading) {
+            (Task::Load(k), Reading::Value(t)) => tstab[k] = t,
+            (Task::R0 { index, faulty }, Reading::Value(v)) => match faulty {
+                false => r0[index].vout_clean = v,
+                true => r0[index].vout_faulty = v,
+            },
+            (Task::Grading { graded }, Reading::Value(d)) => delay[usize::from(graded)] = d,
+            (Task::Feedback, Reading::Feedback(fb)) => feedback = Some(fb),
+            _ => unreachable!("each task reads its own kind"),
+        }
+    }
+    Ok(AblationResult {
+        load: LoadAblation {
+            diode_tstab: tstab[0],
+            resistor_tstab: tstab[1],
+        },
+        r0,
+        grading: GradingAblation {
+            delay_constant: delay[0],
+            delay_graded: delay[1],
+        },
+        feedback: feedback.expect("every task succeeded"),
     })
 }
 
@@ -242,7 +302,12 @@ pub fn grading_ablation() -> Result<GradingAblation, Error> {
 ///
 /// Propagates simulation failures.
 pub fn execute(scale: Scale) -> Result<(), Error> {
-    let load = load_ablation(scale)?;
+    let AblationResult {
+        load,
+        r0,
+        grading,
+        feedback: fb,
+    } = run(scale)?;
     println!("\n== ABLATE: detector load (diode vs 160 kΩ resistor), 1 kΩ pipe ==");
     println!(
         "  diode-cap   tstability = {:.1} ns",
@@ -253,7 +318,6 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
         load.resistor_tstab * 1e9
     );
 
-    let r0 = r0_ablation(scale)?;
     let rows: Vec<Vec<String>> = r0
         .iter()
         .map(|p| {
@@ -272,7 +336,6 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
     );
     write_rows_csv("ablate_r0", &["r0", "clean", "faulty", "margin"], &rows);
 
-    let grading = grading_ablation()?;
     println!("\n== ABLATE: junction grading (constant vs graded depletion caps) ==");
     println!(
         "  gate delay, constant caps (mj=0)    = {:.1} ps",
@@ -283,7 +346,6 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
         grading.delay_graded * 1e12
     );
 
-    let fb = feedback_ablation()?;
     println!("\n== ABLATE: comparator feedback vs fixed reference (§6.3) ==");
     println!(
         "  worst-case input margin with feedback  = {} V",
@@ -305,9 +367,15 @@ pub fn execute(scale: Scale) -> Result<(), Error> {
 mod tests {
     use super::*;
 
+    /// The quick-scale ablations, run once for every test that reads them.
+    fn quick() -> &'static AblationResult {
+        static RESULT: std::sync::OnceLock<AblationResult> = std::sync::OnceLock::new();
+        RESULT.get_or_init(|| run(Scale::Quick).unwrap())
+    }
+
     #[test]
     fn diode_load_settles_faster_than_resistor() {
-        let r = load_ablation(Scale::Quick).unwrap();
+        let r = quick().load;
         assert!(
             r.diode_tstab < r.resistor_tstab,
             "diode {:.1} ns vs resistor {:.1} ns",
@@ -318,11 +386,11 @@ mod tests {
 
     #[test]
     fn r0_trades_clean_level_against_margin() {
-        let pts = r0_ablation(Scale::Quick).unwrap();
+        let pts = &quick().r0;
         // Smaller R0 → stiffer pull-up → higher clean vout.
         assert!(pts[0].vout_clean > pts[pts.len() - 1].vout_clean - 1e-6);
         // Every R0 keeps a usable detection margin.
-        for p in &pts {
+        for p in pts {
             assert!(
                 p.vout_clean - p.vout_faulty > 0.05,
                 "R0 {:.0}: margin too small",
@@ -333,7 +401,7 @@ mod tests {
 
     #[test]
     fn junction_grading_barely_moves_gate_delay() {
-        let r = grading_ablation().unwrap();
+        let r = quick().grading;
         // The constant-cap simplification shifts the delay by only a few
         // percent (forward B-E growth vs reverse B-C shrink largely
         // cancel), so it cannot drive any of the paper-level conclusions.
@@ -350,7 +418,7 @@ mod tests {
 
     #[test]
     fn feedback_gives_hysteresis_and_usable_margins() {
-        let r = feedback_ablation().unwrap();
+        let r = quick().feedback;
         // Feedback creates a finite hysteresis band; a fixed reference has
         // essentially none (single switching point).
         assert!(

@@ -24,7 +24,8 @@
 //!   anything runs;
 //! * `CHAOS_KILL_AFTER_EXPERIMENTS=N` kills the process (exit 137) after
 //!   `N` experiments have executed — the kill/resume drill. A value that
-//!   is not a count is rejected before anything runs.
+//!   is not a count is rejected before anything runs, as is an
+//!   `EXP_CORNER_DEADLINE_MS` that is not a number of milliseconds.
 
 use super::manifest::{input_hash, ExperimentRecord, Manifest};
 use super::run_report::{ExperimentTelemetry, RunReport};
@@ -72,16 +73,23 @@ pub struct CampaignOptions {
 
 impl CampaignOptions {
     /// The binary's configuration surface: `EXP_SCALE`, `--resume`,
-    /// `EXP_ONLY`, `CHAOS_KILL_AFTER_EXPERIMENTS`.
+    /// `EXP_ONLY`, `CHAOS_KILL_AFTER_EXPERIMENTS`, and the check of
+    /// `EXP_CORNER_DEADLINE_MS`.
     ///
     /// # Errors
     ///
     /// An `EXP_SCALE` other than `quick` or `full` (any case), an
-    /// `EXP_ONLY` name that is not in [`standard_experiments`], or a
-    /// `CHAOS_KILL_AFTER_EXPERIMENTS` that is not a count: a campaign that
-    /// would silently run the wrong scale, nothing at all, or without the
-    /// kill it was asked for.
+    /// `EXP_ONLY` name that is not in [`standard_experiments`], a
+    /// `CHAOS_KILL_AFTER_EXPERIMENTS` that is not a count, or an
+    /// `EXP_CORNER_DEADLINE_MS` that is not a number of milliseconds: a
+    /// campaign that would silently run the wrong scale, nothing at all,
+    /// without the kill it was asked for, or without its deadline.
     pub fn from_env_and_args() -> Result<Self, String> {
+        // Read by each pooled experiment; checked here so that a malformed
+        // value stops the campaign instead of running it unbounded.
+        super::common::parse_corner_deadline(
+            std::env::var("EXP_CORNER_DEADLINE_MS").ok().as_deref(),
+        )?;
         Ok(Self {
             scale: Scale::from_env()?,
             resume: std::env::args().any(|a| a == "--resume"),

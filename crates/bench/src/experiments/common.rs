@@ -6,6 +6,7 @@ use spicier::analysis::sweep::TryMapOptions;
 use spicier::analysis::tran::{transient, transient_with, Probe, TranOptions, TranResult};
 use spicier::SolveWorkspace;
 use spicier::{Circuit, Error};
+use std::time::Duration;
 use waveform::Waveform;
 
 /// Sweep options shared by the fault-isolated experiments.
@@ -13,22 +14,38 @@ use waveform::Waveform;
 /// `EXP_CORNER_DEADLINE_MS=<millis>` installs a per-corner wall-clock
 /// deadline: a corner that exceeds its slice is recorded as timed out
 /// (with phase and elapsed time) instead of stalling the whole campaign.
-/// Unset, zero, or unparsable values leave corners unbounded.
+/// Unset, empty or zero leaves corners unbounded. `exp_all` rejects any
+/// other value before anything runs; another caller is warned, and runs
+/// unbounded.
 pub fn try_map_options() -> TryMapOptions {
-    let mut opts = TryMapOptions::default();
-    if let Ok(v) = std::env::var("EXP_CORNER_DEADLINE_MS") {
-        match v.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => {
-                opts.corner_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            Ok(_) => {}
-            Err(_) if !v.is_empty() => {
-                eprintln!("  [warn] ignoring unparsable EXP_CORNER_DEADLINE_MS={v}");
-            }
-            Err(_) => {}
-        }
+    let value = std::env::var("EXP_CORNER_DEADLINE_MS").ok();
+    let corner_deadline = parse_corner_deadline(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("  [warn] {e}; corners run unbounded");
+        None
+    });
+    TryMapOptions {
+        corner_deadline,
+        ..TryMapOptions::default()
     }
-    opts
+}
+
+/// Parses `EXP_CORNER_DEADLINE_MS`: a whole number of milliseconds. Unset,
+/// empty or zero means no deadline.
+///
+/// # Errors
+///
+/// Any other value, named in the message.
+pub fn parse_corner_deadline(value: Option<&str>) -> Result<Option<Duration>, String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(v) => match v.parse::<u64>() {
+            Ok(0) => Ok(None),
+            Ok(ms) => Ok(Some(Duration::from_millis(ms))),
+            Err(_) => Err(format!(
+                "EXP_CORNER_DEADLINE_MS={v} is not a whole number of milliseconds"
+            )),
+        },
+    }
 }
 
 /// The Figure 3 test circuit with an optional pipe on the DUT's Q3,
@@ -72,6 +89,24 @@ pub fn wf(res: &TranResult, node: spicier::NodeId) -> Result<Waveform, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn corner_deadline_is_millis_or_nothing() {
+        assert_eq!(parse_corner_deadline(None), Ok(None));
+        assert_eq!(parse_corner_deadline(Some(" ")), Ok(None));
+        assert_eq!(parse_corner_deadline(Some("000")), Ok(None));
+        assert_eq!(
+            parse_corner_deadline(Some(" 300 ")),
+            Ok(Some(Duration::from_millis(300)))
+        );
+        for bad in ["soon", "-5", "1.5", "300ms"] {
+            let err = parse_corner_deadline(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("EXP_CORNER_DEADLINE_MS") && err.contains(bad),
+                "{err}"
+            );
+        }
+    }
 
     #[test]
     fn fig3_circuit_builds_clean_and_faulty() {

@@ -13,6 +13,7 @@ use cml_cells::CmlProcess;
 use cml_dft::decision::characterize_hysteresis;
 use cml_dft::sharing::{SharedDetector, SharingPoint};
 use cml_dft::{HysteresisBand, Variant3};
+use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::Error;
 
 /// The full Figure 14 result.
@@ -58,18 +59,81 @@ fn linear_fit(points: &[SharingPoint]) -> (f64, f64) {
     (slope, r2)
 }
 
-/// Runs the sharing experiment.
+/// One analysis of the sharing experiment. The droop points are
+/// independent DC solves. The verdict is one chain: the hysteresis band,
+/// the max-safe binary search that needs the band, and the faulty probe
+/// sized by its answer.
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    Droop(usize),
+    Verdict,
+}
+
+/// What a [`Part`] measured.
+enum Done {
+    Droop(SharingPoint),
+    Verdict {
+        band: HysteresisBand,
+        max_safe: Option<usize>,
+        faulty: SharingPoint,
+    },
+}
+
+/// The verdict chain: hysteresis band, then the largest safe N, then one
+/// 2 kΩ-pipe member in a group of `min(max_safe, 16)` (at least 2) gates.
+fn verdict(
+    exp: &SharedDetector,
+    hyst_points: usize,
+    n_cap: usize,
+) -> Result<(HysteresisBand, Option<usize>, SharingPoint), Error> {
+    let band = characterize_hysteresis(&exp.config, &exp.process, hyst_points)?.band;
+    let max_safe = exp.max_safe_sharing(&band, n_cap)?;
+    let probe_n = max_safe.unwrap_or(1).clamp(2, 16);
+    let faulty = exp.measure(probe_n, Some((probe_n / 2, 2.0e3)))?;
+    Ok((band, max_safe, faulty))
+}
+
+/// Runs the sharing experiment: the droop points and the verdict chain
+/// as one task list on the sweep workers.
 ///
 /// # Errors
 ///
-/// Propagates construction/convergence failures.
+/// Propagates construction/convergence failures: the first in the order
+/// droop points (by N), then the verdict chain.
 pub fn run(scale: Scale) -> Result<Fig14Result, Error> {
     let exp = SharedDetector::new(Variant3::paper(), CmlProcess::paper());
     let (ns, n_cap, hyst_points) = match scale {
         Scale::Full => ((1..=60).step_by(3).collect::<Vec<usize>>(), 64, 120),
         Scale::Quick => (vec![1, 4, 8, 12], 16, 60),
     };
-    let droop = exp.fault_free_droop(&ns)?;
+    // Workers take parts from the end of the list, so the verdict, the
+    // longest chain, starts first and the largest N next.
+    let mut parts: Vec<Part> = ns.iter().map(|&n| Part::Droop(n)).collect();
+    parts.push(Part::Verdict);
+    let (slots, report) = par_try_map(parts, &TryMapOptions::default(), |part| match *part {
+        Part::Droop(n) => exp.measure(n, None).map(Done::Droop),
+        Part::Verdict => {
+            verdict(&exp, hyst_points, n_cap).map(|(band, max_safe, faulty)| Done::Verdict {
+                band,
+                max_safe,
+                faulty,
+            })
+        }
+    });
+    report.into_result()?;
+    let mut droop = Vec::with_capacity(ns.len());
+    let mut chain = None;
+    for done in slots.into_iter().flatten() {
+        match done {
+            Done::Droop(point) => droop.push(point),
+            Done::Verdict {
+                band,
+                max_safe,
+                faulty,
+            } => chain = Some((band, max_safe, faulty)),
+        }
+    }
+    let (band, max_safe, faulty) = chain.expect("every part succeeded");
     // The droop is linear only while the shared comparator stays in the
     // pass state; once vout dips into the hysteresis band the comparator
     // flips and its input bias current is re-routed (visible as a kink in
@@ -92,10 +156,6 @@ pub fn run(scale: Scale) -> Result<Fig14Result, Error> {
         &droop[..]
     };
     let (slope, r_squared) = linear_fit(fit_points);
-    let band = characterize_hysteresis(&Variant3::paper(), &CmlProcess::paper(), hyst_points)?.band;
-    let max_safe = exp.max_safe_sharing(&band, n_cap)?;
-    let probe_n = max_safe.unwrap_or(1).clamp(2, 16);
-    let faulty = exp.measure(probe_n, Some((probe_n / 2, 2.0e3)))?;
     Ok(Fig14Result {
         droop,
         slope,
@@ -165,6 +225,21 @@ mod tests {
             "faulty vout {} vs band {:?}",
             r.faulty_vout, r.band
         );
+    }
+
+    #[test]
+    fn pooled_run_equals_the_serial_study() {
+        let r = run(Scale::Quick).unwrap();
+        let exp = SharedDetector::new(Variant3::paper(), CmlProcess::paper());
+        let droop: Vec<SharingPoint> = [1, 4, 8, 12]
+            .iter()
+            .map(|&n| exp.measure(n, None).unwrap())
+            .collect();
+        let (band, max_safe, faulty) = verdict(&exp, 60, 16).unwrap();
+        assert_eq!(r.droop, droop);
+        assert_eq!(r.band, band);
+        assert_eq!(r.max_safe, max_safe);
+        assert_eq!(r.faulty_vout.to_bits(), faulty.vout.to_bits());
     }
 
     #[test]

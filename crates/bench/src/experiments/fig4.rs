@@ -12,6 +12,7 @@ use super::report::{print_table, v, write_rows_csv, write_waveforms_csv};
 use super::{table1, table2};
 use crate::Scale;
 use cml_cells::BufferChain;
+use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::analysis::tran::TranResult;
 use spicier::Error;
 use waveform::LevelStats;
@@ -29,7 +30,8 @@ pub struct ChainPair {
     pub settled: (f64, f64),
 }
 
-/// Builds and simulates both chains at 100 MHz (4 periods; quick: 3).
+/// Builds both chains at 100 MHz, then simulates them (4 periods; quick:
+/// 3) on the sweep workers.
 ///
 /// # Errors
 ///
@@ -42,10 +44,15 @@ pub fn simulate(scale: Scale) -> Result<ChainPair, Error> {
     };
     let (chain, clean) = fig3_circuit(freq, None)?;
     let (_, faulty) = fig3_circuit(freq, Some(4.0e3))?;
+    let (runs, report) = par_try_map(vec![clean, faulty], &TryMapOptions::default(), |c| {
+        run_periods(c, freq, periods)
+    });
+    report.into_result()?;
+    let mut runs = runs.into_iter().flatten();
     Ok(ChainPair {
         chain,
-        fault_free: run_periods(&clean, freq, periods)?,
-        faulty: run_periods(&faulty, freq, periods)?,
+        fault_free: runs.next().expect("both chains ran"),
+        faulty: runs.next().expect("both chains ran"),
         settled: ((periods - 2.0) / freq, periods / freq),
     })
 }

@@ -4,10 +4,9 @@
 
 use super::report::{print_table, v, write_rows_csv};
 use crate::Scale;
-use cml_dft::robustness::{
-    monte_carlo_study, speed_power_study, DetectorMargins, MonteCarloReport, VariationModel,
-};
+use cml_dft::robustness::{robustness_study, DetectorMargins, MonteCarloReport, VariationModel};
 use cml_dft::Variant3;
+use spicier::analysis::sweep::TryMapOptions;
 use spicier::Error;
 
 /// Pipe severity used throughout the study.
@@ -22,7 +21,7 @@ pub struct RobustResult {
     pub monte_carlo: MonteCarloReport,
 }
 
-/// Runs both studies.
+/// Runs both studies as one task list on the sweep workers.
 ///
 /// # Errors
 ///
@@ -33,13 +32,14 @@ pub fn run(scale: Scale) -> Result<RobustResult, Error> {
         Scale::Quick => (vec![0.2e-3, 0.4e-3, 0.8e-3], 8),
     };
     let config = Variant3::paper();
-    let speed_power = speed_power_study(&itails, &config, PIPE_OHMS)?;
-    let monte_carlo = monte_carlo_study(
+    let (speed_power, monte_carlo) = robustness_study(
+        &itails,
         samples,
         0xACE1,
         &VariationModel::default(),
         &config,
         PIPE_OHMS,
+        &TryMapOptions::default(),
     )?;
     Ok(RobustResult {
         speed_power,

@@ -25,7 +25,7 @@ pub struct ThresholdResult {
 /// least this far below the fault-free baseline.
 pub const MIN_DROP: f64 = 0.15;
 
-/// Runs both pipe sweeps.
+/// Runs both pipe sweeps, sharing their bare chains.
 ///
 /// # Errors
 ///
@@ -48,8 +48,9 @@ pub fn run(scale: Scale) -> Result<ThresholdResult, Error> {
     };
     let v1 = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
     let v2 = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
-    let v1_points = pipe_sweep(&v1, &pipes, &opts)?;
-    let v2_points = pipe_sweep(&v2, &pipes, &opts)?;
+    let mut sweeps = pipe_sweep(&[v1, v2], &pipes, &opts)?;
+    let v2_points = sweeps.pop().expect("one sweep per detector");
+    let v1_points = sweeps.pop().expect("one sweep per detector");
     let v1_threshold = detectable_amplitude(&v1_points, MIN_DROP);
     let v2_threshold = detectable_amplitude(&v2_points, MIN_DROP);
     Ok(ThresholdResult {

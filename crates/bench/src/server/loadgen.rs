@@ -52,6 +52,13 @@ pub const DIVIDER_DECK: &str = "divider\nV1 in 0 0\nR1 in out 1k\nR2 out 0 1k\n.
 /// The deck interactive clients run.
 pub const OP_DECK: &str = "op\nV1 in 0 3.3\nR1 in out 1k\nR2 out 0 2k\n.op\n.end\n";
 
+/// The drop-client probe's deck: a sine-driven RC transient of about
+/// 190,000 steps (0.3 s on a 2-vCPU host), so the request is still running
+/// when the daemon's 50 ms liveness probe finds its socket closed. A
+/// sine source is never periodic-skipped.
+const DROP_PROBE_DECK: &str =
+    "drop probe\nV1 in 0 SIN(0 1 100meg)\nR1 in out 1k\nC1 out 0 1p\n.tran 1n 20u\n.end\n";
+
 /// Interactive p99 gate, milliseconds.
 const P99_GATE_MS: f64 = 2000.0;
 
@@ -357,23 +364,6 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         let slowloris_ok = pong.str_field("status").as_deref() == Some(status::OK)
             && slow_t.elapsed() < Duration::from_secs(5);
         drop(slow);
-        // Drop-client chaos: send a run request, slam the socket, then
-        // confirm the daemon counted a disconnect cancellation.
-        let mut dropper = Client::connect(&addr).map_err(io)?;
-        let _ = chaos::with_drop_client(|| dropper.run("chaos", OP_DECK, Some(10_000)));
-        let disconnects = {
-            let t0 = Instant::now();
-            let mut seen = 0.0;
-            while t0.elapsed() < Duration::from_secs(10) {
-                let stats = client.stats().map_err(io)?;
-                seen = stat(&stats, Counter::DisconnectCancels.name());
-                if seen > 0.0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            seen
-        };
         // Server-side scrape: every interactive burst above is finished,
         // so the daemon's per-class `job_ms` histogram holds the same
         // population the client just timed — the cross-check gate below
@@ -390,6 +380,23 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         let prom_ok = scraped
             .str_field("prometheus")
             .is_some_and(|p| p.contains("spicier_serve_job_ms_bucket"));
+        // Drop-client chaos: send a run request, slam the socket, then
+        // confirm the daemon counted a disconnect cancellation.
+        let mut dropper = Client::connect(&addr).map_err(io)?;
+        let _ = chaos::with_drop_client(|| dropper.run("chaos", DROP_PROBE_DECK, Some(10_000)));
+        let disconnects = {
+            let t0 = Instant::now();
+            let mut seen = 0.0;
+            while t0.elapsed() < Duration::from_secs(10) {
+                let stats = client.stats().map_err(io)?;
+                seen = stat(&stats, Counter::DisconnectCancels.name());
+                if seen > 0.0 {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            seen
+        };
         let _ = client.cancel("mix/long");
         drain_and_wait(&mut daemon);
         latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -406,10 +413,8 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
     let p50 = percentile(&latencies_ms, 0.50);
     let p99 = percentile(&latencies_ms, 0.99);
     // Agreement: the daemon's histogram quantile reports a bucket upper
-    // bound and its `job_ms` tail also covers the cancelled drop-client
-    // probe (disconnect-detection delay included), which the client-side burst
-    // sample never sees — so the gate is a sanity band, not an equality:
-    // within 50 ms absolute or a factor of three both ways. That still
+    // bound, so the gate is a sanity band, not an equality: within 50 ms
+    // absolute or a factor of three both ways. That still
     // catches unit mistakes (ms vs s vs µs) and double-counted spans.
     let p99_agreement = f64::from(
         (server_p99 - p99).abs() <= 50.0 || (server_p99 <= 3.0 * p99 && p99 <= 3.0 * server_p99),
@@ -760,6 +765,11 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         report.failures.push(format!(
             "interactive p99 {p99:.1} ms exceeds gate {P99_GATE_MS:.1} ms"
         ));
+    }
+    if disconnects < 1.0 {
+        report
+            .failures
+            .push("drop-client probe never registered a disconnect cancellation".into());
     }
     if !slowloris_ok {
         report

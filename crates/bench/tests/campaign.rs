@@ -131,12 +131,14 @@ fn stale_input_hash_forces_a_rerun() {
 
 #[test]
 fn input_that_selects_nothing_is_rejected_before_anything_runs() {
-    // A malformed kill count is rejected too: read as unset, it would run
-    // the campaign through without the kill the drill asked for.
+    // A malformed kill count or corner deadline is rejected too: read as
+    // unset, it would run the campaign through without the kill or the
+    // deadline it was asked for.
     for (name, envs) in [
         ("unknown_only", [("EXP_ONLY", "FIG4,TABLE1")]),
         ("unknown_scale", [("EXP_SCALE", "quik")]),
         ("malformed_kill", [("CHAOS_KILL_AFTER_EXPERIMENTS", "one")]),
+        ("malformed_deadline", [("EXP_CORNER_DEADLINE_MS", "soon")]),
     ] {
         let dir = fresh_dir(name);
         let out = run_campaign(&dir, &[], &envs);

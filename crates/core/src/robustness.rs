@@ -5,19 +5,20 @@
 //! adjusted as a function of the cells speed/power combination which is
 //! determined by the gate current source". This module quantifies that:
 //!
-//! * [`speed_power_study`] sweeps the gate tail current (the paper's
-//!   speed/power knob) and reports the detector's clean/faulty margins;
-//! * [`monte_carlo_study`] perturbs process parameters (±σ on resistors,
-//!   capacitors, saturation current) and reports how often a fixed
-//!   detector design still classifies a healthy gate as healthy and a
-//!   defective gate as defective.
+//! * the speed/power sweep of [`robustness_study`] steps the gate tail
+//!   current (the paper's speed/power knob) and reports the detector's
+//!   clean/faulty margins;
+//! * its Monte-Carlo study perturbs process parameters (±σ on
+//!   resistors, capacitors, saturation current) and reports how often a
+//!   fixed detector design still classifies a healthy gate as healthy
+//!   and a defective gate as defective.
 
 use crate::decision::characterize_hysteresis;
 use crate::detector::Variant3;
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use faults::Defect;
 use spicier::analysis::dc::{operating_point, DcOptions};
-use spicier::analysis::sweep::{par_try_map, SweepFailure, TryMapOptions};
+use spicier::analysis::sweep::{par_try_map, SweepFailure, SweepReport, TryMapOptions};
 use spicier::Error;
 use xrand::StdRng;
 
@@ -80,26 +81,6 @@ fn margins_for(
         fault_margin: band.fail_below - vout_faulty,
         escalated: clean_escalated || faulty_escalated,
     })
-}
-
-/// Sweeps the gate tail current (speed/power knob) with a *fixed* detector
-/// design and reports the classification margins at each setting.
-///
-/// # Errors
-///
-/// Propagates construction/convergence failures.
-pub fn speed_power_study(
-    itails: &[f64],
-    config: &Variant3,
-    pipe_ohms: f64,
-) -> Result<Vec<DetectorMargins>, Error> {
-    itails
-        .iter()
-        .map(|&itail| {
-            let process = CmlProcess::paper().with_itail(itail);
-            margins_for(&process, config, pipe_ohms)
-        })
-        .collect()
 }
 
 /// Parameters of the Monte-Carlo process perturbation (relative 1σ).
@@ -201,61 +182,63 @@ fn sample_seed(seed: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the Monte-Carlo robustness study for a fixed detector design.
+/// Runs both robustness studies for a fixed detector design as one task
+/// list on the sweep workers:
 ///
-/// Fault-isolated: a sample that fails to converge counts against the
-/// yield and is recorded in [`MonteCarloReport::failed_samples`] with its
-/// error text — it never aborts the study. Samples that only converged
-/// via a recovery rung are tallied in [`MonteCarloReport::escalated`].
+/// * the speed/power sweep: the classification margins at each gate tail
+///   current in `itails`;
+/// * the Monte-Carlo study over `samples` process draws. It is
+///   fault-isolated: a sample that fails to converge counts against the
+///   yield and is recorded in [`MonteCarloReport::failed_samples`] with
+///   its error text — it never aborts the study. Samples that only
+///   converged via a recovery rung are tallied in
+///   [`MonteCarloReport::escalated`].
 ///
-/// # Errors
-///
-/// Infallible today; the `Result` is kept so callers don't churn if a
-/// structural failure mode (e.g. a broken detector config) is added.
-pub fn monte_carlo_study(
-    samples: usize,
-    seed: u64,
-    variation: &VariationModel,
-    config: &Variant3,
-    pipe_ohms: f64,
-) -> Result<MonteCarloReport, Error> {
-    monte_carlo_study_with(
-        samples,
-        seed,
-        variation,
-        config,
-        pipe_ohms,
-        &TryMapOptions::default(),
-    )
-}
-
-/// [`monte_carlo_study`] with sweep options: a per-sample wall-clock
-/// deadline ([`TryMapOptions::corner_deadline`], surfaced in
-/// [`MonteCarloReport::failed_samples`] as a timeout) and a worker-count
-/// cap.
-///
-/// Samples run in parallel, but each sample's process draw comes from its
-/// own RNG seeded by `(seed, sample index)`, so the report is **identical
-/// for any worker count** — the determinism regression tests pin
-/// [`TryMapOptions::max_workers`] to 1 and 4 and compare reports.
+/// `opts` sets a per-corner wall-clock deadline
+/// ([`TryMapOptions::corner_deadline`], surfaced for a sample as a
+/// timeout in `failed_samples`) and a worker-count cap. Each sample's
+/// process draw comes from its own RNG seeded by `(seed, sample index)`,
+/// so both results are **identical for any worker count** — the
+/// determinism regression tests pin [`TryMapOptions::max_workers`] to 1
+/// and 4 and compare them.
 ///
 /// # Errors
 ///
-/// Infallible today; see [`monte_carlo_study`].
-pub fn monte_carlo_study_with(
+/// The first failed speed/power point in `itails` order.
+pub fn robustness_study(
+    itails: &[f64],
     samples: usize,
     seed: u64,
     variation: &VariationModel,
     config: &Variant3,
     pipe_ohms: f64,
     opts: &TryMapOptions,
-) -> Result<MonteCarloReport, Error> {
-    let indices: Vec<usize> = (0..samples).collect();
-    let (slots, report) = par_try_map(indices, opts, |&k| {
-        let mut rng = StdRng::seed_from_u64(sample_seed(seed, k as u64));
-        let process = sample_process(&mut rng, variation);
-        margins_for(&process, config, pipe_ohms)
+) -> Result<(Vec<DetectorMargins>, MonteCarloReport), Error> {
+    let process_of = |&corner: &Corner| match corner {
+        Corner::Itail(itail) => CmlProcess::paper().with_itail(itail),
+        Corner::Sample(k) => {
+            let mut rng = StdRng::seed_from_u64(sample_seed(seed, k as u64));
+            sample_process(&mut rng, variation)
+        }
+    };
+    let corners: Vec<Corner> = (itails.iter().map(|&itail| Corner::Itail(itail)))
+        .chain((0..samples).map(Corner::Sample))
+        .collect();
+    let (mut slots, report) = par_try_map(corners, opts, |corner| {
+        margins_for(&process_of(corner), config, pipe_ohms)
     });
+    let n_itails = itails.len();
+    let (fatal, sampled): (Vec<_>, Vec<_>) = report
+        .failures
+        .into_iter()
+        .partition(|f| f.index < n_itails);
+    SweepReport {
+        failures: fatal,
+        ..report
+    }
+    .into_result()?;
+    let drawn = slots.split_off(n_itails);
+    let speed_power = slots.into_iter().flatten().collect();
 
     // Fold in slot (= sample) order so the min-reductions and counters are
     // reproducible bit-for-bit regardless of completion order.
@@ -264,7 +247,7 @@ pub fn monte_carlo_study_with(
     let mut escalated = 0usize;
     let mut worst_clean = f64::INFINITY;
     let mut worst_fault = f64::INFINITY;
-    for m in slots.into_iter().flatten() {
+    for m in drawn.into_iter().flatten() {
         if m.classifies_correctly() {
             passing += 1;
         }
@@ -277,20 +260,18 @@ pub fn monte_carlo_study_with(
     }
     // Non-convergent (or timed-out) corners: counted as failing, but kept
     // on the record so a low yield can be told apart from a broken study.
-    let mut failed_samples: Vec<(usize, String)> = report
-        .failures
+    let failed_samples: Vec<(usize, String)> = sampled
         .iter()
         .map(|f| {
             let text = match &f.failure {
                 SweepFailure::Solver(e) => e.to_string(),
                 other => other.to_string(),
             };
-            (f.index, text)
+            (f.index - n_itails, text)
         })
         .collect();
-    failed_samples.sort_by_key(|&(k, _)| k);
 
-    Ok(MonteCarloReport {
+    let monte_carlo = MonteCarloReport {
         samples,
         passing,
         worst_clean_headroom: worst_clean,
@@ -298,12 +279,41 @@ pub fn monte_carlo_study_with(
         margins,
         failed_samples,
         escalated,
-    })
+    };
+    Ok((speed_power, monte_carlo))
+}
+
+/// One corner of [`robustness_study`]: a speed/power setting or a
+/// Monte-Carlo draw.
+#[derive(Debug, Clone, Copy)]
+enum Corner {
+    Itail(f64),
+    Sample(usize),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper design's study with a 2 kΩ pipe and default options.
+    fn study(
+        itails: &[f64],
+        samples: usize,
+        seed: u64,
+    ) -> (Vec<DetectorMargins>, MonteCarloReport) {
+        let variation = VariationModel::default();
+        let opts = TryMapOptions::default();
+        robustness_study(
+            itails,
+            samples,
+            seed,
+            &variation,
+            &Variant3::paper(),
+            2.0e3,
+            &opts,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn nominal_design_classifies_correctly() {
@@ -320,8 +330,7 @@ mod tests {
     fn speed_power_sweep_shows_the_tuning_need() {
         // A detector designed for 0.4 mA gates: margins move as the gate
         // current scales — the §6.3 adjustment warning.
-        let margins =
-            speed_power_study(&[0.2e-3, 0.4e-3, 0.8e-3], &Variant3::paper(), 2.0e3).unwrap();
+        let (margins, _) = study(&[0.2e-3, 0.4e-3, 0.8e-3], 0, 0);
         assert_eq!(margins.len(), 3);
         // Nominal works.
         assert!(margins[1].classifies_correctly());
@@ -341,14 +350,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_yield_is_high_and_deterministic() {
-        let report = monte_carlo_study(
-            12,
-            42,
-            &VariationModel::default(),
-            &Variant3::paper(),
-            2.0e3,
-        )
-        .unwrap();
+        let (_, report) = study(&[], 12, 42);
         assert_eq!(report.samples, 12);
         assert!(
             report.yield_fraction() >= 0.75,
@@ -357,14 +359,7 @@ mod tests {
             report.margins
         );
         // Deterministic for a fixed seed.
-        let again = monte_carlo_study(
-            12,
-            42,
-            &VariationModel::default(),
-            &Variant3::paper(),
-            2.0e3,
-        )
-        .unwrap();
+        let (_, again) = study(&[], 12, 42);
         assert_eq!(report.passing, again.passing);
         assert_eq!(report.margins.len(), again.margins.len());
         // Health bookkeeping: every sample is accounted for, and the
@@ -384,11 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_is_identical_for_any_worker_count() {
+    fn study_is_identical_for_any_worker_count() {
         // The determinism regression: per-sample RNG is pinned to the
         // sample index, so 1 worker and 4 workers must agree bit-for-bit.
         let run = |workers: usize| {
-            monte_carlo_study_with(
+            robustness_study(
+                &[0.3e-3, 0.5e-3],
                 6,
                 7,
                 &VariationModel::default(),

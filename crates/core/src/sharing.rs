@@ -94,15 +94,6 @@ impl SharedDetector {
         Ok((handle, circuit))
     }
 
-    /// Measures the fault-free droop curve for each N in `ns` (Figure 14).
-    ///
-    /// # Errors
-    ///
-    /// Propagates failures from any point.
-    pub fn fault_free_droop(&self, ns: &[usize]) -> Result<Vec<SharingPoint>, Error> {
-        ns.iter().map(|&n| self.measure(n, None)).collect()
-    }
-
     /// The largest N whose fault-free `vout` still clears
     /// `band.pass_above` — the paper's safe-sharing criterion ("vout
     /// exceeds the highest voltage of the hysteresis curve, which is
@@ -148,7 +139,10 @@ mod tests {
     #[test]
     fn vout_droops_monotonically_with_n() {
         let exp = experiment();
-        let points = exp.fault_free_droop(&[1, 5, 10, 20]).unwrap();
+        let points: Vec<SharingPoint> = [1, 5, 10, 20]
+            .iter()
+            .map(|&n| exp.measure(n, None).unwrap())
+            .collect();
         for w in points.windows(2) {
             assert!(
                 w[1].vout < w[0].vout + 1e-6,

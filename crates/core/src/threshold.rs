@@ -71,61 +71,59 @@ impl Default for SweepOptions {
 }
 
 /// Builds a 3-buffer chain (driver, DUT, load), optionally plants a pipe
-/// on the DUT's Q3, and measures:
+/// on the DUT's Q3 and attaches `det` to the DUT's output, and returns
+/// the compiled circuit, the DUT's output pair and the detector.
+fn sweep_chain(
+    det: Option<&AnyDetector>,
+    pipe_ohms: Option<f64>,
+    opts: &SweepOptions,
+) -> Result<(spicier::Circuit, DiffPair, Option<DetectorHandle>), Error> {
+    let mut b = CmlCircuitBuilder::new(CmlProcess::paper());
+    let input = b.diff("a");
+    b.drive_differential("a", input, opts.freq)?;
+    let chain = b.buffer_chain(&["X1", "DUT", "X2"], input)?;
+    let dut_out = chain.cells[1].output;
+    let handle = det
+        .map(|det| det.attach(&mut b, "DET", dut_out))
+        .transpose()?;
+    let mut nl = b.finish();
+    if let Some(ohms) = pipe_ohms {
+        Defect::pipe("DUT.Q3", ohms).inject(&mut nl)?;
+    }
+    Ok((nl.compile()?, dut_out, handle))
+}
+
+/// One transient of a pipe sweep, with what it measures:
 ///
-/// * the defect-induced **amplitude** on a detector-free twin circuit
-///   (the paper's Figure 5 characterizes the bare chain — a variant-2
-///   detector in test mode clamps large excursions and would corrupt the
-///   amplitude axis);
-/// * the settled detector output `vout` with `det` attached.
+/// * `det: None` — the defect-induced **amplitude** (swing) at the DUT
+///   output of the detector-free "bare" chain (the paper's Figure 5
+///   characterizes the bare chain — a variant-2 detector in test mode
+///   clamps large excursions and would corrupt the amplitude axis);
+/// * `det: Some(_)` — the settled detector output `vout` with the
+///   detector attached.
 ///
 /// # Errors
 ///
 /// Propagates construction/convergence failures.
-pub fn measure_point(
-    det: &AnyDetector,
+fn measure(
+    det: Option<&AnyDetector>,
     pipe_ohms: Option<f64>,
     opts: &SweepOptions,
-) -> Result<SweepPoint, Error> {
-    let build =
-        |attach: bool| -> Result<(spicier::Circuit, DiffPair, Option<DetectorHandle>), Error> {
-            let mut b = CmlCircuitBuilder::new(CmlProcess::paper());
-            let input = b.diff("a");
-            b.drive_differential("a", input, opts.freq)?;
-            let chain = b.buffer_chain(&["X1", "DUT", "X2"], input)?;
-            let dut = &chain.cells[1];
-            let dut_out = dut.output;
-            let handle = if attach {
-                Some(det.attach(&mut b, "DET", dut_out)?)
-            } else {
-                None
-            };
-            let mut nl = b.finish();
-            if let Some(ohms) = pipe_ohms {
-                Defect::pipe("DUT.Q3", ohms).inject(&mut nl)?;
-            }
-            Ok((nl.compile()?, dut_out, handle))
-        };
-
-    // Amplitude on the bare chain.
-    let (bare, dut_out, _) = build(false)?;
-    let (res, t_end) = run_or_salvage(&bare, opts)?;
-    let w_out = waveform_of(&res, dut_out.p).map_err(to_spicier_err)?;
-    let t0 = 0.6 * t_end;
-    let stats = LevelStats::measure(&w_out, t0, t_end);
-
-    // Detector response with the detector attached.
-    let (instrumented, _, handle) = build(true)?;
-    let handle = handle.expect("detector attached");
-    let (res, t_end) = run_or_salvage(&instrumented, opts)?;
-    let w_det = waveform_of(&res, handle.vout).map_err(to_spicier_err)?;
-    // Settled detector output: mean of the final 10% (averages the ripple).
-    let vout = w_det.mean_in(0.9 * t_end, t_end);
-    Ok(SweepPoint {
-        pipe_ohms: pipe_ohms.unwrap_or(f64::INFINITY),
-        amplitude: stats.swing(),
-        vout,
-    })
+) -> Result<f64, Error> {
+    let (circuit, dut_out, handle) = sweep_chain(det, pipe_ohms, opts)?;
+    let (res, t_end) = run_or_salvage(&circuit, opts)?;
+    match handle {
+        None => {
+            let w_out = waveform_of(&res, dut_out.p).map_err(to_spicier_err)?;
+            Ok(LevelStats::measure(&w_out, 0.6 * t_end, t_end).swing())
+        }
+        Some(handle) => {
+            let w_det = waveform_of(&res, handle.vout).map_err(to_spicier_err)?;
+            // Settled detector output: mean of the final 10% (averages the
+            // ripple).
+            Ok(w_det.mean_in(0.9 * t_end, t_end))
+        }
+    }
 }
 
 fn to_spicier_err(e: waveform::WaveformError) -> Error {
@@ -152,25 +150,62 @@ fn run_or_salvage(
     }
 }
 
-/// Sweeps pipe resistances (plus the fault-free baseline, returned first),
-/// one point per sweep worker.
+/// Sweeps pipe resistances (plus the fault-free baseline, returned first)
+/// for each detector in `dets`, returning one list of points per detector.
+///
+/// The amplitude of a point does not depend on the detector, so each
+/// bare chain is simulated once and shared. Every bare and instrumented
+/// transient is one task on the sweep workers.
 ///
 /// # Errors
 ///
-/// The first failed point's error, in sweep order.
+/// The first failed transient's error in the order a detector-by-detector
+/// sweep meets them: the first detector's points in sweep order, each bare
+/// chain before its instrumented twin, then each further detector's
+/// instrumented points.
 pub fn pipe_sweep(
-    det: &AnyDetector,
+    dets: &[AnyDetector],
     pipes: &[f64],
     opts: &SweepOptions,
-) -> Result<Vec<SweepPoint>, Error> {
+) -> Result<Vec<Vec<SweepPoint>>, Error> {
     let points: Vec<Option<f64>> = std::iter::once(None)
         .chain(pipes.iter().copied().map(Some))
         .collect();
-    let (slots, report) = par_try_map(points, &TryMapOptions::default(), |&pipe| {
-        measure_point(det, pipe, opts)
+    // `(detector, pipe)`; a `None` detector is the bare chain.
+    let mut runs: Vec<(Option<&AnyDetector>, Option<f64>)> = Vec::new();
+    for (k, det) in dets.iter().enumerate() {
+        for &pipe in &points {
+            if k == 0 {
+                runs.push((None, pipe));
+            }
+            runs.push((Some(det), pipe));
+        }
+    }
+    let (slots, report) = par_try_map(runs, &TryMapOptions::default(), |&(det, pipe)| {
+        measure(det, pipe, opts)
     });
     report.into_result()?;
-    Ok(slots.into_iter().flatten().collect())
+    // Readings arrive in `runs` order: bare and first-detector readings
+    // interleaved, then each further detector's.
+    let mut readings = slots.into_iter().flatten();
+    let mut next = || readings.next().expect("every transient succeeded");
+    let mut amplitudes = Vec::with_capacity(points.len());
+    let mut sweeps = Vec::with_capacity(dets.len());
+    for k in 0..dets.len() {
+        let mut sweep = Vec::with_capacity(points.len());
+        for (i, pipe) in points.iter().enumerate() {
+            if k == 0 {
+                amplitudes.push(next());
+            }
+            sweep.push(SweepPoint {
+                pipe_ohms: pipe.unwrap_or(f64::INFINITY),
+                amplitude: amplitudes[i],
+                vout: next(),
+            });
+        }
+        sweeps.push(sweep);
+    }
+    Ok(sweeps)
 }
 
 /// The smallest amplitude the detector flags, given that a reading counts
@@ -217,7 +252,7 @@ mod tests {
         let det = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
         let expired = spicier::CancelToken::with_deadline(std::time::Duration::ZERO);
         let err = spicier::analysis::with_corner_token(&expired, || {
-            measure_point(&det, None, &fast_opts())
+            measure(Some(&det), None, &fast_opts())
         })
         .unwrap_err();
         assert!(err.is_deadline_exceeded(), "{err}");
@@ -226,7 +261,9 @@ mod tests {
     #[test]
     fn amplitude_grows_as_pipe_shrinks() {
         let det = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
-        let points = pipe_sweep(&det, &[5.0e3, 2.0e3], &fast_opts()).unwrap();
+        let points = pipe_sweep(&[det], &[5.0e3, 2.0e3], &fast_opts())
+            .unwrap()
+            .remove(0);
         assert_eq!(points.len(), 3);
         let base = points[0].amplitude;
         assert!(points[1].amplitude > base + 0.1); // 5 kΩ
@@ -239,11 +276,11 @@ mod tests {
         let pipes = [5.0e3, 4.0e3, 3.0e3, 2.0e3, 1.0e3];
         let v1 = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
         let v2 = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
-        let p1 = pipe_sweep(&v1, &pipes, &opts).unwrap();
-        let p2 = pipe_sweep(&v2, &pipes, &opts).unwrap();
+        let both = pipe_sweep(&[v1, v2], &pipes, &opts).unwrap();
+        let (p1, p2) = (&both[0], &both[1]);
         let min_drop = 0.15;
-        let a1 = detectable_amplitude(&p1, min_drop).expect("v1 detects something");
-        let a2 = detectable_amplitude(&p2, min_drop).expect("v2 detects something");
+        let a1 = detectable_amplitude(p1, min_drop).expect("v1 detects something");
+        let a2 = detectable_amplitude(p2, min_drop).expect("v2 detects something");
         assert!(
             a2 < a1,
             "variant 2 should detect smaller amplitudes: v1 {a1:.3} V, v2 {a2:.3} V"
@@ -252,6 +289,25 @@ mod tests {
         // only fires on large excursions, v2 on moderate ones.
         assert!((0.5..1.0).contains(&a1), "v1 threshold {a1}");
         assert!((0.25..0.6).contains(&a2), "v2 threshold {a2}");
+    }
+
+    #[test]
+    fn shared_bare_chains_change_no_bit() {
+        let opts = fast_opts();
+        let pipes = [4.0e3, 2.0e3];
+        let v1 = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
+        let v2 = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
+        let bits = |sweeps: Vec<Vec<SweepPoint>>| -> Vec<[u64; 3]> {
+            sweeps
+                .iter()
+                .flatten()
+                .map(|p| [p.pipe_ohms, p.amplitude, p.vout].map(f64::to_bits))
+                .collect()
+        };
+        let both = bits(pipe_sweep(&[v1, v2], &pipes, &opts).unwrap());
+        let mut apart = bits(pipe_sweep(&[v1], &pipes, &opts).unwrap());
+        apart.extend(bits(pipe_sweep(&[v2], &pipes, &opts).unwrap()));
+        assert_eq!(both, apart);
     }
 
     #[test]

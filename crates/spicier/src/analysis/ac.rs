@@ -185,7 +185,8 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
 
     // 2. Operating point, and G and C linearized there.
     let mut ws = SolveWorkspace::for_circuit(circuit);
-    let x_op = dc::operating_point_with(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
+    let (x_op, op) =
+        dc::recover_operating_point(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
     let mut quality = ws.solver.last_quality();
     let (g, c) = linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
 
@@ -219,6 +220,8 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
     let summary = TelemetrySummary {
         analyses: 1,
         wall: started.elapsed(),
+        newton_iterations: op.total_iterations() as u64,
+        rung_iterations: op.rung_iterations(),
         lu: ws.solver.stats(),
         worst_backward_error: Some(quality.backward_error),
         ..TelemetrySummary::default()

@@ -107,6 +107,16 @@ impl ConvergenceReport {
         !matches!(self.succeeded, Some(RecoveryRung::Newton))
     }
 
+    /// Newton iterations per rung, in ladder order, labelled as
+    /// [`TelemetrySummary::rung_iterations`] labels them.
+    #[must_use]
+    pub fn rung_iterations(&self) -> Vec<(String, u64)> {
+        self.attempts
+            .iter()
+            .map(|a| (a.rung.label().to_string(), a.iterations as u64))
+            .collect()
+    }
+
     /// Name of the worst-residual node in `circuit`, when it is a node
     /// voltage (branch-current unknowns return `None`).
     #[must_use]
@@ -448,27 +458,11 @@ fn dc_summary(
         analyses: 1,
         wall,
         newton_iterations: report.total_iterations() as u64,
-        rung_iterations: report
-            .attempts
-            .iter()
-            .map(|a| (a.rung.label().to_string(), a.iterations as u64))
-            .collect(),
+        rung_iterations: report.rung_iterations(),
         lu,
         worst_backward_error: Some(quality.backward_error),
         ..TelemetrySummary::default()
     }
-}
-
-/// Operating point reusing an existing assembler (so transient can keep the
-/// junction-limiting state it seeds). Discards the convergence report.
-pub(crate) fn operating_point_with(
-    circuit: &Circuit,
-    opts: &DcOptions,
-    assembler: &mut Assembler<'_>,
-    ws: &mut SolveWorkspace,
-    tracker: &mut BudgetTracker,
-) -> Result<Vec<f64>, Error> {
-    recover_operating_point(circuit, opts, assembler, ws, tracker).map(|(x, _)| x)
 }
 
 /// One rung of the recovery ladder: attempts a full solve, returning the

@@ -138,7 +138,8 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
     // Operating point (bias-dependent shot noise).
     let mut assembler = Assembler::new(circuit);
     let mut ws = SolveWorkspace::for_circuit(circuit);
-    let x_op = dc::operating_point_with(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
+    let (x_op, op) =
+        dc::recover_operating_point(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
     let mut quality = ws.solver.last_quality();
     let v_of = |node: NodeId| -> f64 {
         match node.unknown() {
@@ -235,6 +236,8 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
     let summary = TelemetrySummary {
         analyses: 1,
         wall: started.elapsed(),
+        newton_iterations: op.total_iterations() as u64,
+        rung_iterations: op.rung_iterations(),
         lu: ws.solver.stats(),
         worst_backward_error: Some(quality.backward_error),
         ..TelemetrySummary::default()

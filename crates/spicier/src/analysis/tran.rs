@@ -285,7 +285,9 @@ impl TranResult {
         self.rejected_steps
     }
 
-    /// Total Newton iterations across the run (performance diagnostic).
+    /// Total Newton iterations across the run, the initial operating
+    /// point's and those of steps whose Newton failed included
+    /// (performance diagnostic).
     pub fn newton_iterations(&self) -> usize {
         self.newton_iterations
     }
@@ -690,6 +692,8 @@ struct Stepper<'a> {
     /// Salvage: retry a failed trapezoidal step with backward Euler.
     be_retry: bool,
     result: TranResult,
+    /// The initial operating point's Newton iterations per ladder rung.
+    op_rungs: Vec<(String, u64)>,
     started: Instant,
     lu_before: LuStats,
     _span: telemetry::Span,
@@ -712,7 +716,8 @@ impl<'a> Stepper<'a> {
         let mut tracker = BudgetTracker::new(&opts.budget, Phase::Transient);
 
         // Initial operating point with sources at t = 0.
-        let mut x = dc::operating_point_with(circuit, &opts.dc, &mut assembler, ws, &mut tracker)?;
+        let (mut x, op) =
+            dc::recover_operating_point(circuit, &opts.dc, &mut assembler, ws, &mut tracker)?;
         // Apply .IC overrides before charge initialization so capacitors start
         // from the forced voltages.
         for &(node, volts) in &opts.initial_voltages {
@@ -740,7 +745,7 @@ impl<'a> Stepper<'a> {
                 nodes,
                 accepted_steps: 0,
                 rejected_steps: 0,
-                newton_iterations: 0,
+                newton_iterations: op.total_iterations(),
                 replicated_periods: 0,
                 extrapolated_periods: 0,
                 replicated_samples: 0,
@@ -748,6 +753,7 @@ impl<'a> Stepper<'a> {
                 quality: ws.solver.last_quality(),
                 telemetry: TelemetrySummary::default(),
             },
+            op_rungs: op.rung_iterations(),
             opts,
             ws,
             assembler,
@@ -905,6 +911,9 @@ impl<'a> Stepper<'a> {
             Err(err) if err.is_non_retriable() => self.fail(err),
             Err(err) => {
                 result.rejected_steps += 1;
+                if let Error::DcNoConvergence { iterations, .. } = err {
+                    result.newton_iterations += iterations;
+                }
                 // Salvage rung 1: a trapezoidal step that Newton rejects is
                 // often rescued by backward Euler at the *same* size (no
                 // trap ringing, heavier damping). Try that once before
@@ -1071,13 +1080,13 @@ impl<'a> Stepper<'a> {
             analyses: 1,
             wall: self.started.elapsed(),
             newton_iterations: result.newton_iterations as u64,
+            rung_iterations: self.op_rungs,
             accepted_steps: result.accepted_steps as u64,
             rejected_steps: result.rejected_steps as u64,
             replicated_periods: result.replicated_periods as u64,
             extrapolated_periods: result.extrapolated_periods as u64,
             lu: self.ws.solver.stats().delta_since(&self.lu_before),
             worst_backward_error: Some(result.quality.backward_error),
-            ..TelemetrySummary::default()
         };
         telemetry::record_summary(&result.telemetry);
         result

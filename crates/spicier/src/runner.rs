@@ -166,6 +166,24 @@ mod tests {
     }
 
     #[test]
+    fn tran_counts_its_operating_point() {
+        let deck = |card: &str| {
+            format!(
+                "diode rc\nV1 in 0 PULSE(0 1 0 1n 1n 10n 20n)\nR1 in a 1k\nD1 a out DX\n\
+                 C1 out 0 1n\n.model DX D (IS=1e-14)\n{card}\n.end\n"
+            )
+        };
+        let (_, op) = run_deck(&deck(".op")).unwrap();
+        let (_, tran) = run_deck(&deck(".tran 1n 40n")).unwrap();
+        assert!(!tran.rung_iterations.is_empty(), "{tran:?}");
+        assert_eq!(tran.rung_iterations, op.rung_iterations);
+        // Each Newton iteration is one LU solve, the operating point's
+        // included.
+        assert!(op.newton_iterations > 0);
+        assert_eq!(tran.newton_iterations, tran.lu.solves as u64, "{tran:?}");
+    }
+
+    #[test]
     fn runs_tran_with_ic() {
         let report = run_deck(
             "rc\nV1 in 0 1.0\nR1 in out 1k\nC1 out 0 1n\n.ic V(out)=0.5\n.tran 10n 3u\n.end\n",

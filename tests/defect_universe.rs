@@ -61,15 +61,20 @@ fn run_universe() -> (f64, Vec<Outcome>) {
     assert!(defects.len() >= 10, "universe size {}", defects.len());
 
     let mut outcomes = Vec::new();
+    // Every defect must compile and converge: one that does not is named
+    // here, never skipped.
+    let mut failed = Vec::new();
     for defect in &defects {
         let (nl, det, dut_out, final_out2) = build(Some(defect));
-        let circuit = match nl.compile() {
-            Ok(c) => c,
-            Err(_) => continue, // an open can legitimately strand a node
-        };
-        let res = match transient(&circuit, &TranOptions::new(t_stop)) {
+        let simulated = nl
+            .compile()
+            .and_then(|circuit| transient(&circuit, &TranOptions::new(t_stop)));
+        let res = match simulated {
             Ok(r) => r,
-            Err(_) => continue, // some shorts defy convergence; skip
+            Err(e) => {
+                failed.push(format!("{}: {e}", defect.label()));
+                continue;
+            }
         };
         let vout = waveform_of(&res, det.vout)
             .unwrap()
@@ -94,6 +99,12 @@ fn run_universe() -> (f64, Vec<Outcome>) {
             excessive_low: min_low < p.vlow() - 0.15,
         });
     }
+    assert!(
+        failed.is_empty(),
+        "{} defect(s) failed to simulate:\n{}",
+        failed.len(),
+        failed.join("\n")
+    );
     let _ = final_out;
     (base_vout, outcomes)
 }
