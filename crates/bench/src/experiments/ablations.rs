@@ -11,6 +11,7 @@
 //! [`run`] runs every analysis of the four as one task list on the sweep
 //! workers.
 
+use super::common::try_map_options;
 use super::fig7::detector_response;
 use super::report::{print_table, v, write_rows_csv};
 use crate::Scale;
@@ -18,7 +19,7 @@ use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::{DetectorLoad, Variant3};
 use faults::Defect;
 use spicier::analysis::dc::{operating_point, DcOptions};
-use spicier::analysis::sweep::{par_try_map, TryMapOptions};
+use spicier::analysis::sweep::par_try_map;
 use spicier::Error;
 
 /// Load-style ablation result.
@@ -228,7 +229,7 @@ enum Reading {
 ///
 /// # Errors
 ///
-/// The first failure in [`Task`] order: the load pair, the R0 points (each
+/// The first failure in `Task` order: the load pair, the R0 points (each
 /// clean before faulty), the grading pair, then the feedback chain.
 pub fn run(scale: Scale) -> Result<AblationResult, Error> {
     let (loads, t_stop) = loads(scale);
@@ -255,7 +256,7 @@ pub fn run(scale: Scale) -> Result<AblationResult, Error> {
         Task::Grading { graded } => ring_gate_delay(graded).map(Reading::Value),
         Task::Feedback => feedback_ablation().map(Reading::Feedback),
     };
-    let (slots, mut report) = par_try_map(tasks.clone(), &TryMapOptions::default(), measure);
+    let (slots, mut report) = par_try_map(tasks.clone(), &try_map_options(), measure);
     report.failures.sort_by_key(|f| tasks[f.index]);
     report.into_result()?;
 

@@ -7,13 +7,14 @@
 //! group would dip into the hysteresis band; and a faulty member still
 //! drags `vout` below the guaranteed-fault threshold under sharing.
 
+use super::common::try_map_options;
 use super::report::{print_table, v, write_rows_csv};
 use crate::Scale;
 use cml_cells::CmlProcess;
 use cml_dft::decision::characterize_hysteresis;
 use cml_dft::sharing::{SharedDetector, SharingPoint};
 use cml_dft::{HysteresisBand, Variant3};
-use spicier::analysis::sweep::{par_try_map, TryMapOptions};
+use spicier::analysis::sweep::par_try_map;
 use spicier::Error;
 
 /// The full Figure 14 result.
@@ -110,7 +111,7 @@ pub fn run(scale: Scale) -> Result<Fig14Result, Error> {
     // longest chain, starts first and the largest N next.
     let mut parts: Vec<Part> = ns.iter().map(|&n| Part::Droop(n)).collect();
     parts.push(Part::Verdict);
-    let (slots, report) = par_try_map(parts, &TryMapOptions::default(), |part| match *part {
+    let (slots, report) = par_try_map(parts, &try_map_options(), |part| match *part {
         Part::Droop(n) => exp.measure(n, None).map(Done::Droop),
         Part::Verdict => {
             verdict(&exp, hyst_points, n_cap).map(|(band, max_safe, faulty)| Done::Verdict {

@@ -7,12 +7,12 @@
 //! completely restored both in terms of logic levels and shape" — the
 //! *healing* phenomenon that motivates the whole DFT technique.
 
-use super::common::{fig3_circuit, run_periods, wf};
+use super::common::{fig3_circuit, run_periods, try_map_options, wf};
 use super::report::{print_table, v, write_rows_csv, write_waveforms_csv};
 use super::{table1, table2};
 use crate::Scale;
 use cml_cells::BufferChain;
-use spicier::analysis::sweep::{par_try_map, TryMapOptions};
+use spicier::analysis::sweep::par_try_map;
 use spicier::analysis::tran::TranResult;
 use spicier::Error;
 use waveform::LevelStats;
@@ -44,7 +44,7 @@ pub fn simulate(scale: Scale) -> Result<ChainPair, Error> {
     };
     let (chain, clean) = fig3_circuit(freq, None)?;
     let (_, faulty) = fig3_circuit(freq, Some(4.0e3))?;
-    let (runs, report) = par_try_map(vec![clean, faulty], &TryMapOptions::default(), |c| {
+    let (runs, report) = par_try_map(vec![clean, faulty], &try_map_options(), |c| {
         run_periods(c, freq, periods)
     });
     report.into_result()?;

@@ -2,11 +2,11 @@
 //! the monitored gates' speed/power setting changes, and the Monte-Carlo
 //! yield of one fixed detector design across process variation.
 
+use super::common::try_map_options;
 use super::report::{print_table, v, write_rows_csv};
 use crate::Scale;
 use cml_dft::robustness::{robustness_study, DetectorMargins, MonteCarloReport, VariationModel};
 use cml_dft::Variant3;
-use spicier::analysis::sweep::TryMapOptions;
 use spicier::Error;
 
 /// Pipe severity used throughout the study.
@@ -39,7 +39,7 @@ pub fn run(scale: Scale) -> Result<RobustResult, Error> {
         &VariationModel::default(),
         &config,
         PIPE_OHMS,
-        &TryMapOptions::default(),
+        &try_map_options(),
     )?;
     Ok(RobustResult {
         speed_power,

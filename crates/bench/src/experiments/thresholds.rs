@@ -2,6 +2,7 @@
 //! (§6.1: 0.57 V for variant 1; §6.2: 0.35 V for variant 2 at
 //! `vtest = 3.7 V`).
 
+use super::common::try_map_options;
 use super::report::{print_table, v, write_rows_csv};
 use crate::Scale;
 use cml_dft::threshold::{detectable_amplitude, pipe_sweep, AnyDetector, SweepOptions};
@@ -48,7 +49,7 @@ pub fn run(scale: Scale) -> Result<ThresholdResult, Error> {
     };
     let v1 = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
     let v2 = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
-    let mut sweeps = pipe_sweep(&[v1, v2], &pipes, &opts)?;
+    let mut sweeps = pipe_sweep(&[v1, v2], &pipes, &opts, &try_map_options())?;
     let v2_points = sweeps.pop().expect("one sweep per detector");
     let v1_points = sweeps.pop().expect("one sweep per detector");
     let v1_threshold = detectable_amplitude(&v1_points, MIN_DROP);

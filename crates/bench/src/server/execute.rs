@@ -16,6 +16,7 @@ use crate::durable::write_atomic;
 use crate::experiments::manifest::{ExperimentRecord, Manifest};
 use spicier::analysis::budget::with_corner_token;
 use spicier::analysis::dc::sweep_vsource;
+use spicier::analysis::sweep::panic_message;
 use spicier::runner::run_deck;
 use spicier::spice::parse_deck;
 use spicier::{DcOptions, Error};
@@ -55,18 +56,6 @@ pub fn worker_loop(sched: &Arc<Scheduler>) {
                 sched.finish_job(&unit.job, Outcome::Failed(format!("panic: {msg}")));
             }
         }
-    }
-}
-
-/// Best-effort text of a panic payload (`&str` and `String` payloads
-/// cover everything `panic!` produces; anything else is opaque).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

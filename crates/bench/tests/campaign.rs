@@ -1,8 +1,9 @@
 //! Crash/resume drills for the `exp_all` campaign runner, driven through
 //! the real binary: a campaign killed mid-run and restarted with
 //! `--resume` must produce byte-identical artifacts to an uninterrupted
-//! run, and a kill between the `.tmp` write and the rename must never
-//! leave a truncated CSV behind.
+//! run, a kill between the `.tmp` write and the rename must never leave
+//! a truncated CSV behind, and a corner deadline must reach the
+//! experiments that run their analyses on the sweep workers.
 
 use cml_bench::scrub_knobs;
 use std::collections::BTreeMap;
@@ -151,4 +152,19 @@ fn input_that_selects_nothing_is_rejected_before_anything_runs() {
             "{name}: manifest written"
         );
     }
+}
+
+#[test]
+fn corner_deadline_reaches_the_pooled_experiments() {
+    // THRESH runs its transients as tasks on the sweep workers; a 1 ms
+    // slice cuts them off, and a timed-out task fails the experiment.
+    let dir = fresh_dir("thresh_deadline");
+    let out = run_campaign(
+        &dir,
+        &[],
+        &[("EXP_ONLY", "THRESH"), ("EXP_CORNER_DEADLINE_MS", "1")],
+    );
+    let log = stdout_of(&out);
+    assert_eq!(out.status.code(), Some(1), "{log}");
+    assert!(log.contains("FAILED THRESH: deadline exceeded"), "{log}");
 }

@@ -219,10 +219,10 @@ fn shared_detector_ladder_keeps_the_sparse_ordering_across_rungs() {
     assert_eq!(
         rung_digest(&sol, &events),
         [
-            "newton it=0 conv=false solves=6 fallbacks=2 fill=8.246132208",
-            "damped-newton it=0 conv=false solves=5 fallbacks=1 fill=6.870604782",
+            "newton it=6 conv=false solves=6 fallbacks=2 fill=8.246132208",
+            "damped-newton it=5 conv=false solves=5 fallbacks=1 fill=6.870604782",
             "gmin-stepping it=175 conv=false solves=175 fallbacks=72 fill=240.717299578",
-            "source-stepping it=0 conv=false solves=41 fallbacks=2 fill=56.338959212",
+            "source-stepping it=41 conv=false solves=41 fallbacks=2 fill=56.338959212",
             "pseudo-transient it=208 conv=true solves=208 fallbacks=47 fill=286.580872011",
         ]
     );

@@ -161,6 +161,30 @@ mod tests {
     }
 
     #[test]
+    fn rungs_a_singular_matrix_stops_keep_their_iterations() {
+        // At N = 21 plain and damped Newton each die on a singular matrix
+        // after some iterations; gmin stepping then converges.
+        let (_, circuit) = experiment().build(21, None).unwrap();
+        let op = operating_point(&circuit, &DcOptions::default()).unwrap();
+        let report = op.report();
+        let first = report.attempts[0];
+        assert!(
+            !first.converged && first.iterations > 0,
+            "{}",
+            report.summary()
+        );
+        // Each Newton iteration does one LU solve, and none of these
+        // solves needs refinement.
+        let t = op.telemetry();
+        assert_eq!(
+            t.newton_iterations,
+            t.lu.solves as u64,
+            "{}",
+            report.summary()
+        );
+    }
+
+    #[test]
     fn faulty_member_pulls_vout_down_under_sharing() {
         let exp = experiment();
         let clean = exp.measure(8, None).unwrap();

@@ -152,6 +152,7 @@ fn run_or_salvage(
 
 /// Sweeps pipe resistances (plus the fault-free baseline, returned first)
 /// for each detector in `dets`, returning one list of points per detector.
+/// `map` sets the sweep workers' per-task deadline and worker count.
 ///
 /// The amplitude of a point does not depend on the detector, so each
 /// bare chain is simulated once and shared. Every bare and instrumented
@@ -167,6 +168,7 @@ pub fn pipe_sweep(
     dets: &[AnyDetector],
     pipes: &[f64],
     opts: &SweepOptions,
+    map: &TryMapOptions,
 ) -> Result<Vec<Vec<SweepPoint>>, Error> {
     let points: Vec<Option<f64>> = std::iter::once(None)
         .chain(pipes.iter().copied().map(Some))
@@ -181,9 +183,7 @@ pub fn pipe_sweep(
             runs.push((Some(det), pipe));
         }
     }
-    let (slots, report) = par_try_map(runs, &TryMapOptions::default(), |&(det, pipe)| {
-        measure(det, pipe, opts)
-    });
+    let (slots, report) = par_try_map(runs, map, |&(det, pipe)| measure(det, pipe, opts));
     report.into_result()?;
     // Readings arrive in `runs` order: bare and first-detector readings
     // interleaved, then each further detector's.
@@ -261,9 +261,14 @@ mod tests {
     #[test]
     fn amplitude_grows_as_pipe_shrinks() {
         let det = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
-        let points = pipe_sweep(&[det], &[5.0e3, 2.0e3], &fast_opts())
-            .unwrap()
-            .remove(0);
+        let points = pipe_sweep(
+            &[det],
+            &[5.0e3, 2.0e3],
+            &fast_opts(),
+            &TryMapOptions::default(),
+        )
+        .unwrap()
+        .remove(0);
         assert_eq!(points.len(), 3);
         let base = points[0].amplitude;
         assert!(points[1].amplitude > base + 0.1); // 5 kΩ
@@ -276,7 +281,7 @@ mod tests {
         let pipes = [5.0e3, 4.0e3, 3.0e3, 2.0e3, 1.0e3];
         let v1 = AnyDetector::V1(Variant1::new(DetectorLoad::diode_cap(1.0e-12)));
         let v2 = AnyDetector::V2(Variant2::new(DetectorLoad::diode_cap(1.0e-12), 3.7));
-        let both = pipe_sweep(&[v1, v2], &pipes, &opts).unwrap();
+        let both = pipe_sweep(&[v1, v2], &pipes, &opts, &TryMapOptions::default()).unwrap();
         let (p1, p2) = (&both[0], &both[1]);
         let min_drop = 0.15;
         let a1 = detectable_amplitude(p1, min_drop).expect("v1 detects something");
@@ -304,9 +309,11 @@ mod tests {
                 .map(|p| [p.pipe_ohms, p.amplitude, p.vout].map(f64::to_bits))
                 .collect()
         };
-        let both = bits(pipe_sweep(&[v1, v2], &pipes, &opts).unwrap());
-        let mut apart = bits(pipe_sweep(&[v1], &pipes, &opts).unwrap());
-        apart.extend(bits(pipe_sweep(&[v2], &pipes, &opts).unwrap()));
+        let both = bits(pipe_sweep(&[v1, v2], &pipes, &opts, &TryMapOptions::default()).unwrap());
+        let mut apart = bits(pipe_sweep(&[v1], &pipes, &opts, &TryMapOptions::default()).unwrap());
+        apart.extend(bits(
+            pipe_sweep(&[v2], &pipes, &opts, &TryMapOptions::default()).unwrap(),
+        ));
         assert_eq!(both, apart);
     }
 

@@ -18,7 +18,6 @@ use crate::linalg::complex::{Complex, ComplexDenseMatrix};
 use crate::linalg::{SolveQuality, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
-use std::time::Instant;
 
 /// Options for [`ac_analysis`].
 #[derive(Debug, Clone, PartialEq)]
@@ -149,9 +148,9 @@ impl AcResult {
 /// with [`with_corner_token`](super::budget::with_corner_token) is
 /// cancelled ([`Error::DeadlineExceeded`] with phase `ac`).
 pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Error> {
-    let started = Instant::now();
     let _span = telemetry::span("ac");
-    let mut tracker = BudgetTracker::new(&RunBudget::default(), Phase::Ac);
+    let mut ws = SolveWorkspace::for_circuit(circuit);
+    let mut tracker = BudgetTracker::new(&RunBudget::default(), Phase::Ac, ws.solver.stats());
     // 1. Excitation vector: unit AC on the named source, checked before
     //    any solve.
     let dim = circuit.dim();
@@ -184,9 +183,14 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
     }
 
     // 2. Operating point, and G and C linearized there.
-    let mut ws = SolveWorkspace::for_circuit(circuit);
-    let (x_op, op) =
-        dc::recover_operating_point(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
+    let (x_op, _) = dc::recover_operating_point(
+        circuit,
+        &opts.dc,
+        &mut assembler,
+        &mut ws,
+        &mut tracker,
+        None,
+    )?;
     let mut quality = ws.solver.last_quality();
     let (g, c) = linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
 
@@ -217,16 +221,7 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
         }
         data.push(x);
     }
-    let summary = TelemetrySummary {
-        analyses: 1,
-        wall: started.elapsed(),
-        newton_iterations: op.total_iterations() as u64,
-        rung_iterations: op.rung_iterations(),
-        lu: ws.solver.stats(),
-        worst_backward_error: Some(quality.backward_error),
-        ..TelemetrySummary::default()
-    };
-    telemetry::record_summary(&summary);
+    let summary = tracker.summary(ws.solver.stats(), quality, None);
     Ok(AcResult {
         freqs: opts.freqs.clone(),
         n_nodes: circuit.node_unknowns(),

@@ -18,8 +18,24 @@
 //! [`with_corner_token`]. Sweep workers install one per corner and the
 //! daemon one per unit of work, so a deadline or a remote cancel reaches
 //! every solve inside without the closure threading anything through.
+//!
+//! The tracker is also the analysis' one cost account. It counts every
+//! Newton iteration where the iteration completes its linear solve
+//! (`dc::newton_run`), whichever caller asked for it: a ladder rung, a
+//! rung that later dies on a singular matrix, a continuation attempt, a
+//! transient step. The ladder charges each rung the account's delta over
+//! the rung. When the analysis ends, `BudgetTracker::summary` builds
+//! its [`TelemetrySummary`] from the account (wall clock and LU counters
+//! since the account opened, Newton iterations, rung tally) and records
+//! it in the process rollup. `sweep_vsource` takes one summary per point:
+//! each summary closes the current stretch of the account and opens the
+//! next.
 
+use super::dc::RecoveryRung;
+use super::tran::TranResult;
 use crate::error::Error;
+use crate::linalg::{LuStats, SolveQuality};
+use crate::telemetry::{self, TelemetrySummary};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -214,8 +230,8 @@ fn corner_token_cancelled() -> bool {
     CORNER_TOKEN.with(|t| t.borrow().as_ref().is_some_and(CancelToken::is_cancelled))
 }
 
-/// Per-call budget accounting, created at each public analysis entry
-/// point and threaded down to the Newton loops.
+/// Per-call budget and cost accounting, created at each public analysis
+/// entry point and threaded down to the Newton loops.
 #[derive(Debug)]
 pub(crate) struct BudgetTracker {
     budget: RunBudget,
@@ -227,17 +243,31 @@ pub(crate) struct BudgetTracker {
     /// caller (ladder rung index, transient time, sweep point index) and
     /// embedded in the error so failures carry partial-progress info.
     progress: f64,
+    /// The open stretch of the cost account: when it opened, the Newton
+    /// count and LU counters then, and its Newton iterations per ladder
+    /// rung so far.
+    opened: Instant,
+    newton_at_open: usize,
+    lu_at_open: LuStats,
+    rungs: Vec<(String, u64)>,
 }
 
 impl BudgetTracker {
-    pub(crate) fn new(budget: &RunBudget, phase: Phase) -> Self {
+    /// Opens the account of one analysis call; `lu` is the solver's
+    /// counters now, so the summary counts only this call's LU work.
+    pub(crate) fn new(budget: &RunBudget, phase: Phase, lu: LuStats) -> Self {
+        let started = Instant::now();
         Self {
             budget: budget.clone(),
             phase,
-            started: Instant::now(),
+            started,
             newton_iterations: 0,
             timesteps: 0,
             progress: 0.0,
+            opened: started,
+            newton_at_open: 0,
+            lu_at_open: lu,
+            rungs: Vec::new(),
         }
     }
 
@@ -251,6 +281,26 @@ impl BudgetTracker {
         self.newton_iterations += n;
     }
 
+    /// Newton iterations counted since the call started.
+    pub(crate) fn newton_iterations(&self) -> usize {
+        self.newton_iterations
+    }
+
+    /// Charges `rung` with the Newton iterations counted since the
+    /// account read `since`, and returns them.
+    pub(crate) fn charge_rung(&mut self, rung: RecoveryRung, since: usize) -> usize {
+        let spent = self.newton_iterations - since;
+        match self
+            .rungs
+            .iter_mut()
+            .find(|(label, _)| label == rung.label())
+        {
+            Some((_, total)) => *total += spent as u64,
+            None => self.rungs.push((rung.label().to_string(), spent as u64)),
+        }
+        spent
+    }
+
     /// Records one transient timestep attempt (accepted or rejected).
     pub(crate) fn count_timestep(&mut self) {
         self.timesteps += 1;
@@ -259,6 +309,37 @@ impl BudgetTracker {
     /// Updates the progress fraction carried by budget errors.
     pub(crate) fn set_progress(&mut self, progress: f64) {
         self.progress = progress.clamp(0.0, 1.0);
+    }
+
+    /// Closes the open stretch of the account into a [`TelemetrySummary`],
+    /// records it in the process rollup and opens the next stretch. `lu`
+    /// is the solver's counters now, `quality` the worst certification
+    /// the stretch saw, and `steps` the transient whose step counters it
+    /// carries.
+    pub(crate) fn summary(
+        &mut self,
+        lu: LuStats,
+        quality: SolveQuality,
+        steps: Option<&TranResult>,
+    ) -> TelemetrySummary {
+        let step = |count: fn(&TranResult) -> usize| steps.map_or(0, |r| count(r) as u64);
+        let summary = TelemetrySummary {
+            analyses: 1,
+            wall: self.opened.elapsed(),
+            newton_iterations: (self.newton_iterations - self.newton_at_open) as u64,
+            rung_iterations: std::mem::take(&mut self.rungs),
+            accepted_steps: step(TranResult::accepted_steps),
+            rejected_steps: step(TranResult::rejected_steps),
+            replicated_periods: step(TranResult::replicated_periods),
+            extrapolated_periods: step(TranResult::extrapolated_periods),
+            lu: lu.delta_since(&self.lu_at_open),
+            worst_backward_error: Some(quality.backward_error),
+        };
+        telemetry::record_summary(&summary);
+        self.opened = Instant::now();
+        self.newton_at_open = self.newton_iterations;
+        self.lu_at_open = lu;
+        summary
     }
 
     /// Checks the corner token, then both caps; `Err(DeadlineExceeded)`
@@ -282,11 +363,11 @@ impl BudgetTracker {
 
     fn exceeded(&self, limit: &str) -> Error {
         let elapsed = self.started.elapsed();
-        if crate::telemetry::enabled() {
+        if telemetry::enabled() {
             // Budget consumption at the moment the limit tripped, then
             // the trajectory dump: a DeadlineExceeded must ship with the
             // events that burned the budget.
-            crate::telemetry::event(
+            telemetry::event(
                 "budget_exceeded",
                 &[
                     ("phase", self.phase.label().into()),
@@ -297,7 +378,7 @@ impl BudgetTracker {
                     ("progress", self.progress.into()),
                 ],
             );
-            crate::telemetry::record_failure(
+            telemetry::record_failure(
                 "DeadlineExceeded",
                 &format!(
                     "{} hit {limit} after {elapsed:.1?} at progress {:.2}",
@@ -362,12 +443,17 @@ mod tests {
 
     #[test]
     fn tracker_trips_on_each_limit() {
-        let unlimited = BudgetTracker::new(&RunBudget::unlimited(), Phase::Transient);
+        let unlimited = BudgetTracker::new(
+            &RunBudget::unlimited(),
+            Phase::Transient,
+            LuStats::default(),
+        );
         assert!(unlimited.check().is_ok());
 
         let mut t = BudgetTracker::new(
             &RunBudget::unlimited().with_max_newton_iterations(2),
             Phase::DcOperatingPoint,
+            LuStats::default(),
         );
         assert!(t.check().is_ok());
         t.count_newton(2);
@@ -378,16 +464,17 @@ mod tests {
         let mut t = BudgetTracker::new(
             &RunBudget::unlimited().with_max_timesteps(1),
             Phase::Transient,
+            LuStats::default(),
         );
         t.count_timestep();
         assert!(t.check().is_err());
 
-        let t = BudgetTracker::new(&RunBudget::unlimited(), Phase::Ac);
+        let t = BudgetTracker::new(&RunBudget::unlimited(), Phase::Ac, LuStats::default());
         let expired = CancelToken::with_deadline(Duration::ZERO);
         assert!(with_corner_token(&expired, || t.check()).is_err());
 
         let cancel = CancelToken::new();
-        let t = BudgetTracker::new(&RunBudget::unlimited(), Phase::Noise);
+        let t = BudgetTracker::new(&RunBudget::unlimited(), Phase::Noise, LuStats::default());
         assert!(with_corner_token(&cancel, || t.check()).is_ok());
         cancel.cancel();
         assert!(with_corner_token(&cancel, || t.check()).is_err());
@@ -432,14 +519,16 @@ mod tests {
         assert!(corner.is_cancelled());
         // The tracker observes it through the TLS install, the way sweep
         // workers wire it.
-        let tracker = BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep);
+        let tracker =
+            BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep, LuStats::default());
         let err = with_corner_token(&corner, || tracker.check()).unwrap_err();
         assert!(err.is_deadline_exceeded());
     }
 
     #[test]
     fn corner_token_reaches_tracker_and_restores() {
-        let tracker = BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep);
+        let tracker =
+            BudgetTracker::new(&RunBudget::unlimited(), Phase::DcSweep, LuStats::default());
         let expired = CancelToken::with_deadline(Duration::ZERO);
         let inside = with_corner_token(&expired, || tracker.check());
         let err = inside.unwrap_err();

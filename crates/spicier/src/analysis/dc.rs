@@ -14,11 +14,10 @@ use super::mna::{Assembler, EvalMode, SolveWorkspace};
 use super::preflight;
 use crate::chaos;
 use crate::error::Error;
-use crate::linalg::{LuStats, SolveQuality, Solver};
+use crate::linalg::{SolveQuality, Solver};
 use crate::netlist::{Circuit, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// One rung of the DC convergence recovery ladder, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,16 +106,6 @@ impl ConvergenceReport {
         !matches!(self.succeeded, Some(RecoveryRung::Newton))
     }
 
-    /// Newton iterations per rung, in ladder order, labelled as
-    /// [`TelemetrySummary::rung_iterations`] labels them.
-    #[must_use]
-    pub fn rung_iterations(&self) -> Vec<(String, u64)> {
-        self.attempts
-            .iter()
-            .map(|a| (a.rung.label().to_string(), a.iterations as u64))
-            .collect()
-    }
-
     /// Name of the worst-residual node in `circuit`, when it is a node
     /// voltage (branch-current unknowns return `None`).
     #[must_use]
@@ -149,10 +138,13 @@ impl ConvergenceReport {
         }
     }
 
-    fn record(&mut self, rung: RecoveryRung, run: &NewtonRun) {
+    /// Records `rung`'s attempt: the `iterations` the account charged it,
+    /// and the outcome of its last Newton run (`NewtonRun::fresh` for a
+    /// rung a solver error stopped).
+    fn record(&mut self, rung: RecoveryRung, iterations: usize, run: &NewtonRun) {
         self.attempts.push(RungAttempt {
             rung,
-            iterations: run.iterations,
+            iterations,
             converged: run.converged,
             worst_residual: run.worst_delta,
         });
@@ -256,7 +248,7 @@ impl DcSolution {
 /// Diagnostics from one Newton attempt (converged or not).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NewtonRun {
-    /// Iterations spent.
+    /// Iterations spent (the budget tracker counts them too).
     pub iterations: usize,
     /// Worst unknown-change magnitude at the final iterate.
     pub worst_delta: f64,
@@ -392,8 +384,8 @@ fn newton_run(
 
 /// Runs one plain Newton–Raphson attempt from `x`, in place.
 ///
-/// Returns the number of iterations used; kept as the simple entry point
-/// the transient engine and DC sweeps use.
+/// Returns the number of iterations used: the transient engine's entry
+/// point, one call per timestep attempt.
 pub(crate) fn newton(
     assembler: &mut Assembler<'_>,
     mode: &EvalMode,
@@ -428,107 +420,98 @@ pub(crate) fn newton(
 /// or [`Error::DeadlineExceeded`] when `opts.budget` or the corner token
 /// stops it first.
 pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcSolution, Error> {
-    let started = Instant::now();
     let mut assembler = Assembler::new(circuit);
     let mut ws = SolveWorkspace::for_circuit(circuit);
-    let mut tracker = BudgetTracker::new(&opts.budget, Phase::DcOperatingPoint);
+    let mut tracker = BudgetTracker::new(&opts.budget, Phase::DcOperatingPoint, ws.solver.stats());
     let (x, report) =
-        recover_operating_point(circuit, opts, &mut assembler, &mut ws, &mut tracker)?;
-    let quality = ws.solver.last_quality();
-    let telemetry = dc_summary(started.elapsed(), &report, ws.solver.stats(), quality);
-    telemetry::record_summary(&telemetry);
-    Ok(DcSolution {
-        n_nodes: circuit.node_unknowns(),
-        x,
-        report,
-        quality,
-        telemetry,
-    })
+        recover_operating_point(circuit, opts, &mut assembler, &mut ws, &mut tracker, None)?;
+    Ok(DcSolution::close(circuit, x, report, &ws, &mut tracker))
 }
 
-/// Builds the per-solve telemetry rollup from the diagnostics the DC
-/// path already tracks (report, kernel counters, certification record).
-fn dc_summary(
-    wall: Duration,
-    report: &ConvergenceReport,
-    lu: LuStats,
-    quality: SolveQuality,
-) -> TelemetrySummary {
-    TelemetrySummary {
-        analyses: 1,
-        wall,
-        newton_iterations: report.total_iterations() as u64,
-        rung_iterations: report.rung_iterations(),
-        lu,
-        worst_backward_error: Some(quality.backward_error),
-        ..TelemetrySummary::default()
+impl DcSolution {
+    /// Wraps the operating point `x` of `circuit`, found as `report`
+    /// says, with its certification and the summary of the account's
+    /// open stretch.
+    fn close(
+        circuit: &Circuit,
+        x: Vec<f64>,
+        report: ConvergenceReport,
+        ws: &SolveWorkspace,
+        tracker: &mut BudgetTracker,
+    ) -> Self {
+        let quality = ws.solver.last_quality();
+        Self {
+            n_nodes: circuit.node_unknowns(),
+            x,
+            report,
+            quality,
+            telemetry: tracker.summary(ws.solver.stats(), quality, None),
+        }
     }
 }
 
-/// One rung of the recovery ladder: attempts a full solve, returning the
-/// candidate solution and the aggregated Newton diagnostics.
+/// One rung of the recovery ladder: attempts a full solve from the start
+/// `x`, returning the candidate solution and its last Newton run.
 type RungFn = fn(
-    &Circuit,
     &DcOptions,
     &mut Assembler<'_>,
     &mut SolveWorkspace,
     &mut BudgetTracker,
+    Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error>;
+
+/// The cold rungs, in escalation order.
+const LADDER: [(RecoveryRung, RungFn); 5] = [
+    (RecoveryRung::Newton, rung_newton),
+    (RecoveryRung::DampedNewton, rung_damped_newton),
+    (RecoveryRung::GminStepping, rung_gmin_stepping),
+    (RecoveryRung::SourceStepping, rung_source_stepping),
+    (RecoveryRung::PseudoTransient, rung_pseudo_transient),
+];
 
 /// The recovery ladder itself: runs each rung in order, recording every
 /// attempt, and returns the first converged solution with its report.
+///
+/// With a `start` (a continuation sweep's previous point), plain Newton
+/// from it goes first, recorded as a `newton` attempt; the pre-flight
+/// scan and the cold rungs run only if it fails.
 pub(crate) fn recover_operating_point(
     circuit: &Circuit,
     opts: &DcOptions,
     assembler: &mut Assembler<'_>,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
+    start: Option<&[f64]>,
 ) -> Result<(Vec<f64>, ConvergenceReport), Error> {
-    // Structural pre-flight: scan the assembled pattern once, before the
-    // first factorization, and attach the findings (named nodes, not
-    // kernel column indices) as diagnostics. Not fatal here — the gmin
-    // rungs cure DC-floating nodes.
-    let mut report = ConvergenceReport {
-        preflight: preflight::preflight(circuit).messages(),
-        ..ConvergenceReport::default()
-    };
+    let mut report = ConvergenceReport::default();
     // The most recent structural (solver) failure; returned instead of
     // `DcNoConvergence` when no rung completed a single iteration, because
     // a singular matrix — not divergence — is then the root cause.
     let mut structural: Option<Error> = None;
-
-    let rungs: [RungFn; 5] = [
-        rung_newton,
-        rung_damped_newton,
-        rung_gmin_stepping,
-        rung_source_stepping,
-        rung_pseudo_transient,
-    ];
-    let labels = [
-        RecoveryRung::Newton,
-        RecoveryRung::DampedNewton,
-        RecoveryRung::GminStepping,
-        RecoveryRung::SourceStepping,
-        RecoveryRung::PseudoTransient,
-    ];
-
-    for (i, (rung, label)) in rungs.iter().zip(labels).enumerate() {
-        if tracker.phase() == Phase::DcOperatingPoint {
-            tracker.set_progress(i as f64 / rungs.len() as f64);
-        }
+    // Runs one rung from `x`, charges it the account's delta (iterations
+    // a solver error cut short included) and returns its solution when it
+    // converged.
+    let mut attempt = |report: &mut ConvergenceReport,
+                       tracker: &mut BudgetTracker,
+                       (label, rung): (RecoveryRung, RungFn),
+                       x: Vec<f64>|
+     -> Result<Option<Vec<f64>>, Error> {
         let _rung_span = telemetry::span(label.label());
-        match rung(circuit, opts, assembler, ws, tracker) {
+        let since = tracker.newton_iterations();
+        let outcome = rung(opts, assembler, ws, tracker, x);
+        let iterations = tracker.charge_rung(label, since);
+        match outcome {
             Ok((x, run)) => {
-                report.record(label, &run);
+                report.record(label, iterations, &run);
                 if run.converged {
-                    return Ok((x, report));
+                    return Ok(Some(x));
                 }
                 if telemetry::enabled() {
                     telemetry::event(
                         "rung_failed",
                         &[
                             ("rung", label.label().into()),
-                            ("iterations", run.iterations.into()),
+                            ("iterations", iterations.into()),
                             ("worst_residual", run.worst_delta.into()),
                             ("worst_unknown", run.worst_index.into()),
                         ],
@@ -540,12 +523,33 @@ pub(crate) fn recover_operating_point(
             // longer has, or reproduce the same untrusted numbers.
             Err(err) if err.is_non_retriable() => return Err(err),
             Err(err) => {
-                // Structural failure inside this rung: record a
-                // zero-iteration attempt and keep climbing — a homotopy
-                // higher up may still regularise the matrix.
-                report.record(label, &NewtonRun::fresh());
+                // Structural failure inside this rung: record the attempt
+                // and keep climbing — a homotopy higher up may still
+                // regularise the matrix.
+                report.record(label, iterations, &NewtonRun::fresh());
                 structural = Some(err);
             }
+        }
+        Ok(None)
+    };
+
+    if let Some(start) = start {
+        let warm = (RecoveryRung::Newton, rung_newton as RungFn);
+        if let Some(x) = attempt(&mut report, tracker, warm, start.to_vec())? {
+            return Ok((x, report));
+        }
+    }
+    // Structural pre-flight: scan the assembled pattern once, before the
+    // first cold factorization, and attach the findings (named nodes, not
+    // kernel column indices) as diagnostics. Not fatal here — the gmin
+    // rungs cure DC-floating nodes.
+    report.preflight = preflight::preflight(circuit).messages();
+    for (i, rung) in LADDER.into_iter().enumerate() {
+        if tracker.phase() == Phase::DcOperatingPoint {
+            tracker.set_progress(i as f64 / LADDER.len() as f64);
+        }
+        if let Some(x) = attempt(&mut report, tracker, rung, vec![0.0; circuit.dim()])? {
+            return Ok((x, report));
         }
     }
 
@@ -571,15 +575,14 @@ pub(crate) fn recover_operating_point(
     })
 }
 
-/// Rung 1: plain Newton from a zero start.
+/// Rung 1: plain Newton (from a zero start, or a sweep's previous point).
 fn rung_newton(
-    circuit: &Circuit,
     opts: &DcOptions,
     assembler: &mut Assembler<'_>,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
+    mut x: Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error> {
-    let mut x = vec![0.0; circuit.dim()];
     assembler.reset_junctions(&x);
     let run = newton_run(
         assembler,
@@ -597,13 +600,12 @@ fn rung_newton(
 /// Rung 2: damped Newton (half steps) from a zero start — rescues loops
 /// where full steps overshoot and oscillate.
 fn rung_damped_newton(
-    circuit: &Circuit,
     opts: &DcOptions,
     assembler: &mut Assembler<'_>,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
+    mut x: Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error> {
-    let mut x = vec![0.0; circuit.dim()];
     assembler.reset_junctions(&x);
     // Damping halves the contraction rate, so allow more iterations.
     let opts = DcOptions {
@@ -626,28 +628,19 @@ fn rung_damped_newton(
 /// Rung 3: gmin stepping — converge with a heavy conductance blanket,
 /// then relax it decade by decade.
 fn rung_gmin_stepping(
-    circuit: &Circuit,
     opts: &DcOptions,
     assembler: &mut Assembler<'_>,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
+    mut x: Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error> {
-    let mut x = vec![0.0; circuit.dim()];
     assembler.reset_junctions(&x);
     let mut gmin = 1.0e-2;
-    let mut total = NewtonRun::fresh();
     loop {
         let mode = EvalMode::dc(gmin);
         let run = newton_run(assembler, &mode, &mut x, opts, ws, tracker, 1.0, None)?;
-        total.iterations += run.iterations;
-        total.worst_delta = run.worst_delta;
-        total.worst_index = run.worst_index;
-        if !run.converged {
-            return Ok((x, total));
-        }
-        if gmin <= opts.gmin {
-            total.converged = true;
-            return Ok((x, total));
+        if !run.converged || gmin <= opts.gmin {
+            return Ok((x, run));
         }
         gmin = (gmin / 10.0).max(opts.gmin);
     }
@@ -656,43 +649,38 @@ fn rung_gmin_stepping(
 /// Rung 4: source stepping — ramp independent sources from 10% to 100%
 /// with an adaptive step.
 fn rung_source_stepping(
-    circuit: &Circuit,
     opts: &DcOptions,
     assembler: &mut Assembler<'_>,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
+    mut x: Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error> {
-    let mut x = vec![0.0; circuit.dim()];
     assembler.reset_junctions(&x);
-    let mut total = NewtonRun::fresh();
     let mut scale = 0.1;
     let mut step = 0.1;
-    while scale <= 1.0 + 1e-12 {
+    // `scale` never passes 1: it is clamped there on the way up, and a
+    // failed step backs it off.
+    loop {
         let mode = EvalMode {
             source_scale: scale,
             ..EvalMode::dc(opts.gmin)
         };
         let mut attempt = x.clone();
         let run = newton_run(assembler, &mode, &mut attempt, opts, ws, tracker, 1.0, None)?;
-        total.iterations += run.iterations;
-        total.worst_delta = run.worst_delta;
-        total.worst_index = run.worst_index;
         if run.converged {
             x = attempt;
             if (scale - 1.0).abs() < 1e-12 {
-                total.converged = true;
-                return Ok((x, total));
+                return Ok((x, run));
             }
             scale = (scale + step).min(1.0);
         } else {
             step /= 2.0;
             if step < 1.0e-3 {
-                return Ok((x, total));
+                return Ok((x, run));
             }
             scale = (scale - step).max(step);
         }
     }
-    Ok((x, total))
 }
 
 /// Rung 5: pseudo-transient continuation. Adds a conductance `g` from
@@ -702,11 +690,11 @@ fn rung_source_stepping(
 /// away on success and backs off on failure; a plain Newton polish
 /// confirms the final point is a true equilibrium.
 fn rung_pseudo_transient(
-    circuit: &Circuit,
     opts: &DcOptions,
     assembler: &mut Assembler<'_>,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
+    mut x: Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error> {
     const G_START: f64 = 1.0;
     const G_FLOOR: f64 = 1.0e-10;
@@ -715,12 +703,9 @@ fn rung_pseudo_transient(
     const BACKOFF: f64 = 8.0;
     const MAX_PSEUDO_STEPS: usize = 120;
 
-    let dim = circuit.dim();
-    let mut x = vec![0.0; dim];
     assembler.reset_junctions(&x);
     let mut anchor = x.clone();
     let mut g = G_START;
-    let mut total = NewtonRun::fresh();
     let mode = EvalMode::dc(opts.gmin);
 
     for _ in 0..MAX_PSEUDO_STEPS {
@@ -735,9 +720,6 @@ fn rung_pseudo_transient(
             1.0,
             Some(&term),
         )?;
-        total.iterations += run.iterations;
-        total.worst_delta = run.worst_delta;
-        total.worst_index = run.worst_index;
         if run.converged {
             anchor.copy_from_slice(&x);
             if g <= G_FLOOR {
@@ -750,7 +732,7 @@ fn rung_pseudo_transient(
             assembler.reset_junctions(&x);
             g *= BACKOFF;
             if g > G_CEIL {
-                return Ok((x, total));
+                return Ok((x, run));
             }
         }
     }
@@ -758,18 +740,15 @@ fn rung_pseudo_transient(
     // Polish: the anchored term is tiny but nonzero; confirm the point is
     // an equilibrium of the unmodified equations.
     let polish = newton_run(assembler, &mode, &mut x, opts, ws, tracker, 1.0, None)?;
-    total.iterations += polish.iterations;
-    total.worst_delta = polish.worst_delta;
-    total.worst_index = polish.worst_index;
-    total.converged = polish.converged;
-    Ok((x, total))
+    Ok((x, polish))
 }
 
 /// Sweeps the value of a DC voltage source and records the operating point
 /// at each setting, using the previous solution as the next starting guess
 /// (continuation) — this is what the hysteresis experiment of the paper's
 /// Figure 12 needs, because the comparator's state depends on the sweep
-/// direction.
+/// direction. A point whose continuation Newton fails falls back to the
+/// cold recovery ladder, and its report lists the failed attempt first.
 ///
 /// # Errors
 ///
@@ -793,16 +772,13 @@ pub fn sweep_vsource(
             })
         }
     }
-    let mut results = Vec::with_capacity(values.len());
-    let mut previous: Option<Vec<f64>> = None;
+    let mut results: Vec<DcSolution> = Vec::with_capacity(values.len());
     // One workspace across the sweep: consecutive points share the same
     // matrix pattern, so every solve after the first reuses the cached
     // stamp map and symbolic factorization.
     let mut ws = SolveWorkspace::new(circuit.dim());
-    let mut tracker = BudgetTracker::new(&opts.budget, Phase::DcSweep);
+    let mut tracker = BudgetTracker::new(&opts.budget, Phase::DcSweep, ws.solver.stats());
     for (k, &v) in values.iter().enumerate() {
-        let point_started = Instant::now();
-        let lu_before = ws.solver.stats();
         tracker.set_progress(k as f64 / values.len() as f64);
         tracker.check()?;
         // Rebuild the netlist with the new source value.
@@ -815,65 +791,13 @@ pub fn sweep_vsource(
         nl.vdc(source, p, n, v)?;
         let swept = nl.compile()?;
         let mut assembler = Assembler::new(&swept);
-        let (x, report) = match &previous {
-            Some(prev) => {
-                // Continuation: start Newton from the previous solution.
-                let mut x = prev.clone();
-                assembler.reset_junctions(&x);
-                match newton(
-                    &mut assembler,
-                    &EvalMode::dc(opts.gmin),
-                    &mut x,
-                    opts,
-                    &mut ws,
-                    &mut tracker,
-                ) {
-                    Ok(iterations) => {
-                        let mut report = ConvergenceReport::default();
-                        report.record(
-                            RecoveryRung::Newton,
-                            &NewtonRun {
-                                iterations,
-                                worst_delta: 0.0,
-                                worst_index: 0,
-                                converged: true,
-                            },
-                        );
-                        (x, report)
-                    }
-                    // A spent budget or a failed certification is
-                    // non-retriable; anything else falls back to the full
-                    // recovery ladder.
-                    Err(err) if err.is_non_retriable() => return Err(err),
-                    Err(_) => recover_operating_point(
-                        &swept,
-                        opts,
-                        &mut assembler,
-                        &mut ws,
-                        &mut tracker,
-                    )?,
-                }
-            }
-            None => recover_operating_point(&swept, opts, &mut assembler, &mut ws, &mut tracker)?,
-        };
-        previous = Some(x.clone());
-        let quality = ws.solver.last_quality();
-        // Per-point delta on the shared workspace, so each solution's
-        // rollup only counts its own factorizations and solves.
-        let telemetry = dc_summary(
-            point_started.elapsed(),
-            &report,
-            ws.solver.stats().delta_since(&lu_before),
-            quality,
-        );
-        telemetry::record_summary(&telemetry);
-        results.push(DcSolution {
-            n_nodes: swept.node_unknowns(),
-            x,
-            report,
-            quality,
-            telemetry,
-        });
+        let start = results.last().map(DcSolution::unknowns);
+        let (x, report) =
+            recover_operating_point(&swept, opts, &mut assembler, &mut ws, &mut tracker, start)?;
+        // Each point closes its own stretch of the shared account, so its
+        // summary counts only its own iterations, factorizations and
+        // solves.
+        results.push(DcSolution::close(&swept, x, report, &ws, &mut tracker));
     }
     Ok(results)
 }
@@ -1042,6 +966,7 @@ mod tests {
             let mut r = ConvergenceReport::default();
             r.record(
                 RecoveryRung::Newton,
+                150,
                 &NewtonRun {
                     iterations: 150,
                     worst_delta: 2.5,
@@ -1071,6 +996,7 @@ mod tests {
         let mut r = ConvergenceReport::default();
         r.record(
             RecoveryRung::Newton,
+            5,
             &NewtonRun {
                 iterations: 5,
                 worst_delta: 1.0,

@@ -24,7 +24,6 @@ use crate::linalg::complex::{Complex, ComplexDenseMatrix};
 use crate::linalg::SolveQuality;
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
-use std::time::Instant;
 
 /// Boltzmann constant, J/K.
 pub const BOLTZMANN: f64 = 1.380649e-23;
@@ -128,9 +127,7 @@ struct NoiseSource {
 /// [`with_corner_token`](super::budget::with_corner_token) is cancelled
 /// ([`Error::DeadlineExceeded`] with phase `noise`).
 pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseResult, Error> {
-    let started = Instant::now();
     let _span = telemetry::span("noise");
-    let mut tracker = BudgetTracker::new(&RunBudget::default(), Phase::Noise);
     let out_idx = opts
         .output
         .unknown()
@@ -138,8 +135,15 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
     // Operating point (bias-dependent shot noise).
     let mut assembler = Assembler::new(circuit);
     let mut ws = SolveWorkspace::for_circuit(circuit);
-    let (x_op, op) =
-        dc::recover_operating_point(circuit, &opts.dc, &mut assembler, &mut ws, &mut tracker)?;
+    let mut tracker = BudgetTracker::new(&RunBudget::default(), Phase::Noise, ws.solver.stats());
+    let (x_op, _) = dc::recover_operating_point(
+        circuit,
+        &opts.dc,
+        &mut assembler,
+        &mut ws,
+        &mut tracker,
+        None,
+    )?;
     let mut quality = ws.solver.last_quality();
     let v_of = |node: NodeId| -> f64 {
         match node.unknown() {
@@ -233,16 +237,7 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
         }
         psd_out.push(total);
     }
-    let summary = TelemetrySummary {
-        analyses: 1,
-        wall: started.elapsed(),
-        newton_iterations: op.total_iterations() as u64,
-        rung_iterations: op.rung_iterations(),
-        lu: ws.solver.stats(),
-        worst_backward_error: Some(quality.backward_error),
-        ..TelemetrySummary::default()
-    };
-    telemetry::record_summary(&summary);
+    let summary = tracker.summary(ws.solver.stats(), quality, None);
     Ok(NoiseResult {
         freqs: opts.freqs.clone(),
         psd: psd_out,

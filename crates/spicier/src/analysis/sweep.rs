@@ -204,7 +204,10 @@ pub struct TryMapOptions {
     pub max_workers: Option<usize>,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Best-effort text of a panic payload (`&str` and `String` payloads
+/// cover everything `panic!` produces; anything else is opaque).
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -326,7 +329,7 @@ where
                         // The panic may have left the scratch half
                         // updated; start the next corner clean.
                         scratch = init();
-                        SweepFailure::Panicked(panic_message(payload))
+                        SweepFailure::Panicked(panic_message(payload.as_ref()))
                     }
                 };
                 if telemetry::enabled() {
@@ -513,7 +516,11 @@ mod tests {
         // The closure polls the corner token the way a budgeted solve
         // does; a `Duration::ZERO` slice must cancel it before any work.
         let (out, report) = par_try_map((0..6).collect(), &opts, |&i: &i32| {
-            let tracker = BudgetTracker::new(&RunBudget::unlimited(), Phase::DcOperatingPoint);
+            let tracker = BudgetTracker::new(
+                &RunBudget::unlimited(),
+                Phase::DcOperatingPoint,
+                Default::default(),
+            );
             tracker.check()?;
             Ok(i)
         });

@@ -85,10 +85,9 @@ use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::dc::{self, DcOptions};
 use super::mna::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
 use crate::error::Error;
-use crate::linalg::{LuStats, SolveQuality};
+use crate::linalg::SolveQuality;
 use crate::netlist::{Circuit, Element, NodeId, SourceWave};
 use crate::telemetry::{self, TelemetrySummary};
-use std::time::Instant;
 
 /// Which quantities a transient run records.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -227,7 +226,6 @@ pub struct TranResult {
     data: Vec<Vec<f64>>,
     accepted_steps: usize,
     rejected_steps: usize,
-    newton_iterations: usize,
     replicated_periods: usize,
     extrapolated_periods: usize,
     replicated_samples: usize,
@@ -236,9 +234,9 @@ pub struct TranResult {
     telemetry: TelemetrySummary,
 }
 
-/// Equality covers the numerical outcome only; the telemetry rollup is
-/// excluded because its wall-clock component differs between otherwise
-/// identical runs.
+/// Equality covers the numerical outcome and the Newton count; the rest
+/// of the telemetry rollup is excluded because its wall-clock component
+/// differs between otherwise identical runs.
 impl PartialEq for TranResult {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time
@@ -246,7 +244,7 @@ impl PartialEq for TranResult {
             && self.data == other.data
             && self.accepted_steps == other.accepted_steps
             && self.rejected_steps == other.rejected_steps
-            && self.newton_iterations == other.newton_iterations
+            && self.telemetry.newton_iterations == other.telemetry.newton_iterations
             && self.replicated_periods == other.replicated_periods
             && self.extrapolated_periods == other.extrapolated_periods
             && self.failure == other.failure
@@ -289,7 +287,7 @@ impl TranResult {
     /// point's and those of steps whose Newton failed included
     /// (performance diagnostic).
     pub fn newton_iterations(&self) -> usize {
-        self.newton_iterations
+        self.telemetry.newton_iterations as usize
     }
 
     /// Stimulus periods not simulated: copied forward once the run reached
@@ -692,10 +690,6 @@ struct Stepper<'a> {
     /// Salvage: retry a failed trapezoidal step with backward Euler.
     be_retry: bool,
     result: TranResult,
-    /// The initial operating point's Newton iterations per ladder rung.
-    op_rungs: Vec<(String, u64)>,
-    started: Instant,
-    lu_before: LuStats,
     _span: telemetry::Span,
 }
 
@@ -709,15 +703,13 @@ impl<'a> Stepper<'a> {
         ws: &'a mut SolveWorkspace,
     ) -> Result<Self, Error> {
         let (h_max, h_init) = opts.resolved()?;
-        let started = Instant::now();
-        let lu_before = ws.solver.stats();
+        let mut tracker = BudgetTracker::new(&opts.budget, Phase::Transient, ws.solver.stats());
         let span = telemetry::span("transient");
         let mut assembler = Assembler::new(circuit);
-        let mut tracker = BudgetTracker::new(&opts.budget, Phase::Transient);
 
         // Initial operating point with sources at t = 0.
-        let (mut x, op) =
-            dc::recover_operating_point(circuit, &opts.dc, &mut assembler, ws, &mut tracker)?;
+        let (mut x, _) =
+            dc::recover_operating_point(circuit, &opts.dc, &mut assembler, ws, &mut tracker, None)?;
         // Apply .IC overrides before charge initialization so capacitors start
         // from the forced voltages.
         for &(node, volts) in &opts.initial_voltages {
@@ -745,7 +737,6 @@ impl<'a> Stepper<'a> {
                 nodes,
                 accepted_steps: 0,
                 rejected_steps: 0,
-                newton_iterations: op.total_iterations(),
                 replicated_periods: 0,
                 extrapolated_periods: 0,
                 replicated_samples: 0,
@@ -753,7 +744,6 @@ impl<'a> Stepper<'a> {
                 quality: ws.solver.last_quality(),
                 telemetry: TelemetrySummary::default(),
             },
-            op_rungs: op.rung_iterations(),
             opts,
             ws,
             assembler,
@@ -769,8 +759,6 @@ impl<'a> Stepper<'a> {
             x,
             force_be: true,
             be_retry: false,
-            started,
-            lu_before,
             _span: span,
         };
         run.record();
@@ -877,7 +865,6 @@ impl<'a> Stepper<'a> {
         let result = &mut self.result;
         match solved {
             Ok(iters) => {
-                result.newton_iterations += iters;
                 result.quality = result.quality.worst(self.ws.solver.last_quality());
                 // Voltage-change step control.
                 let n = self.assembler.circuit().node_unknowns();
@@ -911,9 +898,6 @@ impl<'a> Stepper<'a> {
             Err(err) if err.is_non_retriable() => self.fail(err),
             Err(err) => {
                 result.rejected_steps += 1;
-                if let Error::DcNoConvergence { iterations, .. } = err {
-                    result.newton_iterations += iterations;
-                }
                 // Salvage rung 1: a trapezoidal step that Newton rejects is
                 // often rescued by backward Euler at the *same* size (no
                 // trap ringing, heavier damping). Try that once before
@@ -1062,7 +1046,7 @@ impl<'a> Stepper<'a> {
 
     /// Ends the run: dumps the flight recorder for a failure the stepper
     /// diagnosed itself and rolls the run up into its telemetry summary.
-    fn finish(self) -> TranResult {
+    fn finish(mut self) -> TranResult {
         let mut result = self.result;
         if let Some(fail) = &result.failure {
             // Deadline and certification failures already dumped the
@@ -1076,19 +1060,9 @@ impl<'a> Stepper<'a> {
                 telemetry::record_failure("TranFailure", &fail.summary());
             }
         }
-        result.telemetry = TelemetrySummary {
-            analyses: 1,
-            wall: self.started.elapsed(),
-            newton_iterations: result.newton_iterations as u64,
-            rung_iterations: self.op_rungs,
-            accepted_steps: result.accepted_steps as u64,
-            rejected_steps: result.rejected_steps as u64,
-            replicated_periods: result.replicated_periods as u64,
-            extrapolated_periods: result.extrapolated_periods as u64,
-            lu: self.ws.solver.stats().delta_since(&self.lu_before),
-            worst_backward_error: Some(result.quality.backward_error),
-        };
-        telemetry::record_summary(&result.telemetry);
+        result.telemetry =
+            self.tracker
+                .summary(self.ws.solver.stats(), result.quality, Some(&result));
         result
     }
 }

@@ -6,7 +6,7 @@
 
 use spicier::analysis::sweep::{par_try_map, TryMapOptions};
 use spicier::analysis::tran::{transient, TranOptions};
-use spicier::analysis::{operating_point, DcOptions};
+use spicier::analysis::{operating_point, sweep_vsource, DcOptions, RecoveryRung};
 use spicier::devices::DiodeModel;
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::{Solver, Triplets};
@@ -132,6 +132,53 @@ fn results_carry_rollup_without_tracing() {
         "every Newton iteration performs at least one solve: {}",
         res.telemetry().lu
     );
+}
+
+/// A node held by a negative conductance (a VCCS that feeds its own
+/// voltage back) between anti-parallel diodes, driven from `VS` through
+/// 10 kΩ. For drives between about ±6 V it has two stable states, so a
+/// sweep across that range and back passes a fold each way.
+fn bistable_circuit() -> Circuit {
+    let mut nl = Netlist::new();
+    let s = nl.node("s");
+    let x = nl.node("x");
+    nl.vdc("VS", s, Netlist::GROUND, 0.0).unwrap();
+    nl.resistor("R1", s, x, 10.0e3).unwrap();
+    nl.vccs("G1", Netlist::GROUND, x, x, Netlist::GROUND, 1.0e-3)
+        .unwrap();
+    nl.diode("D1", x, Netlist::GROUND, DiodeModel::new())
+        .unwrap();
+    nl.diode("D2", Netlist::GROUND, x, DiodeModel::new())
+        .unwrap();
+    nl.compile().unwrap()
+}
+
+#[test]
+fn continuation_sweep_counts_its_failed_warm_starts() {
+    let up: Vec<f64> = (0..=40).map(|k| -10.0 + 0.5 * f64::from(k)).collect();
+    let values: Vec<f64> = up.iter().chain(up.iter().rev()).copied().collect();
+    let sols = sweep_vsource(&bistable_circuit(), "VS", &values, &DcOptions::default()).unwrap();
+    // Each Newton iteration does one LU solve, and no solve here needs
+    // refinement, so whole counts agree.
+    let newton: u64 = sols.iter().map(|s| s.telemetry().newton_iterations).sum();
+    let solves: u64 = sols.iter().map(|s| s.telemetry().lu.solves as u64).sum();
+    assert_eq!(newton, solves);
+    // Past a fold, Newton from the previous point fails and the cold
+    // ladder takes over: the report lists the failed warm start first.
+    let folds: Vec<_> = sols[1..]
+        .iter()
+        .map(|s| s.report())
+        .filter(|r| r.attempts.len() > 1)
+        .collect();
+    assert!(!folds.is_empty(), "the sweep crosses no fold");
+    for report in folds {
+        let [warm, cold, ..] = report.attempts.as_slice() else {
+            unreachable!("filtered to two or more attempts")
+        };
+        assert_eq!((warm.rung, warm.converged), (RecoveryRung::Newton, false));
+        assert!(warm.iterations > 0, "{}", report.summary());
+        assert_eq!(cold.rung, RecoveryRung::Newton, "{}", report.summary());
+    }
 }
 
 #[test]
