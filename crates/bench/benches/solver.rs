@@ -11,13 +11,13 @@
 use cml_bench::experiments::fig7::detector_circuit;
 use cml_bench::microbench::{quick_mode, run_benches, take_records, write_json_report, Harness};
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
-use cml_dft::DetectorLoad;
+use cml_dft::{DetectorLoad, SharedDetector, Variant3};
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::tran::{transient, TranOptions};
 use spicier::analysis::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::{
-    DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets, DENSE_CUTOFF,
+    AutoSolver, DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets, DENSE_CUTOFF,
 };
 use spicier::{telemetry, Circuit};
 use std::path::Path;
@@ -49,20 +49,44 @@ fn fig3_chain_circuit(freq: f64) -> Circuit {
     bld.finish().compile().expect("compile")
 }
 
-/// Assembles the FIG3 chain's DC MNA stamps at a converged iterate — the
-/// exact (pattern, values) the transient Newton loop re-solves thousands
-/// of times.
-fn fig3_stamps() -> Triplets {
-    let circuit = fig3_chain_circuit(1.0e9);
-    let x = operating_point(&circuit, &DcOptions::default())
+/// The FIG7/FIG8 detector-settling circuit at a mid-grid corner (1 GHz,
+/// 2 kΩ pipe, 10 pF load).
+fn fig8_circuit() -> Circuit {
+    detector_circuit(2.0e3, DetectorLoad::diode_cap(10.0e-12), 1.0e9, None)
+        .expect("build")
+        .0
+}
+
+/// The FIG14 circuit: `n` buffers sharing one variant-3 detector.
+fn fig14_circuit(n: usize) -> Circuit {
+    SharedDetector::new(Variant3::paper(), CmlProcess::paper())
+        .build(n, None)
+        .expect("build")
+        .1
+}
+
+/// Assembles `circuit`'s DC MNA stamps at its operating point: a sealed
+/// stamp program, as the Newton loops hand it to the solver.
+fn stamps(circuit: &Circuit) -> Triplets {
+    let x = operating_point(circuit, &DcOptions::default())
         .expect("op")
         .into_unknowns();
-    let mut assembler = Assembler::new(&circuit);
+    let mut assembler = Assembler::new(circuit);
     let mut triplets = Triplets::new(circuit.dim());
     let mut rhs = Vec::new();
     assembler.assemble(&x, &EvalMode::dc(1.0e-12), &mut triplets, &mut rhs);
     triplets
 }
+
+/// The FIG3 chain's DC stamps — the pattern the transient Newton loop
+/// re-solves thousands of times.
+fn fig3_stamps() -> Triplets {
+    stamps(&fig3_chain_circuit(1.0e9))
+}
+
+/// FIG14 sharing counts whose circuits sit on both sides of
+/// `DENSE_CUTOFF`: 60 and 78 unknowns, then 84 and 105.
+const FIG14_CUTOFF_NS: [usize; 4] = [15, 21, 23, 30];
 
 fn bench_lu(c: &mut Harness) {
     let mut group = c.benchmark_group("lu");
@@ -162,55 +186,41 @@ fn bench_refactor(c: &mut Harness) {
 }
 
 /// Crossover data for the DENSE_CUTOFF recalibration: cached repeated
-/// solves (the steady-state regime of a Newton loop) per kernel per size.
+/// solves (the steady-state regime of a Newton loop) per kernel per size,
+/// the two kernels timed in alternation so that host speed phases fall on
+/// both.
 fn bench_cutoff(c: &mut Harness) {
     let mut group = c.benchmark_group("cutoff");
     group
         .sample_size(40)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
-    for n in [20usize, 40, 60, 80, 120, 160] {
-        let t = chain_matrix(n);
+    // The synthetic chain, then real MNA stamps (denser than the chain
+    // matrix): the FIG3 chain, and FIG14 shared detectors on both sides
+    // of the cutoff, so the cutoff choice reflects the circuits the
+    // harness simulates.
+    let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| (String::new(), chain_matrix(n)));
+    let real = [("fig3", fig3_chain_circuit(1.0e9))]
+        .into_iter()
+        .chain(FIG14_CUTOFF_NS.map(|n| ("fig14", fig14_circuit(n))))
+        .map(|(name, circuit)| (format!("_{name}"), stamps(&circuit)));
+    for (suffix, t) in synthetic.into_iter().chain(real) {
+        let n = t.dim();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        group.bench_with_input(format!("dense_cached/{n}"), &t, |bench, t| {
-            let mut solver = DenseSolver::default();
-            bench.iter(|| {
-                let mut rhs = b.clone();
-                solver.solve_in_place(t, &mut rhs).expect("nonsingular");
-                rhs
-            })
-        });
-        group.bench_with_input(format!("sparse_cached/{n}"), &t, |bench, t| {
-            let mut solver = spicier::linalg::sparse::SparseSolver::default();
-            bench.iter(|| {
-                let mut rhs = b.clone();
-                solver.solve_in_place(t, &mut rhs).expect("nonsingular");
-                rhs
-            })
-        });
+        let mut dense = DenseSolver::default();
+        let mut sparse = spicier::linalg::sparse::SparseSolver::default();
+        let solve = |solver: &mut dyn Solver| {
+            let mut rhs = b.clone();
+            solver.solve_in_place(&t, &mut rhs).expect("nonsingular");
+            rhs
+        };
+        group.bench_pair(
+            format!("dense_cached{suffix}/{n}"),
+            || solve(&mut dense),
+            format!("sparse_cached{suffix}/{n}"),
+            || solve(&mut sparse),
+        );
     }
-    // Real MNA stamps (denser than the chain matrix) at the actual
-    // experiment-circuit size, so the cutoff choice reflects the
-    // circuits the harness simulates, not just the synthetic chain.
-    let stamps = fig3_stamps();
-    let n = stamps.dim();
-    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-    group.bench_with_input(format!("dense_cached_fig3/{n}"), &stamps, |bench, t| {
-        let mut solver = DenseSolver::default();
-        bench.iter(|| {
-            let mut rhs = b.clone();
-            solver.solve_in_place(t, &mut rhs).expect("nonsingular");
-            rhs
-        })
-    });
-    group.bench_with_input(format!("sparse_cached_fig3/{n}"), &stamps, |bench, t| {
-        let mut solver = spicier::linalg::sparse::SparseSolver::default();
-        bench.iter(|| {
-            let mut rhs = b.clone();
-            solver.solve_in_place(t, &mut rhs).expect("nonsingular");
-            rhs
-        })
-    });
     group.finish();
 }
 
@@ -245,11 +255,18 @@ fn bench_scaling(c: &mut Harness) {
     group.finish();
 }
 
-/// Telemetry overhead on the FIG3 refactor-solve pair (DESIGN.md §3.5):
-/// `baseline` has no telemetry gate at all, `gated` adds the disabled
-/// check exactly as the hot call sites write it (one relaxed atomic load
-/// per solve), `traced` runs the same loop inside `with_trace` with the
-/// event actually recorded. CI asserts `gated/baseline` stays under 2%.
+/// `gated/baseline` of each circuit in [`bench_telemetry`]: the median
+/// over paired rounds (see `Group::bench_pair`).
+static GATED_OVER_BASELINE: std::sync::Mutex<Vec<f64>> = std::sync::Mutex::new(Vec::new());
+
+/// Telemetry overhead on the path the analyses take (DESIGN.md §3.5): one
+/// `AutoSolver::solve_in_place` of the FIG3 and of the FIG8 stamps.
+/// `baseline` is the bare call; `gated` adds the disabled check exactly as
+/// the hot call sites write it (one relaxed atomic load per solve) and is
+/// timed in alternation with `baseline`, so host speed phases fall on
+/// both; `traced` runs the gated call inside `with_trace` with the event
+/// actually recorded. CI asserts that the larger paired `gated/baseline`
+/// ratio stays under 2%.
 fn bench_telemetry(c: &mut Harness) {
     let mut group = c.benchmark_group("telemetry");
     group
@@ -257,57 +274,39 @@ fn bench_telemetry(c: &mut Harness) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    let stamps = fig3_stamps();
-    let n = stamps.dim();
-    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-
-    group.bench_function(format!("fig3_refactor_baseline/{n}"), |bench| {
-        let (map, mut a) = StampMap::build(&stamps);
-        let mut lu = SparseLu::new();
-        lu.factor(&a).expect("nonsingular");
-        bench.iter(|| {
-            assert!(map.scatter(&stamps, &mut a));
-            lu.refactor(&a).expect("same pattern");
+    for (name, stamps) in [("fig3", fig3_stamps()), ("fig8", stamps(&fig8_circuit()))] {
+        let n = stamps.dim();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+        let solve = |solver: &mut AutoSolver| {
             let mut rhs = b.clone();
-            lu.solve(&mut rhs).expect("factored");
+            solver
+                .solve_in_place(&stamps, &mut rhs)
+                .expect("nonsingular");
             rhs
-        })
-    });
-
-    group.bench_function(format!("fig3_refactor_gated/{n}"), |bench| {
-        let (map, mut a) = StampMap::build(&stamps);
-        let mut lu = SparseLu::new();
-        lu.factor(&a).expect("nonsingular");
-        bench.iter(|| {
-            assert!(map.scatter(&stamps, &mut a));
-            lu.refactor(&a).expect("same pattern");
-            let mut rhs = b.clone();
-            lu.solve(&mut rhs).expect("factored");
+        };
+        let gated = |solver: &mut AutoSolver| {
+            let rhs = solve(solver);
             if telemetry::enabled() {
                 telemetry::event("bench_solve", &[("dim", n.into())]);
             }
             rhs
-        })
-    });
-
-    group.bench_function(format!("fig3_refactor_traced/{n}"), |bench| {
-        let (map, mut a) = StampMap::build(&stamps);
-        let mut lu = SparseLu::new();
-        lu.factor(&a).expect("nonsingular");
-        telemetry::with_trace(|| {
-            bench.iter(|| {
-                assert!(map.scatter(&stamps, &mut a));
-                lu.refactor(&a).expect("same pattern");
-                let mut rhs = b.clone();
-                lu.solve(&mut rhs).expect("factored");
-                if telemetry::enabled() {
-                    telemetry::event("bench_solve", &[("dim", n.into())]);
-                }
-                rhs
-            })
+        };
+        // One solver for both sides, so that they differ by the gate
+        // alone and not by where their workspaces landed in memory.
+        let solver = std::cell::RefCell::new(AutoSolver::new());
+        let ratio = group.bench_pair(
+            format!("{name}_baseline/{n}"),
+            || solve(&mut solver.borrow_mut()),
+            format!("{name}_gated/{n}"),
+            || gated(&mut solver.borrow_mut()),
+        );
+        GATED_OVER_BASELINE.lock().expect("ratio lock").push(ratio);
+        group.bench_function(format!("{name}_traced/{n}"), |bench| {
+            let mut solver = AutoSolver::new();
+            telemetry::with_trace(|| bench.iter(|| gated(&mut solver)));
+            telemetry::drain();
         });
-        telemetry::drain();
-    });
+    }
 
     group.finish();
 }
@@ -325,9 +324,10 @@ fn bench_newton_iter(c: &mut Harness) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    let (fig8, _) =
-        detector_circuit(2.0e3, DetectorLoad::diode_cap(10.0e-12), 1.0e9, None).expect("build");
-    for (name, circuit) in [("fig3", fig3_chain_circuit(1.0e9)), ("fig8", fig8)] {
+    for (name, circuit) in [
+        ("fig3", fig3_chain_circuit(1.0e9)),
+        ("fig8", fig8_circuit()),
+    ] {
         let n = circuit.dim();
         let x = operating_point(&circuit, &DcOptions::default())
             .expect("op")
@@ -422,26 +422,35 @@ fn main() {
         metrics.push(("fig3_refactor_solve_ns", fast));
         metrics.push(("fig3_refactor_speedup", seed / fast));
     }
-    // The telemetry overhead ratios compare noise floors (min), not
-    // medians: the disabled gate costs one relaxed load (~1 ns) against a
-    // multi-µs solve, far below cross-run median jitter, and noise only
-    // ever adds time.
+    // Telemetry overhead, the worse of the FIG3 and FIG8 stamps: the
+    // paired ratio for the disabled gate, the ratio of medians for the
+    // traced run.
+    let gated = GATED_OVER_BASELINE
+        .lock()
+        .expect("ratio lock")
+        .iter()
+        .copied()
+        .reduce(f64::max);
+    if let Some(gated) = gated {
+        // Disabled telemetry must stay invisible — CI gates on < 1.02.
+        metrics.push(("telemetry_disabled_overhead", gated));
+    }
+    let traced = ["fig3", "fig8"]
+        .iter()
+        .filter_map(|name| {
+            let base = find("telemetry", &format!("{name}_baseline/"))?;
+            Some(find("telemetry", &format!("{name}_traced/"))? / base)
+        })
+        .reduce(f64::max);
+    if let Some(traced) = traced {
+        metrics.push(("telemetry_traced_ratio", traced));
+    }
     let find_min = |group: &str, prefix: &str| {
         records
             .iter()
             .find(|r| r.group == group && r.id.starts_with(prefix))
             .map(|r| r.min_ns as f64)
     };
-    let base = find_min("telemetry", "fig3_refactor_baseline/");
-    let gated = find_min("telemetry", "fig3_refactor_gated/");
-    let traced = find_min("telemetry", "fig3_refactor_traced/");
-    if let (Some(base), Some(gated)) = (base, gated) {
-        // Disabled telemetry must stay invisible — CI gates on < 1.02.
-        metrics.push(("telemetry_disabled_overhead", gated / base));
-    }
-    if let (Some(base), Some(traced)) = (base, traced) {
-        metrics.push(("telemetry_traced_ratio", traced / base));
-    }
     // Same noise-floor comparison for the dense replay: CI gates on
     // ≥ 1.0, so a replay that loses to a full factorization fails.
     let dense_full = find_min("refactor", "fig3_dense_full/");
@@ -491,21 +500,42 @@ fn main() {
     }
 
     // Crossover assertion for DENSE_CUTOFF (DESIGN.md §3.7): every
-    // measured size above the cutoff must favor the cached sparse path,
-    // and every size at or below it (the FIG3 stamps included) the cached
-    // dense path, within measurement slack. Same-run ratios, so machine
-    // speed cancels; quick mode gets a loose band because 100 ms sampling
-    // is noisy.
+    // measured size above the cutoff (FIG14 at 84 and 105 unknowns
+    // included) must favor the cached sparse path, and every size at or
+    // below it (the FIG3 stamps and FIG14 at 60 and 78) the cached dense
+    // path, within measurement slack. Paired ratios, so machine speed
+    // cancels; quick mode gets a loose band because 100 ms sampling is
+    // noisy.
     let slack = if quick_mode() { 2.0 } else { 1.3 };
-    let fig3_dim = stamps.dim();
     let pairs = [20usize, 40, 60, 80, 120, 160]
         .map(|n| (n, format!("dense_cached/{n}"), format!("sparse_cached/{n}")));
-    let fig3 = (
-        fig3_dim,
-        format!("dense_cached_fig3/{fig3_dim}"),
-        format!("sparse_cached_fig3/{fig3_dim}"),
-    );
-    for (n, dense_id, sparse_id) in pairs.into_iter().chain([fig3]) {
+    // The real-stamp pairs, by dimension: sparse/dense median ratios and
+    // the smallest dimension at which the sparse kernel wins.
+    let mut real: Vec<(usize, String, String)> = records
+        .iter()
+        .filter(|r| r.group == "cutoff")
+        .filter_map(|r| {
+            let (kind, dim) = r.id.strip_prefix("dense_cached_")?.split_once('/')?;
+            let dim: usize = dim.parse().ok()?;
+            Some((dim, r.id.clone(), format!("sparse_cached_{kind}/{dim}")))
+        })
+        .collect();
+    real.sort();
+    let mut crossover = f64::NAN;
+    let mut ratios: Vec<(String, f64)> = Vec::new();
+    for (n, dense_id, sparse_id) in &real {
+        if let (Some(d), Some(s)) = (
+            find_id("cutoff", dense_id.clone()),
+            find_id("cutoff", sparse_id.clone()),
+        ) {
+            ratios.push((format!("cutoff_sparse_over_dense_{n}"), s / d));
+            if s < d && crossover.is_nan() {
+                crossover = *n as f64;
+            }
+        }
+    }
+    metrics.push(("cutoff_crossover_dim", crossover));
+    for (n, dense_id, sparse_id) in pairs.into_iter().chain(real) {
         let dense = find_id("cutoff", dense_id);
         let sparse = find_id("cutoff", sparse_id);
         if let (Some(d), Some(s)) = (dense, sparse) {
@@ -528,6 +558,7 @@ fn main() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../target/bench/BENCH_solver.json"
     ));
+    metrics.extend(ratios.iter().map(|(key, v)| (key.as_str(), *v)));
     match write_json_report(path, &records, &metrics) {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),

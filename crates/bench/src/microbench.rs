@@ -9,7 +9,9 @@
 //! until both `sample_size` iterations and `measurement_time` have been
 //! spent (whichever bound is *later* wins, so fast kernels get many
 //! samples and slow kernels still finish). The median is the headline
-//! number; min is reported as the noise floor.
+//! number; min is reported as the noise floor. [`Group::bench_pair`]
+//! samples two benchmarks in alternation, so that a ratio of their
+//! medians does not carry the host's speed phases.
 
 use spicier::json::Json;
 use std::hint::black_box;
@@ -59,20 +61,29 @@ impl Bencher {
         black_box(f()); // warm-up, untimed
         let started = Instant::now();
         loop {
-            let t0 = Instant::now();
-            black_box(f());
-            self.samples.push(t0.elapsed());
-            if self.samples.len() >= self.sample_size && started.elapsed() >= self.measurement_time
-            {
-                break;
-            }
-            // Hard cap so a grossly mis-sized bench cannot hang a run —
-            // but never with fewer than 3 samples, the floor below which
-            // a median is just the min and the report is meaningless.
-            if self.samples.len() >= 3 && started.elapsed() >= self.measurement_time * 10 {
+            self.time(&mut f);
+            if self.enough(started) {
                 break;
             }
         }
+    }
+
+    /// Times one call of `f` as one sample.
+    fn time<R>(&mut self, f: &mut impl FnMut() -> R) {
+        let t0 = Instant::now();
+        black_box(f());
+        self.samples.push(t0.elapsed());
+    }
+
+    /// Whether sampling that began at `started` may stop: both the sample
+    /// count and the measurement time are reached, or the hard cap is.
+    fn enough(&self, started: Instant) -> bool {
+        let elapsed = started.elapsed();
+        (self.samples.len() >= self.sample_size && elapsed >= self.measurement_time)
+            // Hard cap so a grossly mis-sized bench cannot hang a run —
+            // but never with fewer than 3 samples, the floor below which
+            // a median is just the min and the report is meaningless.
+            || (self.samples.len() >= 3 && elapsed >= self.measurement_time * 10)
     }
 }
 
@@ -118,6 +129,53 @@ impl Group {
         };
         f(&mut b);
         report(&self.name, id.as_ref(), &mut b.samples);
+    }
+
+    /// Runs two benchmarks in alternation, one call of each per round and
+    /// the order flipped every round, so a change of host speed during the
+    /// run lands on both alike; prints both report lines and returns the
+    /// median over rounds of `b`'s time over `a`'s. Each round's two calls
+    /// run back to back, so that ratio holds even when the host's speed
+    /// phases make each side's own samples bimodal. The round count
+    /// follows this group's sampling settings.
+    pub fn bench_pair<RA, RB>(
+        &mut self,
+        id_a: impl AsRef<str>,
+        mut a: impl FnMut() -> RA,
+        id_b: impl AsRef<str>,
+        mut b: impl FnMut() -> RB,
+    ) -> f64 {
+        let bencher = || Bencher {
+            samples: Vec::new(),
+            sample_size: self.sample_size,
+            measurement_time: self.measurement_time,
+        };
+        let (mut on_a, mut on_b) = (bencher(), bencher());
+        black_box(a()); // warm-up, untimed
+        black_box(b());
+        let started = Instant::now();
+        for round in 0.. {
+            if round % 2 == 0 {
+                on_a.time(&mut a);
+                on_b.time(&mut b);
+            } else {
+                on_b.time(&mut b);
+                on_a.time(&mut a);
+            }
+            if on_a.enough(started) {
+                break;
+            }
+        }
+        let mut ratios: Vec<f64> = on_a
+            .samples
+            .iter()
+            .zip(&on_b.samples)
+            .map(|(a, b)| b.as_secs_f64() / a.as_secs_f64().max(f64::MIN_POSITIVE))
+            .collect();
+        ratios.sort_unstable_by(f64::total_cmp);
+        report(&self.name, id_a.as_ref(), &mut on_a.samples);
+        report(&self.name, id_b.as_ref(), &mut on_b.samples);
+        ratios[ratios.len() / 2]
     }
 
     /// Criterion-style input variant; the input is simply passed through.
@@ -290,6 +348,30 @@ mod tests {
         g.bench_function("noop", |b| b.iter(|| 1 + 1));
         g.bench_with_input("with_input", &7, |b, &x| b.iter(|| x * 2));
         g.finish();
+    }
+
+    #[test]
+    fn paired_benches_take_equal_alternating_samples() {
+        let mut h = Harness::new();
+        let mut g = h.benchmark_group("paired");
+        g.sample_size(7).measurement_time(Duration::from_millis(1));
+        let calls = std::cell::RefCell::new(Vec::new());
+        let ratio = g.bench_pair(
+            "a",
+            || calls.borrow_mut().push('a'),
+            "b",
+            || calls.borrow_mut().push('b'),
+        );
+        let calls = calls.into_inner();
+        assert_eq!(&calls[..6], ['a', 'b', 'a', 'b', 'b', 'a']);
+        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
+        let records: Vec<_> = take_records()
+            .into_iter()
+            .filter(|r| r.group == "paired")
+            .collect();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].samples, records[1].samples);
+        assert!(records[0].samples >= 7);
     }
 
     #[test]

@@ -361,9 +361,7 @@ impl<'c> Assembler<'c> {
 
         // gmin from every node to ground.
         if mode.gmin > 0.0 {
-            for i in 0..self.n_nodes {
-                triplets.stamp(i, i, mode.gmin);
-            }
+            triplets.stamp_diagonal(self.n_nodes, mode.gmin);
         }
 
         for (e_idx, (_, element)) in self.circuit.element_slice().iter().enumerate() {
@@ -410,13 +408,13 @@ impl<'c> Assembler<'c> {
                                 Method::BackwardEuler => {
                                     // v - (L/h)·i = -(L/h)·i_old
                                     let leq = value / h;
-                                    triplets.stamp(branch, branch, -leq);
+                                    triplets.stamps([(Some(branch), Some(branch))], [-leq]);
                                     rhs[branch] = -leq * old.q / value;
                                 }
                                 Method::Trapezoidal => {
                                     // v - (2L/h)·i = -(2L/h)·i_old - v_old
                                     let leq = 2.0 * value / h;
-                                    triplets.stamp(branch, branch, -leq);
+                                    triplets.stamps([(Some(branch), Some(branch))], [-leq]);
                                     rhs[branch] = -leq * old.q / value - old.i;
                                 }
                             }
@@ -484,32 +482,21 @@ impl<'c> Assembler<'c> {
                     stamp_branch_kcl(triplets, *p, *n, branch);
                     // Constitutive row: v_p − v_n − gain·(v_cp − v_cn) = 0.
                     stamp_branch_voltage(triplets, *p, *n, branch);
-                    if let Some(i) = cp.unknown() {
-                        triplets.stamp(branch, i, -gain);
-                    }
-                    if let Some(j) = cn.unknown() {
-                        triplets.stamp(branch, j, *gain);
-                    }
+                    triplets.stamps(
+                        [(Some(branch), cp.unknown()), (Some(branch), cn.unknown())],
+                        [-gain, *gain],
+                    );
                 }
                 Element::Vccs { p, n, cp, cn, gm } => {
                     // Current gm·(v_cp − v_cn) leaves node p, enters n.
-                    for (row, sign) in [(*p, 1.0), (*n, -1.0)] {
-                        if let Some(r) = row.unknown() {
-                            if let Some(i) = cp.unknown() {
-                                triplets.stamp(r, i, sign * gm);
-                            }
-                            if let Some(j) = cn.unknown() {
-                                triplets.stamp(r, j, -sign * gm);
-                            }
-                        }
-                    }
+                    let (p, n) = (p.unknown(), n.unknown());
+                    let (cp, cn) = (cp.unknown(), cn.unknown());
+                    triplets.stamps([(p, cp), (p, cn), (n, cp), (n, cn)], [*gm, -gm, -gm, *gm]);
                 }
             }
         }
         if let Some(g) = ptran_g {
-            for i in 0..self.n_nodes {
-                triplets.stamp(i, i, g);
-            }
+            triplets.stamp_diagonal(self.n_nodes, g);
         }
         triplets.seal();
     }
@@ -581,17 +568,20 @@ impl<'c> Assembler<'c> {
                 [-(dic[0] + dib[0]), -(dic[1] + dib[1]), -(dic[2] + dib[2])],
             ),
         ];
-        for (row_node, i_const, partials) in rows {
-            let Some(row) = row_node.unknown() else {
-                continue;
-            };
+        let cols = nodes.map(NodeId::unknown);
+        let mut keys = [(None, None); 9];
+        let mut values = [0.0; 9];
+        for (r, (row_node, i_const, partials)) in rows.into_iter().enumerate() {
+            let row = row_node.unknown();
             for k in 0..3 {
-                if let Some(col) = nodes[k].unknown() {
-                    triplets.stamp(row, col, partials[k]);
-                }
+                keys[3 * r + k] = (row, cols[k]);
+                values[3 * r + k] = partials[k];
             }
-            rhs[row] -= i_const;
+            if let Some(row) = row {
+                rhs[row] -= i_const;
+            }
         }
+        triplets.stamps(keys, values);
 
         if let Integration::Step { method, h } = mode.integ {
             let off = self.charge_offset[e_idx];
@@ -636,16 +626,8 @@ impl<'c> Assembler<'c> {
 
 /// Stamps a conductance `g` between `p` and `n`.
 pub(crate) fn stamp_conductance(triplets: &mut Triplets, p: NodeId, n: NodeId, g: f64) {
-    if let Some(i) = p.unknown() {
-        triplets.stamp(i, i, g);
-    }
-    if let Some(j) = n.unknown() {
-        triplets.stamp(j, j, g);
-    }
-    if let (Some(i), Some(j)) = (p.unknown(), n.unknown()) {
-        triplets.stamp(i, j, -g);
-        triplets.stamp(j, i, -g);
-    }
+    let (i, j) = (p.unknown(), n.unknown());
+    triplets.stamps([(i, i), (j, j), (i, j), (j, i)], [g, g, -g, -g]);
 }
 
 /// Stamps a constant current `i` flowing from `p` to `n` *through the
@@ -662,22 +644,18 @@ fn stamp_current(rhs: &mut [f64], p: NodeId, n: NodeId, i: f64) {
 /// Couples a branch current into the KCL rows of its terminal nodes
 /// (current flows from `p` through the element to `n`).
 fn stamp_branch_kcl(triplets: &mut Triplets, p: NodeId, n: NodeId, branch: usize) {
-    if let Some(i) = p.unknown() {
-        triplets.stamp(i, branch, 1.0);
-    }
-    if let Some(j) = n.unknown() {
-        triplets.stamp(j, branch, -1.0);
-    }
+    triplets.stamps(
+        [(p.unknown(), Some(branch)), (n.unknown(), Some(branch))],
+        [1.0, -1.0],
+    );
 }
 
 /// Writes the `v_p − v_n` part of a branch constitutive row.
 fn stamp_branch_voltage(triplets: &mut Triplets, p: NodeId, n: NodeId, branch: usize) {
-    if let Some(i) = p.unknown() {
-        triplets.stamp(branch, i, 1.0);
-    }
-    if let Some(j) = n.unknown() {
-        triplets.stamp(branch, j, -1.0);
-    }
+    triplets.stamps(
+        [(Some(branch), p.unknown()), (Some(branch), n.unknown())],
+        [1.0, -1.0],
+    );
 }
 
 /// Stamps the integration companion of a charge-storage branch between `p`

@@ -204,7 +204,18 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
     let mut branch_coupled = vec![false; dim];
     let mut max_abs = 0.0f64;
     let mut min_abs = f64::INFINITY;
-    for &(r, c, v) in triplets.entries() {
+    // Judge the assembled matrix, not the stamps: stamps that cancel in
+    // one slot leave it empty. A dense-kernel program's entries are its
+    // slots already; otherwise each row's stamps are summed per column.
+    let summed;
+    let slots = match triplets.slots() {
+        Some(slots) => slots,
+        None => {
+            summed = sum_slots(dim, triplets.entries());
+            &summed[..]
+        }
+    };
+    for &(r, c, v) in slots {
         if v == 0.0 {
             continue;
         }
@@ -253,6 +264,44 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
         findings.push(PreflightFinding::ExtremeScaling { max_abs, min_abs });
     }
     PreflightReport { findings, dim }
+}
+
+/// The distinct `(row, col)` of `entries` with their summed values, row
+/// by row; each sum adds its entries in emission order.
+fn sum_slots(dim: usize, entries: &[(usize, usize, f64)]) -> Vec<(usize, usize, f64)> {
+    let mut row_start = vec![0usize; dim + 1];
+    for &(r, _, _) in entries {
+        row_start[r + 1] += 1;
+    }
+    for r in 0..dim {
+        row_start[r + 1] += row_start[r];
+    }
+    let mut by_row = vec![0usize; entries.len()];
+    let mut next = row_start.clone();
+    for (i, &(r, _, _)) in entries.iter().enumerate() {
+        by_row[next[r]] = i;
+        next[r] += 1;
+    }
+    // Column → its slot in `slots` while its row is being summed.
+    let mut at = vec![usize::MAX; dim];
+    let mut slots = Vec::with_capacity(entries.len());
+    for r in 0..dim {
+        let row_first = slots.len();
+        for &i in &by_row[row_start[r]..row_start[r + 1]] {
+            let (_, c, v) = entries[i];
+            match at[c] {
+                usize::MAX => {
+                    at[c] = slots.len();
+                    slots.push((r, c, v));
+                }
+                k => slots[k].2 += v,
+            }
+        }
+        for &(_, c, _) in &slots[row_first..] {
+            at[c] = usize::MAX;
+        }
+    }
+    slots
 }
 
 /// Strict pre-flight: rejects circuits with fatal structural findings.
@@ -335,6 +384,34 @@ mod tests {
         let circuit = nl.compile().unwrap();
         let err = assert_preflight(&circuit).unwrap_err();
         assert!(err.to_string().contains("node `open`"), "{err}");
+    }
+
+    #[test]
+    fn stamps_that_cancel_leave_a_floating_node() {
+        // R1 and a VCCS sensing its own node with gm = −1/R1: the two
+        // stamps on `a`'s diagonal cancel exactly, so at gmin = 0 its row
+        // and column are empty. Judged on the dense kernel's side of the
+        // cutoff and, with a resistor ladder added, on the sparse one's.
+        for ladder in [0, crate::linalg::DENSE_CUTOFF] {
+            let mut nl = Netlist::new();
+            let a = nl.node("a");
+            nl.resistor("R1", a, Netlist::GROUND, 1.0e3).unwrap();
+            nl.vccs("G1", a, Netlist::GROUND, a, Netlist::GROUND, -1.0e-3)
+                .unwrap();
+            let top = nl.node("top");
+            nl.vdc("V1", top, Netlist::GROUND, 1.0).unwrap();
+            let mut prev = top;
+            for k in 0..ladder {
+                let node = nl.node(&format!("n{k}"));
+                nl.resistor(&format!("RL{k}"), prev, node, 1.0e3).unwrap();
+                prev = node;
+            }
+            nl.resistor("RT", prev, Netlist::GROUND, 1.0e3).unwrap();
+            let circuit = nl.compile().unwrap();
+            assert_eq!(circuit.dim() > crate::linalg::DENSE_CUTOFF, ladder > 0);
+            let err = assert_preflight(&circuit).unwrap_err().to_string();
+            assert!(err.contains("node `a` is floating"), "{err}");
+        }
     }
 
     #[test]

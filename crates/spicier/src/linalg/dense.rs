@@ -435,7 +435,7 @@ impl Plan {
 /// the same pivots before the step and that row at it; when no plan has
 /// them (or the search finds no acceptable pivot), it hands the matrix,
 /// as it stands, to [`eliminate`] from that step on. Returns the path and
-/// the plan the replay ended on.
+/// the plan the replay ended on. `urow` is scratch for the pivot row.
 ///
 /// # Errors
 ///
@@ -446,6 +446,7 @@ fn replay(
     data: &mut [f64],
     n: usize,
     perm: &mut [usize],
+    urow: &mut Vec<f64>,
 ) -> Result<(FactorPath, usize), Error> {
     let mut p = start;
     for k in 0..n {
@@ -488,18 +489,27 @@ fn replay(
         perm.swap(k, plan.pivot_pos[k] as usize);
         let pk = plan.pivot_row[k] as usize * n;
         let pivot = data[pk + k];
+        let lower = step(&plan.lower, &plan.lower_ptr, k);
         let upper = step(&plan.upper, &plan.upper_ptr, k);
+        // Every L factor of the step first, so the divisions overlap; no
+        // row update of this step reads column k or writes the pivot row,
+        // so the values are those of `eliminate`'s interleaved order.
+        for &r in lower {
+            data[r as usize * n + k] /= pivot;
+        }
+        urow.clear();
+        urow.extend(upper.iter().map(|&c| data[pk + c as usize]));
         let mut diverged = false;
-        for &r in step(&plan.lower, &plan.lower_ptr, k) {
+        for &r in lower {
             let r = r as usize * n;
-            let factor = data[r + k] / pivot;
-            data[r + k] = factor;
+            let row = &mut data[r..r + n];
+            let factor = row[k];
             if factor == 0.0 {
                 continue;
             }
             if factor.is_finite() {
-                for &c in upper {
-                    data[r + c as usize] -= factor * data[pk + c as usize];
+                for (&c, &u) in upper.iter().zip(urow.iter()) {
+                    row[c as usize] -= factor * u;
                 }
             } else {
                 // factor · (+0.0) is NaN, so the full elimination also
@@ -524,17 +534,18 @@ fn replay(
     Ok((FactorPath::Refactor, p))
 }
 
-/// `(‖A‖∞, ‖A‖₁, every entry finite)` of the row-major `n × n` matrix
-/// `data`, summed over the unique stamped slots `pattern` (sorted
-/// row-major, row `r` at `row_ptr[r]..row_ptr[r + 1]`). Unstamped
-/// entries are +0.0 and adding +0.0 to a non-negative sum changes
-/// nothing, so this equals [`DenseMatrix::norms`] bit for bit.
-fn pattern_norms(
-    data: &[f64],
+/// `(‖A‖∞, ‖A‖₁, every entry finite)` of an `n × n` matrix from its
+/// stamped entries in row-major order, row `r`'s at
+/// `row_ptr[r]..row_ptr[r + 1]`; `entry(r, i)` gives entry `i`'s column
+/// and value. Each row sum adds its entries in column order and each
+/// column sum in row order; unstamped entries are +0.0, and adding +0.0
+/// to a non-negative sum changes nothing, so the norms equal
+/// [`DenseMatrix::norms`] bit for bit.
+fn norms(
     n: usize,
-    pattern: &[usize],
     row_ptr: &[usize],
     col_sums: &mut Vec<f64>,
+    mut entry: impl FnMut(usize, usize) -> (usize, f64),
 ) -> (f64, f64, bool) {
     col_sums.clear();
     col_sums.resize(n, 0.0);
@@ -542,10 +553,11 @@ fn pattern_norms(
     let mut total = 0.0f64;
     for r in 0..n {
         let mut row_sum = 0.0;
-        for &slot in &pattern[row_ptr[r]..row_ptr[r + 1]] {
-            let a = data[slot].abs();
+        for i in row_ptr[r]..row_ptr[r + 1] {
+            let (c, v) = entry(r, i);
+            let a = v.abs();
             row_sum += a;
-            col_sums[slot - r * n] += a;
+            col_sums[c] += a;
         }
         row_max = row_max.max(row_sum);
         total += row_sum;
@@ -557,20 +569,66 @@ fn pattern_norms(
     )
 }
 
-/// Reusable dense solver workspace: the compiled stamp program of the last
+/// Loads a slot program's `slots` (duplicate-free, sorted row-major,
+/// row `r` at `row_ptr[r]..row_ptr[r + 1]`) into the row-major `n × n`
+/// matrix `data`, +0.0 elsewhere, and takes the [`norms`] in the same
+/// pass.
+fn load_slots(
+    data: &mut [f64],
+    n: usize,
+    slots: &[(usize, usize, f64)],
+    row_ptr: &[usize],
+    col_sums: &mut Vec<f64>,
+) -> (f64, f64, bool) {
+    data.fill(0.0);
+    norms(n, row_ptr, col_sums, |r, i| {
+        let (_, c, v) = slots[i];
+        data[r * n + c] = v;
+        (c, v)
+    })
+}
+
+/// Loads a system pushed entry by entry: scatters `entries` into the
+/// cleared row-major `n × n` matrix `data` in emission order, then takes
+/// the [`norms`] over the stamped offsets `pattern` (sorted, row `r`'s at
+/// `row_ptr[r]..row_ptr[r + 1]`).
+fn load_entries(
+    data: &mut [f64],
+    n: usize,
+    entries: &[(usize, usize, f64)],
+    pattern: &[usize],
+    row_ptr: &[usize],
+    col_sums: &mut Vec<f64>,
+) -> (f64, f64, bool) {
+    data.fill(0.0);
+    for &(r, c, v) in entries {
+        data[r * n + c] += v;
+    }
+    norms(n, row_ptr, col_sums, |r, i| {
+        (pattern[i] - r * n, data[pattern[i]])
+    })
+}
+
+/// Reusable dense solver workspace: the slot layout of the last stamp
 /// pattern it saw, and replayed refactorizations over a cache of recorded
 /// pivot orders.
 ///
-/// **Compilation.** Like the sparse kernel's [`StampMap`](super::StampMap),
-/// the solver turns a [`Triplets`] key sequence into flattened
-/// `row * n + col` slot offsets once, and later calls scatter the values
-/// through the cached slots. While the triplets carry a program id the
-/// solver has matched before, the keys are not compared again; on a new
-/// id they are compared once, and the id is adopted when they are equal,
-/// so the slots, the plans below and the counters survive a workspace
-/// shared by several assemblers of one topology. Scatter order is
-/// emission order either way, so the assembled matrix is bit-identical to
-/// the uncached path.
+/// **Slots.** A sealed stamp program of at most
+/// [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns arrives as its slots
+/// (see [`Triplets`]): one value per distinct `(row, col)`, already summed
+/// from +0.0 in emission order. The solver loads them into the matrix and
+/// takes the norms in one pass, and its certification residual runs over
+/// them. A system pushed entry by entry (tests, benches) is scattered
+/// into the cleared matrix in emission order, which gives the same
+/// matrix, and its residual runs over the entries. The layout (the
+/// stamped offsets and their row boundaries) is compiled once per stamp
+/// sequence: the keys of the stamps, not of the slots, so two mode
+/// patterns that stamp the same positions still recompile as a fresh
+/// solver would. While the triplets carry a program id the solver has
+/// matched before, the keys are not compared again; on a new id they are
+/// compared once, and the id is adopted when they are equal, so the
+/// layout, the plans below and the counters survive a workspace shared by
+/// several assemblers of one topology.
 ///
 /// **Plans.** A plan is a symbolic elimination of the unique stamped slots
 /// in one pivot order. The solver keeps up to 32 plans per stamp pattern,
@@ -599,16 +657,16 @@ fn pattern_norms(
 /// replay state alone.
 ///
 /// **Bit identity.** The replay is bit-identical to a full factorization.
-/// The scatter starts every entry from +0.0, so no assembled entry is
-/// −0.0, and no update `a − f·u` can produce −0.0 from an `a` that is not
-/// −0.0. Structurally zero entries therefore hold exactly +0.0, and each
-/// update the replay skips is `a − f·(+0.0)` with `a ≠ −0.0` and `f`
-/// finite, which leaves `a` unchanged. Rows whose factor is zero are
-/// skipped by both paths. The one value a skipped step would have written
-/// is the structurally zero `L` factor `+0.0 / pivot`, which the replay
-/// writes as −0.0 when the pivot is negative. A non-finite factor
-/// (overflow) makes `f·(+0.0)` NaN, so that row gets the full update and
-/// the rest of the factorization runs on the full path.
+/// Every slot is summed from +0.0, so no assembled entry is −0.0, and no
+/// update `a − f·u` can produce −0.0 from an `a` that is not −0.0.
+/// Structurally zero entries therefore hold exactly +0.0, and each update
+/// the replay skips is `a − f·(+0.0)` with `a ≠ −0.0` and `f` finite,
+/// which leaves `a` unchanged. Rows whose factor is zero are skipped by
+/// both paths. The one value a skipped step would have written is the
+/// structurally zero `L` factor `+0.0 / pivot`, which the replay writes
+/// as −0.0 when the pivot is negative. A non-finite factor (overflow)
+/// makes `f·(+0.0)` NaN, so that row gets the full update and the rest of
+/// the factorization runs on the full path.
 ///
 /// **Structural solves.** After a replay the triangular solves also visit
 /// only the final plan's structural nonzeros, in the dense loops'
@@ -616,17 +674,17 @@ fn pattern_norms(
 /// no running sum is ever −0.0, and with `v` finite such a term leaves `s`
 /// unchanged. So a right-hand side holding −0.0, or a non-finite result
 /// (the only way a non-finite `v` shows), takes the dense solve instead.
-/// The certification residual is computed from the triplets either way.
 #[derive(Debug, Default)]
 pub struct DenseSolver {
     matrix: Option<DenseMatrix>,
     /// Id of the stamp program last matched against `keys`.
     program: Option<u64>,
+    /// Stamp sequence of the last system (see `Triplets::stamp_keys`).
     keys: Vec<(u32, u32)>,
-    slots: Vec<u32>,
-    /// Unique stamped slots, sorted row-major, with per-row boundaries.
+    /// Flat `row * n + col` offsets of the distinct stamped entries (the
+    /// slots), sorted, with per-row boundaries.
     pattern: Vec<usize>,
-    pattern_row_ptr: Vec<usize>,
+    row_ptr: Vec<usize>,
     /// Row permutation of the current factorization.
     perm: Vec<usize>,
     /// Pivot sequence of the last full factorization on this pattern.
@@ -641,6 +699,7 @@ pub struct DenseSolver {
     recorder: Recorder,
     // Per-solve scratch.
     col_sums: Vec<f64>,
+    urow: Vec<f64>,
     b: Vec<f64>,
     y: Vec<f64>,
     acc: Vec<f64>,
@@ -650,19 +709,24 @@ pub struct DenseSolver {
 }
 
 impl DenseSolver {
-    /// Whether the cached slot map still describes `triplets`' stamp
+    /// Whether the cached layout still describes `triplets`' stamp
     /// sequence (same dimension implied by the caller, same keys).
-    fn slots_match(&self, triplets: &Triplets) -> bool {
-        triplets.len() == self.keys.len()
-            && triplets
-                .entries()
+    fn keys_match(&self, triplets: &Triplets) -> bool {
+        let cached = self.keys.iter().map(|&(r, c)| (r as usize, c as usize));
+        if triplets.slots().is_some() {
+            return triplets.stamp_keys().eq(cached);
+        }
+        // Unsealed systems compare on every solve: the plain entry walk.
+        let entries = triplets.entries();
+        entries.len() == self.keys.len()
+            && entries
                 .iter()
-                .zip(&self.keys)
-                .all(|(&(r, c, _), &(kr, kc))| r as u32 == kr && c as u32 == kc)
+                .zip(cached)
+                .all(|(&(r, c, _), key)| (r, c) == key)
     }
 
-    /// Caches `triplets`' stamp sequence: slot map, unique stamped
-    /// pattern, an `n × n` matrix; forgets the recorded plans.
+    /// Compiles `triplets`' stamp sequence into the slot layout, sizes an
+    /// `n × n` matrix, and forgets the recorded plans.
     fn rebuild(&mut self, triplets: &Triplets) {
         let n = triplets.dim();
         if !matches!(&self.matrix, Some(m) if m.dim() == n) {
@@ -671,23 +735,28 @@ impl DenseSolver {
         // Triplets bounds-checked every (row, col) when it was pushed, so
         // the flattened offsets are valid for an n × n matrix.
         self.keys.clear();
-        self.slots.clear();
-        for &(r, c, _) in triplets.entries() {
-            self.keys.push((r as u32, c as u32));
-            self.slots.push((r * n + c) as u32);
-        }
+        self.keys
+            .extend(triplets.stamp_keys().map(|(r, c)| (r as u32, c as u32)));
         self.pattern.clear();
-        self.pattern
-            .extend(self.slots.iter().map(|&slot| slot as usize));
-        self.pattern.sort_unstable();
-        self.pattern.dedup();
-        self.pattern_row_ptr.clear();
-        self.pattern_row_ptr.resize(n + 1, 0);
+        match triplets.slots() {
+            // The slots are the stamps' distinct keys, sorted already.
+            Some(slots) => self
+                .pattern
+                .extend(slots.iter().map(|&(r, c, _)| r * n + c)),
+            None => {
+                self.pattern
+                    .extend(self.keys.iter().map(|&(r, c)| r as usize * n + c as usize));
+                self.pattern.sort_unstable();
+                self.pattern.dedup();
+            }
+        }
+        self.row_ptr.clear();
+        self.row_ptr.resize(n + 1, 0);
         for &slot in &self.pattern {
-            self.pattern_row_ptr[slot / n + 1] += 1;
+            self.row_ptr[slot / n + 1] += 1;
         }
         for r in 0..n {
-            self.pattern_row_ptr[r + 1] += self.pattern_row_ptr[r];
+            self.row_ptr[r + 1] += self.row_ptr[r];
         }
         self.last_pivots = None;
         self.plans.clear();
@@ -764,31 +833,45 @@ impl Solver for DenseSolver {
         let id = triplets.program_id();
         let sized = matches!(&self.matrix, Some(m) if m.dim() == n);
         if !(sized && id.is_some() && id == self.program) {
-            if !(sized && self.slots_match(triplets)) {
+            if !(sized && self.keys_match(triplets)) {
                 self.rebuild(triplets);
             }
             self.program = id;
         }
         let matrix = self.matrix.as_mut().expect("sized by rebuild");
-        matrix.clear();
-        for (&(_, _, v), &slot) in triplets.entries().iter().zip(&self.slots) {
-            matrix.data[slot as usize] += v;
-        }
         // Norms for the certification denominator, while the assembled
-        // values are still intact (the factorization overwrites them).
-        let (norm_a_inf, norm_a_1, finite) = pattern_norms(
-            &matrix.data,
-            n,
-            &self.pattern,
-            &self.pattern_row_ptr,
-            &mut self.col_sums,
-        );
+        // values are intact (the factorization overwrites them).
+        let (norm_a_inf, norm_a_1, finite) = match triplets.slots() {
+            Some(slots) => {
+                debug_assert_eq!(slots.len(), self.pattern.len(), "slots of another layout");
+                load_slots(
+                    &mut matrix.data,
+                    n,
+                    slots,
+                    &self.row_ptr,
+                    &mut self.col_sums,
+                )
+            }
+            None => load_entries(
+                &mut matrix.data,
+                n,
+                triplets.entries(),
+                &self.pattern,
+                &self.row_ptr,
+                &mut self.col_sums,
+            ),
+        };
         self.perm.clear();
         self.perm.extend(0..n);
         let (path, ended) = match self.active {
-            Some(start) if finite => {
-                replay(&self.plans, start, &mut matrix.data, n, &mut self.perm)?
-            }
+            Some(start) if finite => replay(
+                &self.plans,
+                start,
+                &mut matrix.data,
+                n,
+                &mut self.perm,
+                &mut self.urow,
+            )?,
             _ => {
                 eliminate(&mut matrix.data, n, &mut self.perm, 0)?;
                 (FactorPath::Full, 0)
@@ -811,6 +894,8 @@ impl Solver for DenseSolver {
         self.acc.resize(n, 0.0);
         self.residual.resize(n, 0.0);
         let matrix: &DenseMatrix = matrix;
+        let slots = triplets.slots();
+        let row_ptr = &self.row_ptr;
         let (b, y, acc) = (&self.b, &mut self.y, &mut self.acc);
         let mut lu_solve = |v: &mut [f64]| {
             if !plan.is_some_and(|plan| plan.solve(&matrix.data, n, v, acc, y)) {
@@ -825,13 +910,25 @@ impl Solver for DenseSolver {
             b,
             &mut self.residual,
             (norm_a_inf, norm_a_1),
-            |x, out| {
-                // r = b − A x straight from the triplets: duplicate
-                // entries distribute over the mat-vec sum, so this equals
-                // the assembled-matrix residual.
-                out.copy_from_slice(b);
-                for &(r, c, v) in triplets.entries() {
-                    out[r] -= v * x[c];
+            |x, out| match slots {
+                // r = b − A x over the slots, the assembled matrix's
+                // nonzeros.
+                Some(slots) => {
+                    for (r, out) in out.iter_mut().enumerate() {
+                        let mut sum = b[r];
+                        for &(_, c, v) in &slots[row_ptr[r]..row_ptr[r + 1]] {
+                            sum -= v * x[c];
+                        }
+                        *out = sum;
+                    }
+                }
+                // Straight from the entries: duplicates distribute over
+                // the mat-vec sum, so this is the assembled residual.
+                None => {
+                    out.copy_from_slice(b);
+                    for &(r, c, v) in triplets.entries() {
+                        out[r] -= v * x[c];
+                    }
                 }
             },
             |v| {
@@ -1016,48 +1113,128 @@ mod tests {
         assert_eq!(one, 6.0);
     }
 
-    #[test]
-    fn pattern_norms_match_dense_norms_bitwise() {
-        // Duplicate stamps, an exactly cancelling pair and an empty row:
-        // summing only the stamped slots must give the full-matrix sums.
-        let mut t = Triplets::new(4);
-        for (r, c, v) in [
-            (0, 0, 0.1),
-            (0, 3, -0.7),
-            (0, 0, 0.2),
-            (2, 1, 1.0e-3),
-            (2, 1, -1.0e-3),
-            (3, 3, 5.5),
-            (3, 0, -2.25),
-            (2, 2, 0.3),
-        ] {
-            t.add(r, c, v);
+    /// A random stamp program: keys with ground on either side now and
+    /// then, and repeats of earlier keys.
+    fn random_keys(rng: &mut xrand::StdRng, n: usize) -> Vec<(Option<usize>, Option<usize>)> {
+        let mut keys: Vec<(Option<usize>, Option<usize>)> = Vec::new();
+        for _ in 0..rng.gen_range(1..4 * n + 2) {
+            let node = |rng: &mut xrand::StdRng| (!rng.gen_bool(0.15)).then(|| rng.gen_range(0..n));
+            let key = match rng.choose(&keys) {
+                Some(&key) if rng.gen_bool(0.4) => key,
+                _ => (node(rng), node(rng)),
+            };
+            keys.push(key);
         }
-        let mut solver = DenseSolver::default();
-        solver.rebuild(&t);
-        let full = DenseMatrix::from_triplets(&t);
-        let (inf, one, finite) = pattern_norms(
-            &full.data,
-            4,
-            &solver.pattern,
-            &solver.pattern_row_ptr,
-            &mut solver.col_sums,
-        );
-        let (dense_inf, dense_one) = full.norms();
-        assert_eq!(
-            (inf.to_bits(), one.to_bits()),
-            (dense_inf.to_bits(), dense_one.to_bits())
-        );
-        assert!(finite);
-        let mut poisoned = full.clone();
-        poisoned.add(3, 0, f64::NAN);
-        let (.., finite) = pattern_norms(
-            &poisoned.data,
-            4,
-            &solver.pattern,
-            &solver.pattern_row_ptr,
-            &mut solver.col_sums,
-        );
+        keys
+    }
+
+    /// One assembly's values: signed zeros, stamps that cancel an earlier
+    /// stamp of their key, and keys whose every stamp is zero.
+    fn random_values(rng: &mut xrand::StdRng, keys: &[(Option<usize>, Option<usize>)]) -> Vec<f64> {
+        let zeroed: Vec<(Option<usize>, Option<usize>)> =
+            keys.iter().filter(|_| rng.gen_bool(0.1)).copied().collect();
+        let mut values: Vec<f64> = Vec::with_capacity(keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            let earlier = keys[..i].iter().position(|k| k == key);
+            let v = if zeroed.contains(key) || rng.gen_bool(0.1) {
+                if rng.gen_bool(0.5) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else if let Some(j) = earlier.filter(|_| rng.gen_bool(0.3)) {
+                -values[j]
+            } else {
+                (rng.next_f64() - 0.5) * 10f64.powi(rng.gen_range(-6..7))
+            };
+            values.push(v);
+        }
+        values
+    }
+
+    #[test]
+    fn slot_path_matches_per_stamp_scatter_bitwise() {
+        use crate::linalg::ProgramKey;
+        let mut rng = xrand::StdRng::seed_from_u64(0x5107);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for case in 0..60 {
+            let n = if case % 10 == 0 {
+                crate::linalg::DENSE_CUTOFF
+            } else {
+                rng.gen_range(1..24)
+            };
+            let keys = random_keys(&mut rng, n);
+            let key = ProgramKey {
+                owner: 1,
+                pattern: 0,
+            };
+            let mut t = Triplets::new(n);
+            let mut solver = DenseSolver::default();
+            let mut id = None;
+            for round in 0..5 {
+                let values = random_values(&mut rng, &keys);
+                t.open(n, key);
+                for (&key, &v) in keys.iter().zip(&values) {
+                    t.stamps([key], [v]);
+                }
+                t.seal();
+                assert!(
+                    id.is_none() || t.program_id() == id,
+                    "round {round} recompiled"
+                );
+                id = t.program_id();
+
+                // The reference: every stamp added into +0.0 in emission
+                // order, as a per-stamp scatter does.
+                let mut reference = DenseMatrix::zeros(n);
+                let mut raw = Triplets::new(n);
+                for (&key, &v) in keys.iter().zip(&values) {
+                    if let (Some(r), Some(c)) = key {
+                        reference.data[r * n + c] += v;
+                        raw.add(r, c, v);
+                    }
+                }
+                let slots = t.slots().expect("a dense-kernel program is slotted");
+                assert!(slots.iter().all(|s| s.2.to_bits() != (-0.0f64).to_bits()));
+                solver.rebuild(&t);
+                let mut data = vec![f64::NAN; n * n];
+                let (inf, one, finite) =
+                    load_slots(&mut data, n, slots, &solver.row_ptr, &mut solver.col_sums);
+                let (ref_inf, ref_one) = reference.norms();
+                assert_eq!(
+                    bits(&data),
+                    bits(&reference.data),
+                    "case {case} round {round}"
+                );
+                assert_eq!(
+                    bits(&[inf, one]),
+                    bits(&[ref_inf, ref_one]),
+                    "case {case} round {round}"
+                );
+                assert!(finite);
+                assert_eq!(
+                    bits(&DenseMatrix::from_triplets(&t).data),
+                    bits(&reference.data)
+                );
+
+                // The solve reads the same slots whether the program or a
+                // raw push of its stamps brings them.
+                let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+                let (mut x_slots, mut x_raw) = (b.clone(), b.clone());
+                let from_slots = DenseSolver::default().solve_in_place(&t, &mut x_slots);
+                let mut fresh = DenseSolver::default();
+                let from_raw = fresh.solve_in_place(&raw, &mut x_raw);
+                assert_eq!(from_slots.is_ok(), from_raw.is_ok(), "case {case}");
+                assert_eq!(bits(&x_slots), bits(&x_raw), "case {case} round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn slot_norms_flag_a_non_finite_entry() {
+        let slots = [(0, 0, 1.0), (1, 0, f64::NAN), (1, 1, 2.0)];
+        let mut data = vec![0.0; 4];
+        let (.., finite) = load_slots(&mut data, 2, &slots, &[0, 1, 3], &mut Vec::new());
         assert!(!finite);
     }
 
