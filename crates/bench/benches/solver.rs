@@ -68,11 +68,20 @@ fn fig14_circuit(n: usize) -> Circuit {
 /// Assembles `circuit`'s DC MNA stamps at its operating point: a sealed
 /// stamp program, as the Newton loops hand it to the solver.
 fn stamps(circuit: &Circuit) -> Triplets {
+    stamps_sealed(circuit, None)
+}
+
+/// [`stamps`], sealed with slots (`Some(true)`) or one entry per stamp
+/// (`Some(false)`) whatever the dimension, or by the dimension (`None`).
+fn stamps_sealed(circuit: &Circuit, slots: Option<bool>) -> Triplets {
     let x = operating_point(circuit, &DcOptions::default())
         .expect("op")
         .into_unknowns();
     let mut assembler = Assembler::new(circuit);
     let mut triplets = Triplets::new(circuit.dim());
+    if let Some(slots) = slots {
+        triplets.force_slots(slots);
+    }
     let mut rhs = Vec::new();
     assembler.assemble(&x, &EvalMode::dc(1.0e-12), &mut triplets, &mut rhs);
     triplets
@@ -198,27 +207,38 @@ fn bench_cutoff(c: &mut Harness) {
     // The synthetic chain, then real MNA stamps (denser than the chain
     // matrix): the FIG3 chain, and FIG14 shared detectors on both sides
     // of the cutoff, so the cutoff choice reflects the circuits the
-    // harness simulates.
-    let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| (String::new(), chain_matrix(n)));
+    // harness simulates. At every size each kernel solves the input it
+    // gets at its own sizes: the dense kernel a slotted program, the
+    // sparse kernel one entry per stamp.
+    let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| {
+        let t = chain_matrix(n);
+        (String::new(), t.clone(), t)
+    });
     let real = [("fig3", fig3_chain_circuit(1.0e9))]
         .into_iter()
         .chain(FIG14_CUTOFF_NS.map(|n| ("fig14", fig14_circuit(n))))
-        .map(|(name, circuit)| (format!("_{name}"), stamps(&circuit)));
-    for (suffix, t) in synthetic.into_iter().chain(real) {
-        let n = t.dim();
+        .map(|(name, circuit)| {
+            (
+                format!("_{name}"),
+                stamps_sealed(&circuit, Some(true)),
+                stamps_sealed(&circuit, Some(false)),
+            )
+        });
+    for (suffix, slotted, per_stamp) in synthetic.into_iter().chain(real) {
+        let n = slotted.dim();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut dense = DenseSolver::default();
         let mut sparse = spicier::linalg::sparse::SparseSolver::default();
-        let solve = |solver: &mut dyn Solver| {
+        let solve = |solver: &mut dyn Solver, t: &Triplets| {
             let mut rhs = b.clone();
-            solver.solve_in_place(&t, &mut rhs).expect("nonsingular");
+            solver.solve_in_place(t, &mut rhs).expect("nonsingular");
             rhs
         };
         group.bench_pair(
             format!("dense_cached{suffix}/{n}"),
-            || solve(&mut dense),
+            || solve(&mut dense, &slotted),
             format!("sparse_cached{suffix}/{n}"),
-            || solve(&mut sparse),
+            || solve(&mut sparse, &per_stamp),
         );
     }
     group.finish();

@@ -205,17 +205,8 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
     let mut max_abs = 0.0f64;
     let mut min_abs = f64::INFINITY;
     // Judge the assembled matrix, not the stamps: stamps that cancel in
-    // one slot leave it empty. A dense-kernel program's entries are its
-    // slots already; otherwise each row's stamps are summed per column.
-    let summed;
-    let slots = match triplets.slots() {
-        Some(slots) => slots,
-        None => {
-            summed = sum_slots(dim, triplets.entries());
-            &summed[..]
-        }
-    };
-    for &(r, c, v) in slots {
+    // one slot leave it empty.
+    for (r, c, v) in sum_slots(dim, triplets.entries()) {
         if v == 0.0 {
             continue;
         }

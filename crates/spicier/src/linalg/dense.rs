@@ -713,16 +713,7 @@ impl DenseSolver {
     /// sequence (same dimension implied by the caller, same keys).
     fn keys_match(&self, triplets: &Triplets) -> bool {
         let cached = self.keys.iter().map(|&(r, c)| (r as usize, c as usize));
-        if triplets.slots().is_some() {
-            return triplets.stamp_keys().eq(cached);
-        }
-        // Unsealed systems compare on every solve: the plain entry walk.
-        let entries = triplets.entries();
-        entries.len() == self.keys.len()
-            && entries
-                .iter()
-                .zip(cached)
-                .all(|(&(r, c, _), key)| (r, c) == key)
+        triplets.stamp_keys().eq(cached)
     }
 
     /// Compiles `triplets`' stamp sequence into the slot layout, sizes an
@@ -1113,6 +1104,54 @@ mod tests {
         assert_eq!(one, 6.0);
     }
 
+    #[test]
+    fn pattern_norms_match_dense_norms_bitwise() {
+        // Duplicate stamps, an exactly cancelling pair and an empty row:
+        // a system pushed entry by entry, scattered and normed over its
+        // stamped offsets only, must give the full matrix and its norms.
+        let mut t = Triplets::new(4);
+        for (r, c, v) in [
+            (0, 0, 0.1),
+            (0, 3, -0.7),
+            (0, 0, 0.2),
+            (2, 1, 1.0e-3),
+            (2, 1, -1.0e-3),
+            (3, 3, 5.5),
+            (3, 0, -2.25),
+            (2, 2, 0.3),
+        ] {
+            t.add(r, c, v);
+        }
+        let mut solver = DenseSolver::default();
+        solver.rebuild(&t);
+        let full = DenseMatrix::from_triplets(&t);
+        let mut data = vec![f64::NAN; 16];
+        let (inf, one, finite) = load_entries(
+            &mut data,
+            4,
+            t.entries(),
+            &solver.pattern,
+            &solver.row_ptr,
+            &mut solver.col_sums,
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&data), bits(&full.data));
+        let (dense_inf, dense_one) = full.norms();
+        assert_eq!(bits(&[inf, one]), bits(&[dense_inf, dense_one]));
+        assert!(finite);
+        // A NaN stamp on an existing key keeps the pattern.
+        t.add(3, 0, f64::NAN);
+        let (.., finite) = load_entries(
+            &mut data,
+            4,
+            t.entries(),
+            &solver.pattern,
+            &solver.row_ptr,
+            &mut solver.col_sums,
+        );
+        assert!(!finite);
+    }
+
     /// A random stamp program: keys with ground on either side now and
     /// then, and repeats of earlier keys.
     fn random_keys(rng: &mut xrand::StdRng, n: usize) -> Vec<(Option<usize>, Option<usize>)> {
@@ -1216,6 +1255,28 @@ mod tests {
                     bits(&DenseMatrix::from_triplets(&t).data),
                     bits(&reference.data)
                 );
+                // The per-entry path of a system pushed stamp by stamp
+                // loads the same matrix and norms over the same layout.
+                let mut per_entry = vec![f64::NAN; n * n];
+                let (entry_inf, entry_one, entry_finite) = load_entries(
+                    &mut per_entry,
+                    n,
+                    raw.entries(),
+                    &solver.pattern,
+                    &solver.row_ptr,
+                    &mut solver.col_sums,
+                );
+                assert_eq!(
+                    bits(&per_entry),
+                    bits(&reference.data),
+                    "case {case} round {round}"
+                );
+                assert_eq!(
+                    bits(&[entry_inf, entry_one]),
+                    bits(&[ref_inf, ref_one]),
+                    "case {case} round {round}"
+                );
+                assert!(entry_finite);
 
                 // The solve reads the same slots whether the program or a
                 // raw push of its stamps brings them.

@@ -75,6 +75,9 @@ pub struct Triplets {
     /// Whether the sealed program's entries are slots that its stamps add
     /// into, rather than one entry per stamp.
     slotted: bool,
+    /// Slot layout for every later seal, whatever the dimension (see
+    /// [`force_slots`](Self::force_slots)); `None` decides by dimension.
+    forced_slots: Option<bool>,
     /// Whether an assembly is rewriting the sealed program's values.
     replaying: bool,
     /// Next stamp a replay writes.
@@ -119,8 +122,9 @@ impl Triplets {
     }
 
     /// The slots of a sealed program of at most
-    /// [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns: duplicate-free keys
-    /// in row-major order, no value −0.0. `None` for any other system.
+    /// [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns (or of any size
+    /// under [`force_slots`](Self::force_slots)): duplicate-free keys in
+    /// row-major order, no value −0.0. `None` for any other system.
     pub(crate) fn slots(&self) -> Option<&[(usize, usize, f64)]> {
         (self.id != 0 && self.slotted).then_some(&self.entries)
     }
@@ -141,6 +145,16 @@ impl Triplets {
             .flatten()
             .chain(compiled.into_iter().flatten())
             .map(|&(r, c, _)| (r, c))
+    }
+
+    /// Bench hook: every later recompiled program is sealed with slots
+    /// (`true`) or with one entry per stamp (`false`) whatever its
+    /// dimension, so that each kernel can be timed on the input it gets at
+    /// its own sizes on both sides of the cutoff. Analyses never call it:
+    /// the sparse kernel's sums over slots would not be bit-identical.
+    #[doc(hidden)]
+    pub fn force_slots(&mut self, slots: bool) {
+        self.forced_slots = Some(slots);
     }
 
     /// Adds `value` at `(row, col)`; duplicates accumulate. Unseals the
@@ -290,7 +304,7 @@ impl Triplets {
             );
             self.replaying = false;
         } else {
-            if self.dim <= super::DENSE_CUTOFF {
+            if self.forced_slots.unwrap_or(self.dim <= super::DENSE_CUTOFF) {
                 self.merge_slots();
             }
             self.id = fresh_id();
@@ -300,8 +314,8 @@ impl Triplets {
     /// Merges the entries into slots, one per distinct key in row-major
     /// order, each the sum of its entries added into +0.0 in emission
     /// order, and points every stamp at its slot. The keys are marked on
-    /// a dense grid (the system has at most `DENSE_CUTOFF` unknowns), so
-    /// scanning it yields the row-major order without a sort.
+    /// a dense grid (the system is dense-kernel sized), so scanning it
+    /// yields the row-major order without a sort.
     fn merge_slots(&mut self) {
         let dim = self.dim;
         let mut slot_at = vec![GROUND; dim * dim];
@@ -376,6 +390,21 @@ mod tests {
         let mut t = Triplets::new(n);
         assemble(&mut t, n, KEY, 1.0);
         assemble(&mut t, n, KEY, 2.0);
+        assert_eq!(t.slots(), None);
+        assert_eq!(t.entries(), &[(0, 0, 2.0), (2, 1, -2.0), (0, 0, 1.0)]);
+    }
+
+    #[test]
+    fn forced_slots_hold_on_either_side_of_the_cutoff() {
+        let n = DENSE_CUTOFF + 1;
+        let mut t = Triplets::new(n);
+        t.force_slots(true);
+        assemble(&mut t, n, KEY, 1.0);
+        assemble(&mut t, n, KEY, 2.0);
+        assert_eq!(t.slots(), Some(&[(0, 0, 3.0), (2, 1, -2.0)][..]));
+        let mut t = Triplets::new(3);
+        t.force_slots(false);
+        assemble(&mut t, 3, KEY, 2.0);
         assert_eq!(t.slots(), None);
         assert_eq!(t.entries(), &[(0, 0, 2.0), (2, 1, -2.0), (0, 0, 1.0)]);
     }
