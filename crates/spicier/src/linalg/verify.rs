@@ -77,17 +77,36 @@ impl SolveQuality {
 
 /// `‖v‖∞` (0 for an empty slice; NaN entries propagate as NaN).
 pub fn inf_norm(v: &[f64]) -> f64 {
-    // `f64::max` would silently drop NaN operands, so a poisoned vector
-    // has to be detected explicitly — a NaN norm must fail certification,
-    // not vanish from it.
-    let mut m = 0.0f64;
-    for x in v {
-        if x.is_nan() {
-            return f64::NAN;
+    // Four running maxima, so that the comparisons do not wait on each
+    // other; a maximum does not depend on the order it is taken in. A
+    // NaN loses every comparison, so a poisoned vector is flagged on the
+    // side — a NaN norm must fail certification, not vanish from it.
+    let mut lanes = [0.0f64; 4];
+    let mut nan = false;
+    let chunks = v.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (m, x) in lanes.iter_mut().zip(chunk) {
+            let a = x.abs();
+            nan |= a.is_nan();
+            *m = if a > *m { a } else { *m };
         }
-        m = m.max(x.abs());
     }
-    m
+    for (m, x) in lanes.iter_mut().zip(rest) {
+        let a = x.abs();
+        nan |= a.is_nan();
+        *m = if a > *m { a } else { *m };
+    }
+    if nan {
+        return f64::NAN;
+    }
+    let [a, b, c, d] = lanes;
+    let (ab, cd) = (if b > a { b } else { a }, if d > c { d } else { c });
+    if cd > ab {
+        cd
+    } else {
+        ab
+    }
 }
 
 /// Normalized backward error `r / (‖A‖·‖x‖ + ‖b‖)` from precomputed norms.
@@ -313,6 +332,19 @@ mod tests {
         assert_eq!(inf_norm(&[]), 0.0);
         assert_eq!(inf_norm(&[1.0, -3.0, 2.0]), 3.0);
         assert!(inf_norm(&[1.0, f64::NAN]).is_nan(), "NaN must not vanish");
+        // Every lane and the remainder, against the sequential maximum.
+        for len in 0..11 {
+            let v: Vec<f64> = (0..len)
+                .map(|i| ((i * 7 % 11) as f64 - 5.0) * 0.5)
+                .collect();
+            let seq = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            assert_eq!(inf_norm(&v).to_bits(), seq.to_bits(), "len {len}");
+            for at in 0..len {
+                let mut poisoned = v.clone();
+                poisoned[at] = f64::NAN;
+                assert!(inf_norm(&poisoned).is_nan(), "len {len} NaN at {at}");
+            }
+        }
     }
 
     #[test]
