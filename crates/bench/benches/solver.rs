@@ -207,9 +207,10 @@ fn bench_cutoff(c: &mut Harness) {
     // The synthetic chain, then real MNA stamps (denser than the chain
     // matrix): the FIG3 chain, and FIG14 shared detectors on both sides
     // of the cutoff, so the cutoff choice reflects the circuits the
-    // harness simulates. At every size each kernel solves the input it
-    // gets at its own sizes: the dense kernel a slotted program, the
-    // sparse kernel one entry per stamp.
+    // harness simulates. On real stamps each kernel solves, at every
+    // size, the input it gets at its own sizes: the dense kernel a
+    // slotted program, the sparse kernel one entry per stamp. The
+    // synthetic chain is pushed entry by entry for both.
     let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| {
         let t = chain_matrix(n);
         (String::new(), t.clone(), t)

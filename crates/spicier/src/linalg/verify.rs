@@ -100,13 +100,9 @@ pub fn inf_norm(v: &[f64]) -> f64 {
     if nan {
         return f64::NAN;
     }
-    let [a, b, c, d] = lanes;
-    let (ab, cd) = (if b > a { b } else { a }, if d > c { d } else { c });
-    if cd > ab {
-        cd
-    } else {
-        ab
-    }
+    lanes
+        .into_iter()
+        .fold(0.0, |m, a| if a > m { a } else { m })
 }
 
 /// Normalized backward error `r / (‖A‖·‖x‖ + ‖b‖)` from precomputed norms.
