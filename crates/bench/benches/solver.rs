@@ -19,6 +19,7 @@ use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::{
     AutoSolver, DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets, DENSE_CUTOFF,
 };
+use spicier::netlist::Netlist;
 use spicier::{telemetry, Circuit};
 use std::path::Path;
 use std::time::Duration;
@@ -39,6 +40,28 @@ fn chain_matrix(n: usize) -> Triplets {
         }
     }
     t
+}
+
+/// [`chain_matrix`]'s pattern as a resistor circuit: each node to ground
+/// and to its neighbour, and every tenth node to node 0 (the test bus),
+/// so that its stamps reach the kernels as the analyses' do.
+fn chain_circuit(n: usize) -> Circuit {
+    let mut nl = Netlist::new();
+    let nodes: Vec<_> = (0..n).map(|i| nl.node(&format!("n{i}"))).collect();
+    for (i, &node) in nodes.iter().enumerate() {
+        let ohms = 1.0 / (2.0 + (i % 3) as f64);
+        nl.resistor(&format!("RG{i}"), node, Netlist::GROUND, ohms)
+            .expect("resistor");
+        if i + 1 < n {
+            nl.resistor(&format!("RL{i}"), node, nodes[i + 1], 1.0)
+                .expect("resistor");
+        }
+        if i % 10 == 0 && i > 0 {
+            nl.resistor(&format!("RB{i}"), nodes[0], node, 10.0)
+                .expect("resistor");
+        }
+    }
+    nl.compile().expect("compile")
 }
 
 /// The FIG3 8-buffer chain (X6..X66 + DUT in the paper's numbering),
@@ -130,11 +153,15 @@ fn bench_lu(c: &mut Harness) {
     group.finish();
 }
 
+/// `fig3_dense_refactor/fig3_dense_full` in [`bench_refactor`]: the median
+/// over paired rounds (see `Group::bench_pair`).
+static DENSE_REPLAY_OVER_FULL: std::sync::Mutex<Option<f64>> = std::sync::Mutex::new(None);
+
 /// The headline comparison for DESIGN.md §3.2: repeated same-pattern
 /// solves on the FIG3 chain stamps, seed path (sort + symbolic factor
 /// every call) vs fast path (slot scatter + numeric refactor); and the
 /// dense kernel's replayed refactorization (a cached solver) against its
-/// full factorization (a fresh solver per call).
+/// full factorization (a fresh solver per call), timed in alternation.
 fn bench_refactor(c: &mut Harness) {
     let mut group = c.benchmark_group("refactor");
     group
@@ -170,26 +197,22 @@ fn bench_refactor(c: &mut Harness) {
         })
     });
 
-    group.bench_function(format!("fig3_dense_full/{n}"), |bench| {
-        bench.iter(|| {
-            let mut rhs = b.clone();
-            DenseSolver::default()
-                .solve_in_place(&stamps, &mut rhs)
-                .expect("nonsingular");
-            rhs
-        })
-    });
-
-    group.bench_function(format!("fig3_dense_refactor/{n}"), |bench| {
-        let mut solver = DenseSolver::default();
-        bench.iter(|| {
-            let mut rhs = b.clone();
-            solver
-                .solve_in_place(&stamps, &mut rhs)
-                .expect("nonsingular");
-            rhs
-        })
-    });
+    // A fresh solver per call against a cached one, in alternation.
+    let solve = |solver: &mut DenseSolver| {
+        let mut rhs = b.clone();
+        solver
+            .solve_in_place(&stamps, &mut rhs)
+            .expect("nonsingular");
+        rhs
+    };
+    let mut cached = DenseSolver::default();
+    let replay_over_full = group.bench_pair(
+        format!("fig3_dense_full/{n}"),
+        || solve(&mut DenseSolver::default()),
+        format!("fig3_dense_refactor/{n}"),
+        || solve(&mut cached),
+    );
+    *DENSE_REPLAY_OVER_FULL.lock().expect("ratio lock") = Some(replay_over_full);
 
     group.finish();
 }
@@ -207,25 +230,16 @@ fn bench_cutoff(c: &mut Harness) {
     // The synthetic chain, then real MNA stamps (denser than the chain
     // matrix): the FIG3 chain, and FIG14 shared detectors on both sides
     // of the cutoff, so the cutoff choice reflects the circuits the
-    // harness simulates. On real stamps each kernel solves, at every
-    // size, the input it gets at its own sizes: the dense kernel a
-    // slotted program, the sparse kernel one entry per stamp. The
-    // synthetic chain is pushed entry by entry for both.
-    let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| {
-        let t = chain_matrix(n);
-        (String::new(), t.clone(), t)
-    });
-    let real = [("fig3", fig3_chain_circuit(1.0e9))]
+    // harness simulates. Each kernel solves, at every size, the input it
+    // gets at its own sizes: the dense kernel a slotted program, the
+    // sparse kernel one entry per stamp.
+    let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| ("", chain_circuit(n)));
+    let real = [("_fig3", fig3_chain_circuit(1.0e9))]
         .into_iter()
-        .chain(FIG14_CUTOFF_NS.map(|n| ("fig14", fig14_circuit(n))))
-        .map(|(name, circuit)| {
-            (
-                format!("_{name}"),
-                stamps_sealed(&circuit, Some(true)),
-                stamps_sealed(&circuit, Some(false)),
-            )
-        });
-    for (suffix, slotted, per_stamp) in synthetic.into_iter().chain(real) {
+        .chain(FIG14_CUTOFF_NS.map(|n| ("_fig14", fig14_circuit(n))));
+    for (suffix, circuit) in synthetic.into_iter().chain(real) {
+        let slotted = stamps_sealed(&circuit, Some(true));
+        let per_stamp = stamps_sealed(&circuit, Some(false));
         let n = slotted.dim();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut dense = DenseSolver::default();
@@ -466,18 +480,10 @@ fn main() {
     if let Some(traced) = traced {
         metrics.push(("telemetry_traced_ratio", traced));
     }
-    let find_min = |group: &str, prefix: &str| {
-        records
-            .iter()
-            .find(|r| r.group == group && r.id.starts_with(prefix))
-            .map(|r| r.min_ns as f64)
-    };
-    // Same noise-floor comparison for the dense replay: CI gates on
+    // The dense replay against a full factorization, paired: CI gates on
     // ≥ 1.0, so a replay that loses to a full factorization fails.
-    let dense_full = find_min("refactor", "fig3_dense_full/");
-    let dense_replay = find_min("refactor", "fig3_dense_refactor/");
-    if let (Some(full), Some(replay)) = (dense_full, dense_replay) {
-        metrics.push(("fig3_dense_refactor_speedup", full / replay));
+    if let Some(ratio) = *DENSE_REPLAY_OVER_FULL.lock().expect("ratio lock") {
+        metrics.push(("fig3_dense_refactor_speedup", 1.0 / ratio));
     }
     // One FIG3 and one FIG8 Newton iteration and their assemblies:
     // recorded, not gated.

@@ -4,7 +4,9 @@
 //! and capacitance (`C`) matrices, then solves `(G + jωC)·x = b` at each
 //! frequency with a unit excitation on one designated source (all other
 //! independent sources are zeroed, i.e. voltage sources become shorts and
-//! current sources opens — standard AC semantics).
+//! current sources opens — standard AC semantics). Each complex system is
+//! solved as its real equivalent on the certified real kernels
+//! (`solve_complex`).
 //!
 //! Used here to characterize gate bandwidth and detector/comparator
 //! frequency response, corroborating the paper's "works well below
@@ -14,8 +16,8 @@ use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::dc::{self, DcOptions};
 use super::mna::{stamp_conductance, Assembler, EvalMode, SolveWorkspace};
 use crate::error::Error;
-use crate::linalg::complex::{Complex, ComplexDenseMatrix};
-use crate::linalg::{SolveQuality, Triplets};
+use crate::linalg::complex::Complex;
+use crate::linalg::{AutoSolver, SolveQuality, Solver, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
 
@@ -127,7 +129,7 @@ impl AcResult {
 
     /// Worst linear-solve certification across the run: the pessimistic
     /// merge of the operating point's quality and every per-frequency
-    /// complex solve.
+    /// solve.
     pub fn quality(&self) -> SolveQuality {
         self.quality
     }
@@ -194,21 +196,16 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
     let mut quality = ws.solver.last_quality();
     let (g, c) = linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
 
-    // 3. Solve per frequency.
+    // 3. Solve per frequency, on a solver of its own: its counters stay
+    //    out of the operating point's cost account.
+    let mut solver = AutoSolver::new();
     let mut data = Vec::with_capacity(opts.freqs.len());
     for (k, &f) in opts.freqs.iter().enumerate() {
         tracker.set_progress(k as f64 / opts.freqs.len().max(1) as f64);
         tracker.check()?;
         let omega = 2.0 * std::f64::consts::PI * f;
-        let mut a = ComplexDenseMatrix::zeros(dim);
-        for &(r, col, v) in g.entries() {
-            a.add(r, col, Complex::real(v));
-        }
-        for &(r, col, v) in c.entries() {
-            a.add(r, col, Complex::imag(omega * v));
-        }
         let mut x = rhs0.clone();
-        let point_quality = a.solve_in_place(&mut x)?;
+        let point_quality = solve_complex(&mut solver, (&g, &c), omega, false, &mut x)?;
         quality = quality.worst(point_quality);
         if telemetry::enabled() {
             telemetry::event(
@@ -229,6 +226,51 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
         quality,
         telemetry: summary,
     })
+}
+
+/// Solves `(G + jωC)·x = b` in place (`b` holds `b` on entry, `x` on
+/// exit), or its transpose `(G + jωC)ᵀ·x = b` when `transposed` is set,
+/// as the real system `[[G, −ωC], [ωC, G]]·[Re x; Im x] = [Re b; Im b]`
+/// of twice the dimension on `solver`. The one complex solve of the AC
+/// and noise analyses: it is certified, drilled and traced like every
+/// other solve, and since its pattern does not depend on ω, the dense
+/// kernel replays its plans from one frequency to the next.
+///
+/// # Errors
+///
+/// Returns [`Error::SingularMatrix`] or [`Error::UntrustedSolution`]
+/// from the kernel.
+pub(crate) fn solve_complex(
+    solver: &mut AutoSolver,
+    (g, c): (&Triplets, &Triplets),
+    omega: f64,
+    transposed: bool,
+    b: &mut [Complex],
+) -> Result<SolveQuality, Error> {
+    let n = b.len();
+    let key = |r: usize, col: usize| if transposed { (col, r) } else { (r, col) };
+    let mut system = Triplets::new(2 * n);
+    for &(r, col, v) in g.entries() {
+        let (r, col) = key(r, col);
+        system.add(r, col, v);
+        system.add(n + r, n + col, v);
+    }
+    for &(r, col, v) in c.entries() {
+        let (r, col) = key(r, col);
+        let wc = omega * v;
+        system.add(r, n + col, -wc);
+        system.add(n + r, col, wc);
+    }
+    let mut x: Vec<f64> = b
+        .iter()
+        .map(|z| z.re)
+        .chain(b.iter().map(|z| z.im))
+        .collect();
+    solver.solve_in_place(&system, &mut x)?;
+    for (k, z) in b.iter_mut().enumerate() {
+        *z = Complex::new(x[k], x[n + k]);
+    }
+    Ok(solver.last_quality())
 }
 
 /// Linearizes the circuit at the operating point `x_op` into conductance
@@ -515,6 +557,133 @@ mod tests {
             }
             assert!(moved >= 6, "{source} moves only {moved} nodes");
         }
+    }
+
+    /// `G` and `C` from `(row, col, value)` lists.
+    fn system(
+        n: usize,
+        g: &[(usize, usize, f64)],
+        c: &[(usize, usize, f64)],
+    ) -> (Triplets, Triplets) {
+        let triplets = |entries: &[(usize, usize, f64)]| {
+            let mut t = Triplets::new(n);
+            for &(r, col, v) in entries {
+                t.add(r, col, v);
+            }
+            t
+        };
+        (triplets(g), triplets(c))
+    }
+
+    /// Solves with [`solve_complex`] on a fresh solver, and checks the
+    /// complex residual `b − (G + jωC)x` (or the transpose's), computed
+    /// entry by entry in `Complex` arithmetic, against `|b|`.
+    fn solve_and_check(
+        (g, c): (&Triplets, &Triplets),
+        omega: f64,
+        transposed: bool,
+        b: &[Complex],
+    ) -> Result<(Vec<Complex>, SolveQuality), Error> {
+        let mut x = b.to_vec();
+        let quality = solve_complex(&mut AutoSolver::new(), (g, c), omega, transposed, &mut x)?;
+        let mut r = b.to_vec();
+        let entries = g
+            .entries()
+            .iter()
+            .map(|&(row, col, v)| (row, col, Complex::real(v)));
+        let entries = entries.chain(
+            c.entries()
+                .iter()
+                .map(|&(row, col, v)| (row, col, Complex::imag(omega * v))),
+        );
+        for (row, col, a) in entries {
+            let (row, col) = if transposed { (col, row) } else { (row, col) };
+            r[row] = r[row] - a * x[col];
+        }
+        let b_inf = b.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+        for (k, rk) in r.iter().enumerate() {
+            assert!(rk.abs() <= 1e-12 * b_inf, "residual {rk:?} in row {k}");
+        }
+        Ok((x, quality))
+    }
+
+    fn close(a: Complex, b: Complex) -> bool {
+        (a - b).abs() < 1e-10
+    }
+
+    #[test]
+    fn solves_complex_2x2() {
+        // (1+j)x + y = 2;  x + (1-j)y = 0, at ω = 1.
+        let (g, c) = system(
+            2,
+            &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)],
+            &[(0, 0, 1.0), (1, 1, -1.0)],
+        );
+        let b = [Complex::new(2.0, 0.0), Complex::ZERO];
+        let (x, _) = solve_and_check((&g, &c), 1.0, false, &b).unwrap();
+        // x = 2(1−j)/((1+j)(1−j) − 1) = 2 − 2j, y = −x/(1−j) = −2.
+        assert!(close(x[0], Complex::new(2.0, -2.0)), "{x:?}");
+        assert!(close(x[1], Complex::real(-2.0)), "{x:?}");
+    }
+
+    #[test]
+    fn solves_the_transposed_system() {
+        // Gᵀ and Cᵀ differ from G and C: (1+2j)x + 3y = 1; jx + 4y = j.
+        let (g, c) = system(
+            2,
+            &[(0, 0, 1.0), (1, 0, 3.0), (1, 1, 4.0)],
+            &[(0, 0, 2.0), (0, 1, 1.0)],
+        );
+        let b = [Complex::ONE, Complex::imag(1.0)];
+        let (x, _) = solve_and_check((&g, &c), 1.0, true, &b).unwrap();
+        let (y, _) = solve_and_check((&g, &c), 1.0, false, &b).unwrap();
+        assert!(!close(x[0], y[0]), "the transpose solved the same system");
+    }
+
+    #[test]
+    fn pivoting_handles_zero_diagonal() {
+        let (g, c) = system(2, &[(0, 1, 2.0), (1, 0, 1.0)], &[]);
+        let b = [Complex::real(4.0), Complex::real(3.0)];
+        let (x, _) = solve_and_check((&g, &c), 1.0, false, &b).unwrap();
+        assert!(close(x[0], Complex::real(3.0)), "{x:?}");
+        assert!(close(x[1], Complex::real(2.0)), "{x:?}");
+    }
+
+    #[test]
+    fn detects_singular() {
+        let (g, c) = system(2, &[(0, 0, 1.0), (1, 0, 1.0)], &[]);
+        let mut x = [Complex::ONE, Complex::ONE];
+        let res = solve_complex(&mut AutoSolver::new(), (&g, &c), 1.0, false, &mut x);
+        assert!(matches!(res, Err(Error::SingularMatrix { .. })), "{res:?}");
+    }
+
+    #[test]
+    fn healthy_solve_reports_tiny_backward_error() {
+        let (g, c) = system(
+            2,
+            &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)],
+            &[(0, 0, 1.0), (1, 1, -1.0)],
+        );
+        let b = [Complex::new(2.0, 0.0), Complex::ZERO];
+        let (_, q) = solve_and_check((&g, &c), 1.0, false, &b).unwrap();
+        assert_eq!(q.refinement_steps, 0);
+        assert!(q.backward_error < 1e-12, "{}", q.backward_error);
+    }
+
+    #[test]
+    fn perturbed_factorization_fails_certification() {
+        let mut g = vec![(0, 1, 1.0), (2, 0, 0.5)];
+        g.extend((0..3).map(|i| (i, i, 4.0)));
+        let (g, c) = system(
+            3,
+            &g,
+            &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (1, 2, -1.0)],
+        );
+        let mut x = [Complex::ONE; 3];
+        let err = crate::chaos::with_perturb_lu(|| {
+            solve_complex(&mut AutoSolver::new(), (&g, &c), 1.0, false, &mut x).unwrap_err()
+        });
+        assert!(err.is_untrusted_solution(), "{err:?}");
     }
 
     #[test]

@@ -20,8 +20,8 @@ use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::dc::{self, DcOptions};
 use super::mna::{Assembler, SolveWorkspace};
 use crate::error::Error;
-use crate::linalg::complex::{Complex, ComplexDenseMatrix};
-use crate::linalg::SolveQuality;
+use crate::linalg::complex::Complex;
+use crate::linalg::{AutoSolver, SolveQuality};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
 
@@ -202,24 +202,18 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
     // The AC linearization; the adjoint solves below use its transpose.
     let (g, c) = super::ac::linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
 
-    let dim = circuit.dim();
-
+    // The adjoint solves run on a solver of their own: its counters stay
+    // out of the operating point's cost account.
+    let mut solver = AutoSolver::new();
     let mut psd_out = Vec::with_capacity(opts.freqs.len());
     for (k, &f) in opts.freqs.iter().enumerate() {
         tracker.set_progress(k as f64 / opts.freqs.len().max(1) as f64);
         tracker.check()?;
         let omega = 2.0 * std::f64::consts::PI * f;
-        // Adjoint system: transpose of (G + jωC).
-        let mut at = ComplexDenseMatrix::zeros(dim);
-        for &(r, col, v) in g.entries() {
-            at.add(col, r, Complex::real(v));
-        }
-        for &(r, col, v) in c.entries() {
-            at.add(col, r, Complex::imag(omega * v));
-        }
-        let mut y = vec![Complex::ZERO; dim];
+        let mut y = vec![Complex::ZERO; circuit.dim()];
         y[out_idx] = Complex::ONE;
-        quality = quality.worst(at.solve_in_place(&mut y)?);
+        let point_quality = super::ac::solve_complex(&mut solver, (&g, &c), omega, true, &mut y)?;
+        quality = quality.worst(point_quality);
         // Transfer from a current source (p → n) to the output is
         // y[p] − y[n]; superpose powers.
         let mut total = 0.0;

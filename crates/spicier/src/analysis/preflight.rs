@@ -192,6 +192,9 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
     let n_nodes = circuit.node_unknowns();
     let mut assembler = Assembler::new(circuit);
     let mut triplets = Triplets::new(dim);
+    // Judge the assembled matrix, not the stamps: stamps that cancel in
+    // one slot leave it empty. Slots hold the matrix at any size.
+    triplets.force_slots(true);
     let mut rhs = Vec::new();
     let x = vec![0.0; dim];
     // gmin = 0: the blanket conductance would put a value on every node
@@ -204,9 +207,7 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
     let mut branch_coupled = vec![false; dim];
     let mut max_abs = 0.0f64;
     let mut min_abs = f64::INFINITY;
-    // Judge the assembled matrix, not the stamps: stamps that cancel in
-    // one slot leave it empty.
-    for (r, c, v) in sum_slots(dim, triplets.entries()) {
+    for &(r, c, v) in triplets.entries() {
         if v == 0.0 {
             continue;
         }
@@ -255,44 +256,6 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
         findings.push(PreflightFinding::ExtremeScaling { max_abs, min_abs });
     }
     PreflightReport { findings, dim }
-}
-
-/// The distinct `(row, col)` of `entries` with their summed values, row
-/// by row; each sum adds its entries in emission order.
-fn sum_slots(dim: usize, entries: &[(usize, usize, f64)]) -> Vec<(usize, usize, f64)> {
-    let mut row_start = vec![0usize; dim + 1];
-    for &(r, _, _) in entries {
-        row_start[r + 1] += 1;
-    }
-    for r in 0..dim {
-        row_start[r + 1] += row_start[r];
-    }
-    let mut by_row = vec![0usize; entries.len()];
-    let mut next = row_start.clone();
-    for (i, &(r, _, _)) in entries.iter().enumerate() {
-        by_row[next[r]] = i;
-        next[r] += 1;
-    }
-    // Column → its slot in `slots` while its row is being summed.
-    let mut at = vec![usize::MAX; dim];
-    let mut slots = Vec::with_capacity(entries.len());
-    for r in 0..dim {
-        let row_first = slots.len();
-        for &i in &by_row[row_start[r]..row_start[r + 1]] {
-            let (_, c, v) = entries[i];
-            match at[c] {
-                usize::MAX => {
-                    at[c] = slots.len();
-                    slots.push((r, c, v));
-                }
-                k => slots[k].2 += v,
-            }
-        }
-        for &(_, c, _) in &slots[row_first..] {
-            at[c] = usize::MAX;
-        }
-    }
-    slots
 }
 
 /// Strict pre-flight: rejects circuits with fatal structural findings.

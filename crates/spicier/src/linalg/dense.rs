@@ -618,9 +618,11 @@ fn load_entries(
 /// (see [`Triplets`]): one value per distinct `(row, col)`, already summed
 /// from +0.0 in emission order. The solver loads them into the matrix and
 /// takes the norms in one pass, and its certification residual runs over
-/// them. A system pushed entry by entry (tests, benches) is scattered
+/// them. A system pushed entry by entry (the real equivalents of the AC
+/// and noise analyses' complex systems, tests, benches) is scattered
 /// into the cleared matrix in emission order, which gives the same
-/// matrix, and its residual runs over the entries. The layout (the
+/// matrix, and its residual runs over the entries; it carries no program
+/// id, so its keys are compared on every solve. The layout (the
 /// stamped offsets and their row boundaries) is compiled once per stamp
 /// sequence: the keys of the stamps, not of the slots, so two mode
 /// patterns that stamp the same positions still recompile as a fresh

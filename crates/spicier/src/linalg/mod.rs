@@ -28,7 +28,7 @@ mod program;
 pub mod sparse;
 pub mod verify;
 
-pub use complex::{Complex, ComplexDenseMatrix};
+pub use complex::Complex;
 pub use dense::DenseMatrix;
 pub use program::Triplets;
 pub(crate) use program::{fresh_id, ProgramKey};

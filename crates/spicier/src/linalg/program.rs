@@ -82,6 +82,43 @@ pub struct Triplets {
     replaying: bool,
     /// Next stamp a replay writes.
     cursor: usize,
+    /// Buffers of the slot merge, kept from one seal to the next.
+    merge: MergeScratch,
+}
+
+/// Buffers of [`Triplets::merge_slots`].
+#[derive(Debug, Clone, Default)]
+struct MergeScratch {
+    counts: Vec<u32>,
+    by_col: Vec<u32>,
+    by_row: Vec<u32>,
+    slots: Vec<(usize, usize, f64)>,
+}
+
+/// Stable counting sort of the entry indices `items` by `key(item)`,
+/// which is below `dim`, into `out`.
+fn counting_sort(
+    counts: &mut Vec<u32>,
+    dim: usize,
+    items: impl Iterator<Item = u32> + Clone,
+    key: impl Fn(u32) -> usize,
+    out: &mut Vec<u32>,
+) {
+    counts.clear();
+    counts.resize(dim + 1, 0);
+    for i in items.clone() {
+        counts[key(i) + 1] += 1;
+    }
+    for k in 0..dim {
+        counts[k + 1] += counts[k];
+    }
+    out.clear();
+    out.resize(counts[dim] as usize, 0);
+    for i in items {
+        let at = &mut counts[key(i)];
+        out[*at as usize] = i;
+        *at += 1;
+    }
 }
 
 impl Triplets {
@@ -147,11 +184,13 @@ impl Triplets {
             .map(|&(r, c, _)| (r, c))
     }
 
-    /// Bench hook: every later recompiled program is sealed with slots
-    /// (`true`) or with one entry per stamp (`false`) whatever its
-    /// dimension, so that each kernel can be timed on the input it gets at
-    /// its own sizes on both sides of the cutoff. Analyses never call it:
-    /// the sparse kernel's sums over slots would not be bit-identical.
+    /// Every later recompiled program is sealed with slots (`true`) or
+    /// with one entry per stamp (`false`) whatever its dimension. The
+    /// structural pre-flight scan forces slots to judge the assembled
+    /// matrix at any size, and the benches time each kernel on the input
+    /// it gets at its own sizes on both sides of the cutoff. No solve
+    /// calls it: the sparse kernel's sums over slots would not be
+    /// bit-identical.
     #[doc(hidden)]
     pub fn force_slots(&mut self, slots: bool) {
         self.forced_slots = Some(slots);
@@ -313,31 +352,46 @@ impl Triplets {
 
     /// Merges the entries into slots, one per distinct key in row-major
     /// order, each the sum of its entries added into +0.0 in emission
-    /// order, and points every stamp at its slot. The keys are marked on
-    /// a dense grid (the system is dense-kernel sized), so scanning it
-    /// yields the row-major order without a sort.
+    /// order, and points every stamp at its slot. Two stable counting
+    /// sorts, by column and then by row, put the entries in row-major
+    /// order with each key's entries in emission order: O(n + m) for `n`
+    /// unknowns and `m` entries, at any dimension.
     fn merge_slots(&mut self) {
-        let dim = self.dim;
-        let mut slot_at = vec![GROUND; dim * dim];
-        for &(r, c, _) in &self.entries {
-            slot_at[r * dim + c] = 0;
+        let Self {
+            dim,
+            entries,
+            targets,
+            merge,
+            ..
+        } = self;
+        let MergeScratch {
+            counts,
+            by_col,
+            by_row,
+            slots,
+        } = merge;
+        let items = 0..entries.len() as u32;
+        counting_sort(counts, *dim, items, |i| entries[i as usize].1, by_col);
+        let items = by_col.iter().copied();
+        counting_sort(counts, *dim, items, |i| entries[i as usize].0, by_row);
+        // `by_col` becomes each entry's slot.
+        let slot_of = by_col;
+        slots.clear();
+        for &i in by_row.iter() {
+            let (r, c, v) = entries[i as usize];
+            if slots.last().map(|&(sr, sc, _)| (sr, sc)) != Some((r, c)) {
+                slots.push((r, c, 0.0));
+            }
+            let slot = slots.len() - 1;
+            slots[slot].2 += v;
+            slot_of[i as usize] = slot as u32;
         }
-        let mut slots: Vec<(usize, usize, f64)> = Vec::with_capacity(self.entries.len());
-        for (at, slot) in slot_at.iter_mut().enumerate() {
-            if *slot != GROUND {
-                *slot = slots.len() as u32;
-                slots.push((at / dim, at % dim, 0.0));
+        for target in targets.iter_mut() {
+            if let Some(&slot) = slot_of.get(*target as usize) {
+                *target = slot;
             }
         }
-        for &(r, c, v) in &self.entries {
-            slots[slot_at[r * dim + c] as usize].2 += v;
-        }
-        for target in &mut self.targets {
-            if let Some(&(r, c, _)) = self.entries.get(*target as usize) {
-                *target = slot_at[r * dim + c];
-            }
-        }
-        self.entries = slots;
+        std::mem::swap(entries, slots);
         self.slotted = true;
     }
 }
@@ -382,6 +436,24 @@ mod tests {
         t.add(1, 1, 3.0);
         let keys: Vec<_> = t.stamp_keys().collect();
         assert_eq!(keys, [(0, 0), (2, 1), (1, 1)], "unsealed: the entries");
+    }
+
+    #[test]
+    fn slots_are_row_major_and_summed_from_positive_zero() {
+        let mut t = Triplets::new(3);
+        t.open(3, KEY);
+        t.stamps(
+            [(Some(2), Some(2)), (Some(1), Some(2)), (Some(1), Some(0))],
+            [1.0, 1.0e16, -0.0],
+        );
+        t.stamps([(Some(0), Some(1)), (Some(1), Some(2))], [2.0, 1.0]);
+        t.stamps([(Some(1), Some(2)), (None, Some(0))], [-1.0e16, 5.0]);
+        t.seal();
+        let slots = t.slots().expect("slotted");
+        assert_eq!(slots, &[(0, 1, 2.0), (1, 0, 0.0), (1, 2, 0.0), (2, 2, 1.0)]);
+        assert!(slots[1].2.is_sign_positive(), "−0.0 added into +0.0");
+        let keys: Vec<_> = t.stamp_keys().collect();
+        assert_eq!(keys, [(2, 2), (1, 2), (1, 0), (0, 1), (1, 2), (1, 2)]);
     }
 
     #[test]
