@@ -206,7 +206,7 @@ fn bench_refactor(c: &mut Harness) {
         rhs
     };
     let mut cached = DenseSolver::default();
-    let replay_over_full = group.bench_pair(
+    let [_, replay_over_full, _] = group.bench_pair(
         format!("fig3_dense_full/{n}"),
         || solve(&mut DenseSolver::default()),
         format!("fig3_dense_refactor/{n}"),
@@ -216,6 +216,11 @@ fn bench_refactor(c: &mut Harness) {
 
     group.finish();
 }
+
+/// `sparse_cached/dense_cached` at each real-stamp size in [`bench_cutoff`]:
+/// the quartiles over paired rounds (see `Group::bench_pair`).
+static REAL_SPARSE_OVER_DENSE: std::sync::Mutex<Vec<(usize, [f64; 3])>> =
+    std::sync::Mutex::new(Vec::new());
 
 /// Crossover data for the DENSE_CUTOFF recalibration: cached repeated
 /// solves (the steady-state regime of a Newton loop) per kernel per size,
@@ -249,12 +254,16 @@ fn bench_cutoff(c: &mut Harness) {
             solver.solve_in_place(t, &mut rhs).expect("nonsingular");
             rhs
         };
-        group.bench_pair(
+        let sparse_over_dense = group.bench_pair(
             format!("dense_cached{suffix}/{n}"),
             || solve(&mut dense, &slotted),
             format!("sparse_cached{suffix}/{n}"),
             || solve(&mut sparse, &per_stamp),
         );
+        if !suffix.is_empty() {
+            let mut real = REAL_SPARSE_OVER_DENSE.lock().expect("ratio lock");
+            real.push((n, sparse_over_dense));
+        }
     }
     group.finish();
 }
@@ -329,7 +338,7 @@ fn bench_telemetry(c: &mut Harness) {
         // One solver for both sides, so that they differ by the gate
         // alone and not by where their workspaces landed in memory.
         let solver = std::cell::RefCell::new(AutoSolver::new());
-        let ratio = group.bench_pair(
+        let [_, ratio, _] = group.bench_pair(
             format!("{name}_baseline/{n}"),
             || solve(&mut solver.borrow_mut()),
             format!("{name}_gated/{n}"),
@@ -536,8 +545,7 @@ fn main() {
     let slack = if quick_mode() { 2.0 } else { 1.3 };
     let pairs = [20usize, 40, 60, 80, 120, 160]
         .map(|n| (n, format!("dense_cached/{n}"), format!("sparse_cached/{n}")));
-    // The real-stamp pairs, by dimension: sparse/dense median ratios and
-    // the smallest dimension at which the sparse kernel wins.
+    // The real-stamp pairs, by dimension.
     let mut real: Vec<(usize, String, String)> = records
         .iter()
         .filter(|r| r.group == "cutoff")
@@ -548,17 +556,20 @@ fn main() {
         })
         .collect();
     real.sort();
+    // Their paired sparse/dense ratios' quartiles, and the crossover: the
+    // smallest dimension at which the sparse kernel wins in three paired
+    // rounds of four.
+    let mut real_ratios = REAL_SPARSE_OVER_DENSE.lock().expect("ratio lock").clone();
+    real_ratios.sort_by_key(|&(n, _)| n);
     let mut crossover = f64::NAN;
     let mut ratios: Vec<(String, f64)> = Vec::new();
-    for (n, dense_id, sparse_id) in &real {
-        if let (Some(d), Some(s)) = (
-            find_id("cutoff", dense_id.clone()),
-            find_id("cutoff", sparse_id.clone()),
-        ) {
-            ratios.push((format!("cutoff_sparse_over_dense_{n}"), s / d));
-            if s < d && crossover.is_nan() {
-                crossover = *n as f64;
-            }
+    for (n, [q1, median, q3]) in real_ratios {
+        let key = format!("cutoff_sparse_over_dense_{n}");
+        ratios.push((format!("{key}_q1"), q1));
+        ratios.push((format!("{key}_q3"), q3));
+        ratios.push((key, median));
+        if q3 < 1.0 && crossover.is_nan() {
+            crossover = n as f64;
         }
     }
     metrics.push(("cutoff_crossover_dim", crossover));

@@ -136,15 +136,16 @@ impl Group {
     /// run lands on both alike; prints both report lines and returns the
     /// median over rounds of `b`'s time over `a`'s. Each round's two calls
     /// run back to back, so that ratio holds even when the host's speed
-    /// phases make each side's own samples bimodal. The round count
-    /// follows this group's sampling settings.
+    /// phases make each side's own samples bimodal. Also returns the
+    /// ratios' lower and upper quartiles, as `[q1, median, q3]`. The round
+    /// count follows this group's sampling settings.
     pub fn bench_pair<RA, RB>(
         &mut self,
         id_a: impl AsRef<str>,
         mut a: impl FnMut() -> RA,
         id_b: impl AsRef<str>,
         mut b: impl FnMut() -> RB,
-    ) -> f64 {
+    ) -> [f64; 3] {
         let bencher = || Bencher {
             samples: Vec::new(),
             sample_size: self.sample_size,
@@ -175,7 +176,8 @@ impl Group {
         ratios.sort_unstable_by(f64::total_cmp);
         report(&self.name, id_a.as_ref(), &mut on_a.samples);
         report(&self.name, id_b.as_ref(), &mut on_b.samples);
-        ratios[ratios.len() / 2]
+        let len = ratios.len();
+        [ratios[len / 4], ratios[len / 2], ratios[3 * len / 4]]
     }
 
     /// Criterion-style input variant; the input is simply passed through.
@@ -364,7 +366,8 @@ mod tests {
         );
         let calls = calls.into_inner();
         assert_eq!(&calls[..6], ['a', 'b', 'a', 'b', 'b', 'a']);
-        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
+        assert!(ratio.iter().all(|r| r.is_finite() && *r > 0.0), "{ratio:?}");
+        assert!(ratio[0] <= ratio[1] && ratio[1] <= ratio[2], "{ratio:?}");
         let records: Vec<_> = take_records()
             .into_iter()
             .filter(|r| r.group == "paired")

@@ -106,20 +106,22 @@ pub struct ServerConfig {
     pub access_log: Option<PathBuf>,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+/// Reads the knob `name`; unset or empty gives `default`.
+///
+/// # Errors
+///
+/// A value that does not parse, named with the variable.
+fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> Result<T, String> {
+    match std::env::var(name).ok().as_deref().map(str::trim) {
+        None | Some("") => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v} is not a whole number")),
+    }
 }
 
-fn env_ms(name: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(default_ms),
-    )
+fn env_ms(name: &str, default_ms: u64) -> Result<Duration, String> {
+    env_knob(name, default_ms).map(Duration::from_millis)
 }
 
 impl Default for ServerConfig {
@@ -130,9 +132,18 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// Reads every knob from the environment (defaults documented on the
-    /// fields).
+    /// fields). A knob that does not parse ends the process with exit code
+    /// 2 and a message naming the variable and its value, before anything
+    /// binds, so the daemon never runs on a default it was not asked for.
     #[must_use]
     pub fn from_env() -> Self {
+        Self::read_env().unwrap_or_else(|e| {
+            eprintln!("[serve] {e}");
+            std::process::exit(2);
+        })
+    }
+
+    fn read_env() -> Result<Self, String> {
         let state_dir = match std::env::var("SERVE_STATE_DIR") {
             Ok(v) if !v.is_empty() => PathBuf::from(v),
             _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/server-state"),
@@ -141,26 +152,35 @@ impl ServerConfig {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(4)
             .clamp(2, 8);
-        Self {
+        let policy = std::env::var("SERVE_JOURNAL_POLICY").ok();
+        let journal_strict = match policy.as_deref().map(str::trim) {
+            None | Some("" | "lenient") => false,
+            Some("strict") => true,
+            Some(v) => {
+                return Err(format!(
+                    "SERVE_JOURNAL_POLICY={v} is neither strict nor lenient"
+                ))
+            }
+        };
+        Ok(Self {
             addr: std::env::var("SERVE_ADDR").unwrap_or_else(|_| "tcp:127.0.0.1:0".to_string()),
             state_dir,
-            workers: env_usize("SERVE_WORKERS", default_workers).max(1),
+            workers: env_knob("SERVE_WORKERS", default_workers)?.max(1),
             queue_interactive: 64,
-            queue_batch: env_usize("SERVE_QUEUE_BATCH", 16),
+            queue_batch: env_knob("SERVE_QUEUE_BATCH", 16)?,
             interactive_weight: 3,
-            read_timeout: env_ms("SERVE_READ_TIMEOUT_MS", 5_000),
-            slow_corner: env_ms("SERVE_SLOW_CORNER_MS", 0),
-            journal_strict: std::env::var("SERVE_JOURNAL_POLICY")
-                .is_ok_and(|v| v.trim() == "strict"),
-            watch_keepalive: env_ms("SERVE_WATCH_KEEPALIVE_MS", 5_000),
-            watch_write_timeout: env_ms("SERVE_WATCH_WRITE_TIMEOUT_MS", 2_000),
-            watch_lag_budget: env_usize("SERVE_WATCH_LAG_BUDGET", 256) as u64,
-            watch_sndbuf: env_usize("SERVE_WATCH_SNDBUF", 0),
+            read_timeout: env_ms("SERVE_READ_TIMEOUT_MS", 5_000)?,
+            slow_corner: env_ms("SERVE_SLOW_CORNER_MS", 0)?,
+            journal_strict,
+            watch_keepalive: env_ms("SERVE_WATCH_KEEPALIVE_MS", 5_000)?,
+            watch_write_timeout: env_ms("SERVE_WATCH_WRITE_TIMEOUT_MS", 2_000)?,
+            watch_lag_budget: env_knob("SERVE_WATCH_LAG_BUDGET", 256)?,
+            watch_sndbuf: env_knob("SERVE_WATCH_SNDBUF", 0)?,
             access_log: std::env::var("SERVE_ACCESS_LOG")
                 .ok()
                 .filter(|v| !v.trim().is_empty())
                 .map(PathBuf::from),
-        }
+        })
     }
 
     /// Path of the file holding the actually-bound listener address.

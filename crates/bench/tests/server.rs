@@ -865,6 +865,45 @@ fn journal_policy_strict_refuses_lenient_serves_corruption() {
     );
 }
 
+/// A knob that does not parse stops the daemon before it binds, with
+/// exit code 2 and the variable and its value on stderr, instead of
+/// running on the default.
+#[test]
+fn malformed_knobs_stop_the_daemon_at_startup() {
+    let dir = fresh_dir("malformed_knobs");
+    for (name, value) in [("SERVE_WORKERS", "abc"), ("SERVE_JOURNAL_POLICY", "stirct")] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_spicier-serve"));
+        let mut child = scrub_knobs(&mut cmd)
+            .env("SERVE_ADDR", "tcp:127.0.0.1:0")
+            .env("SERVE_STATE_DIR", &dir)
+            .env(name, value)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spicier-serve spawns");
+        let t0 = Instant::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if t0.elapsed() > Duration::from_secs(20) {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{name}={value}: the daemon ran instead of exiting");
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert_eq!(status.code(), Some(2), "{name}={value}: {stderr}");
+        assert!(stderr.contains(&format!("{name}={value}")), "{stderr}");
+        assert!(
+            !dir.join("ADDR").exists(),
+            "{name}={value}: the daemon bound"
+        );
+    }
+}
+
 #[test]
 fn loadgen_quick_passes_its_gates_and_writes_report() {
     let dir = fresh_dir("loadgen");

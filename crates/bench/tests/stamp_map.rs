@@ -1,15 +1,18 @@
 //! Cross-layer check of the stamp-slot assembly fast path: for every
-//! experiment circuit family, a `StampMap` scatter of the MNA stamps must
-//! reproduce `SparseMatrix::from_triplets` exactly, at the DC operating
-//! point and at perturbed iterates (the values the transient Newton loop
-//! actually assembles).
+//! experiment circuit family, the compressed MNA stamps must equal the
+//! dense scatter of the same stamps, and a `StampMap` scatter must
+//! reproduce a fresh compression bit for bit, at the DC operating point and
+//! at perturbed iterates (the values the transient Newton loop actually
+//! assembles). Both layouts a program seals are covered: one entry per
+//! stamp, as the sparse kernel gets it, and slots, as the dense kernel
+//! gets it.
 
 use cml_bench::experiments::common::fig3_circuit;
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::{DetectorLoad, Variant1, Variant2};
 use faults::Defect;
 use spicier::analysis::{Assembler, EvalMode, Integration, Method};
-use spicier::linalg::{SparseMatrix, StampMap, Triplets};
+use spicier::linalg::{DenseMatrix, SparseMatrix, StampMap, Triplets};
 use spicier::{Circuit, Netlist};
 
 /// Builds the FIG7/FIG8 detector circuit (3-stage chain, DUT detector).
@@ -51,12 +54,62 @@ fn rlc_circuit() -> Circuit {
     nl.compile().unwrap()
 }
 
-/// Asserts scatter-through-the-map equals from-scratch compression for
-/// every Newton-relevant evaluation mode of `circuit`.
+/// Asserts that `csc`, densified, equals the dense scatter of `triplets`:
+/// exactly on a key stamped once, and within `4·ε·Σ|stamps|` on a key
+/// whose stamps the two sum in different orders.
+fn assert_matches_dense_scatter(label: &str, csc: &SparseMatrix, triplets: &Triplets) {
+    let n = triplets.dim();
+    let dense = DenseMatrix::from_triplets(triplets);
+    let mut densified = vec![0.0; n * n];
+    for c in 0..n {
+        for p in csc.col_ptr()[c]..csc.col_ptr()[c + 1] {
+            densified[csc.rows()[p] * n + c] = csc.vals()[p];
+        }
+    }
+    let mut stamps = vec![0usize; n * n];
+    let mut abs_sum = vec![0.0f64; n * n];
+    for &(r, c, v) in triplets.entries() {
+        stamps[r * n + c] += 1;
+        abs_sum[r * n + c] += v.abs();
+    }
+    for (k, &got) in densified.iter().enumerate() {
+        let want = dense.get(k / n, k % n);
+        let bound = if stamps[k] > 1 {
+            4.0 * f64::EPSILON * abs_sum[k]
+        } else {
+            0.0
+        };
+        assert!(
+            (got - want).abs() <= bound,
+            "{label}: ({}, {}) compressed {got:e} vs scattered {want:e} over {} stamps",
+            k / n,
+            k % n,
+            stamps[k]
+        );
+    }
+}
+
+/// `matrix`'s pattern and the bits of its values.
+fn bits(matrix: &SparseMatrix) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+    let vals = matrix.vals().iter().map(|v| v.to_bits()).collect();
+    (matrix.col_ptr().to_vec(), matrix.rows().to_vec(), vals)
+}
+
+/// Asserts that the compression matches the dense scatter and that a
+/// scatter through the map equals a fresh compression, for every
+/// Newton-relevant evaluation mode of `circuit`, in both sealed layouts.
 fn assert_stamp_map_faithful(label: &str, circuit: &Circuit) {
+    for slots in [false, true] {
+        let label = format!("{label}, slots {slots}");
+        let mut triplets = Triplets::new(circuit.dim());
+        triplets.force_slots(slots);
+        assert_faithful_in_every_mode(&label, circuit, &mut triplets);
+    }
+}
+
+fn assert_faithful_in_every_mode(label: &str, circuit: &Circuit, triplets: &mut Triplets) {
     let mut assembler = Assembler::new(circuit);
     let dim = circuit.dim();
-    let mut triplets = Triplets::new(dim);
     let mut rhs = Vec::new();
 
     let modes = [
@@ -89,24 +142,24 @@ fn assert_stamp_map_faithful(label: &str, circuit: &Circuit) {
             let x: Vec<f64> = (0..dim)
                 .map(|i| 0.4 * step as f64 * ((i * 31 + m * 7) % 11) as f64 / 11.0)
                 .collect();
-            assembler.assemble(&x, mode, &mut triplets, &mut rhs);
-            let reference = SparseMatrix::from_triplets(&triplets);
-            let (map, built) = StampMap::build(&triplets);
-            assert_eq!(built, reference, "{label}: build mismatch");
+            assembler.assemble(&x, mode, triplets, &mut rhs);
+            let (map, built) = StampMap::build(triplets);
+            assert_matches_dense_scatter(label, &built, triplets);
             // Re-assemble at a different iterate and scatter through the
             // map built above: same keys, new values.
             let x2: Vec<f64> = x.iter().map(|v| v * 0.5 + 0.01).collect();
-            assembler.assemble(&x2, mode, &mut triplets, &mut rhs);
+            assembler.assemble(&x2, mode, triplets, &mut rhs);
             let mut scattered = built;
             assert!(
-                map.scatter(&triplets, &mut scattered),
+                map.scatter(triplets, &mut scattered),
                 "{label}: stamp sequence changed between iterates"
             );
             assert_eq!(
-                scattered,
-                SparseMatrix::from_triplets(&triplets),
+                bits(&scattered),
+                bits(&SparseMatrix::from_triplets(triplets)),
                 "{label}: scatter mismatch"
             );
+            assert_matches_dense_scatter(label, &scattered, triplets);
         }
     }
 }

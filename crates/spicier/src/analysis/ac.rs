@@ -17,7 +17,7 @@ use super::dc::{self, DcOptions};
 use super::mna::{stamp_conductance, Assembler, EvalMode, SolveWorkspace};
 use crate::error::Error;
 use crate::linalg::complex::Complex;
-use crate::linalg::{AutoSolver, SolveQuality, Solver, Triplets};
+use crate::linalg::{fresh_id, AutoSolver, ProgramKey, SolveQuality, Solver, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
 
@@ -197,15 +197,23 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
     let (g, c) = linearized_matrices(circuit, &mut assembler, &x_op, opts.dc.gmin);
 
     // 3. Solve per frequency, on a solver of its own: its counters stay
-    //    out of the operating point's cost account.
-    let mut solver = AutoSolver::new();
+    //    out of the operating point's cost account, and a stamp program
+    //    of its own, which every frequency after the first replays.
+    let (mut solver, mut system, owner) = (AutoSolver::new(), Triplets::default(), fresh_id());
     let mut data = Vec::with_capacity(opts.freqs.len());
     for (k, &f) in opts.freqs.iter().enumerate() {
         tracker.set_progress(k as f64 / opts.freqs.len().max(1) as f64);
         tracker.check()?;
         let omega = 2.0 * std::f64::consts::PI * f;
         let mut x = rhs0.clone();
-        let point_quality = solve_complex(&mut solver, (&g, &c), omega, false, &mut x)?;
+        let point_quality = solve_complex(
+            (&mut solver, &mut system),
+            owner,
+            (&g, &c),
+            omega,
+            false,
+            &mut x,
+        )?;
         quality = quality.worst(point_quality);
         if telemetry::enabled() {
             telemetry::event(
@@ -233,15 +241,21 @@ pub fn ac_analysis(circuit: &Circuit, opts: &AcOptions) -> Result<AcResult, Erro
 /// as the real system `[[G, −ωC], [ωC, G]]·[Re x; Im x] = [Re b; Im b]`
 /// of twice the dimension on `solver`. The one complex solve of the AC
 /// and noise analyses: it is certified, drilled and traced like every
-/// other solve, and since its pattern does not depend on ω, the dense
-/// kernel replays its plans from one frequency to the next.
+/// other solve.
+///
+/// The real system is compiled into `system` as a stamp program of
+/// `owner`, one pattern per orientation. Its keys do not depend on ω, so
+/// each later frequency replays the program, and the kernel keeps its
+/// compilation and (on the dense kernel) its plans from one frequency to
+/// the next.
 ///
 /// # Errors
 ///
 /// Returns [`Error::SingularMatrix`] or [`Error::UntrustedSolution`]
 /// from the kernel.
 pub(crate) fn solve_complex(
-    solver: &mut AutoSolver,
+    (solver, system): (&mut AutoSolver, &mut Triplets),
+    owner: u64,
     (g, c): (&Triplets, &Triplets),
     omega: f64,
     transposed: bool,
@@ -249,24 +263,27 @@ pub(crate) fn solve_complex(
 ) -> Result<SolveQuality, Error> {
     let n = b.len();
     let key = |r: usize, col: usize| if transposed { (col, r) } else { (r, col) };
-    let mut system = Triplets::new(2 * n);
+    let pattern = u8::from(transposed);
+    system.open(2 * n, ProgramKey { owner, pattern });
     for &(r, col, v) in g.entries() {
         let (r, col) = key(r, col);
-        system.add(r, col, v);
-        system.add(n + r, n + col, v);
+        system.stamps([(Some(r), Some(col)), (Some(n + r), Some(n + col))], [v, v]);
     }
     for &(r, col, v) in c.entries() {
         let (r, col) = key(r, col);
         let wc = omega * v;
-        system.add(r, n + col, -wc);
-        system.add(n + r, col, wc);
+        system.stamps(
+            [(Some(r), Some(n + col)), (Some(n + r), Some(col))],
+            [-wc, wc],
+        );
     }
+    system.seal();
     let mut x: Vec<f64> = b
         .iter()
         .map(|z| z.re)
         .chain(b.iter().map(|z| z.im))
         .collect();
-    solver.solve_in_place(&system, &mut x)?;
+    solver.solve_in_place(system, &mut x)?;
     for (k, z) in b.iter_mut().enumerate() {
         *z = Complex::new(x[k], x[n + k]);
     }
@@ -575,6 +592,18 @@ mod tests {
         (triplets(g), triplets(c))
     }
 
+    /// [`solve_complex`] on a fresh system and a fresh solver.
+    fn solve_fresh(
+        gc: (&Triplets, &Triplets),
+        omega: f64,
+        transposed: bool,
+        b: &mut [Complex],
+    ) -> Result<SolveQuality, Error> {
+        let mut system = Triplets::default();
+        let solver = &mut AutoSolver::new();
+        solve_complex((solver, &mut system), fresh_id(), gc, omega, transposed, b)
+    }
+
     /// Solves with [`solve_complex`] on a fresh solver, and checks the
     /// complex residual `b − (G + jωC)x` (or the transpose's), computed
     /// entry by entry in `Complex` arithmetic, against `|b|`.
@@ -585,7 +614,7 @@ mod tests {
         b: &[Complex],
     ) -> Result<(Vec<Complex>, SolveQuality), Error> {
         let mut x = b.to_vec();
-        let quality = solve_complex(&mut AutoSolver::new(), (g, c), omega, transposed, &mut x)?;
+        let quality = solve_fresh((g, c), omega, transposed, &mut x)?;
         let mut r = b.to_vec();
         let entries = g
             .entries()
@@ -653,7 +682,7 @@ mod tests {
     fn detects_singular() {
         let (g, c) = system(2, &[(0, 0, 1.0), (1, 0, 1.0)], &[]);
         let mut x = [Complex::ONE, Complex::ONE];
-        let res = solve_complex(&mut AutoSolver::new(), (&g, &c), 1.0, false, &mut x);
+        let res = solve_fresh((&g, &c), 1.0, false, &mut x);
         assert!(matches!(res, Err(Error::SingularMatrix { .. })), "{res:?}");
     }
 
@@ -681,9 +710,89 @@ mod tests {
         );
         let mut x = [Complex::ONE; 3];
         let err = crate::chaos::with_perturb_lu(|| {
-            solve_complex(&mut AutoSolver::new(), (&g, &c), 1.0, false, &mut x).unwrap_err()
+            solve_fresh((&g, &c), 1.0, false, &mut x).unwrap_err()
         });
         assert!(err.is_untrusted_solution(), "{err:?}");
+    }
+
+    /// An RC ladder of `sections` with an inductor to a resistive load on
+    /// every fifth rung, driven by `V1`.
+    fn rlc_ladder(sections: usize) -> Circuit {
+        let gnd = Netlist::GROUND;
+        let mut nl = Netlist::new();
+        let mut prev = nl.node("n0");
+        nl.vdc("V1", prev, gnd, 1.0).unwrap();
+        for k in 1..=sections {
+            let node = nl.node(&format!("n{k}"));
+            nl.resistor(&format!("R{k}"), prev, node, 100.0).unwrap();
+            nl.capacitor(&format!("C{k}"), node, gnd, 1.0e-12).unwrap();
+            if k % 5 == 0 {
+                let tap = nl.node(&format!("t{k}"));
+                nl.inductor(&format!("L{k}"), node, tap, 1.0e-9).unwrap();
+                nl.resistor(&format!("RT{k}"), tap, gnd, 1.0e3).unwrap();
+            }
+            prev = node;
+        }
+        nl.compile().unwrap()
+    }
+
+    /// One compiled system on one solver, swept over frequencies in both
+    /// orientations, returns at every ω what a fresh system on a fresh
+    /// solver returns, bit for bit: as slots with the dense plans replayed
+    /// (2n ≤ 80), and as a per-stamp program on the sparse kernel (2n > 80).
+    #[test]
+    fn compiled_system_matches_a_fresh_one_at_every_frequency() {
+        use crate::analysis::dc::operating_point;
+        use crate::linalg::DENSE_CUTOFF;
+        let bits = |x: &[Complex]| {
+            x.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for (circuit, slotted) in [(every_element(1.2, 50.0e-6), true), (rlc_ladder(45), false)] {
+            let dim = circuit.dim();
+            assert_eq!(2 * dim <= DENSE_CUTOFF, slotted, "dimension {dim}");
+            let x_op = operating_point(&circuit, &DcOptions::default())
+                .unwrap()
+                .into_unknowns();
+            let mut assembler = Assembler::new(&circuit);
+            let (g, c) = linearized_matrices(&circuit, &mut assembler, &x_op, 1.0e-12);
+            let b: Vec<Complex> = (0..dim)
+                .map(|i| Complex::new((i as f64 * 0.7).cos(), (i as f64 * 0.3).sin()))
+                .collect();
+            for transposed in [false, true] {
+                let (mut solver, mut system, owner) =
+                    (AutoSolver::new(), Triplets::default(), fresh_id());
+                let mut id = None;
+                for f in [1.0e3, 1.0e4, 1.0e5, 1.0e6, 1.0e8, 1.0e10] {
+                    let omega = 2.0 * std::f64::consts::PI * f;
+                    let (mut x, mut fresh) = (b.clone(), b.clone());
+                    let quality = solve_complex(
+                        (&mut solver, &mut system),
+                        owner,
+                        (&g, &c),
+                        omega,
+                        transposed,
+                        &mut x,
+                    )
+                    .unwrap();
+                    let fresh_quality =
+                        solve_fresh((&g, &c), omega, transposed, &mut fresh).unwrap();
+                    let label = format!("dim {dim}, transposed {transposed}, {f:e} Hz");
+                    assert_eq!(bits(&x), bits(&fresh), "{label}");
+                    assert_eq!(quality, fresh_quality, "{label}");
+                    assert_eq!(system.slots().is_some(), slotted, "{label}");
+                    assert!(
+                        id.is_none() || system.program_id() == id,
+                        "{label}: recompiled"
+                    );
+                    id = system.program_id();
+                }
+                if slotted {
+                    assert!(solver.stats().refactors > 0, "no dense plan was replayed");
+                }
+            }
+        }
     }
 
     #[test]

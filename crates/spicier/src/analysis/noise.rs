@@ -21,7 +21,7 @@ use super::dc::{self, DcOptions};
 use super::mna::{Assembler, SolveWorkspace};
 use crate::error::Error;
 use crate::linalg::complex::Complex;
-use crate::linalg::{AutoSolver, SolveQuality};
+use crate::linalg::{fresh_id, AutoSolver, SolveQuality, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
 use crate::telemetry::{self, TelemetrySummary};
 
@@ -204,7 +204,7 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
 
     // The adjoint solves run on a solver of their own: its counters stay
     // out of the operating point's cost account.
-    let mut solver = AutoSolver::new();
+    let (mut solver, mut system, owner) = (AutoSolver::new(), Triplets::default(), fresh_id());
     let mut psd_out = Vec::with_capacity(opts.freqs.len());
     for (k, &f) in opts.freqs.iter().enumerate() {
         tracker.set_progress(k as f64 / opts.freqs.len().max(1) as f64);
@@ -212,7 +212,14 @@ pub fn noise_analysis(circuit: &Circuit, opts: &NoiseOptions) -> Result<NoiseRes
         let omega = 2.0 * std::f64::consts::PI * f;
         let mut y = vec![Complex::ZERO; circuit.dim()];
         y[out_idx] = Complex::ONE;
-        let point_quality = super::ac::solve_complex(&mut solver, (&g, &c), omega, true, &mut y)?;
+        let point_quality = super::ac::solve_complex(
+            (&mut solver, &mut system),
+            owner,
+            (&g, &c),
+            omega,
+            true,
+            &mut y,
+        )?;
         quality = quality.worst(point_quality);
         // Transfer from a current source (p → n) to the output is
         // y[p] − y[n]; superpose powers.

@@ -10,7 +10,9 @@
 // the mathematical objects (pivot rows, column positions).
 #![allow(clippy::needless_range_loop)]
 
-use super::{sparse::LuStats, verify, verify::SolveQuality, Solver, Triplets};
+use super::{
+    merge_slots, sparse::LuStats, verify, verify::SolveQuality, MergeScratch, Solver, Triplets,
+};
 use crate::error::Error;
 
 /// Smallest pivot magnitude accepted before the matrix is declared singular.
@@ -534,19 +536,21 @@ fn replay(
     Ok((FactorPath::Refactor, p))
 }
 
-/// `(‖A‖∞, ‖A‖₁, every entry finite)` of an `n × n` matrix from its
-/// stamped entries in row-major order, row `r`'s at
-/// `row_ptr[r]..row_ptr[r + 1]`; `entry(r, i)` gives entry `i`'s column
-/// and value. Each row sum adds its entries in column order and each
+/// Loads `slots` (duplicate-free, sorted row-major, row `r` at
+/// `row_ptr[r]..row_ptr[r + 1]`) into the row-major `n × n` matrix `data`,
+/// +0.0 elsewhere, and returns `(‖A‖∞, ‖A‖₁, every entry finite)` from the
+/// same pass. Each row sum adds its entries in column order and each
 /// column sum in row order; unstamped entries are +0.0, and adding +0.0
 /// to a non-negative sum changes nothing, so the norms equal
 /// [`DenseMatrix::norms`] bit for bit.
-fn norms(
+fn load_slots(
+    data: &mut [f64],
     n: usize,
+    slots: &[(usize, usize, f64)],
     row_ptr: &[usize],
     col_sums: &mut Vec<f64>,
-    mut entry: impl FnMut(usize, usize) -> (usize, f64),
 ) -> (f64, f64, bool) {
+    data.fill(0.0);
     col_sums.clear();
     col_sums.resize(n, 0.0);
     let mut row_max = 0.0f64;
@@ -554,7 +558,8 @@ fn norms(
     for r in 0..n {
         let mut row_sum = 0.0;
         for i in row_ptr[r]..row_ptr[r + 1] {
-            let (c, v) = entry(r, i);
+            let (_, c, v) = slots[i];
+            data[r * n + c] = v;
             let a = v.abs();
             row_sum += a;
             col_sums[c] += a;
@@ -569,60 +574,20 @@ fn norms(
     )
 }
 
-/// Loads a slot program's `slots` (duplicate-free, sorted row-major,
-/// row `r` at `row_ptr[r]..row_ptr[r + 1]`) into the row-major `n × n`
-/// matrix `data`, +0.0 elsewhere, and takes the [`norms`] in the same
-/// pass.
-fn load_slots(
-    data: &mut [f64],
-    n: usize,
-    slots: &[(usize, usize, f64)],
-    row_ptr: &[usize],
-    col_sums: &mut Vec<f64>,
-) -> (f64, f64, bool) {
-    data.fill(0.0);
-    norms(n, row_ptr, col_sums, |r, i| {
-        let (_, c, v) = slots[i];
-        data[r * n + c] = v;
-        (c, v)
-    })
-}
-
-/// Loads a system pushed entry by entry: scatters `entries` into the
-/// cleared row-major `n × n` matrix `data` in emission order, then takes
-/// the [`norms`] over the stamped offsets `pattern` (sorted, row `r`'s at
-/// `row_ptr[r]..row_ptr[r + 1]`).
-fn load_entries(
-    data: &mut [f64],
-    n: usize,
-    entries: &[(usize, usize, f64)],
-    pattern: &[usize],
-    row_ptr: &[usize],
-    col_sums: &mut Vec<f64>,
-) -> (f64, f64, bool) {
-    data.fill(0.0);
-    for &(r, c, v) in entries {
-        data[r * n + c] += v;
-    }
-    norms(n, row_ptr, col_sums, |r, i| {
-        (pattern[i] - r * n, data[pattern[i]])
-    })
-}
-
 /// Reusable dense solver workspace: the slot layout of the last stamp
 /// pattern it saw, and replayed refactorizations over a cache of recorded
 /// pivot orders.
 ///
-/// **Slots.** A sealed stamp program of at most
-/// [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns arrives as its slots
-/// (see [`Triplets`]): one value per distinct `(row, col)`, already summed
-/// from +0.0 in emission order. The solver loads them into the matrix and
-/// takes the norms in one pass, and its certification residual runs over
-/// them. A system pushed entry by entry (the real equivalents of the AC
-/// and noise analyses' complex systems, tests, benches) is scattered
-/// into the cleared matrix in emission order, which gives the same
-/// matrix, and its residual runs over the entries; it carries no program
-/// id, so its keys are compared on every solve. The layout (the
+/// **Slots.** The solver reads a system as slots only: one value per
+/// distinct `(row, col)`, row-major, summed from +0.0 in emission order.
+/// A sealed stamp program of at most [`DENSE_CUTOFF`](super::DENSE_CUTOFF)
+/// unknowns arrives as its slots (see [`Triplets`]). Any other system (one
+/// pushed with [`Triplets::add`] by tests, benches or a caller of the
+/// public API) is merged into the solver's own slots by the seal's merge,
+/// which sums exactly as a scatter into the cleared matrix does. The solver
+/// loads the slots into the matrix and takes the norms in one pass, and its
+/// certification residual runs over them. A pushed system carries no
+/// program id, so its keys are compared on every solve. The layout (the
 /// stamped offsets and their row boundaries) is compiled once per stamp
 /// sequence: the keys of the stamps, not of the slots, so two mode
 /// patterns that stamp the same positions still recompile as a fresh
@@ -699,6 +664,8 @@ pub struct DenseSolver {
     /// Factorization clock for least-recently-used eviction.
     clock: u64,
     recorder: Recorder,
+    /// The slots of a system that arrives without them.
+    merged: MergeScratch,
     // Per-solve scratch.
     col_sums: Vec<f64>,
     urow: Vec<f64>,
@@ -719,7 +686,8 @@ impl DenseSolver {
     }
 
     /// Compiles `triplets`' stamp sequence into the slot layout, sizes an
-    /// `n × n` matrix, and forgets the recorded plans.
+    /// `n × n` matrix, and forgets the recorded plans. The slots of a
+    /// system without them are in `merged` already.
     fn rebuild(&mut self, triplets: &Triplets) {
         let n = triplets.dim();
         if !matches!(&self.matrix, Some(m) if m.dim() == n) {
@@ -730,19 +698,11 @@ impl DenseSolver {
         self.keys.clear();
         self.keys
             .extend(triplets.stamp_keys().map(|(r, c)| (r as u32, c as u32)));
+        // The slots are the stamps' distinct keys, sorted already.
+        let slots = triplets.slots().unwrap_or(&self.merged.slots);
         self.pattern.clear();
-        match triplets.slots() {
-            // The slots are the stamps' distinct keys, sorted already.
-            Some(slots) => self
-                .pattern
-                .extend(slots.iter().map(|&(r, c, _)| r * n + c)),
-            None => {
-                self.pattern
-                    .extend(self.keys.iter().map(|&(r, c)| r as usize * n + c as usize));
-                self.pattern.sort_unstable();
-                self.pattern.dedup();
-            }
-        }
+        self.pattern
+            .extend(slots.iter().map(|&(r, c, _)| r * n + c));
         self.row_ptr.clear();
         self.row_ptr.resize(n + 1, 0);
         for &slot in &self.pattern {
@@ -821,6 +781,9 @@ impl DenseSolver {
 impl Solver for DenseSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
         let n = triplets.dim();
+        if triplets.slots().is_none() {
+            merge_slots(n, triplets.entries(), &mut self.merged);
+        }
         // A program id matched before vouches for the keys; otherwise
         // compare them once.
         let id = triplets.program_id();
@@ -831,29 +794,19 @@ impl Solver for DenseSolver {
             }
             self.program = id;
         }
+        // The slots of a program, or those merged from a pushed system.
+        let slots = triplets.slots().unwrap_or(&self.merged.slots);
+        debug_assert_eq!(slots.len(), self.pattern.len(), "slots of another layout");
         let matrix = self.matrix.as_mut().expect("sized by rebuild");
         // Norms for the certification denominator, while the assembled
         // values are intact (the factorization overwrites them).
-        let (norm_a_inf, norm_a_1, finite) = match triplets.slots() {
-            Some(slots) => {
-                debug_assert_eq!(slots.len(), self.pattern.len(), "slots of another layout");
-                load_slots(
-                    &mut matrix.data,
-                    n,
-                    slots,
-                    &self.row_ptr,
-                    &mut self.col_sums,
-                )
-            }
-            None => load_entries(
-                &mut matrix.data,
-                n,
-                triplets.entries(),
-                &self.pattern,
-                &self.row_ptr,
-                &mut self.col_sums,
-            ),
-        };
+        let (norm_a_inf, norm_a_1, finite) = load_slots(
+            &mut matrix.data,
+            n,
+            slots,
+            &self.row_ptr,
+            &mut self.col_sums,
+        );
         self.perm.clear();
         self.perm.extend(0..n);
         let (path, ended) = match self.active {
@@ -887,7 +840,7 @@ impl Solver for DenseSolver {
         self.acc.resize(n, 0.0);
         self.residual.resize(n, 0.0);
         let matrix: &DenseMatrix = matrix;
-        let slots = triplets.slots();
+        let slots = triplets.slots().unwrap_or(&self.merged.slots);
         let row_ptr = &self.row_ptr;
         let (b, y, acc) = (&self.b, &mut self.y, &mut self.acc);
         let mut lu_solve = |v: &mut [f64]| {
@@ -903,25 +856,14 @@ impl Solver for DenseSolver {
             b,
             &mut self.residual,
             (norm_a_inf, norm_a_1),
-            |x, out| match slots {
-                // r = b − A x over the slots, the assembled matrix's
-                // nonzeros.
-                Some(slots) => {
-                    for (r, out) in out.iter_mut().enumerate() {
-                        let mut sum = b[r];
-                        for &(_, c, v) in &slots[row_ptr[r]..row_ptr[r + 1]] {
-                            sum -= v * x[c];
-                        }
-                        *out = sum;
+            // r = b − A x over the slots, the assembled matrix's nonzeros.
+            |x, out| {
+                for (r, out) in out.iter_mut().enumerate() {
+                    let mut sum = b[r];
+                    for &(_, c, v) in &slots[row_ptr[r]..row_ptr[r + 1]] {
+                        sum -= v * x[c];
                     }
-                }
-                // Straight from the entries: duplicates distribute over
-                // the mat-vec sum, so this is the assembled residual.
-                None => {
-                    out.copy_from_slice(b);
-                    for &(r, c, v) in triplets.entries() {
-                        out[r] -= v * x[c];
-                    }
+                    *out = sum;
                 }
             },
             |v| {
@@ -1106,11 +1048,20 @@ mod tests {
         assert_eq!(one, 6.0);
     }
 
+    /// Merges a pushed system the way the solver does and loads its slots
+    /// into `data`: the matrix and its norms.
+    fn load_pushed(solver: &mut DenseSolver, t: &Triplets, data: &mut [f64]) -> (f64, f64, bool) {
+        merge_slots(t.dim(), t.entries(), &mut solver.merged);
+        solver.rebuild(t);
+        let slots = &solver.merged.slots;
+        load_slots(data, t.dim(), slots, &solver.row_ptr, &mut solver.col_sums)
+    }
+
     #[test]
     fn pattern_norms_match_dense_norms_bitwise() {
         // Duplicate stamps, an exactly cancelling pair and an empty row:
-        // a system pushed entry by entry, scattered and normed over its
-        // stamped offsets only, must give the full matrix and its norms.
+        // a system pushed entry by entry, merged into slots and normed over
+        // them, must give the full matrix and its norms.
         let mut t = Triplets::new(4);
         for (r, c, v) in [
             (0, 0, 0.1),
@@ -1125,17 +1076,9 @@ mod tests {
             t.add(r, c, v);
         }
         let mut solver = DenseSolver::default();
-        solver.rebuild(&t);
         let full = DenseMatrix::from_triplets(&t);
         let mut data = vec![f64::NAN; 16];
-        let (inf, one, finite) = load_entries(
-            &mut data,
-            4,
-            t.entries(),
-            &solver.pattern,
-            &solver.row_ptr,
-            &mut solver.col_sums,
-        );
+        let (inf, one, finite) = load_pushed(&mut solver, &t, &mut data);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&data), bits(&full.data));
         let (dense_inf, dense_one) = full.norms();
@@ -1143,14 +1086,7 @@ mod tests {
         assert!(finite);
         // A NaN stamp on an existing key keeps the pattern.
         t.add(3, 0, f64::NAN);
-        let (.., finite) = load_entries(
-            &mut data,
-            4,
-            t.entries(),
-            &solver.pattern,
-            &solver.row_ptr,
-            &mut solver.col_sums,
-        );
+        let (.., finite) = load_pushed(&mut solver, &t, &mut data);
         assert!(!finite);
     }
 
@@ -1257,17 +1193,11 @@ mod tests {
                     bits(&DenseMatrix::from_triplets(&t).data),
                     bits(&reference.data)
                 );
-                // The per-entry path of a system pushed stamp by stamp
-                // loads the same matrix and norms over the same layout.
+                // A system pushed stamp by stamp merges into the same
+                // matrix and norms over the same layout.
                 let mut per_entry = vec![f64::NAN; n * n];
-                let (entry_inf, entry_one, entry_finite) = load_entries(
-                    &mut per_entry,
-                    n,
-                    raw.entries(),
-                    &solver.pattern,
-                    &solver.row_ptr,
-                    &mut solver.col_sums,
-                );
+                let (entry_inf, entry_one, entry_finite) =
+                    load_pushed(&mut DenseSolver::default(), &raw, &mut per_entry);
                 assert_eq!(
                     bits(&per_entry),
                     bits(&reference.data),

@@ -31,7 +31,7 @@ pub mod verify;
 pub use complex::Complex;
 pub use dense::DenseMatrix;
 pub use program::Triplets;
-pub(crate) use program::{fresh_id, ProgramKey};
+pub(crate) use program::{fresh_id, merge_slots, MergeScratch, ProgramKey};
 pub use sparse::{LuStats, PivotFallback, SolverStats, SparseLu, SparseMatrix, StampMap};
 pub use verify::SolveQuality;
 

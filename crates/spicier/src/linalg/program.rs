@@ -47,9 +47,11 @@ pub(crate) struct ProgramKey {
 /// Duplicate keys are summed when a kernel compresses the system, which is
 /// exactly the semantics device stamps need.
 ///
-/// [`add`](Self::add) pushes one entry. The assembler instead compiles a
-/// program per mode pattern (gmin on or off, DC or transient step, the
-/// pseudo-transient diagonal on or off): it emits its stamps once and
+/// [`add`](Self::add) pushes one entry, for tests, benches and callers of
+/// the public API. Every analysis instead compiles a program per mode
+/// pattern (the assembler: gmin on or off, DC or transient step, the
+/// pseudo-transient diagonal on or off; AC and noise: the real form of
+/// the complex system, one per orientation): it emits its stamps once and
 /// seals them under a nonzero [`program_id`](Self::program_id); later
 /// assemblies of that pattern rewrite the values only. The kernels trust
 /// a sealed id they have seen and skip the key comparison. Any
@@ -60,7 +62,8 @@ pub(crate) struct ProgramKey {
 /// unknowns holds its slots as its [`entries`](Self::entries): one per
 /// distinct key, in row-major order, each the sum of its stamps added into
 /// +0.0 in emission order, which is what scattering the stamps into a
-/// zeroed matrix gives.
+/// zeroed matrix gives. The dense kernel reads slots only: it merges any
+/// other system into slots of its own with the seal's merge.
 #[derive(Debug, Clone, Default)]
 pub struct Triplets {
     dim: usize,
@@ -86,13 +89,14 @@ pub struct Triplets {
     merge: MergeScratch,
 }
 
-/// Buffers of [`Triplets::merge_slots`].
+/// Buffers of [`merge_slots`], kept from one merge to the next.
 #[derive(Debug, Clone, Default)]
-struct MergeScratch {
+pub(crate) struct MergeScratch {
     counts: Vec<u32>,
     by_col: Vec<u32>,
     by_row: Vec<u32>,
-    slots: Vec<(usize, usize, f64)>,
+    /// The merged slots.
+    pub slots: Vec<(usize, usize, f64)>,
 }
 
 /// Stable counting sort of the entry indices `items` by `key(item)`,
@@ -344,56 +348,59 @@ impl Triplets {
             self.replaying = false;
         } else {
             if self.forced_slots.unwrap_or(self.dim <= super::DENSE_CUTOFF) {
-                self.merge_slots();
+                // Point every stamp at its slot; the slots become the
+                // entries.
+                let slot_of = merge_slots(self.dim, &self.entries, &mut self.merge);
+                for target in &mut self.targets {
+                    if let Some(&slot) = slot_of.get(*target as usize) {
+                        *target = slot;
+                    }
+                }
+                std::mem::swap(&mut self.entries, &mut self.merge.slots);
+                self.slotted = true;
             }
             self.id = fresh_id();
         }
     }
+}
 
-    /// Merges the entries into slots, one per distinct key in row-major
-    /// order, each the sum of its entries added into +0.0 in emission
-    /// order, and points every stamp at its slot. Two stable counting
-    /// sorts, by column and then by row, put the entries in row-major
-    /// order with each key's entries in emission order: O(n + m) for `n`
-    /// unknowns and `m` entries, at any dimension.
-    fn merge_slots(&mut self) {
-        let Self {
-            dim,
-            entries,
-            targets,
-            merge,
-            ..
-        } = self;
-        let MergeScratch {
-            counts,
-            by_col,
-            by_row,
-            slots,
-        } = merge;
-        let items = 0..entries.len() as u32;
-        counting_sort(counts, *dim, items, |i| entries[i as usize].1, by_col);
-        let items = by_col.iter().copied();
-        counting_sort(counts, *dim, items, |i| entries[i as usize].0, by_row);
-        // `by_col` becomes each entry's slot.
-        let slot_of = by_col;
-        slots.clear();
-        for &i in by_row.iter() {
-            let (r, c, v) = entries[i as usize];
-            if slots.last().map(|&(sr, sc, _)| (sr, sc)) != Some((r, c)) {
-                slots.push((r, c, 0.0));
-            }
-            let slot = slots.len() - 1;
-            slots[slot].2 += v;
-            slot_of[i as usize] = slot as u32;
+/// Merges the `dim`-unknown system `entries` into `scratch.slots`: one
+/// slot per distinct key in row-major order, each the sum of its entries
+/// added into +0.0 in emission order, which is what scattering them into
+/// a zeroed matrix gives. Returns each entry's slot. Two stable counting
+/// sorts, by column and then by row, put the entries in row-major order
+/// with each key's entries in emission order: O(n + m) for `n` unknowns
+/// and `m` entries, at any dimension. Kept out of line: the seal and the
+/// dense kernel's merge of a pushed system call it, never a replay.
+#[inline(never)]
+pub(crate) fn merge_slots<'a>(
+    dim: usize,
+    entries: &[(usize, usize, f64)],
+    scratch: &'a mut MergeScratch,
+) -> &'a [u32] {
+    let MergeScratch {
+        counts,
+        by_col,
+        by_row,
+        slots,
+    } = scratch;
+    let items = 0..entries.len() as u32;
+    counting_sort(counts, dim, items, |i| entries[i as usize].1, by_col);
+    let items = by_col.iter().copied();
+    counting_sort(counts, dim, items, |i| entries[i as usize].0, by_row);
+    // `by_col` becomes each entry's slot.
+    let slot_of = by_col;
+    slots.clear();
+    for &i in by_row.iter() {
+        let (r, c, v) = entries[i as usize];
+        if slots.last().map(|&(sr, sc, _)| (sr, sc)) != Some((r, c)) {
+            slots.push((r, c, 0.0));
         }
-        for target in targets.iter_mut() {
-            if let Some(&slot) = slot_of.get(*target as usize) {
-                *target = slot;
-            }
-        }
-        std::mem::swap(entries, slots);
-        self.slotted = true;
+        let slot = slots.len() - 1;
+        slots[slot].2 += v;
+        slot_of[i as usize] = slot as u32;
     }
+    slot_of
 }
 
 #[cfg(test)]

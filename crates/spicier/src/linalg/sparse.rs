@@ -40,34 +40,10 @@ pub struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// Compresses triplets into CSC form, summing duplicates.
+    /// Compresses triplets into CSC form, summing duplicates: the matrix
+    /// of [`StampMap::build`].
     pub fn from_triplets(triplets: &Triplets) -> Self {
-        let n = triplets.dim();
-        let mut sorted: Vec<(usize, usize, f64)> = triplets.entries().to_vec();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (c, r));
-        let mut col_ptr = vec![0usize; n + 1];
-        let mut rows = Vec::with_capacity(sorted.len());
-        let mut vals = Vec::with_capacity(sorted.len());
-        let mut last: Option<(usize, usize)> = None;
-        for &(r, c, v) in &sorted {
-            if last == Some((r, c)) {
-                *vals.last_mut().expect("entry exists when last is set") += v;
-            } else {
-                rows.push(r);
-                vals.push(v);
-                col_ptr[c + 1] += 1;
-                last = Some((r, c));
-            }
-        }
-        for c in 0..n {
-            col_ptr[c + 1] += col_ptr[c];
-        }
-        Self {
-            n,
-            col_ptr,
-            rows,
-            vals,
-        }
+        StampMap::build(triplets).1
     }
 
     /// Matrix dimension.
@@ -171,61 +147,17 @@ pub struct StampMap {
 
 impl StampMap {
     /// Builds the slot map for the stamp sequence in `triplets` and returns
-    /// it together with the compressed matrix.
+    /// it together with the compressed matrix, in natural order: the
+    /// identity permutation's [`build_permuted`](Self::build_permuted).
+    /// No solve calls it; the sparse kernel always builds on its
+    /// fill-reducing ordering.
     ///
     /// # Panics
     ///
     /// Panics if the system has more than `u32::MAX` rows or raw entries.
     pub fn build(triplets: &Triplets) -> (Self, SparseMatrix) {
-        let matrix = SparseMatrix::from_triplets(triplets);
-        let entries = triplets.entries();
-        assert!(triplets.dim() <= u32::MAX as usize, "dimension too large");
-        assert!(entries.len() <= u32::MAX as usize, "too many stamp entries");
-        let keys: Vec<(u32, u32)> = entries
-            .iter()
-            .map(|&(r, c, _)| (r as u32, c as u32))
-            .collect();
-        // Re-run the exact sort `from_triplets` uses, but carry the entry
-        // index as the payload. `sort_unstable_by_key` is deterministic and
-        // compares keys only, so the permutation matches the one applied to
-        // the real values during compression.
-        let mut sorted: Vec<(usize, usize, f64)> = entries
-            .iter()
-            .enumerate()
-            .map(|(idx, &(r, c, _))| (r, c, idx as f64))
-            .collect();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (c, r));
-        let mut order = Vec::with_capacity(sorted.len());
-        let mut slots = Vec::with_capacity(sorted.len());
-        let mut slot = 0u32;
-        let mut last: Option<(usize, usize)> = None;
-        for &(r, c, idx) in &sorted {
-            if let Some(prev) = last {
-                if prev != (r, c) {
-                    slot += 1;
-                }
-            }
-            last = Some((r, c));
-            order.push(idx as u32);
-            slots.push(slot);
-        }
-        debug_assert_eq!(
-            matrix.nnz(),
-            if sorted.is_empty() {
-                0
-            } else {
-                slot as usize + 1
-            }
-        );
-        (
-            Self {
-                dim: triplets.dim(),
-                keys,
-                order,
-                slots,
-            },
-            matrix,
-        )
+        let identity: Vec<usize> = (0..triplets.dim()).collect();
+        Self::build_permuted(triplets, &identity)
     }
 
     /// Builds a slot map for the stamp sequence in `triplets` whose
