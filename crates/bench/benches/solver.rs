@@ -116,9 +116,13 @@ fn fig3_stamps() -> Triplets {
     stamps(&fig3_chain_circuit(1.0e9))
 }
 
-/// FIG14 sharing counts whose circuits sit on both sides of
-/// `DENSE_CUTOFF`: 60 and 78 unknowns, then 84 and 105.
-const FIG14_CUTOFF_NS: [usize; 4] = [15, 21, 23, 30];
+/// FIG14 sharing counts, up to the paper's largest: 60, 78, 84, 105, 129,
+/// 150 and 195 unknowns, all at or below `DENSE_CUTOFF`.
+const FIG14_CUTOFF_NS: [usize; 7] = [15, 21, 23, 30, 38, 45, 60];
+
+/// Sizes of the synthetic chain in [`bench_cutoff`]; 240 and 320 sit
+/// above `DENSE_CUTOFF`.
+const SYNTHETIC_CUTOFF_NS: [usize; 9] = [20, 40, 60, 80, 120, 160, 200, 240, 320];
 
 fn bench_lu(c: &mut Harness) {
     let mut group = c.benchmark_group("lu");
@@ -232,13 +236,14 @@ fn bench_cutoff(c: &mut Harness) {
         .sample_size(40)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
-    // The synthetic chain, then real MNA stamps (denser than the chain
-    // matrix): the FIG3 chain, and FIG14 shared detectors on both sides
-    // of the cutoff, so the cutoff choice reflects the circuits the
-    // harness simulates. Each kernel solves, at every size, the input it
-    // gets at its own sizes: the dense kernel a slotted program, the
-    // sparse kernel one entry per stamp.
-    let synthetic = [20usize, 40, 60, 80, 120, 160].map(|n| ("", chain_circuit(n)));
+    // The synthetic chain on both sides of the cutoff, then real MNA
+    // stamps (denser than the chain matrix): the FIG3 chain, and FIG14
+    // shared detectors at every size the paper shares, so the cutoff
+    // choice reflects the circuits the harness simulates. Each kernel
+    // solves, at every size, the input it gets at its own sizes: the
+    // dense kernel a slotted program, the sparse kernel one entry per
+    // stamp.
+    let synthetic = SYNTHETIC_CUTOFF_NS.map(|n| ("", chain_circuit(n)));
     let real = [("_fig3", fig3_chain_circuit(1.0e9))]
         .into_iter()
         .chain(FIG14_CUTOFF_NS.map(|n| ("_fig14", fig14_circuit(n))));
@@ -536,15 +541,15 @@ fn main() {
     }
 
     // Crossover assertion for DENSE_CUTOFF (DESIGN.md §3.7): every
-    // measured size above the cutoff (FIG14 at 84 and 105 unknowns
-    // included) must favor the cached sparse path, and every size at or
-    // below it (the FIG3 stamps and FIG14 at 60 and 78) the cached dense
-    // path, within measurement slack. Paired ratios, so machine speed
-    // cancels; quick mode gets a loose band because 100 ms sampling is
-    // noisy.
+    // measured size above the cutoff (the synthetic chain at 240 and 320)
+    // must favor the cached sparse path, and every size at or below it
+    // (the FIG3 stamps, FIG14 up to 195 unknowns and the chain up to 200)
+    // the cached dense path, within measurement slack. Paired ratios, so
+    // machine speed cancels; quick mode gets a loose band because 100 ms
+    // sampling is noisy.
     let slack = if quick_mode() { 2.0 } else { 1.3 };
-    let pairs = [20usize, 40, 60, 80, 120, 160]
-        .map(|n| (n, format!("dense_cached/{n}"), format!("sparse_cached/{n}")));
+    let pairs =
+        SYNTHETIC_CUTOFF_NS.map(|n| (n, format!("dense_cached/{n}"), format!("sparse_cached/{n}")));
     // The real-stamp pairs, by dimension.
     let mut real: Vec<(usize, String, String)> = records
         .iter()

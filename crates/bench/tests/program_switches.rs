@@ -9,10 +9,10 @@
 //! * A new `Assembler` compiles its program under a new id; on the same
 //!   keys the dense kernel adopts the id and keeps its plan, so the first
 //!   Newton iteration replays it, in DC and in a transient step alike.
-//! * The shared detector at N = 23 escalates through the DC ladder to
+//! * The shared detector at N = 75 escalates through the DC ladder to
 //!   pseudo-transient on the sparse kernel; every rung switch keeps the
 //!   ordering, the fill and the counters pinned below, which are the
-//!   values the kernels gave before they trusted program ids.
+//!   values the sparse kernel gave before the dense kernel was ordered.
 
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::sharing::SharedDetector;
@@ -164,7 +164,7 @@ fn a_new_assembler_on_the_same_keys_replays_the_dense_plan() {
     }
 }
 
-/// Per ladder rung of the N = 23 op: Newton iterations, whether the rung
+/// Per ladder rung of the N = 75 op: Newton iterations, whether the rung
 /// converged, sparse solves, pivot fallbacks, and the sum of every
 /// solve's fill (factor nonzeros over matrix nonzeros), which moves with
 /// any change of ordering or pivot sequence.
@@ -174,7 +174,7 @@ fn rung_digest(sol: &spicier::DcSolution, events: &[Event]) -> Vec<String> {
         .iter()
         .map(|a| {
             let label = a.rung.label();
-            let in_rung = |e: &&Event| e.span.ends_with(&format!("n23_ladder/{label}"));
+            let in_rung = |e: &&Event| e.span.ends_with(&format!("n75_ladder/{label}"));
             let fills: Vec<f64> = events
                 .iter()
                 .filter(in_rung)
@@ -204,13 +204,13 @@ fn rung_digest(sol: &spicier::DcSolution, events: &[Event]) -> Vec<String> {
 fn shared_detector_ladder_keeps_the_sparse_ordering_across_rungs() {
     let _guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let (_, circuit) = SharedDetector::new(Variant3::paper(), CmlProcess::paper())
-        .build(23, None)
+        .build(75, None)
         .unwrap();
     assert!(circuit.dim() > spicier::linalg::DENSE_CUTOFF);
     telemetry::set_capacity(1 << 17);
     let (sol, events) = telemetry::with_trace(|| {
         let sol = {
-            let _span = telemetry::span("n23_ladder");
+            let _span = telemetry::span("n75_ladder");
             operating_point(&circuit, &DcOptions::default()).unwrap()
         };
         (sol, telemetry::drain())
@@ -219,20 +219,20 @@ fn shared_detector_ladder_keeps_the_sparse_ordering_across_rungs() {
     assert_eq!(
         rung_digest(&sol, &events),
         [
-            "newton it=6 conv=false solves=6 fallbacks=2 fill=8.246132208",
-            "damped-newton it=5 conv=false solves=5 fallbacks=1 fill=6.870604782",
-            "gmin-stepping it=175 conv=false solves=175 fallbacks=72 fill=240.717299578",
-            "source-stepping it=41 conv=false solves=41 fallbacks=2 fill=56.338959212",
-            "pseudo-transient it=208 conv=true solves=208 fallbacks=47 fill=286.580872011",
+            "newton it=6 conv=false solves=6 fallbacks=2 fill=8.266336187",
+            "damped-newton it=5 conv=false solves=5 fallbacks=1 fill=6.888237945",
+            "gmin-stepping it=29 conv=false solves=29 fallbacks=4 fill=40.005858495",
+            "source-stepping it=41 conv=false solves=41 fallbacks=1 fill=56.483551149",
+            "pseudo-transient it=118 conv=true solves=118 fallbacks=21 fill=164.763406940",
         ]
     );
     assert_eq!(
         sol.telemetry().lu,
         LuStats {
-            full_factors: 125,
-            refactors: 310,
-            pivot_fallbacks: 124,
-            solves: 435,
+            full_factors: 30,
+            refactors: 169,
+            pivot_fallbacks: 29,
+            solves: 199,
         }
     );
 }

@@ -11,7 +11,9 @@
 //!   must reach a certified DC operating point under the *default*
 //!   analysis budget, on the sparse kernel's fill-reducing ordering;
 //! * every sparse solve of a cold-start operating point just above the
-//!   dense kernel's range runs on the ordered pattern with low fill.
+//!   dense kernel's range runs on the ordered pattern with low fill;
+//! * single buffer chains of up to 13 stages reach their operating point
+//!   from a cold start on plain Newton, on the dense kernel's ordering.
 
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
 use cml_dft::sharing::SharedDetector;
@@ -230,9 +232,9 @@ const MAX_ORDERED_FILL: f64 = 2.0;
 fn cold_start_sparse_solves_run_ordered_with_low_fill() {
     let shared = SharedDetector::new(Variant3::paper(), CmlProcess::paper());
     let circuits = [
-        ("wide-8x8", wide_circuit(8)),
+        ("wide-12x8", wide_circuit(12)),
         ("wide-16x8", wide_circuit(16)),
-        ("shared-30", shared.build(30, None).unwrap().1),
+        ("shared-64", shared.build(64, None).unwrap().1),
     ];
     // One op records more events than the default ring holds.
     telemetry::set_capacity(1 << 16);
@@ -315,5 +317,38 @@ fn generator_scale_dc_op_converges_under_default_budget() {
     for out in [outputs[0], *outputs.last().unwrap()] {
         let v = op.voltage(out.p);
         assert!((v - p.vhigh()).abs() < 0.05, "chain output: {v}");
+    }
+}
+
+/// Cold-start operating points of single buffer chains of 2–13 stages
+/// converge on the first rung, plain Newton, with every output high. On
+/// chains of 11–13 stages one Newton iterate's Jacobian meets a pivot
+/// under the floor in the minimum-degree order but not in the natural
+/// order; the dense kernel's natural recheck keeps those iterates solved
+/// instead of escalating the ladder to damped Newton and gmin stepping.
+#[test]
+fn deep_chains_converge_on_plain_newton() {
+    let high = CmlProcess::paper().vhigh();
+    for depth in 2..=13 {
+        let mut out = None;
+        let circuit = build(|b| {
+            let a = b.diff("a");
+            b.drive_static("a", a, true).unwrap();
+            let names: Vec<String> = (0..depth).map(|i| format!("B{i}")).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            out = Some(b.buffer_chain(&refs, a).unwrap().last_output());
+        });
+        assert!(circuit.dim() <= DENSE_CUTOFF);
+        let op = operating_point(&circuit, &DcOptions::default())
+            .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        let rungs: Vec<_> = op
+            .report()
+            .attempts
+            .iter()
+            .map(|a| (a.rung.label(), a.converged))
+            .collect();
+        assert_eq!(rungs, [("newton", true)], "depth {depth}");
+        let v = op.voltage(out.unwrap().p);
+        assert!((v - high).abs() < 0.05, "depth {depth}: output {v}");
     }
 }

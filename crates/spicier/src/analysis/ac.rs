@@ -739,7 +739,8 @@ mod tests {
     /// One compiled system on one solver, swept over frequencies in both
     /// orientations, returns at every ω what a fresh system on a fresh
     /// solver returns, bit for bit: as slots with the dense plans replayed
-    /// (2n ≤ 80), and as a per-stamp program on the sparse kernel (2n > 80).
+    /// (2n ≤ `DENSE_CUTOFF`), and as a per-stamp program on the sparse
+    /// kernel (2n > `DENSE_CUTOFF`).
     #[test]
     fn compiled_system_matches_a_fresh_one_at_every_frequency() {
         use crate::analysis::dc::operating_point;
@@ -749,7 +750,7 @@ mod tests {
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
                 .collect::<Vec<_>>()
         };
-        for (circuit, slotted) in [(every_element(1.2, 50.0e-6), true), (rlc_ladder(45), false)] {
+        for (circuit, slotted) in [(every_element(1.2, 50.0e-6), true), (rlc_ladder(80), false)] {
             let dim = circuit.dim();
             assert_eq!(2 * dim <= DENSE_CUTOFF, slotted, "dimension {dim}");
             let x_op = operating_point(&circuit, &DcOptions::default())

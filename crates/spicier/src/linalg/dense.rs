@@ -1,15 +1,18 @@
 //! Dense LU factorization with partial pivoting.
 //!
 //! Used directly for small MNA systems and as the reference oracle for the
-//! sparse kernel's tests. [`DenseSolver`] replays recorded eliminations,
-//! one per pivot order of a stamp pattern, switching between them as the
-//! order moves; the replay is bit-identical to a full factorization (see
-//! [`DenseSolver`]).
+//! sparse kernel's tests. [`DenseSolver`] factors each system on the
+//! minimum-degree [`order`](super::order)ing of its pattern, and replays
+//! recorded eliminations, one per pivot order of a stamp pattern,
+//! switching between them as the order moves; the replay is bit-identical
+//! to a full factorization of the ordered matrix (see [`DenseSolver`]).
+//! [`DenseMatrix::lu_factor`] is the natural-order reference.
 
 // Index-based loops are kept in these numeric kernels: the indices are
 // the mathematical objects (pivot rows, column positions).
 #![allow(clippy::needless_range_loop)]
 
+use super::order::{min_degree_order, symmetric_adjacency};
 use super::{
     merge_slots, sparse::LuStats, verify, verify::SolveQuality, MergeScratch, Solver, Triplets,
 };
@@ -254,6 +257,9 @@ enum FactorPath {
     /// No recorded plan had the pivot order; the full elimination
     /// finished the replay.
     Fallback,
+    /// The ordered elimination met no pivot above the floor, and the full
+    /// elimination in the natural order factored the matrix.
+    Natural,
 }
 
 impl FactorPath {
@@ -262,6 +268,7 @@ impl FactorPath {
             FactorPath::Full => "full",
             FactorPath::Refactor => "refactor",
             FactorPath::Fallback => "fallback",
+            FactorPath::Natural => "natural",
         }
     }
 }
@@ -390,7 +397,8 @@ impl Plan {
     /// solve runs column by column over the `L` rows, the backward solve
     /// row by row over the `U` columns, each in the operation order of
     /// [`DenseMatrix::lu_solve`]. `rhs` holds `b` on entry and `x` on
-    /// exit; `acc` and `x` are `n`-long scratch.
+    /// exit, both in the original order; `b` is permuted by `pinv` into
+    /// `acc` and `x` back out of `x`, both `n`-long scratch.
     ///
     /// Returns `false`, with `rhs` untouched, when `b` holds a −0.0 or
     /// `x` is not finite: only then can a skipped `(±0)·v` term change a
@@ -398,7 +406,7 @@ impl Plan {
     fn solve(
         &self,
         data: &[f64],
-        n: usize,
+        pinv: &[usize],
         rhs: &mut [f64],
         acc: &mut [f64],
         x: &mut [f64],
@@ -406,7 +414,8 @@ impl Plan {
         if rhs.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()) {
             return false;
         }
-        acc.copy_from_slice(rhs);
+        let n = pinv.len();
+        permute_in(rhs, pinv, acc);
         for k in 0..n {
             let yk = acc[self.pivot_row[k] as usize];
             for &r in step(&self.lower, &self.lower_ptr, k) {
@@ -425,7 +434,7 @@ impl Plan {
         if !x.iter().all(|v| v.is_finite()) {
             return false;
         }
-        rhs.copy_from_slice(x);
+        permute_out(x, pinv, rhs);
         true
     }
 }
@@ -538,16 +547,19 @@ fn replay(
 
 /// Loads `slots` (duplicate-free, sorted row-major, row `r` at
 /// `row_ptr[r]..row_ptr[r + 1]`) into the row-major `n × n` matrix `data`,
-/// +0.0 elsewhere, and returns `(‖A‖∞, ‖A‖₁, every entry finite)` from the
-/// same pass. Each row sum adds its entries in column order and each
-/// column sum in row order; unstamped entries are +0.0, and adding +0.0
-/// to a non-negative sum changes nothing, so the norms equal
-/// [`DenseMatrix::norms`] bit for bit.
+/// slot `i` at flat offset `offsets[i]` and +0.0 elsewhere, and returns
+/// `(‖A‖∞, ‖A‖₁, every entry finite)` from the same pass. The norms are
+/// summed over the slots in their own order, whatever the offsets: each
+/// row sum adds its entries in column order and each column sum in row
+/// order; unstamped entries are +0.0, and adding +0.0 to a non-negative
+/// sum changes nothing, so the norms equal [`DenseMatrix::norms`] of the
+/// unpermuted matrix bit for bit.
 fn load_slots(
     data: &mut [f64],
     n: usize,
     slots: &[(usize, usize, f64)],
     row_ptr: &[usize],
+    offsets: &[usize],
     col_sums: &mut Vec<f64>,
 ) -> (f64, f64, bool) {
     data.fill(0.0);
@@ -559,7 +571,7 @@ fn load_slots(
         let mut row_sum = 0.0;
         for i in row_ptr[r]..row_ptr[r + 1] {
             let (_, c, v) = slots[i];
-            data[r * n + c] = v;
+            data[offsets[i]] = v;
             let a = v.abs();
             row_sum += a;
             col_sums[c] += a;
@@ -572,6 +584,21 @@ fn load_slots(
         col_sums.iter().fold(0.0f64, |m, &s| m.max(s)),
         total.is_finite(),
     )
+}
+
+/// Writes `v` (original order) into `out` at the positions `pinv` gives.
+fn permute_in(v: &[f64], pinv: &[usize], out: &mut [f64]) {
+    for (&x, &p) in v.iter().zip(pinv) {
+        out[p] = x;
+    }
+}
+
+/// Reads `v` (original order) back from `ordered`, the inverse of
+/// [`permute_in`].
+fn permute_out(ordered: &[f64], pinv: &[usize], v: &mut [f64]) {
+    for (x, &p) in v.iter_mut().zip(pinv) {
+        *x = ordered[p];
+    }
 }
 
 /// Reusable dense solver workspace: the slot layout of the last stamp
@@ -597,10 +624,28 @@ fn load_slots(
 /// layout, the plans below and the counters survive a workspace shared by
 /// several assemblers of one topology.
 ///
+/// **Ordering.** The layout includes a minimum-degree order of the slot
+/// pattern ([`order`](super::order), as the sparse kernel computes it),
+/// and the solver factors `P A Pᵀ`: slot `(r, c)` loads at
+/// `(pinv[r], pinv[c])`, `b` is permuted in and `x` out at the copies the
+/// triangular solve makes anyway, and the norms and the certification
+/// residual stay on the slots in their original order. On the paper's
+/// circuits the ordering cuts a factorization's `L` divisions about
+/// threefold and its row updates more than twofold.
+///
+/// **Natural recheck.** The pivot floor is absolute, so a nearly singular
+/// Jacobian can meet a pivot under it in one order and not in another.
+/// When the ordered elimination finds no acceptable pivot in some column,
+/// the solver reloads the slots in the natural order and eliminates them
+/// there before it returns [`Error::SingularMatrix`], so an ordered solve
+/// declares no system singular that the natural order factors. The
+/// recheck counts as one full factorization and leaves the replay state
+/// alone.
+///
 /// **Plans.** A plan is a symbolic elimination of the unique stamped slots
-/// in one pivot order. The solver keeps up to 32 plans per stamp pattern,
-/// keyed by pivot order, evicts the least recently used, and drops them
-/// all when the pattern changes. A replay updates only the structurally
+/// of the ordered matrix in one pivot order. The solver keeps up to 32
+/// plans per stamp pattern, keyed by pivot order, evicts the least
+/// recently used, and drops them all when the pattern changes. A replay updates only the structurally
 /// nonzero `L` rows × `U` columns of each step and reruns the
 /// partial-pivoting search over the candidate rows.
 ///
@@ -623,7 +668,8 @@ fn load_slots(
 /// with a non-finite entry always takes the full path and leaves the
 /// replay state alone.
 ///
-/// **Bit identity.** The replay is bit-identical to a full factorization.
+/// **Bit identity.** The replay is bit-identical to a full factorization
+/// of the ordered matrix.
 /// Every slot is summed from +0.0, so no assembled entry is −0.0, and no
 /// update `a − f·u` can produce −0.0 from an `a` that is not −0.0.
 /// Structurally zero entries therefore hold exactly +0.0, and each update
@@ -648,8 +694,12 @@ pub struct DenseSolver {
     program: Option<u64>,
     /// Stamp sequence of the last system (see `Triplets::stamp_keys`).
     keys: Vec<(u32, u32)>,
-    /// Flat `row * n + col` offsets of the distinct stamped entries (the
-    /// slots), sorted, with per-row boundaries.
+    /// Minimum-degree order of the slot pattern: `pinv[original] =
+    /// position`.
+    pinv: Vec<usize>,
+    /// Flat `pinv[row] * n + pinv[col]` offset of each distinct stamped
+    /// entry (slot) in the ordered matrix, in slot order, and the slots'
+    /// per-row boundaries in the original order.
     pattern: Vec<usize>,
     row_ptr: Vec<usize>,
     /// Row permutation of the current factorization.
@@ -685,9 +735,9 @@ impl DenseSolver {
         triplets.stamp_keys().eq(cached)
     }
 
-    /// Compiles `triplets`' stamp sequence into the slot layout, sizes an
-    /// `n × n` matrix, and forgets the recorded plans. The slots of a
-    /// system without them are in `merged` already.
+    /// Compiles `triplets`' stamp sequence into the slot layout and its
+    /// ordering, sizes an `n × n` matrix, and forgets the recorded plans.
+    /// The slots of a system without them are in `merged` already.
     fn rebuild(&mut self, triplets: &Triplets) {
         let n = triplets.dim();
         if !matches!(&self.matrix, Some(m) if m.dim() == n) {
@@ -700,13 +750,16 @@ impl DenseSolver {
             .extend(triplets.stamp_keys().map(|(r, c)| (r as u32, c as u32)));
         // The slots are the stamps' distinct keys, sorted already.
         let slots = triplets.slots().unwrap_or(&self.merged.slots);
+        let keys = slots.iter().map(|&(r, c, _)| (r, c));
+        self.pinv = min_degree_order(symmetric_adjacency(n, keys), slots.len());
+        let pinv = &self.pinv;
         self.pattern.clear();
         self.pattern
-            .extend(slots.iter().map(|&(r, c, _)| r * n + c));
+            .extend(slots.iter().map(|&(r, c, _)| pinv[r] * n + pinv[c]));
         self.row_ptr.clear();
         self.row_ptr.resize(n + 1, 0);
-        for &slot in &self.pattern {
-            self.row_ptr[slot / n + 1] += 1;
+        for &(r, ..) in slots {
+            self.row_ptr[r + 1] += 1;
         }
         for r in 0..n {
             self.row_ptr[r + 1] += self.row_ptr[r];
@@ -722,6 +775,11 @@ impl DenseSolver {
     fn record_path(&mut self, path: FactorPath, ended: usize) {
         self.clock += 1;
         match path {
+            // The natural recheck leaves the replay state as it was.
+            FactorPath::Natural => {
+                self.stats.full_factors += 1;
+                return;
+            }
             FactorPath::Refactor => {
                 self.stats.refactors += 1;
                 self.active = Some(ended);
@@ -805,11 +863,12 @@ impl Solver for DenseSolver {
             n,
             slots,
             &self.row_ptr,
+            &self.pattern,
             &mut self.col_sums,
         );
         self.perm.clear();
         self.perm.extend(0..n);
-        let (path, ended) = match self.active {
+        let factored = match self.active {
             Some(start) if finite => replay(
                 &self.plans,
                 start,
@@ -817,11 +876,23 @@ impl Solver for DenseSolver {
                 n,
                 &mut self.perm,
                 &mut self.urow,
-            )?,
-            _ => {
+            ),
+            _ => eliminate(&mut matrix.data, n, &mut self.perm, 0).map(|()| (FactorPath::Full, 0)),
+        };
+        let (path, ended) = match factored {
+            Ok(done) => done,
+            Err(Error::SingularMatrix { .. }) => {
+                // The natural recheck: the same slots, unpermuted.
+                matrix.data.fill(0.0);
+                for &(r, c, v) in slots {
+                    matrix.data[r * n + c] = v;
+                }
+                self.perm.clear();
+                self.perm.extend(0..n);
                 eliminate(&mut matrix.data, n, &mut self.perm, 0)?;
-                (FactorPath::Full, 0)
+                (FactorPath::Natural, 0)
             }
+            Err(e) => return Err(e),
         };
         self.record_path(path, ended);
         let plan = (path == FactorPath::Refactor).then(|| &self.plans[ended]);
@@ -840,13 +911,20 @@ impl Solver for DenseSolver {
         self.acc.resize(n, 0.0);
         self.residual.resize(n, 0.0);
         let matrix: &DenseMatrix = matrix;
+        // The factors' order: the ordering, or the identity after the
+        // natural recheck.
+        let pinv = (path != FactorPath::Natural).then_some(&self.pinv[..]);
         let slots = triplets.slots().unwrap_or(&self.merged.slots);
         let row_ptr = &self.row_ptr;
         let (b, y, acc) = (&self.b, &mut self.y, &mut self.acc);
-        let mut lu_solve = |v: &mut [f64]| {
-            if !plan.is_some_and(|plan| plan.solve(&matrix.data, n, v, acc, y)) {
-                matrix.lu_solve_with(perm, v, y);
+        let mut lu_solve = |v: &mut [f64]| match pinv {
+            Some(pinv) if plan.is_some_and(|plan| plan.solve(&matrix.data, pinv, v, acc, y)) => {}
+            Some(pinv) => {
+                permute_in(v, pinv, acc);
+                matrix.lu_solve_with(perm, acc, y);
+                permute_out(acc, pinv, v);
             }
+            None => matrix.lu_solve_with(perm, v, y),
         };
         lu_solve(rhs);
         // Triangular-solve tally shared with the certifier's closures.
@@ -872,7 +950,16 @@ impl Solver for DenseSolver {
                 Ok(())
             },
             |v| {
-                matrix.lu_solve_transposed(perm, v);
+                match pinv {
+                    // (P A Pᵀ)ᵀ = P Aᵀ Pᵀ: the same permutation.
+                    Some(pinv) => {
+                        let mut w = vec![0.0; n];
+                        permute_in(v, pinv, &mut w);
+                        matrix.lu_solve_transposed(perm, &mut w);
+                        permute_out(&w, pinv, v);
+                    }
+                    None => matrix.lu_solve_transposed(perm, v),
+                }
                 solves.set(solves.get() + 1);
                 Ok(())
             },
@@ -1001,6 +1088,18 @@ mod tests {
         }
     }
 
+    /// `data` (row-major `n × n`) with entry `(r, c)` moved to
+    /// `(pinv[r], pinv[c])`.
+    fn permuted(data: &[f64], n: usize, pinv: &[usize]) -> Vec<f64> {
+        let mut out = vec![0.0; n * n];
+        for r in 0..n {
+            for c in 0..n {
+                out[pinv[r] * n + pinv[c]] = data[r * n + c];
+            }
+        }
+        out
+    }
+
     #[test]
     fn replayed_factors_match_full_elimination_bitwise() {
         // Tridiagonal plus a corner stamp, with alternating signs so half
@@ -1026,6 +1125,7 @@ mod tests {
             let mut rhs = vec![1.0; n];
             solver.solve_in_place(&t, &mut rhs).unwrap();
             let mut full = DenseMatrix::from_triplets(&t);
+            full.data = permuted(&full.data, n, &solver.pinv);
             let perm = full.lu_factor().unwrap();
             let replayed = solver.matrix.as_ref().unwrap();
             let bits = |m: &DenseMatrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1054,7 +1154,14 @@ mod tests {
         merge_slots(t.dim(), t.entries(), &mut solver.merged);
         solver.rebuild(t);
         let slots = &solver.merged.slots;
-        load_slots(data, t.dim(), slots, &solver.row_ptr, &mut solver.col_sums)
+        load_slots(
+            data,
+            t.dim(),
+            slots,
+            &solver.row_ptr,
+            &solver.pattern,
+            &mut solver.col_sums,
+        )
     }
 
     #[test]
@@ -1080,7 +1187,7 @@ mod tests {
         let mut data = vec![f64::NAN; 16];
         let (inf, one, finite) = load_pushed(&mut solver, &t, &mut data);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&data), bits(&full.data));
+        assert_eq!(bits(&data), bits(&permuted(&full.data, 4, &solver.pinv)));
         let (dense_inf, dense_one) = full.norms();
         assert_eq!(bits(&[inf, one]), bits(&[dense_inf, dense_one]));
         assert!(finite);
@@ -1175,14 +1282,17 @@ mod tests {
                 assert!(slots.iter().all(|s| s.2.to_bits() != (-0.0f64).to_bits()));
                 solver.rebuild(&t);
                 let mut data = vec![f64::NAN; n * n];
-                let (inf, one, finite) =
-                    load_slots(&mut data, n, slots, &solver.row_ptr, &mut solver.col_sums);
-                let (ref_inf, ref_one) = reference.norms();
-                assert_eq!(
-                    bits(&data),
-                    bits(&reference.data),
-                    "case {case} round {round}"
+                let (inf, one, finite) = load_slots(
+                    &mut data,
+                    n,
+                    slots,
+                    &solver.row_ptr,
+                    &solver.pattern,
+                    &mut solver.col_sums,
                 );
+                let (ref_inf, ref_one) = reference.norms();
+                let ordered = permuted(&reference.data, n, &solver.pinv);
+                assert_eq!(bits(&data), bits(&ordered), "case {case} round {round}");
                 assert_eq!(
                     bits(&[inf, one]),
                     bits(&[ref_inf, ref_one]),
@@ -1200,7 +1310,7 @@ mod tests {
                     load_pushed(&mut DenseSolver::default(), &raw, &mut per_entry);
                 assert_eq!(
                     bits(&per_entry),
-                    bits(&reference.data),
+                    bits(&ordered),
                     "case {case} round {round}"
                 );
                 assert_eq!(
@@ -1227,7 +1337,14 @@ mod tests {
     fn slot_norms_flag_a_non_finite_entry() {
         let slots = [(0, 0, 1.0), (1, 0, f64::NAN), (1, 1, 2.0)];
         let mut data = vec![0.0; 4];
-        let (.., finite) = load_slots(&mut data, 2, &slots, &[0, 1, 3], &mut Vec::new());
+        let (.., finite) = load_slots(
+            &mut data,
+            2,
+            &slots,
+            &[0, 1, 3],
+            &[0, 2, 3],
+            &mut Vec::new(),
+        );
         assert!(!finite);
     }
 

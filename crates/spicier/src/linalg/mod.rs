@@ -7,14 +7,15 @@
 //! provided:
 //!
 //! * [`dense`]: LU with partial pivoting on a row-major dense matrix, used
-//!   for systems of up to [`DENSE_CUTOFF`] unknowns and as the reference
-//!   implementation; it replays recorded eliminations over the
-//!   structural nonzeros, one per pivot order a stamp pattern has
-//!   settled in, bit-identical to a full factorization;
+//!   for systems of up to [`DENSE_CUTOFF`] unknowns and, in the natural
+//!   order ([`DenseMatrix::lu_factor`]), as the reference implementation;
+//!   its solver factors on the fill-reducing [`order`]ing of the pattern
+//!   and replays recorded eliminations over the structural nonzeros, one
+//!   per pivot order a stamp pattern has settled in, bit-identical to a
+//!   full factorization of the ordered matrix;
 //! * [`sparse`]: a left-looking Gilbert–Peierls LU with partial pivoting
-//!   on compressed-sparse-column storage, used for larger systems, always
-//!   on a fill-reducing [`order`]ing of the pattern, with a cached-pattern
-//!   numeric refactorization.
+//!   on compressed-sparse-column storage, used for larger systems, on the
+//!   same ordering, with a cached-pattern numeric refactorization.
 //!
 //! Both kernels implement [`Solver`], and [`AutoSolver`] picks between them
 //! by size. The sparse kernel is property-tested against the dense one.
@@ -41,14 +42,15 @@ use crate::error::Error;
 /// dense kernel to the sparse kernel.
 ///
 /// Calibrated against the cutoff bench (`cargo bench -p cml-bench --bench
-/// solver -- cutoff`): with its replayed refactorization the dense kernel
-/// beats the cached sparse path on real MNA stamps at every size the
-/// paper's circuits use (buffer chains and shared detectors, up to 72
-/// unknowns), and the sparse kernel wins above. The bench
-/// asserts the crossover stays at this constant, so a kernel regression
-/// that moves it shows up as a bench failure rather than silent
-/// mis-selection.
-pub const DENSE_CUTOFF: usize = 80;
+/// solver -- cutoff`): with its replayed refactorization on the
+/// minimum-degree ordering, the dense kernel beats the cached sparse path
+/// on real MNA stamps at every size the paper's circuits use (the FIG3
+/// chain and Figure 14 shared detectors up to N = 60, 195 unknowns), and
+/// on the synthetic chain the sparse kernel wins from about 200 unknowns
+/// up. The bench asserts the crossover stays at this constant, so a
+/// kernel regression that moves it shows up as a bench failure rather
+/// than silent mis-selection.
+pub const DENSE_CUTOFF: usize = 200;
 
 /// A linear solver for `A x = b` where `A` is assembled from triplets.
 pub trait Solver {

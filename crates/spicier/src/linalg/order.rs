@@ -1,4 +1,4 @@
-//! Fill-reducing ordering for the sparse LU kernel.
+//! Fill-reducing ordering for both LU kernels.
 //!
 //! Gilbert–Peierls factors columns in the order they are given; on
 //! generator-shaped circuit matrices (long stage chains hanging off a few
@@ -13,7 +13,9 @@
 //!
 //! The ordering is purely structural: it is computed once per sparsity
 //! pattern and cached by [`SparseSolver`](super::sparse::SparseSolver)
-//! alongside the stamp-slot map, so the per-Newton-iteration cost is zero.
+//! alongside the stamp-slot map, and by
+//! [`DenseSolver`](super::dense::DenseSolver) with its slot layout, so
+//! the per-Newton-iteration cost is zero.
 //! Numerical safety is untouched — the permuted matrix is still factored
 //! with full partial pivoting and certified by the residual gate.
 

@@ -21,7 +21,8 @@ const PIVOT_FLOOR: f64 = 1e-13;
 /// Smallest system [`AutoSolver`](super::AutoSolver) hands to the sparse
 /// kernel, which factors every system on a fill-reducing ordering: there
 /// is one size policy, dense up to [`DENSE_CUTOFF`] unknowns and ordered
-/// sparse above.
+/// sparse above, and both kernels eliminate on the same minimum-degree
+/// order.
 ///
 /// Natural order is not near-optimal there: at far-from-converged Newton
 /// iterates partial pivoting picks pivots whose fill (factor nonzeros ÷

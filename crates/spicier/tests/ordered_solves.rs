@@ -11,13 +11,19 @@
 //!   factorization behind a fill-reducing permutation must still surface
 //!   [`spicier::Error::UntrustedSolution`], and a pivot flip under a
 //!   cached permuted pattern must take the refactor fallback and still
-//!   certify.
+//!   certify;
+//! * the dense kernel, which factors on the same ordering, must agree
+//!   with the natural-order `DenseMatrix::lu_factor` within certified
+//!   backward error, and must declare no system singular that the
+//!   natural order factors.
 
 use spicier::chaos::with_perturb_lu;
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::verify::{backward_error, bwerr_tol, inf_norm};
-use spicier::linalg::{Solver, SparseMatrix, Triplets};
+use spicier::linalg::{DenseMatrix, Solver, SparseMatrix, Triplets, DENSE_CUTOFF};
+use spicier::telemetry::{self, Value};
+use spicier::Error;
 use xrand::StdRng;
 
 /// A random connected conductance network on `n` unknowns (chain backbone
@@ -189,4 +195,145 @@ fn pivot_flip_under_cached_permuted_pattern_takes_the_fallback() {
     );
     assert!((x2[0] - 1.0).abs() < 1e-12 && (x2[1] - 1.0).abs() < 1e-12);
     assert!(solver.last_quality().backward_error <= bwerr_tol());
+}
+
+/// A random MNA-shaped system on `nodes` nodes: [`stamp_network`]'s
+/// conductances, a voltage source from each node of `sources` to ground
+/// (a branch unknown whose row and column hold only the ±1 incidence and
+/// a zero diagonal, so partial pivoting must leave the diagonal), and a
+/// transconductance on each of `gm` (an asymmetric stamp).
+fn mna_system(
+    rng: &mut StdRng,
+    nodes: usize,
+    edges: &[(usize, usize)],
+    sources: &[usize],
+    gm: &[(usize, usize)],
+) -> Triplets {
+    let network = stamp_network(rng, nodes, edges);
+    let mut t = Triplets::new(nodes + sources.len());
+    for &(r, c, v) in network.entries() {
+        t.add(r, c, v);
+    }
+    for (k, &node) in sources.iter().enumerate() {
+        t.add(node, nodes + k, 1.0);
+        t.add(nodes + k, node, 1.0);
+    }
+    for &(out, ctl) in gm {
+        t.add(out, ctl, rng.gen_range(-2.0e-3..2.0e-3));
+    }
+    t
+}
+
+/// The dense kernel's ordered solves, fresh and replayed, certify and
+/// agree with the natural-order `lu_factor` + `lu_solve` on random
+/// MNA-shaped systems of up to [`DENSE_CUTOFF`] unknowns.
+#[test]
+fn ordered_dense_solve_agrees_with_natural_lu_factor_within_certified_error() {
+    let mut rng = StdRng::seed_from_u64(0x0de45e);
+    let tol = bwerr_tol();
+    for nodes in [10, 34, 110, DENSE_CUTOFF - 8] {
+        let edges = random_edges(&mut rng, nodes);
+        // Distinct nodes: two sources on one node would be singular.
+        let count = rng.gen_range(1..9);
+        let sources: Vec<usize> = (0..count).map(|k| k * nodes / count).collect();
+        let gm: Vec<(usize, usize)> = (0..nodes / 4)
+            .map(|_| (rng.gen_range(0..nodes), rng.gen_range(0..nodes)))
+            .collect();
+        let mut dense = DenseSolver::default();
+        for round in 0..5 {
+            let t = mna_system(&mut rng, nodes, &edges, &sources, &gm);
+            let n = t.dim();
+            assert!(n <= DENSE_CUTOFF);
+            let b = random_rhs(&mut rng, n);
+            let mut xo = b.clone();
+            dense.solve_in_place(&t, &mut xo).unwrap();
+            let mut natural = DenseMatrix::from_triplets(&t);
+            let perm = natural.lu_factor().unwrap();
+            let mut xn = b.clone();
+            natural.lu_solve(&perm, &mut xn);
+            let label = format!("n={n} round={round}");
+            assert!(
+                dense.last_quality().backward_error <= tol,
+                "{label}: {:?}",
+                dense.last_quality()
+            );
+            for (path, x) in [("ordered", &xo), ("natural", &xn)] {
+                let bwerr = measured_bwerr(&t, x, &b);
+                assert!(bwerr <= tol, "{label}: {path} residual {bwerr:.3e}");
+            }
+            let diff = rel_diff(&xo, &xn);
+            assert!(diff < 1.0e-8, "{label}: ordered vs natural {diff:.3e}");
+        }
+        assert!(dense.stats().refactors > 0, "nodes={nodes}: no replay");
+    }
+}
+
+/// A system whose ordered elimination meets a pivot under the floor is
+/// rechecked in the natural order and solved, and its `dense_solve` event
+/// says `path = "natural"`; a structurally singular one is still
+/// `SingularMatrix`.
+#[test]
+fn sub_floor_ordered_pivot_takes_the_natural_recheck() {
+    // Node 1 couples to node 0 only, and node 2 (through a coupling
+    // stamped at zero) to node 0 only, so the minimum-degree order is
+    // 1, 0, 2. Its second pivot is 1e-7 − (1 − 1e-7)·1e-7 = 1e-14, under
+    // the 1e-13 floor, while the natural order's pivots are 1e-7, 1e-7
+    // and 1.
+    let mut t = Triplets::new(3);
+    for (r, c, v) in [
+        (0, 0, 1.0e-7),
+        (0, 1, 1.0 - 1.0e-7),
+        (1, 0, 1.0e-7),
+        (1, 1, 1.0),
+        (0, 2, 0.0),
+        (2, 0, 0.0),
+        (2, 2, 1.0),
+    ] {
+        t.add(r, c, v);
+    }
+    let b = [1.0, 2.0, 3.0];
+    let mut natural = DenseMatrix::from_triplets(&t);
+    let perm = natural.lu_factor().expect("the natural order factors it");
+    let mut xn = b.to_vec();
+    natural.lu_solve(&perm, &mut xn);
+    let mut solver = DenseSolver::default();
+    for round in 0..3 {
+        let mut x = b.to_vec();
+        solver
+            .solve_in_place(&t, &mut x)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&xn), "round {round}");
+        assert!(solver.last_quality().backward_error <= bwerr_tol());
+    }
+    // One full factorization per solve, and no replay.
+    let stats = solver.stats();
+    assert_eq!((stats.full_factors, stats.refactors), (3, 0));
+    // The flight recorder names the recheck.
+    let events = telemetry::with_trace(|| {
+        {
+            let _span = telemetry::span("natural_recheck");
+            DenseSolver::default()
+                .solve_in_place(&t, &mut b.to_vec())
+                .unwrap();
+        }
+        telemetry::drain()
+    });
+    let paths: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "dense_solve" && e.span.contains("natural_recheck"))
+        .flat_map(|e| e.fields.iter().filter(|(k, _)| k == "path"))
+        .map(|(_, v)| v)
+        .collect();
+    assert_eq!(paths, [&Value::Str("natural".into())]);
+
+    // Column 2 holds no stamp: singular in every order.
+    let mut singular = Triplets::new(3);
+    for (r, c, v) in [(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0), (2, 0, 1.0)] {
+        singular.add(r, c, v);
+    }
+    let err = DenseSolver::default()
+        .solve_in_place(&singular, &mut [1.0; 3])
+        .unwrap_err();
+    assert!(matches!(err, Error::SingularMatrix { .. }), "{err}");
 }

@@ -6,9 +6,35 @@
 //! `SparseMatrix::from_triplets` exactly.
 
 use spicier::linalg::dense::DenseSolver;
+use spicier::linalg::order::min_degree_pinv;
 use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::{DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets};
 use xrand::StdRng;
+
+/// `t`'s matrix in the minimum-degree order the dense solver factors it
+/// in, with that order (`pinv[original] = position`).
+fn ordered(t: &Triplets) -> (DenseMatrix, Vec<usize>) {
+    let a = SparseMatrix::from_triplets(t);
+    let pinv = min_degree_pinv(t.dim(), a.col_ptr(), a.rows());
+    let mut m = DenseMatrix::zeros(t.dim());
+    for &(r, c, v) in t.entries() {
+        m.add(pinv[r], pinv[c], v);
+    }
+    (m, pinv)
+}
+
+/// Solves `t x = b` by the ordered full elimination (`lu_factor` and
+/// `lu_solve` of [`ordered`]), `b` permuted in and `x` out.
+fn ordered_solve(t: &Triplets, b: &[f64]) -> Vec<f64> {
+    let (mut m, pinv) = ordered(t);
+    let perm = m.lu_factor().expect("nonsingular in the order");
+    let mut y = vec![0.0; b.len()];
+    for (&v, &p) in b.iter().zip(&pinv) {
+        y[p] = v;
+    }
+    m.lu_solve(&perm, &mut y);
+    pinv.iter().map(|&p| y[p]).collect()
+}
 
 /// A random diagonally dominant stamp sequence: fixed keys, with some
 /// duplicate `(row, col)` pairs like real MNA stamps produce.
@@ -378,7 +404,8 @@ fn dense_refactor_matches_fresh_solver_bitwise() {
                 (a, b) => panic!("live {a:?} vs fresh {b:?} at n = {n}"),
             }
             calls += 1;
-            let pivots = DenseMatrix::from_triplets(&t)
+            let pivots = ordered(&t)
+                .0
                 .lu_factor()
                 .expect("the fresh solver factored it");
             let finite = t.entries().iter().all(|e| e.2.is_finite());
@@ -472,8 +499,9 @@ fn dense_replay_switches_between_cached_pivot_orders() {
 }
 
 /// Solves `t` with a solver that has recorded `t`'s pivot order from two
-/// warm-up systems `warm`, and with `DenseMatrix::lu_factor` plus
-/// `lu_solve`; returns both results' bits and whether the solver replayed.
+/// warm-up systems `warm`, and with the ordered full elimination
+/// ([`ordered_solve`]); returns both results' bits and whether the solver
+/// replayed.
 fn replayed_and_dense_bits(warm: &Triplets, t: &Triplets, b: &[f64]) -> (Vec<u64>, Vec<u64>, bool) {
     let mut live = DenseSolver::default();
     for _ in 0..2 {
@@ -484,10 +512,7 @@ fn replayed_and_dense_bits(warm: &Triplets, t: &Triplets, b: &[f64]) -> (Vec<u64
     let mut x_live = b.to_vec();
     live.solve_in_place(t, &mut x_live).unwrap();
     let replayed = live.stats().refactors > refactors;
-    let mut dense = DenseMatrix::from_triplets(t);
-    let perm = dense.lu_factor().unwrap();
-    let mut x_dense = b.to_vec();
-    dense.lu_solve(&perm, &mut x_dense);
+    let x_dense = ordered_solve(t, b);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     (bits(&x_live), bits(&x_dense), replayed)
 }

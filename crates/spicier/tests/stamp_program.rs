@@ -168,6 +168,9 @@ fn check_walk(circuit: &Circuit) {
     }
 }
 
+/// Cells of [`every_element_circuit`] that put it above [`DENSE_CUTOFF`].
+const SPARSE_CELLS: usize = 24;
+
 #[test]
 fn program_replays_fresh_assembly_on_the_dense_kernel() {
     let circuit = every_element_circuit(1);
@@ -177,7 +180,7 @@ fn program_replays_fresh_assembly_on_the_dense_kernel() {
 
 #[test]
 fn program_replays_fresh_assembly_on_the_sparse_kernel() {
-    let circuit = every_element_circuit(8);
+    let circuit = every_element_circuit(SPARSE_CELLS);
     assert!(circuit.dim() > DENSE_CUTOFF, "dim {}", circuit.dim());
     check_walk(&circuit);
 }
@@ -187,7 +190,7 @@ fn program_replays_fresh_assembly_on_the_sparse_kernel() {
 /// is solved, not ignored, and so is a second unsealed system.
 #[test]
 fn unsealed_systems_are_compared_key_by_key() {
-    for cells in [1, 8] {
+    for cells in [1, SPARSE_CELLS] {
         let circuit = every_element_circuit(cells);
         let dim = circuit.dim();
         let x = iterate(dim, 0);

@@ -80,12 +80,13 @@ fn claim_load_sharing_keeps_detection() {
 
 #[test]
 fn claim_shared_detector_droops_linearly_on_the_sparse_kernel() {
-    // §6.4, Figure 14 at the sizes the quick scale skips: sharing groups of
-    // 22–40 gates exceed the dense kernel's range, so these operating
-    // points run on the sparse kernel. The fault-free readings must match
-    // the full-scale `fig14.csv`, keep falling at the −1.07 mV/gate slope
-    // EXPERIMENTS.md records, and a piped member must still pull `vout`
-    // below the 3.54 V guaranteed-fault threshold.
+    // §6.4, Figure 14 at sizes the quick scale skips: sharing groups of
+    // 22–40 gates, whose fault-free readings must match the full-scale
+    // `fig14.csv`, and groups of 62–70 gates, which exceed the dense
+    // kernel's range, so those operating points run on the sparse kernel.
+    // Both must keep falling at the −1.07 mV/gate slope EXPERIMENTS.md
+    // records, and a piped member must still pull `vout` below the
+    // 3.54 V guaranteed-fault threshold.
     use cml_cells::CmlProcess;
     use cml_dft::{SharedDetector, Variant3};
     use spicier::analysis::dc::{operating_point, DcOptions};
@@ -94,31 +95,43 @@ fn claim_shared_detector_droops_linearly_on_the_sparse_kernel() {
     let shared = SharedDetector::new(Variant3::paper(), CmlProcess::paper());
     let vout = |n: usize, fault_at: Option<(usize, f64)>| {
         let (handle, circuit) = shared.build(n, fault_at).unwrap();
-        assert!(circuit.dim() > DENSE_CUTOFF, "N={n}: dim {}", circuit.dim());
         let op = operating_point(&circuit, &DcOptions::default()).unwrap();
-        op.voltage(handle.vout)
+        (op.voltage(handle.vout), circuit.dim())
+    };
+    let check_slope = |ns: &[usize], readings: &[f64]| {
+        for (pair, v) in ns.windows(2).zip(readings.windows(2)) {
+            let slope = (v[1] - v[0]) / (pair[1] - pair[0]) as f64;
+            assert!(
+                (slope - (-1.07e-3)).abs() < 0.2 * 1.07e-3,
+                "N={}..{}: slope {:.3} mV/gate",
+                pair[0],
+                pair[1],
+                slope * 1e3
+            );
+        }
     };
     let full_scale = [(22, 3.632), (31, 3.622), (40, 3.613)];
     let readings: Vec<f64> = full_scale
         .iter()
         .map(|&(n, expected)| {
-            let v = vout(n, None);
+            let (v, _) = vout(n, None);
             assert!((v - expected).abs() < 1.0e-3, "N={n}: vout {v:.4} V");
             v
         })
         .collect();
-    for (pair, v) in full_scale.windows(2).zip(readings.windows(2)) {
-        let slope = (v[1] - v[0]) / (pair[1].0 - pair[0].0) as f64;
-        assert!(
-            (slope - (-1.07e-3)).abs() < 0.2 * 1.07e-3,
-            "N={}..{}: slope {:.3} mV/gate",
-            pair[0].0,
-            pair[1].0,
-            slope * 1e3
-        );
-    }
+    check_slope(&full_scale.map(|(n, _)| n), &readings);
+    let sparse_ns = [62, 66, 70];
+    let readings: Vec<f64> = sparse_ns
+        .iter()
+        .map(|&n| {
+            let (v, dim) = vout(n, None);
+            assert!(dim > DENSE_CUTOFF, "N={n}: dim {dim}");
+            v
+        })
+        .collect();
+    check_slope(&sparse_ns, &readings);
     for (n, _) in full_scale {
-        let v = vout(n, Some((n / 2, 3.0e3)));
+        let (v, _) = vout(n, Some((n / 2, 3.0e3)));
         assert!(v < 3.54, "N={n}: a 3 kΩ pipe reads vout {v:.3} V");
     }
 }
