@@ -86,12 +86,6 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<i32> {
     if replay_report.torn_tail {
         println!("[serve] journal had a torn tail (benign: record was never acknowledged)");
     }
-    if replay_report.legacy_records > 0 {
-        println!(
-            "[serve] journal carries {} legacy (checksum-less) record(s)",
-            replay_report.legacy_records
-        );
-    }
     if replay_report.corrupt_records > 0 {
         sched.counters.set(
             Counter::JournalCorruptRecords,

@@ -15,8 +15,8 @@
 //!
 //! Each line is `<crc32:8 lowercase hex> <json>`, where the JSON object
 //! carries a monotonically increasing `seq` number alongside the event
-//! fields. The checksum lets [`Journal::replay`] tell three situations
-//! apart that v1 conflated:
+//! fields. The checksum lets [`Journal::replay`] tell two situations
+//! apart:
 //!
 //! * **Torn tail** — the *final* line is truncated or fails its CRC.
 //!   Benign by construction: the record it would have carried was never
@@ -25,9 +25,10 @@
 //!   its CRC, or regresses the sequence number. That is silent damage
 //!   to acknowledged state; it is counted in [`ReplayReport`] and the
 //!   daemon's journal policy decides whether to refuse startup.
-//! * **Legacy v1 records** — lines starting with `{` (no checksum);
-//!   still replayed, counted separately so operators can see them age
-//!   out.
+//!
+//! A line without a checksum fails verification like any other damaged
+//! line: it is a torn tail when it ends the file mid-line, and mid-file
+//! corruption otherwise.
 //!
 //! ## Compaction
 //!
@@ -115,9 +116,6 @@ pub struct ReplayReport {
     /// silently altered; the daemon's journal policy decides whether
     /// this is fatal.
     pub corrupt_records: usize,
-    /// Checksum-less v1 lines that still parsed (accepted, but counted
-    /// so operators can watch them age out).
-    pub legacy_records: usize,
     /// The final line was truncated or failed its CRC — the benign
     /// signature of a crash mid-append; the record was never
     /// acknowledged.
@@ -140,39 +138,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// How one journal line decoded.
-enum LineKind {
-    /// v2 record: verified CRC, parsed JSON, sequence number.
-    V2(Json, u64),
-    /// v1 record: parsed JSON, no checksum to verify.
-    Legacy(Json),
-    /// Unparseable or failed verification.
-    Bad,
-}
-
-fn decode_line(line: &str) -> LineKind {
-    if line.starts_with('{') {
-        return match Json::parse(line) {
-            Ok(doc) => LineKind::Legacy(doc),
-            Err(_) => LineKind::Bad,
-        };
-    }
-    let Some((crc_hex, json)) = line.split_once(' ') else {
-        return LineKind::Bad;
-    };
-    let Ok(crc) = u32::from_str_radix(crc_hex, 16) else {
-        return LineKind::Bad;
-    };
+/// Decodes one journal line into its parsed JSON and sequence number;
+/// `None` when the line is unparseable or fails its CRC.
+fn decode_line(line: &str) -> Option<(Json, u64)> {
+    let (crc_hex, json) = line.split_once(' ')?;
+    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
     if crc_hex.len() != 8 || crc != crc32(json.as_bytes()) {
-        return LineKind::Bad;
+        return None;
     }
-    let Ok(doc) = Json::parse(json) else {
-        return LineKind::Bad;
-    };
-    let Some(seq) = doc.u64_field("seq") else {
-        return LineKind::Bad;
-    };
-    LineKind::V2(doc, seq)
+    let doc = Json::parse(json).ok()?;
+    let seq = doc.u64_field("seq")?;
+    Some((doc, seq))
 }
 
 /// Everything one pass over the journal file yields.
@@ -180,12 +156,9 @@ struct Scan {
     report: ReplayReport,
     /// Open accepts in file order: key → (seq, verbatim line, job).
     open: BTreeMap<String, (u64, String, RecoveredJob)>,
-    /// Highest sequence number seen (v2 records only); the regression
-    /// tracker.
+    /// Highest sequence number seen: the regression tracker, and the
+    /// base the next append counts up from.
     last_seq: u64,
-    /// Highest sequence position including the implicit ones assigned
-    /// to legacy v1 lines — the next append starts above this.
-    max_seq: u64,
 }
 
 fn scan_file(path: &std::path::Path) -> Scan {
@@ -193,7 +166,6 @@ fn scan_file(path: &std::path::Path) -> Scan {
         report: ReplayReport::default(),
         open: BTreeMap::new(),
         last_seq: 0,
-        max_seq: 0,
     };
     let Ok(text) = std::fs::read_to_string(path) else {
         return scan;
@@ -203,41 +175,27 @@ fn scan_file(path: &std::path::Path) -> Scan {
     // A trailing newline means the final record landed whole; only a
     // file that stops mid-line can have a torn (benign) tail.
     let file_ends_mid_line = !text.is_empty() && !text.ends_with('\n');
-    let mut implicit_seq = 0u64;
     for (i, raw) in lines.iter().enumerate() {
         let line = raw.trim();
         if line.is_empty() {
             continue;
         }
         let is_tail = i == last_index && file_ends_mid_line;
-        let doc = match decode_line(line) {
-            LineKind::Bad => {
-                if is_tail {
-                    scan.report.torn_tail = true;
-                } else {
-                    scan.report.corrupt_records += 1;
-                }
-                continue;
+        let Some((doc, seq)) = decode_line(line) else {
+            if is_tail {
+                scan.report.torn_tail = true;
+            } else {
+                scan.report.corrupt_records += 1;
             }
-            LineKind::V2(doc, seq) => {
-                if seq <= scan.last_seq {
-                    // Sequence regression: a record from the past
-                    // reappearing after a later one means splice damage,
-                    // not a crash.
-                    scan.report.corrupt_records += 1;
-                    continue;
-                }
-                scan.last_seq = seq;
-                implicit_seq = seq;
-                doc
-            }
-            LineKind::Legacy(doc) => {
-                scan.report.legacy_records += 1;
-                implicit_seq += 1;
-                doc
-            }
+            continue;
         };
-        scan.max_seq = scan.max_seq.max(implicit_seq);
+        if seq <= scan.last_seq {
+            // Sequence regression: a record from the past reappearing
+            // after a later one means splice damage, not a crash.
+            scan.report.corrupt_records += 1;
+            continue;
+        }
+        scan.last_seq = seq;
         scan.report.total_records += 1;
         let (Some(event), Some(key)) = (doc.str_field("event"), doc.str_field("job")) else {
             continue;
@@ -257,7 +215,7 @@ fn scan_file(path: &std::path::Path) -> Scan {
                 scan.open.insert(
                     key.clone(),
                     (
-                        implicit_seq,
+                        seq,
                         line.to_string(),
                         RecoveredJob {
                             key,
@@ -317,7 +275,7 @@ impl Journal {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if !inner.loaded {
             let scan = scan_file(&self.path);
-            inner.next_seq = scan.max_seq + 1;
+            inner.next_seq = scan.last_seq + 1;
             inner.open = scan
                 .open
                 .into_iter()
@@ -473,7 +431,7 @@ impl Journal {
 
     /// Replays the journal: accepted campaigns with no terminal record,
     /// in acceptance order, plus a [`ReplayReport`] of what the scan
-    /// found (corrupt records, legacy records, torn tail).
+    /// found (corrupt records, torn tail).
     #[must_use]
     pub fn replay(&self) -> (Vec<RecoveredJob>, ReplayReport) {
         let scan = scan_file(&self.path);
@@ -481,7 +439,7 @@ impl Journal {
             // Refresh the in-memory mirror so appends after replay
             // continue the sequence and compaction sees the open set.
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.next_seq = scan.max_seq + 1;
+            inner.next_seq = scan.last_seq + 1;
             inner.open = scan
                 .open
                 .iter()
@@ -541,7 +499,6 @@ mod tests {
         );
         assert_eq!(recovered[0].spec, spec());
         assert_eq!(report.corrupt_records, 0);
-        assert_eq!(report.legacy_records, 0);
         assert!(!report.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -574,9 +531,19 @@ mod tests {
         let text = std::fs::read_to_string(journal.path()).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
         lines[1] = lines[1].replace("\"a/j2\"", "\"a/jX\"");
+        // A well-formed record without a checksum has nothing to verify
+        // either: it is damage, not a job to resume.
+        let spec_json = spec().to_json().render();
+        lines.insert(
+            2,
+            format!(
+                "{{\"event\": \"accept\", \"job\": \"a/old\", \"tenant\": \"a\", \
+                 \"id\": \"old\", \"spec\": {spec_json}}}"
+            ),
+        );
         std::fs::write(journal.path(), lines.join("\n") + "\n").unwrap();
         let (recovered, report) = journal.replay();
-        assert_eq!(report.corrupt_records, 1);
+        assert_eq!(report.corrupt_records, 2);
         assert!(!report.torn_tail);
         // The undamaged records still replay.
         assert_eq!(
@@ -598,31 +565,6 @@ mod tests {
         std::fs::write(journal.path(), format!("{text}{first}\n")).unwrap();
         let (_, report) = journal.replay();
         assert_eq!(report.corrupt_records, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_v1_lines_replay_and_are_counted() {
-        let (dir, journal) = temp_journal("legacy");
-        let spec_json = spec().to_json().render();
-        std::fs::create_dir_all(journal.path().parent().unwrap()).unwrap();
-        std::fs::write(
-            journal.path(),
-            format!(
-                "{{\"event\": \"accept\", \"job\": \"a/old\", \"tenant\": \"a\", \
-                 \"id\": \"old\", \"spec\": {spec_json}}}\n"
-            ),
-        )
-        .unwrap();
-        // A v2 append continues after the legacy record.
-        journal.append_accept("a/new", "a", "new", &spec()).unwrap();
-        let (recovered, report) = journal.replay();
-        assert_eq!(report.legacy_records, 1);
-        assert_eq!(report.corrupt_records, 0);
-        assert_eq!(
-            recovered.iter().map(|j| j.key.as_str()).collect::<Vec<_>>(),
-            vec!["a/old", "a/new"]
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -162,8 +162,8 @@ mod tests {
 
     #[test]
     fn rungs_a_singular_matrix_stops_keep_their_iterations() {
-        // At N = 21 plain and damped Newton each die on a singular matrix
-        // after some iterations; gmin stepping then converges.
+        // At N = 21 plain Newton dies on a singular matrix after some
+        // iterations; gmin stepping then converges.
         let (_, circuit) = experiment().build(21, None).unwrap();
         let op = operating_point(&circuit, &DcOptions::default()).unwrap();
         let report = op.report();

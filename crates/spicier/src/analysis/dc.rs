@@ -1,13 +1,13 @@
 //! DC operating point and DC sweeps.
 //!
-//! The solver escalates through a **recovery ladder**: plain
-//! Newton–Raphson, damped Newton, `gmin` stepping (a conductance
-//! homotopy), source stepping, and finally pseudo-transient continuation
-//! (backward-Euler pseudo-timestepping toward steady state). Every rung
-//! attempt is recorded in a [`ConvergenceReport`] attached to the
-//! [`DcSolution`] — and embedded in [`Error::DcNoConvergence`] when the
-//! whole ladder fails — so sweeps and experiments can report *how* a
-//! corner converged or why it did not, instead of dying on it.
+//! The solver escalates through a four-rung **recovery ladder**: plain
+//! Newton–Raphson, `gmin` stepping (a conductance homotopy), source
+//! stepping, and finally pseudo-transient continuation (backward-Euler
+//! pseudo-timestepping toward steady state). Every rung attempt is
+//! recorded in a [`ConvergenceReport`] attached to the [`DcSolution`] —
+//! and embedded in [`Error::DcNoConvergence`] when the whole ladder fails
+//! — so sweeps and experiments can report *how* a corner converged or why
+//! it did not, instead of dying on it.
 
 use super::budget::{BudgetTracker, Phase, RunBudget};
 use super::mna::{Assembler, EvalMode, SolveWorkspace};
@@ -20,12 +20,14 @@ use crate::telemetry::{self, TelemetrySummary};
 use std::fmt;
 
 /// One rung of the DC convergence recovery ladder, in escalation order.
+///
+/// Every cold rung starts from zero with reset junctions and takes full
+/// Newton updates; past plain Newton, each rung is a homotopy (in `gmin`,
+/// in the sources, in pseudo-time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryRung {
     /// Plain Newton–Raphson from a zero start.
     Newton,
-    /// Newton with a damped update (half steps), for overshooting loops.
-    DampedNewton,
     /// Conductance homotopy: converge under a heavy `gmin` blanket, then
     /// relax it decade by decade.
     GminStepping,
@@ -42,7 +44,6 @@ impl RecoveryRung {
     pub fn label(self) -> &'static str {
         match self {
             RecoveryRung::Newton => "newton",
-            RecoveryRung::DampedNewton => "damped-newton",
             RecoveryRung::GminStepping => "gmin-stepping",
             RecoveryRung::SourceStepping => "source-stepping",
             RecoveryRung::PseudoTransient => "pseudo-transient",
@@ -69,7 +70,9 @@ pub struct RungAttempt {
     pub worst_residual: f64,
 }
 
-/// Structured account of how an operating point was (or was not) found.
+/// Structured account of how an operating point was (or was not) found:
+/// one [`RungAttempt`] per rung climbed, so a cold start that exhausts
+/// the ladder lists four attempts (five after a failed warm start).
 #[derive(Debug, Clone, PartialEq, Default)]
 #[must_use]
 pub struct ConvergenceReport {
@@ -279,10 +282,9 @@ struct PtranTerm<'a> {
 
 /// Runs one Newton–Raphson attempt from `x`, in place.
 ///
-/// `damping` scales the update (`1.0` = full Newton). `ptran` optionally
-/// adds pseudo-transient continuation terms. Returns full diagnostics;
-/// solver failures (singular matrix) and a spent budget surface as `Err`.
-#[allow(clippy::too_many_arguments)]
+/// Every iteration takes the full Newton update. `ptran` optionally adds
+/// pseudo-transient continuation terms. Returns full diagnostics; solver
+/// failures (singular matrix) and a spent budget surface as `Err`.
 fn newton_run(
     assembler: &mut Assembler<'_>,
     mode: &EvalMode,
@@ -290,7 +292,6 @@ fn newton_run(
     opts: &DcOptions,
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
-    damping: f64,
     ptran: Option<&PtranTerm<'_>>,
 ) -> Result<NewtonRun, Error> {
     let n_nodes = assembler.circuit().node_unknowns();
@@ -367,13 +368,7 @@ fn newton_run(
                 ],
             );
         }
-        if damping >= 1.0 {
-            x.copy_from_slice(rhs);
-        } else {
-            for (xi, &new) in x.iter_mut().zip(rhs.iter()) {
-                *xi += damping * (new - *xi);
-            }
-        }
+        x.copy_from_slice(rhs);
         if converged && !hang && !assembler.was_limited() && iter > 0 {
             run.converged = true;
             return Ok(run);
@@ -394,7 +389,7 @@ pub(crate) fn newton(
     ws: &mut SolveWorkspace,
     tracker: &mut BudgetTracker,
 ) -> Result<usize, Error> {
-    let run = newton_run(assembler, mode, x, opts, ws, tracker, 1.0, None)?;
+    let run = newton_run(assembler, mode, x, opts, ws, tracker, None)?;
     if run.converged {
         Ok(run.iterations)
     } else {
@@ -461,9 +456,8 @@ type RungFn = fn(
 ) -> Result<(Vec<f64>, NewtonRun), Error>;
 
 /// The cold rungs, in escalation order.
-const LADDER: [(RecoveryRung, RungFn); 5] = [
+const LADDER: [(RecoveryRung, RungFn); 4] = [
     (RecoveryRung::Newton, rung_newton),
-    (RecoveryRung::DampedNewton, rung_damped_newton),
     (RecoveryRung::GminStepping, rung_gmin_stepping),
     (RecoveryRung::SourceStepping, rung_source_stepping),
     (RecoveryRung::PseudoTransient, rung_pseudo_transient),
@@ -584,48 +578,12 @@ fn rung_newton(
     mut x: Vec<f64>,
 ) -> Result<(Vec<f64>, NewtonRun), Error> {
     assembler.reset_junctions(&x);
-    let run = newton_run(
-        assembler,
-        &EvalMode::dc(opts.gmin),
-        &mut x,
-        opts,
-        ws,
-        tracker,
-        1.0,
-        None,
-    )?;
+    let mode = EvalMode::dc(opts.gmin);
+    let run = newton_run(assembler, &mode, &mut x, opts, ws, tracker, None)?;
     Ok((x, run))
 }
 
-/// Rung 2: damped Newton (half steps) from a zero start — rescues loops
-/// where full steps overshoot and oscillate.
-fn rung_damped_newton(
-    opts: &DcOptions,
-    assembler: &mut Assembler<'_>,
-    ws: &mut SolveWorkspace,
-    tracker: &mut BudgetTracker,
-    mut x: Vec<f64>,
-) -> Result<(Vec<f64>, NewtonRun), Error> {
-    assembler.reset_junctions(&x);
-    // Damping halves the contraction rate, so allow more iterations.
-    let opts = DcOptions {
-        max_iterations: opts.max_iterations * 2,
-        ..opts.clone()
-    };
-    let run = newton_run(
-        assembler,
-        &EvalMode::dc(opts.gmin),
-        &mut x,
-        &opts,
-        ws,
-        tracker,
-        0.5,
-        None,
-    )?;
-    Ok((x, run))
-}
-
-/// Rung 3: gmin stepping — converge with a heavy conductance blanket,
+/// Rung 2: gmin stepping — converge with a heavy conductance blanket,
 /// then relax it decade by decade.
 fn rung_gmin_stepping(
     opts: &DcOptions,
@@ -638,7 +596,7 @@ fn rung_gmin_stepping(
     let mut gmin = 1.0e-2;
     loop {
         let mode = EvalMode::dc(gmin);
-        let run = newton_run(assembler, &mode, &mut x, opts, ws, tracker, 1.0, None)?;
+        let run = newton_run(assembler, &mode, &mut x, opts, ws, tracker, None)?;
         if !run.converged || gmin <= opts.gmin {
             return Ok((x, run));
         }
@@ -646,7 +604,7 @@ fn rung_gmin_stepping(
     }
 }
 
-/// Rung 4: source stepping — ramp independent sources from 10% to 100%
+/// Rung 3: source stepping — ramp independent sources from 10% to 100%
 /// with an adaptive step.
 fn rung_source_stepping(
     opts: &DcOptions,
@@ -666,7 +624,7 @@ fn rung_source_stepping(
             ..EvalMode::dc(opts.gmin)
         };
         let mut attempt = x.clone();
-        let run = newton_run(assembler, &mode, &mut attempt, opts, ws, tracker, 1.0, None)?;
+        let run = newton_run(assembler, &mode, &mut attempt, opts, ws, tracker, None)?;
         if run.converged {
             x = attempt;
             if (scale - 1.0).abs() < 1e-12 {
@@ -683,7 +641,7 @@ fn rung_source_stepping(
     }
 }
 
-/// Rung 5: pseudo-transient continuation. Adds a conductance `g` from
+/// Rung 4: pseudo-transient continuation. Adds a conductance `g` from
 /// every node to the last accepted iterate (backward Euler on a unit
 /// capacitance, pseudo-timestep `h = C/g`), which regularises the Jacobian
 /// and follows the circuit's own dynamics toward steady state. `g` anneals
@@ -710,16 +668,7 @@ fn rung_pseudo_transient(
 
     for _ in 0..MAX_PSEUDO_STEPS {
         let term = PtranTerm { g, anchor: &anchor };
-        let run = newton_run(
-            assembler,
-            &mode,
-            &mut x,
-            opts,
-            ws,
-            tracker,
-            1.0,
-            Some(&term),
-        )?;
+        let run = newton_run(assembler, &mode, &mut x, opts, ws, tracker, Some(&term))?;
         if run.converged {
             anchor.copy_from_slice(&x);
             if g <= G_FLOOR {
@@ -739,7 +688,7 @@ fn rung_pseudo_transient(
 
     // Polish: the anchored term is tiny but nonzero; confirm the point is
     // an equilibrium of the unmodified equations.
-    let polish = newton_run(assembler, &mode, &mut x, opts, ws, tracker, 1.0, None)?;
+    let polish = newton_run(assembler, &mode, &mut x, opts, ws, tracker, None)?;
     Ok((x, polish))
 }
 

@@ -29,8 +29,8 @@ pub enum Error {
         reason: String,
     },
     /// The DC operating point did not converge, even after escalating
-    /// through the full recovery ladder (damped Newton, gmin stepping,
-    /// source stepping, pseudo-transient continuation).
+    /// through the full recovery ladder (gmin stepping, source stepping,
+    /// pseudo-transient continuation).
     DcNoConvergence {
         /// Newton iterations spent across every attempt.
         iterations: usize,

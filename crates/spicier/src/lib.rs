@@ -12,7 +12,7 @@
 //!   junction/diffusion charge storage);
 //! * modified nodal analysis ([`analysis::mna`]) with shared stamps;
 //! * Newton–Raphson DC operating point with junction-voltage limiting and
-//!   a five-rung convergence recovery ladder — damped Newton, `gmin`
+//!   a four-rung convergence recovery ladder — plain Newton, `gmin`
 //!   stepping, source stepping, pseudo-transient continuation — reported
 //!   per solve via [`analysis::dc::ConvergenceReport`];
 //! * adaptive transient analysis with trapezoidal / backward-Euler

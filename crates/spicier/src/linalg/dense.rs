@@ -15,11 +15,9 @@
 use super::order::{min_degree_order, symmetric_adjacency};
 use super::{
     merge_slots, sparse::LuStats, verify, verify::SolveQuality, MergeScratch, Solver, Triplets,
+    PIVOT_FLOOR,
 };
 use crate::error::Error;
-
-/// Smallest pivot magnitude accepted before the matrix is declared singular.
-const PIVOT_FLOOR: f64 = 1e-13;
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]

@@ -52,6 +52,10 @@ use crate::error::Error;
 /// than silent mis-selection.
 pub const DENSE_CUTOFF: usize = 200;
 
+/// Smallest pivot magnitude either kernel accepts before it declares the
+/// matrix singular.
+const PIVOT_FLOOR: f64 = 1e-13;
+
 /// A linear solver for `A x = b` where `A` is assembled from triplets.
 pub trait Solver {
     /// Factors the matrix and solves in place: on entry `rhs` is `b`, on

@@ -12,11 +12,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use super::order::{min_degree_order, symmetric_adjacency};
-use super::{verify, verify::SolveQuality, Solver, Triplets, DENSE_CUTOFF};
+use super::{verify, verify::SolveQuality, Solver, Triplets, DENSE_CUTOFF, PIVOT_FLOOR};
 use crate::error::Error;
-
-/// Smallest pivot magnitude accepted before the matrix is declared singular.
-const PIVOT_FLOOR: f64 = 1e-13;
 
 /// Smallest system [`AutoSolver`](super::AutoSolver) hands to the sparse
 /// kernel, which factors every system on a fill-reducing ordering: there

@@ -528,7 +528,7 @@ pub struct TelemetrySummary {
     /// Total Newton iterations across all solves.
     pub newton_iterations: u64,
     /// Newton iterations spent per recovery-ladder rung label
-    /// (`"newton"`, `"damped-newton"`, `"gmin-stepping"`, ...).
+    /// (`"newton"`, `"gmin-stepping"`, `"source-stepping"`, ...).
     pub rung_iterations: Vec<(String, u64)>,
     /// Accepted transient timesteps.
     pub accepted_steps: u64,

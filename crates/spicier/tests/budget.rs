@@ -68,8 +68,8 @@ fn pre_cancelled_token_fails_operating_point() {
     );
 }
 
-/// Drives the iteration cap into every one of the five ladder rungs: a
-/// hang-chaos run never converges, so an unlimited run records all five
+/// Drives the iteration cap into every one of the four ladder rungs: a
+/// hang-chaos run never converges, so an unlimited run records all four
 /// rungs' iteration counts; a cap landing strictly inside rung `k` must
 /// then fire there, which the rung-based `progress` fraction exposes.
 #[test]
@@ -87,7 +87,7 @@ fn newton_iteration_cap_fires_inside_each_ladder_rung() {
         } => *report,
         other => panic!("expected ladder exhaustion, got {other}"),
     });
-    assert_eq!(report.attempts.len(), 5, "{}", report.summary());
+    assert_eq!(report.attempts.len(), 4, "{}", report.summary());
     assert!(report.succeeded.is_none());
 
     let mut spent_before = 0usize;
@@ -101,7 +101,7 @@ fn newton_iteration_cap_fires_inside_each_ladder_rung() {
         let err = chaos::with_hang(|| operating_point(&c, &opts).unwrap_err());
         match err {
             Error::DeadlineExceeded { progress, .. } => {
-                let expected = k as f64 / 5.0;
+                let expected = k as f64 / 4.0;
                 assert!(
                     (progress - expected).abs() < 1e-9,
                     "cap {} fired at progress {progress}, expected rung {k} ({expected})",
