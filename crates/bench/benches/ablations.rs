@@ -27,9 +27,7 @@ fn rc_circuit() -> spicier::Circuit {
 
 fn bench_integration_methods(c: &mut Harness) {
     let mut group = c.benchmark_group("integration");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
+    group.measurement_time(Duration::from_secs(2));
     let circuit = rc_circuit();
     for (name, method) in [
         ("trapezoidal", Method::Trapezoidal),
@@ -52,19 +50,16 @@ fn bench_integration_methods(c: &mut Harness) {
             })
         });
     }
-    group.finish();
 }
 
 fn bench_ablation_kernels(c: &mut Harness) {
     let mut group = c.benchmark_group("ablations");
     group
         .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
     group.bench_function("ablation_study", |b| {
         b.iter(|| ablations::run(Scale::Quick).expect("ablations"))
     });
-    group.finish();
 }
 
 fn main() {

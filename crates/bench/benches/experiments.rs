@@ -14,7 +14,6 @@ fn bench_experiments(c: &mut Harness) {
     let mut group = c.benchmark_group("experiments");
     group
         .sample_size(10)
-        .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(3));
 
     group.bench_function("fig2_stuck_at", |b| {
@@ -54,7 +53,6 @@ fn bench_experiments(c: &mut Harness) {
     group.bench_function("toggle_coverage", |b| {
         b.iter(|| exp::toggle::run(Scale::Quick).expect("toggle"))
     });
-    group.finish();
 }
 
 fn main() {

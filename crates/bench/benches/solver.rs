@@ -91,20 +91,11 @@ fn fig14_circuit(n: usize) -> Circuit {
 /// Assembles `circuit`'s DC MNA stamps at its operating point: a sealed
 /// stamp program, as the Newton loops hand it to the solver.
 fn stamps(circuit: &Circuit) -> Triplets {
-    stamps_sealed(circuit, None)
-}
-
-/// [`stamps`], sealed with slots (`Some(true)`) or one entry per stamp
-/// (`Some(false)`) whatever the dimension, or by the dimension (`None`).
-fn stamps_sealed(circuit: &Circuit, slots: Option<bool>) -> Triplets {
     let x = operating_point(circuit, &DcOptions::default())
         .expect("op")
         .into_unknowns();
     let mut assembler = Assembler::new(circuit);
     let mut triplets = Triplets::new(circuit.dim());
-    if let Some(slots) = slots {
-        triplets.force_slots(slots);
-    }
     let mut rhs = Vec::new();
     assembler.assemble(&x, &EvalMode::dc(1.0e-12), &mut triplets, &mut rhs);
     triplets
@@ -126,16 +117,14 @@ const SYNTHETIC_CUTOFF_NS: [usize; 9] = [20, 40, 60, 80, 120, 160, 200, 240, 320
 
 fn bench_lu(c: &mut Harness) {
     let mut group = c.benchmark_group("lu");
-    group
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
+    group.measurement_time(Duration::from_secs(2));
     for n in [40usize, 160, 640] {
         let t = chain_matrix(n);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         if n <= 160 {
-            group.bench_with_input(format!("dense/{n}"), &t, |bench, t| {
+            group.bench_function(format!("dense/{n}"), |bench| {
                 bench.iter(|| {
-                    let mut m = DenseMatrix::from_triplets(t);
+                    let mut m = DenseMatrix::from_triplets(&t);
                     let perm = m.lu_factor().expect("nonsingular");
                     let mut rhs = b.clone();
                     m.lu_solve(&perm, &mut rhs);
@@ -143,9 +132,9 @@ fn bench_lu(c: &mut Harness) {
                 })
             });
         }
-        group.bench_with_input(format!("sparse_gp/{n}"), &t, |bench, t| {
+        group.bench_function(format!("sparse_gp/{n}"), |bench| {
             bench.iter(|| {
-                let a = SparseMatrix::from_triplets(t);
+                let a = SparseMatrix::from_triplets(&t);
                 let mut lu = SparseLu::new();
                 lu.factor(&a).expect("nonsingular");
                 let mut rhs = b.clone();
@@ -154,7 +143,6 @@ fn bench_lu(c: &mut Harness) {
             })
         });
     }
-    group.finish();
 }
 
 /// `fig3_dense_refactor/fig3_dense_full` in [`bench_refactor`]: the median
@@ -170,7 +158,6 @@ fn bench_refactor(c: &mut Harness) {
     let mut group = c.benchmark_group("refactor");
     group
         .sample_size(40)
-        .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
     let stamps = fig3_stamps();
@@ -217,13 +204,12 @@ fn bench_refactor(c: &mut Harness) {
         || solve(&mut cached),
     );
     *DENSE_REPLAY_OVER_FULL.lock().expect("ratio lock") = Some(replay_over_full);
-
-    group.finish();
 }
 
-/// `sparse_cached/dense_cached` at each real-stamp size in [`bench_cutoff`]:
-/// the quartiles over paired rounds (see `Group::bench_pair`).
-static REAL_SPARSE_OVER_DENSE: std::sync::Mutex<Vec<(usize, [f64; 3])>> =
+/// `sparse_cached/dense_cached` at each size in [`bench_cutoff`]: whether
+/// the stamps are real, the dimension, and the quartiles over paired
+/// rounds (see `Group::bench_pair`).
+static SPARSE_OVER_DENSE: std::sync::Mutex<Vec<(bool, usize, [f64; 3])>> =
     std::sync::Mutex::new(Vec::new());
 
 /// Crossover data for the DENSE_CUTOFF recalibration: cached repeated
@@ -234,43 +220,38 @@ fn bench_cutoff(c: &mut Harness) {
     let mut group = c.benchmark_group("cutoff");
     group
         .sample_size(40)
-        .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
     // The synthetic chain on both sides of the cutoff, then real MNA
     // stamps (denser than the chain matrix): the FIG3 chain, and FIG14
     // shared detectors at every size the paper shares, so the cutoff
-    // choice reflects the circuits the harness simulates. Each kernel
-    // solves, at every size, the input it gets at its own sizes: the
-    // dense kernel a slotted program, the sparse kernel one entry per
-    // stamp.
+    // choice reflects the circuits the harness simulates. Both kernels
+    // solve one sealed program, as the analyses hand it to either.
     let synthetic = SYNTHETIC_CUTOFF_NS.map(|n| ("", chain_circuit(n)));
     let real = [("_fig3", fig3_chain_circuit(1.0e9))]
         .into_iter()
         .chain(FIG14_CUTOFF_NS.map(|n| ("_fig14", fig14_circuit(n))));
     for (suffix, circuit) in synthetic.into_iter().chain(real) {
-        let slotted = stamps_sealed(&circuit, Some(true));
-        let per_stamp = stamps_sealed(&circuit, Some(false));
-        let n = slotted.dim();
+        let stamps = stamps(&circuit);
+        let n = stamps.dim();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut dense = DenseSolver::default();
         let mut sparse = spicier::linalg::sparse::SparseSolver::default();
-        let solve = |solver: &mut dyn Solver, t: &Triplets| {
+        let solve = |solver: &mut dyn Solver| {
             let mut rhs = b.clone();
-            solver.solve_in_place(t, &mut rhs).expect("nonsingular");
+            solver
+                .solve_in_place(&stamps, &mut rhs)
+                .expect("nonsingular");
             rhs
         };
         let sparse_over_dense = group.bench_pair(
             format!("dense_cached{suffix}/{n}"),
-            || solve(&mut dense, &slotted),
+            || solve(&mut dense),
             format!("sparse_cached{suffix}/{n}"),
-            || solve(&mut sparse, &per_stamp),
+            || solve(&mut sparse),
         );
-        if !suffix.is_empty() {
-            let mut real = REAL_SPARSE_OVER_DENSE.lock().expect("ratio lock");
-            real.push((n, sparse_over_dense));
-        }
+        let mut ratios = SPARSE_OVER_DENSE.lock().expect("ratio lock");
+        ratios.push((!suffix.is_empty(), n, sparse_over_dense));
     }
-    group.finish();
 }
 
 /// Structure-aware scaling (DESIGN.md §3.7): repeated cached solves of
@@ -282,7 +263,6 @@ fn bench_scaling(c: &mut Harness) {
     let mut group = c.benchmark_group("scaling");
     group
         .sample_size(20)
-        .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
     let dims: &[usize] = if quick {
         &[640, 2560]
@@ -292,16 +272,15 @@ fn bench_scaling(c: &mut Harness) {
     for &n in dims {
         let t = chain_matrix(n);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        group.bench_with_input(format!("ordered/{n}"), &t, |bench, t| {
+        group.bench_function(format!("ordered/{n}"), |bench| {
             let mut solver = SparseSolver::default();
             bench.iter(|| {
                 let mut rhs = b.clone();
-                solver.solve_in_place(t, &mut rhs).expect("nonsingular");
+                solver.solve_in_place(&t, &mut rhs).expect("nonsingular");
                 rhs
             })
         });
     }
-    group.finish();
 }
 
 /// `gated/baseline` of each circuit in [`bench_telemetry`]: the median
@@ -320,7 +299,6 @@ fn bench_telemetry(c: &mut Harness) {
     let mut group = c.benchmark_group("telemetry");
     group
         .sample_size(60)
-        .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
     for (name, stamps) in [("fig3", fig3_stamps()), ("fig8", stamps(&fig8_circuit()))] {
@@ -356,8 +334,6 @@ fn bench_telemetry(c: &mut Harness) {
             telemetry::drain();
         });
     }
-
-    group.finish();
 }
 
 /// One Newton iteration of a transient step through a warm
@@ -370,7 +346,6 @@ fn bench_newton_iter(c: &mut Harness) {
     let mut group = c.benchmark_group("newton_iter");
     group
         .sample_size(40)
-        .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
     for (name, circuit) in [
@@ -411,15 +386,12 @@ fn bench_newton_iter(c: &mut Harness) {
             })
         });
     }
-
-    group.finish();
 }
 
 fn bench_circuit_kernels(c: &mut Harness) {
     let mut group = c.benchmark_group("circuit");
     group
         .sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
 
     group.bench_function("dc_op_fig3_chain", |b| {
@@ -437,8 +409,6 @@ fn bench_circuit_kernels(c: &mut Harness) {
         let circuit = fig3_chain_circuit(freq);
         b.iter(|| transient(&circuit, &TranOptions::new(1.0 / freq)).expect("tran"))
     });
-
-    group.finish();
 }
 
 fn main() {
@@ -540,6 +510,25 @@ fn main() {
         }
     }
 
+    // Every cutoff size's paired sparse/dense ratio with its quartiles,
+    // the synthetic chain's and the real stamps' apart, and the
+    // crossover: the smallest real dimension at which the sparse kernel
+    // wins in three paired rounds of four.
+    let mut cutoff_ratios = SPARSE_OVER_DENSE.lock().expect("ratio lock").clone();
+    cutoff_ratios.sort_by_key(|&(real, n, _)| (real, n));
+    let mut crossover = f64::NAN;
+    let mut ratios: Vec<(String, f64)> = Vec::new();
+    for &(real, n, [q1, median, q3]) in &cutoff_ratios {
+        let kind = if real { "" } else { "chain_" };
+        let key = format!("cutoff_{kind}sparse_over_dense_{n}");
+        ratios.push((format!("{key}_q1"), q1));
+        ratios.push((format!("{key}_q3"), q3));
+        ratios.push((key, median));
+        if real && q3 < 1.0 && crossover.is_nan() {
+            crossover = n as f64;
+        }
+    }
+    metrics.push(("cutoff_crossover_dim", crossover));
     // Crossover assertion for DENSE_CUTOFF (DESIGN.md §3.7): every
     // measured size above the cutoff (the synthetic chain at 240 and 320)
     // must favor the cached sparse path, and every size at or below it
@@ -548,51 +537,18 @@ fn main() {
     // machine speed cancels; quick mode gets a loose band because 100 ms
     // sampling is noisy.
     let slack = if quick_mode() { 2.0 } else { 1.3 };
-    let pairs =
-        SYNTHETIC_CUTOFF_NS.map(|n| (n, format!("dense_cached/{n}"), format!("sparse_cached/{n}")));
-    // The real-stamp pairs, by dimension.
-    let mut real: Vec<(usize, String, String)> = records
-        .iter()
-        .filter(|r| r.group == "cutoff")
-        .filter_map(|r| {
-            let (kind, dim) = r.id.strip_prefix("dense_cached_")?.split_once('/')?;
-            let dim: usize = dim.parse().ok()?;
-            Some((dim, r.id.clone(), format!("sparse_cached_{kind}/{dim}")))
-        })
-        .collect();
-    real.sort();
-    // Their paired sparse/dense ratios' quartiles, and the crossover: the
-    // smallest dimension at which the sparse kernel wins in three paired
-    // rounds of four.
-    let mut real_ratios = REAL_SPARSE_OVER_DENSE.lock().expect("ratio lock").clone();
-    real_ratios.sort_by_key(|&(n, _)| n);
-    let mut crossover = f64::NAN;
-    let mut ratios: Vec<(String, f64)> = Vec::new();
-    for (n, [q1, median, q3]) in real_ratios {
-        let key = format!("cutoff_sparse_over_dense_{n}");
-        ratios.push((format!("{key}_q1"), q1));
-        ratios.push((format!("{key}_q3"), q3));
-        ratios.push((key, median));
-        if q3 < 1.0 && crossover.is_nan() {
-            crossover = n as f64;
-        }
-    }
-    metrics.push(("cutoff_crossover_dim", crossover));
-    for (n, dense_id, sparse_id) in pairs.into_iter().chain(real) {
-        let dense = find_id("cutoff", dense_id);
-        let sparse = find_id("cutoff", sparse_id);
-        if let (Some(d), Some(s)) = (dense, sparse) {
-            let (winner, loser, favored) = if n > DENSE_CUTOFF {
-                (s, d, "sparse")
-            } else {
-                (d, s, "dense")
-            };
-            assert!(
-                winner <= loser * slack,
-                "DENSE_CUTOFF = {DENSE_CUTOFF} is off the measured crossover: cached dense \
-                 {d:.0} ns vs sparse {s:.0} ns at dim {n} should favor {favored} (slack {slack})"
-            );
-        }
+    for &(_, n, [_, sparse_over_dense, _]) in &cutoff_ratios {
+        let (loser_over_winner, favored) = if n > DENSE_CUTOFF {
+            (1.0 / sparse_over_dense, "sparse")
+        } else {
+            (sparse_over_dense, "dense")
+        };
+        assert!(
+            loser_over_winner >= 1.0 / slack,
+            "DENSE_CUTOFF = {DENSE_CUTOFF} is off the measured crossover: cached sparse \
+             over dense {sparse_over_dense:.3} (paired median) at dim {n} should favor \
+             {favored} (slack {slack})"
+        );
     }
 
     // Anchor at the workspace root: cargo runs benches with the package

@@ -104,11 +104,6 @@ impl Group {
         self
     }
 
-    /// Ignored (kept so call sites read like the Criterion originals).
-    pub fn warm_up_time(&mut self, _: Duration) -> &mut Self {
-        self
-    }
-
     /// Minimum wall-clock time spent sampling each benchmark (capped in
     /// quick mode).
     pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
@@ -179,19 +174,6 @@ impl Group {
         let len = ratios.len();
         [ratios[len / 4], ratios[len / 2], ratios[3 * len / 4]]
     }
-
-    /// Criterion-style input variant; the input is simply passed through.
-    pub fn bench_with_input<I, F: FnOnce(&mut Bencher, &I)>(
-        &mut self,
-        id: impl AsRef<str>,
-        input: &I,
-        f: F,
-    ) {
-        self.bench_function(id, |b| f(b, input));
-    }
-
-    /// Ends the group (report lines are already printed).
-    pub fn finish(&mut self) {}
 }
 
 /// Entry point handed to each bench function (Criterion's `&mut Criterion`).
@@ -348,8 +330,6 @@ mod tests {
         let mut g = h.benchmark_group("t");
         g.sample_size(2).measurement_time(Duration::from_millis(1));
         g.bench_function("noop", |b| b.iter(|| 1 + 1));
-        g.bench_with_input("with_input", &7, |b, &x| b.iter(|| x * 2));
-        g.finish();
     }
 
     #[test]

@@ -738,9 +738,8 @@ mod tests {
 
     /// One compiled system on one solver, swept over frequencies in both
     /// orientations, returns at every ω what a fresh system on a fresh
-    /// solver returns, bit for bit: as slots with the dense plans replayed
-    /// (2n ≤ `DENSE_CUTOFF`), and as a per-stamp program on the sparse
-    /// kernel (2n > `DENSE_CUTOFF`).
+    /// solver returns, bit for bit: as slots, with the dense plans replayed
+    /// (2n ≤ `DENSE_CUTOFF`) or on the sparse kernel (2n > `DENSE_CUTOFF`).
     #[test]
     fn compiled_system_matches_a_fresh_one_at_every_frequency() {
         use crate::analysis::dc::operating_point;
@@ -750,9 +749,9 @@ mod tests {
                 .map(|z| (z.re.to_bits(), z.im.to_bits()))
                 .collect::<Vec<_>>()
         };
-        for (circuit, slotted) in [(every_element(1.2, 50.0e-6), true), (rlc_ladder(80), false)] {
+        for (circuit, dense) in [(every_element(1.2, 50.0e-6), true), (rlc_ladder(80), false)] {
             let dim = circuit.dim();
-            assert_eq!(2 * dim <= DENSE_CUTOFF, slotted, "dimension {dim}");
+            assert_eq!(2 * dim <= DENSE_CUTOFF, dense, "dimension {dim}");
             let x_op = operating_point(&circuit, &DcOptions::default())
                 .unwrap()
                 .into_unknowns();
@@ -782,14 +781,14 @@ mod tests {
                     let label = format!("dim {dim}, transposed {transposed}, {f:e} Hz");
                     assert_eq!(bits(&x), bits(&fresh), "{label}");
                     assert_eq!(quality, fresh_quality, "{label}");
-                    assert_eq!(system.slots().is_some(), slotted, "{label}");
+                    assert!(system.slots().is_some(), "{label}");
                     assert!(
                         id.is_none() || system.program_id() == id,
                         "{label}: recompiled"
                     );
                     id = system.program_id();
                 }
-                if slotted {
+                if dense {
                     assert!(solver.stats().refactors > 0, "no dense plan was replayed");
                 }
             }

@@ -191,10 +191,10 @@ pub fn preflight(circuit: &Circuit) -> PreflightReport {
     let dim = circuit.dim();
     let n_nodes = circuit.node_unknowns();
     let mut assembler = Assembler::new(circuit);
+    // Judge the assembled matrix, not the stamps: the sealed program's
+    // entries are its slots, so stamps that cancel in one slot leave it
+    // empty.
     let mut triplets = Triplets::new(dim);
-    // Judge the assembled matrix, not the stamps: stamps that cancel in
-    // one slot leave it empty. Slots hold the matrix at any size.
-    triplets.force_slots(true);
     let mut rhs = Vec::new();
     let x = vec![0.0; dim];
     // gmin = 0: the blanket conductance would put a value on every node

@@ -14,8 +14,8 @@
 
 use super::order::{min_degree_order, symmetric_adjacency};
 use super::{
-    merge_slots, sparse::LuStats, verify, verify::SolveQuality, MergeScratch, Solver, Triplets,
-    PIVOT_FLOOR,
+    merge_slots, sparse::LuStats, verify, verify::SolveQuality, Compiled, MergeScratch, Solver,
+    Triplets, PIVOT_FLOOR,
 };
 use crate::error::Error;
 
@@ -605,22 +605,17 @@ fn permute_out(ordered: &[f64], pinv: &[usize], v: &mut [f64]) {
 ///
 /// **Slots.** The solver reads a system as slots only: one value per
 /// distinct `(row, col)`, row-major, summed from +0.0 in emission order.
-/// A sealed stamp program of at most [`DENSE_CUTOFF`](super::DENSE_CUTOFF)
-/// unknowns arrives as its slots (see [`Triplets`]). Any other system (one
-/// pushed with [`Triplets::add`] by tests, benches or a caller of the
-/// public API) is merged into the solver's own slots by the seal's merge,
-/// which sums exactly as a scatter into the cleared matrix does. The solver
-/// loads the slots into the matrix and takes the norms in one pass, and its
-/// certification residual runs over them. A pushed system carries no
-/// program id, so its keys are compared on every solve. The layout (the
-/// stamped offsets and their row boundaries) is compiled once per stamp
-/// sequence: the keys of the stamps, not of the slots, so two mode
-/// patterns that stamp the same positions still recompile as a fresh
-/// solver would. While the triplets carry a program id the solver has
-/// matched before, the keys are not compared again; on a new id they are
-/// compared once, and the id is adopted when they are equal, so the
-/// layout, the plans below and the counters survive a workspace shared by
-/// several assemblers of one topology.
+/// A sealed stamp program arrives as its slots (see [`Triplets`]). A
+/// system pushed with [`Triplets::add`] by tests, benches or a caller of
+/// the public API is merged into the solver's own slots by the seal's
+/// merge, which sums exactly as a scatter into the cleared matrix does.
+/// The solver loads the slots into the matrix and takes the norms in one
+/// pass, and its certification residual runs over them. A pushed system
+/// carries no program id, so its keys are compared on every solve. The
+/// layout (the stamped offsets and their row boundaries) is compiled once
+/// per stamp sequence, and the test `Compiled`, which the sparse kernel uses
+/// too, decides when: so the layout, the plans below and the counters
+/// survive a workspace shared by several assemblers of one topology.
 ///
 /// **Ordering.** The layout includes a minimum-degree order of the slot
 /// pattern ([`order`](super::order), as the sparse kernel computes it),
@@ -688,10 +683,8 @@ fn permute_out(ordered: &[f64], pinv: &[usize], v: &mut [f64]) {
 #[derive(Debug, Default)]
 pub struct DenseSolver {
     matrix: Option<DenseMatrix>,
-    /// Id of the stamp program last matched against `keys`.
-    program: Option<u64>,
-    /// Stamp sequence of the last system (see `Triplets::stamp_keys`).
-    keys: Vec<(u32, u32)>,
+    /// The system the layout was compiled for.
+    compiled: Compiled,
     /// Minimum-degree order of the slot pattern: `pinv[original] =
     /// position`.
     pinv: Vec<usize>,
@@ -726,13 +719,6 @@ pub struct DenseSolver {
 }
 
 impl DenseSolver {
-    /// Whether the cached layout still describes `triplets`' stamp
-    /// sequence (same dimension implied by the caller, same keys).
-    fn keys_match(&self, triplets: &Triplets) -> bool {
-        let cached = self.keys.iter().map(|&(r, c)| (r as usize, c as usize));
-        triplets.stamp_keys().eq(cached)
-    }
-
     /// Compiles `triplets`' stamp sequence into the slot layout and its
     /// ordering, sizes an `n × n` matrix, and forgets the recorded plans.
     /// The slots of a system without them are in `merged` already.
@@ -743,9 +729,7 @@ impl DenseSolver {
         }
         // Triplets bounds-checked every (row, col) when it was pushed, so
         // the flattened offsets are valid for an n × n matrix.
-        self.keys.clear();
-        self.keys
-            .extend(triplets.stamp_keys().map(|(r, c)| (r as u32, c as u32)));
+        self.compiled.compile(triplets);
         // The slots are the stamps' distinct keys, sorted already.
         let slots = triplets.slots().unwrap_or(&self.merged.slots);
         let keys = slots.iter().map(|&(r, c, _)| (r, c));
@@ -840,15 +824,8 @@ impl Solver for DenseSolver {
         if triplets.slots().is_none() {
             merge_slots(n, triplets.entries(), &mut self.merged);
         }
-        // A program id matched before vouches for the keys; otherwise
-        // compare them once.
-        let id = triplets.program_id();
-        let sized = matches!(&self.matrix, Some(m) if m.dim() == n);
-        if !(sized && id.is_some() && id == self.program) {
-            if !(sized && self.keys_match(triplets)) {
-                self.rebuild(triplets);
-            }
-            self.program = id;
+        if !self.compiled.holds(triplets) {
+            self.rebuild(triplets);
         }
         // The slots of a program, or those merged from a pushed system.
         let slots = triplets.slots().unwrap_or(&self.merged.slots);
@@ -1276,7 +1253,7 @@ mod tests {
                         raw.add(r, c, v);
                     }
                 }
-                let slots = t.slots().expect("a dense-kernel program is slotted");
+                let slots = t.slots().expect("a sealed program is slotted");
                 assert!(slots.iter().all(|s| s.2.to_bits() != (-0.0f64).to_bits()));
                 solver.rebuild(&t);
                 let mut data = vec![f64::NAN; n * n];

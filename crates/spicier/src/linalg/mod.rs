@@ -19,8 +19,9 @@
 //!
 //! Both kernels implement [`Solver`], and [`AutoSolver`] picks between them
 //! by size. The sparse kernel is property-tested against the dense one.
-//! Both take the system as a [`Triplets`] stamp program and cache their
-//! compilation of its keys under the program's id.
+//! Both take the system as the slots of a [`Triplets`] stamp program, so
+//! they factor the same assembled matrix, and cache their compilation of
+//! its keys under the program's id.
 
 pub mod complex;
 pub mod dense;
@@ -32,8 +33,8 @@ pub mod verify;
 pub use complex::Complex;
 pub use dense::DenseMatrix;
 pub use program::Triplets;
-pub(crate) use program::{fresh_id, merge_slots, MergeScratch, ProgramKey};
-pub use sparse::{LuStats, PivotFallback, SolverStats, SparseLu, SparseMatrix, StampMap};
+pub(crate) use program::{fresh_id, merge_slots, Compiled, MergeScratch, ProgramKey};
+pub use sparse::{LuStats, PivotFallback, SparseLu, SparseMatrix, StampMap};
 pub use verify::SolveQuality;
 
 use crate::error::Error;
@@ -99,7 +100,7 @@ impl AutoSolver {
     /// reports the delta.
     pub fn stats(&self) -> LuStats {
         let mut stats = self.dense.stats();
-        stats.absorb(&self.sparse.lu_stats());
+        stats.absorb(&self.sparse.stats());
         stats
     }
 }

@@ -10,12 +10,11 @@
 //! seen the id before knows the keys without comparing them (SPICE3
 //! resolves its matrix pointers once in the same way, `TSTALLOC`).
 //!
-//! On a system the dense kernel solves (at most
-//! [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns) the seal also merges the
-//! entries into *slots*, one per distinct key, so a replay adds each stamp
-//! into its slot and no stamp is stored on its own. Larger systems keep
-//! one entry per stamp for the sparse kernel, whose compression sums a
-//! slot's stamps in its own sort order.
+//! The seal also merges the entries into *slots*, one per distinct key,
+//! so a replay adds each stamp into its slot and no stamp is stored on its
+//! own. Both kernels read the slots, so they factor the same assembled
+//! matrix, and [`Compiled`] is their one test of whether a layout they
+//! compiled still holds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,8 +43,8 @@ pub(crate) struct ProgramKey {
 /// Coordinate-format MNA system: `(row, col)` keys with their values, and
 /// the compiled stamp program of the assembler.
 ///
-/// Duplicate keys are summed when a kernel compresses the system, which is
-/// exactly the semantics device stamps need.
+/// Duplicate keys are summed, which is exactly the semantics device stamps
+/// need.
 ///
 /// [`add`](Self::add) pushes one entry, for tests, benches and callers of
 /// the public API. Every analysis instead compiles a program per mode
@@ -58,12 +57,12 @@ pub(crate) struct ProgramKey {
 /// [`add`](Self::add), [`clear`](Self::clear) or [`reset`](Self::reset)
 /// unseals the program.
 ///
-/// A sealed program of at most [`DENSE_CUTOFF`](super::DENSE_CUTOFF)
-/// unknowns holds its slots as its [`entries`](Self::entries): one per
-/// distinct key, in row-major order, each the sum of its stamps added into
-/// +0.0 in emission order, which is what scattering the stamps into a
-/// zeroed matrix gives. The dense kernel reads slots only: it merges any
-/// other system into slots of its own with the seal's merge.
+/// A sealed program, whatever its dimension, holds its slots as its
+/// [`entries`](Self::entries): one per distinct key, in row-major order,
+/// each the sum of its stamps added into +0.0 in emission order, which is
+/// what scattering the stamps into a zeroed matrix gives. Both kernels
+/// read slots only: each merges a pushed system into slots of its own with
+/// the seal's merge, so every reader sums a position's stamps one way.
 #[derive(Debug, Clone, Default)]
 pub struct Triplets {
     dim: usize,
@@ -75,18 +74,10 @@ pub struct Triplets {
     id: u64,
     /// What the sealed program was compiled for.
     compiled_for: ProgramKey,
-    /// Whether the sealed program's entries are slots that its stamps add
-    /// into, rather than one entry per stamp.
-    slotted: bool,
-    /// Slot layout for every later seal, whatever the dimension (see
-    /// [`force_slots`](Self::force_slots)); `None` decides by dimension.
-    forced_slots: Option<bool>,
     /// Whether an assembly is rewriting the sealed program's values.
     replaying: bool,
     /// Next stamp a replay writes.
     cursor: usize,
-    /// Buffers of the slot merge, kept from one seal to the next.
-    merge: MergeScratch,
 }
 
 /// Buffers of [`merge_slots`], kept from one merge to the next.
@@ -139,14 +130,14 @@ impl Triplets {
         self.dim
     }
 
-    /// Raw `(row, col, value)` entries: one per stamp in emission order,
-    /// or one per slot for a sealed program of at most
-    /// [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns (see [`Triplets`]).
+    /// Raw `(row, col, value)` entries: one per slot for a sealed program
+    /// (see [`Triplets`]), or one per entry pushed with
+    /// [`add`](Self::add), in push order.
     pub fn entries(&self) -> &[(usize, usize, f64)] {
         &self.entries
     }
 
-    /// Number of entries (before duplicate merging).
+    /// Number of [`entries`](Self::entries).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -162,21 +153,19 @@ impl Triplets {
         (self.id != 0).then_some(self.id)
     }
 
-    /// The slots of a sealed program of at most
-    /// [`DENSE_CUTOFF`](super::DENSE_CUTOFF) unknowns (or of any size
-    /// under [`force_slots`](Self::force_slots)): duplicate-free keys in
-    /// row-major order, no value −0.0. `None` for any other system.
+    /// The slots of a sealed program: duplicate-free keys in row-major
+    /// order, no value −0.0. `None` for a pushed system.
     pub(crate) fn slots(&self) -> Option<&[(usize, usize, f64)]> {
-        (self.id != 0 && self.slotted).then_some(&self.entries)
+        (self.id != 0).then_some(&self.entries)
     }
 
     /// The `(row, col)` of every entry pushed or stamp compiled off
     /// ground, in emission order: the stamp sequence, whether the entries
-    /// hold stamps or slots.
+    /// hold pushed stamps or slots.
     pub(crate) fn stamp_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let slotted = self.slots().is_some();
-        let stamps = (!slotted).then_some(self.entries.iter());
-        let compiled = slotted.then_some(
+        let sealed = self.id != 0;
+        let stamps = (!sealed).then_some(self.entries.iter());
+        let compiled = sealed.then_some(
             self.targets
                 .iter()
                 .filter_map(|&target| self.entries.get(target as usize)),
@@ -186,18 +175,6 @@ impl Triplets {
             .flatten()
             .chain(compiled.into_iter().flatten())
             .map(|&(r, c, _)| (r, c))
-    }
-
-    /// Every later recompiled program is sealed with slots (`true`) or
-    /// with one entry per stamp (`false`) whatever its dimension. The
-    /// structural pre-flight scan forces slots to judge the assembled
-    /// matrix at any size, and the benches time each kernel on the input
-    /// it gets at its own sizes on both sides of the cutoff. No solve
-    /// calls it: the sparse kernel's sums over slots would not be
-    /// bit-identical.
-    #[doc(hidden)]
-    pub fn force_slots(&mut self, slots: bool) {
-        self.forced_slots = Some(slots);
     }
 
     /// Adds `value` at `(row, col)`; duplicates accumulate. Unseals the
@@ -221,7 +198,6 @@ impl Triplets {
         self.entries.clear();
         self.targets.clear();
         self.id = 0;
-        self.slotted = false;
     }
 
     /// Drops all entries and sets the system dimension to `n`.
@@ -239,10 +215,8 @@ impl Triplets {
         if self.id != 0 && self.compiled_for == key && self.dim == n {
             self.replaying = true;
             self.cursor = 0;
-            if self.slotted {
-                for entry in &mut self.entries {
-                    entry.2 = 0.0;
-                }
+            for entry in &mut self.entries {
+                entry.2 = 0.0;
             }
         } else {
             self.reset(n);
@@ -284,8 +258,7 @@ impl Triplets {
         self.replay(n, |i| (Some(i), Some(i)), std::iter::repeat(value));
     }
 
-    /// Replays the next `len` stamps: adds `values` into a slotted
-    /// program's slots, or overwrites a per-stamp program's entries. A
+    /// Replays the next `len` stamps: adds `values` into their slots. A
     /// [`GROUND`] target fails the bounds check and writes nothing. The
     /// block's targets are read in one bounds check, with the cursor in a
     /// register; `key(k)` is stamp `k`'s key, checked in debug builds.
@@ -309,11 +282,7 @@ impl Triplets {
         }
         for (&target, value) in block.iter().zip(values) {
             if let Some(entry) = self.entries.get_mut(target as usize) {
-                if self.slotted {
-                    entry.2 += value;
-                } else {
-                    entry.2 = value;
-                }
+                entry.2 += value;
             }
         }
         self.cursor = at + len;
@@ -332,7 +301,9 @@ impl Triplets {
     }
 
     /// Ends an assembly: a recompiled program is sealed under a fresh id,
-    /// its entries merged into slots on a dense-kernel system.
+    /// its entries merged into slots. The merge's buffers and the stamps
+    /// are dropped here: a program is merged once per compile, and a wide
+    /// circuit's would otherwise stay allocated beside its slots.
     ///
     /// # Panics
     ///
@@ -347,18 +318,15 @@ impl Triplets {
             );
             self.replaying = false;
         } else {
-            if self.forced_slots.unwrap_or(self.dim <= super::DENSE_CUTOFF) {
-                // Point every stamp at its slot; the slots become the
-                // entries.
-                let slot_of = merge_slots(self.dim, &self.entries, &mut self.merge);
-                for target in &mut self.targets {
-                    if let Some(&slot) = slot_of.get(*target as usize) {
-                        *target = slot;
-                    }
+            // Point every stamp at its slot; the slots become the entries.
+            let mut merge = MergeScratch::default();
+            let slot_of = merge_slots(self.dim, &self.entries, &mut merge);
+            for target in &mut self.targets {
+                if let Some(&slot) = slot_of.get(*target as usize) {
+                    *target = slot;
                 }
-                std::mem::swap(&mut self.entries, &mut self.merge.slots);
-                self.slotted = true;
             }
+            self.entries = merge.slots;
             self.id = fresh_id();
         }
     }
@@ -371,7 +339,7 @@ impl Triplets {
 /// sorts, by column and then by row, put the entries in row-major order
 /// with each key's entries in emission order: O(n + m) for `n` unknowns
 /// and `m` entries, at any dimension. Kept out of line: the seal and the
-/// dense kernel's merge of a pushed system call it, never a replay.
+/// kernels' merge of a pushed system call it, never a replay.
 #[inline(never)]
 pub(crate) fn merge_slots<'a>(
     dim: usize,
@@ -401,6 +369,57 @@ pub(crate) fn merge_slots<'a>(
         slot_of[i as usize] = slot as u32;
     }
     slot_of
+}
+
+/// The system a kernel compiled its layout for, and the one test both
+/// kernels make before a solve: whether that layout still holds.
+///
+/// A program id matched before vouches for the stamp sequence, so its keys
+/// are not compared again. On a new id, or on a pushed system, which has
+/// none, the stamp sequence ([`Triplets::stamp_keys`]) is compared once,
+/// and the id is adopted when it is equal: so the layout, and what a kernel
+/// caches with it, survive a workspace shared by several assemblers of one
+/// topology. The keys of the stamps are compared, not those of the slots,
+/// so two mode patterns that stamp the same positions still recompile as a
+/// fresh kernel would.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Compiled {
+    /// Dimension of the compiled system; `None` before the first compile.
+    dim: Option<usize>,
+    /// Its stamp sequence.
+    keys: Vec<(u32, u32)>,
+    /// Id of the stamp program last matched against `keys`.
+    program: Option<u64>,
+}
+
+impl Compiled {
+    /// Records `triplets` as the compiled system.
+    pub(crate) fn compile(&mut self, triplets: &Triplets) {
+        self.dim = Some(triplets.dim());
+        self.keys.clear();
+        self.keys
+            .extend(triplets.stamp_keys().map(|(r, c)| (r as u32, c as u32)));
+        self.program = triplets.program_id();
+    }
+
+    /// Whether `triplets` has the compiled dimension and stamp sequence:
+    /// its program id was matched before, or its keys are equal.
+    pub(crate) fn matches(&self, triplets: &Triplets) -> bool {
+        let id = triplets.program_id();
+        let cached = self.keys.iter().map(|&(r, c)| (r as usize, c as usize));
+        (id.is_some() && id == self.program)
+            || (self.dim == Some(triplets.dim()) && triplets.stamp_keys().eq(cached))
+    }
+
+    /// Whether the compiled layout holds for `triplets`, adopting its
+    /// program id when it does. When it does not, the caller recompiles.
+    pub(crate) fn holds(&mut self, triplets: &Triplets) -> bool {
+        let holds = self.matches(triplets);
+        if holds {
+            self.program = triplets.program_id();
+        }
+        holds
+    }
 }
 
 #[cfg(test)]
@@ -464,28 +483,35 @@ mod tests {
     }
 
     #[test]
-    fn a_sparse_kernel_system_keeps_one_entry_per_stamp() {
+    fn a_sparse_kernel_program_is_slotted_too() {
         let n = DENSE_CUTOFF + 1;
         let mut t = Triplets::new(n);
-        assemble(&mut t, n, KEY, 1.0);
-        assemble(&mut t, n, KEY, 2.0);
-        assert_eq!(t.slots(), None);
-        assert_eq!(t.entries(), &[(0, 0, 2.0), (2, 1, -2.0), (0, 0, 1.0)]);
-    }
-
-    #[test]
-    fn forced_slots_hold_on_either_side_of_the_cutoff() {
-        let n = DENSE_CUTOFF + 1;
-        let mut t = Triplets::new(n);
-        t.force_slots(true);
         assemble(&mut t, n, KEY, 1.0);
         assemble(&mut t, n, KEY, 2.0);
         assert_eq!(t.slots(), Some(&[(0, 0, 3.0), (2, 1, -2.0)][..]));
+    }
+
+    #[test]
+    fn a_compiled_layout_holds_for_its_id_and_its_stamp_sequence() {
         let mut t = Triplets::new(3);
-        t.force_slots(false);
-        assemble(&mut t, 3, KEY, 2.0);
-        assert_eq!(t.slots(), None);
-        assert_eq!(t.entries(), &[(0, 0, 2.0), (2, 1, -2.0), (0, 0, 1.0)]);
+        assemble(&mut t, 3, KEY, 1.0);
+        let mut compiled = Compiled::default();
+        assert!(!compiled.holds(&t), "nothing compiled yet");
+        compiled.compile(&t);
+        assert!(compiled.holds(&t));
+        // The same stamps under another program: compared, and adopted.
+        let other = ProgramKey { pattern: 2, ..KEY };
+        assemble(&mut t, 3, other, 1.0);
+        assert!(compiled.holds(&t));
+        assert_eq!(compiled.program, t.program_id());
+        // The same slots from another stamp sequence do not hold.
+        t.open(3, KEY);
+        t.stamps([(Some(2), Some(1)), (Some(0), Some(0))], [1.0, 1.0]);
+        t.seal();
+        assert!(!compiled.holds(&t));
+        // Nor does another dimension.
+        assemble(&mut t, 4, other, 1.0);
+        assert!(!compiled.holds(&t));
     }
 
     #[test]

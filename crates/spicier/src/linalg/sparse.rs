@@ -6,13 +6,23 @@
 //! reachability search over the partially built `L`, the numeric values are
 //! computed in topological order, and the pivot row is the
 //! largest-magnitude candidate among not-yet-pivotal rows.
+//!
+//! The kernel reads a system as slots, as the dense kernel does: one value
+//! per distinct `(row, col)`, summed from +0.0 in emission order (see
+//! [`Triplets`]). A sealed stamp program arrives as its slots, and a pushed
+//! system is merged into them first, so the compressed matrix is the one
+//! the dense kernel assembles, bit for bit, and compressing it sums
+//! nothing.
 
 // Index-based loops are kept in these numeric kernels: the indices are
 // the mathematical objects (pivot rows, column positions).
 #![allow(clippy::needless_range_loop)]
 
 use super::order::{min_degree_order, symmetric_adjacency};
-use super::{verify, verify::SolveQuality, Solver, Triplets, DENSE_CUTOFF, PIVOT_FLOOR};
+use super::{
+    merge_slots, verify, verify::SolveQuality, Compiled, MergeScratch, Solver, Triplets,
+    DENSE_CUTOFF, PIVOT_FLOOR,
+};
 use crate::error::Error;
 
 /// Smallest system [`AutoSolver`](super::AutoSolver) hands to the sparse
@@ -38,8 +48,8 @@ pub struct SparseMatrix {
 }
 
 impl SparseMatrix {
-    /// Compresses triplets into CSC form, summing duplicates: the matrix
-    /// of [`StampMap::build`].
+    /// Compresses triplets into CSC form: the matrix of
+    /// [`StampMap::build`], whose values are the system's slots.
     pub fn from_triplets(triplets: &Triplets) -> Self {
         StampMap::build(triplets).1
     }
@@ -114,33 +124,23 @@ impl SparseMatrix {
     }
 }
 
-/// The sparse kernel's compilation of a stamp program: a map from each
-/// entry of a fixed key sequence to its CSC value slot.
+/// The sparse kernel's compilation of a stamp program: the CSC position
+/// of each of its slots.
 ///
 /// A [`Triplets`] program keeps its `(row, col)` keys for as long as its
-/// circuit and mode pattern stay fixed; only the values change.
-/// [`build_permuted`](Self::build_permuted) runs the key sort once and
-/// records, for each sorted position, which entry it came from and which
-/// CSC slot it lands in. [`scatter`](Self::scatter) then refreshes a
-/// cached [`SparseMatrix`]'s values without sorting or reallocating; the
-/// solver skips its key check while the program's id is one it has
-/// matched before.
-///
-/// The scatter replays the exact accumulation order of the compression
-/// the map was built with (the sort permutation depends only on the keys,
-/// never on the values), so the refreshed matrix is bit-identical to one
-/// built from scratch.
+/// circuit and mode pattern stay fixed; only the values change, and its
+/// slots are duplicate-free. [`build_permuted`](Self::build_permuted)
+/// sorts the slots into column-major order once and records where each
+/// lands. [`scatter`](Self::scatter) then refreshes a cached
+/// [`SparseMatrix`]'s values with one assignment per slot, without
+/// sorting or reallocating, so the refreshed matrix is bit-identical to
+/// one built from scratch. A pushed system is merged into slots first.
 #[derive(Debug, Clone)]
 pub struct StampMap {
-    dim: usize,
-    /// `(row, col)` of each raw entry, in insertion order; used to detect
-    /// a changed stamp sequence.
-    keys: Vec<(u32, u32)>,
-    /// Raw entry index for each program step, in `(col, row)` sorted order.
-    order: Vec<u32>,
-    /// CSC slot written by each program step (parallel to `order`);
-    /// duplicate keys occupy consecutive steps with the same slot.
-    slots: Vec<u32>,
+    /// The system the map was built for.
+    compiled: Compiled,
+    /// CSC position of each slot, in slot order.
+    positions: Vec<u32>,
 }
 
 impl StampMap {
@@ -152,7 +152,7 @@ impl StampMap {
     ///
     /// # Panics
     ///
-    /// Panics if the system has more than `u32::MAX` rows or raw entries.
+    /// Panics if the system has more than `u32::MAX` rows or slots.
     pub fn build(triplets: &Triplets) -> (Self, SparseMatrix) {
         let identity: Vec<usize> = (0..triplets.dim()).collect();
         Self::build_permuted(triplets, &identity)
@@ -165,62 +165,55 @@ impl StampMap {
     ///
     /// The map's keys stay in *original* coordinates, so
     /// [`matches`](Self::matches) and [`scatter`](Self::scatter) work
-    /// unchanged on the raw stamp sequence — every Newton iteration
-    /// scatters straight into the permuted CSC matrix with zero extra
-    /// per-iteration cost. Duplicate stamps accumulate in the permuted
-    /// sort order, and the scatter replays exactly that order, so
-    /// repeated assemblies of the same circuit stay bit-identical to each
-    /// other (though not to the unpermuted compression, which sums
-    /// duplicates in a different order).
+    /// unchanged on the stamp sequence — every Newton iteration scatters
+    /// straight into the permuted CSC matrix with zero extra per-iteration
+    /// cost.
     ///
     /// # Panics
     ///
     /// Panics if `pinv` is not a `dim()`-sized permutation, or if the
-    /// system exceeds `u32::MAX` rows or raw entries.
+    /// system exceeds `u32::MAX` rows or slots.
     pub fn build_permuted(triplets: &Triplets, pinv: &[usize]) -> (Self, SparseMatrix) {
+        let mut merged = MergeScratch::default();
+        Self::compile(triplets, slots_of(triplets, &mut merged), pinv)
+    }
+
+    /// [`build_permuted`](Self::build_permuted) on `triplets`' `slots`.
+    fn compile(
+        triplets: &Triplets,
+        slots: &[(usize, usize, f64)],
+        pinv: &[usize],
+    ) -> (Self, SparseMatrix) {
         let n = triplets.dim();
         assert_eq!(pinv.len(), n, "permutation length mismatch");
-        let entries = triplets.entries();
         assert!(n <= u32::MAX as usize, "dimension too large");
-        assert!(entries.len() <= u32::MAX as usize, "too many stamp entries");
-        let keys: Vec<(u32, u32)> = entries
-            .iter()
-            .map(|&(r, c, _)| (r as u32, c as u32))
-            .collect();
-        let mut sorted: Vec<(usize, usize, u32)> = entries
+        assert!(slots.len() <= u32::MAX as usize, "too many slots");
+        // The slots are distinct, so the sort has no ties.
+        let mut sorted: Vec<(usize, usize, u32)> = slots
             .iter()
             .enumerate()
-            .map(|(idx, &(r, c, _))| (pinv[r], pinv[c], idx as u32))
+            .map(|(slot, &(r, c, _))| (pinv[c], pinv[r], slot as u32))
             .collect();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (c, r));
+        sorted.sort_unstable();
         let mut col_ptr = vec![0usize; n + 1];
         let mut rows = Vec::with_capacity(sorted.len());
-        let mut vals: Vec<f64> = Vec::with_capacity(sorted.len());
-        let mut order = Vec::with_capacity(sorted.len());
-        let mut slots = Vec::with_capacity(sorted.len());
-        let mut last: Option<(usize, usize)> = None;
-        for &(r, c, idx) in &sorted {
-            let v = entries[idx as usize].2;
-            if last == Some((r, c)) {
-                *vals.last_mut().expect("entry exists when last is set") += v;
-            } else {
-                rows.push(r);
-                vals.push(v);
-                col_ptr[c + 1] += 1;
-                last = Some((r, c));
-            }
-            order.push(idx);
-            slots.push(vals.len() as u32 - 1);
+        let mut vals = Vec::with_capacity(sorted.len());
+        let mut positions = vec![0u32; sorted.len()];
+        for &(c, r, slot) in &sorted {
+            positions[slot as usize] = rows.len() as u32;
+            rows.push(r);
+            vals.push(slots[slot as usize].2);
+            col_ptr[c + 1] += 1;
         }
         for c in 0..n {
             col_ptr[c + 1] += col_ptr[c];
         }
+        let mut compiled = Compiled::default();
+        compiled.compile(triplets);
         (
             Self {
-                dim: n,
-                keys,
-                order,
-                slots,
+                compiled,
+                positions,
             },
             SparseMatrix {
                 n,
@@ -232,16 +225,10 @@ impl StampMap {
     }
 
     /// Whether `triplets` still carries the stamp sequence this map was
-    /// built for (same dimension, same `(row, col)` keys in the same order).
+    /// built for (same dimension, same `(row, col)` keys in the same
+    /// order): the program id it was built on vouches for them.
     pub fn matches(&self, triplets: &Triplets) -> bool {
-        if triplets.dim() != self.dim || triplets.len() != self.keys.len() {
-            return false;
-        }
-        triplets
-            .entries()
-            .iter()
-            .zip(&self.keys)
-            .all(|(&(r, c, _), &(kr, kc))| r as u32 == kr && c as u32 == kc)
+        self.compiled.matches(triplets)
     }
 
     /// Rewrites `matrix`'s values from `triplets`, reproducing
@@ -249,37 +236,33 @@ impl StampMap {
     /// leaves `matrix` untouched) when the stamp sequence no longer matches
     /// this map and the caller must rebuild.
     pub fn scatter(&self, triplets: &Triplets, matrix: &mut SparseMatrix) -> bool {
-        if !self.matches(triplets) || matrix.nnz() != self.slot_count() {
+        if !self.matches(triplets) || matrix.nnz() != self.positions.len() {
             return false;
         }
-        self.scatter_unchecked(triplets, matrix);
+        let mut merged = MergeScratch::default();
+        self.scatter_slots(slots_of(triplets, &mut merged), matrix);
         true
     }
 
-    /// [`scatter`](Self::scatter) without the key check: `triplets` must
-    /// carry the key sequence this map was built for, and `matrix` must
-    /// belong to this map.
-    pub(crate) fn scatter_unchecked(&self, triplets: &Triplets, matrix: &mut SparseMatrix) {
-        let entries = triplets.entries();
-        let vals = &mut matrix.vals;
-        let mut prev_slot = u32::MAX;
-        for (&idx, &slot) in self.order.iter().zip(&self.slots) {
-            let v = entries[idx as usize].2;
-            if slot == prev_slot {
-                vals[slot as usize] += v;
-            } else {
-                // First entry of a slot run: assign, matching the
-                // `rows.push / vals.push` of a fresh compression exactly
-                // (including signed zeros).
-                vals[slot as usize] = v;
-                prev_slot = slot;
-            }
+    /// Writes each of `slots` to its CSC position in `matrix`: the slots
+    /// must be those of the system this map was built for, and `matrix`
+    /// must belong to this map.
+    fn scatter_slots(&self, slots: &[(usize, usize, f64)], matrix: &mut SparseMatrix) {
+        for (&at, &(.., v)) in self.positions.iter().zip(slots) {
+            matrix.vals[at as usize] = v;
         }
     }
+}
 
-    /// Number of CSC slots (merged nonzeros) this map addresses.
-    fn slot_count(&self) -> usize {
-        self.slots.last().map_or(0, |&s| s as usize + 1)
+/// `triplets`' slots: a sealed program's own, or a pushed system merged
+/// into `merged`.
+fn slots_of<'a>(triplets: &'a Triplets, merged: &'a mut MergeScratch) -> &'a [(usize, usize, f64)] {
+    match triplets.slots() {
+        Some(slots) => slots,
+        None => {
+            merge_slots(triplets.dim(), triplets.entries(), merged);
+            &merged.slots
+        }
     }
 }
 
@@ -971,40 +954,26 @@ impl SparseLu {
     }
 }
 
-/// Running counters for a caching solver's assembly and factorization paths.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SolverStats {
-    /// Times the stamp-slot map was (re)built because the stamp sequence
-    /// changed (includes the first call).
-    pub pattern_rebuilds: usize,
-    /// Full symbolic + numeric factorizations.
-    pub full_factors: usize,
-    /// Numeric-only refactorizations on the cached pattern.
-    pub refactors: usize,
-    /// Refactorizations abandoned because the stored pivot order degraded
-    /// (each one also counts as a full factorization).
-    pub pivot_fallbacks: usize,
-}
-
 /// Reusable sparse solver workspace: the compiled stamp program of the
 /// last pattern it saw, on a fill-reducing ordering.
 ///
-/// The first call, and any call whose key sequence differs from the cached
-/// one, computes a minimum-degree ordering ([`order`](super::order)) of the
-/// pattern, builds the permuted [`StampMap`] and matrix, and runs a full
-/// factorization. Later calls scatter values straight into the cached
-/// permuted CSC matrix and run [`SparseLu::refactor`], so every refactor and
-/// solve runs on the low-fill pattern at no per-iteration cost. While the
-/// [`Triplets`] carries a program id the solver has matched before, the
-/// keys are not compared again.
+/// The first call, and any call whose stamp sequence differs from the
+/// cached one, computes a minimum-degree ordering ([`order`](super::order))
+/// of the slot pattern, builds the permuted [`StampMap`] and matrix, and
+/// runs a full factorization. Later calls scatter the slots straight into
+/// the cached permuted CSC matrix and run [`SparseLu::refactor`], so every
+/// refactor and solve runs on the low-fill pattern at no per-iteration
+/// cost. The map's `Compiled` decides when to rebuild, as the dense
+/// kernel's does: while the [`Triplets`] carries a program id the solver
+/// has matched before, the keys are not compared again.
 #[derive(Debug, Default)]
 pub struct SparseSolver {
     lu: SparseLu,
     map: Option<StampMap>,
     matrix: Option<SparseMatrix>,
-    /// Id of the stamp program last matched against `map`.
-    program: Option<u64>,
     pattern_rebuilds: usize,
+    /// The slots of a system that arrives without them.
+    merged: MergeScratch,
     last_quality: SolveQuality,
     /// Fill-reducing permutation of the cached pattern
     /// (`perm[original] = permuted`).
@@ -1019,46 +988,34 @@ pub struct SparseSolver {
 }
 
 impl SparseSolver {
-    /// Rebuilds the cached ordering, stamp map and matrix for a new key
-    /// sequence.
-    fn rebuild(&mut self, triplets: &Triplets) {
-        // Order the unique stamp keys: the pattern `min_degree_pinv` would
-        // read from the compressed matrix, without compressing it.
-        let mut keys: Vec<(u32, u32)> = triplets
-            .entries()
-            .iter()
-            .map(|&(r, c, _)| (r as u32, c as u32))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let pattern = keys.iter().map(|&(r, c)| (r as usize, c as usize));
-        self.perm = min_degree_order(symmetric_adjacency(triplets.dim(), pattern), keys.len());
-        let (map, matrix) = StampMap::build_permuted(triplets, &self.perm);
+    /// Rebuilds the cached ordering, stamp map and matrix for `triplets`,
+    /// whose `slots` are duplicate-free and row-major already: the
+    /// pattern `min_degree_pinv` would read from the compressed matrix,
+    /// without compressing it.
+    fn rebuild(&mut self, triplets: &Triplets, slots: &[(usize, usize, f64)]) {
+        let pattern = slots.iter().map(|&(r, c, _)| (r, c));
+        self.perm = min_degree_order(symmetric_adjacency(triplets.dim(), pattern), slots.len());
+        let (map, matrix) = StampMap::compile(triplets, slots, &self.perm);
         self.map = Some(map);
         self.matrix = Some(matrix);
         self.pattern_rebuilds += 1;
     }
 
-    /// Counters for the assembly and factorization fast paths.
-    pub fn stats(&self) -> SolverStats {
-        let lu = self.lu.stats();
-        SolverStats {
-            pattern_rebuilds: self.pattern_rebuilds,
-            full_factors: lu.full_factors,
-            refactors: lu.refactors,
-            pivot_fallbacks: lu.pivot_fallbacks,
-        }
+    /// Kernel counters: full factorizations (pivot fallbacks included),
+    /// numeric refactorizations, pivot fallbacks, triangular solves.
+    pub fn stats(&self) -> LuStats {
+        self.lu.stats()
+    }
+
+    /// Times the ordering and stamp map were built because the stamp
+    /// sequence changed, the first call included.
+    pub fn pattern_rebuilds(&self) -> usize {
+        self.pattern_rebuilds
     }
 
     /// Account of the most recent refactorization pivot fallback, if any.
     pub fn last_pivot_fallback(&self) -> Option<PivotFallback> {
         self.lu.last_pivot_fallback()
-    }
-
-    /// Raw kernel counters (the [`LuStats`] view of
-    /// [`stats`](Self::stats), including the triangular-solve count).
-    pub fn lu_stats(&self) -> LuStats {
-        self.lu.stats()
     }
 
     /// Certification record of the most recent successful solve.
@@ -1069,17 +1026,17 @@ impl SparseSolver {
 
 impl Solver for SparseSolver {
     fn solve_in_place(&mut self, triplets: &Triplets, rhs: &mut [f64]) -> Result<(), Error> {
-        // A program id matched before vouches for the keys; otherwise
-        // compare them once.
-        let id = triplets.program_id();
-        match &self.map {
-            Some(map) if (id.is_some() && id == self.program) || map.matches(triplets) => {
-                let matrix = self.matrix.as_mut().expect("built with the map");
-                map.scatter_unchecked(triplets, matrix);
-            }
-            _ => self.rebuild(triplets),
+        let mut merged = std::mem::take(&mut self.merged);
+        let slots = slots_of(triplets, &mut merged);
+        let holds = self
+            .map
+            .as_mut()
+            .is_some_and(|map| map.compiled.holds(triplets));
+        match (&self.map, &mut self.matrix) {
+            (Some(map), Some(matrix)) if holds => map.scatter_slots(slots, matrix),
+            _ => self.rebuild(triplets, slots),
         }
-        self.program = id;
+        self.merged = merged;
         let a = self.matrix.as_ref().expect("matrix cached above");
         // ----- permute b into elimination order -----
         self.perm_scratch.clear();

@@ -123,7 +123,7 @@ fn ordered_path_agrees_with_dense_kernel_within_certified_error() {
             );
         }
         // All later rounds reused the cached permuted pattern.
-        assert_eq!(ordered.stats().pattern_rebuilds, 1, "n={n}");
+        assert_eq!(ordered.pattern_rebuilds(), 1, "n={n}");
     }
 }
 
@@ -186,7 +186,8 @@ fn pivot_flip_under_cached_permuted_pattern_takes_the_fallback() {
     solver.solve_in_place(&t2, &mut x2).unwrap();
     let stats = solver.stats();
     assert_eq!(
-        stats.pattern_rebuilds, 1,
+        solver.pattern_rebuilds(),
+        1,
         "second solve must reuse the cached permuted pattern"
     );
     assert_eq!(
