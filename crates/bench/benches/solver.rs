@@ -8,6 +8,7 @@
 //! the next session can compare runs without scraping stdout. Set
 //! `BENCH_QUICK=1` for the trimmed smoke run.
 
+use cml_bench::experiments::common::fig3_circuit;
 use cml_bench::experiments::fig7::detector_circuit;
 use cml_bench::microbench::{quick_mode, run_benches, take_records, write_json_report, Harness};
 use cml_cells::{CmlCircuitBuilder, CmlProcess};
@@ -15,11 +16,13 @@ use cml_dft::{DetectorLoad, SharedDetector, Variant3};
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::tran::{transient, TranOptions};
 use spicier::analysis::{Assembler, EvalMode, Integration, Method, SolveWorkspace};
+use spicier::json::Json;
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::{
     AutoSolver, DenseMatrix, Solver, SparseLu, SparseMatrix, StampMap, Triplets, DENSE_CUTOFF,
 };
 use spicier::netlist::Netlist;
+use spicier::spice::{parse_deck, write_deck};
 use spicier::{telemetry, Circuit};
 use std::path::Path;
 use std::time::Duration;
@@ -411,6 +414,46 @@ fn bench_circuit_kernels(c: &mut Harness) {
     });
 }
 
+/// The daemon's request path outside the solver (DESIGN.md §3.6):
+/// `deck_parse_fig3` parses the FIG3 `.op` deck an `.op` request carries
+/// (the chain with a 2 kΩ pipe on `DUT.Q3`, as `write_deck` writes it);
+/// `json_string_64k` renders and parses a 64 KB CSV table as one JSON
+/// string, the size of a FIG3 `.tran` reply's output.
+fn bench_request(c: &mut Harness) {
+    let mut group = c.benchmark_group("request");
+    group
+        .sample_size(40)
+        .measurement_time(Duration::from_secs(2));
+
+    let (_, circuit) = fig3_circuit(1.0e9, Some(2.0e3)).expect("build");
+    let text = write_deck(circuit.netlist(), "fig3 1000 MHz pipe Some(2000.0)");
+    let body = text
+        .strip_suffix(".end\n")
+        .expect("write_deck ends in .end");
+    let deck = format!("{body}.op\n.end\n");
+    group.bench_function("deck_parse_fig3", |b| {
+        b.iter(|| parse_deck(&deck).expect("parse"))
+    });
+
+    let mut csv = String::from("time,V(DUT.op),V(DUT.on)\n");
+    for k in 0.. {
+        let row = format!(
+            "{:.6e},{:.6},{:.6}\n",
+            f64::from(k) * 5e-12,
+            3.3 - 1e-3 * f64::from(k % 400),
+            2.9
+        );
+        if csv.len() + row.len() > 1 << 16 {
+            break;
+        }
+        csv.push_str(&row);
+    }
+    let doc = Json::str(csv);
+    group.bench_function("json_string_64k", |b| {
+        b.iter(|| Json::parse(&doc.render()).expect("json"))
+    });
+}
+
 fn main() {
     run_benches(&[
         ("bench_lu", bench_lu as fn(&mut Harness)),
@@ -423,6 +466,7 @@ fn main() {
             "bench_circuit_kernels",
             bench_circuit_kernels as fn(&mut Harness),
         ),
+        ("bench_request", bench_request as fn(&mut Harness)),
     ]);
 
     // Machine-readable results: per-bench medians plus derived metrics.
@@ -478,6 +522,15 @@ fn main() {
         ("fig8_assemble/", "fig8_assemble_ns"),
     ] {
         if let Some(v) = find("newton_iter", prefix) {
+            metrics.push((key, v));
+        }
+    }
+    // The request path's parse and JSON string: recorded, not gated.
+    for (prefix, key) in [
+        ("deck_parse_fig3", "deck_parse_fig3_ns"),
+        ("json_string_64k", "json_string_64k_ns"),
+    ] {
+        if let Some(v) = find("request", prefix) {
             metrics.push((key, v));
         }
     }

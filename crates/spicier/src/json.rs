@@ -220,21 +220,31 @@ impl Json {
     }
 }
 
+/// Writes `s` quoted, copying each run of bytes that needs no escape in
+/// one piece. Every byte that needs one is ASCII, so a run never splits a
+/// character.
 fn write_string(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -285,78 +295,64 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one piece: the
+        // text is UTF-8 already, and both delimiters are ASCII.
+        let rest = &bytes[*pos..];
+        let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+        let run = run.unwrap_or(rest.len());
+        out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+        *pos += run;
         let Some(&b) = bytes.get(*pos) else {
             return Err("unterminated string".to_string());
         };
         *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".to_string());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        *pos += 4;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        // Surrogate pairs: decode \uD800-\uDBFF + \uDC00-\uDFFF.
-                        let c = if (0xd800..0xdc00).contains(&code) {
-                            if bytes.get(*pos..*pos + 2) != Some(b"\\u") {
-                                return Err("lone high surrogate".to_string());
-                            }
-                            *pos += 2;
-                            let hex2 = bytes
-                                .get(*pos..*pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated surrogate pair")?;
-                            *pos += 4;
-                            let low =
-                                u32::from_str_radix(hex2, 16).map_err(|_| "invalid \\u escape")?;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err("invalid low surrogate".to_string());
-                            }
-                            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
-                        } else {
-                            code
-                        };
-                        out.push(char::from_u32(c).ok_or("invalid codepoint")?);
-                    }
-                    _ => return Err(format!("invalid escape \\{}", esc as char)),
-                }
-            }
-            _ => {
-                // Re-sync to the char boundary: strings are UTF-8 already.
-                let s = &bytes[*pos - 1..];
-                let ch_len = utf8_len(b);
-                let chunk = s.get(..ch_len).ok_or("truncated UTF-8")?;
-                let text = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
-                out.push_str(text);
-                *pos += ch_len - 1;
-            }
+        if b == b'"' {
+            return Ok(out);
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        // `b` is the backslash of an escape.
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("unterminated escape".to_string());
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = bytes
+                    .get(*pos..*pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or("truncated \\u escape")?;
+                *pos += 4;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
+                // Surrogate pairs: decode \uD800-\uDBFF + \uDC00-\uDFFF.
+                let c = if (0xd800..0xdc00).contains(&code) {
+                    if bytes.get(*pos..*pos + 2) != Some(b"\\u") {
+                        return Err("lone high surrogate".to_string());
+                    }
+                    *pos += 2;
+                    let hex2 = bytes
+                        .get(*pos..*pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("truncated surrogate pair")?;
+                    *pos += 4;
+                    let low = u32::from_str_radix(hex2, 16).map_err(|_| "invalid \\u escape")?;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err("invalid low surrogate".to_string());
+                    }
+                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                } else {
+                    code
+                };
+                out.push(char::from_u32(c).ok_or("invalid codepoint")?);
+            }
+            _ => return Err(format!("invalid escape \\{}", esc as char)),
+        }
     }
 }
 

@@ -102,10 +102,13 @@ pub fn run_deck(text: &str) -> Result<(String, TelemetrySummary), Error> {
                     let _ = write!(header, ",V({})", circuit.node_name(node));
                 }
                 let _ = writeln!(out, "{header}");
+                // One lookup per node, not one per sample.
+                let traces: Vec<Option<&[f64]>> =
+                    circuit.node_ids().skip(1).map(|n| res.trace(n)).collect();
                 for (k, &t) in res.time().iter().enumerate() {
                     let _ = write!(out, "{t:.6e}");
-                    for node in circuit.node_ids().skip(1) {
-                        let v = res.trace(node).map(|tr| tr[k]).unwrap_or(0.0);
+                    for trace in &traces {
+                        let v = trace.map_or(0.0, |tr| tr[k]);
                         let _ = write!(out, ",{v:.6}");
                     }
                     let _ = writeln!(out);
@@ -199,6 +202,23 @@ mod tests {
             .unwrap();
         let v_out: f64 = first_row.split(',').nth(2).unwrap().parse().unwrap();
         assert!((v_out - 0.5).abs() < 1e-6, "{first_row}");
+    }
+
+    #[test]
+    fn tran_table_bytes_are_pinned() {
+        let (report, _) = run_deck(
+            "rc ladder\nV1 in 0 PULSE(0 1 0 1n 1n 4n 10n)\nR1 in a 1k\nC1 a 0 1p\n\
+             R2 a b 2k\nC2 b 0 2p\n.tran 0.5n 20n\n.end\n",
+        )
+        .unwrap();
+        // FNV-1a over the report, rows and header alike.
+        let digest = report.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (report.lines().count(), format!("{digest:016x}")),
+            (341, "c0804e1d4e59849a".to_string())
+        );
     }
 
     #[test]

@@ -23,9 +23,9 @@
 
 use crate::devices::{BjtModel, DiodeModel, Polarity};
 use crate::error::Error;
-use crate::netlist::{Netlist, SourceWave};
+use crate::netlist::{Netlist, NodeId, SourceWave};
 use crate::units::parse_value;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// An analysis request found in the deck.
@@ -81,74 +81,84 @@ fn perr(line_no: usize, msg: impl std::fmt::Display) -> Error {
 }
 
 /// Joins continuation lines (`+`), strips comments, and yields
-/// `(original line number, logical line)`.
-fn logical_lines(text: &str, first_line_no: usize) -> Vec<(usize, String)> {
-    let mut out: Vec<(usize, String)> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let no = idx + first_line_no;
+/// `(original line number, logical line)` for every card after the title.
+/// A line borrows the deck's text unless a continuation was joined onto it.
+fn logical_lines(text: &str) -> Vec<(usize, Cow<'_, str>)> {
+    let mut out: Vec<(usize, Cow<'_, str>)> = Vec::new();
+    for (idx, raw) in text.lines().enumerate().skip(1) {
         // Strip inline comments.
-        let mut line = raw;
-        if let Some(pos) = line.find(';') {
-            line = &line[..pos];
-        }
-        if let Some(pos) = line.find('$') {
-            line = &line[..pos];
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('*') {
+        let end = raw.bytes().position(|b| b == b';' || b == b'$');
+        let line = raw[..end.unwrap_or(raw.len())].trim();
+        if line.is_empty() || line.starts_with('*') {
             continue;
         }
-        if let Some(cont) = trimmed.strip_prefix('+') {
-            if let Some(last) = out.last_mut() {
-                last.1.push(' ');
-                last.1.push_str(cont.trim());
-                continue;
-            }
+        if let (Some(cont), Some((_, last))) = (line.strip_prefix('+'), out.last_mut()) {
+            let last = last.to_mut();
+            last.push(' ');
+            last.push_str(cont.trim());
+            continue;
         }
-        out.push((no, trimmed.to_string()));
+        out.push((idx + 1, Cow::Borrowed(line)));
     }
     out
 }
 
-/// Splits a card into tokens, keeping `PULSE(...)`-style groups together.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
+/// Splits a card into `tokens`, keeping `PULSE(...)`-style groups together.
+fn tokenize<'a>(line: &'a str, tokens: &mut Vec<&'a str>) {
+    tokens.clear();
     let mut depth = 0usize;
-    for ch in line.chars() {
+    let mut start = None;
+    for (i, ch) in line.char_indices() {
         match ch {
-            '(' => {
-                depth += 1;
-                current.push(ch);
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                current.push(ch);
-            }
+            '(' => depth += 1,
+            ')' => depth = depth.saturating_sub(1),
             c if c.is_whitespace() && depth == 0 => {
-                if !current.is_empty() {
-                    tokens.push(std::mem::take(&mut current));
-                }
+                tokens.extend(start.take().map(|s| &line[s..i]));
+                continue;
             }
-            '=' if depth == 0 => {
-                // Keep `KEY=VALUE` as one token.
-                current.push('=');
-            }
-            c => current.push(c),
+            _ => {}
         }
+        start.get_or_insert(i);
     }
-    if !current.is_empty() {
-        tokens.push(current);
+    tokens.extend(start.map(|s| &line[s..]));
+}
+
+/// A card's first token, for the passes that only dispatch on it.
+fn first_word(line: &str) -> &str {
+    line.split_whitespace().next().unwrap_or_default()
+}
+
+/// Whether `token` starts with the ASCII `prefix`, ignoring case.
+fn starts_with_ci(token: &str, prefix: &str) -> bool {
+    let head = token.as_bytes().get(..prefix.len());
+    head.is_some_and(|h| h.eq_ignore_ascii_case(prefix.as_bytes()))
+}
+
+/// The last entry named `name`, ignoring case: a later definition
+/// replaces an earlier one.
+fn lookup<'e, T>(entries: &'e [(&str, T)], name: &str) -> Option<&'e T> {
+    let found = entries
+        .iter()
+        .rev()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name));
+    found.map(|(_, v)| v)
+}
+
+/// `name` under an instance `prefix`; borrowed at the top level.
+fn scoped<'n>(prefix: &str, name: &'n str) -> Cow<'n, str> {
+    if prefix.is_empty() {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(format!("{prefix}{name}"))
     }
-    tokens
 }
 
 /// Parses a source specification (everything after the two node tokens).
-fn parse_source_wave(tokens: &[String], line_no: usize) -> Result<SourceWave, Error> {
+fn parse_source_wave(tokens: &[&str], line_no: usize) -> Result<SourceWave, Error> {
     if tokens.is_empty() {
         return Err(perr(line_no, "missing source value"));
     }
-    let first = tokens[0].to_ascii_uppercase();
+    let first = tokens[0];
     let args_of = |t: &str| -> Result<Vec<f64>, Error> {
         let open = t.find('(').ok_or_else(|| perr(line_no, "expected ("))?;
         let close = t.rfind(')').ok_or_else(|| perr(line_no, "expected )"))?;
@@ -158,8 +168,8 @@ fn parse_source_wave(tokens: &[String], line_no: usize) -> Result<SourceWave, Er
             .map(parse_value)
             .collect()
     };
-    if first.starts_with("PULSE") {
-        let a = args_of(&tokens[0])?;
+    if starts_with_ci(first, "PULSE") {
+        let a = args_of(first)?;
         if a.len() < 7 {
             return Err(perr(line_no, "PULSE needs v1 v2 td tr tf pw per"));
         }
@@ -172,8 +182,8 @@ fn parse_source_wave(tokens: &[String], line_no: usize) -> Result<SourceWave, Er
             width: a[5],
             period: a[6],
         })
-    } else if first.starts_with("SIN") {
-        let a = args_of(&tokens[0])?;
+    } else if starts_with_ci(first, "SIN") {
+        let a = args_of(first)?;
         if a.len() < 3 {
             return Err(perr(line_no, "SIN needs offset amplitude freq [delay]"));
         }
@@ -183,121 +193,104 @@ fn parse_source_wave(tokens: &[String], line_no: usize) -> Result<SourceWave, Er
             freq: a[2],
             delay: a.get(3).copied().unwrap_or(0.0),
         })
-    } else if first.starts_with("PWL") {
-        let a = args_of(&tokens[0])?;
+    } else if starts_with_ci(first, "PWL") {
+        let a = args_of(first)?;
         if a.len() < 2 || a.len() % 2 != 0 {
             return Err(perr(line_no, "PWL needs t1 v1 t2 v2 ..."));
         }
         Ok(SourceWave::Pwl(a.chunks(2).map(|c| (c[0], c[1])).collect()))
-    } else if first == "DC" {
+    } else if first.eq_ignore_ascii_case("DC") {
         let v = tokens
             .get(1)
             .ok_or_else(|| perr(line_no, "DC needs a value"))?;
         Ok(SourceWave::Dc(parse_value(v)?))
     } else {
-        Ok(SourceWave::Dc(parse_value(&tokens[0])?))
+        Ok(SourceWave::Dc(parse_value(first)?))
     }
 }
 
+/// `.model` cards by name, in deck order.
 #[derive(Debug, Default)]
-struct ModelRegistry {
-    bjt: HashMap<String, BjtModel>,
-    diode: HashMap<String, DiodeModel>,
+struct ModelRegistry<'a> {
+    bjt: Vec<(&'a str, BjtModel)>,
+    diode: Vec<(&'a str, DiodeModel)>,
 }
 
-fn parse_model_params(tokens: &[String]) -> HashMap<String, f64> {
-    let mut params = HashMap::new();
-    for t in tokens {
-        // A parenthesized group tokenizes as one unit; split it back up.
-        let cleaned = t.trim_matches(|c| c == '(' || c == ')');
-        for part in cleaned.split_whitespace() {
-            if let Some((key, value)) = part.split_once('=') {
-                if let Ok(v) = parse_value(value) {
-                    params.insert(key.to_ascii_uppercase(), v);
-                }
+/// The last parseable value of each of `keys` among a model card's
+/// `KEY=VALUE` tokens, keys matched ignoring case. A parenthesized group
+/// tokenizes as one unit, so it is split back up.
+fn model_params<const N: usize>(tokens: &[&str], keys: [&str; N]) -> [Option<f64>; N] {
+    let mut values = [None; N];
+    let parts = tokens
+        .iter()
+        .flat_map(|t| t.trim_matches(['(', ')']).split_whitespace());
+    for (key, value) in parts.filter_map(|part| part.split_once('=')) {
+        if let Some(slot) = keys.iter().position(|k| k.eq_ignore_ascii_case(key)) {
+            if let Ok(v) = parse_value(value) {
+                values[slot] = Some(v);
             }
         }
     }
-    params
+    values
 }
 
-fn parse_model(tokens: &[String], reg: &mut ModelRegistry, line_no: usize) -> Result<(), Error> {
+fn parse_model<'a>(
+    tokens: &[&'a str],
+    reg: &mut ModelRegistry<'a>,
+    line_no: usize,
+) -> Result<(), Error> {
     // .model NAME TYPE (K=V ...)
     if tokens.len() < 3 {
         return Err(perr(line_no, ".model needs a name and a type"));
     }
-    let name = tokens[1].to_ascii_uppercase();
-    let kind = tokens[2]
-        .trim_matches(|c| c == '(' || c == ')')
-        .to_ascii_uppercase();
-    let params = parse_model_params(&tokens[2..]);
-    match kind.as_str() {
-        "NPN" | "PNP" => {
-            let mut m = BjtModel::fast_npn();
-            if kind == "PNP" {
-                m.polarity = Polarity::Pnp;
-            }
-            if let Some(&v) = params.get("IS") {
-                m.is = v;
-            }
-            if let Some(&v) = params.get("BF") {
-                m.bf = v;
-            }
-            if let Some(&v) = params.get("BR") {
-                m.br = v;
-            }
-            if let Some(&v) = params.get("VAF") {
-                m.vaf = v;
-            }
-            if let Some(&v) = params.get("CJE") {
-                m.cje = v;
-            }
-            if let Some(&v) = params.get("CJC") {
-                m.cjc = v;
-            }
-            if let Some(&v) = params.get("TF") {
-                m.tf = v;
-            }
-            if let Some(&v) = params.get("TR") {
-                m.tr = v;
-            }
-            if let Some(&v) = params.get("VJE") {
-                m.vje = v;
-            }
-            if let Some(&v) = params.get("MJE") {
-                m.mje = v;
-            }
-            if let Some(&v) = params.get("VJC") {
-                m.vjc = v;
-            }
-            if let Some(&v) = params.get("MJC") {
-                m.mjc = v;
-            }
-            reg.bjt.insert(name, m);
-            Ok(())
+    let name = tokens[1];
+    let kind = tokens[2].trim_matches(['(', ')']);
+    let params = &tokens[2..];
+    if kind.eq_ignore_ascii_case("NPN") || kind.eq_ignore_ascii_case("PNP") {
+        let mut m = BjtModel::fast_npn();
+        if kind.eq_ignore_ascii_case("PNP") {
+            m.polarity = Polarity::Pnp;
         }
-        "D" => {
-            let mut m = DiodeModel::new();
-            if let Some(&v) = params.get("IS") {
-                m.is = v;
-            }
-            if let Some(&v) = params.get("N") {
-                m.n = v;
-            }
-            if let Some(&v) = params.get("CJ").or_else(|| params.get("CJO")) {
-                m.cj = v;
-            }
-            if let Some(&v) = params.get("VJ") {
-                m.vj = v;
-            }
-            if let Some(&v) = params.get("M").or_else(|| params.get("MJ")) {
-                m.mj = v;
-            }
-            reg.diode.insert(name, m);
-            Ok(())
+        let keys = [
+            "IS", "BF", "BR", "VAF", "CJE", "CJC", "TF", "TR", "VJE", "MJE", "VJC", "MJC",
+        ];
+        let [is, bf, br, vaf, cje, cjc, tf, tr, vje, mje, vjc, mjc] = model_params(params, keys);
+        for (field, value) in [
+            (&mut m.is, is),
+            (&mut m.bf, bf),
+            (&mut m.br, br),
+            (&mut m.vaf, vaf),
+            (&mut m.cje, cje),
+            (&mut m.cjc, cjc),
+            (&mut m.tf, tf),
+            (&mut m.tr, tr),
+            (&mut m.vje, vje),
+            (&mut m.mje, mje),
+            (&mut m.vjc, vjc),
+            (&mut m.mjc, mjc),
+        ] {
+            *field = value.unwrap_or(*field);
         }
-        other => Err(perr(line_no, format!("unsupported model type `{other}`"))),
+        reg.bjt.push((name, m));
+    } else if kind.eq_ignore_ascii_case("D") {
+        let mut d = DiodeModel::new();
+        let keys = ["IS", "N", "CJ", "CJO", "VJ", "M", "MJ"];
+        let [is, n, cj, cjo, vj, m, mj] = model_params(params, keys);
+        for (field, value) in [
+            (&mut d.is, is),
+            (&mut d.n, n),
+            (&mut d.cj, cj.or(cjo)),
+            (&mut d.vj, vj),
+            (&mut d.mj, m.or(mj)),
+        ] {
+            *field = value.unwrap_or(*field);
+        }
+        reg.diode.push((name, d));
+    } else {
+        let other = kind.to_ascii_uppercase();
+        return Err(perr(line_no, format!("unsupported model type `{other}`")));
     }
+    Ok(())
 }
 
 /// Parses a SPICE deck. The first line is the title, per tradition.
@@ -308,56 +301,54 @@ fn parse_model(tokens: &[String], reg: &mut ModelRegistry, line_no: usize) -> Re
 /// or the underlying netlist error for semantic problems (duplicate
 /// element names, invalid values).
 pub fn parse_deck(text: &str) -> Result<ParsedDeck, Error> {
-    let mut lines = text.lines();
-    let title = lines.next().unwrap_or("").trim().to_string();
-    let body: String = lines.collect::<Vec<_>>().join("\n");
+    let title = text.lines().next().unwrap_or("").trim().to_string();
 
     // Two passes: models first (cards may reference them before they are
-    // declared, as real decks do).
-    // Line numbers refer to the full deck; the body starts at line 2.
-    let logical = logical_lines(&body, 2);
+    // declared, as real decks do). Line numbers refer to the full deck.
+    let logical = logical_lines(text);
+    let mut tokens = Vec::new();
     let mut registry = ModelRegistry::default();
     for (no, line) in &logical {
-        let tokens = tokenize(line);
-        if tokens
-            .first()
-            .is_some_and(|t| t.eq_ignore_ascii_case(".model"))
-        {
+        if first_word(line).eq_ignore_ascii_case(".model") {
+            tokenize(line, &mut tokens);
             parse_model(&tokens, &mut registry, *no)?;
         }
     }
 
     // Collect `.subckt` definitions and remove their bodies from the main
     // card stream.
-    let mut subckts: HashMap<String, Subckt> = HashMap::new();
-    let mut main_cards: Vec<(usize, String)> = Vec::new();
-    let mut current: Option<(String, Subckt)> = None;
+    let mut subckts: Vec<(&str, Subckt)> = Vec::new();
+    let mut main_cards: Vec<(usize, &str)> = Vec::new();
+    let mut current: Option<(&str, Subckt)> = None;
     for (no, line) in &logical {
-        let tokens = tokenize(line);
-        let upper = tokens[0].to_ascii_uppercase();
-        if upper == ".SUBCKT" {
+        let head = first_word(line);
+        if head.eq_ignore_ascii_case(".subckt") {
             if current.is_some() {
                 return Err(perr(*no, "nested .subckt definitions are not supported"));
             }
+            tokenize(line, &mut tokens);
             if tokens.len() < 3 {
                 return Err(perr(*no, ".subckt needs a name and at least one port"));
             }
+            let ports = tokens[2..].to_vec();
             current = Some((
-                tokens[1].to_ascii_uppercase(),
+                tokens[1],
                 Subckt {
-                    ports: tokens[2..].to_vec(),
+                    ports,
                     cards: Vec::new(),
                 },
             ));
-        } else if upper == ".ENDS" {
-            let (name, def) = current
+        } else if head.eq_ignore_ascii_case(".ends") {
+            let def = current
                 .take()
                 .ok_or_else(|| perr(*no, ".ends without .subckt"))?;
-            subckts.insert(name, def);
+            subckts.push(def);
         } else if let Some((_, def)) = &mut current {
-            def.cards.push((*no, line.clone()));
+            let mut card = Vec::new();
+            tokenize(line, &mut card);
+            def.cards.push((*no, card));
         } else {
-            main_cards.push((*no, line.clone()));
+            main_cards.push((*no, line));
         }
     }
     if current.is_some() {
@@ -367,70 +358,66 @@ pub fn parse_deck(text: &str) -> Result<ParsedDeck, Error> {
     let mut nl = Netlist::new();
     let mut analyses = Vec::new();
     let mut initial_conditions = Vec::new();
-    let empty_map = HashMap::new();
-    for (no, line) in &main_cards {
-        let tokens = tokenize(line);
-        let head = tokens[0].clone();
-        let upper = head.to_ascii_uppercase();
-        if upper.starts_with('.') {
-            match upper.as_str() {
-                ".MODEL" => {} // handled in pass 1
-                ".END" => break,
-                ".OP" => analyses.push(AnalysisCard::Op),
-                ".TRAN" => {
-                    if tokens.len() < 3 {
-                        return Err(perr(*no, ".tran needs tstep tstop"));
-                    }
-                    analyses.push(AnalysisCard::Tran {
-                        t_step: parse_value(&tokens[1])?,
-                        t_stop: parse_value(&tokens[2])?,
-                    });
-                }
-                ".DC" => {
-                    if tokens.len() < 5 {
-                        return Err(perr(*no, ".dc needs source start stop step"));
-                    }
-                    analyses.push(AnalysisCard::Dc {
-                        source: tokens[1].clone(),
-                        start: parse_value(&tokens[2])?,
-                        stop: parse_value(&tokens[3])?,
-                        step: parse_value(&tokens[4])?,
-                    });
-                }
-                ".AC" => {
-                    if tokens.len() < 5 || !tokens[1].eq_ignore_ascii_case("dec") {
-                        return Err(perr(*no, ".ac needs `dec points fstart fstop`"));
-                    }
-                    analyses.push(AnalysisCard::Ac {
-                        points_per_decade: parse_value(&tokens[2])? as usize,
-                        f_start: parse_value(&tokens[3])?,
-                        f_stop: parse_value(&tokens[4])?,
-                    });
-                }
-                ".IC" => {
-                    // .ic V(node)=value [V(node)=value ...]
-                    for t in &tokens[1..] {
-                        let Some((lhs, rhs)) = t.split_once('=') else {
-                            return Err(perr(*no, ".ic entries look like V(node)=value"));
-                        };
-                        let node = lhs
-                            .trim()
-                            .trim_start_matches(['V', 'v'])
-                            .trim_start_matches('(')
-                            .trim_end_matches(')')
-                            .to_string();
-                        initial_conditions.push((node, parse_value(rhs)?));
-                    }
-                }
-                other => return Err(perr(*no, format!("unsupported card `{other}`"))),
-            }
+    for &(no, line) in &main_cards {
+        tokenize(line, &mut tokens);
+        let head = tokens[0];
+        if !head.starts_with('.') {
+            // Element card (possibly a subcircuit instance).
+            expand_element_card(&mut nl, &tokens, no, "", &[], &registry, &subckts, 0)?;
             continue;
         }
-
-        // Element card (possibly a subcircuit instance).
-        expand_element_card(
-            &mut nl, &tokens, *no, "", &empty_map, &registry, &subckts, 0,
-        )?;
+        let card = |name: &str| head.eq_ignore_ascii_case(name);
+        if card(".model") {
+            // Handled in pass 1.
+        } else if card(".end") {
+            break;
+        } else if card(".op") {
+            analyses.push(AnalysisCard::Op);
+        } else if card(".tran") {
+            if tokens.len() < 3 {
+                return Err(perr(no, ".tran needs tstep tstop"));
+            }
+            analyses.push(AnalysisCard::Tran {
+                t_step: parse_value(tokens[1])?,
+                t_stop: parse_value(tokens[2])?,
+            });
+        } else if card(".dc") {
+            if tokens.len() < 5 {
+                return Err(perr(no, ".dc needs source start stop step"));
+            }
+            analyses.push(AnalysisCard::Dc {
+                source: tokens[1].to_string(),
+                start: parse_value(tokens[2])?,
+                stop: parse_value(tokens[3])?,
+                step: parse_value(tokens[4])?,
+            });
+        } else if card(".ac") {
+            if tokens.len() < 5 || !tokens[1].eq_ignore_ascii_case("dec") {
+                return Err(perr(no, ".ac needs `dec points fstart fstop`"));
+            }
+            analyses.push(AnalysisCard::Ac {
+                points_per_decade: parse_value(tokens[2])? as usize,
+                f_start: parse_value(tokens[3])?,
+                f_stop: parse_value(tokens[4])?,
+            });
+        } else if card(".ic") {
+            // .ic V(node)=value [V(node)=value ...]
+            for t in &tokens[1..] {
+                let Some((lhs, rhs)) = t.split_once('=') else {
+                    return Err(perr(no, ".ic entries look like V(node)=value"));
+                };
+                let node = lhs
+                    .trim()
+                    .trim_start_matches(['V', 'v'])
+                    .trim_start_matches('(')
+                    .trim_end_matches(')')
+                    .to_string();
+                initial_conditions.push((node, parse_value(rhs)?));
+            }
+        } else {
+            let other = head.to_ascii_uppercase();
+            return Err(perr(no, format!("unsupported card `{other}`")));
+        }
     }
     Ok(ParsedDeck {
         title,
@@ -440,51 +427,52 @@ pub fn parse_deck(text: &str) -> Result<ParsedDeck, Error> {
     })
 }
 
-/// A `.subckt` definition: port names and body cards.
-#[derive(Debug, Clone)]
-struct Subckt {
-    ports: Vec<String>,
-    cards: Vec<(usize, String)>,
+/// A `.subckt` definition: port names and tokenized body cards, borrowed
+/// from the deck.
+#[derive(Debug)]
+struct Subckt<'a> {
+    ports: Vec<&'a str>,
+    cards: Vec<(usize, Vec<&'a str>)>,
 }
 
 /// Deepest allowed subcircuit nesting (defends against recursion).
 const MAX_SUBCKT_DEPTH: usize = 16;
 
-/// Expands one element card into `nl`, under an instance `prefix` and a
-/// port→outer-node mapping. `X` cards recurse into their subcircuit.
+/// Expands one element card into `nl`, under an instance `prefix` and the
+/// nodes its `ports` are bound to. `X` cards recurse into their subcircuit.
 #[allow(clippy::too_many_arguments)]
 fn expand_element_card(
     nl: &mut Netlist,
-    tokens: &[String],
+    tokens: &[&str],
     no: usize,
     prefix: &str,
-    node_map: &HashMap<String, String>,
+    ports: &[(&str, NodeId)],
     registry: &ModelRegistry,
-    subckts: &HashMap<String, Subckt>,
+    subckts: &[(&str, Subckt)],
     depth: usize,
 ) -> Result<(), Error> {
-    let head = tokens[0].clone();
-    let upper = head.to_ascii_uppercase();
-    if upper.starts_with('.') {
+    let head = tokens[0];
+    if head.starts_with('.') {
         // Models are global (pass 1); other cards are illegal in bodies.
-        if upper == ".MODEL" {
+        if head.eq_ignore_ascii_case(".model") {
             return Ok(());
         }
+        let upper = head.to_ascii_uppercase();
         return Err(perr(
             no,
             format!("card `{upper}` not allowed inside .subckt"),
         ));
     }
-    let name = format!("{prefix}{head}");
+    let name = scoped(prefix, head);
     // Node resolution: ground stays global; ports map to the outer scope;
     // everything else becomes instance-local.
-    let resolve = |nl: &mut Netlist, token: &str| -> crate::netlist::NodeId {
+    let resolve = |nl: &mut Netlist, token: &str| -> NodeId {
         if token == "0" {
             Netlist::GROUND
-        } else if let Some(outer) = node_map.get(token) {
-            nl.node(outer)
+        } else if let Some(&(_, outer)) = ports.iter().rev().find(|(port, _)| *port == token) {
+            outer
         } else {
-            nl.node(&format!("{prefix}{token}"))
+            nl.node(&scoped(prefix, token))
         }
     };
     let need = |k: usize| -> Result<(), Error> {
@@ -494,13 +482,17 @@ fn expand_element_card(
             Ok(())
         }
     };
-    let kind = upper.chars().next().expect("non-empty token");
+    let kind = head
+        .chars()
+        .next()
+        .expect("non-empty token")
+        .to_ascii_uppercase();
     match kind {
         'R' | 'C' | 'L' => {
             need(4)?;
-            let p = resolve(nl, &tokens[1]);
-            let n = resolve(nl, &tokens[2]);
-            let v = parse_value(&tokens[3])?;
+            let p = resolve(nl, tokens[1]);
+            let n = resolve(nl, tokens[2]);
+            let v = parse_value(tokens[3])?;
             match kind {
                 'R' => nl.resistor(&name, p, n, v)?,
                 'C' => nl.capacitor(&name, p, n, v)?,
@@ -509,8 +501,8 @@ fn expand_element_card(
         }
         'V' | 'I' => {
             need(4)?;
-            let p = resolve(nl, &tokens[1]);
-            let n = resolve(nl, &tokens[2]);
+            let p = resolve(nl, tokens[1]);
+            let n = resolve(nl, tokens[2]);
             let wave = parse_source_wave(&tokens[3..], no)?;
             if kind == 'V' {
                 nl.vsource(&name, p, n, wave)?;
@@ -520,34 +512,26 @@ fn expand_element_card(
         }
         'D' => {
             need(3)?;
-            let a = resolve(nl, &tokens[1]);
-            let c = resolve(nl, &tokens[2]);
-            let model = tokens
-                .get(3)
-                .and_then(|m| registry.diode.get(&m.to_ascii_uppercase()))
-                .copied()
-                .unwrap_or_default();
-            nl.diode(&name, a, c, model)?;
+            let a = resolve(nl, tokens[1]);
+            let c = resolve(nl, tokens[2]);
+            let model = tokens.get(3).and_then(|m| lookup(&registry.diode, m));
+            nl.diode(&name, a, c, model.copied().unwrap_or_default())?;
         }
         'Q' => {
             need(4)?;
-            let c = resolve(nl, &tokens[1]);
-            let b = resolve(nl, &tokens[2]);
-            let e = resolve(nl, &tokens[3]);
-            let model = tokens
-                .get(4)
-                .and_then(|m| registry.bjt.get(&m.to_ascii_uppercase()))
-                .copied()
-                .unwrap_or_default();
-            nl.bjt(&name, c, b, e, model)?;
+            let c = resolve(nl, tokens[1]);
+            let b = resolve(nl, tokens[2]);
+            let e = resolve(nl, tokens[3]);
+            let model = tokens.get(4).and_then(|m| lookup(&registry.bjt, m));
+            nl.bjt(&name, c, b, e, model.copied().unwrap_or_default())?;
         }
         'E' | 'G' => {
             need(6)?;
-            let p = resolve(nl, &tokens[1]);
-            let n = resolve(nl, &tokens[2]);
-            let cp = resolve(nl, &tokens[3]);
-            let cn = resolve(nl, &tokens[4]);
-            let gain = parse_value(&tokens[5])?;
+            let p = resolve(nl, tokens[1]);
+            let n = resolve(nl, tokens[2]);
+            let cp = resolve(nl, tokens[3]);
+            let cn = resolve(nl, tokens[4]);
+            let gain = parse_value(tokens[5])?;
             if kind == 'E' {
                 nl.vcvs(&name, p, n, cp, cn, gain)?;
             } else {
@@ -560,38 +544,38 @@ fn expand_element_card(
             if depth >= MAX_SUBCKT_DEPTH {
                 return Err(perr(no, "subcircuit nesting too deep"));
             }
-            let sub_name = tokens.last().expect("len checked").to_ascii_uppercase();
-            let sub = subckts
-                .get(&sub_name)
-                .ok_or_else(|| perr(no, format!("unknown subcircuit `{sub_name}`")))?;
+            let sub_token = tokens.last().expect("len checked");
+            let sub_name = || sub_token.to_ascii_uppercase();
+            let sub = lookup(subckts, sub_token)
+                .ok_or_else(|| perr(no, format!("unknown subcircuit `{}`", sub_name())))?;
             let given = &tokens[1..tokens.len() - 1];
             if given.len() != sub.ports.len() {
                 return Err(perr(
                     no,
                     format!(
-                        "`{head}` passes {} nodes but `{sub_name}` has {} ports",
+                        "`{head}` passes {} nodes but `{}` has {} ports",
                         given.len(),
+                        sub_name(),
                         sub.ports.len()
                     ),
                 ));
             }
             // Resolve the given nodes in the *current* scope, then bind
-            // the subcircuit's port names to those resolved global names.
-            let mut inner_map = HashMap::new();
-            for (port, outer_token) in sub.ports.iter().zip(given) {
-                let outer_id = resolve(nl, outer_token);
-                let outer_name = nl.node_name(outer_id).to_string();
-                inner_map.insert(port.clone(), outer_name);
-            }
+            // the subcircuit's port names to them.
+            let inner_ports: Vec<(&str, NodeId)> = sub
+                .ports
+                .iter()
+                .zip(given)
+                .map(|(&port, outer)| (port, resolve(nl, outer)))
+                .collect();
             let inner_prefix = format!("{name}.");
             for (line_no, card) in &sub.cards {
-                let card_tokens = tokenize(card);
                 expand_element_card(
                     nl,
-                    &card_tokens,
+                    card,
                     *line_no,
                     &inner_prefix,
-                    &inner_map,
+                    &inner_ports,
                     registry,
                     subckts,
                     depth + 1,

@@ -46,8 +46,7 @@ const SUFFIXES: &[(&str, f64)] = &[
 /// ```
 pub fn parse_value(text: &str) -> Result<f64, Error> {
     let trimmed = text.trim();
-    let lower = trimmed.to_ascii_lowercase();
-    let bytes = lower.as_bytes();
+    let bytes = trimmed.as_bytes();
     let mut end = 0;
     // Accept an optional sign, digits, one decimal point, and an exponent.
     let mut seen_digit = false;
@@ -64,7 +63,7 @@ pub fn parse_value(text: &str) -> Result<f64, Error> {
                 seen_dot = true;
                 end += 1;
             }
-            b'e' if seen_digit => {
+            b'e' | b'E' if seen_digit => {
                 // Exponent only counts when followed by digits (optionally
                 // signed); otherwise `e` would swallow unit text.
                 let mut k = end + 1;
@@ -85,12 +84,15 @@ pub fn parse_value(text: &str) -> Result<f64, Error> {
     if !seen_digit {
         return Err(Error::ParseValue(text.to_string()));
     }
-    let mantissa: f64 = lower[..end]
+    let mantissa: f64 = trimmed[..end]
         .parse()
         .map_err(|_| Error::ParseValue(text.to_string()))?;
-    let rest = &lower[end..];
+    let rest = &bytes[end..];
     for (suffix, mult) in SUFFIXES {
-        if rest.starts_with(suffix) {
+        if rest
+            .get(..suffix.len())
+            .is_some_and(|r| r.eq_ignore_ascii_case(suffix.as_bytes()))
+        {
             return Ok(mantissa * mult);
         }
     }
