@@ -210,6 +210,9 @@ const BAD_DECKS: &[(&str, &str)] = &[
     ("pwl_odd", "V1 a 0 PWL(0 0 1n)\n"),
     ("pulse_paren", "V1 a 0 PULSE(0 1 0 1n 1n 4n 10n\n"),
     ("pulse_open", "V1 a 0 PULSE\n"),
+    ("pulse_reversed", "V1 a 0 PULSE)(\n"),
+    ("sin_reversed", "V1 a 0 SIN)(\n"),
+    ("pwl_reversed", "V1 a 0 PWL)(\n"),
     ("dc_value", "V1 a 0 DC\n"),
     ("wave_value", "V1 a 0 PULSE(0 x 0 1n 1n 4n 10n)\n"),
     ("subckt_letter", ".subckt S a\nW1 a 0 1\n.ends\nX1 n S\n"),
@@ -336,6 +339,18 @@ fn malformed_decks_keep_their_error_text() {
         ),
         ("pulse_paren", "cannot parse value `line 2: expected )`"),
         ("pulse_open", "cannot parse value `line 2: expected (`"),
+        (
+            "pulse_reversed",
+            "cannot parse value `line 2: expected ( before )`",
+        ),
+        (
+            "sin_reversed",
+            "cannot parse value `line 2: expected ( before )`",
+        ),
+        (
+            "pwl_reversed",
+            "cannot parse value `line 2: expected ( before )`",
+        ),
         ("dc_value", "cannot parse value `line 2: DC needs a value`"),
         ("wave_value", "cannot parse value `x`"),
         (

@@ -219,19 +219,17 @@ fn shared_detector_ladder_keeps_the_sparse_ordering_across_rungs() {
     assert_eq!(
         rung_digest(&sol, &events),
         [
-            "newton it=6 conv=false solves=6 fallbacks=2 fill=8.266336187",
-            "gmin-stepping it=29 conv=false solves=29 fallbacks=4 fill=40.005858495",
-            "source-stepping it=41 conv=false solves=41 fallbacks=1 fill=56.483551149",
-            "pseudo-transient it=118 conv=true solves=118 fallbacks=21 fill=164.763406940",
+            "newton it=6 conv=false solves=6 fallbacks=1 fill=8.265885534",
+            "gmin-stepping it=127 conv=true solves=127 fallbacks=3 fill=175.169896350",
         ]
     );
     assert_eq!(
         sol.telemetry().lu,
         LuStats {
-            full_factors: 29,
-            refactors: 165,
-            pivot_fallbacks: 28,
-            solves: 194,
+            full_factors: 5,
+            refactors: 128,
+            pivot_fallbacks: 4,
+            solves: 133,
         }
     );
 }

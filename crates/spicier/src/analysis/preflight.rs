@@ -4,8 +4,9 @@
 //! blanket conductance cannot mask a DC-floating node — and scans the
 //! resulting pattern for defects that would make the first factorization
 //! fail or its numbers meaningless. Findings name the offending node or
-//! branch element, instead of the bare `SingularMatrix { column }` that
-//! otherwise surfaces from deep inside the LU kernel.
+//! branch element, instead of the `SingularMatrix` (a column number, a
+//! pivot and its scale) that otherwise surfaces from deep inside the LU
+//! kernel.
 //!
 //! Two entry points with different contracts:
 //!

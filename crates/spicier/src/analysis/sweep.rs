@@ -434,7 +434,11 @@ mod tests {
         let fail_at = |bad: &'static [i32]| {
             let (_, report) = par_try_map((0..12).collect(), &TryMapOptions::default(), |&i| {
                 if bad.contains(&i) {
-                    Err(Error::SingularMatrix { column: i as usize })
+                    Err(Error::SingularMatrix {
+                        column: i as usize,
+                        pivot: 0.0,
+                        scale: 1.0,
+                    })
                 } else {
                     Ok(i)
                 }
@@ -444,7 +448,7 @@ mod tests {
         assert!(fail_at(&[]).is_ok());
         assert!(matches!(
             fail_at(&[9, 4, 7]),
-            Err(Error::SingularMatrix { column: 4 })
+            Err(Error::SingularMatrix { column: 4, .. })
         ));
         let (_, report) = par_try_map(vec![0, 1], &TryMapOptions::default(), |&i: &i32| {
             assert!(i == 0, "corner {i} broke");
@@ -463,7 +467,11 @@ mod tests {
                 panic!("corner 3 blew up");
             }
             if i == 7 {
-                return Err(Error::SingularMatrix { column: 1 });
+                return Err(Error::SingularMatrix {
+                    column: 1,
+                    pivot: 0.0,
+                    scale: 1.0,
+                });
             }
             Ok(i * 10)
         });
@@ -488,7 +496,7 @@ mod tests {
         assert_eq!(report.failures[1].index, 7);
         assert!(matches!(
             report.failures[1].failure,
-            SweepFailure::Solver(Error::SingularMatrix { column: 1 })
+            SweepFailure::Solver(Error::SingularMatrix { column: 1, .. })
         ));
         let summary = report.summary();
         assert!(summary.contains("18/20"), "{summary}");

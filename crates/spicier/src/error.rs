@@ -48,10 +48,20 @@ pub enum Error {
         /// The step size that still failed, in seconds.
         step: f64,
     },
-    /// The MNA matrix is structurally or numerically singular.
+    /// The MNA matrix is structurally or numerically singular: the
+    /// largest pivot left in some column is an exact zero, or under a
+    /// small multiple of ε times the column's scale (see
+    /// [`linalg`](crate::linalg)).
     SingularMatrix {
-        /// Column at which factorization failed.
+        /// Column at which factorization failed, in the order the kernel
+        /// eliminates.
         column: usize,
+        /// Magnitude of the largest pivot candidate left in the column.
+        pivot: f64,
+        /// The scale the pivot was judged against: the largest magnitude
+        /// the column's candidate entries would have if no elimination
+        /// update that formed them had cancelled.
+        scale: f64,
     },
     /// A linear-solver API was used outside its contract (mismatched
     /// dimensions, solving before factoring, ...). Recoverable: sweep
@@ -172,9 +182,15 @@ impl fmt::Display for Error {
                 f,
                 "transient timestep underflow at t = {time:.6e} s (h = {step:.3e} s)"
             ),
-            Error::SingularMatrix { column } => {
-                write!(f, "singular MNA matrix at column {column}")
-            }
+            Error::SingularMatrix {
+                column,
+                pivot,
+                scale,
+            } => write!(
+                f,
+                "singular MNA matrix at column {column} (pivot {pivot:.3e} against column \
+                 scale {scale:.3e})"
+            ),
             Error::SolverContract { reason } => {
                 write!(f, "solver contract violation: {reason}")
             }
@@ -236,6 +252,20 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         assert!(!format!("{:?}", Error::UnknownNode("x".into())).is_empty());
+    }
+
+    #[test]
+    fn singular_matrix_names_its_pivot_and_column_scale() {
+        let e = Error::SingularMatrix {
+            column: 3,
+            pivot: 2.5e-17,
+            scale: 0.5,
+        };
+        assert!(!e.is_non_retriable());
+        assert_eq!(
+            e.to_string(),
+            "singular MNA matrix at column 3 (pivot 2.500e-17 against column scale 5.000e-1)"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use super::order::{min_degree_order, symmetric_adjacency};
 use super::{
-    merge_slots, sparse::LuStats, verify, verify::SolveQuality, Compiled, MergeScratch, Solver,
-    Triplets, PIVOT_FLOOR,
+    judge_pivot, merge_slots, sparse::LuStats, verify, verify::SolveQuality, Compiled,
+    MergeScratch, Solver, Triplets, PIVOT_FLOOR,
 };
 use crate::error::Error;
 
@@ -224,7 +224,7 @@ fn eliminate(data: &mut [f64], n: usize, perm: &mut [usize], from: usize) -> Res
             }
         }
         if pivot_mag < PIVOT_FLOOR {
-            return Err(Error::SingularMatrix { column: k });
+            judge_pivot(pivot_mag, k, || column_scale(data, n, perm, k))?;
         }
         perm.swap(k, pivot_row);
         let pk = perm[k];
@@ -243,6 +243,35 @@ fn eliminate(data: &mut [f64], n: usize, perm: &mut [usize], from: usize) -> Res
     Ok(())
 }
 
+/// The scale step `k`'s pivot is judged against, with `data` and `perm`
+/// as an elimination leaves them before the step: the largest, over the
+/// rows still eligible to pivot, of the magnitude the row's entry in
+/// column `k` would have if no update that formed it had cancelled.
+/// With `L`'s multipliers `l` and column `k`'s computed entries `x` (the
+/// `U` entries of the pivot rows, the current entries of the others),
+/// that is `t_r = |x_r| + Σ_{j<k} |l_rj|·t_j`, where `t_j` of pivot row `j`
+/// is formed the same way from the rows pivotal before it. A pivot far
+/// under its `t` is what cancellation left, at this step or in an entry
+/// it was computed from.
+fn column_scale(data: &[f64], n: usize, perm: &[usize], k: usize) -> f64 {
+    let uncancelled = |r: usize, terms: &[f64]| {
+        terms
+            .iter()
+            .enumerate()
+            .fold(data[r * n + k].abs(), |sum, (j, t)| {
+                sum + data[r * n + j].abs() * t
+            })
+    };
+    let mut terms = Vec::with_capacity(k);
+    for &r in &perm[..k] {
+        terms.push(uncancelled(r, &terms));
+    }
+    perm[k..]
+        .iter()
+        .map(|&r| uncancelled(r, &terms))
+        .fold(0.0f64, f64::max)
+}
+
 /// Which path a [`DenseSolver`] factorization took; the `path` field of
 /// the `dense_solve` telemetry event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,8 +284,9 @@ enum FactorPath {
     /// No recorded plan had the pivot order; the full elimination
     /// finished the replay.
     Fallback,
-    /// The ordered elimination met no pivot above the floor, and the full
-    /// elimination in the natural order factored the matrix.
+    /// The ordered elimination met a column with no acceptable pivot,
+    /// and the full elimination in the natural order factored the
+    /// matrix.
     Natural,
 }
 
@@ -473,8 +503,12 @@ fn replay(
             }
         }
         // A NaN pivot is handed over too: its full elimination spreads
-        // NaN through every row below it.
-        if best_mag.is_nan() || best_mag < PIVOT_FLOOR {
+        // NaN through every row below it. A singular one is handed over
+        // for the elimination to report.
+        if best_mag.is_nan()
+            || best_mag < PIVOT_FLOOR
+                && judge_pivot(best_mag, k, || column_scale(data, n, perm, k)).is_err()
+        {
             eliminate(data, n, perm, k)?;
             return Ok((FactorPath::Fallback, p));
         }
@@ -626,10 +660,10 @@ fn permute_out(ordered: &[f64], pinv: &[usize], v: &mut [f64]) {
 /// circuits the ordering cuts a factorization's `L` divisions about
 /// threefold and its row updates more than twofold.
 ///
-/// **Natural recheck.** The pivot floor is absolute, so a nearly singular
-/// Jacobian can meet a pivot under it in one order and not in another.
-/// When the ordered elimination finds no acceptable pivot in some column,
-/// the solver reloads the slots in the natural order and eliminates them
+/// **Natural recheck.** A nearly singular Jacobian can round a pivot to
+/// either side of the singular test in different orders. When the
+/// ordered elimination finds no acceptable pivot in some column, the
+/// solver reloads the slots in the natural order and eliminates them
 /// there before it returns [`Error::SingularMatrix`], so an ordered solve
 /// declares no system singular that the natural order factors. The
 /// recheck counts as one full factorization and leaves the replay state

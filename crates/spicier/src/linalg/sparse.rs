@@ -1,11 +1,13 @@
-//! Sparse LU factorization (left-looking Gilbert–Peierls with partial
-//! pivoting) on compressed-sparse-column storage.
+//! Sparse LU factorization (left-looking Gilbert–Peierls with threshold
+//! partial pivoting) on compressed-sparse-column storage.
 //!
 //! The algorithm follows Davis' CSparse `cs_lu`: for each column, the
 //! nonzero pattern of the triangular solve is discovered with a depth-first
 //! reachability search over the partially built `L`, the numeric values are
-//! computed in topological order, and the pivot row is the
-//! largest-magnitude candidate among not-yet-pivotal rows.
+//! computed in topological order, and the pivot row is the diagonal when
+//! it holds at least τ of the largest-magnitude candidate among
+//! not-yet-pivotal rows, and that candidate otherwise (CSparse's `tol`,
+//! KLU's and Sparse 1.3's relative threshold).
 //!
 //! The kernel reads a system as slots, as the dense kernel does: one value
 //! per distinct `(row, col)`, summed from +0.0 in emission order (see
@@ -20,8 +22,8 @@
 
 use super::order::{min_degree_order, symmetric_adjacency};
 use super::{
-    merge_slots, verify, verify::SolveQuality, Compiled, MergeScratch, Solver, Triplets,
-    DENSE_CUTOFF, PIVOT_FLOOR,
+    judge_pivot, merge_slots, verify, verify::SolveQuality, Compiled, MergeScratch, Solver,
+    Triplets, DENSE_CUTOFF, PIVOT_FLOOR, PIVOT_THRESHOLD,
 };
 use crate::error::Error;
 
@@ -315,10 +317,12 @@ pub struct LuStats {
     /// between cached pivot orders on the way counts here.
     pub refactors: usize,
     /// Refactorizations handed to the full elimination mid-replay because
-    /// partial pivoting now chose a pivot no cached order has (the dense
-    /// kernel caches several orders, the sparse kernel one); each also
-    /// counts as a full factor. For the sparse kernel,
-    /// [`SparseLu::last_pivot_fallback`] gives the triggering ratio.
+    /// pivoting now chose a pivot no cached order has (the dense kernel
+    /// caches several orders under strict partial pivoting; the sparse
+    /// kernel keeps one, until its stored pivot falls under the pivot
+    /// threshold); each also counts as a full factor. For the sparse
+    /// kernel, [`SparseLu::last_pivot_fallback`] gives the triggering
+    /// ratio.
     pub pivot_fallbacks: usize,
     /// Triangular solves applied against the factors (Newton steps,
     /// refinement re-solves, and condition-estimator probes alike).
@@ -378,20 +382,21 @@ impl std::fmt::Display for LuStats {
 
 /// Account of the most recent pivot-degradation fallback inside
 /// [`SparseLu::refactor`]: which column abandoned the cached replay, and
-/// by how much the stored pivot had degraded relative to the row partial
-/// pivoting now prefers.
+/// by how much the stored pivot had degraded relative to the column's
+/// largest candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PivotFallback {
     /// Column at which the replay was abandoned.
     pub column: usize,
     /// Row the cached symbolic analysis pivoted on.
     pub stored_row: usize,
-    /// Row the fresh pivot search preferred (`usize::MAX` when the whole
-    /// column collapsed below the pivot floor).
+    /// Row of the column's largest candidate (`usize::MAX` when the whole
+    /// column collapsed to zero).
     pub winning_row: usize,
-    /// `|winning pivot| / |stored pivot|` at the fallback point — how many
-    /// times larger the fresh winner was than the stored choice
-    /// (`∞` when the stored pivot's value had collapsed to zero).
+    /// `|largest candidate| / |stored pivot|` at the fallback point — how
+    /// many times larger the column's largest candidate was than the
+    /// stored choice (`∞` when the stored pivot's value had collapsed to
+    /// zero). A fallback on a kept order reads above `1 / τ`.
     pub ratio: f64,
 }
 
@@ -413,7 +418,11 @@ impl std::fmt::Display for PivotFallback {
 }
 
 /// LU factors `P A = L U` with the row permutation stored as `pinv`
-/// (`pinv[original_row] = pivoted_row`).
+/// (`pinv[original_row] = pivoted_row`), by threshold partial pivoting:
+/// a full factorization takes the diagonal of column `k` whenever it is
+/// at least τ (`PIVOT_THRESHOLD`) of the column's largest candidate, and a
+/// refactorization keeps the stored pivot under the same test. On a
+/// symmetrically ordered matrix the diagonal is the ordering's pivot.
 #[derive(Debug, Default)]
 pub struct SparseLu {
     n: usize,
@@ -438,6 +447,11 @@ pub struct SparseLu {
     sym_pivot: Vec<usize>,
     sym_lower_rows: Vec<usize>,
     stats: LuStats,
+    /// The next factorization pivots strictly (τ = 1).
+    strict: bool,
+    /// Some pivot of the current factors is not its column's largest
+    /// candidate.
+    relaxed: bool,
     /// Triangular-solve count, atomic because [`SparseLu::solve`] and
     /// [`SparseLu::solve_transposed`] take `&self` (they are called
     /// through shared borrows inside the residual certifier).
@@ -470,6 +484,7 @@ impl SparseLu {
     /// Returns [`Error::SingularMatrix`] when no acceptable pivot exists in
     /// some column.
     pub fn factor(&mut self, a: &SparseMatrix) -> Result<(), Error> {
+        self.relaxed = false;
         self.resize(a.dim());
         self.lower.begin();
         self.upper.begin();
@@ -480,6 +495,26 @@ impl SparseLu {
         self.factor_from(a, 0)
     }
 
+    /// [`factor`](Self::factor) by strict partial pivoting (τ = 1): every
+    /// pivot is its column's largest candidate, the diagonal on a tie.
+    /// The retry of a solve whose threshold-pivoted factors failed
+    /// certification.
+    fn factor_strict(&mut self, a: &SparseMatrix) -> Result<(), Error> {
+        self.strict = true;
+        let factored = self.factor(a);
+        self.strict = false;
+        factored
+    }
+
+    /// The pivot threshold τ of the next factorization.
+    fn threshold(&self) -> f64 {
+        if self.strict {
+            1.0
+        } else {
+            PIVOT_THRESHOLD
+        }
+    }
+
     /// Runs the column loop of [`factor`](Self::factor) from column
     /// `from` to the end. The factors, the symbolic state and `pinv` must
     /// hold exactly what a factorization of `a` leaves after its first
@@ -487,6 +522,7 @@ impl SparseLu {
     /// workspaces clean.
     fn factor_from(&mut self, a: &SparseMatrix, from: usize) -> Result<(), Error> {
         let n = a.dim();
+        let tau = self.threshold();
         self.sym_valid = false;
         for k in from..n {
             // ----- symbolic: pattern of x = L \ A[:, k] via DFS reach -----
@@ -533,13 +569,25 @@ impl SparseLu {
                     }
                 }
             }
-            if pivot_row == usize::MAX || pivot_mag < PIVOT_FLOOR {
-                // Clean the workspace before reporting failure.
-                for &i in &self.work_xi {
-                    self.work_x[i] = 0.0;
-                    self.work_marked[i] = false;
+            if pivot_mag < PIVOT_FLOOR {
+                let scale = || self.column_scale(&self.work_xi, &self.lower.rows, k);
+                if let Err(e) = judge_pivot(pivot_mag, k, scale) {
+                    // Clean the workspace before reporting failure.
+                    for &i in &self.work_xi {
+                        self.work_x[i] = 0.0;
+                        self.work_marked[i] = false;
+                    }
+                    return Err(e);
                 }
-                return Err(Error::SingularMatrix { column: k });
+            }
+            // ----- threshold: the diagonal when it is at least τ of the
+            // largest; a row outside the reach holds +0.0 -----
+            if pivot_row != k && self.pinv[k] < 0 {
+                let diag = self.work_x[k].abs();
+                if diag >= tau * pivot_mag {
+                    self.relaxed |= diag < pivot_mag;
+                    pivot_row = k;
+                }
             }
             let pivot = self.work_x[pivot_row];
             self.pinv[pivot_row] = k as isize;
@@ -594,12 +642,14 @@ impl SparseLu {
     /// successful [`factor`](Self::factor), reusing the discovered column
     /// patterns, pivot order, and `L`/`U` allocations.
     ///
-    /// The numeric replay is bit-identical to a from-scratch factorization
-    /// as long as the stored pivot order is still what partial pivoting
-    /// would choose. Each column's pivot search is re-run over the new
-    /// values; when the winner differs from the stored pivot (degradation)
-    /// at column `k`, the columns before `k` already equal a fresh
-    /// factorization's, so the call cuts the factors back to them and
+    /// Each column's pivot search is re-run over the new values, and the
+    /// stored pivot is kept while it is at least τ of the column's largest
+    /// candidate. The numeric replay is bit-identical to a from-scratch
+    /// factorization whenever that would pick the same pivots (for
+    /// instance, when every stored pivot is the diagonal and still passes
+    /// τ). When a stored pivot falls under τ (degradation) at column `k`,
+    /// the columns before `k` hold what a factorization in the stored
+    /// order holds, so the call cuts the factors back to them and
     /// continues [`factor`](Self::factor)'s column loop from `k` (one full
     /// factor and one pivot fallback). With no prior factorization or a
     /// changed pattern it runs [`factor`](Self::factor) itself.
@@ -617,6 +667,8 @@ impl SparseLu {
             return self.factor(a);
         }
         let n = self.n;
+        let tau = self.threshold();
+        self.relaxed = false;
         for k in 0..n {
             let xi = &self.sym_xi[self.sym_xi_ptr[k]..self.sym_xi_ptr[k + 1]];
             // ----- numeric: scatter A[:, k] then eliminate in replay order -----
@@ -653,15 +705,21 @@ impl SparseLu {
                     }
                 }
             }
-            if pivot_row != self.sym_pivot[k] || pivot_mag < PIVOT_FLOOR {
-                // Partial pivoting would choose differently now (or the
-                // column collapsed): the replay is no longer exact.
-                // Record how far the stored pivot degraded — previously
-                // this fallback was silent, which hid exactly the numeric
-                // drift the condition estimator now cares about — then
-                // clean the workspace and redo the symbolic work.
-                let stored_row = self.sym_pivot[k];
-                let stored_mag = self.work_x[stored_row].abs();
+            let stored_row = self.sym_pivot[k];
+            let stored_mag = self.work_x[stored_row].abs();
+            // A NaN stored pivot fails the threshold.
+            let kept = stored_mag >= tau * pivot_mag;
+            if !kept
+                || pivot_mag < PIVOT_FLOOR
+                    && judge_pivot(pivot_mag, k, || {
+                        self.column_scale(xi, &self.sym_lower_rows, k)
+                    })
+                    .is_err()
+            {
+                // The stored pivot fell under the threshold (or the column
+                // is singular): the stored order no longer holds. Record
+                // how far the stored pivot degraded, then clean the
+                // workspace and redo the symbolic work.
                 self.last_pivot_fallback = Some(PivotFallback {
                     column: k,
                     stored_row,
@@ -694,7 +752,8 @@ impl SparseLu {
                 self.truncate_to(k);
                 return self.factor_from(a, k);
             }
-            let pivot = self.work_x[pivot_row];
+            self.relaxed |= stored_mag < pivot_mag;
+            let pivot = self.work_x[stored_row];
 
             // ----- overwrite U column k then L column k in place -----
             let mut cursor = self.upper.col_ptr[k];
@@ -711,7 +770,7 @@ impl SparseLu {
             self.upper.vals[cursor] = pivot;
 
             let mut cursor = self.lower.col_ptr[k];
-            debug_assert_eq!(self.sym_lower_rows[cursor], pivot_row);
+            debug_assert_eq!(self.sym_lower_rows[cursor], stored_row);
             self.lower.vals[cursor] = 1.0;
             cursor += 1;
             for &i in xi {
@@ -730,6 +789,34 @@ impl SparseLu {
         }
         self.stats.refactors += 1;
         Ok(())
+    }
+
+    /// The scale column `k`'s pivot is judged against, once the numeric
+    /// sweep over its reach `xi` has left `x = L \ A[:, k]` in the
+    /// workspace: the largest, over the rows still eligible to pivot, of
+    /// the magnitude the row's entry would have if no update that formed
+    /// it had cancelled, `t_i = |x_i| + Σ_j |l_ij|·t_j` over the rows `j`
+    /// pivotal before `k`, each `t_j` formed the same way (the dense
+    /// kernel's column scale). `lower_rows` are `L`'s rows in original
+    /// coordinates. Computed only for a pivot under the fast gate.
+    fn column_scale(&self, xi: &[usize], lower_rows: &[usize], k: usize) -> f64 {
+        let pivotal = |i: usize| (0..k as isize).contains(&self.pinv[i]);
+        let mut terms = vec![0.0f64; self.n];
+        for &i in xi {
+            terms[i] = self.work_x[i].abs();
+        }
+        // The numeric sweep's topological order, in magnitudes.
+        for &j in xi.iter().rev().filter(|&&j| pivotal(j)) {
+            let col = self.pinv[j] as usize;
+            let t = terms[j];
+            for p in (self.lower.col_ptr[col] + 1)..self.lower.col_ptr[col + 1] {
+                terms[lower_rows[p]] += self.lower.vals[p].abs() * t;
+            }
+        }
+        xi.iter()
+            .filter(|&&i| !pivotal(i))
+            .map(|&i| terms[i])
+            .fold(0.0f64, f64::max)
     }
 
     /// Cuts the factorization back to its first `k` columns, as
@@ -966,6 +1053,11 @@ impl SparseLu {
 /// cost. The map's `Compiled` decides when to rebuild, as the dense
 /// kernel's does: while the [`Triplets`] carries a program id the solver
 /// has matched before, the keys are not compared again.
+///
+/// Factors that threshold pivoting took with some pivot under its
+/// column's largest candidate are taken again by strict partial pivoting
+/// (`SparseLu::factor_strict`) when their solve fails certification; the
+/// strict factors' solve is the one certified or reported.
 #[derive(Debug, Default)]
 pub struct SparseSolver {
     lu: SparseLu,
@@ -1046,39 +1138,39 @@ impl Solver for SparseSolver {
         }
         rhs.copy_from_slice(&self.perm_scratch);
         self.lu.refactor(a)?;
-        if crate::chaos::perturb_lu_active() {
-            self.lu.perturb_pivot();
-        }
         self.b.clear();
         self.b.extend_from_slice(rhs);
         self.residual.resize(rhs.len(), 0.0);
-        self.lu.solve_with(rhs, &mut self.x)?;
         // Norms are permutation-invariant and `a` IS the permuted matrix,
         // so the certification below is exact for the permuted system —
         // and backward error is identical in original coordinates.
         let norms = a.norms_with(&mut self.row_sums);
-        let (lu, b, x) = (&self.lu, &self.b, &mut self.x);
-        self.last_quality = verify::certify_with(
+        let mut certified = certified_solve(
+            &mut self.lu,
+            a,
+            &self.b,
             rhs,
-            b,
             &mut self.residual,
+            &mut self.x,
             norms,
-            |x, out| {
-                // r = b − A x over the cached CSC matrix.
-                out.copy_from_slice(b);
-                for c in 0..a.n {
-                    let xc = x[c];
-                    if xc == 0.0 {
-                        continue;
-                    }
-                    for p in a.col_ptr[c]..a.col_ptr[c + 1] {
-                        out[a.rows[p]] -= a.vals[p] * xc;
-                    }
-                }
-            },
-            |v| lu.solve_with(v, x),
-            |v| lu.solve_transposed(v),
-        )?;
+        );
+        if matches!(certified, Err(Error::UntrustedSolution { .. })) && self.lu.relaxed {
+            // Certification guards threshold pivoting: factors that kept
+            // a pivot under its column's largest and failed it are taken
+            // again by strict partial pivoting.
+            self.lu.factor_strict(a)?;
+            rhs.copy_from_slice(&self.b);
+            certified = certified_solve(
+                &mut self.lu,
+                a,
+                &self.b,
+                rhs,
+                &mut self.residual,
+                &mut self.x,
+                norms,
+            );
+        }
+        self.last_quality = certified?;
         // ----- back to original coordinates -----
         for (i, slot) in self.perm_scratch.iter_mut().enumerate() {
             *slot = rhs[self.perm[i]];
@@ -1105,10 +1197,51 @@ impl Solver for SparseSolver {
     }
 }
 
+/// Solves `a x = b` on `lu`, the factors of `a` just taken, into `rhs`
+/// (which holds `b` on entry) and certifies the solution: the
+/// [`SparseSolver`]'s triangular solves and residual.
+fn certified_solve(
+    lu: &mut SparseLu,
+    a: &SparseMatrix,
+    b: &[f64],
+    rhs: &mut [f64],
+    residual: &mut [f64],
+    x: &mut Vec<f64>,
+    norms: (f64, f64),
+) -> Result<SolveQuality, Error> {
+    if crate::chaos::perturb_lu_active() {
+        lu.perturb_pivot();
+    }
+    lu.solve_with(rhs, x)?;
+    let lu: &SparseLu = lu;
+    verify::certify_with(
+        rhs,
+        b,
+        residual,
+        norms,
+        |x, out| {
+            // r = b − A x over the cached CSC matrix.
+            out.copy_from_slice(b);
+            for c in 0..a.n {
+                let xc = x[c];
+                if xc == 0.0 {
+                    continue;
+                }
+                for p in a.col_ptr[c]..a.col_ptr[c + 1] {
+                    out[a.rows[p]] -= a.vals[p] * xc;
+                }
+            }
+        },
+        |v| lu.solve_with(v, x),
+        |v| lu.solve_transposed(v),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linalg::dense::DenseSolver;
+    use crate::linalg::PIVOT_THRESHOLD;
 
     fn compare_with_dense(t: &Triplets, b: &[f64]) {
         let mut dense_x = b.to_vec();
@@ -1245,17 +1378,19 @@ mod tests {
 
     #[test]
     fn refactor_pivot_fallback_surfaces_ratio() {
-        // Same pattern, but the second value set moves the column-0 pivot
-        // winner from row 1 (magnitude 10) to row 0 (magnitude 10 vs 1),
-        // forcing the replay to fall back to a full factorization.
+        // The first value set stores row 1 as column 0's pivot (the
+        // diagonal, 1 against 1000, is under τ of it); the second leaves
+        // that pivot at 1 against the diagonal's 1000, under τ of the
+        // column's largest, forcing the replay to fall back to a full
+        // factorization.
         let mut t1 = Triplets::new(2);
         t1.add(0, 0, 1.0);
-        t1.add(1, 0, 10.0);
+        t1.add(1, 0, 1000.0);
         t1.add(0, 1, 1.0);
         t1.add(1, 1, 1.0);
         let a1 = SparseMatrix::from_triplets(&t1);
         let mut t2 = Triplets::new(2);
-        t2.add(0, 0, 10.0);
+        t2.add(0, 0, 1000.0);
         t2.add(1, 0, 1.0);
         t2.add(0, 1, 1.0);
         t2.add(1, 1, 1.0);
@@ -1269,19 +1404,20 @@ mod tests {
         assert_eq!(fb.column, 0);
         assert_eq!(fb.stored_row, 1);
         assert_eq!(fb.winning_row, 0);
-        assert!((fb.ratio - 10.0).abs() < 1e-12, "{}", fb.ratio);
+        assert_eq!(fb.ratio, 1000.0);
         assert_eq!(lu.stats().pivot_fallbacks, 1);
         assert!(fb.to_string().contains("column 0"), "{fb}");
         // The fallback still produced a correct factorization.
-        let mut x = vec![11.0, 2.0];
+        let mut x = vec![1001.0, 2.0];
         lu.solve(&mut x).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
     }
 
-    /// A tridiagonal matrix whose partial pivoting leaves the diagonal at
-    /// column `flip` (row `flip + 1` out-pivots it), with every other row
-    /// negated so half the pivots are negative.
-    fn flipped_tridiagonal(n: usize, flip: usize) -> SparseMatrix {
+    /// A tridiagonal matrix with every other row negated, so half the
+    /// pivots are negative, whose subdiagonal entry below column `flip`
+    /// is `sub` (1 elsewhere): a `sub` far over the diagonal moves the
+    /// pivot at column `flip` to row `flip + 1`.
+    fn flipped_tridiagonal(n: usize, flip: usize, sub: f64) -> SparseMatrix {
         let mut t = Triplets::new(n);
         for i in 0..n {
             let sign = if i % 2 == 1 { -1.0 } else { 1.0 };
@@ -1290,7 +1426,7 @@ mod tests {
                 t.add(i, i + 1, sign * 0.5);
             }
             if i > 0 {
-                t.add(i, i - 1, sign * if i - 1 == flip { 20.0 } else { 1.0 });
+                t.add(i, i - 1, sign * if i - 1 == flip { sub } else { 1.0 });
             }
         }
         SparseMatrix::from_triplets(&t)
@@ -1300,13 +1436,17 @@ mod tests {
     fn refactor_continues_from_the_changed_column_bitwise() {
         let n = 9;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // A subdiagonal that out-pivots the diagonal by far more than
+        // 1 / τ, and one that falls far under τ of it: each leaves the
+        // other's stored pivot under the threshold.
+        let (big, small) = (100.0 / PIVOT_THRESHOLD, PIVOT_THRESHOLD / 100.0);
         // Column n − 1 has one row left, so n − 2 is the last column with
         // a choice.
         for flip in [0, n / 2, n - 2] {
-            for (before, after) in [(n, flip), (flip, n)] {
+            for (before, after) in [(1.0, big), (big, small)] {
                 let mut lu = SparseLu::new();
-                lu.factor(&flipped_tridiagonal(n, before)).unwrap();
-                let a = flipped_tridiagonal(n, after);
+                lu.factor(&flipped_tridiagonal(n, flip, before)).unwrap();
+                let a = flipped_tridiagonal(n, flip, after);
                 lu.refactor(&a).unwrap();
                 let fallback = lu.last_pivot_fallback().expect("the pivot moved");
                 assert_eq!(fallback.column, flip);
@@ -1334,6 +1474,83 @@ mod tests {
         }
     }
 
+    /// `[[a00, 1], [1, 2]]`: the stored pivot of column 0 is row 1 while
+    /// `a00` stays under τ of it.
+    fn threshold_pair(a00: f64) -> SparseMatrix {
+        let mut t = Triplets::new(2);
+        t.add(0, 0, a00);
+        t.add(1, 0, 1.0);
+        t.add(0, 1, 1.0);
+        t.add(1, 1, 2.0);
+        SparseMatrix::from_triplets(&t)
+    }
+
+    #[test]
+    fn refactor_keeps_a_stored_pivot_at_the_threshold_and_falls_back_under_it() {
+        // The factorization prefers the diagonal only at τ or more of the
+        // column's largest; under it, row 1 is stored.
+        let mut lu = SparseLu::new();
+        lu.factor(&threshold_pair(0.0)).unwrap();
+        assert_eq!(lu.sym_pivot[0], 1);
+        assert!(!lu.relaxed);
+        // The diagonal grows past the stored pivot, which keeps exactly τ
+        // of the column's largest: the order is kept.
+        lu.refactor(&threshold_pair(1.0 / PIVOT_THRESHOLD)).unwrap();
+        let stats = lu.stats();
+        assert_eq!((stats.refactors, stats.pivot_fallbacks), (1, 0));
+        assert_eq!(lu.sym_pivot[0], 1);
+        assert!(lu.relaxed, "a kept pivot under the column's largest");
+        let mut x = vec![1.0 / PIVOT_THRESHOLD + 1.0, 3.0];
+        lu.solve(&mut x).unwrap();
+        assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
+        // One ulp further, the stored pivot is under τ: a fallback, and the
+        // continued factorization takes the diagonal.
+        let over = f64::from_bits((1.0 / PIVOT_THRESHOLD).to_bits() + 1);
+        assert!(PIVOT_THRESHOLD * over > 1.0);
+        lu.refactor(&threshold_pair(over)).unwrap();
+        let stats = lu.stats();
+        assert_eq!((stats.refactors, stats.pivot_fallbacks), (1, 1));
+        assert_eq!(lu.sym_pivot[0], 0);
+        assert!(!lu.relaxed);
+        // Strict pivoting takes the largest candidate wherever the
+        // threshold would keep another.
+        lu.factor(&threshold_pair(0.25)).unwrap();
+        assert_eq!(lu.sym_pivot[0], 0, "0.25 passes τ");
+        lu.factor_strict(&threshold_pair(0.25)).unwrap();
+        assert_eq!(lu.sym_pivot[0], 1);
+    }
+
+    #[test]
+    fn threshold_factors_that_fail_certification_are_taken_again_strictly() {
+        // Unit diagonal, every entry below it −1/τ and a last column of
+        // ones: each diagonal keeps exactly τ of its column, so threshold
+        // pivoting takes it with multipliers of 1/τ, and 16 columns of that
+        // growth leave factors no refinement step can certify. Strict
+        // partial pivoting bounds the multipliers by 1.
+        let n = 16;
+        let mut t = Triplets::new(n);
+        for i in 0..n {
+            t.add(i, i, 1.0);
+            for j in 0..i {
+                t.add(i, j, -1.0 / PIVOT_THRESHOLD);
+            }
+            if i + 1 < n {
+                t.add(i, n - 1, 1.0);
+            }
+        }
+        let mut lu = SparseLu::new();
+        lu.factor(&SparseMatrix::from_triplets(&t)).unwrap();
+        assert!(lu.relaxed);
+        let mut solver = SparseSolver::default();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let mut x = b.clone();
+        solver.solve_in_place(&t, &mut x).unwrap();
+        assert!(solver.last_quality().backward_error <= verify::bwerr_tol());
+        // The threshold factorization, then the strict one.
+        assert_eq!(solver.stats().full_factors, 2);
+        assert!(!solver.lu.relaxed);
+    }
+
     #[test]
     fn refactor_continuation_reports_a_collapsed_last_column() {
         // The last column collapses to exactly zero: the continuation
@@ -1351,7 +1568,7 @@ mod tests {
         let err = lu.refactor(&build(0.5)).unwrap_err();
         let fresh = SparseLu::new().factor(&build(0.5)).unwrap_err();
         assert_eq!(err.to_string(), fresh.to_string());
-        assert!(matches!(err, Error::SingularMatrix { column: 1 }));
+        assert!(matches!(err, Error::SingularMatrix { column: 1, .. }));
         lu.refactor(&build(3.0)).unwrap();
         assert_eq!(lu.stats().full_factors, 2);
     }

@@ -162,6 +162,9 @@ fn parse_source_wave(tokens: &[&str], line_no: usize) -> Result<SourceWave, Erro
     let args_of = |t: &str| -> Result<Vec<f64>, Error> {
         let open = t.find('(').ok_or_else(|| perr(line_no, "expected ("))?;
         let close = t.rfind(')').ok_or_else(|| perr(line_no, "expected )"))?;
+        if close < open {
+            return Err(perr(line_no, "expected ( before )"));
+        }
         t[open + 1..close]
             .split([' ', ',', '\t'])
             .filter(|s| !s.is_empty())
@@ -988,6 +991,19 @@ V1 x 0 1
 .end
 ";
         assert!(parse_deck(deck).is_err());
+    }
+
+    #[test]
+    fn reversed_source_parentheses_are_a_parse_error() {
+        for wave in ["PULSE", "SIN", "PWL"] {
+            let deck = format!("title\nR1 a 0 1k\nV1 a 0 {wave})(\n.end\n");
+            let err = parse_deck(&deck).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "cannot parse value `line 3: expected ( before )`",
+                "{wave}"
+            );
+        }
     }
 
     #[test]

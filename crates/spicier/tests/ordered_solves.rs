@@ -19,6 +19,7 @@
 
 use spicier::chaos::with_perturb_lu;
 use spicier::linalg::dense::DenseSolver;
+use spicier::linalg::order::min_degree_pinv;
 use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::verify::{backward_error, bwerr_tol, inf_norm};
 use spicier::linalg::{DenseMatrix, Solver, SparseMatrix, Triplets, DENSE_CUTOFF};
@@ -154,35 +155,38 @@ fn chaos_perturb_lu_is_caught_on_the_permuted_path() {
 }
 
 /// Pivot-fallback drill on the permuted path: re-stamping a cached
-/// pattern with values that flip the partial-pivoting winner must abandon
-/// the replay (counted in `pivot_fallbacks`), re-factor from scratch, and
-/// still return the exact certified answer.
+/// pattern with values that leave the stored pivot under the pivot
+/// threshold must abandon the replay (counted in `pivot_fallbacks`),
+/// re-factor from scratch, and still return the exact certified answer.
 ///
 /// The value sets are chosen symmetric with equal off-diagonals, so the
-/// flip survives *any* symmetric permutation the ordering may pick.
+/// flip survives *any* symmetric permutation the ordering may pick: the
+/// diagonal, a thousandth of the off-diagonal, is under any τ up to 0.1
+/// in the first set, and the stored off-diagonal pivot under τ of the
+/// diagonal in the second.
 #[test]
 fn pivot_flip_under_cached_permuted_pattern_takes_the_fallback() {
     let mut t1 = Triplets::new(2);
     t1.add(0, 0, 1.0);
-    t1.add(1, 0, 10.0);
-    t1.add(0, 1, 10.0);
+    t1.add(1, 0, 1000.0);
+    t1.add(0, 1, 1000.0);
     t1.add(1, 1, 1.0);
     // Same stamp sequence, diagonals and off-diagonals exchanged: the
-    // column-0 pivot winner moves between rows.
+    // stored column-0 pivot falls to a thousandth of the diagonal.
     let mut t2 = Triplets::new(2);
-    t2.add(0, 0, 10.0);
+    t2.add(0, 0, 1000.0);
     t2.add(1, 0, 1.0);
     t2.add(0, 1, 1.0);
-    t2.add(1, 1, 10.0);
+    t2.add(1, 1, 1000.0);
 
     let mut solver = SparseSolver::default();
     // b = A1·[1, 1]ᵀ, so the exact answer is all-ones.
-    let mut x1 = vec![11.0, 11.0];
+    let mut x1 = vec![1001.0, 1001.0];
     solver.solve_in_place(&t1, &mut x1).unwrap();
     assert_eq!(solver.stats().pivot_fallbacks, 0);
     assert!((x1[0] - 1.0).abs() < 1e-12 && (x1[1] - 1.0).abs() < 1e-12);
 
-    let mut x2 = vec![11.0, 11.0];
+    let mut x2 = vec![1001.0, 1001.0];
     solver.solve_in_place(&t2, &mut x2).unwrap();
     let stats = solver.stats();
     assert_eq!(
@@ -269,29 +273,42 @@ fn ordered_dense_solve_agrees_with_natural_lu_factor_within_certified_error() {
     }
 }
 
-/// A system whose ordered elimination meets a pivot under the floor is
-/// rechecked in the natural order and solved, and its `dense_solve` event
-/// says `path = "natural"`; a structurally singular one is still
-/// `SingularMatrix`.
+/// A system whose ordered elimination meets a pivot the relative rule
+/// calls singular is rechecked in the natural order and solved, and its
+/// `dense_solve` event says `path = "natural"`; a structurally singular
+/// one is still `SingularMatrix`.
 #[test]
 fn sub_floor_ordered_pivot_takes_the_natural_recheck() {
-    // Node 1 couples to node 0 only, and node 2 (through a coupling
-    // stamped at zero) to node 0 only, so the minimum-degree order is
-    // 1, 0, 2. Its second pivot is 1e-7 − (1 − 1e-7)·1e-7 = 1e-14, under
-    // the 1e-13 floor, while the natural order's pivots are 1e-7, 1e-7
-    // and 1.
+    // Node 1 couples to node 0 only, so the minimum-degree order is 1, 0,
+    // 2. The matrix is singular but for 2⁻⁴⁵ on its last diagonal. The
+    // ordered elimination's last pivot comes out at 1.5e-15, under 64·ε of
+    // the 0.107 its column's entries would reach uncancelled; the natural
+    // order rounds the same cancellation to 2.8e-14 of its column's, over
+    // the rule. So the ordered factorization fails and the natural one
+    // factors.
     let mut t = Triplets::new(3);
     for (r, c, v) in [
-        (0, 0, 1.0e-7),
-        (0, 1, 1.0 - 1.0e-7),
-        (1, 0, 1.0e-7),
-        (1, 1, 1.0),
-        (0, 2, 0.0),
-        (2, 0, 0.0),
-        (2, 2, 1.0),
+        (0, 0, -0.25),
+        (0, 1, -1.75),
+        (0, 2, 0.75),
+        (1, 1, -0.125),
+        (2, 0, -0.125),
+        (2, 2, 0.375 * (1.0 + 2f64.powi(-45))),
     ] {
         t.add(r, c, v);
     }
+    let ordered = SparseMatrix::from_triplets(&t);
+    let pinv = min_degree_pinv(3, ordered.col_ptr(), ordered.rows());
+    assert_eq!(pinv, [1, 0, 2]);
+    let mut permuted = DenseMatrix::zeros(3);
+    for &(r, c, v) in t.entries() {
+        permuted.add(pinv[r], pinv[c], v);
+    }
+    let err = permuted.lu_factor().unwrap_err();
+    assert!(
+        matches!(err, Error::SingularMatrix { column: 2, pivot, .. } if pivot > 0.0),
+        "{err}"
+    );
     let b = [1.0, 2.0, 3.0];
     let mut natural = DenseMatrix::from_triplets(&t);
     let perm = natural.lu_factor().expect("the natural order factors it");

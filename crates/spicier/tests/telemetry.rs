@@ -91,7 +91,11 @@ fn corner_failure_dump_identifies_corner() {
     let (_, report) = telemetry::with_trace(|| {
         par_try_map((0..4).collect(), &opts, |&i: &i32| {
             if i == 2 {
-                return Err(Error::SingularMatrix { column: 7 });
+                return Err(Error::SingularMatrix {
+                    column: 7,
+                    pivot: 0.0,
+                    scale: 1.0,
+                });
             }
             Ok(i)
         })
