@@ -5,7 +5,7 @@
 //! lives in `cml_bench::experiments::campaign`, shared with the campaign
 //! server and the drill tests. See that module for the resilience
 //! contract and the full knob list (`EXP_ONLY`, `--resume`,
-//! `CHAOS_KILL_AFTER_EXPERIMENTS`, telemetry).
+//! `SPICIER_FAILPOINTS`, telemetry).
 
 use cml_bench::experiments::campaign::{
     print_summary, run_campaign, standard_experiments, CampaignOptions,

@@ -107,9 +107,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("durable-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("a.txt");
-        write_atomic("test.write", &path, b"first").unwrap();
+        write_atomic("chunk.write", &path, b"first").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        write_atomic("test.write", &path, b"second").unwrap();
+        write_atomic("chunk.write", &path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
         assert!(!tmp_path(&path).exists());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -120,17 +120,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("durable-fp-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("b.txt");
-        write_atomic("fp.site", &path, b"good contents").unwrap();
+        write_atomic("chunk.write", &path, b"good contents").unwrap();
 
-        chaos::with_failpoints("fp.site=enospc@1", || {
-            let err = write_atomic("fp.site", &path, b"never lands").unwrap_err();
+        chaos::with_failpoints("chunk.write=enospc@1", || {
+            let err = write_atomic("chunk.write", &path, b"never lands").unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
         });
         // ENOSPC fails before any bytes move: old contents intact.
         assert_eq!(std::fs::read(&path).unwrap(), b"good contents");
 
-        chaos::with_failpoints("fp.site=torn@1", || {
-            assert!(write_atomic("fp.site", &path, b"0123456789").is_err());
+        chaos::with_failpoints("chunk.write=torn@1", || {
+            assert!(write_atomic("chunk.write", &path, b"0123456789").is_err());
         });
         // Torn persists exactly the first half at the destination.
         assert_eq!(std::fs::read(&path).unwrap(), b"01234");

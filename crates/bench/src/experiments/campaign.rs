@@ -11,7 +11,8 @@
 //! Campaign machinery:
 //! * every experiment's outcome is recorded in
 //!   `target/experiments/MANIFEST.json` (atomically rewritten after each
-//!   one), with an input hash covering the scale and chaos knobs;
+//!   one), with an input hash covering the scale, the knobs that change
+//!   outputs and the armed failpoints;
 //! * `resume` skips experiments the manifest shows as complete under the
 //!   same inputs, so a killed run restarts where it stopped and its final
 //!   artifacts are identical to an uninterrupted run;
@@ -22,10 +23,10 @@
 //! * `EXP_ONLY=FIG2,FIG4` restricts the run to a comma-separated subset;
 //!   an unknown name, like an unknown `EXP_SCALE`, is rejected before
 //!   anything runs;
-//! * `CHAOS_KILL_AFTER_EXPERIMENTS=N` kills the process (exit 137) after
-//!   `N` experiments have executed — the kill/resume drill. A value that
-//!   is not a count is rejected before anything runs, as is an
-//!   `EXP_CORNER_DEADLINE_MS` that is not a number of milliseconds.
+//! * the `campaign.experiment=kill@N` failpoint kills the process (exit
+//!   137) after `N` experiments have executed — the kill/resume drill. A
+//!   malformed `SPICIER_FAILPOINTS` is rejected before anything runs, as
+//!   is an `EXP_CORNER_DEADLINE_MS` that is not a number of milliseconds.
 
 use super::manifest::{input_hash, ExperimentRecord, Manifest};
 use super::run_report::{ExperimentTelemetry, RunReport};
@@ -67,51 +68,34 @@ pub struct CampaignOptions {
     pub resume: bool,
     /// Restrict the run to these experiment names (`None` = all).
     pub only: Option<Vec<String>>,
-    /// Chaos: die with exit 137 after this many executed experiments.
-    pub kill_after: Option<usize>,
 }
 
 impl CampaignOptions {
     /// The binary's configuration surface: `EXP_SCALE`, `--resume`,
-    /// `EXP_ONLY`, `CHAOS_KILL_AFTER_EXPERIMENTS`, and the check of
-    /// `EXP_CORNER_DEADLINE_MS`.
+    /// `EXP_ONLY`, and the checks of `EXP_CORNER_DEADLINE_MS` and
+    /// `SPICIER_FAILPOINTS`.
     ///
     /// # Errors
     ///
     /// An `EXP_SCALE` other than `quick` or `full` (any case), an
-    /// `EXP_ONLY` name that is not in [`standard_experiments`], a
-    /// `CHAOS_KILL_AFTER_EXPERIMENTS` that is not a count, or an
-    /// `EXP_CORNER_DEADLINE_MS` that is not a number of milliseconds: a
-    /// campaign that would silently run the wrong scale, nothing at all,
-    /// without the kill it was asked for, or without its deadline.
+    /// `EXP_ONLY` name that is not in [`standard_experiments`], an
+    /// `EXP_CORNER_DEADLINE_MS` that is not a number of milliseconds, or a
+    /// `SPICIER_FAILPOINTS` entry that does not parse: a campaign that
+    /// would silently run the wrong scale, nothing at all, without its
+    /// deadline, or without the fault it was asked for.
     pub fn from_env_and_args() -> Result<Self, String> {
-        // Read by each pooled experiment; checked here so that a malformed
-        // value stops the campaign instead of running it unbounded.
+        // Read by each pooled experiment and by each failpoint site;
+        // checked here so that a malformed value stops the campaign
+        // instead of running it unbounded or undrilled.
         super::common::parse_corner_deadline(
             std::env::var("EXP_CORNER_DEADLINE_MS").ok().as_deref(),
         )?;
+        spicier::chaos::check_env()?;
         Ok(Self {
             scale: Scale::from_env()?,
             resume: std::env::args().any(|a| a == "--resume"),
             only: parse_only(std::env::var("EXP_ONLY").ok().as_deref())?,
-            kill_after: parse_kill_after(
-                std::env::var("CHAOS_KILL_AFTER_EXPERIMENTS")
-                    .ok()
-                    .as_deref(),
-            )?,
         })
-    }
-}
-
-/// Parses `CHAOS_KILL_AFTER_EXPERIMENTS`: a non-negative count of
-/// experiments. Unset or empty disables the kill.
-fn parse_kill_after(value: Option<&str>) -> Result<Option<usize>, String> {
-    match value.map(str::trim) {
-        None | Some("") => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("CHAOS_KILL_AFTER_EXPERIMENTS={v} is not a count of experiments")),
     }
 }
 
@@ -242,13 +226,9 @@ pub fn run_campaign(opts: &CampaignOptions, steps: &[(&str, ExperimentFn)]) -> C
             eprintln!("  [warn] could not write manifest: {e}");
         }
         summary.executed += 1;
-        if opts.kill_after == Some(summary.executed) {
-            eprintln!(
-                "[chaos] CHAOS_KILL_AFTER_EXPERIMENTS={}: dying mid-campaign",
-                summary.executed
-            );
-            std::process::exit(137);
-        }
+        // The kill/resume drill: `campaign.experiment=kill@N` dies here,
+        // after the N-th executed experiment is on record.
+        let _ = spicier::chaos::failpoint("campaign.experiment");
     }
     summary.wall_secs = t0.elapsed().as_secs_f64();
     summary

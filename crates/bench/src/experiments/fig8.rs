@@ -9,15 +9,16 @@
 //! The sweep is fault-isolated: a corner that fails (no convergence,
 //! timestep underflow, even a panic) is recorded in the [`SweepReport`]
 //! and rendered as an annotated gap in the table/CSV — the other corners
-//! always survive. Set `EXP_INJECT_BAD_CORNER=1` to append a known-bad
-//! corner (negative pipe resistance) and watch the machinery work.
+//! always survive. Arm the `fig8.bad_corner` failpoint
+//! (`SPICIER_FAILPOINTS=fig8.bad_corner`) to append a known-bad corner
+//! (negative pipe resistance) and watch the machinery work.
 
 use super::fig7::detector_response;
 use super::report::{print_table, report_sweep, write_rows_csv};
 use crate::Scale;
 use cml_dft::DetectorLoad;
 use spicier::analysis::sweep::{par_try_map, SweepReport, TryMapOptions};
-use spicier::Error;
+use spicier::{chaos, Error};
 
 /// One grid point of a detector-settling sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,19 +66,28 @@ pub fn settle_sweep(freqs: &[f64], pipes: &[f64], caps: &[f64], vtest: Option<f6
 }
 
 /// [`settle_sweep`] over an explicit corner list (lets callers append
-/// extra corners, e.g. the `EXP_INJECT_BAD_CORNER` demonstration).
+/// extra corners, e.g. the `fig8.bad_corner` demonstration).
 /// Per-corner deadlines come from `EXP_CORNER_DEADLINE_MS`.
 pub fn settle_sweep_grid(grid: Vec<(f64, f64, f64)>, vtest: Option<f64>) -> SettleSweep {
-    settle_sweep_grid_with(grid, vtest, &super::common::try_map_options())
+    settle_sweep_grid_with(plain(grid), vtest, &super::common::try_map_options())
+}
+
+/// One settling corner, `(freq, pipe, cap)`, with the failpoint spec
+/// (see `spicier::chaos`) armed on its worker while it solves, if any.
+pub type Corner = ((f64, f64, f64), Option<&'static str>);
+
+/// `grid` as corners with nothing armed.
+fn plain(grid: Vec<(f64, f64, f64)>) -> Vec<Corner> {
+    grid.into_iter().map(|corner| (corner, None)).collect()
 }
 
 /// [`settle_sweep_grid`] with explicit sweep options (per-corner deadline,
-/// worker cap). A corner equal to [`HANG_CORNER`] runs with the
-/// chaos hang injector active, so its Newton loops spin without
+/// worker cap) and per-corner failpoints. The hang drill arms
+/// `newton.hang` on one corner, so its Newton loops spin without
 /// converging — the per-corner deadline must cut it loose as a timeout
 /// while the rest of the grid completes untouched.
 pub fn settle_sweep_grid_with(
-    grid: Vec<(f64, f64, f64)>,
+    grid: Vec<Corner>,
     vtest: Option<f64>,
     opts: &TryMapOptions,
 ) -> SettleSweep {
@@ -85,14 +95,13 @@ pub fn settle_sweep_grid_with(
     let (slots, report) = par_try_map(
         grid,
         opts,
-        |&(freq, pipe, cap)| -> Result<SettlePoint, Error> {
+        |&((freq, pipe, cap), drill)| -> Result<SettlePoint, Error> {
             let t_stop = settle_horizon(freq, cap);
             let solve =
                 || detector_response(pipe, DetectorLoad::diode_cap(cap), freq, t_stop, vtest);
-            let r = if (freq, pipe, cap) == HANG_CORNER {
-                spicier::chaos::with_hang(solve)
-            } else {
-                solve()
+            let r = match drill {
+                Some(spec) => chaos::with_failpoints(spec, solve),
+                None => solve(),
             }?;
             Ok(SettlePoint {
                 freq,
@@ -108,7 +117,7 @@ pub fn settle_sweep_grid_with(
         .into_iter()
         .zip(&corners)
         .enumerate()
-        .map(|(idx, (slot, &(freq, pipe, cap)))| {
+        .map(|(idx, (slot, &((freq, pipe, cap), _)))| {
             slot.unwrap_or_else(|| SettlePoint {
                 freq,
                 pipe_ohms: pipe,
@@ -149,42 +158,32 @@ pub fn grids(scale: Scale) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 /// the netlist), used to demonstrate sweep fault isolation end to end.
 pub const BAD_CORNER: (f64, f64, f64) = (100.0e6, -1.0, 1.0e-12);
 
-/// A sentinel corner (recognizable pipe value) that runs with the chaos
-/// hang injector active: its Newton loops never converge and busy-sleep,
+/// The corner the hang drill appends. It runs under a scoped
+/// `newton.hang`, so its Newton loops never converge and busy-sleep,
 /// standing in for a pathological corner that would stall the campaign.
 /// Only a per-corner deadline can end it, as a recorded timeout.
-pub const HANG_CORNER: (f64, f64, f64) = (100.0e6, 7.777e3, 1.0e-12);
+pub const HANG_CORNER: Corner = ((100.0e6, 7.777e3, 1.0e-12), Some("newton.hang"));
 
 /// Fallback per-corner deadline installed when the hang demonstration is
 /// requested without an explicit `EXP_CORNER_DEADLINE_MS`.
 const HANG_DEADLINE_MS: u64 = 300;
 
-/// Whether the operator asked for the demonstration failure corner.
-pub fn inject_bad_corner() -> bool {
-    std::env::var("EXP_INJECT_BAD_CORNER").is_ok_and(|value| !value.is_empty() && value != "0")
-}
-
-/// Whether the operator asked for the demonstration hanging corner
-/// (`EXP_INJECT_HANG_CORNER=1`).
-pub fn inject_hang_corner() -> bool {
-    std::env::var("EXP_INJECT_HANG_CORNER").is_ok_and(|value| !value.is_empty() && value != "0")
-}
-
-/// Runs the variant-1 settling sweep. With `EXP_INJECT_BAD_CORNER=1` a
-/// known-bad corner is appended; it must show up in the report and as an
-/// annotated gap, while every healthy corner still produces data. With
-/// `EXP_INJECT_HANG_CORNER=1` a hanging corner is appended and a
-/// per-corner deadline (default 300 ms) is installed to time it out.
+/// Runs the variant-1 settling sweep. With the `fig8.bad_corner`
+/// failpoint armed a known-bad corner is appended; it must show up in the
+/// report and as an annotated gap, while every healthy corner still
+/// produces data. With `fig8.hang_corner` armed a hanging corner is
+/// appended and a per-corner deadline (default 300 ms) is installed to
+/// time it out.
 pub fn run(scale: Scale) -> SettleSweep {
     let (freqs, pipes, caps) = grids(scale);
-    let mut grid = spicier::analysis::sweep::grid3(&freqs, &pipes, &caps);
-    if inject_bad_corner() {
-        println!("  [inject] EXP_INJECT_BAD_CORNER set: appending a known-bad corner");
-        grid.push(BAD_CORNER);
+    let mut grid = plain(spicier::analysis::sweep::grid3(&freqs, &pipes, &caps));
+    if chaos::fault("fig8.bad_corner") {
+        println!("  [inject] fig8.bad_corner armed: appending a known-bad corner");
+        grid.push((BAD_CORNER, None));
     }
     let mut opts = super::common::try_map_options();
-    if inject_hang_corner() {
-        println!("  [inject] EXP_INJECT_HANG_CORNER set: appending a hanging corner");
+    if chaos::fault("fig8.hang_corner") {
+        println!("  [inject] fig8.hang_corner armed: appending a hanging corner");
         grid.push(HANG_CORNER);
         let deadline = opts
             .corner_deadline
@@ -412,9 +411,12 @@ mod tests {
         // deadline, so the hang corner dies by ladder exhaustion): every
         // healthy corner's measurement must be bit-identical.
         let healthy = (100.0e6, 1.0e3, 1.0e-12);
-        let clean = settle_sweep_grid_with(vec![healthy], None, &TryMapOptions::default());
-        let chaotic =
-            settle_sweep_grid_with(vec![healthy, HANG_CORNER], None, &TryMapOptions::default());
+        let clean = settle_sweep_grid_with(plain(vec![healthy]), None, &TryMapOptions::default());
+        let chaotic = settle_sweep_grid_with(
+            vec![(healthy, None), HANG_CORNER],
+            None,
+            &TryMapOptions::default(),
+        );
         assert!(clean.report.all_ok());
         assert_eq!(chaotic.report.succeeded, 1);
         assert_eq!(chaotic.points[0], clean.points[0], "healthy corner drifted");

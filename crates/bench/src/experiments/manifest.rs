@@ -185,27 +185,23 @@ impl Manifest {
 }
 
 /// Hash of everything that determines an experiment's output: its name,
-/// the scale, and the chaos/injection and telemetry environment knobs.
-/// FNV-1a over the joined string; a hex digest. If any of these change
-/// between the original run and `--resume`, the entry no longer matches
-/// and the experiment reruns.
+/// the scale, the deadline and telemetry knobs, and the armed failpoints
+/// other than `kill` ([`spicier::chaos::input_spec`]). FNV-1a over the
+/// joined string; a hex digest. If any of these change between the
+/// original run and `--resume`, the entry no longer matches and the
+/// experiment reruns.
 pub fn input_hash(name: &str, scale: Scale) -> String {
     let scale_tag = match scale {
         Scale::Full => "full",
         Scale::Quick => "quick",
     };
     let mut input = format!("{name}|{scale_tag}");
-    for var in [
-        "EXP_INJECT_BAD_CORNER",
-        "EXP_INJECT_HANG_CORNER",
-        "EXP_CORNER_DEADLINE_MS",
-        "CHAOS_PERTURB_LU",
-        "EXP_TELEMETRY",
-        "SPICIER_FAILPOINTS",
-    ] {
+    for var in ["EXP_CORNER_DEADLINE_MS", "EXP_TELEMETRY"] {
         input.push('|');
         input.push_str(&std::env::var(var).unwrap_or_default());
     }
+    input.push('|');
+    input.push_str(&spicier::chaos::input_spec());
     input.push('|');
     if let Some(trace) = spicier::telemetry::trace_path() {
         input.push_str(&trace.to_string_lossy());

@@ -116,9 +116,11 @@ pub fn write_waveforms_csv(name: &str, traces: &[(&str, &Waveform)]) -> Result<(
 
 /// The one experiment CSV writer. The write is crash-safe: content goes
 /// to `<name>.csv.tmp`, is fsynced and atomically renamed into place,
-/// and the directory is fsynced, so a process killed mid-write (see
-/// `CHAOS_KILL_MID_WRITE`) can leave a stale or missing CSV behind, but
-/// never a truncated one. The `csv.write` failpoint is consulted first.
+/// and the directory is fsynced, so a process killed mid-write can
+/// leave a stale or missing CSV behind, but never a truncated one. The
+/// `csv.write` failpoint is consulted first; `csv.rename`, between the
+/// fsync and the rename, is the worst moment for a non-atomic writer
+/// to die (`csv.rename=kill@N` kills the `N`-th CSV write there).
 fn write_csv(name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let path = out_dir().join(format!("{name}.csv"));
     let tmp = out_dir().join(format!("{name}.csv.tmp"));
@@ -127,23 +129,9 @@ fn write_csv(name: &str, bytes: &[u8]) -> std::io::Result<()> {
     f.write_all(bytes)?;
     f.sync_all()?;
     drop(f);
-    chaos_kill_mid_write(name);
+    spicier::chaos::io_failpoint("csv.rename")?;
     std::fs::rename(&tmp, &path)?;
     crate::durable::fsync_parent(&path)
-}
-
-/// Chaos hook for the crash-safety drills: when `CHAOS_KILL_MID_WRITE` is
-/// set to `1` (any CSV) or to a CSV base name, the process dies between
-/// writing the `.tmp` sibling and the rename — the worst possible moment
-/// for a non-atomic writer. The final CSV must still be either absent or
-/// the previous complete version, never truncated.
-fn chaos_kill_mid_write(name: &str) {
-    if let Ok(v) = std::env::var("CHAOS_KILL_MID_WRITE") {
-        if !v.is_empty() && v != "0" && (v == "1" || v == name) {
-            eprintln!("  [chaos] CHAOS_KILL_MID_WRITE: dying before renaming {name}.csv.tmp");
-            std::process::exit(137);
-        }
-    }
 }
 
 /// Records a sweep's failed corners as `<name>_failures.csv` and prints

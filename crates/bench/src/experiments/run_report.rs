@@ -216,6 +216,11 @@ mod tests {
         let body = std::fs::read_to_string(run_report_path()).unwrap();
         assert!(body.contains("SELF_TEST"));
         assert!(!out_dir().join("RUN_REPORT.json.tmp").exists());
+        // An armed `report.write` fails the save before any bytes move.
+        report.push(entry("LOST", 1, None));
+        let err = spicier::chaos::with_failpoints("report.write=enospc", || report.save());
+        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::StorageFull);
+        assert_eq!(std::fs::read_to_string(run_report_path()).unwrap(), body);
         let _ = std::fs::remove_file(run_report_path());
     }
 }

@@ -50,7 +50,7 @@ impl Scale {
 }
 
 /// Name prefixes of every environment knob the workspace reads.
-pub const KNOB_PREFIXES: [&str; 6] = ["BENCH_", "CHAOS_", "EXP_", "LOADGEN_", "SERVE_", "SPICIER_"];
+pub const KNOB_PREFIXES: [&str; 5] = ["BENCH_", "EXP_", "LOADGEN_", "SERVE_", "SPICIER_"];
 
 /// Removes from `cmd` every variable it would inherit whose name starts
 /// with one of [`KNOB_PREFIXES`], so the child sees only the knobs set on

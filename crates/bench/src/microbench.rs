@@ -402,6 +402,21 @@ mod tests {
     }
 
     #[test]
+    fn armed_bench_write_leaves_no_report() {
+        let path = std::env::temp_dir()
+            .join(format!("bench-write-{}", std::process::id()))
+            .join("BENCH_test.json");
+        let result = spicier::chaos::with_failpoints("bench.write=err", || {
+            write_json_report(&path, &[], &[])
+        });
+        assert!(result.is_err());
+        assert!(!path.exists());
+        write_json_report(&path, &[], &[("x", 1.0)]).unwrap();
+        assert!(std::fs::read_to_string(&path).unwrap().contains("\"x\""));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
     fn duration_formatting() {
         assert_eq!(fmt_ns(500), "500 ns");
         assert_eq!(fmt_ns(1_500_000), "1.50 ms");

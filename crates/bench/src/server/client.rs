@@ -15,8 +15,8 @@
 //!   a daemon SIGKILL + journal resume mid-stream is invisible to the
 //!   caller beyond latency.
 //!
-//! The client is also where client-side chaos lives: under
-//! `spicier::chaos::with_drop_client` a request is written and the
+//! The client is also where client-side chaos lives: under the
+//! `client.drop` failpoint a request is written and the
 //! socket slammed shut before the reply — the daemon must detect the
 //! orphan and cancel its work.
 
@@ -194,7 +194,7 @@ impl Client {
     /// shared front half of [`Client::request`] and [`Client::watch`]).
     fn send(&mut self, doc: &Json) -> std::io::Result<()> {
         write_frame(&mut self.stream, doc)?;
-        if chaos::drop_client_active() {
+        if chaos::fault("client.drop") {
             self.stream.shutdown();
             return Err(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,

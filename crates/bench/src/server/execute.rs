@@ -533,6 +533,40 @@ mod tests {
     }
 
     #[test]
+    fn armed_run_and_result_sites_fail_only_their_job() {
+        let cfg = temp_cfg("armed-sites");
+        let state_dir = cfg.state_dir.clone();
+        let sched = Scheduler::new(cfg);
+        let deck = "divider\nV1 in 0 3.3\nR1 in out 1k\nR2 out 0 2k\n.op\n.end\n";
+        let interactive = sched
+            .admit_interactive("t", deck.into(), Duration::from_secs(10))
+            .unwrap();
+        let spec = divider_spec(3, 2);
+        let pending: Vec<usize> = (0..spec.chunk_count()).collect();
+        let campaign = sched
+            .admit_campaign("t", "r", spec, pending, 0, false)
+            .unwrap();
+        spicier::chaos::with_failpoints("interactive.run=err;result.write=enospc", || {
+            while let Some(unit) = sched.try_next_unit() {
+                run_unit(&sched, &unit);
+            }
+        });
+        for (job, site) in [
+            (&interactive, "interactive.run"),
+            (&campaign, "result.write"),
+        ] {
+            let state = job.snapshot();
+            match state.phase {
+                JobPhase::Done(Outcome::Failed(msg)) => {
+                    assert!(msg.contains(&format!("failpoint {site}")), "{msg}");
+                }
+                phase => panic!("{site}: {phase:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+
+    #[test]
     fn interactive_unit_tells_a_timeout_from_a_cancel() {
         const DECK: &str = "divider\nV1 in 0 3.3\nR1 in out 1k\nR2 out 0 2k\n.op\n.end\n";
         let cfg = temp_cfg("timeout-vs-cancel");

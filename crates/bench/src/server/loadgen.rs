@@ -383,7 +383,9 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         // Drop-client chaos: send a run request, slam the socket, then
         // confirm the daemon counted a disconnect cancellation.
         let mut dropper = Client::connect(&addr).map_err(io)?;
-        let _ = chaos::with_drop_client(|| dropper.run("chaos", DROP_PROBE_DECK, Some(10_000)));
+        let _ = chaos::with_failpoints("client.drop", || {
+            dropper.run("chaos", DROP_PROBE_DECK, Some(10_000))
+        });
         let disconnects = {
             let t0 = Instant::now();
             let mut seen = 0.0;

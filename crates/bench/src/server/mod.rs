@@ -132,9 +132,10 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// Reads every knob from the environment (defaults documented on the
-    /// fields). A knob that does not parse ends the process with exit code
-    /// 2 and a message naming the variable and its value, before anything
-    /// binds, so the daemon never runs on a default it was not asked for.
+    /// fields) and checks `SPICIER_FAILPOINTS`. A knob that does not parse
+    /// ends the process with exit code 2 and a message naming the variable
+    /// and its value, before anything binds, so the daemon never runs on a
+    /// default it was not asked for.
     #[must_use]
     pub fn from_env() -> Self {
         Self::read_env().unwrap_or_else(|e| {
@@ -144,6 +145,7 @@ impl ServerConfig {
     }
 
     fn read_env() -> Result<Self, String> {
+        spicier::chaos::check_env()?;
         let state_dir = match std::env::var("SERVE_STATE_DIR") {
             Ok(v) if !v.is_empty() => PathBuf::from(v),
             _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/server-state"),

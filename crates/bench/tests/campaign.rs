@@ -63,7 +63,11 @@ fn killed_campaign_resumes_to_byte_identical_artifacts() {
 
     // Chaos: die after the first experiment, then resume.
     let chaos_dir = fresh_dir("killed");
-    let killed = run_campaign(&chaos_dir, &[], &[("CHAOS_KILL_AFTER_EXPERIMENTS", "1")]);
+    let killed = run_campaign(
+        &chaos_dir,
+        &[],
+        &[("SPICIER_FAILPOINTS", "campaign.experiment=kill@1")],
+    );
     assert_eq!(killed.status.code(), Some(137), "{}", stdout_of(&killed));
     assert!(
         chaos_dir.join("MANIFEST.json").exists(),
@@ -75,6 +79,8 @@ fn killed_campaign_resumes_to_byte_identical_artifacts() {
         "FIG4 must not have run before the kill"
     );
 
+    // Resumed without the failpoint: a kill rule is not an input, so the
+    // finished FIG2's input hash still matches and it is skipped.
     let resumed = run_campaign(&chaos_dir, &["--resume"], &[]);
     assert!(resumed.status.success(), "{}", stdout_of(&resumed));
     let log = stdout_of(&resumed);
@@ -97,8 +103,9 @@ fn killed_campaign_resumes_to_byte_identical_artifacts() {
 #[test]
 fn mid_write_kill_never_leaves_a_truncated_csv() {
     let dir = fresh_dir("midwrite");
-    // Die between writing fig2_levels.csv.tmp and renaming it.
-    let killed = run_campaign(&dir, &[], &[("CHAOS_KILL_MID_WRITE", "fig2_levels")]);
+    // Die between writing fig2_levels.csv.tmp and renaming it: FIG2
+    // writes fig2_waveforms first, so fig2_levels is the second hit.
+    let killed = run_campaign(&dir, &[], &[("SPICIER_FAILPOINTS", "csv.rename=kill@2")]);
     assert_eq!(killed.status.code(), Some(137), "{}", stdout_of(&killed));
     assert!(
         !dir.join("fig2_levels.csv").exists(),
@@ -124,7 +131,11 @@ fn stale_input_hash_forces_a_rerun() {
     assert!(first.status.success(), "{}", stdout_of(&first));
     // Same campaign resumed under different chaos knobs: the input hash
     // changes, so nothing may be skipped.
-    let resumed = run_campaign(&dir, &["--resume"], &[("EXP_INJECT_BAD_CORNER", "1")]);
+    let resumed = run_campaign(
+        &dir,
+        &["--resume"],
+        &[("SPICIER_FAILPOINTS", "fig8.bad_corner")],
+    );
     assert!(resumed.status.success(), "{}", stdout_of(&resumed));
     let log = stdout_of(&resumed);
     assert!(log.contains("(2 run, 0 resumed)"), "{log}");
@@ -132,13 +143,20 @@ fn stale_input_hash_forces_a_rerun() {
 
 #[test]
 fn input_that_selects_nothing_is_rejected_before_anything_runs() {
-    // A malformed kill count or corner deadline is rejected too: read as
-    // unset, it would run the campaign through without the kill or the
-    // deadline it was asked for.
+    // A malformed failpoint spec or corner deadline is rejected too: read
+    // as unset, it would run the campaign through without the fault or
+    // the deadline it was asked for.
     for (name, envs) in [
         ("unknown_only", [("EXP_ONLY", "FIG4,TABLE1")]),
         ("unknown_scale", [("EXP_SCALE", "quik")]),
-        ("malformed_kill", [("CHAOS_KILL_AFTER_EXPERIMENTS", "one")]),
+        (
+            "malformed_failpoint",
+            [("SPICIER_FAILPOINTS", "campaign.experiment=kill@one")],
+        ),
+        (
+            "unknown_site",
+            [("SPICIER_FAILPOINTS", "journal.apend=err")],
+        ),
         ("malformed_deadline", [("EXP_CORNER_DEADLINE_MS", "soon")]),
     ] {
         let dir = fresh_dir(name);

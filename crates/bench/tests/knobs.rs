@@ -1,22 +1,21 @@
-//! Knob inventory: every environment knob the program reads must be
-//! removed by `cml_bench::scrub_knobs`, documented in EXPERIMENTS.md, and
-//! set by some test, CI step or load-harness phase. A knob nothing sets
-//! is a configuration nobody runs; adding one means extending the list
-//! below, the docs, and a test that exercises it.
+//! Knob and failpoint inventory: every environment knob the program
+//! reads must be removed by `cml_bench::scrub_knobs`, documented in
+//! EXPERIMENTS.md, and set by some test, CI step or load-harness phase;
+//! every failpoint site it checks must be in `spicier::chaos::SITES`,
+//! documented in EXPERIMENTS.md, and armed by some test, CI step or
+//! load-harness phase. A knob nothing sets, or a site nothing arms, is a
+//! configuration nobody runs; adding one means extending its list, the
+//! docs, and a test that exercises it.
 
 use cml_bench::KNOB_PREFIXES;
+use spicier::chaos::SITES;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Every knob name the workspace reads, sorted.
-const KNOBS: [&str; 28] = [
+const KNOBS: [&str; 23] = [
     "BENCH_QUICK",
-    "CHAOS_KILL_AFTER_EXPERIMENTS",
-    "CHAOS_KILL_MID_WRITE",
-    "CHAOS_PERTURB_LU",
     "EXP_CORNER_DEADLINE_MS",
-    "EXP_INJECT_BAD_CORNER",
-    "EXP_INJECT_HANG_CORNER",
     "EXP_ONLY",
     "EXP_OUT_DIR",
     "EXP_SCALE",
@@ -74,13 +73,22 @@ fn crate_dirs(sub: &str) -> Vec<PathBuf> {
     dirs
 }
 
+/// `text` split at its test module (a `#[cfg(test)]` that starts a
+/// line): the program part, and the test part if there is one.
+fn split_tests(text: &str) -> (&str, Option<&str>) {
+    match text.find("\n#[cfg(test)]") {
+        Some(i) => (&text[..i], Some(&text[i..])),
+        None => (text, None),
+    }
+}
+
 /// Knob-shaped string literals in the non-test part of `text`: an
 /// upper-case name with an inner underscore, such as `"SERVE_WORKERS"`
-/// but not the prefix `"SERVE_"`, in any family, so a knob outside [`KNOB_PREFIXES`] is caught too. Test
-/// modules (from `#[cfg(test)]` on) and compile-time `env!` reads are
-/// skipped.
+/// but not the prefix `"SERVE_"`, in any family, so a knob outside
+/// [`KNOB_PREFIXES`] is caught too. Test modules ([`split_tests`]) and
+/// compile-time `env!` reads are skipped.
 fn knob_literals(text: &str, out: &mut BTreeSet<String>) {
-    let text = text.split("#[cfg(test)]").next().unwrap_or_default();
+    let text = split_tests(text).0;
     let bytes = text.as_bytes();
     for (i, _) in text.match_indices('"') {
         let start = i + 1;
@@ -97,6 +105,19 @@ fn knob_literals(text: &str, out: &mut BTreeSet<String>) {
             out.insert(name.to_string());
         }
     }
+}
+
+/// The integration tests other than this file, and the load harness:
+/// the Rust sources that set knobs for the processes they spawn.
+fn rust_setters() -> Vec<String> {
+    let this_file = Path::new(file!()).file_name().unwrap();
+    let mut setters = Vec::new();
+    for dir in crate_dirs("tests") {
+        rust_files(&dir, &mut setters);
+    }
+    setters.retain(|p| p.file_name() != Some(this_file));
+    setters.push(root().join("crates/bench/src/server/loadgen.rs"));
+    setters.iter().map(|p| read(p)).collect()
 }
 
 #[test]
@@ -117,14 +138,7 @@ fn every_knob_is_scrubbed_documented_and_set() {
 
     // Where a knob may be set: a test (other than this one) passing it
     // to a child process, a CI step, or a loadgen phase's env list.
-    let this_file = Path::new(file!()).file_name().unwrap();
-    let mut setters = Vec::new();
-    for dir in crate_dirs("tests") {
-        rust_files(&dir, &mut setters);
-    }
-    setters.retain(|p| p.file_name() != Some(this_file));
-    setters.push(root().join("crates/bench/src/server/loadgen.rs"));
-    let rust_setters: Vec<String> = setters.iter().map(|p| read(p)).collect();
+    let rust_setters = rust_setters();
     let ci = read(&root().join(".github/workflows/ci.yml"));
     let experiments = read(&root().join("EXPERIMENTS.md"));
 
@@ -141,6 +155,83 @@ fn every_knob_is_scrubbed_documented_and_set() {
             .any(|text| text.contains(&format!("(\"{knob}\",")));
         if !in_rust && !ci.contains(&format!("{knob}=")) {
             problems.push(format!("{knob}: set by no test, CI step or loadgen phase"));
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// Failpoint sites checked in the non-test part of `text`: the string
+/// literal opening a `failpoint(`, `io_failpoint(`, `fault(` or
+/// `write_atomic(` call.
+fn checked_sites(text: &str, out: &mut BTreeSet<String>) {
+    let text = split_tests(text).0;
+    for call in ["failpoint(", "fault(", "write_atomic("] {
+        for (i, _) in text.match_indices(call) {
+            let args = text[i + call.len()..].trim_start();
+            if let Some(rest) = args.strip_prefix('"') {
+                let end = rest.find('"').unwrap_or(0);
+                out.insert(rest[..end].to_string());
+            }
+        }
+    }
+}
+
+/// Whether `text` arms `site` in a spec: the site name as a whole entry
+/// head, followed by `=`, `@`, `;`, a quote, a space or a line end.
+fn arms(text: &str, site: &str) -> bool {
+    text.match_indices(site).any(|(i, _)| {
+        let before = text[..i].chars().next_back();
+        let after = text[i + site.len()..].chars().next();
+        !before.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+            && after.is_none_or(|c| "=@;\"'\n ".contains(c))
+    })
+}
+
+#[test]
+fn every_failpoint_site_is_listed_documented_and_armed() {
+    let mut sources = Vec::new();
+    for dir in crate_dirs("src") {
+        rust_files(&dir, &mut sources);
+    }
+    let mut checked = BTreeSet::new();
+    for path in &sources {
+        checked_sites(&read(path), &mut checked);
+    }
+    let listed: BTreeSet<String> = SITES.iter().map(|(s, _)| (*s).to_string()).collect();
+    assert_eq!(
+        checked, listed,
+        "the failpoint sites checked under crates/*/src differ from spicier::chaos::SITES"
+    );
+
+    // Where a site may be armed: an integration test, the load harness,
+    // a unit test module under crates/*/src (other than the registry's
+    // own grammar tests), or a CI step's `SPICIER_FAILPOINTS`.
+    let mut armers = rust_setters();
+    for path in &sources {
+        if path.ends_with("spicier/src/chaos.rs") {
+            continue;
+        }
+        if let Some(tests) = split_tests(&read(path)).1 {
+            armers.push(tests.to_string());
+        }
+    }
+    let ci = read(&root().join(".github/workflows/ci.yml"));
+    armers.extend(
+        ci.lines()
+            .filter(|line| line.contains("SPICIER_FAILPOINTS="))
+            .map(str::to_string),
+    );
+    let experiments = read(&root().join("EXPERIMENTS.md"));
+
+    let mut problems = Vec::new();
+    for (site, _) in SITES {
+        if !experiments.contains(&format!("`{site}`")) {
+            problems.push(format!("{site}: not documented in EXPERIMENTS.md"));
+        }
+        if !armers.iter().any(|text| arms(text, site)) {
+            problems.push(format!(
+                "{site}: armed by no test, CI step or loadgen phase"
+            ));
         }
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));

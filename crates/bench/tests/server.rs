@@ -325,8 +325,9 @@ fn client_disconnect_cancels_orphaned_interactive_request() {
     // Drop-client chaos: the run request is written, then the socket is
     // slammed shut without reading the reply.
     let mut dropper = Client::connect(&daemon.addr).unwrap();
-    let err = spicier::chaos::with_drop_client(|| dropper.run("ghost", OP_DECK, None))
-        .expect_err("chaos drop returns an error");
+    let err =
+        spicier::chaos::with_failpoints("client.drop", || dropper.run("ghost", OP_DECK, None))
+            .expect_err("chaos drop returns an error");
     assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
     // The daemon notices the EOF and cancels the orphaned job.
     let t0 = Instant::now();
@@ -867,11 +868,16 @@ fn journal_policy_strict_refuses_lenient_serves_corruption() {
 
 /// A knob that does not parse stops the daemon before it binds, with
 /// exit code 2 and the variable and its value on stderr, instead of
-/// running on the default.
+/// running on the default; a failpoint spec naming no site it checks
+/// likewise, instead of a drill that arms nothing.
 #[test]
 fn malformed_knobs_stop_the_daemon_at_startup() {
     let dir = fresh_dir("malformed_knobs");
-    for (name, value) in [("SERVE_WORKERS", "abc"), ("SERVE_JOURNAL_POLICY", "stirct")] {
+    for (name, value) in [
+        ("SERVE_WORKERS", "abc"),
+        ("SERVE_JOURNAL_POLICY", "stirct"),
+        ("SPICIER_FAILPOINTS", "journal.apend=err"),
+    ] {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_spicier-serve"));
         let mut child = scrub_knobs(&mut cmd)
             .env("SERVE_ADDR", "tcp:127.0.0.1:0")
@@ -902,6 +908,24 @@ fn malformed_knobs_stop_the_daemon_at_startup() {
             "{name}={value}: the daemon bound"
         );
     }
+}
+
+/// A daemon that cannot publish its address (an armed `addr.write`)
+/// exits 1 instead of serving where no client can find it.
+#[test]
+fn unpublished_address_stops_the_daemon() {
+    let dir = fresh_dir("addr_write");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_spicier-serve"));
+    let output = scrub_knobs(&mut cmd)
+        .env("SERVE_ADDR", "tcp:127.0.0.1:0")
+        .env("SERVE_STATE_DIR", &dir)
+        .env("SPICIER_FAILPOINTS", "addr.write=err")
+        .output()
+        .expect("spicier-serve runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("failpoint addr.write"), "{stderr}");
+    assert!(!dir.join("ADDR").exists());
 }
 
 #[test]
@@ -1144,8 +1168,9 @@ fn dropped_client_mid_submit_is_safely_resubmitted_idempotently() {
     // Chaos slams the socket mid-frame: the submit's fate is unknown to
     // the caller — exactly the ambiguity the retry layer must absorb.
     let mut client = Client::connect(&daemon.addr).unwrap();
-    let err =
-        spicier::chaos::with_drop_client(|| client.submit_campaign("drop", "job", &spec(6, 2)));
+    let err = spicier::chaos::with_failpoints("client.drop", || {
+        client.submit_campaign("drop", "job", &spec(6, 2))
+    });
     assert!(err.is_err(), "dropped submit must surface an error");
 
     // The retrying client resolves the ambiguity: a re-submit is either

@@ -5,7 +5,7 @@
 //!   CSV artifacts to a plain run (telemetry observes, never steers), and
 //!   must additionally write `RUN_REPORT.json` with the per-experiment
 //!   solver rollups;
-//! * the `EXP_INJECT_BAD_CORNER=1` drill must leave a non-empty
+//! * the `fig8.bad_corner` drill must leave a non-empty
 //!   `FLIGHT_RECORDER.jsonl` identifying the failing corner.
 
 use cml_bench::scrub_knobs;
@@ -122,7 +122,10 @@ fn bad_corner_drill_dumps_flight_recorder_naming_the_corner() {
     let out = run_campaign(
         &dir,
         "FIG8",
-        &[("EXP_TELEMETRY", "1"), ("EXP_INJECT_BAD_CORNER", "1")],
+        &[
+            ("EXP_TELEMETRY", "1"),
+            ("SPICIER_FAILPOINTS", "fig8.bad_corner"),
+        ],
     );
     // One failed corner is fault-isolated, not a campaign failure.
     assert!(out.status.success(), "{}", stdout_of(&out));

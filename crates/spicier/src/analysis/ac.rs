@@ -709,7 +709,7 @@ mod tests {
             &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (1, 2, -1.0)],
         );
         let mut x = [Complex::ONE; 3];
-        let err = crate::chaos::with_perturb_lu(|| {
+        let err = crate::chaos::with_failpoints("lu.perturb", || {
             solve_fresh((&g, &c), 1.0, false, &mut x).unwrap_err()
         });
         assert!(err.is_untrusted_solution(), "{err:?}");

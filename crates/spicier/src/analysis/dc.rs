@@ -296,8 +296,8 @@ fn newton_run(
 ) -> Result<NewtonRun, Error> {
     let n_nodes = assembler.circuit().node_unknowns();
     let mut run = NewtonRun::fresh();
-    let hang = chaos::hang_active();
-    let nan_stamp = chaos::nan_stamp_active();
+    let hang = chaos::fault("newton.hang");
+    let nan_stamp = chaos::fault("newton.nan");
     for iter in 0..opts.max_iterations {
         tracker.check()?;
         let SolveWorkspace {

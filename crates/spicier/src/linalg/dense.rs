@@ -907,7 +907,7 @@ impl Solver for DenseSolver {
         let plan = (path == FactorPath::Refactor).then(|| &self.plans[ended]);
         let matrix = self.matrix.as_mut().expect("sized by rebuild");
         let perm = &self.perm;
-        if crate::chaos::perturb_lu_active() && n > 0 {
+        if crate::chaos::fault("lu.perturb") && n > 0 {
             // Chaos drill: corrupt one pivot of the completed
             // factorization. The triangular solves still finish cleanly;
             // only the residual certifier below can notice.

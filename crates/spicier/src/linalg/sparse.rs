@@ -1209,7 +1209,7 @@ fn certified_solve(
     x: &mut Vec<f64>,
     norms: (f64, f64),
 ) -> Result<SolveQuality, Error> {
-    if crate::chaos::perturb_lu_active() {
+    if crate::chaos::fault("lu.perturb") {
         lu.perturb_pivot();
     }
     lu.solve_with(rhs, x)?;

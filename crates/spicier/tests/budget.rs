@@ -80,12 +80,14 @@ fn newton_iteration_cap_fires_inside_each_ladder_rung() {
         ..DcOptions::default()
     };
     // Unlimited hang run: the whole ladder fails, reporting per-rung cost.
-    let report = chaos::with_hang(|| match operating_point(&c, &base).unwrap_err() {
-        Error::DcNoConvergence {
-            report: Some(report),
-            ..
-        } => *report,
-        other => panic!("expected ladder exhaustion, got {other}"),
+    let report = chaos::with_failpoints("newton.hang", || {
+        match operating_point(&c, &base).unwrap_err() {
+            Error::DcNoConvergence {
+                report: Some(report),
+                ..
+            } => *report,
+            other => panic!("expected ladder exhaustion, got {other}"),
+        }
     });
     assert_eq!(report.attempts.len(), 4, "{}", report.summary());
     assert!(report.succeeded.is_none());
@@ -98,7 +100,7 @@ fn newton_iteration_cap_fires_inside_each_ladder_rung() {
             budget: RunBudget::unlimited().with_max_newton_iterations(spent_before + 1),
             ..base.clone()
         };
-        let err = chaos::with_hang(|| operating_point(&c, &opts).unwrap_err());
+        let err = chaos::with_failpoints("newton.hang", || operating_point(&c, &opts).unwrap_err());
         match err {
             Error::DeadlineExceeded { progress, .. } => {
                 let expected = k as f64 / 4.0;
@@ -122,7 +124,9 @@ fn wall_clock_deadline_bounds_a_hung_newton_loop() {
     let started = Instant::now();
     let token = CancelToken::with_deadline(Duration::from_millis(50));
     let err = with_corner_token(&token, || {
-        chaos::with_hang(|| operating_point(&c, &DcOptions::default()).unwrap_err())
+        chaos::with_failpoints("newton.hang", || {
+            operating_point(&c, &DcOptions::default()).unwrap_err()
+        })
     });
     let elapsed = started.elapsed();
     match err {
@@ -140,7 +144,9 @@ fn nan_stamp_is_rejected_not_silently_accepted() {
     // Without the non-finite iterate guard, `NaN > tol` being false would
     // make the NaN-poisoned solve *converge*. It must fail instead.
     let c = diode_circuit();
-    let err = chaos::with_nan_stamp(|| operating_point(&c, &DcOptions::default()).unwrap_err());
+    let err = chaos::with_failpoints("newton.nan", || {
+        operating_point(&c, &DcOptions::default()).unwrap_err()
+    });
     assert!(
         matches!(err, Error::DcNoConvergence { .. }),
         "NaN-stamped solve must exhaust the ladder, got {err}"
@@ -279,7 +285,7 @@ fn hung_corner_is_isolated_and_healthy_corners_match_clean_run() {
     };
     let (chaotic, report) = par_try_map(values, &chaos_opts, |v: &f64| {
         if *v == 3.0 {
-            chaos::with_hang(|| solve(v))
+            chaos::with_failpoints("newton.hang", || solve(v))
         } else {
             solve(v)
         }

@@ -7,7 +7,7 @@
 //!   must produce the same certified answers as the dense kernel on
 //!   randomized MNA-shaped systems, across pattern rebuilds and
 //!   value-only refactorizations;
-//! * the `CHAOS_PERTURB_LU` drill on the *permuted* path: a corrupted
+//! * the `lu.perturb` drill on the *permuted* path: a corrupted
 //!   factorization behind a fill-reducing permutation must still surface
 //!   [`spicier::Error::UntrustedSolution`], and a pivot flip under a
 //!   cached permuted pattern must take the refactor fallback and still
@@ -17,7 +17,7 @@
 //!   backward error, and must declare no system singular that the
 //!   natural order factors.
 
-use spicier::chaos::with_perturb_lu;
+use spicier::chaos::with_failpoints;
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::order::min_degree_pinv;
 use spicier::linalg::sparse::SparseSolver;
@@ -128,7 +128,7 @@ fn ordered_path_agrees_with_dense_kernel_within_certified_error() {
     }
 }
 
-/// `CHAOS_PERTURB_LU` on the permuted path: corrupting a pivot of the
+/// `lu.perturb` on the permuted path: corrupting a pivot of the
 /// fill-reduced factorization must surface `UntrustedSolution` — the
 /// permutation must not hide the corruption from the certifier.
 #[test]
@@ -139,7 +139,7 @@ fn chaos_perturb_lu_is_caught_on_the_permuted_path() {
         let t = stamp_network(&mut rng, n, &edges);
         let b = random_rhs(&mut rng, n);
         let mut solver = SparseSolver::default();
-        let err = with_perturb_lu(|| solver.solve_in_place(&t, &mut b.clone()))
+        let err = with_failpoints("lu.perturb", || solver.solve_in_place(&t, &mut b.clone()))
             .expect_err("corrupted permuted factorization must not certify");
         assert!(
             err.is_untrusted_solution(),

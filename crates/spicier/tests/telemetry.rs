@@ -57,7 +57,9 @@ fn failure_dump_names_failing_rung() {
     let c = diode_circuit();
     // A NaN-poisoned stamp exhausts every rung of the recovery ladder.
     let err = telemetry::with_trace(|| {
-        chaos::with_nan_stamp(|| operating_point(&c, &DcOptions::default()).unwrap_err())
+        chaos::with_failpoints("newton.nan", || {
+            operating_point(&c, &DcOptions::default()).unwrap_err()
+        })
     });
     telemetry::set_dump_path(None);
     assert!(matches!(err, Error::DcNoConvergence { .. }), "{err}");

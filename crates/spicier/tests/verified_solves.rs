@@ -7,14 +7,14 @@
 //!   dense kernel, the sparse kernel, and the cached-pattern
 //!   refactorization fast path to answers that agree within their
 //!   certified backward error;
-//! * the `CHAOS_PERTURB_LU` drill — a silently corrupted factorization —
+//! * the `lu.perturb` drill — a silently corrupted factorization —
 //!   must surface [`spicier::Error::UntrustedSolution`] from every entry
 //!   point (raw kernels, the DC operating point, fault-isolated sweeps),
 //!   never a clean exit with wrong numbers.
 
 use spicier::analysis::dc::{operating_point, DcOptions};
 use spicier::analysis::sweep::{par_try_map, SweepFailure, TryMapOptions};
-use spicier::chaos::with_perturb_lu;
+use spicier::chaos::with_failpoints;
 use spicier::linalg::dense::DenseSolver;
 use spicier::linalg::sparse::SparseSolver;
 use spicier::linalg::verify::{backward_error, bwerr_tol, inf_norm};
@@ -177,7 +177,7 @@ fn divider() -> spicier::Circuit {
     nl.compile().unwrap()
 }
 
-/// The certifier drill: with `CHAOS_PERTURB_LU` corrupting one pivot of
+/// The certifier drill: with `lu.perturb` corrupting one pivot of
 /// every completed factorization, the raw kernels must return
 /// `UntrustedSolution` — never a clean exit with wrong numbers.
 #[test]
@@ -190,11 +190,15 @@ fn chaos_perturb_lu_is_caught_by_both_kernels() {
         for (kernel, result) in [
             (
                 "dense",
-                with_perturb_lu(|| DenseSolver::default().solve_in_place(&t, &mut b.clone())),
+                with_failpoints("lu.perturb", || {
+                    DenseSolver::default().solve_in_place(&t, &mut b.clone())
+                }),
             ),
             (
                 "sparse",
-                with_perturb_lu(|| SparseSolver::default().solve_in_place(&t, &mut b.clone())),
+                with_failpoints("lu.perturb", || {
+                    SparseSolver::default().solve_in_place(&t, &mut b.clone())
+                }),
             ),
         ] {
             let err = result.expect_err(kernel);
@@ -218,15 +222,17 @@ fn chaos_perturb_lu_surfaces_untrusted_operating_point() {
     let op = operating_point(&circuit, &DcOptions::default()).unwrap();
     assert!(op.quality().backward_error <= bwerr_tol());
 
-    let err = with_perturb_lu(|| operating_point(&circuit, &DcOptions::default()))
-        .expect_err("corrupted factorization must not yield a clean operating point");
+    let err = with_failpoints("lu.perturb", || {
+        operating_point(&circuit, &DcOptions::default())
+    })
+    .expect_err("corrupted factorization must not yield a clean operating point");
     assert!(err.is_untrusted_solution(), "got: {err}");
     let msg = err.to_string();
     assert!(msg.starts_with("untrusted solution"), "{msg}");
 }
 
 /// The drill seen from a sweep: a corner whose solves run under
-/// `CHAOS_PERTURB_LU` is quarantined (recorded as
+/// `lu.perturb` is quarantined (recorded as
 /// [`SweepFailure::Untrusted`]), while its healthy
 /// neighbours are unaffected.
 #[test]
@@ -240,7 +246,7 @@ fn chaos_perturb_lu_corner_is_quarantined_in_sweeps() {
         let circuit = divider();
         let solve = || operating_point(&circuit, &DcOptions::default());
         let op = if k == 2 {
-            with_perturb_lu(solve)
+            with_failpoints("lu.perturb", solve)
         } else {
             solve()
         }?;
